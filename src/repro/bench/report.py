@@ -598,14 +598,19 @@ def check_campaign_report(payload: Dict[str, Any],
                 f"(host-normalized) from {reg['baseline']['file']} to "
                 f"{reg['current']['file']} "
                 f"(threshold -{threshold * 100:.0f}%)")
-        # Newest bench file's snapshot/sessions sections (older files
-        # without them are a no-op, not a failure).
+        # Newest bench file's equivalence/sessions sections (older
+        # files without them are a no-op, not a failure).
         newest = trajectory[-1]["payload"]
         compare = newest.get("snapshot_compare")
         if compare and not compare.get("counters_match"):
             problems.append(
                 f"{trajectory[-1]['file']}: snapshot-forked counters "
                 f"diverge from fresh-boot counters")
+        compare = newest.get("parked_compare")
+        if compare and not compare.get("counters_match"):
+            problems.append(
+                f"{trajectory[-1]['file']}: parked-chain counters "
+                f"diverge from per-wakeup counters")
         sessions = newest.get("sessions")
         if sessions:
             for key in ("latency_p50_ms", "latency_p99_ms",

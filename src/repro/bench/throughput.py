@@ -44,32 +44,24 @@ from repro.sim.channels import attach_channels
 from repro.sim.engine import Simulator
 from repro.sim.oplog import OP_MEMO, OP_REAL, OP_RETIRE, OpLog
 from repro.sim.replay import ReplaySession, replay_from_env
-from repro.sim.shard import ShardEngine, plan_shards, shards_from_env
+from repro.sim.shard import ChainCoordinator
 from repro.sim.snapshot import SystemImage, snapshot_enabled
 
 BENCH_SCHEMA = "hive-throughput/v1"
 
-#: simulated counters that must match byte-for-byte between a sharded
-#: run and the sequential engine (the HIVE_SHARDS determinism contract).
-#: ``tiers`` covers the per-tier coherence attribution (hits, misses,
-#: memo replays) and ``channels`` the intercell channel fingerprint.
-SHARD_EQUIV_KEYS = (
+#: simulated counters every execution form of the scenario must agree
+#: on byte-for-byte: parked chains against the per-wakeup recording run,
+#: a trace replay against a live run (HIVE_REPLAY), fork-then-run against
+#: fresh-boot-then-run (HIVE_SNAPSHOT).  ``tiers`` covers the per-tier
+#: coherence attribution (hits, misses, memo replays; its ``replay``
+#: section is stripped first — it *says* which execution tier ran, like
+#: the ``parking`` metadata) and ``channels`` the intercell channel
+#: fingerprint.
+EQUIV_KEYS = (
     "events", "accesses", "driver_accesses", "discarded_pages",
     "writable_page_samples", "samples", "recovery_detected", "sim_ms",
     "tiers", "channels",
 )
-
-#: the HIVE_REPLAY determinism contract: a trace-replayed run must match
-#: a live run on the same counters a sharded run must match.  (The
-#: ``tiers`` comparison strips the ``replay`` section first — the hit/
-#: fallback attribution is the one counter that *says* which execution
-#: tier ran, exactly like ``shard`` metadata on sharded rows.)
-REPLAY_EQUIV_KEYS = SHARD_EQUIV_KEYS
-
-#: the HIVE_SNAPSHOT determinism contract: fork-then-run must match
-#: fresh-boot-then-run on the same counters (boot draws no RNG; a forked
-#: system is reseeded to the trial seed before it runs).
-SNAPSHOT_EQUIV_KEYS = SHARD_EQUIV_KEYS
 
 
 @dataclass(frozen=True)
@@ -125,22 +117,20 @@ def _exporter(sim: Simulator, cell, client_cell: int, nframes: int,
 
 def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
              ready, cfg: ThroughputConfig, stop_ns: int, counters: dict,
-             lane=None, record=None, session=None):
+             coord: ChainCoordinator, record=None, session=None):
     """Issue real coherence reads/ownership requests against the frames
     the neighbour granted.  Stops when its cell dies or loses access.
 
-    Under the sharded engine (``lane`` set) the driver registers itself
-    as a shard chain: wakeups whose accesses are provably memo replays
-    collapse into one park (``ShardedChain.credit``), and even real
-    accesses park through the chain so the coordinator owns the clock.
-    The sequential path (``lane is None``) is byte-for-byte the code
-    that ran before sharding existed.
+    The driver registers itself as a parked chain: wakeups whose
+    accesses are provably memo replays collapse into one park
+    (``ParkedChain.credit``), and even real accesses park through the
+    chain so the coordinator owns the clock.
 
-    ``record`` (an :class:`OpLog`, sequential runs only) captures one
-    columnar row per wakeup — observation only, the access stream is
-    untouched.  ``session`` (a :class:`ReplaySession`, always with a
-    lane) registers the chain as a trace-guided :class:`ReplayChain`
-    instead of a live sharded chain.
+    ``record`` (an :class:`OpLog`) captures one columnar row per wakeup,
+    so a recording run never credits: it executes every wakeup for real
+    and is the per-wakeup oracle parked runs are diffed against.
+    ``session`` (a :class:`ReplaySession`) registers the chain as a
+    trace-guided :class:`ReplayChain` instead of a live one.
     """
     frames = yield ready
     machine = system.machine
@@ -162,7 +152,6 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
     ops = cfg.ops_per_wakeup
     gap = cfg.wakeup_gap_ns
     access_prepared = coh.access_prepared
-    timeout = sim.timeout
     # Inlined registry.is_live(cell_id): the registry's cell object for
     # an id is fixed at registration, so the per-wakeup liveness check
     # reduces to the dead-set test plus the cell's own alive flag.
@@ -181,19 +170,17 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
         op_list = [(base + 2 * k) & 1 for k in range(ops)]
         cycle.append(coh.prepare_batch(line_ids, op_list))
     if session is not None:
-        chain = session.register_chain(lane, coh, cell_id, cpu, cycle,
+        chain = session.register_chain(coord, coh, cell_id, cpu, cycle,
                                        gap)
-    elif lane is not None:
-        chain = lane.register_chain(coh, cpu, cycle, gap)
     else:
-        chain = None
+        chain = coord.register_chain(coh, cpu, cycle, gap)
     node = cpu // machine.params.cpus_per_node
     peek_memo = coh.peek_memo
     j = 0
     while sim.now < stop_ns:
         if cell_id in dead_cells or not cell_obj.alive:
             return None
-        if chain is not None:
+        if record is None:
             k, sleep_ns, j2 = chain.credit(j, stop_ns)
             if k:
                 counters["accesses"] += ops * k
@@ -217,11 +204,10 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
                               coh.last_batch_completed, 0, j)
             return None
         counters["accesses"] += ops
-        if chain is not None:
-            # The live access may have rebuilt an all-hit memo without
-            # a directory mutation; the chain's peek cache can't see
-            # that through its generation key alone.
-            chain.invalidate_peeks()
+        # The live access may have rebuilt an all-hit memo without a
+        # directory mutation; the chain's peek cache can't see that
+        # through its generation key alone.
+        chain.invalidate_peeks()
         if record is not None:
             record.append(sim.now, cell_id, node,
                           OP_MEMO if peek is not None else OP_REAL,
@@ -229,10 +215,7 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
         j += 1
         if j == period:
             j = 0
-        if chain is not None:
-            yield chain.park(lat + gap, 1)
-        else:
-            yield timeout(lat + gap)
+        yield chain.park(lat + gap, 1)
     return None
 
 
@@ -265,8 +248,7 @@ def boot_bench_system(config: str, seed: int = 1995,
 def run_throughput(config: str, seed: int = 1995,
                    batch: Optional[bool] = None,
                    wheel: Optional[bool] = None,
-                   shards: Optional[int] = None,
-                   channels: Optional[bool] = None,
+                   channels: bool = False,
                    record: Optional[OpLog] = None,
                    replay: Optional[OpLog] = None,
                    inject_ms: Optional[int] = None,
@@ -276,23 +258,20 @@ def run_throughput(config: str, seed: int = 1995,
 
     ``batch`` overrides the coherence controller's batched access path
     (None keeps the ``HIVE_BATCH`` environment default); ``wheel``
-    likewise overrides the engine timer wheel (``HIVE_WHEEL``);
-    ``shards`` the cell-sharded engine (``HIVE_SHARDS``, 0 = the
-    sequential engine).  The simulated counters are identical either
-    way — only wall clock changes.  ``channels`` forces the intercell
-    channel recorder on for a sequential run (it is always attached
-    under sharding), so a sequential baseline exposes the same channel
-    fingerprint a sharded run is compared against.
+    likewise overrides the engine timer wheel (``HIVE_WHEEL``).  The
+    simulated counters are identical either way — only wall clock
+    changes.  ``channels`` attaches the intercell channel recorder, so
+    the row carries the channel fingerprint the equivalence gates diff.
 
     ``record`` captures the traffic drivers' op stream into the given
-    :class:`OpLog` (sequential engine only — observation, no behavior
-    change).  ``replay`` feeds a previously recorded log back through
-    trace-guided chains under the shard coordinator (one lane when
-    ``shards`` is 0, composing with any ``shards`` count otherwise);
-    ``HIVE_REPLAY=0`` ignores the log and runs live.  ``inject_ms``
-    overrides the config's fault-injection time — the fault-schedule
-    sweep's axis; everything before the moved fault replays, the
-    affected chains fall back to live execution at the divergence.
+    :class:`OpLog`, one row per wakeup — which makes a recording run the
+    per-wakeup form of the scenario (no wakeup is credited ahead).
+    ``replay`` feeds a previously recorded log back through trace-guided
+    chains; ``HIVE_REPLAY=0`` ignores the log and runs live.
+    ``inject_ms`` overrides the config's fault-injection time — the
+    fault-schedule sweep's axis; everything before the moved fault
+    replays, the affected chains fall back to live execution at the
+    divergence.
 
     ``system`` runs the scenario against an already-booted (snapshot-
     forked) system instead of booting one — its boot cost was paid by
@@ -312,12 +291,9 @@ def run_throughput(config: str, seed: int = 1995,
     params = system.machine.params
     if batch is not None:
         system.machine.coherence.batch_enabled = batch
-    if shards is None:
-        shards = shards_from_env()
     use_replay = replay is not None and replay_from_env()
-    if record is not None and (shards > 0 or use_replay):
-        raise ValueError("recording requires the sequential engine "
-                         "(no shards, no replay)")
+    if record is not None and use_replay:
+        raise ValueError("recording requires a live run (no replay)")
     registry = system.registry
     victim = cfg.num_cells - 1
     stop_ns = cfg.duration_ms * NS_PER_MS
@@ -326,16 +302,12 @@ def run_throughput(config: str, seed: int = 1995,
     inject_ns = inject_ms * NS_PER_MS
     counters = {"accesses": 0, "samples": 0, "writable_page_samples": 0}
 
-    lookahead = params.min_intercell_latency_ns()
-    engine = None
     chan = None
     session = None
-    if shards > 0 or channels:
-        chan = attach_channels(system.machine, registry, lookahead,
-                               sim=sim)
-    if shards > 0 or use_replay:
-        groups = plan_shards(list(registry.cells), max(1, shards))
-        engine = ShardEngine(sim, groups, lookahead, channels=chan)
+    if channels:
+        chan = attach_channels(system.machine, registry,
+                               params.min_intercell_latency_ns(), sim=sim)
+    coord = ChainCoordinator(sim)
     if use_replay:
         session = ReplaySession(replay, cfg.name)
         system.replay_session = session
@@ -353,9 +325,8 @@ def run_throughput(config: str, seed: int = 1995,
                               frames, ready), name=f"exporter{c}")
         client_cell = registry.cell_object(client)
         cpu = client_cell.cpu_ids[0]
-        lane = engine.lane_of(client) if engine is not None else None
         sim.process(_traffic(sim, system, client, cpu, ready, cfg,
-                             stop_ns, counters, lane=lane,
+                             stop_ns, counters, coord,
                              record=record, session=session),
                     name=f"traffic{client}")
         sim.process(_sampler(sim, cell, cfg.sample_interval_ms * NS_PER_MS,
@@ -365,7 +336,6 @@ def run_throughput(config: str, seed: int = 1995,
                               registry.first_node_of(victim),
                               trigger="throughput-bench")
 
-    run = engine.run if engine is not None else sim.run
     # Cyclic GC passes contribute ~8% of wall on the large config and
     # cannot affect any simulated counter; suspend collection for the
     # measured window (the cycles it would have reclaimed are collected
@@ -374,11 +344,11 @@ def run_throughput(config: str, seed: int = 1995,
     gc.disable()
     try:
         wall0 = time.perf_counter()
-        run(until=inject_ns)
+        coord.run(until=inject_ns)
         wall_inject = time.perf_counter()
-        run(until=inject_ns + cfg.recovery_window_ms * NS_PER_MS)
+        coord.run(until=inject_ns + cfg.recovery_window_ms * NS_PER_MS)
         wall_recovered = time.perf_counter()
-        run(until=stop_ns)
+        coord.run(until=stop_ns)
         wall_end = time.perf_counter()
     finally:
         if gc_was_enabled:
@@ -413,16 +383,14 @@ def run_throughput(config: str, seed: int = 1995,
         "samples": counters["samples"],
         "recovery_detected": bool(records),
         "discarded_pages": discarded,
-        "shards": shards,
         "inject_ms": inject_ms,
+        "parking": coord.snapshot(),
         # Hot-path tier attribution (seed-deterministic counts; the
         # engine section is non-null only under HIVE_PROFILE=1).
         "tiers": tier_snapshot(system),
     }
     if chan is not None:
         row["channels"] = chan.snapshot()
-    if engine is not None:
-        row["shard"] = engine.snapshot()
     if session is not None:
         row["replay"] = session.snapshot()
     return row
@@ -454,8 +422,7 @@ def _forked_throughput(system: HiveSystem, config: str,
 def run_throughput_forked(config: str, seed: int = 1995,
                           batch: Optional[bool] = None,
                           wheel: Optional[bool] = None,
-                          shards: Optional[int] = None,
-                          channels: Optional[bool] = None,
+                          channels: bool = False,
                           replay: Optional[OpLog] = None,
                           inject_ms: Optional[int] = None) -> dict:
     """``run_throughput`` against a snapshot fork instead of a fresh boot.
@@ -467,8 +434,8 @@ def run_throughput_forked(config: str, seed: int = 1995,
     fresh boot per run, with ``fork_wall_s`` recording that boot —
     i.e. no amortization, same results.
     """
-    kwargs = dict(seed=seed, batch=batch, shards=shards,
-                  channels=channels, replay=replay, inject_ms=inject_ms)
+    kwargs = dict(seed=seed, batch=batch, channels=channels,
+                  replay=replay, inject_ms=inject_ms)
     if not snapshot_enabled():
         row = run_throughput(config, wheel=wheel, **kwargs)
         row["fork_wall_s"] = row["boot_wall_s"]
@@ -482,31 +449,37 @@ def run_throughput_forked(config: str, seed: int = 1995,
     return row
 
 
+def equiv_mismatches(a: dict, b: dict, labels=("a", "b")) -> dict:
+    """Diff two result rows over :data:`EQUIV_KEYS` (empty = equivalent)."""
+    mismatches = {}
+    for key in EQUIV_KEYS:
+        va, vb = a.get(key), b.get(key)
+        if key == "tiers":
+            va = {k: v for k, v in (va or {}).items() if k != "replay"}
+            vb = {k: v for k, v in (vb or {}).items() if k != "replay"}
+        if va != vb:
+            mismatches[key] = {labels[0]: va, labels[1]: vb}
+    return mismatches
+
+
 def compare_snapshot(config: str, seed: int = 1995,
-                     shards: int = 0,
                      replay_log: Optional[OpLog] = None) -> dict:
     """The HIVE_SNAPSHOT equivalence gate for one config.
 
     Runs the scenario twice — fresh-boot-then-run and fork-then-run —
     with the channel recorder attached on both sides, and diffs every
-    key in :data:`SNAPSHOT_EQUIV_KEYS`.  ``shards``/``replay_log``
-    compose the comparison with the other execution tiers (both sides
-    get the same setting).  Returns ``match`` plus the amortization the
-    fork bought (fresh boot wall vs fork wall).
+    key in :data:`EQUIV_KEYS`.  ``replay_log`` composes the comparison
+    with trace replay (both sides get the same log).  Returns ``match``
+    plus the amortization the fork bought (fresh boot wall vs fork
+    wall).
     """
-    kwargs = dict(seed=seed, shards=shards, channels=True,
-                  replay=replay_log)
+    kwargs = dict(seed=seed, channels=True, replay=replay_log)
     fresh = run_throughput(config, **kwargs)
     forked = run_throughput_forked(config, **kwargs)
-    mismatches = {}
-    for key in SNAPSHOT_EQUIV_KEYS:
-        if fresh.get(key) != forked.get(key):
-            mismatches[key] = {"fresh": fresh.get(key),
-                               "forked": forked.get(key)}
+    mismatches = equiv_mismatches(fresh, forked, ("fresh", "forked"))
     fork_wall = forked["fork_wall_s"]
     return {
         "config": config,
-        "shards": shards,
         "mode": forked.get("snapshot", "boot"),
         "match": not mismatches,
         "mismatches": mismatches,
@@ -519,51 +492,36 @@ def compare_snapshot(config: str, seed: int = 1995,
     }
 
 
-def _strip_replay_tiers(row: dict) -> dict:
-    """A row's ``tiers`` with the ``replay`` attribution removed.
+def compare_parked(config: str, seed: int = 1995,
+                   inject_ms: Optional[int] = None) -> dict:
+    """The parked-chain equivalence gate for one config.
 
-    The replay section *names the execution tier* (trace hits vs
-    fallbacks), so it legitimately differs between a live and a
-    replayed run — like ``shard`` metadata, it is excluded from the
-    byte-identical contract, which covers every simulated counter.
+    Runs the scenario per wakeup (a recording run: every wakeup executes
+    and parks on its own) and parked (the default), channel recorder
+    attached on both sides, and diffs every key in :data:`EQUIV_KEYS`.
+    Returns a dict with ``match`` plus the per-key mismatches (empty
+    when equivalent).
     """
-    tiers = dict(row.get("tiers") or {})
-    tiers.pop("replay", None)
-    return tiers
-
-
-def compare_shards(config: str, shards: int, seed: int = 1995,
-                   batch: Optional[bool] = None,
-                   wheel: Optional[bool] = None) -> dict:
-    """The HIVE_SHARDS equivalence gate for one config.
-
-    Runs the scenario sequentially (with the channel recorder attached,
-    so the channel fingerprint exists on both sides) and sharded, and
-    diffs every key in :data:`SHARD_EQUIV_KEYS`.  Returns a dict with
-    ``match`` plus the per-key mismatches (empty when equivalent).
-    """
-    seq = run_throughput(config, seed=seed, batch=batch, wheel=wheel,
-                         shards=0, channels=True)
-    shd = run_throughput(config, seed=seed, batch=batch, wheel=wheel,
-                         shards=shards)
-    mismatches = {}
-    for key in SHARD_EQUIV_KEYS:
-        if seq.get(key) != shd.get(key):
-            mismatches[key] = {"sequential": seq.get(key),
-                               "sharded": shd.get(key)}
+    per_wakeup = run_throughput(config, seed=seed, channels=True,
+                                record=OpLog(), inject_ms=inject_ms)
+    parked = run_throughput(config, seed=seed, channels=True,
+                            inject_ms=inject_ms)
+    mismatches = equiv_mismatches(per_wakeup, parked,
+                                  ("per_wakeup", "parked"))
     return {
         "config": config,
-        "shards": shards,
+        "inject_ms": parked["inject_ms"],
         "match": not mismatches,
         "mismatches": mismatches,
-        "sequential_events_per_sec": seq["events_per_sec"],
-        "sharded_events_per_sec": shd["events_per_sec"],
-        "replayed_wakeups": shd.get("shard", {}).get("replayed_wakeups", 0),
+        "per_wakeup_events_per_sec": per_wakeup["events_per_sec"],
+        "parked_events_per_sec": parked["events_per_sec"],
+        "parks": parked["parking"]["parks"],
+        "replayed_wakeups": parked["parking"]["replayed_wakeups"],
     }
 
 
 def record_traces(configs: List[str], seed: int = 1995) -> Dict[str, OpLog]:
-    """One sequential recording pass per config; returns finalized logs."""
+    """One recording pass per config; returns finalized logs."""
     logs: Dict[str, OpLog] = {}
     for name in configs:
         log = OpLog()
@@ -572,41 +530,23 @@ def record_traces(configs: List[str], seed: int = 1995) -> Dict[str, OpLog]:
     return logs
 
 
-def _replay_mismatches(live: dict, rep: dict) -> dict:
-    """Diff a live and a replayed row over :data:`REPLAY_EQUIV_KEYS`."""
-    mismatches = {}
-    for key in REPLAY_EQUIV_KEYS:
-        if key == "tiers":
-            a, b = _strip_replay_tiers(live), _strip_replay_tiers(rep)
-        else:
-            a, b = live.get(key), rep.get(key)
-        if a != b:
-            mismatches[key] = {"live": a, "replay": b}
-    return mismatches
-
-
-def compare_replay(config: str, seed: int = 1995,
-                   shards: int = 0) -> dict:
+def compare_replay(config: str, seed: int = 1995) -> dict:
     """The HIVE_REPLAY equivalence gate for one config.
 
     Records a live run (channel recorder attached so the fingerprint
-    exists on both sides), replays the trace — optionally composed with
-    ``shards`` lanes — and diffs every key in
-    :data:`REPLAY_EQUIV_KEYS`.  The recording run doubles as the live
-    baseline: capture is observation-only (a pure memo peek plus list
-    appends), which the replay-vs-live goldens verify rather than
-    assume.
+    exists on both sides), replays the trace, and diffs every key in
+    :data:`EQUIV_KEYS`.  The recording run doubles as the live
+    baseline: it is the per-wakeup form of the scenario, which
+    :func:`compare_parked` holds equal to the parked default.
     """
     log = OpLog()
     live = run_throughput(config, seed=seed, channels=True, record=log)
     log.finalize()
-    rep = run_throughput(config, seed=seed, channels=True, replay=log,
-                         shards=shards)
-    mismatches = _replay_mismatches(live, rep)
+    rep = run_throughput(config, seed=seed, channels=True, replay=log)
+    mismatches = equiv_mismatches(live, rep, ("live", "replay"))
     replay_stats = rep.get("replay", {})
     return {
         "config": config,
-        "shards": shards,
         "match": not mismatches,
         "mismatches": mismatches,
         "live_events_per_sec": live["events_per_sec"],
@@ -634,7 +574,7 @@ def sweep_inject_times(config: str, trials: int) -> List[int]:
 
 
 def run_replay_sweep(config: str, trials: int = 4, seed: int = 1995,
-                     shards: int = 0, repeats: int = 1) -> dict:
+                     repeats: int = 1) -> dict:
     """A same-traffic fault-schedule sweep: record once, replay many.
 
     Trial 0 runs live at the config's default injection time and
@@ -665,8 +605,8 @@ def run_replay_sweep(config: str, trials: int = 4, seed: int = 1995,
             config, seed=seed, channels=True, inject_ms=inject))
         rep = best_of(lambda: run_throughput(
             config, seed=seed, channels=True, replay=log,
-            shards=shards, inject_ms=inject))
-        mismatches = _replay_mismatches(live, rep)
+            inject_ms=inject))
+        mismatches = equiv_mismatches(live, rep, ("live", "replay"))
         if mismatches:
             all_match = False
         replay_stats = rep.get("replay", {})
@@ -689,7 +629,6 @@ def run_replay_sweep(config: str, trials: int = 4, seed: int = 1995,
     return {
         "config": config,
         "seed": seed,
-        "shards": shards,
         "trials": trials,
         "repeats": max(1, repeats),
         "trace_rows": len(log),
@@ -706,7 +645,6 @@ def run_suite(configs: Optional[List[str]] = None,
               seed: int = 1995, repeats: int = 1,
               batch: Optional[bool] = None,
               wheel: Optional[bool] = None,
-              shards: Optional[int] = None,
               replay_logs: Optional[Dict[str, OpLog]] = None,
               snapshot: bool = False) -> dict:
     """Run the scenario at the requested sizes; returns the bench payload.
@@ -733,7 +671,6 @@ def run_suite(configs: Optional[List[str]] = None,
         for _ in range(max(1, repeats)):
             runner = run_throughput_forked if snapshot else run_throughput
             row = runner(name, seed=seed, batch=batch, wheel=wheel,
-                         shards=shards,
                          replay=(replay_logs or {}).get(name))
             walls.append(row["wall_s"])
             if best is None:

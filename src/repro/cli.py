@@ -587,17 +587,13 @@ def cmd_bench(args) -> int:
     from repro.bench.parallel import DETERMINISTIC_KEYS, run_bench_campaign
     from repro.bench.throughput import (
         CONFIGS,
-        compare_shards,
+        compare_parked,
         run_suite,
-        run_throughput,
         validate_payload,
         write_bench_file,
     )
 
-    from repro.sim.shard import shards_from_env
-
     names = list(CONFIGS) if args.config == "all" else [args.config]
-    shards = args.shards if args.shards is not None else shards_from_env()
     replay_logs = None
     if args.replay:
         from repro.sim.oplog import load_oplogs
@@ -615,8 +611,6 @@ def cmd_bench(args) -> int:
                   f"{', '.join(sorted(replay_logs))})", file=sys.stderr)
             return 2
     mode = (f"{args.parallel} workers" if args.parallel > 1 else "serial")
-    if shards:
-        mode += f", {shards} shards"
     if replay_logs is not None:
         mode += f", replaying {args.replay}"
     if args.snapshot:
@@ -631,7 +625,7 @@ def cmd_bench(args) -> int:
                                      snapshot=args.snapshot)
     else:
         payload = run_suite(names, seed=args.seed, repeats=args.repeats,
-                            shards=shards, replay_logs=replay_logs,
+                            replay_logs=replay_logs,
                             snapshot=args.snapshot)
     if replay_logs is not None:
         payload["replay_source"] = args.replay
@@ -760,59 +754,30 @@ def cmd_bench(args) -> int:
         }
         print(f"deterministic counters wheel vs heap: "
               f"{'MATCH' if wheel_match else 'MISMATCH'}")
-    shard_match = True
-    if args.compare_shards:
-        n = args.compare_shards
-        print(f"shard equivalence run (HIVE_SHARDS={n} vs sequential)...")
+    parked_match = True
+    if args.compare_parked:
+        print("parked-chain equivalence run (parked vs per-wakeup)...")
         compare = {}
         for name in names:
-            result = compare_shards(name, n, seed=args.seed)
+            result = compare_parked(name, seed=args.seed)
             if not result["match"]:
-                shard_match = False
-                print(f"COUNTER MISMATCH (sharded vs sequential) in "
+                parked_match = False
+                print(f"COUNTER MISMATCH (parked vs per-wakeup) in "
                       f"{name!r}: {sorted(result['mismatches'])}",
                       file=sys.stderr)
             compare[name] = result
             print(f"{name:>7}: "
-                  f"{result['sharded_events_per_sec']:>12,.0f} events/sec "
-                  f"sharded  "
-                  f"{result['sequential_events_per_sec']:>12,.0f} "
-                  f"sequential  ({result['replayed_wakeups']} wakeups "
-                  f"replayed)")
-        payload["shard_compare"] = {
-            "counters_match": shard_match,
-            "shards": n,
+                  f"{result['parked_events_per_sec']:>12,.0f} events/sec "
+                  f"parked  "
+                  f"{result['per_wakeup_events_per_sec']:>12,.0f} "
+                  f"per wakeup  ({result['replayed_wakeups']} wakeups "
+                  f"replayed in {result['parks']} parks)")
+        payload["parked_compare"] = {
+            "counters_match": parked_match,
             "results": compare,
         }
-        print(f"deterministic counters sharded vs sequential: "
-              f"{'MATCH' if shard_match else 'MISMATCH'}")
-    if args.shard_scaling:
-        print("intra-run shard scaling (events/s vs shard count)...")
-        scaling = {}
-        for name in names:
-            rows = {}
-            for n in (0, 1, 2, 4):
-                best = None
-                for _ in range(max(1, args.repeats)):
-                    row = run_throughput(name, seed=args.seed, shards=n)
-                    if best is None or row["wall_s"] < best["wall_s"]:
-                        best = row
-                entry = {"events_per_sec": best["events_per_sec"],
-                         "wall_s": best["wall_s"]}
-                if n:
-                    entry["replayed_wakeups"] = \
-                        best["shard"]["replayed_wakeups"]
-                    entry["windows_closed"] = \
-                        best["shard"]["windows_closed"]
-                rows["sequential" if n == 0 else f"shards_{n}"] = entry
-            base = rows["sequential"]["events_per_sec"]
-            for key, entry in rows.items():
-                entry["speedup"] = round(entry["events_per_sec"] / base, 2)
-            scaling[name] = rows
-            print(f"{name:>7}: " + "  ".join(
-                f"{key}={entry['events_per_sec']:,.0f} "
-                f"({entry['speedup']}x)" for key, entry in rows.items()))
-        payload["shard_scaling"] = scaling
+        print(f"deterministic counters parked vs per-wakeup: "
+              f"{'MATCH' if parked_match else 'MISMATCH'}")
     rpc_match = True
     if args.rpc:
         from repro.bench.rpcbench import (
@@ -877,8 +842,7 @@ def cmd_bench(args) -> int:
         print("replay equivalence run (trace replay vs live)...")
         compare = {}
         for name in names:
-            result = compare_replay(name, seed=args.seed,
-                                    shards=shards or 0)
+            result = compare_replay(name, seed=args.seed)
             if not result["match"]:
                 replay_match = False
                 print(f"COUNTER MISMATCH (replay vs live) in {name!r}: "
@@ -892,7 +856,6 @@ def cmd_bench(args) -> int:
                   f"{result['fallback_wakeups']} live fallbacks)")
         payload["replay_compare"] = {
             "counters_match": replay_match,
-            "shards": shards or 0,
             "results": compare,
         }
         print(f"deterministic counters replay vs live: "
@@ -906,7 +869,7 @@ def cmd_bench(args) -> int:
         sweeps = {}
         for name in names:
             sweep = run_replay_sweep(name, trials=args.sweep_faults,
-                                     seed=args.seed, shards=shards or 0,
+                                     seed=args.seed,
                                      repeats=args.repeats)
             if not sweep["counters_match"]:
                 sweep_match = False
@@ -929,8 +892,7 @@ def cmd_bench(args) -> int:
         print("snapshot equivalence run (forked vs fresh boot)...")
         compare = {}
         for name in names:
-            result = compare_snapshot(name, seed=args.seed,
-                                      shards=shards or 0)
+            result = compare_snapshot(name, seed=args.seed)
             if not result["match"]:
                 snapshot_match = False
                 print(f"COUNTER MISMATCH (forked vs boot) in {name!r}: "
@@ -942,7 +904,6 @@ def cmd_bench(args) -> int:
                   f"{result['mode']})")
         payload["snapshot_compare"] = {
             "counters_match": snapshot_match,
-            "shards": shards or 0,
             "results": compare,
         }
         print(f"deterministic counters forked vs boot: "
@@ -986,7 +947,7 @@ def cmd_bench(args) -> int:
     write_bench_file(args.out, payload)
     print(f"bench written       : {args.out}")
     return 1 if (failed or not counters_match or not wheel_match
-                 or not rpc_match or not shard_match
+                 or not rpc_match or not parked_match
                  or not replay_match or not sweep_match
                  or not snapshot_match) else 0
 
@@ -1130,9 +1091,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["small", "medium", "large", "all"],
                          default="all")
     p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr10.json",
+                         default="BENCH_pr14.json",
                          help="output JSON path "
-                              "(default: BENCH_pr10.json)")
+                              "(default: BENCH_pr14.json)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")
@@ -1151,21 +1112,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the RPC round-trip microbench "
                               "with the fast path on and off and verify "
                               "the RPC counters match")
-    p_bench.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="run the suite on the cell-sharded engine "
-                              "with N shard lanes (default: the "
-                              "HIVE_SHARDS env setting, else 0 = "
-                              "sequential engine)")
-    p_bench.add_argument("--compare-shards", type=int, default=0,
-                         metavar="N",
-                         help="also run each config sharded (N lanes) "
-                              "and sequentially and verify the "
-                              "deterministic counters and channel "
-                              "digests match byte-for-byte")
-    p_bench.add_argument("--shard-scaling", action="store_true",
-                         help="also measure events/s at shard counts "
-                              "1/2/4 vs the sequential engine and "
-                              "record the scaling table")
+    p_bench.add_argument("--compare-parked", action="store_true",
+                         help="also run each config per wakeup (a "
+                              "recording run) and verify the parked "
+                              "default's deterministic counters and "
+                              "channel digests match byte-for-byte")
     p_bench.add_argument("--record", metavar="FILE", default=None,
                          help="also record each config's op trace into "
                               "one compressed .npz archive, replayable "

@@ -36,28 +36,32 @@ def check_cell(cell) -> List[str]:
 
 
 def _check_frame_states(cell) -> List[str]:
+    """Free-list, reserved-list and refcount consistency of owned frames.
+
+    Walks the free list, the reserved list and the materialized pfdats
+    only: an owned frame that was never touched has no pfdat, and is
+    free, unhashed and unreferenced by construction, so "free AND
+    reserved" is the only state it can violate.
+    """
     problems: List[str] = []
     table = cell.pfdats
+    owned = table.owned_frames
+    pfdats = table._by_frame
     free = set()
-    probe = list(table._free)
-    for frame in probe:
+    for frame in table._free:
         if frame in free:
             problems.append(
                 f"cell {cell.kernel_id}: frame {frame} on free list twice")
         free.add(frame)
-    for frame in table.owned_frames:
-        pf = table.by_frame(frame)
-        on_free = frame in free and (pf is None or pf.on_free_list)
-        reserved = frame in table.reserved
-        hashed = pf is not None and pf.logical_id is not None
-        states = sum((on_free, reserved))
-        if on_free and reserved:
-            problems.append(
-                f"cell {cell.kernel_id}: frame {frame} free AND reserved")
-        if on_free and hashed and not pf.on_free_list:
-            problems.append(
-                f"cell {cell.kernel_id}: frame {frame} free AND hashed")
-        if pf is not None and pf.refcount < 0:
+    for frame in table.reserved:
+        if frame in free and frame in owned:
+            pf = pfdats.get(frame)
+            if pf is None or pf.on_free_list:
+                problems.append(
+                    f"cell {cell.kernel_id}: frame {frame} free AND "
+                    f"reserved")
+    for frame, pf in pfdats.items():
+        if pf.refcount < 0 and frame in owned:
             problems.append(
                 f"cell {cell.kernel_id}: frame {frame} refcount "
                 f"{pf.refcount}")

@@ -206,7 +206,7 @@ class CoherenceController:
         self._node_gen: List[int] = [0] * params.num_nodes
         #: monotone summary of every ``_node_gen`` bump: while it (and
         #: the memory's fault generation) stands still, no valid batch
-        #: memo can be invalidated — the shard/replay chains key their
+        #: memo can be invalidated — the parked/replay chains key their
         #: per-cycle peek caches on it.
         self.mutation_gen = 0
         #: the mutation log: entry ``g - _mut_base`` is the line mutated
@@ -652,8 +652,8 @@ class CoherenceController:
 
         Returns the memo's ``(latency, read_hits, write_hits)`` when the
         batch would resolve as a pure memo replay for ``cpu`` at this
-        instant, else None.  No state is touched — this is the shard
-        engine's validity probe: a chain of wakeups may only be replayed
+        instant, else None.  No state is touched — this is the parked
+        chains' validity probe: a chain of wakeups may only be replayed
         arithmetically (:meth:`replay_memo`) while every batch in the
         chain passes this check, and nothing can invalidate a memo
         between engine events (every directory or fault-state mutation

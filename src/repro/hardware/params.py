@@ -124,14 +124,12 @@ class HardwareParams:
     def min_intercell_latency_ns(self) -> int:
         """The fastest any hardware operation crosses a cell boundary.
 
-        This is the authoritative conservative-synchronization lookahead
-        for the sharded engine (``sim/shard.py``): no intercell channel
-        op — remote miss, SIPS delivery, or firewall flip — can take
-        effect in another cell sooner than this, so a shard that has
-        drained its inputs up to time T is safe to advance to T plus
-        this bound.  Derived, never hard-coded: the minimum of the
-        remote-miss latency, the end-to-end SIPS delivery, and the
-        firewall status-change cost.
+        The floor the intercell channel recorder (``sim/channels.py``)
+        and the RPC bench hold every op to: no intercell channel op —
+        remote miss, SIPS delivery, or firewall flip — can take effect
+        in another cell sooner than this.  Derived, never hard-coded:
+        the minimum of the remote-miss latency, the end-to-end SIPS
+        delivery, and the firewall status-change cost.
         """
         return min(self.mem_latency_ns, self.sips_latency_ns(),
                    self.firewall_update_ns)

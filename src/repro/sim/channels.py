@@ -10,19 +10,20 @@ intercell operation is *published* as a typed, serializable
 :class:`ChannelOp` on the directed channel for its (source cell,
 destination cell) pair.
 
-The sharded engine (:mod:`repro.sim.shard`) consumes these records at
-its conservative window barriers: ops are batched by window index
-(window width = ``HardwareParams.min_intercell_latency_ns()``), each
-batch is validated against the lookahead invariant (no op may cross a
-cell boundary faster than the minimum intercell latency — that is what
-makes the window barrier conservative), and folded into a running
-digest so two runs can be compared channel-op-for-channel-op, not just
-counter-for-counter.
+The simulator never reads the records back: they are an audit signal.
+Each op is validated against the lookahead invariant (no op may cross a
+cell boundary faster than ``HardwareParams.min_intercell_latency_ns()``)
+and folded into a running digest, so two runs can be compared
+channel-op-for-channel-op, not just counter-for-counter — the
+equivalence gates in :mod:`repro.bench.throughput` attach one to both
+sides (``channels=True``) and diff the snapshot.  The ops themselves
+stay queued per directed channel until the caller drains them.
 
 Publishing is a ``None``-checked hook exactly like the fault-provenance
-tracer: a simulator without channels attached pays one attribute test
-per *slow-path* operation and nothing on hit paths.  Cache hits never
-cross a cell boundary, so they are not channel traffic by definition.
+tracer: a simulator without channels attached (the default) pays one
+attribute test per *slow-path* operation and nothing on hit paths.
+Cache hits never cross a cell boundary, so they are not channel traffic
+by definition.
 """
 
 from __future__ import annotations
@@ -81,15 +82,15 @@ class ChannelOp:
 
 class ChannelViolation(Exception):
     """An op crossed a cell boundary faster than the minimum intercell
-    latency — the conservative window barrier would be unsound."""
+    latency — the hardware parameters contradict their own floor."""
 
 
 class CellChannels:
     """All directed intercell channels for one machine.
 
     Construction needs the node->cell ownership map (cells are a kernel
-    concept; the hardware publishers only know node ids) and the window
-    width, which callers should take from
+    concept; the hardware publishers only know node ids) and the
+    lookahead, which callers should take from
     ``HardwareParams.min_intercell_latency_ns()``.
 
     Ops between nodes of the *same* cell are intracell traffic and are
@@ -112,7 +113,7 @@ class CellChannels:
         self.ops_by_kind: Dict[str, int] = {k: 0 for k in OP_KINDS}
         #: commutative digest (sum of per-op CRCs mod 2**64) — a cheap
         #: whole-run fingerprint two runs can compare directly.  Order-
-        #: independent on purpose: sequential and sharded execution may
+        #: independent on purpose: parked and per-wakeup execution may
         #: dispatch ops tied at one instant in different relative order,
         #: but must publish the identical multiset.
         self.digest = 0
@@ -131,9 +132,8 @@ class CellChannels:
         if src_cell is None or dst_cell is None or src_cell == dst_cell:
             return
         if latency_ns < self.window_ns:
-            # The whole point of the conservative barrier: nothing may
-            # out-run the lookahead.  A violation here means the window
-            # width was derived from the wrong parameter set.
+            # Nothing may out-run the lookahead.  A violation here means
+            # the floor was derived from the wrong parameter set.
             self.violations += 1
             if self.strict:
                 raise ChannelViolation(
@@ -165,22 +165,18 @@ class CellChannels:
         self.publish(FW_GRANT if grant else FW_REVOKE,
                      src_node, dst_node, latency_ns)
 
-    # -- barrier-side consumption -------------------------------------
+    # -- caller-side consumption --------------------------------------
 
     def window_of(self, time: int) -> int:
         return time // self.window_ns
 
     def drain(self) -> Dict[Tuple[int, int], List[ChannelOp]]:
-        """Take all pending batches (the window-barrier exchange)."""
+        """Take all pending batches, keyed by directed channel."""
         batches, self.pending = self.pending, {}
         return batches
 
     def drain_serialized(self) -> Dict[str, List[Tuple]]:
-        """Wire form of :meth:`drain`: JSON-safe keys and op tuples.
-
-        This is the payload a worker-process executor ships across the
-        barrier; in-process shard lanes consume :meth:`drain` directly.
-        """
+        """Wire form of :meth:`drain`: JSON-safe keys and op tuples."""
         return {f"{src}->{dst}": [op.to_tuple() for op in ops]
                 for (src, dst), ops in sorted(self.drain().items())}
 

@@ -709,12 +709,12 @@ class Simulator:
                 lst.clear()
         self._wslot = target
 
-    # -- shard-coordinator support ------------------------------------
+    # -- chain-coordinator support ------------------------------------
 
     def next_event_time(self) -> Optional[int]:
         """Earliest pending entry's time, or None when the queue is empty.
 
-        The shard coordinator (:mod:`repro.sim.shard`) uses this as the
+        The chain coordinator (:mod:`repro.sim.shard`) uses this as the
         conservative horizon for chain replay: parked chain wakeups live
         *outside* the queue tiers, so the answer is exactly "when does
         the next engine-scheduled event fire".  Cancelled heads are
@@ -737,7 +737,7 @@ class Simulator:
     def advance_to(self, t: int) -> None:
         """Jump the clock forward to ``t`` without dispatching.
 
-        Only the shard coordinator calls this, and only for times it
+        Only the chain coordinator calls this, and only for times it
         has proven quiescent (strictly before :meth:`next_event_time`);
         the wheel cursor is fast-forwarded exactly as the run loops do
         when they overshoot to a deadline.

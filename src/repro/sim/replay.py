@@ -9,29 +9,28 @@ future — so instead of stepping the Python generator per wakeup, a
 
 * ``searchsorted`` over the recorded time column finds how many wakeups
   fit under the conservative horizon (next engine event, overlapping
-  dirty chain, stop time — the same caps the PR8 shard chains honor);
+  dirty chain, stop time — the same caps live parked chains honor);
 * ``bincount`` over the slot column turns the segment into per-batch
   replay counts, committed through the PR4 memo tier
   (:meth:`CoherenceController.replay_memo`) so every simulated counter
   moves exactly as the live engine would move it;
-* the segment's park carries the shard-engine event accounting
+* the segment's park carries the parked-chain event accounting
   (two dispatches per collapsed wakeup), keeping ``events_processed``
-  byte-identical to the sequential engine.
+  byte-identical to per-wakeup execution.
 
 The record is *validated, never trusted*: each distinct batch in a
 segment must pass :meth:`CoherenceController.peek_memo` against the
 **current** run's state before any of it commits.  At any divergence —
 a moved fault injection, a recovery that revoked a grant, a firewall
 flip, a recorded wakeup whose time no longer matches — the chain falls
-back to live execution (the PR8 :class:`ShardedChain` path, itself
-golden-gated against the sequential engine), and re-locks onto the
+back to live execution (the :class:`ParkedChain` path, itself
+golden-gated against per-wakeup execution), and re-locks onto the
 recorded stream at a time offset once the disturbance settles — the
 steady-state stream is periodic, so any later recorded occurrence of
 the chain's slot is a resync candidate, and every candidate is fully
 validated before a single counter moves.  ``HIVE_REPLAY=0`` disables
-the tier outright; replay runs
-answer to the same byte-identical-counter golden contract as
-``HIVE_BATCH``/``HIVE_WHEEL``/``HIVE_SHARDS``.
+the tier outright; replay runs answer to the same byte-identical-counter
+golden contract as ``HIVE_BATCH``/``HIVE_WHEEL``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.sim.oplog import OP_MEMO, OpLog
-from repro.sim.shard import ShardedChain, ShardLane
+from repro.sim.shard import ChainCoordinator, ParkedChain
 
 
 def replay_from_env() -> bool:
@@ -50,10 +49,10 @@ def replay_from_env() -> bool:
     return os.environ.get("HIVE_REPLAY", "1") != "0"
 
 
-class ReplayChain(ShardedChain):
-    """A shard chain whose credits are guided by a recorded stream.
+class ReplayChain(ParkedChain):
+    """A parked chain whose credits are guided by a recorded stream.
 
-    Behaves exactly like :class:`ShardedChain` — same horizon caps,
+    Behaves exactly like :class:`ParkedChain` — same horizon caps,
     same commit primitives, same park accounting — except that segment
     extents come from the trace columns instead of stepwise peeks, and
     a recorded non-memo wakeup (the driver went to the real access
@@ -65,9 +64,9 @@ class ReplayChain(ShardedChain):
                  "trace_wakeups", "fallback_wakeups", "desyncs",
                  "resyncs", "desynced")
 
-    def __init__(self, lane: ShardLane, coh, cpu: int, cycle: list,
-                 gap: int, stream: Dict[str, np.ndarray]):
-        super().__init__(lane, coh, cpu, cycle, gap)
+    def __init__(self, coord: ChainCoordinator, coh, cpu: int,
+                 cycle: list, gap: int, stream: Dict[str, np.ndarray]):
+        super().__init__(coord, coh, cpu, cycle, gap)
         self._times = stream["time_ns"]
         self._slots = stream["slot"]
         self._kinds = stream["kind"]
@@ -104,7 +103,7 @@ class ReplayChain(ShardedChain):
     def credit(self, j: int, stop_ns: int):
         i = self._i
         if not self.desynced and i < self._n:
-            now = self.engine.sim.now
+            now = self.coord.sim.now
             if int(self._times[i]) + self._offset != now \
                     or int(self._slots[i]) != j:
                 # This chain's timeline left the recorded one (a real
@@ -142,8 +141,8 @@ class ReplayChain(ShardedChain):
             out = self._try_resync(j, stop_ns)
             if out is not None:
                 return out
-        # Fallback: exactly the live sharded chain.
-        k, sleep, j2 = ShardedChain.credit(self, j, stop_ns)
+        # Fallback: exactly the live parked chain.
+        k, sleep, j2 = ParkedChain.credit(self, j, stop_ns)
         self.fallback_wakeups += k if k else 1
         return k, sleep, j2
 
@@ -153,7 +152,7 @@ class ReplayChain(ShardedChain):
         if pos >= rows.shape[0]:
             return None
         r = int(rows[pos])
-        self._offset = self.engine.sim.now - int(self._times[r])
+        self._offset = self.coord.sim.now - int(self._times[r])
         out = self._trace_credit(r, j, stop_ns)
         if out is None:
             # Candidate refused (still inside the recorded or the live
@@ -184,21 +183,17 @@ class ReplayChain(ShardedChain):
             # conservatively marked stale; drop the cache so the next
             # rebuild sees the rescue instead of truncating here again.
             self.invalidate_peeks()
-        engine = self.engine
-        t0 = engine.sim.now
-        qt = engine.horizon()
-        cap = stop_ns if qt is None or qt > stop_ns else qt
-        barrier = engine.barrier_for(self)
-        if barrier is not None and barrier < cap:
-            cap = barrier
+        coord = self.coord
+        t0 = coord.sim.now
+        cap = coord.cap_for(self, stop_ns)
         times = self._times
         offset = self._offset
         seg = int(self._seg_end[i])
         period = self.period
         # The first wakeup is always valid (the driver is mid-dispatch,
-        # as in the sequential engine); later recorded wakeups join the
+        # as in a per-wakeup run); later recorded wakeups join the
         # run while their times land strictly before the horizon — the
-        # span the sequential engine would have executed them in with
+        # span per-wakeup execution would have run them in with
         # no interleaved state mutation.  On busy configs the next
         # queue event usually lands before the second recorded wakeup,
         # so probe that row directly before paying for a searchsorted.
@@ -236,7 +231,7 @@ class ReplayChain(ShardedChain):
                     k = step
                     break
         else:
-            ok = self.cycle_peek_lats()[self._slots[i:i + k]] \
+            ok = np.asarray(self.cycle_peek_lats())[self._slots[i:i + k]] \
                 == lats[i:i + k]
             if not ok.all():
                 k = max(1, int(np.argmin(ok)))
@@ -280,11 +275,11 @@ class ReplaySession:
         self.config = config
         self.chains: List[ReplayChain] = []
 
-    def register_chain(self, lane: ShardLane, coh, cell_id: int,
+    def register_chain(self, coord: ChainCoordinator, coh, cell_id: int,
                        cpu: int, cycle: list, gap: int) -> ReplayChain:
-        chain = ReplayChain(lane, coh, cpu, cycle, gap,
+        chain = ReplayChain(coord, coh, cpu, cycle, gap,
                             self.oplog.stream(cell_id))
-        lane.chains.append(chain)
+        coord.add_chain(chain)
         self.chains.append(chain)
         return chain
 

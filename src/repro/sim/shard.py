@@ -1,102 +1,61 @@
-"""Cell-sharded simulation: conservative windows over the cell seam.
+"""Parked driver chains: memoized workload wakeups advanced arithmetically.
 
-Hive cells interact only through the enumerable intercell channels
-(:mod:`repro.sim.channels`): SIPS/RPC messages, remote coherence
-misses, firewall flips.  The slowest-is-fastest of those —
-``HardwareParams.min_intercell_latency_ns()`` — is a classic
-conservative-synchronization lookahead: work that stays inside one
-cell group can be advanced to the next cross-shard interaction point
-without waiting on the other shards event-by-event.
+A bench traffic driver wakes every few tens of microseconds, issues one
+prepared batch of coherence accesses, and sleeps again.  Run through the
+engine queue that costs one timeout, one expiry and one generator resume
+per wakeup — almost a million dispatches per ``large`` repetition, nearly
+all of them replaying a batch memo that nothing has invalidated.
 
-``HIVE_SHARDS=N`` (or ``repro bench --shards N``) partitions the cells
-into N contiguous groups ("lanes") under a :class:`ShardEngine`
-coordinator.  The coordinator replaces the flat event-by-event loop
-with a window protocol:
+Instead every driver registers as a :class:`ParkedChain` with one
+:class:`ChainCoordinator`, which owns the run loop:
 
 * **control events** (kernel clock ticks, detector reads, recovery,
-  fault injection, exporters, samplers — everything scheduled in the
-  engine queue) dispatch exactly as in the sequential engine, in the
-  same order;
-* **workload chains** (the bench traffic drivers) park *outside* the
-  engine queue.  Between two control events nothing can mutate
-  directory, firewall, or fault state, so a chain whose next accesses
-  are provably memoized cache hits (``CoherenceController.peek_memo``)
-  is advanced arithmetically to the horizon — one park replaces up to
-  a whole window of per-wakeup dispatches while every simulated
-  counter moves exactly as the sequential engine would move it;
-* at each **window barrier** (window width = the lookahead) the lanes
-  exchange their pending channel batches: each op is validated against
-  the lookahead invariant and tallied per lane, so cross-shard traffic
-  is accounted the way a worker-process executor would ship it.
+  fault injection, samplers — everything scheduled in the engine queue)
+  dispatch exactly as ``Simulator.run`` dispatches them, in the same
+  order;
+* **chains** park *outside* the engine queue.  Between two queue events
+  nothing can mutate directory, firewall, or fault state, so a chain
+  whose next accesses are provably memoized cache hits is advanced
+  arithmetically (:meth:`ParkedChain.credit`) up to the *horizon* — the
+  next queue event — and the *dirty barrier* — the next wakeup of any
+  chain that shares a home node and cannot prove its own cycle clean.
+  One park then stands for a whole run of wakeups, and every simulated
+  counter moves exactly as per-wakeup execution would move it.
 
-Determinism contract: a sharded run must produce byte-identical
-deterministic counters (events, accesses, coherence stats, tier
-attribution, channel digests) to the sequential engine on the golden
-configs — the same gate HIVE_BATCH / HIVE_WHEEL / HIVE_RPC_FAST
-answer to.  ``HIVE_SHARDS=0`` (the default) changes nothing anywhere.
+Per-wakeup execution survives in one form: a recording run never calls
+``credit``, so it parks once per wakeup.  It is the oracle the parked
+runs are diffed against (``bench.throughput.compare_parked``), down to
+``events_processed`` — each wakeup is accounted as the two dispatches
+(expiry pop plus callback) a ``sim.timeout`` would have cost.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.sim.engine import Event, Simulator
 
 
-def shards_from_env() -> int:
-    """The ``HIVE_SHARDS`` setting (0 = sequential engine)."""
-    try:
-        return max(0, int(os.environ.get("HIVE_SHARDS", "0")))
-    except ValueError:
-        return 0
-
-
-def plan_shards(cell_ids: Sequence[int], shards: int) -> List[List[int]]:
-    """Partition cells into at most ``shards`` contiguous groups.
-
-    Contiguous by cell id: the bench scenario (and the paper's own
-    layouts) place neighbour grants between adjacent cells, so
-    contiguous groups keep the densest channel traffic intra-shard.
-    """
-    ids = sorted(cell_ids)
-    n = max(1, min(int(shards), len(ids)))
-    base, extra = divmod(len(ids), n)
-    groups: List[List[int]] = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        if size:
-            groups.append(ids[start:start + size])
-            start += size
-    return groups
-
-
-class ShardedChain:
-    """One workload chain (a traffic driver) owned by a shard lane.
+class ParkedChain:
+    """One workload chain (a traffic driver) parked outside the queue.
 
     The chain's driver stays an ordinary simulator process; the chain
     object answers two questions for it: *how many of my next wakeups
     are provably replayable before the horizon* (:meth:`credit`) and
-    *park me until my next wakeup* (:meth:`park`).  Event accounting
-    mirrors the sequential engine exactly — each sequential wakeup
-    costs two dispatched events (the timeout expiry pop plus its
-    callback), so a park representing ``k`` wakeups contributes
-    ``2k - 2`` at creation and ``2`` when it fires.
+    *park me until my next wakeup* (:meth:`park`).  A park representing
+    ``k`` wakeups contributes ``2k - 2`` dispatched events at creation
+    and ``2`` when it fires.
     """
 
-    __slots__ = ("lane", "engine", "coh", "cpu", "cycle", "gap",
-                 "period", "parks", "replayed_wakeups", "home_nodes",
-                 "_gen_nodes", "_peek_key", "_peek_global",
-                 "_peek_lats", "_peek_clean")
+    __slots__ = ("coord", "coh", "cpu", "cycle", "gap", "period",
+                 "parks", "replayed_wakeups", "index", "due", "home_nodes",
+                 "overlaps", "_gen_nodes", "_peek_key", "_peek_global",
+                 "_peek_lats", "_peek_clean", "_period_ns")
 
-    def __init__(self, lane: "ShardLane", coh, cpu: int, cycle: list,
-                 gap: int):
-        self.lane = lane
-        self.engine = lane.engine
+    def __init__(self, coord: "ChainCoordinator", coh, cpu: int,
+                 cycle: list, gap: int):
+        self.coord = coord
         self.coh = coh
         self.cpu = cpu
         self.cycle = cycle
@@ -104,6 +63,12 @@ class ShardedChain:
         self.period = len(cycle)
         self.parks = 0
         self.replayed_wakeups = 0
+        #: registration order; parks due at one instant fire in it, so
+        #: the order never depends on how many wakeups each one stood for
+        self.index = -1
+        #: when the current park fires (-1 before the first one); stays
+        #: at that instant while the driver is being resumed.
+        self.due = -1
         #: every home node this chain's accesses can touch.  A real
         #: access only mutates directory state (generation counters) on
         #: the home nodes of its own lines, so two chains with disjoint
@@ -112,13 +77,17 @@ class ShardedChain:
         for batch in cycle:
             homes.update(batch.home_nodes)
         self.home_nodes = frozenset(homes)
+        #: the other chains that share a home node with this one
+        #: (filled in by the coordinator as chains register).
+        self.overlaps: List["ParkedChain"] = []
         #: the same set as an ordered list, for the node-local
         #: generation fingerprint the peek cache is keyed on.
         self._gen_nodes = sorted(homes)
         self._peek_key: Optional[tuple] = None
         self._peek_global: Optional[tuple] = None
-        self._peek_lats: Optional[np.ndarray] = None
+        self._peek_lats: List[int] = []
         self._peek_clean = False
+        self._period_ns = 0
 
     def _gen_key(self) -> tuple:
         """The cache key: fault generation + this chain's node gens.
@@ -152,46 +121,36 @@ class ShardedChain:
             return True
         return False
 
-    def cycle_peek_lats(self) -> np.ndarray:
+    def cycle_peek_lats(self) -> List[int]:
         """Per-slot memo latencies (-1 = stale), cached on the fault
         generation and the chain's node-local directory generations.
 
-        Sound because a *valid* memo cannot change or invalidate while
-        the key stands still: every directory mutation bumps the home
-        node of the mutated line, every node fail / revive / cutoff
-        bumps ``PhysicalMemory.fault_gen``.  A stale slot may silently
-        become valid within one key (an all-hit real access rebuilds
-        its memo without a directory mutation), so -1 entries are
-        conservative, never wrong.
+        Sound because a memo cannot change validity while the key stands
+        still: every directory mutation bumps the home node of the
+        mutated line, every node fail / revive / cutoff bumps
+        ``PhysicalMemory.fault_gen``.  The one exception is this
+        chain's own live access, which rebuilds an all-hit memo without
+        a directory mutation — the driver calls :meth:`invalidate_peeks`
+        after it.
         """
         if not self._peek_fresh():
             coh = self.coh
             cpu = self.cpu
             peek = coh.peek_memo
-            lats = [0] * self.period
-            clean = True
-            for i, batch in enumerate(self.cycle):
+            lats = []
+            for batch in self.cycle:
                 p = peek(cpu, batch)
-                if p is None:
-                    lats[i] = -1
-                    clean = False
-                else:
-                    lats[i] = p[0]
-            self._peek_lats = np.asarray(lats, dtype=np.int64)
-            self._peek_clean = clean
+                lats.append(-1 if p is None else p[0])
+            self._peek_lats = lats
+            self._peek_clean = -1 not in lats
+            self._period_ns = sum(lats) + self.gap * self.period
             self._peek_key = self._gen_key()
             self._peek_global = (coh.mutation_gen, coh.memory.fault_gen)
         return self._peek_lats
 
     def invalidate_peeks(self) -> None:
-        """Drop the peek cache after this chain takes the live path.
-
-        An all-hit live access rebuilds its batch's memo *without* a
-        directory mutation (nothing observable changed), so the
-        generation key alone would keep reporting the slot stale.
-        """
+        """Drop the peek cache after this chain takes the live path."""
         self._peek_key = None
-        self._peek_global = None
 
     def is_clean(self) -> bool:
         """Is this chain's *entire* cycle a provable memo replay?
@@ -202,21 +161,9 @@ class ShardedChain:
         the real access path (and really miss) at some wakeup, so its
         next due acts as a conservative mutation barrier for
         overlapping chains.
-
-        Answered from the peek cache while its node-local key stands
-        (replay runs hit this constantly); otherwise the original
-        early-exit loop — a stale first batch beats a full cycle scan
-        on mutation-heavy live runs, and the loop never pays to build
-        the cache.
         """
-        if self._peek_fresh():
-            return self._peek_clean
-        coh = self.coh
-        cpu = self.cpu
-        for batch in self.cycle:
-            if coh.peek_memo(cpu, batch) is None:
-                return False
-        return True
+        self.cycle_peek_lats()
+        return self._peek_clean
 
     def credit(self, j: int, stop_ns: int):
         """Replay as many wakeups as the horizon allows, starting at
@@ -228,80 +175,56 @@ class ShardedChain:
         single sleep that replaces their individual timeouts.  All
         collapsed access times land strictly before the next engine
         event and strictly before ``stop_ns``, which is exactly the
-        span the sequential engine would have executed them in with no
+        span per-wakeup execution would have run them in with no
         interleaved state mutation.
         """
-        coh = self.coh
-        cpu = self.cpu
-        cycle = self.cycle
-        peek = coh.peek_memo(cpu, cycle[j])
-        if peek is None:
+        lats = self.cycle_peek_lats()
+        lat = lats[j]
+        if lat < 0:
             return 0, 0, j
-        engine = self.engine
-        sim = engine.sim
+        coord = self.coord
         gap = self.gap
         period = self.period
-        t0 = sim.now
-        qt = engine.horizon()
-        cap = stop_ns if qt is None or qt > stop_ns else qt
-        barrier = engine.barrier_for(self)
-        if barrier is not None and barrier < cap:
-            cap = barrier
+        t0 = coord.sim.now
+        cap = coord.cap_for(self, stop_ns)
         counts = [0] * period
         counts[j] = 1
         k = 1
-        sleep = peek[0] + gap
+        sleep = lat + gap
         # The first access is always valid: the driver is mid-dispatch,
-        # exactly as in the sequential engine.  Extend while the *next*
-        # access would still land strictly before the horizon.
+        # exactly as a per-wakeup run.  Extend while the *next* access
+        # would still land strictly before the horizon.
         if t0 + sleep < cap:
-            peeks: List[Optional[tuple]] = [None] * period
-            peeks[j] = peek
-            all_fresh = True
-            period_d = peek[0] + gap
-            for i in range(period):
-                if i == j:
-                    continue
-                p = coh.peek_memo(cpu, cycle[i])
-                peeks[i] = p
-                if p is None:
-                    all_fresh = False
-                else:
-                    period_d += p[0] + gap
-            if all_fresh and period_d > 0:
+            if self._peek_clean:
                 # Whole-period fast path: q more full periods fit when
                 # their sleeps still end at or before cap-1 (every
                 # access inside them then lands strictly earlier).
                 span = cap - 1 - t0
                 if span > sleep:
-                    q = (span - sleep) // period_d
+                    q = (span - sleep) // self._period_ns
                     if q:
                         k += q * period
-                        sleep += q * period_d
-                        for i in range(period):
-                            counts[i] += q
+                        sleep += q * self._period_ns
+                        counts = [c + q for c in counts]
             # Stepwise remainder (also the only path when some batch
             # memo is stale: replay up to it, then let the driver take
             # the real access path which rebuilds that memo).
             while t0 + sleep < cap:
                 jn = (j + k) % period
-                p = peeks[jn]
-                if p is None:
+                lat = lats[jn]
+                if lat < 0:
                     break
                 k += 1
                 counts[jn] += 1
-                sleep += p[0] + gap
-        replay = coh.replay_memo
-        for i in range(period):
-            if counts[i]:
-                replay(cycle[i], counts[i])
+                sleep += lat + gap
+        self.coh.replay_memo_cycle(self.cycle, counts)
         return k, sleep, (j + k) % period
 
     def park(self, sleep_ns: int, wakeups: int) -> Event:
         """Park until ``sim.now + sleep_ns``; the event the driver
         yields in place of the ``wakeups`` timeouts it represents."""
-        engine = self.engine
-        sim = engine.sim
+        coord = self.coord
+        sim = coord.sim
         if wakeups > 1:
             # The collapsed wakeups' dispatches (two each: expiry pop +
             # callback), minus the pair the park itself accounts for
@@ -309,224 +232,96 @@ class ShardedChain:
             sim.events_processed += 2 * (wakeups - 1)
             self.replayed_wakeups += wakeups - 1
         self.parks += 1
-        self.lane.parks += 1
         ev = Event(sim)
-        engine._order += 1
-        due = sim.now + sleep_ns
-        heapq.heappush(engine._parked, [due, engine._order, ev, self])
-        # Freshness is evaluated right now, after this chain's own
-        # accesses: a chain with any stale batch may go real (and
-        # mutate) at a coming wakeup, so it barriers overlapping chains
-        # at its due until it proves itself clean again.
-        if self.is_clean():
-            engine._dirty.pop(self, None)
-        else:
-            engine._dirty[self] = due
+        self.due = sim.now + sleep_ns
+        heapq.heappush(coord._parked, (self.due, self.index, ev))
         return ev
 
 
-class ShardLane:
-    """One cell group: chain registry plus per-lane barrier accounting."""
+class ChainCoordinator:
+    """Drives one simulator in (control-event, parked-chain) order.
 
-    __slots__ = ("engine", "index", "cells", "chains", "parks",
-                 "ops_in", "ops_out")
-
-    def __init__(self, engine: "ShardEngine", index: int,
-                 cells: Sequence[int]):
-        self.engine = engine
-        self.index = index
-        self.cells = list(cells)
-        self.chains: List[ShardedChain] = []
-        self.parks = 0
-        self.ops_in = 0
-        self.ops_out = 0
-
-    def register_chain(self, coh, cpu: int, cycle: list,
-                       gap: int) -> ShardedChain:
-        chain = ShardedChain(self, coh, cpu, cycle, gap)
-        self.chains.append(chain)
-        return chain
-
-    def snapshot(self) -> Dict:
-        return {
-            "cells": self.cells,
-            "chains": len(self.chains),
-            "parks": self.parks,
-            "replayed_wakeups": sum(c.replayed_wakeups
-                                    for c in self.chains),
-            "channel_ops_in": self.ops_in,
-            "channel_ops_out": self.ops_out,
-        }
-
-
-class ShardEngine:
-    """Conservative-window coordinator over one simulator.
-
-    Drives the engine in (control-event, parked-chain) order: engine
-    events keep their sequential dispatch order; parked chains fire at
-    their due times through :meth:`Simulator.advance_to`.  At every
-    window boundary the pending channel batches are exchanged between
-    lanes (validated against the lookahead, tallied per lane).
+    Engine events keep the dispatch order ``Simulator.run`` gives them;
+    parked chains fire at their due times through
+    :meth:`Simulator.advance_to`.
     """
 
-    def __init__(self, sim: Simulator, groups: Sequence[Sequence[int]],
-                 lookahead_ns: int, channels=None):
-        if lookahead_ns <= 0:
-            raise ValueError(f"lookahead must be positive: {lookahead_ns}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.lookahead_ns = lookahead_ns
-        self.channels = channels
-        self.lanes = [ShardLane(self, i, g) for i, g in enumerate(groups)]
-        self._lane_of_cell: Dict[int, ShardLane] = {}
-        for lane in self.lanes:
-            for cell in lane.cells:
-                self._lane_of_cell[cell] = lane
+        self.chains: List[ParkedChain] = []
         self._parked: list = []
-        self._order = 0
-        self._window = 0
-        #: chains that cannot prove their whole cycle replays, keyed to
-        #: the due time of their next (possibly mutating) wakeup
-        self._dirty: Dict[ShardedChain, int] = {}
-        #: queue events may have mutated directory state; re-evaluate
-        #: parked chains' cleanliness before trusting ``_dirty`` again
-        self._revalidate = True
         #: next *queue* event time, cached while dispatching a batch of
         #: parked-chain resumes (their pending siblings sit in the
         #: now-queue and would otherwise hide the real horizon)
         self._qt_cache: Optional[int] = None
         self._qt_valid = False
-        self.windows_closed = 0
-        self.batches_exchanged = 0
-        self.ops_exchanged = 0
 
-    def lane_of(self, cell_id: int) -> ShardLane:
-        return self._lane_of_cell[cell_id]
+    def register_chain(self, coh, cpu: int, cycle: list,
+                       gap: int) -> ParkedChain:
+        return self.add_chain(ParkedChain(self, coh, cpu, cycle, gap))
+
+    def add_chain(self, chain: ParkedChain) -> ParkedChain:
+        for other in self.chains:
+            if not chain.home_nodes.isdisjoint(other.home_nodes):
+                chain.overlaps.append(other)
+                other.overlaps.append(chain)
+        chain.index = len(self.chains)
+        self.chains.append(chain)
+        return chain
 
     # -- replay horizon ------------------------------------------------
 
-    def horizon(self) -> Optional[int]:
-        """The next engine-queue event time, as seen by a chain credit.
+    def cap_for(self, chain: ParkedChain, stop_ns: int) -> int:
+        """The instant ``chain``'s replayed accesses must land strictly
+        before: the horizon, the run's stop, or the dirty barrier.
 
-        While a batch of parked resumes is being dispatched the queue
-        horizon is cached (chain resumes schedule no queue events, so
-        it cannot move); outside a resume batch fall back to the live
+        Mutations from the engine queue are bounded by the horizon, the
+        next queue event.  While a batch of parked resumes is being
+        dispatched it is the cached one (chain resumes schedule no queue
+        events, so it cannot move); outside a batch the live
         ``next_event_time`` — which conservatively returns ``now`` when
         other now-queue callbacks are pending.
-        """
-        if self._qt_valid:
-            return self._qt_cache
-        return self.sim.next_event_time()
 
-    def barrier_for(self, chain: ShardedChain) -> Optional[int]:
-        """Earliest upcoming wakeup of a dirty chain that could mutate
-        state this chain's memos depend on (None when unconstrained).
-
-        Mutations from the engine queue are bounded by :meth:`horizon`;
-        this bounds the only other source — overlapping chains whose
-        next accesses are not provable replays.
+        The only other source is an overlapping chain that cannot prove
+        its whole cycle clean: it may take the real access path (and
+        really miss) at its next wakeup — or right now, when it fired in
+        the same batch and has not run yet — so that instant bounds the
+        credit.  Cleanliness is judged at this moment, against the
+        current generations, not when the other chain parked.
         """
-        dirty = self._dirty
-        if self._revalidate:
-            # A queue event dispatched since the last look: directory
-            # generations may have moved, so re-evaluate every parked
-            # chain (fired chains were re-marked by _fire_parked/park).
-            for entry in self._parked:
-                c = entry[3]
-                if c.is_clean():
-                    dirty.pop(c, None)
-                else:
-                    dirty[c] = entry[0]
-            self._revalidate = False
-        if not dirty:
-            return None
+        qt = (self._qt_cache if self._qt_valid
+              else self.sim.next_event_time())
+        cap = stop_ns if qt is None or qt > stop_ns else qt
         now = self.sim.now
-        barrier = None
-        mine = chain.home_nodes
-        stale = None
-        for c, due in dirty.items():
-            if due < now:
-                # The chain already executed (or died) at that due; a
-                # live one re-registered itself when it re-parked.
-                if stale is None:
-                    stale = [c]
-                else:
-                    stale.append(c)
-                continue
-            if c is chain:
-                continue
-            if mine.isdisjoint(c.home_nodes):
-                continue
-            if barrier is None or due < barrier:
-                barrier = due
-        if stale:
-            for c in stale:
-                del dirty[c]
-        return barrier
-
-    # -- window barrier ------------------------------------------------
-
-    def _exchange_to(self, t: int) -> None:
-        """Close windows up to ``t``: drain and account channel batches.
-
-        Empty windows are coalesced (nothing to exchange); the window
-        *indexing* still uses the lookahead width, so batch attribution
-        is identical to a fixed-cadence barrier executor's.
-        """
-        channels = self.channels
-        if channels is None:
-            return
-        w = t // self.lookahead_ns
-        if w == self._window:
-            return
-        self._window = w
-        if not channels.pending:
-            return
-        lane_of = self._lane_of_cell
-        for (src, dst), ops in channels.drain().items():
-            self.batches_exchanged += 1
-            self.ops_exchanged += len(ops)
-            src_lane = lane_of.get(src)
-            dst_lane = lane_of.get(dst)
-            if src_lane is not None:
-                src_lane.ops_out += len(ops)
-            if dst_lane is not None and dst_lane is not src_lane:
-                dst_lane.ops_in += len(ops)
-        self.windows_closed += 1
+        for other in chain.overlaps:
+            # A due in the past belongs to a driver that has retired.
+            if now <= other.due < cap and not other.is_clean():
+                cap = other.due
+        return cap
 
     # -- the run loop --------------------------------------------------
 
     def run(self, until: int) -> None:
-        """Advance simulation to ``until`` (the sharded ``sim.run``)."""
+        """Advance simulation to ``until`` (``sim.run`` plus the parks)."""
         sim = self.sim
         parked = self._parked
-        heappop = heapq.heappop
         while True:
             qt = sim.next_event_time()
             pt = parked[0][0] if parked else None
-            if qt is None and pt is None:
-                sim.run(until=until)
-                break
-            if pt is None or (qt is not None and qt <= pt):
-                # Engine events first on ties: a control event was
-                # scheduled before the chain parked, so its seq is
-                # lower — the sequential engine would dispatch it first.
-                t = qt
-            else:
-                t = pt
-            if t > until:
-                sim.run(until=until)
-                break
-            self._exchange_to(t)
-            if t == qt:
-                sim.run(until=qt)
-                # Queue dispatches may have mutated directory state.
-                self._revalidate = True
-                if pt is not None and pt <= qt:
-                    self._resume_batch(pt)
+            if pt is None or pt > until:
+                if qt is None or qt > until:
+                    break
+            elif qt is None or pt < qt:
+                sim.advance_to(pt)
+                self._resume_batch(pt)
                 continue
-            sim.advance_to(pt)
-            self._resume_batch(pt)
-        self._exchange_to(until)
+            # Engine events first on ties: a control event was
+            # scheduled before the chain parked, so its seq is
+            # lower — a sim.timeout would have expired after it.
+            sim.run(until=qt)
+            if pt == qt:
+                self._resume_batch(pt)
+        sim.run(until=until)
 
     def _resume_batch(self, pt: int) -> None:
         """Fire every park due at ``pt`` and dispatch the resumes.
@@ -537,48 +332,29 @@ class ShardEngine:
         schedule queue events, so the true horizon is fixed.
         """
         sim = self.sim
+        parked = self._parked
         self._qt_cache = sim.next_event_time()
         self._qt_valid = True
         try:
-            self._fire_parked(pt)
+            fired = 0
+            while parked and parked[0][0] == pt:
+                heapq.heappop(parked)[2].succeed()
+                fired += 1
+            # The expiry dispatch each timeout would have cost; the
+            # succeed callbacks' dispatches are counted by the run loop.
+            sim.events_processed += fired
+            if sim.profile is not None:
+                sim.profile.inline_dispatches += fired
             sim.run(until=pt)
         finally:
             self._qt_valid = False
             self._qt_cache = None
 
-    def _fire_parked(self, t: int) -> None:
-        sim = self.sim
-        parked = self._parked
-        dirty = self._dirty
-        heappop = heapq.heappop
-        while parked and parked[0][0] == t:
-            _due, _order, ev, chain = heappop(parked)
-            # The expiry dispatch a sequential timeout would have cost;
-            # the succeed callback's dispatch is counted by the run loop.
-            sim.events_processed += 1
-            # A firing chain that cannot prove its cycle clean may take
-            # the real access path *at this instant*: overlapping
-            # chains resumed in the same batch must not replay past it.
-            if chain.is_clean():
-                dirty.pop(chain, None)
-            else:
-                dirty[chain] = t
-            ev.succeed()
-
     def snapshot(self) -> Dict:
         """Deterministic summary for the bench row."""
-        out = {
-            "shards": len(self.lanes),
-            "lookahead_ns": self.lookahead_ns,
-            "windows_closed": self.windows_closed,
-            "batches_exchanged": self.batches_exchanged,
-            "ops_exchanged": self.ops_exchanged,
-            "parks": sum(lane.parks for lane in self.lanes),
-            "replayed_wakeups": sum(
-                c.replayed_wakeups for lane in self.lanes
-                for c in lane.chains),
-            "lanes": [lane.snapshot() for lane in self.lanes],
+        return {
+            "chains": len(self.chains),
+            "parks": sum(c.parks for c in self.chains),
+            "replayed_wakeups": sum(c.replayed_wakeups
+                                    for c in self.chains),
         }
-        if self.channels is not None:
-            out["channels"] = self.channels.snapshot()
-        return out

@@ -19,8 +19,8 @@ pickle frames; the run function must therefore be module-level
 multiprocessing workers already obey.
 
 Determinism contract (same as ``HIVE_BATCH``/``HIVE_WHEEL``/
-``HIVE_SHARDS``/``HIVE_REPLAY``): fork-then-run must produce byte-
-identical counters to fresh-boot-then-run.  Boot consumes no RNG draws
+``HIVE_REPLAY``): fork-then-run must produce byte-identical counters to
+fresh-boot-then-run.  Boot consumes no RNG draws
 and :func:`reseed_system` rebinds the machine's ``RandomStreams`` to the
 requested seed before the run function executes, so a child forked from
 an image booted at any seed is indistinguishable from a fresh boot at
@@ -64,8 +64,8 @@ def snapshot_enabled(default: bool = True) -> bool:
     """Snapshot-fork gate: ``HIVE_SNAPSHOT=0`` or no ``os.fork`` disables.
 
     Mirrors the other engine escapes (``HIVE_BATCH``, ``HIVE_WHEEL``,
-    ``HIVE_SHARDS``, ``HIVE_REPLAY``): the feature is on by default and
-    the environment variable is the kill switch.
+    ``HIVE_REPLAY``): the feature is on by default and the environment
+    variable is the kill switch.
     """
     if not fork_supported():
         return False

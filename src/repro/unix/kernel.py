@@ -97,7 +97,11 @@ class GlobalNamespace:
                     best = (prefix, node)
         if best is not None:
             return best[1]
-        top = path.split("/")[1] if "/" in path[1:] or len(path) > 1 else ""
+        # The first component under the root; a path with no slash at
+        # all (nothing valid names one, but RPC arguments arrive from
+        # other cells unchecked) hashes whole.
+        parts = path.split("/")
+        top = parts[1] if len(parts) > 1 else path
         h = 0
         for ch in top:
             h = (h * 131 + ord(ch)) & 0xFFFFFFFF

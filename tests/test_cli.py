@@ -50,17 +50,15 @@ class TestParser:
             ["metrics", "raytrace", "--format", "json"])
         assert args.format == "json"
 
-    def test_bench_defaults_to_pr10_out(self):
+    def test_bench_defaults_to_pr14_out(self):
         args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_pr10.json"
+        assert args.out == "BENCH_pr14.json"
         assert not args.progress
-        assert args.shards is None  # falls back to HIVE_SHARDS
-        assert args.compare_shards == 0
+        assert not args.compare_parked
         assert args.record is None
         assert args.replay is None
         assert not args.compare_replay
         assert args.sweep_faults == 0
-        assert not args.shard_scaling
         assert not args.snapshot
         assert not args.compare_snapshot
         assert args.sessions == 0

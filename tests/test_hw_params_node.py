@@ -92,6 +92,15 @@ class TestGlobalNamespaceHashing:
         ns = GlobalNamespace(4)
         assert ns.node_for("/var/a") == ns.node_for("/var/b/c")
 
+    def test_path_without_a_slash_hashes_whole(self):
+        # Used to raise IndexError for any slash-free path longer than
+        # one character; such paths reach node_for from garbage RPCs.
+        ns = GlobalNamespace(4)
+        for path in ("00", "x", "", "no-slash-at-all"):
+            assert 0 <= ns.node_for(path) < 4
+        assert ns.node_for("00") == ns.node_for("/00")
+        assert ns.node_for("/") == 0
+
 
 class TestHeterogeneousCells:
     def test_per_cell_costs(self):

@@ -417,6 +417,17 @@ class TestCampaignReport:
         traj = load_bench_trajectory(str(tmp_path))
         assert check_campaign_report(self._payload(), traj) == []
 
+    def test_check_flags_parked_counter_mismatch(self, tmp_path):
+        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000)
+        self._write_bench(tmp_path, "BENCH_pr4.json", 110_000)
+        traj = load_bench_trajectory(str(tmp_path))
+        traj[-1]["payload"]["parked_compare"] = {"counters_match": False}
+        problems = check_campaign_report(self._payload(), traj)
+        assert any("BENCH_pr4.json: parked-chain counters" in p
+                   for p in problems)
+        traj[-1]["payload"]["parked_compare"] = {"counters_match": True}
+        assert check_campaign_report(self._payload(), traj) == []
+
     def test_check_flags_missing_availability_and_failures(self):
         problems = check_campaign_report(
             {"failures": [{"scenario": "hw_random", "seed": 7}]}, [])

@@ -3,7 +3,7 @@ preserve the fault-containment invariants, and the simulation must be
 deterministic."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.hive import boot_hive
 from repro.core.invariants import check_system
@@ -147,6 +147,7 @@ class TestRpcInputFuzz:
                st.one_of(st.none(), st.integers(-10, 10**9), st.text(max_size=8),
                          st.booleans(), st.lists(st.integers(-5, 99),
                                                  max_size=4))))
+    @example(op="unlink_file", args={"path": "00"})
     @settings(max_examples=60, deadline=None)
     def test_garbage_rpc_never_kills_the_server(self, op, args):
         from repro.core.rpc import RpcRemoteError

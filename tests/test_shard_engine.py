@@ -1,56 +1,25 @@
-"""Tests for the cell-sharded engine and the intercell channels.
+"""Tests for parked driver chains and the intercell channels.
 
 The headline gate is the determinism contract from
-:mod:`repro.sim.shard`: a sharded bench run must produce byte-identical
+:mod:`repro.sim.shard`: the parked default must produce byte-identical
 deterministic counters (events, accesses, tier attribution, channel
-digests) to the sequential engine — the same golden-toggle idiom the
-batch/wheel/rpc-fast tests use.
+digests) to per-wakeup execution — the recording run, which executes
+every wakeup on its own.
 """
 
-import pytest
+from dataclasses import asdict, replace
 
-from repro.bench.throughput import (SHARD_EQUIV_KEYS, compare_shards,
-                                    run_throughput)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bench.throughput import (CONFIGS, _traffic, boot_bench_system,
+                                    compare_parked, run_throughput)
+from repro.obs.profile import tier_snapshot
 from repro.sim.channels import (COH_READ_MISS, COH_WRITE_MISS,
                                 SIPS_REQUEST, CellChannels, ChannelOp,
-                                ChannelViolation)
-from repro.sim.shard import plan_shards, shards_from_env
-
-
-class TestPlanShards:
-    def test_partition_is_contiguous_and_balanced(self):
-        cells = list(range(8))
-        for shards in (1, 2, 3, 4, 5, 8):
-            groups = plan_shards(cells, shards)
-            # every cell exactly once, in order (contiguity)
-            assert [c for g in groups for c in g] == cells
-            assert len(groups) == min(shards, len(cells))
-            sizes = [len(g) for g in groups]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_cells_clamps(self):
-        groups = plan_shards([3, 1, 2], 16)
-        assert groups == [[1], [2], [3]]
-
-    def test_zero_or_negative_means_one_group(self):
-        assert plan_shards([0, 1], 0) == [[0, 1]]
-        assert plan_shards([0, 1], -3) == [[0, 1]]
-
-
-class TestShardsFromEnv:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("HIVE_SHARDS", raising=False)
-        assert shards_from_env() == 0
-
-    def test_parses_positive(self, monkeypatch):
-        monkeypatch.setenv("HIVE_SHARDS", "4")
-        assert shards_from_env() == 4
-
-    def test_garbage_and_negative_fall_back(self, monkeypatch):
-        monkeypatch.setenv("HIVE_SHARDS", "banana")
-        assert shards_from_env() == 0
-        monkeypatch.setenv("HIVE_SHARDS", "-2")
-        assert shards_from_env() == 0
+                                ChannelViolation, attach_channels)
+from repro.sim.oplog import OP_RETIRE, OpLog
+from repro.sim.shard import ChainCoordinator
 
 
 class TestCellChannels:
@@ -126,36 +95,139 @@ class TestCellChannels:
             CellChannels({}, 0)
 
 
-class TestShardGolden:
-    """HIVE_SHARDS must be a pure perf toggle: byte-identical counters."""
+class TestChannelsOnRequest:
+    """The recorder is an audit signal: attached only when asked for."""
 
-    def test_small_sharded_matches_sequential(self):
-        seq = run_throughput("small", seed=11, channels=True)
-        assert seq["shards"] == 0
-        for shards in (2, 4):
-            row = run_throughput("small", seed=11, shards=shards)
-            assert row["shards"] == shards
-            for key in SHARD_EQUIV_KEYS:
-                assert row[key] == seq[key], (
-                    f"shards={shards} diverged on {key!r}: "
-                    f"{row[key]!r} != {seq[key]!r}")
-            # The shard machinery must actually have engaged — a
-            # trivially-passing gate (no parks, no windows) would prove
-            # nothing.
-            shard = row["shard"]
-            assert shard["parks"] > 0
-            assert shard["replayed_wakeups"] > 0
-            assert shard["windows_closed"] > 0
-            assert row["channels"]["violations"] == 0
+    def test_default_run_attaches_nothing(self):
+        system = boot_bench_system("small", seed=11)
+        row = run_throughput("small", seed=11, system=system)
+        assert "channels" not in row
+        machine = system.machine
+        assert machine.channels is None
+        assert machine.coherence.channels is None
+        assert machine.sips.channels is None
 
-    def test_compare_shards_reports_match(self):
-        result = compare_shards("small", 2, seed=7)
+    def test_digest_on_request(self):
+        row = run_throughput("small", seed=11, channels=True)
+        snap = row["channels"]
+        assert snap["ops_total"] > 0
+        assert snap["digest"] != 0
+        assert snap["violations"] == 0
+        assert snap["window_ns"] == 200
+        again = run_throughput("small", seed=11, channels=True)
+        assert again["channels"] == snap
+
+    def test_real_miss_under_the_lookahead_raises(self):
+        # A recorder told the floor is 1 ms sees every real remote miss
+        # (~700 ns) as out-running it.
+        system = boot_bench_system("small", seed=11)
+        attach_channels(system.machine, system.registry, 1_000_000,
+                        sim=system.sim)
+        params = system.machine.params
+        remote_addr = (system.registry.first_node_of(1)
+                       * params.memory_per_node)
+        with pytest.raises(ChannelViolation):
+            system.machine.coherence.read(
+                system.registry.cell_object(0).cpu_ids[0], remote_addr)
+        assert system.machine.channels.violations == 1
+
+
+class TestParkedGolden:
+    """Parking is not a mode: it must equal per-wakeup execution."""
+
+    @pytest.mark.parametrize("inject_ms", [None, 37])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_parked_matches_per_wakeup(self, config, inject_ms):
+        result = compare_parked(config, inject_ms=inject_ms)
+        assert result["match"], result["mismatches"]
+        # The parking must actually have engaged — a trivially-passing
+        # gate (every wakeup parked on its own) would prove nothing.
+        assert result["parks"] > 0
+        assert result["replayed_wakeups"] > result["parks"]
+
+    @given(seed=st.integers(0, 2**31 - 1), inject_ms=st.integers(1, 399))
+    @settings(max_examples=6, deadline=None)
+    def test_parked_matches_per_wakeup_any_seed_and_fault_time(
+            self, seed, inject_ms):
+        result = compare_parked("small", seed=seed, inject_ms=inject_ms)
+        assert result["match"], result["mismatches"]
+
+    def test_compare_parked_reports_match(self):
+        result = compare_parked("small", seed=7)
         assert result["match"], result["mismatches"]
         assert not result["mismatches"]
-        assert result["replayed_wakeups"] > 0
+        assert result["inject_ms"] == CONFIGS["small"].inject_ms
 
-    def test_env_flag_drives_bench(self, monkeypatch):
-        monkeypatch.setenv("HIVE_SHARDS", "2")
-        row = run_throughput("small", seed=11)
-        assert row["shards"] == 2
-        assert row["shard"]["shards"] == 2
+    def test_recording_run_parks_once_per_wakeup(self):
+        log = OpLog()
+        row = run_throughput("small", seed=11, record=log)
+        log.finalize()
+        wakeups = int((log.columns["kind"] != OP_RETIRE).sum())
+        assert row["parking"]["chains"] == CONFIGS["small"].num_cells
+        assert row["parking"]["parks"] == wakeups
+        assert row["parking"]["replayed_wakeups"] == 0
+
+
+def _overlapping_run(record):
+    """Two drivers on different cells hammering the same frames of one
+    granter at different paces: both chains are homed on the same node,
+    and each one's ownership requests take the other's lines away."""
+    system = boot_bench_system("small", seed=3)
+    sim, registry = system.sim, system.registry
+    granter = registry.cell_object(0)
+    # Odd batch sizes make every other batch all ownership requests
+    # (the stock even size only ever reads), on the same odd lines.
+    cfg_a = replace(CONFIGS["small"], ops_per_wakeup=9)
+    cfg_b = replace(cfg_a, wakeup_gap_ns=1_900_000)
+    ready_a, ready_b = sim.event("a"), sim.event("b")
+
+    def export():
+        frames = []
+        for _ in range(32):
+            pf = granter.pfdats.alloc_frame()
+            for client in (1, 2):
+                yield from granter.firewall_mgr.grant_write(pf, client)
+            frames.append(pf.frame)
+        ready_a.succeed(frames)
+        ready_b.succeed(frames)
+
+    stop_ns = 60_000_000
+    counters = {"accesses": 0}
+    stats = system.machine.coherence.stats
+    samples = []
+
+    def sampler():
+        # End totals cannot tell a miss from the same miss a few wakeups
+        # late; a time series of the counters can.
+        while sim.now < stop_ns:
+            samples.append((stats.write_hits, stats.write_misses))
+            yield sim.timeout(700_000)
+
+    coord = ChainCoordinator(sim)
+    sim.process(export())
+    sim.process(sampler())
+    for cell_id, ready, cfg in ((1, ready_a, cfg_a), (2, ready_b, cfg_b)):
+        cpu = registry.cell_object(cell_id).cpu_ids[0]
+        sim.process(_traffic(sim, system, cell_id, cpu, ready, cfg,
+                             stop_ns, counters, coord, record=record))
+    coord.run(until=stop_ns)
+    return coord, {
+        "events": sim.events_processed,
+        "accesses": counters["accesses"],
+        "coherence": tier_snapshot(system)["coherence"],
+        "stats": asdict(stats),
+        "samples": samples,
+    }
+
+
+class TestDirtyBarrier:
+    def test_overlapping_chains_match_per_wakeup(self):
+        coord, parked = _overlapping_run(record=None)
+        a, b = coord.chains
+        assert a.overlaps == [b] and b.overlaps == [a]
+        # Both forms of execution happened: credited runs of wakeups,
+        # and real accesses after a neighbour's mutation.
+        assert coord.snapshot()["replayed_wakeups"] > 0
+        assert parked["stats"]["invalidations"] > 100
+        _, per_wakeup = _overlapping_run(record=OpLog())
+        assert parked == per_wakeup

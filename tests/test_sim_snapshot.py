@@ -2,7 +2,7 @@
 
 A system forked from a :class:`~repro.sim.snapshot.SystemImage` must be
 indistinguishable — on every deterministic counter — from a freshly
-booted one, composed with every other execution tier (sharded engine,
+booted one, composed with every other execution tier (parked chains,
 trace replay), and the ``HIVE_SNAPSHOT=0`` escape must fall back to
 fresh boots without changing any result.
 """
@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.bench.faultexp import FaultExperimentRunner
-from repro.bench.throughput import (SNAPSHOT_EQUIV_KEYS, compare_snapshot,
+from repro.bench.throughput import (compare_snapshot, equiv_mismatches,
                                     record_traces, run_throughput,
                                     run_throughput_forked)
 from repro.sim.snapshot import (SnapshotError, SystemImage, fork_supported,
@@ -97,9 +97,15 @@ class TestSnapshotGolden:
         assert result["match"], result["mismatches"]
 
     def test_forked_matches_boot_sharded(self):
-        # Composition with the cell-sharded engine (HIVE_SHARDS=2).
-        result = compare_snapshot("small", shards=2)
-        assert result["match"], result["mismatches"]
+        # Sharding is gone; what a fork composes with now is the chain
+        # coordinator every run has.  A forked run must park and credit
+        # exactly as a freshly booted one, at a moved fault time too.
+        forked = run_throughput_forked("small", channels=True,
+                                       inject_ms=37)
+        fresh = run_throughput("small", channels=True, inject_ms=37)
+        assert not equiv_mismatches(fresh, forked)
+        assert forked["parking"] == fresh["parking"]
+        assert forked["parking"]["replayed_wakeups"] > 0
 
     def test_forked_matches_boot_replay(self):
         # Composition with trace replay: a forked system replaying a
@@ -113,8 +119,7 @@ class TestSnapshotGolden:
         # match a fresh boot at seed 7 (reseed_system really rewinds).
         forked = run_throughput_forked("small", seed=7, channels=True)
         fresh = run_throughput("small", seed=7, channels=True)
-        for key in SNAPSHOT_EQUIV_KEYS:
-            assert forked.get(key) == fresh.get(key), key
+        assert not equiv_mismatches(fresh, forked)
         assert forked["snapshot"] == "fork"
         assert forked["fork_wall_s"] > 0.0
 
