@@ -72,6 +72,7 @@ def _check_firewall_agreement(cell) -> List[str]:
     """The OS export records must match the hardware firewall."""
     problems: List[str] = []
     params = cell.machine.params
+    revoking = cell.firewall_mgr.revoking  # bits off, record drop pending
     for pf in cell.pfdats.all_pfdats():
         if pf.extended:
             continue
@@ -80,6 +81,8 @@ def _check_firewall_agreement(cell) -> List[str]:
             continue
         fw = cell.machine.memory.firewalls[node]
         for grantee in pf.export_writable:
+            if (pf.frame, grantee) in revoking:
+                continue
             grantee_cpu = (cell.registry.nodes_of(grantee)[0]
                            * params.cpus_per_node)
             if not fw.allows(pf.frame, grantee_cpu):

@@ -5,7 +5,8 @@ by another: the data home ``export``s the page (recording the client cell
 in its pfdat and adjusting the firewall) and the client ``import``s it
 (allocating an *extended pfdat* and inserting it into its own pfdat hash
 so later faults hit locally).  ``release`` undoes an import and tells the
-data home, which keeps the page on *its* free list for reuse.
+data home (one RPC for all a cell releases to it in one instant), which
+keeps the page on *its* free list for reuse.
 
 *Physical-level* sharing lets a cell under memory pressure *borrow* page
 frames: the memory home moves the frame to a reserved list and ignores it
@@ -52,6 +53,11 @@ BULK_PAGES = 16
 LOCAL_RESERVE_FRAMES = 64
 #: frames fetched per borrow RPC.
 BORROW_BATCH = 16
+#: frames per release RPC: the data home refuses a longer list (the
+#: ``bulk_pages`` sanity cap), so the client splits a longer batch.
+RELEASE_BATCH_MAX = 64
+#: bucket bounds of the frames-per-release-RPC histogram.
+RELEASE_BATCH_BOUNDS = [1, 2, 4, 8, 16, 32, 64]
 
 
 class SharingMixin:
@@ -64,6 +70,8 @@ class SharingMixin:
     def _init_sharing(self) -> None:
         #: borrowed free frames ready for allocation
         self._borrowed_free: List[Pfdat] = []
+        #: frames released this instant and not yet sent, per data home
+        self._release_batches: Dict[int, List[int]] = {}
         self.metrics.counter("faults.remote")
         self.metrics.counter("faults.local_hit")
         self.rpc.register("ping", self._h_ping)
@@ -71,7 +79,7 @@ class SharingMixin:
         self.rpc.register("export_page", self._h_export_page)
         self.rpc.register("export_page_slow", self._h_export_page_slow,
                           QUEUED)
-        self.rpc.register("release_page", self._h_release_page)
+        self.rpc.register("release_pages", self._h_release_pages)
         self.rpc.register("export_anon_page", self._h_export_anon_page)
         self.rpc.register("cow_deref", self._h_cow_deref)
         self.rpc.register("open_file", self._h_open_file, QUEUED)
@@ -115,11 +123,13 @@ class SharingMixin:
 
         "release frees the extended pfdat and sends an RPC to the data
         home, which places the page on the data home free list if no
-        other references remain" (Section 5.2).
+        other references remain" (Section 5.2).  The RPC carries every
+        frame released for that data home in the same instant (a process
+        exit drops all its mappings at once): the first release of an
+        instant starts the process that sends the batch.
         """
         data_home = pf.imported_from
         frame = pf.frame
-        logical_id = pf.logical_id
         pf.imported_from = None
         self.sharing_metrics.counter("releases").add()
         if pf.extended:
@@ -129,16 +139,41 @@ class SharingMixin:
             self.pfdats.remove(pf)
         if data_home is None or not self.registry.is_live(data_home):
             return
-        self.sim.process(
-            self._notify_release(data_home, frame, logical_id),
-            name=f"c{self.kernel_id}.release")
+        batch = self._release_batches.get(data_home)
+        if batch is None:
+            batch = self._release_batches[data_home] = []
+            self.sim.process(self._flush_releases(data_home),
+                             name=f"c{self.kernel_id}.release")
+        batch.append(frame)
 
-    def _notify_release(self, data_home: int, frame: int,
-                        logical_id) -> Generator:
+    def _flush_releases(self, data_home: int) -> Generator:
+        """Send one instant's releases, split at the server's cap.
+
+        Every chunk goes out at once, each as its own call: all of them
+        are in the data home's FIFO request queue before the client can
+        send an export for a page it faults again, so no chunk is
+        overtaken by a re-import of one of its pages.
+        """
+        frames = self._release_batches.pop(data_home)
+        for start in range(RELEASE_BATCH_MAX, len(frames), RELEASE_BATCH_MAX):
+            self.sim.process(
+                self._send_release(
+                    data_home, frames[start:start + RELEASE_BATCH_MAX]),
+                name=f"c{self.kernel_id}.release")
+        yield from self._send_release(data_home, frames[:RELEASE_BATCH_MAX])
+
+    def _send_release(self, data_home: int, frames: List[int]) -> Generator:
+        if not (self.alive and self.registry.is_live(data_home)):
+            return  # either end died this instant: recovery cleans up
+        self.sharing_metrics.counter("release_batches").add()
+        self.sharing_metrics.histogram(
+            "release_batch_frames", RELEASE_BATCH_BOUNDS).record(len(frames))
         try:
-            yield from self.rpc.call(data_home, "release_page",
-                                     {"frame": frame,
-                                      "client": self.kernel_id})
+            # One frame fits the request line, as release_page did; a
+            # longer list goes by reference (oversize-argument path).
+            yield from self.rpc.call(data_home, "release_pages",
+                                     {"frames": frames},
+                                     arg_bytes=56 + 8 * len(frames))
         except (RpcTimeout, RpcRemoteError):
             pass  # data home failing is handled by recovery
 
@@ -248,20 +283,26 @@ class SharingMixin:
                     return -1
         return 0
 
-    def _h_release_page(self, src_cell: int, args: dict) -> Generator:
-        frame = args.get("frame")
-        if not isinstance(frame, int):
-            raise RpcHandlerError("EINVAL", "bad frame")
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
-        pf = self.pfdats.by_frame(frame)
-        if pf is None:
-            return None
-        pf.exported_to.discard(src_cell)
-        if src_cell in pf.export_writable:
-            yield from self.firewall_mgr.revoke_write(pf, src_cell)
+    def _h_release_pages(self, src_cell: int, args: dict) -> Generator:
+        """Data-home side of a release batch.
+
+        The batch takes effect before any time is charged: an export of
+        one of its pages that arrives behind it (the client faulting the
+        page again) is applied after the release, never undone by it.
+        """
+        frames = args.get("frames")
+        if (not isinstance(frames, list) or len(frames) > RELEASE_BATCH_MAX
+                or not all(isinstance(frame, int) for frame in frames)):
+            raise RpcHandlerError("EINVAL", "bad release batch")
+        pfs = [pf for pf in map(self.pfdats.by_frame, frames)
+               if pf is not None]
+        for pf in pfs:
+            pf.exported_to.discard(src_cell)
         # The page data stays cached at the data home ("the data page
         # remains in memory until the page frame is reallocated,
         # providing fast access if the client cell faults to it again").
+        yield from self.firewall_mgr.revoke_writes(pfs, src_cell)
+        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns * len(frames))
         return None
 
     def _h_export_anon_page(self, src_cell: int, args: dict) -> Generator:

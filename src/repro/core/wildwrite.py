@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
+from repro.core.rpc import RpcRemoteError
+from repro.unix.errors import RpcTimeout
 from repro.unix.pfdat import Pfdat
 
 
@@ -35,6 +37,10 @@ class FirewallManager:
         self.costs = cell.costs
         self.grants = 0
         self.revokes = 0
+        #: ``(frame, client)`` pairs between a revocation's bit flip and
+        #: its record drop: the firewall is already stricter than the
+        #: pfdat record, which core.invariants must not call a mismatch.
+        self.revoking: Set[Tuple[int, int]] = set()
 
     # -- helpers -----------------------------------------------------------
 
@@ -53,8 +59,12 @@ class FirewallManager:
         (Section 7.2's model of a firewall status change).  For a
         borrowed frame the update is an RPC to the memory home.
         """
-        if client_cell in pf.export_writable:
+        key = (pf.frame, client_cell)
+        if client_cell in pf.export_writable and key not in self.revoking:
             return None
+        # A grant that meets a revocation in flight wins: the bits go
+        # back on and the pending record drop is called off.
+        self.revoking.discard(key)
         node = self._home_node(pf.frame)
         client_nodes = self.cell.registry.nodes_of(client_cell)
         if self._owns_node(node):
@@ -90,42 +100,63 @@ class FirewallManager:
             prov.write_granted(self.cell.kernel_id, client_cell, pf.frame)
         return None
 
-    def revoke_write(self, pf: Pfdat, client_cell: int) -> Generator:
-        """Revoke a cell's write access (waits for pending writebacks)."""
-        if client_cell not in pf.export_writable:
-            return None
-        node = self._home_node(pf.frame)
+    def revoke_writes(self, pfs: List[Pfdat], client_cell: int) -> Generator:
+        """Revoke a cell's write access to a batch of frames in one pass.
+
+        All the bits flip before any time passes, one wait covers the
+        pending valid writebacks of the whole batch (Section 4.2), then
+        the records drop — never a record before its bits, so the
+        firewall is at worst stricter than the pfdats say.
+        """
+        params = self.cell.machine.params
         client_nodes = self.cell.registry.nodes_of(client_cell)
-        if self._owns_node(node):
-            fw = self.cell.machine.memory.firewalls[node]
-            for cn in client_nodes:
-                fw.revoke_node(pf.frame, node, cn)
-            # Revocation must ensure all pending valid writebacks have
-            # been delivered (Section 4.2) — the extra network round.
-            yield self.sim.timeout(self.cell.machine.params.firewall_update_ns
-                                   + self.cell.machine.params.firewall_revoke_extra_ns)
-        else:
+        local, borrowed = [], []
+        for pf in pfs:
+            key = (pf.frame, client_cell)
+            if client_cell not in pf.export_writable or key in self.revoking:
+                continue  # nothing to revoke, or already being revoked
+            node = self._home_node(pf.frame)
+            if self._owns_node(node):
+                fw = self.cell.machine.memory.firewalls[node]
+                for cn in client_nodes:
+                    fw.revoke_node(pf.frame, node, cn)
+                self.revoking.add(key)
+                local.append(pf)
+            else:
+                borrowed.append(pf)
+        if local:
+            # One uncached write per frame, then the extra network round
+            # that ensures all pending valid writebacks were delivered.
+            yield self.sim.timeout(params.firewall_update_ns * len(local)
+                                   + params.firewall_revoke_extra_ns)
+        for pf in borrowed:
             try:
                 yield from self.cell.rpc.call(
                     pf.borrowed_from, "firewall_update",
                     {"frame": pf.frame, "grantee": client_cell,
                      "grant": False})
-            except Exception:
+            except (RpcTimeout, RpcRemoteError):
                 pass  # memory home died; its firewall died with it
-        pf.export_writable.discard(client_cell)
-        self.revokes += 1
-        self.cell.firewall_metrics.counter("revokes").add()
+        # A pair granted again during the wait has left the set: its
+        # bits are back on and its record stays.
+        done = [pf for pf in local
+                if (pf.frame, client_cell) in self.revoking] + borrowed
         channels = self.cell.machine.channels
-        if channels is not None:
-            params = self.cell.machine.params
-            channels.firewall(
-                node, client_nodes[0], False,
-                params.firewall_update_ns + params.firewall_revoke_extra_ns)
         obs = self.cell.obs
-        if obs.enabled:
-            obs.event("firewall.revoke", "firewall",
-                      cell=self.cell.kernel_id, frame=pf.frame,
-                      grantee=client_cell)
+        for pf in done:
+            self.revoking.discard((pf.frame, client_cell))
+            pf.export_writable.discard(client_cell)
+            self.revokes += 1
+            self.cell.firewall_metrics.counter("revokes").add()
+            if channels is not None:
+                channels.firewall(
+                    self._home_node(pf.frame), client_nodes[0], False,
+                    params.firewall_update_ns
+                    + params.firewall_revoke_extra_ns)
+            if obs.enabled:
+                obs.event("firewall.revoke", "firewall",
+                          cell=self.cell.kernel_id, frame=pf.frame,
+                          grantee=client_cell)
         return None
 
     def revoke_all_local(self, pf: Pfdat) -> None:

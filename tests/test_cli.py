@@ -50,9 +50,9 @@ class TestParser:
             ["metrics", "raytrace", "--format", "json"])
         assert args.format == "json"
 
-    def test_bench_defaults_to_pr14_out(self):
+    def test_bench_out_defaults_to_this_prs_file(self):
         args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_pr14.json"
+        assert args.out == "BENCH_pr15.json"
         assert not args.progress
         assert not args.compare_parked
         assert args.record is None

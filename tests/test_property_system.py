@@ -128,7 +128,7 @@ class TestRpcInputFuzz:
     back as an errno, never crash the serving cell (Section 3.1's
     bad-message defense)."""
 
-    OPS = ["export_page", "release_page", "export_anon_page", "cow_deref",
+    OPS = ["export_page", "release_pages", "export_anon_page", "cow_deref",
            "open_file", "unlink_file", "bulk_pages", "file_extend",
            "borrow_frames", "return_frame", "firewall_update",
            "post_signal", "signal_pgroup", "spawn_program", "kill_task",
@@ -136,7 +136,7 @@ class TestRpcInputFuzz:
 
     @given(op=st.sampled_from(OPS),
            args=st.dictionaries(
-               st.sampled_from(["path", "mode", "create", "frame",
+               st.sampled_from(["path", "mode", "create", "frame", "frames",
                                 "logical_id", "writable", "client",
                                 "cow_node", "page_index", "addr", "count",
                                 "grantee", "grant", "fs_id", "ino",
@@ -170,3 +170,34 @@ class TestRpcInputFuzz:
         assert proc.ok
         assert server.alive, f"{op} with {args!r} killed the server"
         assert client.alive
+
+    @pytest.mark.parametrize("frames, errno", [
+        (None, "EINVAL"), (7, "EINVAL"), ("12", "EINVAL"), ((1, 2), "EINVAL"),
+        ([3, "x"], "EINVAL"), ([None], "EINVAL"), ([1.5], "EINVAL"),
+        (list(range(65)), "EINVAL"),          # over the server's cap
+        ([], None), ([-1, 10**9, True], None),  # unknown frames: no-op
+        (list(range(64)), None),
+    ])
+    def test_release_pages_rejects_or_ignores_garbage(self, frames, errno):
+        from repro.core.rpc import RpcRemoteError
+
+        sim = Simulator()
+        hive = boot_hive(sim, num_cells=2, machine_config=MachineConfig())
+        client, server = hive.cell(0), hive.cell(1)
+        got = {}
+
+        def attack():
+            for op in ("release_pages", "release_page"):
+                try:
+                    yield from client.rpc.call(1, op, {"frames": frames,
+                                                       "frame": 5})
+                    got[op] = None
+                except RpcRemoteError as exc:
+                    got[op] = exc.errno
+
+        proc = sim.process(attack())
+        sim.run_until_event(proc, deadline=sim.now + 10_000_000_000)
+        assert proc.ok and server.alive and client.alive
+        # The one-page op is gone, not kept beside the batch.
+        assert got == {"release_pages": errno, "release_page": "EOPNOTSUPP"}
+        assert check_system(hive) == []
