@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 from repro.core.hive import HiveSystem, boot_hive
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
+from repro.obs.profile import rpc_tiers
 from repro.sim.engine import Simulator
 from repro.sim.snapshot import SystemImage, snapshot_enabled
 
@@ -197,6 +198,8 @@ def run_rpc_bench(config: str, seed: int = 1995,
     row["mean_latency_ns"] = (round(latency_total / latency_n, 1)
                               if latency_n else 0.0)
     row["latency_floor_ns"] = latency_floor_ns
+    # Which dispatch the calls took (`repro report --check` reads it).
+    row["tiers"] = {"rpc": rpc_tiers(system)}
     if latency_n and row["mean_latency_ns"] < latency_floor_ns:
         # A round trip beat the hardware: the RPC path (or a params
         # change) broke the latency model.

@@ -228,7 +228,7 @@ def _sampler(sim: Simulator, cell, interval_ns: int, stop_ns: int,
         counters["samples"] += 1
         counters["writable_page_samples"] += \
             cell.firewall_mgr.remotely_writable_pages()
-        yield sim.timeout(interval_ns)
+        yield interval_ns
     return None
 
 

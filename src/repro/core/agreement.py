@@ -91,15 +91,14 @@ class VotingAgreement:
                 if self.registry.machine.nodes[voter.node_ids[0]].halted:
                     # The voter's processors are halted: its vote never
                     # arrives, so the round suspects it too.
-                    yield sim.timeout(VOTE_TIMEOUT_NS)
+                    yield VOTE_TIMEOUT_NS
                     slow_voters.add(voter_id)
                     continue
                 for suspect in suspects:
                     dead = yield from self._probe(voter, suspect)
                     votes[suspect][voter_id] = dead
                 # Vote exchange: one SIPS broadcast per voter.
-                yield sim.timeout(
-                    self.registry.params.sips_latency_ns())
+                yield self.registry.params.sips_latency_ns()
             if slow_voters:
                 suspects |= slow_voters
                 continue  # restart with the grown suspect set
@@ -113,7 +112,6 @@ class VotingAgreement:
 
     def _probe(self, voter, suspect: int) -> Generator:
         """One cell's liveness probe of one suspect; True means dead."""
-        sim = self.registry.sim
         target = self.registry.cell_object(suspect)
         if target is None:
             return True
@@ -127,7 +125,7 @@ class VotingAgreement:
             # A panicked cell has engaged its memory cutoff and stopped
             # answering pings; the ping below would time out — model the
             # timeout cost then vote dead.
-            yield sim.timeout(PROBE_TIMEOUT_NS)
+            yield PROBE_TIMEOUT_NS
             return True
         try:
             result = yield from voter.rpc.call(
@@ -159,7 +157,7 @@ class OracleAgreement:
             self.obs.event("agree.round", OBS_AGREEMENT,
                            cell=initiator if initiator >= 0 else None,
                            round=1, suspects=sorted(suspects))
-        yield sim.timeout(self.ORACLE_LATENCY_NS)
+        yield self.ORACLE_LATENCY_NS
         dead: Set[int] = set()
         for cell_id in self.registry.all_cell_ids():
             cell = self.registry.cell_object(cell_id)

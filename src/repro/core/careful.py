@@ -23,7 +23,7 @@ are charged from :class:`~repro.unix.costs.KernelCosts` to land there.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional
 
 from repro.hardware.errors import BusError
 from repro.unix.errors import CarefulReferenceFault
@@ -50,20 +50,7 @@ class CarefulReader:
     def active_target(self) -> Optional[int]:
         return self._active[-1] if self._active else None
 
-    # -- protocol steps ----------------------------------------------------
-
-    def careful_on(self, remote_cell_id: int) -> Generator:
-        """Step 1: record the target cell and capture the stack frame."""
-        self._active.append(remote_cell_id)
-        yield self.sim.timeout(self.costs.careful_on_ns)
-        return None
-
-    def careful_off(self) -> Generator:
-        """Step 5: restore panic-on-bus-error behaviour."""
-        if self._active:
-            self._active.pop()
-        yield self.sim.timeout(self.costs.careful_off_ns)
-        return None
+    # -- failure ------------------------------------------------------------
 
     def _fail(self, remote_cell_id: int, check: str,
               detail: str = "") -> CarefulReferenceFault:
@@ -83,6 +70,12 @@ class CarefulReader:
         return fault
 
     # -- composite reads ---------------------------------------------------
+    #
+    # Event budget (DESIGN.md 3f): consecutive protocol costs with nothing
+    # observable between them are one sleep.  Every check, the memory
+    # access and every raise stay at the instant the step-by-step protocol
+    # put them; the section closes at the end of the merged tail, so it is
+    # open ``careful_off_ns`` longer than the protocol's step 5 says.
 
     def read_word(self, remote_cell_id: int, addr: int) -> Generator:
         """Read one word of remote memory under careful protection.
@@ -97,92 +90,95 @@ class CarefulReader:
             span = obs.begin("careful.read_word", "careful",
                              cell=self.cell.kernel_id,
                              target=remote_cell_id)
-        yield from self.careful_on(remote_cell_id)
+        # Step 1: record the target cell and capture the stack frame.
+        self._active.append(remote_cell_id)
+        yield self.costs.careful_on_ns
         try:
             latency = self.cell.machine.coherence.read(
                 self.cell.cpu_ids[0], addr)
         except BusError as exc:
             obs.end(span, outcome="bus_error")
             raise self._fail(remote_cell_id, "bus_error", str(exc))
-        yield self.sim.timeout(latency)
-        self.reads += 1
-        yield from self.careful_off()
-        obs.end(span, outcome="ok")
-        prov = self.cell.prov
-        if prov.enabled:
-            prov.careful_ok(remote_cell_id, self.cell.kernel_id)
+        # The miss, then step 5: restore panic-on-bus-error behaviour.
+        yield latency + self.costs.careful_off_ns
+        self._close(remote_cell_id, span)
         return None
 
     def read_object(self, remote_cell_id: int, addr: int,
-                    expected_type: str,
-                    copy_words: int = 8) -> Generator:
+                    expected_type: str, copy_words: int = 8,
+                    lead_ns: int = 0) -> Generator:
         """Careful read of a typed kernel structure; returns a snapshot.
 
         Applies every check of the protocol; the returned object is the
         structure itself (our stand-in for the local copy — callers must
         not mutate it, mirroring the read-only discipline the paper's
-        lookup algorithms obey).
+        lookup algorithms obey).  ``lead_ns`` is time the caller owes
+        before the section starts (a COW tree hop); it is slept together
+        with the section's first cost.
         """
+        costs = self.costs
         obs = self.cell.obs
         span = None
         if obs.enabled:
             span = obs.begin("careful.read_object", "careful",
                              cell=self.cell.kernel_id,
                              target=remote_cell_id, ktype=expected_type)
-        yield from self.careful_on(remote_cell_id)
+            span.start_ns += lead_ns  # the section starts after the lead
+        self._active.append(remote_cell_id)
         try:
-            obj = yield from self._read_object_body(remote_cell_id, addr,
-                                                    expected_type,
-                                                    copy_words)
+            # Step 1, and the cost of step 2's alignment and range checks.
+            yield lead_ns + costs.careful_on_ns + costs.careful_check_ns
+            if addr % KOBJ_ALIGN != 0:
+                raise self._fail(remote_cell_id, "alignment",
+                                 f"addr={addr:#x}")
+            heap_range = self.cell.registry.heap_range_of(remote_cell_id)
+            if heap_range is None:
+                raise self._fail(remote_cell_id, "range",
+                                 f"cell {remote_cell_id} unknown")
+            lo, hi = heap_range
+            if not lo <= addr < hi:
+                raise self._fail(
+                    remote_cell_id, "range",
+                    f"addr={addr:#x} outside cell {remote_cell_id} "
+                    f"kernel range [{lo:#x},{hi:#x})")
+            # Step 4 (tag read): a real memory access — may bus-error.
+            try:
+                latency = self.cell.machine.coherence.read(
+                    self.cell.cpu_ids[0], addr)
+            except BusError as exc:
+                raise self._fail(remote_cell_id, "bus_error", str(exc))
+            yield latency
+            resolved = self.cell.registry.resolve_kernel_address(
+                remote_cell_id, addr)
+            if resolved is None:
+                mismatch = f"no allocation at {addr:#x}"
+            elif resolved[0] != expected_type:
+                mismatch = (f"expected {expected_type!r} "
+                            f"found {resolved[0]!r}")
+            else:
+                mismatch = None
+            if mismatch is not None:
+                yield costs.careful_check_ns
+                raise self._fail(remote_cell_id, "type_tag", mismatch)
         except CarefulReferenceFault as exc:
             obs.end(span, outcome="fault", check=exc.check)
             raise
-        yield from self.careful_off()
-        obs.end(span, outcome="ok")
+        # The tag check, step 3 (copy to local memory) and step 5.
+        yield (costs.careful_check_ns
+               + copy_words * costs.careful_copy_ns_per_word
+               + costs.careful_off_ns)
+        self._close(remote_cell_id, span)
+        return resolved[1]
+
+    def _close(self, remote_cell_id: int, span) -> None:
+        """End of a section that passed every check."""
+        if self._active:
+            self._active.pop()
+        self.reads += 1
+        self.cell.obs.end(span, outcome="ok")
         prov = self.cell.prov
         if prov.enabled:
             prov.careful_ok(remote_cell_id, self.cell.kernel_id)
-        return obj
-
-    def _read_object_body(self, remote_cell_id: int, addr: int,
-                          expected_type: str,
-                          copy_words: int) -> Generator:
-        """Steps 2-4 (caller wraps in on/off for multi-read sections)."""
-        # Step 2: alignment and range checks.
-        yield self.sim.timeout(self.costs.careful_check_ns)
-        if addr % KOBJ_ALIGN != 0:
-            raise self._fail(remote_cell_id, "alignment", f"addr={addr:#x}")
-        heap_range = self.cell.registry.heap_range_of(remote_cell_id)
-        if heap_range is None:
-            raise self._fail(remote_cell_id, "range",
-                             f"cell {remote_cell_id} unknown")
-        lo, hi = heap_range
-        if not lo <= addr < hi:
-            raise self._fail(
-                remote_cell_id, "range",
-                f"addr={addr:#x} outside cell {remote_cell_id} "
-                f"kernel range [{lo:#x},{hi:#x})")
-        # Step 4 (tag read): a real memory access — may bus-error.
-        try:
-            latency = self.cell.machine.coherence.read(
-                self.cell.cpu_ids[0], addr)
-        except BusError as exc:
-            raise self._fail(remote_cell_id, "bus_error", str(exc))
-        yield self.sim.timeout(latency)
-        resolved = self.cell.registry.resolve_kernel_address(
-            remote_cell_id, addr)
-        yield self.sim.timeout(self.costs.careful_check_ns)
-        if resolved is None:
-            raise self._fail(remote_cell_id, "type_tag",
-                             f"no allocation at {addr:#x}")
-        ktype, obj = resolved
-        if ktype != expected_type:
-            raise self._fail(remote_cell_id, "type_tag",
-                             f"expected {expected_type!r} found {ktype!r}")
-        # Step 3: copy to local memory before further checks.
-        yield self.sim.timeout(copy_words * self.costs.careful_copy_ns_per_word)
-        self.reads += 1
-        return obj
 
     # -- bus-error interception for non-careful kernel code ------------------
 

@@ -183,7 +183,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         phase = obs.begin("recovery.flush", OBS_RECOVERY,
                           cell=self.kernel_id, parent=cell_span,
                           round=round_id) if obs.enabled else None
-        yield self.sim.timeout(self.costs.tlb_flush_ns * len(self.cpu_ids))
+        yield self.costs.tlb_flush_ns * len(self.cpu_ids)
         unmapped = 0
         for proc in list(self.processes.values()):
             if proc.exited:
@@ -213,7 +213,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                 prov.import_dropped(self.kernel_id, pf.frame,
                                     pf.imported_from)
             pf.imported_from = None
-        yield self.sim.timeout(self.costs.unmap_page_ns * unmapped)
+        yield self.costs.unmap_page_ns * unmapped
         if phase is not None:
             obs.end(phase, unmapped=unmapped)
 
@@ -222,7 +222,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                           round=round_id) if obs.enabled else None
         ev = barriers.join((round_id, 1), self.kernel_id, survivors)
         yield ev
-        yield self.sim.timeout(self.costs.barrier_round_ns)
+        yield self.costs.barrier_round_ns
         if phase is not None:
             obs.end(phase)
 
@@ -235,15 +235,14 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         # pages writable by failed cells, then revoking grants) — the
         # bulk of the paper's 40-80 ms recovery latency.
         npfdats = len(self.pfdats.owned_frames)
-        yield self.sim.timeout(
-            2 * npfdats * self.costs.recovery_scan_per_pfdat_ns)
+        yield 2 * npfdats * self.costs.recovery_scan_per_pfdat_ns
         discarded = yield from self._preemptive_discard(dead, record)
         yield from self._revoke_all_grants()
         killed = self._kill_dependent_processes(dead)
         record.killed_processes += killed
         record.discarded_pages += discarded
         self._resolve_dead_children(dead)
-        yield self.sim.timeout(self.costs.recovery_fixed_ns)
+        yield self.costs.recovery_fixed_ns
         if phase is not None:
             obs.end(phase, discarded=discarded, killed=killed)
 
@@ -252,7 +251,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                           round=round_id) if obs.enabled else None
         ev = barriers.join((round_id, 2), self.kernel_id, survivors)
         yield ev
-        yield self.sim.timeout(self.costs.barrier_round_ns)
+        yield self.costs.barrier_round_ns
         if phase is not None:
             obs.end(phase)
 
@@ -301,7 +300,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         self._borrowed_free = [b for b in self._borrowed_free
                                if b.borrowed_from not in dead]
         record.files_lost += len(lost_files)
-        yield self.sim.timeout(self.costs.discard_per_page_ns * discarded)
+        yield self.costs.discard_per_page_ns * discarded
         return discarded
 
     def _discard_page(self, pf, dead_cell: int, lost_files: Set[tuple],
@@ -374,9 +373,8 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         for node, frames in frames_by_node.items():
             self.machine.memory.firewalls[node].bulk_revoke_all_remote(
                 frames, node)
-        yield self.sim.timeout(
-            (self.machine.params.firewall_update_ns
-             + self.machine.params.firewall_revoke_extra_ns) * revoked)
+        yield ((self.machine.params.firewall_update_ns
+               + self.machine.params.firewall_revoke_extra_ns) * revoked)
         return None
 
     def _resolve_dead_children(self, dead: Set[int]) -> None:

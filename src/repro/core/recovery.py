@@ -179,7 +179,7 @@ class RecoveryCoordinator:
                 if cell is not None and cell.alive:
                     cell.suspend_user()
                     quantum = cell.costs.scheduler_quantum_ns
-            yield sim.timeout(quantum)
+            yield quantum
             # 2. Agreement.
             t0 = sim.now
             suspects = {hint.suspect} | self._pending_suspects
@@ -191,7 +191,7 @@ class RecoveryCoordinator:
                                        suspects=sorted(suspects))
             if forced:
                 dead = set(suspects)
-                yield sim.timeout(self.registry.params.sips_latency_ns())
+                yield self.registry.params.sips_latency_ns()
                 obs.end(agree_span, dead=sorted(dead), rounds=0)
             else:
                 result = yield from self.agreement.run(hint.reporter,
@@ -293,7 +293,6 @@ class RecoveryCoordinator:
     def _master_phase(self, master_cell, dead: Set[int],
                       record: RecoveryRecord) -> Generator:
         """Diagnostics on failed nodes; reboot + reintegrate on success."""
-        sim = self.registry.sim
         costs = master_cell.costs
         obs = self.obs
         span = None
@@ -301,7 +300,7 @@ class RecoveryCoordinator:
             span = obs.begin("recovery.master", OBS_RECOVERY,
                              cell=master_cell.kernel_id,
                              round=record.round_id, dead=sorted(dead))
-        yield sim.timeout(costs.diagnostics_ns)
+        yield costs.diagnostics_ns
         ok = all(
             master_cell.machine.run_diagnostics(node)
             for cell_id in dead
@@ -310,7 +309,7 @@ class RecoveryCoordinator:
         if not ok or not self.reintegrate:
             obs.end(span, rebooted=False, diagnostics_ok=ok)
             return
-        yield sim.timeout(costs.reboot_ns)
+        yield costs.reboot_ns
         for cell_id in sorted(dead):
             self.registry.reboot_cell(cell_id)
             self.strike_book.clear_cell(cell_id)

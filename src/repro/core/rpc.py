@@ -24,21 +24,21 @@ whenever waiting for a reply": handlers receive plain dict payloads and
 validate them; the client raises :class:`RpcTimeout` — a failure hint —
 when no reply arrives in time.
 
-Fast path (PR5)
----------------
-``HIVE_RPC_FAST=0`` in the environment restores the original dispatch.
-With the fast path on (the default) the simulated latencies and RPC
-counters are unchanged, but the client and server sides allocate and
-schedule far less per round trip:
+Coalesced dispatch
+------------------
+Every call, in-payload or by-reference, is three waits on the client:
+the pre-send stub (plus the by-reference alloc/copy half), the reply,
+the post-reply charges.  The simulated latencies and RPC counters are
+those of the step-by-step dispatch, which ``HIVE_RPC_FAST=0`` restores
+as the independent oracle (``RPC_DETERMINISTIC_KEYS`` must match):
 
 * the client waits on the reply event *directly* with a cancellable
   deadline entry instead of building an ``any_of([reply, deadline])``
   pair — the losing deadline is revoked in place when the reply wins;
-* the three post-reply cost charges (interrupt dispatch, optional
-  context switch, unmarshal stub) coalesce into a single timeout of the
-  same total;
-* ``_Pending`` records, reply events, and reply payload dicts are
-  pooled and recycled;
+* the post-reply cost charges (interrupt dispatch, optional context
+  switch, unmarshal stub, by-reference alloc/copy half) coalesce into a
+  single sleep of the same total;
+* ``_Pending`` records and reply events are pooled and recycled;
 * interrupt-level service runs on a pooled :class:`_ServiceTask`
   driver instead of spawning a full engine ``Process`` per message.
 """
@@ -51,7 +51,8 @@ from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.hardware.errors import BusError, SipsQueueFull
 from repro.hardware.sips import REPLY, REQUEST, SipsFabric, SipsMessage
-from repro.sim.engine import Event, Interrupted, Simulator, Timeout
+from repro.sim.engine import (Event, Interrupted, SimulationError, Simulator,
+                              Timeout)
 from repro.sim.resources import FifoStore
 from repro.sim.stats import MetricSet
 from repro.unix.costs import KernelCosts
@@ -104,20 +105,34 @@ class _ServiceTask:
     join callbacks) is pure overhead.  Tasks are pooled per subsystem
     and the first generator step runs *inline* from the message-arrival
     interrupt — safe because ``_service`` performs no side effects
-    before its first ``yield timeout(...)``, so simulated time and cost
-    accounting are unchanged.
+    before its first sleep, so simulated time and cost accounting are
+    unchanged.
     """
 
-    __slots__ = ("sub", "gen", "_cb")
+    __slots__ = ("sub", "name", "gen", "_cb", "_wake_cb")
 
     def __init__(self, sub: "RpcSubsystem"):
         self.sub = sub
+        #: the engine profile attributes wall time by owner name
+        self.name = f"rpc{sub.cell.kernel_id}.int"
         self.gen = None
         self._cb = self._resume
+        self._wake_cb = self._wake
 
     def start(self, gen: Generator) -> None:
         self.gen = gen
         self._advance(0, None)
+
+    def _wake(self) -> None:
+        # A sleep's entry fired; same-instant ordering and dispatch
+        # count as Process._wake.
+        sim = self.sub.sim
+        queue = sim._queue
+        if sim._nowq or (queue and queue[0][0] == sim.now):
+            sim.schedule(0, self._advance, 1, None)
+            return
+        sim.events_processed += 1
+        self._advance(1, None)
 
     def _resume(self, ev: Event) -> None:
         if type(ev) is Timeout and ev._cb_seen == 1:
@@ -151,6 +166,13 @@ class _ServiceTask:
             if sim.crash_on_process_error:
                 raise
             return
+        if type(target) is int:
+            if target < 0:
+                self._advance(2, SimulationError(
+                    f"rpc service yielded negative sleep {target!r}"))
+            else:
+                sim.schedule(target, self._wake_cb)
+            return
         # Inlined target.add_callback(self._resume), as in Process._step.
         if type(target) is Timeout:
             target._cb_seen += 1
@@ -175,7 +197,7 @@ class RpcSubsystem:
         # "latency" timer name stays readable as a view over it.
         self.metrics.timer_view("latency",
                                 self.metrics.histogram("latency_ns"))
-        #: HIVE_RPC_FAST=0 restores the original (slow) dispatch path.
+        #: HIVE_RPC_FAST=0 runs the step-by-step oracle twin instead.
         self.fast_enabled = os.environ.get("HIVE_RPC_FAST", "1") != "0"
         # Per-call dispatch-path attribution for the profiler; cached
         # Counter objects so the hot path pays one attribute bump.
@@ -185,7 +207,6 @@ class RpcSubsystem:
         self._pending: Dict[int, _Pending] = {}
         self._pending_pool: list = []
         self._event_pool: list = []
-        self._reply_pool: list = []
         self._task_pool: list = []
         #: the cell's UserMsgService; wired by Cell.__init__ once the
         #: service exists (the RPC subsystem is built first), so the
@@ -269,17 +290,21 @@ class RpcSubsystem:
         self._next_call += 1
         start = self.sim.now
 
-        # Stub execution + marshalling (Table 5.2 costs).
+        # Stub execution + marshalling (Table 5.2 costs): arguments
+        # beyond one SIPS payload go by reference, which costs the bigger
+        # stub plus alloc/copy, half before the send and half after the
+        # reply.
         stub = self.costs.rpc_null_stub_ns
+        marshal = 0
         oversize = arg_bytes > self.sips.params.sips_payload
         if oversize:
             stub = self.costs.rpc_stub_ns
-            yield self.sim.timeout(self.costs.rpc_alloc_ns // 2
-                                   + self.costs.rpc_copy_ns // 2)
-        yield self.sim.timeout(stub // 2)
+            marshal = (self.costs.rpc_alloc_ns // 2
+                       + self.costs.rpc_copy_ns // 2)
+        yield marshal + stub // 2
 
         sim = self.sim
-        fast = self.fast_enabled and not oversize
+        fast = self.fast_enabled
         (self._fast_path_c if fast else self._slow_path_c).value += 1
         if fast:
             pool = self._event_pool
@@ -338,7 +363,7 @@ class RpcSubsystem:
                         dst_cell_id, f"RPC {op} flow-controlled past "
                         "timeout")
                     raise RpcTimeout(dst_cell_id, op)
-                yield self.sim.timeout(backoff)
+                yield backoff
                 backoff = min(backoff * 2, 100_000)
             except BusError as exc:
                 self._drop_pending(call_id)
@@ -375,14 +400,15 @@ class RpcSubsystem:
                 raise
             sim.cancel(dl_entry)
             self._event_pool.append(reply_ev)
-            # Client-side reply processing, coalesced into one timeout of
+            # Client-side reply processing, coalesced into one sleep of
             # the same total as the slow path's sequential charges.
             waited = sim.now - start
-            post = self.costs.rpc_interrupt_dispatch_ns + stub // 2
+            post = (self.costs.rpc_interrupt_dispatch_ns + stub // 2
+                    + marshal)
             if waited > self.costs.rpc_spin_timeout_ns:
                 post += self.costs.context_switch_ns
                 self.metrics.counter("spin_timeouts").add()
-            yield sim.timeout(post)
+            yield post
             self.metrics.counter("calls").add()
             self.metrics.histogram("latency_ns").record(sim.now - start)
             if isinstance(result, RpcError):
@@ -401,14 +427,13 @@ class RpcSubsystem:
         # Client-side reply processing: the reply-arrival interrupt, spin
         # vs context switch, then the unmarshalling half of the stubs.
         waited = self.sim.now - start
-        yield self.sim.timeout(self.costs.rpc_interrupt_dispatch_ns)
+        yield self.costs.rpc_interrupt_dispatch_ns
         if waited > self.costs.rpc_spin_timeout_ns:
-            yield self.sim.timeout(self.costs.context_switch_ns)
+            yield self.costs.context_switch_ns
             self.metrics.counter("spin_timeouts").add()
-        yield self.sim.timeout(stub // 2)
+        yield stub // 2
         if oversize:
-            yield self.sim.timeout(self.costs.rpc_alloc_ns // 2
-                                   + self.costs.rpc_copy_ns // 2)
+            yield marshal
         self.metrics.counter("calls").add()
         self.metrics.histogram("latency_ns").record(self.sim.now - start)
         if isinstance(result, RpcError):
@@ -467,16 +492,13 @@ class RpcSubsystem:
         if self.fast_enabled:
             pending.event = None
             self._pending_pool.append(pending)
-            # The reply dict has a single consumer; recycle it.
-            payload.clear()
-            self._reply_pool.append(payload)
         if not event._triggered:
             event.succeed(result)
 
     def _service(self, msg: SipsMessage) -> Generator:
         """Interrupt-level service attempt (falls back to the queue)."""
         service_start = self.sim.now
-        yield self.sim.timeout(self.costs.rpc_interrupt_dispatch_ns)
+        yield self.costs.rpc_interrupt_dispatch_ns
         payload = msg.payload
         op = payload.get("op")
         obs = self.cell.obs
@@ -524,7 +546,7 @@ class RpcSubsystem:
                 return
             # Wakeup + synchronization overhead of the queued path.
             service_start = self.sim.now
-            yield self.sim.timeout(self.costs.rpc_queue_extra_ns)
+            yield self.costs.rpc_queue_extra_ns
             obs = self.cell.obs
             span = None
             if obs.enabled:
@@ -557,9 +579,7 @@ class RpcSubsystem:
     def _run_handler(self, handler: Callable, payload: dict,
                      queued: bool = False) -> Generator:
         # Server side of provenance: requests *from* a tainted cell
-        # (``rpc_served`` no-ops unless the source is tainted).  The
-        # payload dict is recycled by the reply path, so only scalars
-        # are read out of it here, never retained.
+        # (``rpc_served`` no-ops unless the source is tainted).
         prov = self.cell.prov
         try:
             result = yield from handler(payload.get("src_cell"),
@@ -584,16 +604,10 @@ class RpcSubsystem:
     def _reply(self, request_payload: dict, result: Any) -> None:
         if not self.cell.alive:
             return
-        pool = self._reply_pool
-        if pool:
-            reply = pool.pop()
-            reply["call"] = request_payload.get("call")
-            reply["result"] = result
-        else:
-            reply = {"call": request_payload.get("call"), "result": result}
+        reply = {"call": request_payload.get("call"), "result": result}
         src_cpu = self.cell.cpu_ids[0]
         oversize = request_payload.get("oversize", False)
-        size = 64 if not oversize else 128
+        size = 128 if oversize else 64
         dst = request_payload["reply_node"]
         try:
             self.sips.send(src_cpu, dst, reply, size, kind=REPLY)
@@ -611,7 +625,7 @@ class RpcSubsystem:
         deadline = self.sim.now + self.costs.rpc_timeout_ns
         src_cpu = self.cell.cpu_ids[0]
         while self.cell.alive and self.sim.now < deadline:
-            yield self.sim.timeout(backoff)
+            yield backoff
             backoff = min(backoff * 2, 100_000)
             try:
                 self.sips.send(src_cpu, dst, reply, size, kind=REPLY)
@@ -640,7 +654,6 @@ class RpcSubsystem:
         # pending events were failed above).
         self._pending_pool.clear()
         self._event_pool.clear()
-        self._reply_pool.clear()
         self._task_pool.clear()
 
 

@@ -219,7 +219,7 @@ class SharingMixin:
     # ------------------------------------------------------------------
 
     def _h_ping(self, src_cell: int, args: dict) -> Generator:
-        yield self.sim.timeout(0)
+        yield 0
         return "alive"
 
     def _find_cached_page(self, logical_id: tuple) -> Optional[Pfdat]:
@@ -237,11 +237,11 @@ class SharingMixin:
         """
         logical_id = self._check_logical_id(args)
         writable = bool(args.get("writable"))
-        yield self.sim.timeout(self.costs.fault_home_misc_vm_ns)
+        yield self.costs.fault_home_misc_vm_ns
         pf = self._find_cached_page(logical_id)
         if pf is None:
             return MUST_QUEUE  # disk I/O needed: queued service
-        yield self.sim.timeout(self.costs.fault_home_export_ns)
+        yield self.costs.fault_home_export_ns
         yield from self.export_page_local(pf, src_cell, writable)
         generation = self._generation_of(logical_id)
         return {"frame": pf.frame, "generation": generation}
@@ -259,7 +259,7 @@ class SharingMixin:
             raise RpcHandlerError("ESTALE", f"fs {fs_id} not here")
         inode = fs.inode(ino)
         pf = yield from self.get_file_page(fs, inode, logical_id[1])
-        yield self.sim.timeout(self.costs.fault_home_export_ns)
+        yield self.costs.fault_home_export_ns
         yield from self.export_page_local(pf, src_cell, writable)
         return {"frame": pf.frame, "generation": inode.generation}
 
@@ -302,7 +302,7 @@ class SharingMixin:
         # remains in memory until the page frame is reallocated,
         # providing fast access if the client cell faults to it again").
         yield from self.firewall_mgr.revoke_writes(pfs, src_cell)
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns * len(frames))
+        yield self.costs.pfdat_hash_lookup_ns * len(frames)
         return None
 
     def _h_export_anon_page(self, src_cell: int, args: dict) -> Generator:
@@ -322,7 +322,7 @@ class SharingMixin:
         if pf is None:
             # The frame was reclaimed: restore from swap (or zero).
             pf = yield from self._get_anon_page(logical_id)
-        yield self.sim.timeout(self.costs.fault_home_export_ns)
+        yield self.costs.fault_home_export_ns
         yield from self.export_page_local(pf, src_cell,
                                           bool(args.get("writable")))
         return {"frame": pf.frame, "generation": 0}
@@ -332,7 +332,7 @@ class SharingMixin:
         if not isinstance(addr, int):
             raise RpcHandlerError("EINVAL", "bad addr")
         resolved = self.heap.resolve(addr)
-        yield self.sim.timeout(self.costs.careful_check_ns)
+        yield self.costs.careful_check_ns
         if resolved is None or resolved[0] != COW_NODE_TAG:
             return None
         self._release_cow_chain(resolved[1])
@@ -364,7 +364,7 @@ class SharingMixin:
                 and region.task_id is not None:
             return (yield from self._fault_task_shared(
                 ctx, region, vpn, write))
-        yield self.sim.timeout(self.costs.local_fault_ns)
+        yield self.costs.local_fault_ns
         if region.kind == FILE_REGION:
             return (yield from self._fault_file_local(ctx, region, vpn, write))
         return (yield from self._fault_anon(ctx, region, vpn, write))
@@ -388,19 +388,19 @@ class SharingMixin:
         logical_id = (tag, idx)
         # Fast path: "Further faults to that page can hit quickly in the
         # client cell's hash table and avoid sending an RPC."
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
+        yield self.costs.pfdat_hash_lookup_ns
         pf = self.pfdats.lookup(logical_id)
         if pf is not None and pf.imported_from is not None:
             if not want_write or self._have_write_grant(pf):
                 self.metrics.counter("faults.local_hit").add()
-                yield self.sim.timeout(self.costs.local_fault_ns)
+                yield self.costs.local_fault_ns
                 return self._map(ctx, region, vpn, pf, want_write,
                                  data_home=pf.imported_from)
         self.metrics.counter("faults.remote").add()
         # Client-cell work before the RPC (Table 5.2 components).
-        yield self.sim.timeout(self.costs.fault_client_fs_ns
-                               + self.costs.fault_client_locking_ns
-                               + self.costs.fault_client_misc_vm_ns)
+        yield (self.costs.fault_client_fs_ns
+               + self.costs.fault_client_locking_ns
+               + self.costs.fault_client_misc_vm_ns)
         yield from self.recovery_gate()
         result = yield from self._call_export(
             region.data_home, logical_id, want_write)
@@ -408,7 +408,7 @@ class SharingMixin:
             raise StaleGenerationError(f"fs{region.fs_id}/ino{region.ino}",
                                        region.generation,
                                        result["generation"])
-        yield self.sim.timeout(self.costs.fault_client_import_ns)
+        yield self.costs.fault_client_import_ns
         pf = self.import_page(result["frame"], region.data_home,
                               logical_id, want_write)
         if want_write:
@@ -481,14 +481,14 @@ class SharingMixin:
         except RpcRemoteError as exc:
             raise ProcessKilled(ctx.process.pid,
                                 f"anonymous page lost: {exc}")
-        yield self.sim.timeout(self.costs.fault_client_import_ns)
+        yield self.costs.fault_client_import_ns
         src = self.import_page(result["frame"], owner_cell, logical_id,
                                is_writable=False)
         ctx.process.dependencies.add(owner_cell)
         if write:
             # COW break: private local copy recorded at our leaf.
             pf = yield from self.alloc_frame(ctx)
-            yield self.sim.timeout(self.costs.page_copy_ns)
+            yield self.costs.page_copy_ns
             data = self.machine.memory.read_page(src.frame, cpu=ctx.cpu)
             self.machine.memory.write_page(pf.frame, data,
                                            cpu=self._dma_cpu(pf.frame))
@@ -512,7 +512,7 @@ class SharingMixin:
                                 "anonymous page was discarded")
         if write and owner is not leaf:
             pf = yield from self.alloc_frame(ctx)
-            yield self.sim.timeout(self.costs.page_copy_ns)
+            yield self.costs.page_copy_ns
             data = self.machine.memory.read_page(src.frame, cpu=ctx.cpu)
             self.machine.memory.write_page(pf.frame, data,
                                            cpu=self._dma_cpu(pf.frame))
@@ -545,7 +545,7 @@ class SharingMixin:
                     raise ProcessKilled(
                         ctx.process.pid,
                         "anonymous memory unreachable (corrupt COW tree)")
-                yield self.sim.timeout(self.costs.clock_tick_ns)
+                yield self.costs.clock_tick_ns
                 ctx.thread.check_killed()
                 yield from self.user_gate(ctx.thread)
 
@@ -559,8 +559,8 @@ class SharingMixin:
             if node.parent_addr == 0:
                 return None, -1
             parent_cell = node.parent_cell
-            yield self.sim.timeout(self.costs.cow_tree_hop_ns)
             if parent_cell == self.kernel_id:
+                yield self.costs.cow_tree_hop_ns
                 resolved = self.heap.resolve(node.parent_addr)
                 if resolved is None or resolved[0] != COW_NODE_TAG:
                     # Corruption in our own tree: internal kernel error.
@@ -571,9 +571,10 @@ class SharingMixin:
                 node = resolved[1]
                 node_cell = self.kernel_id
             else:
+                # The hop's walk cost is slept with the section's lead.
                 node = yield from self.careful.read_object(
                     parent_cell, node.parent_addr, COW_NODE_TAG,
-                    copy_words=16)
+                    copy_words=16, lead_ns=self.costs.cow_tree_hop_ns)
                 node_cell = parent_cell
             hops += 1
             if hops > 10_000:
@@ -593,7 +594,7 @@ class SharingMixin:
         for the page, recorded in the task's shared map (shared process
         state kept consistent across the component processes).
         """
-        yield self.sim.timeout(self.costs.local_fault_ns)
+        yield self.costs.local_fault_ns
         page_index = vpn - region.start_vpn
         task = self.registry.task(region.task_id)
         if task is None:
@@ -604,7 +605,7 @@ class SharingMixin:
         if data_home is None:
             # First touch: allocate locally and publish in the shared map.
             pf = yield from self.alloc_frame(ctx)
-            yield self.sim.timeout(self.costs.page_zero_ns)
+            yield self.costs.page_zero_ns
             self.machine.memory.zero_page(pf.frame,
                                           cpu=self._dma_cpu(pf.frame))
             if self.pfdats.lookup(logical_id) is None:
@@ -629,7 +630,7 @@ class SharingMixin:
         # policy) — this is why ocean ends up with its whole write-shared
         # data segment remotely writable.
         want_write = region.writable
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
+        yield self.costs.pfdat_hash_lookup_ns
         pf = self.pfdats.lookup(logical_id)
         if pf is not None and pf.imported_from is not None:
             if not want_write or self._have_write_grant(pf):
@@ -637,9 +638,9 @@ class SharingMixin:
                 return self._map(ctx, region, vpn, pf, want_write,
                                  data_home=data_home)
         self.metrics.counter("faults.remote").add()
-        yield self.sim.timeout(self.costs.fault_client_fs_ns
-                               + self.costs.fault_client_locking_ns
-                               + self.costs.fault_client_misc_vm_ns)
+        yield (self.costs.fault_client_fs_ns
+               + self.costs.fault_client_locking_ns
+               + self.costs.fault_client_misc_vm_ns)
         yield from self.recovery_gate()
         try:
             result = yield from self.rpc.call(
@@ -649,7 +650,7 @@ class SharingMixin:
         except RpcRemoteError as exc:
             raise ProcessKilled(ctx.process.pid,
                                 f"shared page lost: {exc}")
-        yield self.sim.timeout(self.costs.fault_client_import_ns)
+        yield self.costs.fault_client_import_ns
         pf = self.import_page(result["frame"], data_home, logical_id,
                               want_write)
         if want_write:
@@ -672,7 +673,7 @@ class SharingMixin:
         if data_home == self.kernel_id:
             raise FileError("EIO", f"fs {node} is local but unmounted")
         yield from self.recovery_gate()
-        yield self.sim.timeout(self.costs.open_remote_extra_ns)
+        yield self.costs.open_remote_extra_ns
         try:
             result = yield from self.rpc.call(
                 data_home, "open_file",
@@ -695,9 +696,9 @@ class SharingMixin:
         fs = self.local_fs_for(path)
         if fs is None:
             raise RpcHandlerError("ENODEV", f"{path} not served here")
-        yield self.sim.timeout(self.costs.open_local_ns)
+        yield self.costs.open_local_ns
         if args.get("create") and not fs.exists(path):
-            yield self.sim.timeout(self.costs.create_ns)
+            yield self.costs.create_ns
             fs.create(path)
         try:
             inode = fs.lookup(path)
@@ -724,7 +725,7 @@ class SharingMixin:
         fs = self.local_fs_for(path)
         if fs is None:
             raise RpcHandlerError("ENODEV", f"{path} not served here")
-        yield self.sim.timeout(self.costs.unlink_ns)
+        yield self.costs.unlink_ns
         try:
             inode = fs.unlink(path)
         except FileError as exc:
@@ -817,7 +818,7 @@ class SharingMixin:
                     break
                 cost = (self._write_page_cost(chunk) if is_write
                         else self._read_page_cost(chunk))
-                yield self.sim.timeout(cost + extra * chunk // PAGE)
+                yield cost + extra * chunk // PAGE
                 try:
                     if is_write:
                         # The copy issues ownership requests for the
@@ -937,7 +938,7 @@ class SharingMixin:
             raise RpcHandlerError(exc.errno, str(exc))
         if args.get("generation") != inode.generation:
             raise RpcHandlerError("EIO", "stale generation")
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
+        yield self.costs.pfdat_hash_lookup_ns
         nbytes = args.get("nbytes", 0)
         offset = args.get("offset", 0)
         if not all(isinstance(v, int) and v >= 0 for v in (nbytes, offset)):
@@ -1021,7 +1022,7 @@ class SharingMixin:
         count = args.get("count")
         if not isinstance(count, int) or not 0 < count <= 256:
             raise RpcHandlerError("EINVAL", f"bad count {count!r}")
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
+        yield self.costs.pfdat_hash_lookup_ns
         frames = []
         while (len(frames) < count
                and self.pfdats.free_count > LOCAL_RESERVE_FRAMES):
@@ -1068,7 +1069,7 @@ class SharingMixin:
         self.pfdats.remove(pf)
         pf.refcount = 0
         self.pfdats.free_frame(pf)
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
+        yield self.costs.pfdat_hash_lookup_ns
         return None
 
     def _h_firewall_update(self, src_cell: int, args: dict) -> Generator:
@@ -1090,7 +1091,7 @@ class SharingMixin:
             else:
                 fw.revoke_node(frame, node, gn)
         extra = 0 if args.get("grant") else self.machine.params.firewall_revoke_extra_ns
-        yield self.sim.timeout(self.machine.params.firewall_update_ns + extra)
+        yield self.machine.params.firewall_update_ns + extra
         if args.get("grant"):
             pf.export_writable.add(grantee)
         else:

@@ -76,7 +76,7 @@ class SsiMixin:
         child's anonymous faults search back across the boundary
         (Section 5.3's distributed COW tree).
         """
-        yield self.sim.timeout(self.costs.remote_fork_extra_ns)
+        yield self.costs.remote_fork_extra_ns
         yield from self.recovery_gate()
         parent = ctx.process
         old_leaf = self._resolve_local_cow(parent.cow_leaf_addr)
@@ -125,7 +125,7 @@ class SsiMixin:
         cow_parent = args.get("cow_parent_addr")
         if not isinstance(cow_parent, int):
             raise RpcHandlerError("EINVAL", "bad COW parent address")
-        yield self.sim.timeout(self.costs.fork_ns + self.costs.exec_ns)
+        yield self.costs.fork_ns + self.costs.exec_ns
         self.publish_phase("process_creation")
         child = self.create_process(name)
         # Rebind the child's anonymous ancestry across the cell boundary.
@@ -184,7 +184,7 @@ class SsiMixin:
     def _h_child_exited(self, src_cell: int, args: dict) -> Generator:
         pid = args.get("pid")
         status = args.get("status")
-        yield self.sim.timeout(self.costs.wait_ns)
+        yield self.costs.wait_ns
         if not isinstance(pid, int) or not isinstance(status, int):
             raise RpcHandlerError("EINVAL", "bad exit notification")
         self._remote_child_status[pid] = status
@@ -197,14 +197,12 @@ class SsiMixin:
         if pid in self.processes:
             return (yield from super().sys_waitpid(ctx, pid))
         if pid in self._remote_child_status:
-            yield self.sim.timeout(self.costs.syscall_overhead_ns
-                                   + self.costs.wait_ns)
+            yield self.costs.syscall_overhead_ns + self.costs.wait_ns
             return self._remote_child_status.pop(pid)
         ev = self._remote_children.get(pid)
         if ev is None:
             return (yield from super().sys_waitpid(ctx, pid))
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.wait_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.wait_ns
         status = yield from ctx.block(self._wait_on(ev))
         self._remote_children.pop(pid, None)
         self._remote_child_status.pop(pid, None)
@@ -231,7 +229,7 @@ class SsiMixin:
         if not isinstance(pid, int) or not isinstance(sig, int) \
                 or not 1 <= sig <= 64:
             raise RpcHandlerError("EINVAL", "bad signal")
-        yield self.sim.timeout(self.costs.signal_deliver_ns)
+        yield self.costs.signal_deliver_ns
         target = self.processes.get(pid)
         if target is None:
             raise RpcHandlerError("ESRCH", f"no pid {pid} here")
@@ -241,7 +239,7 @@ class SsiMixin:
     def signal_pgroup(self, ctx: ProcContext, pgid: int,
                       sig: int) -> Generator:
         """Deliver a signal to every member of a (distributed) group."""
-        yield self.sim.timeout(self.costs.syscall_overhead_ns)
+        yield self.costs.syscall_overhead_ns
         delivered = self._post_local_pgroup(pgid, sig)
         for cell_id in self.registry.live_cell_ids():
             if cell_id == self.kernel_id:
@@ -269,7 +267,7 @@ class SsiMixin:
         if not isinstance(pgid, int) or not isinstance(sig, int) \
                 or not 1 <= sig <= 64:
             raise RpcHandlerError("EINVAL", "bad pgroup signal")
-        yield self.sim.timeout(self.costs.signal_deliver_ns)
+        yield self.costs.signal_deliver_ns
         return self._post_local_pgroup(pgid, sig)
 
     # ------------------------------------------------------------------
@@ -289,7 +287,7 @@ class SsiMixin:
         virtual range, backed by first-touch-placed shared pages.
         Returns the :class:`SpanningTask` record.
         """
-        yield self.sim.timeout(self.costs.syscall_overhead_ns)
+        yield self.costs.syscall_overhead_ns
         task = self.registry.new_task()
         task.segments.update(shared_segments)
         base_vpn = 0x4000_0
@@ -345,7 +343,7 @@ class SsiMixin:
         if not callable(program) or not isinstance(task_id, int) \
                 or not isinstance(layout, dict):
             raise RpcHandlerError("EINVAL", "bad component spawn")
-        yield self.sim.timeout(self.costs.fork_ns + self.costs.exec_ns)
+        yield self.costs.fork_ns + self.costs.exec_ns
         self.publish_phase("process_creation")
         pid = self._spawn_component_local(
             program, str(args.get("name", "task.c")), task_id, layout)
@@ -367,7 +365,7 @@ class SsiMixin:
         task_id = args.get("task_id")
         if not isinstance(task_id, int):
             raise RpcHandlerError("EINVAL", "bad task id")
-        yield self.sim.timeout(self.costs.signal_deliver_ns)
+        yield self.costs.signal_deliver_ns
         return self.kill_task_components(task_id, "task kill")
 
     # ------------------------------------------------------------------

@@ -107,7 +107,7 @@ class UserMsgService:
                    "src_pid": ctx.process.pid if ctx else 0,
                    "sent_at": self.sim.now}
         # Library-side marshalling: far leaner than kernel RPC stubs.
-        yield self.sim.timeout(self.cell.costs.careful_on_ns)
+        yield self.cell.costs.careful_on_ns
         backoff = 2_000
         deadline = self.sim.now + self.cell.costs.rpc_timeout_ns
         while True:
@@ -118,7 +118,7 @@ class UserMsgService:
             except SipsQueueFull:
                 if self.sim.now >= deadline:
                     return False
-                yield self.sim.timeout(backoff)
+                yield backoff
                 backoff = min(backoff * 2, 100_000)
             except BusError:
                 return False

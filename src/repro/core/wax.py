@@ -98,7 +98,7 @@ class Wax:
                     "borrowed": len(cell._borrowed_free),
                 }
                 self._push_hints(cell)
-                yield self.sim.timeout(WAX_PERIOD_NS)
+                yield WAX_PERIOD_NS
         except Exception:
             return  # a dying Wax thread must never take a cell with it
 

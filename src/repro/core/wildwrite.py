@@ -71,7 +71,7 @@ class FirewallManager:
             fw = self.cell.machine.memory.firewalls[node]
             for cn in client_nodes:
                 fw.grant_node(pf.frame, node, cn)
-            yield self.sim.timeout(self.cell.machine.params.firewall_update_ns)
+            yield self.cell.machine.params.firewall_update_ns
         else:
             # Borrowed frame: the memory home flips the bits for us.
             yield from self.cell.rpc.call(
@@ -127,8 +127,8 @@ class FirewallManager:
         if local:
             # One uncached write per frame, then the extra network round
             # that ensures all pending valid writebacks were delivered.
-            yield self.sim.timeout(params.firewall_update_ns * len(local)
-                                   + params.firewall_revoke_extra_ns)
+            yield (params.firewall_update_ns * len(local)
+                   + params.firewall_revoke_extra_ns)
         for pf in borrowed:
             try:
                 yield from self.cell.rpc.call(

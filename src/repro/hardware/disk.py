@@ -101,9 +101,9 @@ class Disk:
         yield self._arm.request()
         try:
             latency = self.service_ns(req)
-            yield self.sim.timeout(latency)
+            yield latency
             # DMA into memory also occupies the memory controller.
-            yield self.sim.timeout(self.dma_occupancy_ns(req.nbytes))
+            yield self.dma_occupancy_ns(req.nbytes)
         finally:
             self._arm.release()
         elapsed = self.sim.now - start

@@ -2,7 +2,8 @@
 
 Time is an integer number of nanoseconds.  The engine is a classic
 event-queue design; coroutine processes are Python generators that yield
-:class:`Event` objects and are resumed when those events trigger.
+:class:`Event` objects and are resumed when those events trigger, or
+yield a plain ``int`` number of nanoseconds to sleep that long.
 
 The queue is a three-tier structure (the PR5 timer wheel):
 
@@ -40,7 +41,8 @@ import heapq
 import os
 import time
 from collections import deque
-from typing import Any, Callable, Dict, Generator, Iterable, Optional
+from typing import (Any, Callable, Dict, Generator, Iterable, Optional,
+                    Union)
 
 #: timer-wheel geometry: slots are ``2**_WHEEL_SHIFT`` ns wide and the
 #: wheel covers ``_WHEEL_SLOTS`` slots (~4.2 ms of near future with the
@@ -78,9 +80,10 @@ class EngineProfile:
     ``heap_dispatches`` count loop pops from the same-instant deque and
     the binary heap, ``wheel_routed`` counts entries that parked in a
     wheel slot before being dumped to the heap (a subset of the heap
-    dispatches), and ``inline_dispatches`` counts Timeout expiries that
-    short-circuited the loop entirely (the ``_expire`` fast path, which
-    bumps ``events_processed`` directly).
+    dispatches), and ``inline_dispatches`` counts Timeout expiries and
+    sleep wakeups that short-circuited the loop entirely (the
+    ``_expire`` / ``_wake`` fast paths, which bump ``events_processed``
+    directly).
 
     Wall attribution buckets the time spent inside each dispatched
     callback by the owning process's subsystem — the first dot-component
@@ -396,7 +399,7 @@ class AllOf(Event):
             self.succeed([c.value for c in self._children])
 
 
-ProcessGen = Generator[Event, Any, Any]
+ProcessGen = Generator[Union[Event, int], Any, Any]
 
 
 class Process(Event):
@@ -406,10 +409,18 @@ class Process(Event):
     resumes (with the event's value) when each triggers.  The Process is
     itself an Event that triggers with the generator's return value, so
     processes can wait on each other (*join*).
+
+    ``yield <int ns>`` is a sleep: one queue entry pointing at the
+    process's own :meth:`_wake`, no :class:`Timeout` object.  It orders
+    against same-instant entries exactly as ``yield sim.timeout(ns)``
+    does and counts the same two dispatches (the entry, the resume), so
+    the two spellings are interchangeable event for event; use
+    ``sim.timeout`` only where an Event is needed (``any_of`` children,
+    a stored deadline).
     """
 
     __slots__ = ("gen", "_waiting_on", "_interrupts", "_resume_cb",
-                 "_resume_t_cb")
+                 "_resume_t_cb", "_sleep", "_wake_cb", "_resume_s_cb")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
@@ -421,6 +432,12 @@ class Process(Event):
         # measurable allocation.
         self._resume_cb = self._resume
         self._resume_t_cb = self._resume_t
+        # Queue entry of the sleep in progress.  It stays set, marked
+        # fired, while a woken process waits its turn behind other
+        # same-instant entries.
+        self._sleep: Optional[list] = None
+        self._wake_cb = self._wake
+        self._resume_s_cb = self._resume_s
         sim.schedule(0, self._resume_cb, None)
 
     @property
@@ -430,13 +447,21 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process.
 
-        If the process is waiting on an event, it stops waiting and the
-        interrupt is delivered at the current time.  Interrupting a dead
-        process is a no-op.
+        If the process is waiting on an event or sleeping, it stops
+        waiting and the interrupt is delivered at the current time.
+        Interrupting a dead process is a no-op.
         """
         if self._triggered:
             return
         self._interrupts.append(Interrupted(cause))
+        sleep = self._sleep
+        if sleep is not None:
+            # Revoked in place: the entry never fires or counts (a no-op
+            # if it fired already and only the resume is outstanding).
+            self._sleep = None
+            self.sim.cancel(sleep)
+            self.sim.schedule(0, self._deliver_interrupt)
+            return
         waiting = self._waiting_on
         if waiting is not None:
             waiting.remove_callback(
@@ -495,6 +520,32 @@ class Process(Event):
             self.sim._timeout_pool.append(ev)
         self._step(Process._OP_SEND, ev._value)
 
+    def _wake(self) -> None:
+        # A sleep's queue entry fired: Timeout._expire for a sleeper.
+        sim = self.sim
+        queue = sim._queue
+        if sim._nowq or (queue and queue[0][0] == sim.now):
+            # Other entries are queued for this instant, all scheduled
+            # before this wakeup: resume behind them, as a timeout's
+            # waiter would.  A fired entry reads as cancelled, so an
+            # interrupt landing before the resume revokes nothing.
+            self._sleep[2] = None
+            sim.schedule(0, self._resume_s_cb)
+            return
+        # Nothing else is due now, so the resume is what the loop would
+        # pop next; run it here, counted as the dispatch it replaces.
+        sim.events_processed += 1
+        self._resume_s()
+
+    def _resume_s(self) -> None:
+        if self._triggered:
+            return
+        self._sleep = None
+        if self._interrupts:
+            self.sim.schedule(0, self._deliver_interrupt)
+            return
+        self._step(Process._OP_SEND, None)
+
     def _step(self, op: int, arg: Any) -> None:
         self.sim._active_process, previous = self, self.sim._active_process
         try:
@@ -520,6 +571,15 @@ class Process(Event):
             return
         finally:
             self.sim._active_process = previous
+        if type(target) is int:
+            # A bare delay (bool is not a delay).
+            if target < 0:
+                self.fail(SimulationError(
+                    f"process {self.name!r} yielded negative sleep "
+                    f"{target!r}"))
+                return
+            self._sleep = self.sim.schedule(target, self._wake_cb)
+            return
         if not isinstance(target, Event):
             self.fail(
                 SimulationError(
@@ -1042,9 +1102,9 @@ class Simulator:
                 self._ff_wslot(until)
                 prof.wheel_routed += before - self._wheel_count
         finally:
-            # During the loop only Timeout._expire's inline fast path
-            # touched events_processed; the delta is exactly the inline
-            # dispatch count.
+            # During the loop only the inline fast paths (Timeout._expire,
+            # a sleeper's _wake) touched events_processed; the delta is
+            # exactly the inline dispatch count.
             prof.inline_dispatches += self.events_processed - ep_start
             self.events_processed += processed
 

@@ -174,7 +174,7 @@ class ProcContext:
             # Interrupt handlers and RPC servers stole cycles from this
             # CPU; the user computation stretches accordingly.
             slice_ns += self.kernel.drain_stolen(slice_ns)
-            yield self.sim.timeout(slice_ns)
+            yield slice_ns
             remaining -= slice_ns
             self.thread.check_killed()
             self.kernel.check_alive()
@@ -188,7 +188,7 @@ class ProcContext:
                 # Round-robin: give the CPU up and requeue.
                 self.kernel.sched.context_switches += 1
                 self._yield_cpu()
-                yield self.sim.timeout(self.kernel.costs.context_switch_ns)
+                yield self.kernel.costs.context_switch_ns
                 yield from self._ensure_cpu()
         return None
 
@@ -435,9 +435,9 @@ class LocalKernel:
         # interrupts are phase-shifted — detection latency then depends
         # on where in the monitor's tick period a fault lands.
         phase = (self.kernel_id * 2_700_000 + 1_300_000) % self.clock_tick_ns
-        yield self.sim.timeout(phase)
+        yield phase
         while True:
-            yield self.sim.timeout(self.clock_tick_ns)
+            yield self.clock_tick_ns
             if not self.alive:
                 return
             if self.machine.nodes[self.node_ids[0]].halted:
@@ -589,8 +589,8 @@ class LocalKernel:
                   target_cell: Optional[int]) -> Generator:
         """fork + exec of a fresh program; returns the child pid."""
         self.publish_phase("process_creation")
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.fork_ns + self.costs.exec_ns)
+        yield (self.costs.syscall_overhead_ns
+               + self.costs.fork_ns + self.costs.exec_ns)
         if target_cell is not None and target_cell != self.kernel_id:
             return (yield from self.spawn_remote(
                 ctx, program, name, target_cell))
@@ -641,8 +641,7 @@ class LocalKernel:
         yield  # pragma: no cover
 
     def sys_waitpid(self, ctx: ProcContext, pid: int) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.wait_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.wait_ns
         proc = self.processes.get(pid)
         if proc is None:
             raise FileError("ECHILD", f"no such child {pid}")
@@ -661,8 +660,7 @@ class LocalKernel:
         return result
 
     def sys_exit(self, ctx: ProcContext, status: int) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.exit_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.exit_ns
         proc = ctx.process
         for thread in list(proc.threads):
             if thread is not ctx.thread:
@@ -670,8 +668,7 @@ class LocalKernel:
         raise ProcessKilled(proc.pid, f"exit({status})")
 
     def sys_kill(self, ctx: ProcContext, pid: int, sig: int) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.signal_deliver_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.signal_deliver_ns
         target = self.processes.get(pid)
         if target is None:
             return (yield from self.signal_remote(ctx, pid, sig))
@@ -693,13 +690,13 @@ class LocalKernel:
 
     def sys_open(self, ctx: ProcContext, path: str, mode: str,
                  create: bool) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns)
+        yield self.costs.syscall_overhead_ns
         fs = self.local_fs_for(path)
         if fs is None:
             return (yield from self.open_remote(ctx, path, mode, create))
-        yield self.sim.timeout(self.costs.open_local_ns)
+        yield self.costs.open_local_ns
         if create and not fs.exists(path):
-            yield self.sim.timeout(self.costs.create_ns)
+            yield self.costs.create_ns
             fs.create(path)
         inode = fs.lookup(path)
         fd = ctx.process.install_fd(
@@ -716,14 +713,12 @@ class LocalKernel:
         yield  # pragma: no cover
 
     def sys_close(self, ctx: ProcContext, fdnum: int) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.close_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.close_ns
         ctx.process.close_fd(fdnum)
         return None
 
     def sys_unlink(self, ctx: ProcContext, path: str) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.unlink_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.unlink_ns
         fs = self.local_fs_for(path)
         if fs is None:
             return (yield from self.unlink_remote(ctx, path))
@@ -768,7 +763,7 @@ class LocalKernel:
         an extending write — there is nothing meaningful to fetch.
         """
         tag = ("file", fs.fs_id, inode.ino)
-        yield self.sim.timeout(self.costs.pfdat_hash_lookup_ns)
+        yield self.costs.pfdat_hash_lookup_ns
         pf = self.pfdats.lookup((tag, page_index))
         if pf is not None:
             return pf
@@ -835,7 +830,7 @@ class LocalKernel:
             self._unmap_frame_everywhere(pf.frame)
             if pf.refcount > 0:
                 continue  # still referenced by a transient kernel hold
-            yield self.sim.timeout(self.costs.tlb_flush_ns)
+            yield self.costs.tlb_flush_ns
             if pf.dirty:
                 yield from self.writeback_page(pf, ctx)
             self.pfdats.free_frame(pf)
@@ -893,7 +888,7 @@ class LocalKernel:
     # -- syscall: read / write ---------------------------------------------
 
     def sys_read(self, ctx: ProcContext, fdnum: int, nbytes: int) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns)
+        yield self.costs.syscall_overhead_ns
         fd = ctx.process.fd(fdnum)
         if "r" not in fd.mode and "w" != fd.mode:
             raise FileError("EBADF", "fd not open for reading")
@@ -908,7 +903,7 @@ class LocalKernel:
             page_off = fd.offset % PAGE
             chunk = min(PAGE - page_off, nbytes - len(out))
             pf = yield from self.get_file_page(fs, inode, page_index, ctx)
-            yield self.sim.timeout(self._read_page_cost(chunk))
+            yield self._read_page_cost(chunk)
             out += self.machine.memory.read_bytes(
                 pf.frame, page_off, chunk, cpu=ctx.cpu)
             fd.offset += chunk
@@ -927,7 +922,7 @@ class LocalKernel:
         yield  # pragma: no cover
 
     def sys_write(self, ctx: ProcContext, fdnum: int, data: bytes) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns)
+        yield self.costs.syscall_overhead_ns
         fd = ctx.process.fd(fdnum)
         if "w" not in fd.mode:
             raise FileError("EBADF", "fd not open for writing")
@@ -948,7 +943,7 @@ class LocalKernel:
             pf = yield from self.get_file_page(fs, inode, page_index, ctx,
                                                for_write=True,
                                                no_fill=no_fill)
-            yield self.sim.timeout(self._write_page_cost(chunk))
+            yield self._write_page_cost(chunk)
             self.machine.memory.write_bytes(
                 pf.frame, page_off, data[written:written + chunk],
                 cpu=ctx.cpu)
@@ -968,8 +963,7 @@ class LocalKernel:
 
     def sys_map_file(self, ctx: ProcContext, path: str, writable: bool,
                      shared: bool) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.map_page_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.map_page_ns
         node = self.fs_node_for(path)
         fs = self.filesystems.get(node)
         if fs is None:
@@ -995,8 +989,7 @@ class LocalKernel:
 
     def sys_map_anon(self, ctx: ProcContext, npages: int,
                      writable: bool) -> Generator:
-        yield self.sim.timeout(self.costs.syscall_overhead_ns
-                               + self.costs.map_page_ns)
+        yield self.costs.syscall_overhead_ns + self.costs.map_page_ns
         proc = ctx.process
         aspace = proc.aspace
         region = Region(aspace.allocate_range(npages), npages,
@@ -1034,7 +1027,7 @@ class LocalKernel:
                 self._drop_mapping(pte)
                 return (yield from self.sys_touch(
                     ctx, region, page_index, write))
-            yield self.sim.timeout(latency)
+            yield latency
             return pte
         pte = yield from self.fault_page(ctx, region, vpn, write)
         return pte
@@ -1086,14 +1079,14 @@ class LocalKernel:
         # yield separates the check from the access); a firewall
         # rejection propagates exactly as the sys_touch loop's would.
         latency = self.machine.coherence.access_batch(ctx.cpu, lines, ops)
-        yield self.sim.timeout(latency)
+        yield latency
         return ptes
 
     def fault_page(self, ctx: ProcContext, region: Region, vpn: int,
                    write: bool) -> Generator:
         """The page-fault path (local kernel: everything is local)."""
         self.metrics.counter("faults").add()
-        yield self.sim.timeout(self.costs.local_fault_ns)
+        yield self.costs.local_fault_ns
         if region.kind == FILE_REGION:
             pte = yield from self._fault_file_local(ctx, region, vpn, write)
         else:
@@ -1133,7 +1126,7 @@ class LocalKernel:
             self.machine.memory.write_page(pf.frame, data,
                                            cpu=self._dma_cpu(pf.frame))
         else:
-            yield self.sim.timeout(self.costs.page_zero_ns)
+            yield self.costs.page_zero_ns
             self.machine.memory.zero_page(pf.frame,
                                           cpu=self._dma_cpu(pf.frame))
         self.pfdats.insert(pf, logical_id)
@@ -1158,7 +1151,7 @@ class LocalKernel:
             raise ProcessKilled(ctx.process.pid, "cell panic")
         owner = None
         for node in self.cow.local_ancestry(leaf):
-            yield self.sim.timeout(self.costs.cow_tree_hop_ns)
+            yield self.costs.cow_tree_hop_ns
             if page_index in node.pages:
                 owner = node
                 break
@@ -1177,7 +1170,7 @@ class LocalKernel:
         if write and owner is not leaf:
             # Copy-on-write break: private copy recorded at the leaf.
             pf = yield from self.alloc_frame(ctx)
-            yield self.sim.timeout(self.costs.page_copy_ns)
+            yield self.costs.page_copy_ns
             data = self.machine.memory.read_page(src.frame, cpu=ctx.cpu)
             self.machine.memory.write_page(pf.frame, data,
                                            cpu=self._dma_cpu(pf.frame))

@@ -110,9 +110,8 @@ class ClockHand:
     # -- the daemon loop ---------------------------------------------------
 
     def _loop(self) -> Generator:
-        sim = self.kernel.sim
         while True:
-            yield sim.timeout(self.period_ns)
+            yield self.period_ns
             if not self.kernel.alive:
                 return
             if self.kernel.pfdats.free_count >= self.low_watermark:
@@ -194,6 +193,5 @@ class ClockHand:
                 released += 1
         self.returned_borrowed += released
         if released:
-            yield kernel.sim.timeout(
-                released * kernel.costs.unmap_page_ns)
+            yield released * kernel.costs.unmap_page_ns
         return None

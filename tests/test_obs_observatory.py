@@ -428,6 +428,39 @@ class TestCampaignReport:
         traj[-1]["payload"]["parked_compare"] = {"counters_match": True}
         assert check_campaign_report(self._payload(), traj) == []
 
+    def test_check_flags_slow_path_calls_in_a_default_path_row(
+            self, tmp_path):
+        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000)
+        self._write_bench(tmp_path, "BENCH_pr4.json", 110_000)
+        traj = load_bench_trajectory(str(tmp_path))
+        newest = traj[-1]["payload"]
+        newest["results"]["large"]["tiers"] = {
+            "rpc": {"fast_path": 40, "slow_path": 0}}
+        newest["rpc"] = {"results": {"small": {"tiers": {
+            "rpc": {"fast_path": 9, "slow_path": 3}}}}}
+        problems = check_campaign_report(self._payload(), traj)
+        assert problems == [
+            "BENCH_pr4.json: rpc row 'small' sent 3 RPC call(s) through "
+            "the slow twin (tiers.rpc.slow_path > 0)"]
+        newest["rpc"]["results"]["small"]["tiers"]["rpc"]["slow_path"] = 0
+        newest["results"]["large"]["tiers"]["rpc"]["slow_path"] = 1
+        problems = check_campaign_report(self._payload(), traj)
+        assert len(problems) == 1 and "results row 'large'" in problems[0]
+        # Only the newest file is held to it: older ledgers predate it.
+        traj[0]["payload"]["results"]["large"]["tiers"] = {
+            "rpc": {"slow_path": 7}}
+        newest["results"]["large"]["tiers"]["rpc"]["slow_path"] = 0
+        assert check_campaign_report(self._payload(), traj) == []
+
+    def test_rpc_bench_rows_carry_their_dispatch_tiers(self):
+        from repro.bench.rpcbench import run_rpc_bench
+
+        fast = run_rpc_bench("small", seed=11)["tiers"]["rpc"]
+        assert fast["slow_path"] == 0 and fast["fast_rate"] == 1.0
+        slow = run_rpc_bench("small", seed=11, fast=False)["tiers"]["rpc"]
+        assert slow["fast_path"] == 0
+        assert slow["slow_path"] == fast["fast_path"] > 0
+
     def test_check_flags_missing_availability_and_failures(self):
         problems = check_campaign_report(
             {"failures": [{"scenario": "hw_random", "seed": 7}]}, [])

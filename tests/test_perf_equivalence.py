@@ -143,6 +143,27 @@ class TestWheelVsHeapGolden:
         assert plain["tiers"]["coherence"] == profiled["tiers"]["coherence"]
         assert plain["tiers"]["rpc"] == profiled["tiers"]["rpc"]
 
+    def test_rpc_bench_small_profile_toggle(self, monkeypatch):
+        """Pooled interrupt-service tasks sleep like processes do; the
+        profiled loops must attribute their wakeups (to ``rpc``) and
+        still account for every event."""
+        from repro.bench.rpcbench import (
+            RPC_DETERMINISTIC_KEYS,
+            boot_rpc_system,
+            run_rpc_bench,
+        )
+        from repro.obs.profile import engine_tiers
+
+        plain = run_rpc_bench("small", seed=11)
+        monkeypatch.setenv("HIVE_PROFILE", "1")
+        system = boot_rpc_system("small", 11, None)
+        profiled = run_rpc_bench("small", seed=11, system=system)
+        for key in RPC_DETERMINISTIC_KEYS:
+            assert plain[key] == profiled[key], key
+        engine = engine_tiers(system.sim)
+        assert engine["dispatches_total"] == system.sim.events_processed
+        assert engine["subsystem_wall_s"]["rpc"] > 0
+
     def test_rpc_bench_small_wheel_toggle(self):
         from repro.bench.rpcbench import (
             RPC_DETERMINISTIC_KEYS,

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import pathlib
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import (
     AllOf,
@@ -213,14 +217,31 @@ class TestProcesses:
             sim.run()
 
     def test_yield_non_event_fails_process(self):
+        # An int is a sleep; anything else that is not an Event is not.
+        for junk in ("42", 4.2, None, [42]):
+            sim = Simulator(crash_on_process_error=False)
+
+            def prog():
+                yield junk
+
+            p = sim.process(prog())
+            sim.run()
+            assert not p.ok
+            assert isinstance(p._value, SimulationError)
+            assert repr(junk) in str(p._value)
+
+    @pytest.mark.parametrize("bad", [-1, -42, True, False])
+    def test_yield_negative_or_bool_fails_process(self, bad):
         sim = Simulator(crash_on_process_error=False)
 
         def prog():
-            yield 42
+            yield bad
 
         p = sim.process(prog())
         sim.run()
-        assert not p.ok
+        assert not p.ok and sim.now == 0
+        assert isinstance(p._value, SimulationError)
+        assert repr(bad) in str(p._value)
 
     def test_interrupt_waiting_process(self):
         sim = Simulator()
@@ -567,3 +588,162 @@ class TestTimerWheel:
             return fired, sim.now, sim.events_processed
 
         assert run(True) == run(False)
+
+
+# -- sleeps: ``yield <int ns>`` ---------------------------------------------
+
+#: delays and instants picked to collide: same-instant ties between
+#: wakeups, triggers and interrupts are where the two spellings of a
+#: sleep could come apart (the last two are past the wheel's near slots)
+_DELAYS = st.sampled_from([0, 1, 5, 5, 10, 100, 1_000, 70_000, 300_000])
+_INSTANTS = st.sampled_from([0, 1, 5, 10, 15, 20, 100, 105, 1_000, 70_005])
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("wait"), st.integers(0, 2)),
+    st.tuples(st.just("fire"), st.integers(0, 2)),
+    # interrupt process `target` after `delay`: an entry queued behind a
+    # sleep that ends at the same instant lands between the sleeper's
+    # wakeup and its resume
+    st.tuples(st.just("poke"), st.tuples(_DELAYS, st.integers(0, 4)))),
+    max_size=8)
+
+
+def _run_program(programs, interrupts, as_event, **sim_kwargs):
+    """Run processes made of sleeps, event waits, triggers and
+    interrupts of each other, with more interrupts thrown in from
+    outside; ``as_event`` spells every sleep ``yield sim.timeout(n)``
+    instead of ``yield n``."""
+    sim = Simulator(crash_on_process_error=False, **sim_kwargs)
+    events = [sim.event(f"e{k}") for k in range(3)]
+    resumes = []
+
+    def body(i, steps):
+        for j, (kind, arg) in enumerate(steps):
+            try:
+                if kind == "sleep":
+                    yield sim.timeout(arg) if as_event else arg
+                elif kind == "wait":
+                    yield events[arg]
+                elif kind == "poke":
+                    delay, target = arg
+                    sim.schedule(delay, procs[target % len(procs)].interrupt,
+                                 (i, j))
+                elif not events[arg].triggered:
+                    events[arg].succeed()
+            except Interrupted as exc:
+                resumes.append((i, j, sim.now, "interrupted", exc.cause))
+            else:
+                resumes.append((i, j, sim.now, kind))
+
+    procs = [sim.process(body(i, steps), name=f"p{i}")
+             for i, steps in enumerate(programs)]
+    for k, (at, target) in enumerate(interrupts):
+        sim.schedule(at, procs[target % len(procs)].interrupt, k)
+    sim.run()
+    return sim, (sim.now, resumes, sim.events_processed)
+
+
+class TestSleep:
+    def test_sleep_resumes_after_delay_with_none(self):
+        sim = Simulator()
+
+        def prog():
+            got = yield 250
+            return got, sim.now
+
+        p = sim.process(prog())
+        sim.run()
+        assert p.value == (None, 250)
+        # start, the sleep's entry, the resume: what a timeout costs
+        assert sim.events_processed == 3
+
+    def test_interrupt_mid_sleep(self):
+        sim = Simulator()
+
+        def prog():
+            try:
+                yield 1_000
+            except Interrupted as exc:
+                return exc.cause, sim.now
+            return "slept through"
+
+        p = sim.process(prog())
+        sim.schedule(10, p.interrupt, "why")
+        sim.run()
+        assert p.value == ("why", 10)
+        # The revoked entry neither fired nor moved the clock nor counted:
+        # start, the interrupt call, its delivery.
+        assert sim.now == 10
+        assert sim.events_processed == 3
+
+    def test_interrupted_sleeper_can_sleep_again(self):
+        sim = Simulator()
+
+        def prog():
+            try:
+                yield 1_000
+            except Interrupted:
+                yield 30
+            return sim.now
+
+        p = sim.process(prog())
+        sim.schedule(10, p.interrupt)
+        sim.run()
+        assert p.value == 40 and sim.now == 40
+
+    def test_dead_process_pending_sleep_is_a_no_op(self):
+        sim = Simulator()
+        ran = []
+
+        def prog():
+            yield 100
+            ran.append(sim.now)
+
+        p = sim.process(prog())
+        sim.run(until=0)  # reach the sleep
+        p.succeed("killed")
+        sim.run()
+        assert ran == [] and p.value == "killed"
+        p.interrupt("late")  # dead: nothing scheduled
+        sim.run()
+        assert sim.now == 100
+
+    @pytest.mark.parametrize("sim_kwargs", [
+        {"wheel": True}, {"wheel": False}, {"profile": True},
+        {"wheel": False, "profile": True}], ids=str)
+    @settings(max_examples=120, deadline=None)
+    @given(programs=st.lists(_STEPS, min_size=1, max_size=5),
+           interrupts=st.lists(st.tuples(_INSTANTS, st.integers(0, 4)),
+                               max_size=6))
+    def test_sleep_is_a_timeout_event_for_event(self, sim_kwargs, programs,
+                                                interrupts):
+        """``yield n`` and ``yield sim.timeout(n)`` give the same clock,
+        the same order of resumes and the same ``events_processed``."""
+        from repro.obs.profile import engine_tiers
+
+        sim, slept = _run_program(programs, interrupts, False, **sim_kwargs)
+        _, waited = _run_program(programs, interrupts, True, **sim_kwargs)
+        assert slept == waited
+        if sim_kwargs.get("profile"):
+            assert (engine_tiers(sim)["dispatches_total"]
+                    == sim.events_processed)
+
+    def test_heap_env_escape_runs_the_same_program(self, monkeypatch):
+        programs = [[("sleep", 5), ("wait", 0), ("sleep", 70_000)],
+                    [("sleep", 5), ("fire", 0), ("sleep", 0)]]
+        interrupts = [(5, 0), (70_005, 0)]
+        _, wheel = _run_program(programs, interrupts, False)
+        monkeypatch.setenv("HIVE_WHEEL", "0")
+        sim, heap = _run_program(programs, interrupts, False)
+        assert not sim._wheel_on and heap == wheel
+
+    def test_one_idiom_for_a_sleep_in_src(self):
+        """No statement-level ``yield <x>.timeout(...)`` in src/repro:
+        ``sim.timeout`` is for the places that need an Event."""
+        pattern = re.compile(r"^\s*yield .*\.timeout\(", re.M)
+        root = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        hits = [f"{path.relative_to(root)}:{text.count(chr(10), 0, m.start()) + 1}"
+                for path in sorted(root.rglob("*.py"))
+                for text in [path.read_text()]
+                for m in pattern.finditer(text)]
+        assert hits == []
