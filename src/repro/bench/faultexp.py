@@ -241,7 +241,7 @@ class FaultExperimentRunner:
         else:
             workload = RaytraceWorkload()
 
-        injected = {"t": None}
+        injected = {"t": None, "armed": False}
 
         def note_injection(record) -> None:
             injected["t"] = record.time_ns
@@ -276,7 +276,12 @@ class FaultExperimentRunner:
             # schedule at a pseudo-random point mid-run.
             t = 1_000 * NS_PER_MS + (fseed * 217_645_199) % (2_000 * NS_PER_MS)
 
+            victim = system.cell(self.victim_cell)
+            injected["armed"] = True
+
             def corrupt() -> None:
+                if not injected["armed"]:
+                    return
                 mode = ALL_MODES[fseed % len(ALL_MODES)]
                 if scenario == SW_ADDRESS_MAP:
                     rec = kfi.corrupt_address_map(
@@ -287,7 +292,17 @@ class FaultExperimentRunner:
                         self.victim_cell, mode,
                         wild_writes=self.wild_writes)
                 if rec is not None:
-                    injected["t"] = rec.time_ns
+                    injected.update(t=rec.time_ns, armed=False)
+                else:
+                    # Nothing to corrupt yet (no live process / COW
+                    # node on the victim): retry once it forks again,
+                    # and again on the fork after if that is too early.
+                    victim.phase_hooks.append(retry_after_fork)
+
+            def retry_after_fork(phase: str) -> None:
+                if phase == "process_creation":
+                    victim.phase_hooks.remove(retry_after_fork)
+                    sim.schedule(NS_PER_MS, corrupt)
 
             sim.schedule(t, corrupt)
 
@@ -310,6 +325,10 @@ class FaultExperimentRunner:
         except Exception as exc:  # workload-level failure
             notes = f"main workload: {type(exc).__name__}: {exc}"
             outputs_ok = False
+        if injected["armed"]:
+            # Not a containment breach: there was never a fault.
+            injected["armed"] = False
+            notes = f"fault never injected {notes}"
 
         # -- detection / recovery bookkeeping -----------------------------
         records = [r for r in system.coordinator.records

@@ -133,17 +133,16 @@ def _warn_cpu_cap(workers: int, procs: int) -> bool:
 # -- throughput bench campaign ---------------------------------------------
 
 
-def _bench_shard_worker(shard: Tuple[str, int, int, Optional[bool],
-                                     bool]) -> dict:
+def _bench_shard_worker(shard: Tuple[str, int, int, bool]) -> dict:
     """One (config, seed, repeat) cell; runs in a pool worker process."""
-    config, seed, repeat, batch, snapshot = shard
+    config, seed, repeat, snapshot = shard
     try:
         if snapshot:
             # One image per (config, seed) per worker process; repeats
             # fork from it instead of re-booting.
-            row = run_throughput_forked(config, seed=seed, batch=batch)
+            row = run_throughput_forked(config, seed=seed)
         else:
-            row = run_throughput(config, seed=seed, batch=batch)
+            row = run_throughput(config, seed=seed)
         return {"status": "ok", "config": config, "seed": seed,
                 "repeat": repeat, "row": row}
     except Exception:
@@ -214,7 +213,6 @@ def merge_bench_shards(shards: Sequence[dict], seed: int,
 def run_bench_campaign(configs: Optional[List[str]] = None,
                        seed: int = 1995, repeats: int = 1,
                        workers: int = 2,
-                       batch: Optional[bool] = None,
                        progress: bool = False,
                        snapshot: bool = False) -> dict:
     """Shard the throughput suite across a process pool and merge.
@@ -228,7 +226,7 @@ def run_bench_campaign(configs: Optional[List[str]] = None,
     """
     names = list(configs) if configs else list(CONFIGS)
     repeats = max(1, repeats)
-    shards = [(name, seed, r, batch, snapshot)
+    shards = [(name, seed, r, snapshot)
               for name in names for r in range(repeats)]
     # Longest shards first so the big config doesn't trail the pool.
     shards.sort(key=lambda s: CONFIGS[s[0]].num_nodes

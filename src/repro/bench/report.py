@@ -276,8 +276,7 @@ def _tiers_lines(tiers: Dict[str, Any]) -> List[str]:
     if rpc:
         lines.append(
             f"- RPC dispatches: {rpc['calls_total']} "
-            f"(fast path {_pct(rpc['fast_rate'])}, "
-            f"slow path {rpc['slow_path']} calls)")
+            f"(fast path {_pct(rpc['fast_rate'])})")
     eng = tiers.get("engine")
     if eng:
         lines.append(
@@ -612,20 +611,6 @@ def check_campaign_report(payload: Dict[str, Any],
             problems.append(
                 f"{trajectory[-1]['file']}: parked-chain counters "
                 f"diverge from per-wakeup counters")
-        # Every row of a committed ledger ran the default path, where
-        # each call, in-payload or by-reference, takes the coalesced
-        # RPC dispatch; the slow twin is only ever the oracle.
-        for section, rows in (
-                ("results", newest.get("results")),
-                ("rpc", (newest.get("rpc") or {}).get("results"))):
-            for name in sorted(rows or {}):
-                tiers = rows[name].get("tiers") or {}
-                slow = (tiers.get("rpc") or {}).get("slow_path", 0)
-                if slow > 0:
-                    problems.append(
-                        f"{trajectory[-1]['file']}: {section} row "
-                        f"{name!r} sent {slow} RPC call(s) through the "
-                        f"slow twin (tiers.rpc.slow_path > 0)")
         sessions = newest.get("sessions")
         if sessions:
             for key in ("latency_p50_ms", "latency_p99_ms",

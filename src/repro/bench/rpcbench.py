@@ -2,22 +2,14 @@
 
 The throughput bench (:mod:`repro.bench.throughput`) drives the firewall
 and coherence hot paths but performs zero RPC; this harness exercises the
-other hot path the PR5 fast path targets — the full client/server RPC
-round trip over SIPS (stub charges, pending registration, send, service
-dispatch, reply completion, deadline cancellation).
+other hot path — the full client/server RPC round trip over SIPS (stub
+charges, pending registration, send, service dispatch, reply completion,
+deadline cancellation).
 
 Each cell runs a fixed number of client coroutines that call its
 neighbour cell in a deterministic mix of interrupt-level pings, queued
 pings, and oversize (by-reference) pings.  Everything simulated is
-seed-deterministic; only wall clock varies.  ``run_rpc_bench`` can force
-the fast path on or off (overriding ``HIVE_RPC_FAST``) so the CLI can
-verify that both paths produce byte-identical RPC-semantic counters —
-the same check PR4 applies to the batched coherence path.
-
-``events_processed`` is deliberately *not* compared between fast and
-slow: the fast path legitimately dispatches fewer engine events per
-round trip (that is the point); what must not change is every simulated
-RPC outcome — counts, latencies, sends, retries, and the finish time.
+seed-deterministic; only wall clock varies.
 """
 
 from __future__ import annotations
@@ -34,8 +26,8 @@ from repro.obs.profile import rpc_tiers
 from repro.sim.engine import Simulator
 from repro.sim.snapshot import SystemImage, snapshot_enabled
 
-#: simulated quantities that must be identical between the fast and slow
-#: RPC paths (and across repeats) for one (config, seed)
+#: simulated quantities that must be identical across repeats, fresh
+#: boots and snapshot forks for one (config, seed)
 RPC_DETERMINISTIC_KEYS = (
     "round_trips", "sim_now_ns", "calls", "send_retries", "timeouts",
     "spin_timeouts", "queued", "queued_fallback", "served_interrupt",
@@ -95,35 +87,29 @@ def _client(cell, dst: int, cfg: RpcBenchConfig, counters: dict):
     return None
 
 
-def boot_rpc_system(config: str, seed: int = 1995,
-                    wheel: Optional[bool] = None) -> HiveSystem:
+def boot_rpc_system(config: str, seed: int = 1995) -> HiveSystem:
     """Boot the RPC scenario's machine (module-level, image-bootable)."""
     cfg = RPC_CONFIGS[config]
     params = HardwareParams(num_nodes=cfg.num_nodes)
-    sim = Simulator(crash_on_process_error=False, wheel=wheel)
+    sim = Simulator(crash_on_process_error=False)
     return boot_hive(sim, num_cells=cfg.num_cells,
                      machine_config=MachineConfig(params=params,
                                                   seed=seed))
 
 
 def run_rpc_bench(config: str, seed: int = 1995,
-                  fast: Optional[bool] = None,
-                  wheel: Optional[bool] = None,
                   system: Optional[HiveSystem] = None,
                   fork_wall_s: Optional[float] = None) -> dict:
     """Run the RPC scenario at one machine size; returns the result row.
 
-    ``fast`` overrides the RPC fast path (None keeps the
-    ``HIVE_RPC_FAST`` environment default); ``wheel`` likewise for the
-    engine timer wheel.  The simulated counters are identical either
-    way — only wall clock changes.  ``system`` runs against an
-    already-booted (snapshot-forked) system — ``boot_wall_s`` is then 0
-    and ``fork_wall_s`` records the fork cost the caller measured.
+    ``system`` runs against an already-booted (snapshot-forked) system
+    — ``boot_wall_s`` is then 0 and ``fork_wall_s`` records the fork
+    cost the caller measured.
     """
     cfg = RPC_CONFIGS[config]
     if system is None:
         boot_wall0 = time.perf_counter()
-        system = boot_rpc_system(config, seed=seed, wheel=wheel)
+        system = boot_rpc_system(config, seed=seed)
         boot_wall = time.perf_counter() - boot_wall0
     else:
         boot_wall = 0.0
@@ -131,9 +117,6 @@ def run_rpc_bench(config: str, seed: int = 1995,
     params = system.machine.params
     registry = system.registry
     cells = [registry.cell_object(c) for c in range(cfg.num_cells)]
-    if fast is not None:
-        for cell in cells:
-            cell.rpc.fast_enabled = fast
     counters = {"round_trips": 0}
     procs = []
     total_calls = 0
@@ -210,38 +193,33 @@ def run_rpc_bench(config: str, seed: int = 1995,
     return row
 
 
-#: snapshot images for the RPC scenario, one per (config, wheel).
-_RPC_IMAGES: Dict[tuple, SystemImage] = {}
+#: snapshot images for the RPC scenario, one per config.
+_RPC_IMAGES: Dict[str, SystemImage] = {}
 
 
-def _forked_rpc_bench(system: HiveSystem, config: str,
-                      kwargs: dict) -> dict:
+def _forked_rpc_bench(system: HiveSystem, config: str, seed: int) -> dict:
     """Child-side RPC bench run (module-level: crosses the image pipe)."""
-    return run_rpc_bench(config, system=system, **kwargs)
+    return run_rpc_bench(config, seed=seed, system=system)
 
 
-def run_rpc_bench_forked(config: str, seed: int = 1995,
-                         fast: Optional[bool] = None,
-                         wheel: Optional[bool] = None) -> dict:
+def run_rpc_bench_forked(config: str, seed: int = 1995) -> dict:
     """``run_rpc_bench`` against a snapshot fork instead of a fresh boot.
 
     Same byte-identical counters; ``boot_wall_s`` becomes the image's
     one-time boot and ``fork_wall_s`` the per-run fork.  Falls back to
     a fresh boot per run under ``HIVE_SNAPSHOT=0``.
     """
-    kwargs = dict(seed=seed, fast=fast)
     if not snapshot_enabled():
-        row = run_rpc_bench(config, wheel=wheel, **kwargs)
+        row = run_rpc_bench(config, seed=seed)
         row["fork_wall_s"] = row["boot_wall_s"]
         row["snapshot"] = "boot"
         return row
-    key = (config, wheel)
-    image = _RPC_IMAGES.get(key)
+    image = _RPC_IMAGES.get(config)
     if image is None or image.closed:
-        image = SystemImage(boot_rpc_system, config, 1995, wheel,
+        image = SystemImage(boot_rpc_system, config, 1995,
                             name=f"rpcbench-{config}")
-        _RPC_IMAGES[key] = image
-    row = image.run(_forked_rpc_bench, config, kwargs, seed=seed)
+        _RPC_IMAGES[config] = image
+    row = image.run(_forked_rpc_bench, config, seed, seed=seed)
     row["boot_wall_s"] = round(image.boot_wall_s, 4)
     row["fork_wall_s"] = round(image.fork_wall_s_last, 4)
     row["snapshot"] = "fork"
@@ -250,8 +228,6 @@ def run_rpc_bench_forked(config: str, seed: int = 1995,
 
 def run_rpc_suite(configs: Optional[List[str]] = None,
                   seed: int = 1995, repeats: int = 1,
-                  fast: Optional[bool] = None,
-                  wheel: Optional[bool] = None,
                   snapshot: bool = False) -> Dict[str, dict]:
     """Run the RPC scenario at the requested sizes, best-of-``repeats``.
 
@@ -266,7 +242,7 @@ def run_rpc_suite(configs: Optional[List[str]] = None,
         walls: List[float] = []
         for _ in range(max(1, repeats)):
             runner = run_rpc_bench_forked if snapshot else run_rpc_bench
-            row = runner(name, seed=seed, fast=fast, wheel=wheel)
+            row = runner(name, seed=seed)
             walls.append(row["wall_s"])
             if best is None:
                 best = row
@@ -285,8 +261,3 @@ def run_rpc_suite(configs: Optional[List[str]] = None,
         results[name] = best
     return results
 
-
-def compare_rpc_rows(fast_row: dict, slow_row: dict) -> List[str]:
-    """Keys on which the fast and slow paths disagree (empty = match)."""
-    return [key for key in RPC_DETERMINISTIC_KEYS
-            if fast_row[key] != slow_row[key]]

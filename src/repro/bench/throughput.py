@@ -232,22 +232,19 @@ def _sampler(sim: Simulator, cell, interval_ns: int, stop_ns: int,
     return None
 
 
-def boot_bench_system(config: str, seed: int = 1995,
-                      wheel: Optional[bool] = None) -> HiveSystem:
+def boot_bench_system(config: str, seed: int = 1995) -> HiveSystem:
     """Boot the throughput scenario's machine (module-level so a
     :class:`repro.sim.snapshot.SystemImage` can host it)."""
     cfg = CONFIGS[config]
     params = HardwareParams(num_nodes=cfg.num_nodes,
                             cpus_per_node=cfg.cpus_per_node)
-    sim = Simulator(crash_on_process_error=False, wheel=wheel)
+    sim = Simulator(crash_on_process_error=False)
     return boot_hive(sim, num_cells=cfg.num_cells,
                      machine_config=MachineConfig(params=params,
                                                   seed=seed))
 
 
 def run_throughput(config: str, seed: int = 1995,
-                   batch: Optional[bool] = None,
-                   wheel: Optional[bool] = None,
                    channels: bool = False,
                    record: Optional[OpLog] = None,
                    replay: Optional[OpLog] = None,
@@ -256,12 +253,8 @@ def run_throughput(config: str, seed: int = 1995,
                    fork_wall_s: Optional[float] = None) -> dict:
     """Run the fixed scenario at one machine size; returns the result row.
 
-    ``batch`` overrides the coherence controller's batched access path
-    (None keeps the ``HIVE_BATCH`` environment default); ``wheel``
-    likewise overrides the engine timer wheel (``HIVE_WHEEL``).  The
-    simulated counters are identical either way — only wall clock
-    changes.  ``channels`` attaches the intercell channel recorder, so
-    the row carries the channel fingerprint the equivalence gates diff.
+    ``channels`` attaches the intercell channel recorder, so the row
+    carries the channel fingerprint the equivalence gates diff.
 
     ``record`` captures the traffic drivers' op stream into the given
     :class:`OpLog`, one row per wakeup — which makes a recording run the
@@ -275,22 +268,19 @@ def run_throughput(config: str, seed: int = 1995,
 
     ``system`` runs the scenario against an already-booted (snapshot-
     forked) system instead of booting one — its boot cost was paid by
-    the image, so ``boot_wall_s`` is 0 and ``wheel`` is whatever the
-    system was booted with.  ``fork_wall_s`` records the fork cost the
-    caller measured for the row.
+    the image, so ``boot_wall_s`` is 0.  ``fork_wall_s`` records the
+    fork cost the caller measured for the row.
     """
     cfg = CONFIGS[config]
     if system is None:
         boot_wall0 = time.perf_counter()
-        system = boot_bench_system(config, seed=seed, wheel=wheel)
+        system = boot_bench_system(config, seed=seed)
         boot_wall = time.perf_counter() - boot_wall0
     else:
         # Forked / caller-booted: the image paid the boot already.
         boot_wall = 0.0
     sim = system.sim
     params = system.machine.params
-    if batch is not None:
-        system.machine.coherence.batch_enabled = batch
     use_replay = replay is not None and replay_from_env()
     if record is not None and use_replay:
         raise ValueError("recording requires a live run (no replay)")
@@ -396,20 +386,19 @@ def run_throughput(config: str, seed: int = 1995,
     return row
 
 
-#: snapshot images for the throughput scenario, one per (config, wheel).
+#: snapshot images for the throughput scenario, one per config.
 #: Forked runs reseed to the trial seed, so the boot seed never keys the
 #: cache — one image serves every seed of a config.
-_BENCH_IMAGES: Dict[tuple, SystemImage] = {}
+_BENCH_IMAGES: Dict[str, SystemImage] = {}
 
 
-def bench_image(config: str, wheel: Optional[bool] = None) -> SystemImage:
+def bench_image(config: str) -> SystemImage:
     """The (process-local) snapshot image for one throughput config."""
-    key = (config, wheel)
-    image = _BENCH_IMAGES.get(key)
+    image = _BENCH_IMAGES.get(config)
     if image is None or image.closed:
-        image = SystemImage(boot_bench_system, config, 1995, wheel,
+        image = SystemImage(boot_bench_system, config, 1995,
                             name=f"bench-{config}")
-        _BENCH_IMAGES[key] = image
+        _BENCH_IMAGES[config] = image
     return image
 
 
@@ -420,8 +409,6 @@ def _forked_throughput(system: HiveSystem, config: str,
 
 
 def run_throughput_forked(config: str, seed: int = 1995,
-                          batch: Optional[bool] = None,
-                          wheel: Optional[bool] = None,
                           channels: bool = False,
                           replay: Optional[OpLog] = None,
                           inject_ms: Optional[int] = None) -> dict:
@@ -434,14 +421,14 @@ def run_throughput_forked(config: str, seed: int = 1995,
     fresh boot per run, with ``fork_wall_s`` recording that boot —
     i.e. no amortization, same results.
     """
-    kwargs = dict(seed=seed, batch=batch, channels=channels,
-                  replay=replay, inject_ms=inject_ms)
+    kwargs = dict(seed=seed, channels=channels, replay=replay,
+                  inject_ms=inject_ms)
     if not snapshot_enabled():
-        row = run_throughput(config, wheel=wheel, **kwargs)
+        row = run_throughput(config, **kwargs)
         row["fork_wall_s"] = row["boot_wall_s"]
         row["snapshot"] = "boot"
         return row
-    image = bench_image(config, wheel=wheel)
+    image = bench_image(config)
     row = image.run(_forked_throughput, config, kwargs, seed=seed)
     row["boot_wall_s"] = round(image.boot_wall_s, 4)
     row["fork_wall_s"] = round(image.fork_wall_s_last, 4)
@@ -643,8 +630,6 @@ def run_replay_sweep(config: str, trials: int = 4, seed: int = 1995,
 
 def run_suite(configs: Optional[List[str]] = None,
               seed: int = 1995, repeats: int = 1,
-              batch: Optional[bool] = None,
-              wheel: Optional[bool] = None,
               replay_logs: Optional[Dict[str, OpLog]] = None,
               snapshot: bool = False) -> dict:
     """Run the scenario at the requested sizes; returns the bench payload.
@@ -670,7 +655,7 @@ def run_suite(configs: Optional[List[str]] = None,
         walls: List[float] = []
         for _ in range(max(1, repeats)):
             runner = run_throughput_forked if snapshot else run_throughput
-            row = runner(name, seed=seed, batch=batch, wheel=wheel,
+            row = runner(name, seed=seed,
                          replay=(replay_logs or {}).get(name))
             walls.append(row["wall_s"])
             if best is None:

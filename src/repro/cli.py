@@ -582,9 +582,7 @@ def cmd_sessions(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import time as _time
-
-    from repro.bench.parallel import DETERMINISTIC_KEYS, run_bench_campaign
+    from repro.bench.parallel import run_bench_campaign
     from repro.bench.throughput import (
         CONFIGS,
         compare_parked,
@@ -662,98 +660,6 @@ def cmd_bench(args) -> int:
               f"({par['cpu_count']} CPUs) in "
               f"{par['campaign_wall_s']:.2f} s wall; shard total "
               f"{par['shard_wall_s_total']:.2f} s")
-    counters_match = True
-    if args.compare_scalar:
-        print("scalar comparison run (batched access path disabled)...")
-        wall0 = _time.perf_counter()
-        scalar = run_suite(names, seed=args.seed, repeats=args.repeats,
-                           batch=False)
-        scalar_wall = _time.perf_counter() - wall0
-        compare = {}
-        for name in names:
-            if name not in payload["results"]:
-                continue
-            batched_row = payload["results"][name]
-            scalar_row = scalar["results"][name]
-            mismatches = [key for key in DETERMINISTIC_KEYS
-                          if batched_row[key] != scalar_row[key]]
-            if mismatches:
-                counters_match = False
-                print(f"COUNTER MISMATCH in {name!r}: {mismatches}",
-                      file=sys.stderr)
-            compare[name] = {
-                "wall_s": scalar_row["wall_s"],
-                "wall_s_min": scalar_row["wall_s_min"],
-                "wall_s_max": scalar_row["wall_s_max"],
-                "events_per_sec": scalar_row["events_per_sec"],
-                "accesses_per_sec": scalar_row["accesses_per_sec"],
-            }
-        payload["scalar_compare"] = {
-            "counters_match": counters_match,
-            "suite_wall_s": round(scalar_wall, 4),
-            "results": compare,
-        }
-        if args.parallel > 1:
-            speedup = scalar_wall / payload["parallel"]["campaign_wall_s"]
-            payload["scalar_compare"]["suite_speedup_vs_scalar_serial"] = \
-                round(speedup, 2)
-            print(f"scalar serial suite: {scalar_wall:.2f} s wall -> "
-                  f"batched parallel speedup {speedup:.2f}x")
-            # Campaign rows are measured under pool contention, which
-            # inflates per-shard wall clock; re-measure each config
-            # uncontended so the committed file also records the true
-            # single-process batched rates.
-            print("single-process batched reference run...")
-            single = run_suite(names, seed=args.seed,
-                               repeats=args.repeats)
-            payload["single_process"] = {}
-            for name in names:
-                srow = single["results"][name]
-                payload["single_process"][name] = {
-                    "wall_s": srow["wall_s"],
-                    "wall_s_min": srow["wall_s_min"],
-                    "wall_s_max": srow["wall_s_max"],
-                    "events_per_sec": srow["events_per_sec"],
-                    "accesses_per_sec": srow["accesses_per_sec"],
-                }
-                print(f"{name:>7}: {srow['events_per_sec']:>12,.0f} "
-                      f"events/sec  {srow['accesses_per_sec']:>12,.0f} "
-                      f"accesses/sec (single process)")
-        print(f"deterministic counters batched vs scalar: "
-              f"{'MATCH' if counters_match else 'MISMATCH'}")
-    wheel_match = True
-    if args.compare_wheel:
-        print("heap comparison run (timer wheel disabled)...")
-        wall0 = _time.perf_counter()
-        heap = run_suite(names, seed=args.seed, repeats=args.repeats,
-                         wheel=False)
-        heap_wall = _time.perf_counter() - wall0
-        compare = {}
-        for name in names:
-            if name not in payload["results"]:
-                continue
-            wheel_row = payload["results"][name]
-            heap_row = heap["results"][name]
-            mismatches = [key for key in DETERMINISTIC_KEYS
-                          if wheel_row[key] != heap_row[key]]
-            if mismatches:
-                wheel_match = False
-                print(f"COUNTER MISMATCH (wheel vs heap) in {name!r}: "
-                      f"{mismatches}", file=sys.stderr)
-            compare[name] = {
-                "wall_s": heap_row["wall_s"],
-                "wall_s_min": heap_row["wall_s_min"],
-                "wall_s_max": heap_row["wall_s_max"],
-                "events_per_sec": heap_row["events_per_sec"],
-                "accesses_per_sec": heap_row["accesses_per_sec"],
-            }
-        payload["wheel_compare"] = {
-            "counters_match": wheel_match,
-            "suite_wall_s": round(heap_wall, 4),
-            "results": compare,
-        }
-        print(f"deterministic counters wheel vs heap: "
-              f"{'MATCH' if wheel_match else 'MISMATCH'}")
     parked_match = True
     if args.compare_parked:
         print("parked-chain equivalence run (parked vs per-wakeup)...")
@@ -778,50 +684,22 @@ def cmd_bench(args) -> int:
         }
         print(f"deterministic counters parked vs per-wakeup: "
               f"{'MATCH' if parked_match else 'MISMATCH'}")
-    rpc_match = True
     if args.rpc:
-        from repro.bench.rpcbench import (
-            RPC_CONFIGS,
-            compare_rpc_rows,
-            run_rpc_suite,
-        )
+        from repro.bench.rpcbench import RPC_CONFIGS, run_rpc_suite
 
         rpc_names = (list(RPC_CONFIGS) if args.config == "all"
                      else [args.config])
         print(f"rpc microbench: {', '.join(rpc_names)} "
               f"(best of {args.repeats})")
-        fast_results = run_rpc_suite(rpc_names, seed=args.seed,
-                                     repeats=args.repeats, fast=True,
-                                     snapshot=args.snapshot)
-        slow_results = run_rpc_suite(rpc_names, seed=args.seed,
-                                     repeats=args.repeats, fast=False,
-                                     snapshot=args.snapshot)
-        slow_compare = {}
+        rpc_results = run_rpc_suite(rpc_names, seed=args.seed,
+                                    repeats=args.repeats,
+                                    snapshot=args.snapshot)
         for name in rpc_names:
-            frow = fast_results[name]
-            srow = slow_results[name]
-            mismatches = compare_rpc_rows(frow, srow)
-            if mismatches:
-                rpc_match = False
-                print(f"COUNTER MISMATCH (rpc fast vs slow) in "
-                      f"{name!r}: {mismatches}", file=sys.stderr)
-            slow_compare[name] = {
-                "wall_s": srow["wall_s"],
-                "round_trips_per_sec": srow["round_trips_per_sec"],
-            }
-            print(f"{name:>7}: {frow['round_trips']} round trips, "
-                  f"{frow['round_trips_per_sec']:>10,.0f} rt/sec fast  "
-                  f"{srow['round_trips_per_sec']:>10,.0f} rt/sec slow  "
-                  f"mean latency {frow['mean_latency_ns']:,.0f} ns")
-        payload["rpc"] = {
-            "results": fast_results,
-            "slow_compare": {
-                "counters_match": rpc_match,
-                "results": slow_compare,
-            },
-        }
-        print(f"deterministic counters rpc fast vs slow: "
-              f"{'MATCH' if rpc_match else 'MISMATCH'}")
+            row = rpc_results[name]
+            print(f"{name:>7}: {row['round_trips']} round trips, "
+                  f"{row['round_trips_per_sec']:>10,.0f} rt/sec  "
+                  f"mean latency {row['mean_latency_ns']:,.0f} ns")
+        payload["rpc"] = {"results": rpc_results}
     if args.record:
         from repro.bench.throughput import record_traces
         from repro.sim.oplog import save_oplogs
@@ -946,10 +824,8 @@ def cmd_bench(args) -> int:
               f"{session_row['probes_launched']} probes completed")
     write_bench_file(args.out, payload)
     print(f"bench written       : {args.out}")
-    return 1 if (failed or not counters_match or not wheel_match
-                 or not rpc_match or not parked_match
-                 or not replay_match or not sweep_match
-                 or not snapshot_match) else 0
+    return 1 if (failed or not parked_match or not replay_match
+                 or not sweep_match or not snapshot_match) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1091,27 +967,17 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["small", "medium", "large", "all"],
                          default="all")
     p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr16.json",
+                         default="BENCH_pr18.json",
                          help="output JSON path "
-                              "(default: BENCH_pr16.json)")
+                              "(default: BENCH_pr18.json)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")
     p_bench.add_argument("--parallel", type=int, default=0, metavar="N",
                          help="shard (config, repeat) cells across N "
                               "worker processes (default: serial)")
-    p_bench.add_argument("--compare-scalar", action="store_true",
-                         help="also run the suite with the batched "
-                              "access path disabled and verify the "
-                              "deterministic counters match")
-    p_bench.add_argument("--compare-wheel", action="store_true",
-                         help="also run the suite with the engine timer "
-                              "wheel disabled (HIVE_WHEEL=0 path) and "
-                              "verify the deterministic counters match")
     p_bench.add_argument("--rpc", action="store_true",
-                         help="also run the RPC round-trip microbench "
-                              "with the fast path on and off and verify "
-                              "the RPC counters match")
+                         help="also run the RPC round-trip microbench")
     p_bench.add_argument("--compare-parked", action="store_true",
                          help="also run each config per wakeup (a "
                               "recording run) and verify the parked "

@@ -28,24 +28,21 @@ Coalesced dispatch
 ------------------
 Every call, in-payload or by-reference, is three waits on the client:
 the pre-send stub (plus the by-reference alloc/copy half), the reply,
-the post-reply charges.  The simulated latencies and RPC counters are
-those of the step-by-step dispatch, which ``HIVE_RPC_FAST=0`` restores
-as the independent oracle (``RPC_DETERMINISTIC_KEYS`` must match):
+the post-reply charges:
 
 * the client waits on the reply event *directly* with a cancellable
-  deadline entry instead of building an ``any_of([reply, deadline])``
-  pair — the losing deadline is revoked in place when the reply wins;
+  deadline entry — the losing deadline is revoked in place when the
+  reply wins;
 * the post-reply cost charges (interrupt dispatch, optional context
-  switch, unmarshal stub, by-reference alloc/copy half) coalesce into a
-  single sleep of the same total;
+  switch, unmarshal stub, by-reference alloc/copy half) are a single
+  sleep of their total;
 * ``_Pending`` records and reply events are pooled and recycled;
 * interrupt-level service runs on a pooled :class:`_ServiceTask`
-  driver instead of spawning a full engine ``Process`` per message.
+  driver, not a full engine ``Process`` per message.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional
 
@@ -77,7 +74,7 @@ class RpcError:
 
 
 class _RpcDeadline(Exception):
-    """Internal sentinel failing a fast-path reply event at its deadline.
+    """Internal sentinel failing a reply event at its deadline.
 
     Distinct from :class:`RpcTimeout` so the client can tell its own
     deadline expiry apart from a peer's ``shutdown()`` failing the
@@ -197,12 +194,9 @@ class RpcSubsystem:
         # "latency" timer name stays readable as a view over it.
         self.metrics.timer_view("latency",
                                 self.metrics.histogram("latency_ns"))
-        #: HIVE_RPC_FAST=0 runs the step-by-step oracle twin instead.
-        self.fast_enabled = os.environ.get("HIVE_RPC_FAST", "1") != "0"
-        # Per-call dispatch-path attribution for the profiler; cached
-        # Counter objects so the hot path pays one attribute bump.
+        # Calls dispatched, for the profiler; a cached Counter object
+        # so the hot path pays one attribute bump.
         self._fast_path_c = self.metrics.counter("fast_path")
-        self._slow_path_c = self.metrics.counter("slow_path")
         self._handlers: Dict[str, tuple] = {}
         self._pending: Dict[int, _Pending] = {}
         self._pending_pool: list = []
@@ -304,20 +298,16 @@ class RpcSubsystem:
         yield marshal + stub // 2
 
         sim = self.sim
-        fast = self.fast_enabled
-        (self._fast_path_c if fast else self._slow_path_c).value += 1
-        if fast:
-            pool = self._event_pool
-            if pool:
-                reply_ev = pool.pop()
-                reply_ev._callbacks = []
-                reply_ev._triggered = False
-                reply_ev._ok = True
-                reply_ev._value = None
-            else:
-                reply_ev = Event(sim, "rpc.reply")
+        self._fast_path_c.value += 1
+        pool = self._event_pool
+        if pool:
+            reply_ev = pool.pop()
+            reply_ev._callbacks = []
+            reply_ev._triggered = False
+            reply_ev._ok = True
+            reply_ev._value = None
         else:
-            reply_ev = sim.event(f"rpc.{op}.{call_id}")
+            reply_ev = Event(sim, "rpc.reply")
         ppool = self._pending_pool
         if ppool:
             pending = ppool.pop()
@@ -356,8 +346,7 @@ class RpcSubsystem:
                 self.metrics.counter("send_retries").add()
                 if self.sim.now >= send_deadline:
                     self._drop_pending(call_id)
-                    if fast:
-                        self._event_pool.append(reply_ev)
+                    self._event_pool.append(reply_ev)
                     self.metrics.counter("timeouts").add()
                     self.cell.failure_hint(
                         dst_cell_id, f"RPC {op} flow-controlled past "
@@ -367,8 +356,7 @@ class RpcSubsystem:
                 backoff = min(backoff * 2, 100_000)
             except BusError as exc:
                 self._drop_pending(call_id)
-                if fast:
-                    self._event_pool.append(reply_ev)
+                self._event_pool.append(reply_ev)
                 # Only hint about the *destination* — a bus error caused
                 # by our own node failing is not evidence against anyone
                 # else (a dying cell must not spray accusations).
@@ -377,65 +365,40 @@ class RpcSubsystem:
                                            f"bus error on RPC {op}")
                 raise RpcTimeout(dst_cell_id, op)
 
-        if fast:
-            # Fast path: wait on the reply event directly with a
-            # cancellable deadline entry — no any_of pair, and the loser
-            # deadline is revoked in place when the reply wins.
-            dl_entry = sim.schedule(limit, self._fast_deadline, reply_ev)
-            try:
-                result = yield reply_ev
-            except _RpcDeadline:
-                # Our own deadline fired (the entry is consumed).
-                self._drop_pending(call_id)
-                self._event_pool.append(reply_ev)
-                self.metrics.counter("timeouts").add()
-                self.cell.failure_hint(dst_cell_id, f"RPC {op} timed out")
-                raise RpcTimeout(dst_cell_id, op)
-            except BaseException:
-                # Peer shutdown failing the event with RpcTimeout, or a
-                # process interrupt.  The deadline entry may still be
-                # queued holding a reference to the event, so revoke it
-                # and do not recycle the event.
-                sim.cancel(dl_entry)
-                raise
-            sim.cancel(dl_entry)
-            self._event_pool.append(reply_ev)
-            # Client-side reply processing, coalesced into one sleep of
-            # the same total as the slow path's sequential charges.
-            waited = sim.now - start
-            post = (self.costs.rpc_interrupt_dispatch_ns + stub // 2
-                    + marshal)
-            if waited > self.costs.rpc_spin_timeout_ns:
-                post += self.costs.context_switch_ns
-                self.metrics.counter("spin_timeouts").add()
-            yield post
-            self.metrics.counter("calls").add()
-            self.metrics.histogram("latency_ns").record(sim.now - start)
-            if isinstance(result, RpcError):
-                raise RpcRemoteError(dst_cell_id, op, result)
-            return result
-
-        deadline = self.sim.timeout(limit)
-        winner = yield self.sim.any_of([reply_ev, deadline])
-        if winner is deadline:
+        # Wait on the reply event directly with a cancellable deadline
+        # entry; the loser deadline is revoked in place when the reply
+        # wins.
+        dl_entry = sim.schedule(limit, self._fast_deadline, reply_ev)
+        try:
+            result = yield reply_ev
+        except _RpcDeadline:
+            # Our own deadline fired (the entry is consumed).
             self._drop_pending(call_id)
+            self._event_pool.append(reply_ev)
             self.metrics.counter("timeouts").add()
             self.cell.failure_hint(dst_cell_id, f"RPC {op} timed out")
             raise RpcTimeout(dst_cell_id, op)
-
-        result = reply_ev.value
-        # Client-side reply processing: the reply-arrival interrupt, spin
-        # vs context switch, then the unmarshalling half of the stubs.
-        waited = self.sim.now - start
-        yield self.costs.rpc_interrupt_dispatch_ns
+        except BaseException:
+            # Peer shutdown failing the event with RpcTimeout, or a
+            # process interrupt.  The deadline entry may still be
+            # queued holding a reference to the event, so revoke it
+            # and do not recycle the event.
+            sim.cancel(dl_entry)
+            raise
+        sim.cancel(dl_entry)
+        self._event_pool.append(reply_ev)
+        # Client-side reply processing in one sleep: the reply-arrival
+        # interrupt, spin vs context switch, then the unmarshalling
+        # half of the stubs.
+        waited = sim.now - start
+        post = (self.costs.rpc_interrupt_dispatch_ns + stub // 2
+                + marshal)
         if waited > self.costs.rpc_spin_timeout_ns:
-            yield self.costs.context_switch_ns
+            post += self.costs.context_switch_ns
             self.metrics.counter("spin_timeouts").add()
-        yield stub // 2
-        if oversize:
-            yield marshal
+        yield post
         self.metrics.counter("calls").add()
-        self.metrics.histogram("latency_ns").record(self.sim.now - start)
+        self.metrics.histogram("latency_ns").record(sim.now - start)
         if isinstance(result, RpcError):
             raise RpcRemoteError(dst_cell_id, op, result)
         return result
@@ -448,7 +411,7 @@ class RpcSubsystem:
 
     def _drop_pending(self, call_id: int) -> None:
         p = self._pending.pop(call_id, None)
-        if p is not None and self.fast_enabled:
+        if p is not None:
             p.event = None
             self._pending_pool.append(p)
 
@@ -471,16 +434,12 @@ class RpcSubsystem:
         if msg.kind == REPLY:
             self._complete(msg)
             return
-        if self.fast_enabled:
-            # No-allocation dispatch: a pooled driver runs the service
-            # generator; the first step executes inline (no side effects
-            # before _service's first yield, so timing is unchanged).
-            pool = self._task_pool
-            task = pool.pop() if pool else _ServiceTask(self)
-            task.start(self._service(msg))
-            return
-        self.sim.process(self._service(msg),
-                         name=f"rpc{self.cell.kernel_id}.int")
+        # No-allocation dispatch: a pooled driver runs the service
+        # generator; the first step executes inline (no side effects
+        # before _service's first yield, so timing is unchanged).
+        pool = self._task_pool
+        task = pool.pop() if pool else _ServiceTask(self)
+        task.start(self._service(msg))
 
     def _complete(self, msg: SipsMessage) -> None:
         payload = msg.payload
@@ -489,9 +448,8 @@ class RpcSubsystem:
             return  # late reply after timeout; drop
         event = pending.event
         result = payload.get("result")
-        if self.fast_enabled:
-            pending.event = None
-            self._pending_pool.append(pending)
+        pending.event = None
+        self._pending_pool.append(pending)
         if not event._triggered:
             event.succeed(result)
 

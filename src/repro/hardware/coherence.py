@@ -58,13 +58,11 @@ without the per-access Python round trip, falling back to the scalar
 
 Every tier charges exactly the latencies the scalar path would, so event
 counts, recovery records, and span exports are byte-identical whichever
-path runs.  ``HIVE_BATCH=0`` in the environment forces the plain scalar
-loop everywhere (the debugging escape hatch).
+tier runs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -161,7 +159,7 @@ class CoherenceController:
         "_bytes_per_node", "_line_size", "_lines_per_page",
         "_pages_per_node", "_cpus_per_node", "_hit_latency",
         "_firewall_check_ns", "_mem_latency_ns", "stats",
-        "remote_write_hist", "batch_enabled", "_node_gen", "mutation_gen",
+        "remote_write_hist", "_node_gen", "mutation_gen",
         "_mut_lines", "_mut_base",
         "_lines_per_node", "_total_lines", "_owner_arr", "_sharer_bits",
         "last_batch_completed", "tier_memo_hits", "tier_inline_batches",
@@ -197,9 +195,6 @@ class CoherenceController:
         self.remote_write_hist = Histogram(
             "remote_write_miss_ns",
             [200, 500, 700, 1_000, 1_500, 2_000, 5_000, 10_000])
-        #: HIVE_BATCH=0 forces every batch API through the plain scalar
-        #: loop (the debugging escape hatch; also settable per instance).
-        self.batch_enabled = os.environ.get("HIVE_BATCH", "1") != "0"
         #: per-home-node directory mutation generations; any state change
         #: to a line homed on a node invalidates prepared-batch memos
         #: whose lines live there.
@@ -228,10 +223,10 @@ class CoherenceController:
         #: accesses completed by the most recent batch call before it
         #: returned or raised (drivers use it to account partial batches).
         self.last_batch_completed = 0
-        #: batch-tier attribution: which of the three HIVE_BATCH tiers
-        #: (memo replay / inlined sequential / vectorized) resolved each
-        #: batch, plus the HIVE_BATCH=0 scalar reference.  One increment
-        #: per batch, so always-on costs ~1/batch-length per access.
+        #: batch-tier attribution: which tier (memo replay / inlined
+        #: sequential / vectorized / the scalar loop that out-of-range
+        #: lines fall back to) resolved each batch.  One increment per
+        #: batch, so always-on costs ~1/batch-length per access.
         self.tier_memo_hits = 0
         self.tier_inline_batches = 0
         self.tier_vector_batches = 0
@@ -600,8 +595,6 @@ class CoherenceController:
         touches is in fault state 0, so a node failure or cutoff between
         issues always forces re-execution.
         """
-        if not self.batch_enabled:
-            return self._batch_seq(cpu, prepared.lines, prepared.ops)
         memo = prepared.memo
         if memo is not None and memo[0] == cpu:
             mem = self.memory
@@ -659,8 +652,6 @@ class CoherenceController:
         between engine events (every directory or fault-state mutation
         happens inside one).
         """
-        if not self.batch_enabled:
-            return None
         memo = prepared.memo
         if memo is None or memo[0] != cpu:
             return None
@@ -740,9 +731,6 @@ class CoherenceController:
         if n == 0:
             return 0
         mem = self.memory
-        if not self.batch_enabled:
-            return self._batch_seq(cpu, arr_lines.tolist(),
-                                   arr_ops.tolist())
         if arr_lines.min() < 0 or arr_lines.max() >= self._total_lines:
             # Out-of-range lines must raise at the exact batch position
             # the scalar loop would; only the reference loop guarantees
@@ -807,7 +795,7 @@ class CoherenceController:
 
     def _batch_seq(self, cpu: int, lines: Sequence[int],
                    ops: Sequence[int]) -> int:
-        """Reference tier: the plain scalar loop (HIVE_BATCH=0 path)."""
+        """Reference tier: the plain scalar loop."""
         self.tier_scalar_batches += 1
         read_f = self.read
         write_f = self.write

@@ -1,26 +1,24 @@
-"""Hot-path tier profiling: which fast path served the work, and where
-the wall-clock went.
+"""Hot-path tier profiling: which tier served the work, and where the
+wall-clock went.
 
-The PR3-5 optimizations layered escape-hatched fast paths over three
-subsystems — coherence batches (``HIVE_BATCH``: memo replay / inlined
-sequential / vectorized, with the scalar loop as reference), the engine
-queue (``HIVE_WHEEL``: same-instant deque / timer wheel / binary heap,
-plus the Timeout inline-expiry shortcut), and RPC dispatch
-(``HIVE_RPC_FAST``: pooled fast path vs. the original slow path).  This
-module aggregates the per-subsystem attribution counters into one
-JSON-stable snapshot so campaigns and benchmarks can report *tier hit
-rates* — how often each tier actually fired — instead of guessing from
-end-to-end timings.
+Three subsystems resolve work in tiers — coherence batches (memo replay
+/ inlined sequential / vectorized, with the scalar loop for out-of-range
+lines), the engine queue (same-instant deque / timer wheel / binary
+heap, plus the Timeout inline-expiry shortcut), and RPC dispatch (one
+coalesced path).  This module aggregates the per-subsystem attribution
+counters into one JSON-stable snapshot so campaigns and benchmarks can
+report *tier hit rates* — how often each tier actually fired — instead
+of guessing from end-to-end timings.
 
 Counter sources:
 
 * coherence tiers are plain always-on ints on the controller (one
   increment per batch — noise-level cost);
-* RPC fast/slow counters live in each cell's RPC ``MetricSet``;
+* the RPC dispatch counter lives in each cell's RPC ``MetricSet``;
 * engine dispatch tiers and per-subsystem wall attribution come from
   :class:`~repro.sim.engine.EngineProfile`, populated only when the
   simulator runs with ``HIVE_PROFILE=1`` / ``Simulator(profile=True)``
-  (the profiled loop twins; disabled profiling costs nothing per event).
+  (the profiled loop twin; disabled profiling costs nothing per event).
 
 Everything except ``engine.subsystem_wall_s`` is a deterministic
 function of the simulated event stream, so merged campaign snapshots
@@ -52,20 +50,18 @@ def coherence_tiers(coherence) -> Dict[str, Any]:
 
 
 def rpc_tiers(system) -> Dict[str, Any]:
-    """Fast- vs. slow-path RPC dispatch counts summed over all cells."""
-    fast = slow = 0
-    for cell in system.cells:
-        counters = cell.rpc.metrics.counters
-        if "fast_path" in counters:
-            fast += counters["fast_path"].value
-        if "slow_path" in counters:
-            slow += counters["slow_path"].value
-    total = fast + slow
+    """RPC dispatch counts summed over all cells.
+
+    Every call takes the one coalesced dispatch, which the ledger has
+    always called ``fast_path``; the key names stay so rows compare
+    across committed bench files.
+    """
+    calls = sum(cell.rpc.metrics.counter("fast_path").value
+                for cell in system.cells)
     return {
-        "fast_path": fast,
-        "slow_path": slow,
-        "calls_total": total,
-        "fast_rate": _rate(fast, total),
+        "fast_path": calls,
+        "calls_total": calls,
+        "fast_rate": _rate(calls, calls),
     }
 
 
@@ -131,7 +127,7 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     merged: Dict[str, Any] = {
         "coherence": {"memo_hits": 0, "inline_batches": 0,
                       "vector_batches": 0, "scalar_batches": 0},
-        "rpc": {"fast_path": 0, "slow_path": 0},
+        "rpc": {"fast_path": 0, "calls_total": 0},
         "engine": None,
         "replay": None,
     }
@@ -146,7 +142,7 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
                     "scalar_batches"):
             coh[key] += snap["coherence"][key]
         rpc["fast_path"] += snap["rpc"]["fast_path"]
-        rpc["slow_path"] += snap["rpc"]["slow_path"]
+        rpc["calls_total"] += snap["rpc"]["calls_total"]
         eng = snap.get("engine")
         if eng is not None:
             shard_prof = EngineProfile.from_dict(eng)
@@ -171,9 +167,7 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     coh["vector_rate"] = _rate(coh["vector_batches"], total)
     coh["scalar_rate"] = _rate(coh["scalar_batches"], total)
 
-    calls = rpc["fast_path"] + rpc["slow_path"]
-    rpc["calls_total"] = calls
-    rpc["fast_rate"] = _rate(rpc["fast_path"], calls)
+    rpc["fast_rate"] = _rate(rpc["fast_path"], rpc["calls_total"])
 
     if engine_prof is not None:
         eng = engine_prof.to_dict()

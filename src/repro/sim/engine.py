@@ -16,10 +16,6 @@ The queue is a three-tier structure (the PR5 timer wheel):
   reaches it, so the heap stays small;
 * the **binary heap** for far-future entries and the current slot.
 
-``HIVE_WHEEL=0`` in the environment (or ``Simulator(wheel=False)``)
-disables the wheel and the now-queue, restoring the classic single-heap
-dispatch loop.  Both modes dispatch in exactly the same order.
-
 Entries are mutable ``[time, seq, fn, args]`` lists so they can be
 *cancelled* in place (:meth:`Simulator.cancel`, :meth:`Timeout.cancel`):
 a cancelled entry has its callback slot cleared and is skipped — without
@@ -30,8 +26,6 @@ Determinism guarantees
 ----------------------
 * Events scheduled for the same instant fire in the order they were
   scheduled (dispatch is keyed by ``(time, seq)`` across all tiers).
-* Wheel-on and wheel-off runs dispatch the same events in the same
-  order; ``events_processed`` and every simulated counter agree.
 * Nothing in the engine consults wall-clock time or global randomness.
 """
 
@@ -72,7 +66,7 @@ class SimulationError(Exception):
 class EngineProfile:
     """Dispatch-tier counts and per-subsystem wall-clock attribution.
 
-    Populated only by the profiled twins of the run loops (HIVE_PROFILE=1
+    Populated only by the profiled twin of the run loops (HIVE_PROFILE=1
     or ``Simulator(profile=True)``); a simulator without profiling never
     touches one, so the unprofiled hot loops pay nothing.
 
@@ -212,16 +206,10 @@ class Event:
         now = sim.now
         seq = sim._seq
         args = (self,)
-        if sim._wheel_on:
-            nowq = sim._nowq
-            for cb in callbacks:
-                seq += 1
-                nowq.append([now, seq, cb, args])
-        else:
-            queue = sim._queue
-            for cb in callbacks:
-                seq += 1
-                heapq.heappush(queue, [now, seq, cb, args])
+        nowq = sim._nowq
+        for cb in callbacks:
+            seq += 1
+            nowq.append([now, seq, cb, args])
         sim._seq = seq
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
@@ -327,16 +315,10 @@ class Timeout(Event):
                 return
         seq = sim._seq
         args = self._self_args
-        if sim._wheel_on:
-            nowq = sim._nowq
-            for cb in callbacks:
-                seq += 1
-                nowq.append([now, seq, cb, args])
-        else:
-            queue = sim._queue
-            for cb in callbacks:
-                seq += 1
-                heapq.heappush(queue, [now, seq, cb, args])
+        nowq = sim._nowq
+        for cb in callbacks:
+            seq += 1
+            nowq.append([now, seq, cb, args])
         sim._seq = seq
 
 
@@ -614,12 +596,10 @@ class Simulator:
 
     __slots__ = ("now", "_queue", "_seq", "_active_process",
                  "crash_on_process_error", "events_processed",
-                 "trace_names", "_timeout_pool", "_wheel_on", "_nowq",
-                 "_wheel", "_wheel_count", "_wslot", "_wslots", "_dead",
-                 "_prof")
+                 "trace_names", "_timeout_pool", "_nowq", "_wheel",
+                 "_wheel_count", "_wslot", "_wslots", "_dead", "_prof")
 
     def __init__(self, crash_on_process_error: bool = True,
-                 wheel: Optional[bool] = None,
                  profile: Optional[bool] = None):
         self.now: int = 0
         self._queue: list = []
@@ -638,15 +618,10 @@ class Simulator:
         self.trace_names: bool = False
         # Recycled Timeout objects (see Timeout's docstring).
         self._timeout_pool: list = []
-        if wheel is None:
-            wheel = os.environ.get("HIVE_WHEEL", "1") != "0"
-        #: timer wheel + same-instant batching enabled (HIVE_WHEEL escape)
-        self._wheel_on = bool(wheel)
         # Same-instant FIFO of [time, seq, fn, args] entries for `now`.
         self._nowq: deque = deque()
-        # Near-future slots; only allocated when the wheel is on.
-        self._wheel: list = ([[] for _ in range(_WHEEL_SLOTS)]
-                             if self._wheel_on else [])
+        # Near-future slots.
+        self._wheel: list = [[] for _ in range(_WHEEL_SLOTS)]
         self._wheel_count = 0
         # Absolute slot index up to which the wheel has been drained.
         self._wslot = 0
@@ -660,7 +635,7 @@ class Simulator:
             profile = os.environ.get("HIVE_PROFILE", "0") != "0"
         #: dispatch profiling (HIVE_PROFILE=1).  When None the normal
         #: run loops execute untouched; when set, run()/run_until_event()
-        #: divert to profiled twins, so disabled profiling costs one
+        #: divert to the profiled twin, so disabled profiling costs one
         #: attribute test per run call — not per event.
         self._prof: Optional[EngineProfile] = (EngineProfile() if profile
                                                else None)
@@ -682,31 +657,28 @@ class Simulator:
         self._seq = seq = self._seq + 1
         t = self.now + int(delay)
         entry = [t, seq, fn, args]
-        if self._wheel_on:
-            if delay == 0:
-                self._nowq.append(entry)
-            else:
-                slot = t >> _WHEEL_SHIFT
-                off = slot - self._wslot
-                if _WHEEL_NEAR < off < _WHEEL_SLOTS:
-                    lst = self._wheel[slot & _WHEEL_MASK]
-                    if not lst:
-                        heapq.heappush(self._wslots, slot)
-                    lst.append(entry)
-                    self._wheel_count += 1
-                else:
-                    # near/current slot or beyond the horizon
-                    heapq.heappush(self._queue, entry)
+        if delay == 0:
+            self._nowq.append(entry)
         else:
-            heapq.heappush(self._queue, entry)
+            slot = t >> _WHEEL_SHIFT
+            off = slot - self._wslot
+            if _WHEEL_NEAR < off < _WHEEL_SLOTS:
+                lst = self._wheel[slot & _WHEEL_MASK]
+                if not lst:
+                    heapq.heappush(self._wslots, slot)
+                lst.append(entry)
+                self._wheel_count += 1
+            else:
+                # near/current slot or beyond the horizon
+                heapq.heappush(self._queue, entry)
         return entry
 
     def cancel(self, entry: list) -> bool:
         """Revoke an entry returned by :meth:`schedule`.
 
         The entry is cleared in place and skipped when it surfaces; it
-        never counts as a processed event, in either wheel mode.  Returns
-        False if the entry already fired or was already cancelled.
+        never counts as a processed event.  Returns False if the entry
+        already fired or was already cancelled.
         """
         if entry[2] is None:
             return False
@@ -807,8 +779,7 @@ class Simulator:
                 f"advance_to({t}) would move time backwards "
                 f"(now={self.now})")
         self.now = t
-        if self._wheel_on:
-            self._ff_wslot(t)
+        self._ff_wslot(t)
 
     # -- dispatch -----------------------------------------------------
 
@@ -816,8 +787,6 @@ class Simulator:
         """Process events until the queue drains or ``until`` is reached."""
         if self._prof is not None:
             return self._run_prof(until, max_events)
-        if not self._wheel_on:
-            return self._run_heap(until, max_events)
         processed = 0
         queue = self._queue
         nowq = self._nowq
@@ -878,47 +847,6 @@ class Simulator:
             self.now = until
             self._ff_wslot(until)
 
-    def _run_heap(self, until: Optional[int], max_events: int) -> None:
-        """Classic single-heap dispatch (HIVE_WHEEL=0 path)."""
-        processed = 0
-        queue = self._queue
-        heappop = heapq.heappop
-        if until is None:
-            while queue:
-                entry = heappop(queue)
-                if entry[2] is None:
-                    continue
-                self.now = entry[0]
-                entry[2](*entry[3])
-                processed += 1
-                if processed > max_events:
-                    self.events_processed += processed
-                    raise SimulationError(
-                        "event budget exhausted; likely livelock")
-            self.events_processed += processed
-            return
-        while queue:
-            # Pop first, push back on overshoot: the push-back happens at
-            # most once per run() call, while the peek-then-pop form paid
-            # an extra queue[0] index on every event.
-            entry = heappop(queue)
-            if entry[2] is None:
-                continue
-            t = entry[0]
-            if t > until:
-                heapq.heappush(queue, entry)
-                self.now = until
-                self.events_processed += processed
-                return
-            self.now = t
-            entry[2](*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
-        self.events_processed += processed
-        self.now = until
-
     def run_until_event(self, event: "Event",
                         deadline: Optional[int] = None,
                         max_events: int = 200_000_000) -> bool:
@@ -929,9 +857,13 @@ class Simulator:
         monitors) would otherwise keep the queue busy to the deadline.
         """
         if self._prof is not None:
-            return self._run_until_event_prof(event, deadline, max_events)
-        if not self._wheel_on:
-            return self._run_until_event_heap(event, deadline, max_events)
+            self._run_prof(deadline, max_events, event)
+            return event._triggered
+        # Not folded into run()'s loop: each is the hot loop of a
+        # different benchmark workload (run() under ChainCoordinator
+        # carries coherence_storm, this one carries the paper workloads
+        # and the fault trials), so a shared loop would put the other's
+        # stop test on every event of one of them.
         processed = 0
         queue = self._queue
         nowq = self._nowq
@@ -981,30 +913,6 @@ class Simulator:
         self.events_processed += processed
         return event._triggered
 
-    def _run_until_event_heap(self, event: "Event",
-                              deadline: Optional[int],
-                              max_events: int) -> bool:
-        processed = 0
-        queue = self._queue
-        while queue and not event._triggered:
-            entry = queue[0]
-            if entry[2] is None:
-                heapq.heappop(queue)
-                continue
-            t = entry[0]
-            if deadline is not None and t > deadline:
-                self.now = deadline
-                break
-            heapq.heappop(queue)
-            self.now = t
-            entry[2](*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
-        self.events_processed += processed
-        return event._triggered
-
     # -- profiled dispatch (HIVE_PROFILE=1) ---------------------------
 
     def _prof_category(self, fn: Callable) -> str:
@@ -1024,12 +932,16 @@ class Simulator:
                 return self._prof.category(name)
         return "engine"
 
-    def _run_prof(self, until: Optional[int], max_events: int) -> None:
-        """Profiled twin of :meth:`run`.
+    def _prof_ff(self, t: int) -> None:
+        before = self._wheel_count
+        self._ff_wslot(t)
+        self._prof.wheel_routed += before - self._wheel_count
 
-        With the wheel off, the nowq and wheel tiers are simply never
-        occupied and this loop degenerates to heap-only dispatch in the
-        same order as :meth:`_run_heap`, so one twin serves both modes.
+    def _run_prof(self, until: Optional[int], max_events: int,
+                  stop: Optional["Event"] = None) -> None:
+        """Profiled twin of :meth:`run` and, given ``stop``, of
+        :meth:`run_until_event` (``until`` is then its deadline).
+
         Kept separate from the unprofiled loops so they pay nothing for
         the instrumentation (a per-event guard would cost ~2% alone).
         """
@@ -1045,7 +957,7 @@ class Simulator:
         popleft = nowq.popleft
         now = self.now
         try:
-            while True:
+            while stop is None or not stop._triggered:
                 if nowq:
                     e0 = nowq[0]
                     if queue and queue[0][0] == now and queue[0][1] < e0[1]:
@@ -1070,15 +982,18 @@ class Simulator:
                     self._advance_wheel()
                     prof.wheel_routed += before - self._wheel_count
                 if not queue:
-                    break
+                    # A drained run() parks the clock at ``until``; a
+                    # drained run_until_event() leaves it where it is.
+                    if stop is None and until is not None:
+                        self.now = until
+                        self._prof_ff(until)
+                    return
                 entry = heappop(queue)
                 t = entry[0]
                 if until is not None and t > until:
                     heapq.heappush(queue, entry)
                     self.now = until
-                    before = self._wheel_count
-                    self._ff_wslot(until)
-                    prof.wheel_routed += before - self._wheel_count
+                    self._prof_ff(until)
                     return
                 fn = entry[2]
                 if fn is None:
@@ -1096,89 +1011,12 @@ class Simulator:
                 if processed > max_events:
                     raise SimulationError(
                         "event budget exhausted; likely livelock")
-            if until is not None:
-                self.now = until
-                before = self._wheel_count
-                self._ff_wslot(until)
-                prof.wheel_routed += before - self._wheel_count
         finally:
             # During the loop only the inline fast paths (Timeout._expire,
             # a sleeper's _wake) touched events_processed; the delta is
             # exactly the inline dispatch count.
             prof.inline_dispatches += self.events_processed - ep_start
             self.events_processed += processed
-
-    def _run_until_event_prof(self, event: "Event",
-                              deadline: Optional[int],
-                              max_events: int) -> bool:
-        """Profiled twin of :meth:`run_until_event` (both wheel modes)."""
-        prof = self._prof
-        perf = time.perf_counter
-        walls = prof.subsystem_wall_s
-        category = self._prof_category
-        processed = 0
-        ep_start = self.events_processed
-        queue = self._queue
-        nowq = self._nowq
-        heappop = heapq.heappop
-        popleft = nowq.popleft
-        now = self.now
-        try:
-            while not event._triggered:
-                if nowq:
-                    e0 = nowq[0]
-                    if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                        entry = heappop(queue)
-                    else:
-                        entry = popleft()
-                    fn = entry[2]
-                    if fn is None:
-                        continue
-                    cat = category(fn)
-                    t0 = perf()
-                    fn(*entry[3])
-                    walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                    prof.nowq_dispatches += 1
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            "event budget exhausted; likely livelock")
-                    continue
-                if self._wheel_count:
-                    before = self._wheel_count
-                    self._advance_wheel()
-                    prof.wheel_routed += before - self._wheel_count
-                if not queue:
-                    break
-                entry = heappop(queue)
-                t = entry[0]
-                if deadline is not None and t > deadline:
-                    heapq.heappush(queue, entry)
-                    self.now = deadline
-                    before = self._wheel_count
-                    self._ff_wslot(deadline)
-                    prof.wheel_routed += before - self._wheel_count
-                    break
-                fn = entry[2]
-                if fn is None:
-                    continue
-                ts = t >> _WHEEL_SHIFT
-                if ts > self._wslot:
-                    self._wslot = ts
-                self.now = now = t
-                cat = category(fn)
-                t0 = perf()
-                fn(*entry[3])
-                walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                prof.heap_dispatches += 1
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        "event budget exhausted; likely livelock")
-        finally:
-            prof.inline_dispatches += self.events_processed - ep_start
-            self.events_processed += processed
-        return event._triggered
 
     def run_until_complete(self, proc: "Process", deadline: Optional[int] = None) -> Any:
         """Run until ``proc`` finishes, returning its value (raising on failure)."""
@@ -1219,22 +1057,19 @@ class Simulator:
         tt = self.now + delay
         entry = [tt, seq, t._expire_cb, _NONE_ARGS if value is None else (value,)]
         t._entry = entry
-        if self._wheel_on:
-            if delay == 0:
-                self._nowq.append(entry)
-            else:
-                slot = tt >> _WHEEL_SHIFT
-                off = slot - self._wslot
-                if _WHEEL_NEAR < off < _WHEEL_SLOTS:
-                    lst = self._wheel[slot & _WHEEL_MASK]
-                    if not lst:
-                        heapq.heappush(self._wslots, slot)
-                    lst.append(entry)
-                    self._wheel_count += 1
-                else:
-                    heapq.heappush(self._queue, entry)
+        if delay == 0:
+            self._nowq.append(entry)
         else:
-            heapq.heappush(self._queue, entry)
+            slot = tt >> _WHEEL_SHIFT
+            off = slot - self._wslot
+            if _WHEEL_NEAR < off < _WHEEL_SLOTS:
+                lst = self._wheel[slot & _WHEEL_MASK]
+                if not lst:
+                    heapq.heappush(self._wslots, slot)
+                lst.append(entry)
+                self._wheel_count += 1
+            else:
+                heapq.heappush(self._queue, entry)
         return t
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:

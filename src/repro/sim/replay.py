@@ -30,7 +30,7 @@ steady-state stream is periodic, so any later recorded occurrence of
 the chain's slot is a resync candidate, and every candidate is fully
 validated before a single counter moves.  ``HIVE_REPLAY=0`` disables
 the tier outright; replay runs answer to the same byte-identical-counter
-golden contract as ``HIVE_BATCH``/``HIVE_WHEEL``.
+golden contract as snapshot forks (``EQUIV_KEYS``).
 """
 
 from __future__ import annotations

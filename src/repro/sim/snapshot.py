@@ -18,10 +18,9 @@ pickle frames; the run function must therefore be module-level
 (picklable by reference), which is the same contract the campaign's
 multiprocessing workers already obey.
 
-Determinism contract (same as ``HIVE_BATCH``/``HIVE_WHEEL``/
-``HIVE_REPLAY``): fork-then-run must produce byte-identical counters to
-fresh-boot-then-run.  Boot consumes no RNG draws
-and :func:`reseed_system` rebinds the machine's ``RandomStreams`` to the
+Determinism contract (same as ``HIVE_REPLAY``): fork-then-run must
+produce byte-identical counters to fresh-boot-then-run.  Boot consumes
+no RNG draws and :func:`reseed_system` rebinds the machine's ``RandomStreams`` to the
 requested seed before the run function executes, so a child forked from
 an image booted at any seed is indistinguishable from a fresh boot at
 the run seed.  ``HIVE_SNAPSHOT=0`` (or a platform without ``os.fork``)
@@ -63,9 +62,9 @@ def fork_supported() -> bool:
 def snapshot_enabled(default: bool = True) -> bool:
     """Snapshot-fork gate: ``HIVE_SNAPSHOT=0`` or no ``os.fork`` disables.
 
-    Mirrors the other engine escapes (``HIVE_BATCH``, ``HIVE_WHEEL``,
-    ``HIVE_REPLAY``): the feature is on by default and the environment
-    variable is the kill switch.
+    On by default; the environment variable is the kill switch and
+    selects the boot-per-run fallback a platform without ``os.fork``
+    always gets.
     """
     if not fork_supported():
         return False

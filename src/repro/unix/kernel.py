@@ -554,6 +554,10 @@ class LocalKernel:
         leaf = self._resolve_local_cow(proc.cow_leaf_addr)
         if leaf is not None:
             self._release_cow_chain(leaf)
+        elif proc.cow_leaf_addr:
+            self.panic(
+                f"corrupt COW leaf pointer {proc.cow_leaf_addr:#x} in "
+                f"pid {proc.pid} at exit")
         if proc.kaddr:
             self.heap.free(proc)
 
@@ -609,9 +613,14 @@ class LocalKernel:
         fresh leaves under the old leaf, and the child inherits the
         parent's anonymous regions at the same virtual addresses.
         """
-        old_leaf = self._resolve_local_cow(parent.cow_leaf_addr)
-        if old_leaf is None or parent.cow_leaf_cell != self.kernel_id:
+        if not parent.cow_leaf_addr or parent.cow_leaf_cell != self.kernel_id:
             return
+        old_leaf = self._resolve_local_cow(parent.cow_leaf_addr)
+        if old_leaf is None:
+            self.panic(
+                f"corrupt COW leaf pointer {parent.cow_leaf_addr:#x} in "
+                f"pid {parent.pid} at fork")
+            raise ProcessKilled(parent.pid, "cell panic")
         parent_leaf, child_leaf = self.cow.split_leaf(old_leaf)
         parent.cow_leaf_addr = parent_leaf.kaddr
         # The child's fresh root from create_process is unused; drop it.

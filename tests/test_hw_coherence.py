@@ -226,11 +226,24 @@ class TestBatchedAccess:
         self._compare(dup_case)
 
     def test_scalar_fallback_when_disabled(self):
-        def disabled_case():
-            params, mem, coh, lines, ops = self._mixed_case()
-            coh.batch_enabled = False  # the HIVE_BATCH=0 escape hatch
-            return params, mem, coh, lines, ops
-        self._compare(disabled_case)
+        """What disables the batch tiers now is the input: one
+        out-of-range line sends the whole batch (large and unique
+        enough for the vectorized tier) through the scalar loop, which
+        raises where the per-line loop does."""
+        from repro.hardware.errors import InvalidPhysicalAddress
+        params, _m, coh, lines, ops = self._mixed_case()
+        _p, _m2, coh_b, _l, _o = self._mixed_case()
+        lines[40] = params.num_nodes * _lines_per_node(params) + 5
+        with pytest.raises(InvalidPhysicalAddress):
+            coh.access_batch(0, lines, ops)
+        with pytest.raises(InvalidPhysicalAddress):
+            _scalar_replay(coh_b, params, 0, lines, ops)
+        assert coh.last_batch_completed == 40
+        assert _stats_key(coh) == _stats_key(coh_b)
+        assert coh.tier_snapshot() == {
+            "memo_hits": 0, "inline_batches": 0, "vector_batches": 0,
+            "scalar_batches": 1}
+        assert coh._owner_arr is None  # the vector tier never started
 
     def test_mirror_stays_consistent_after_scalar_traffic(self):
         params, _m, coh, lines, ops = self._mixed_case()

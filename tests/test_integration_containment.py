@@ -55,6 +55,39 @@ class TestScenarioTrials:
         assert r.contained, r.notes
 
 
+    @pytest.mark.parametrize("seed", [
+        # no live victim process at the scheduled instant: until PR 18
+        # the corruption was silently never injected
+        1953273122, 1134690140, 677052671, 36272003, 157622201,
+        # the corrupt leaf pointer's owner only ever forks or exits:
+        # until PR 18 local fork and exit swallowed it
+        1900233367, 1840099286])
+    def test_address_map_fault_lands_and_is_noticed_on_any_seed(self, seed):
+        r = FaultExperimentRunner().run_trial(SW_ADDRESS_MAP, seed)
+        assert r.injected_at_ns > 0, r.notes
+        assert r.contained, r.notes
+        # Table 7.4: detected in 38 ms on average, 65 ms at most
+        assert r.latency_ms <= 70
+
+
+    def test_trial_that_never_finds_a_victim_says_so(self, monkeypatch):
+        """No victim at the scheduled instant re-arms on the victim
+        cell's next fork; a fault still armed when the workload ends is
+        reported as a harness miss, not passed off as a breach."""
+        from repro.core.kfaults import KernelFaultInjector
+
+        attempts = []
+        monkeypatch.setattr(
+            KernelFaultInjector, "corrupt_address_map",
+            lambda self, *args, **kwargs: attempts.append(self.sim.now))
+        r = FaultExperimentRunner().run_trial(SW_ADDRESS_MAP, seed=1)
+        assert len(attempts) > 1 and attempts == sorted(attempts)
+        assert r.notes == "fault never injected"
+        assert r.injected_at_ns == -1
+        assert not r.detected and not r.contained
+        assert r.survivors_alive and r.check_ok
+
+
 class TestFileServerFailure:
     def test_clients_get_errors_not_crashes(self):
         """Killing the file-server cell gives surviving clients I/O

@@ -2,6 +2,7 @@
 accounting, hot-path tier profiling, and the campaign report."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -304,7 +305,7 @@ class TestEngineProfile:
 
 
 class TestTierSnapshots:
-    def _snap(self, memo=2, fast=10, slow=5):
+    def _snap(self, memo=2, fast=10, calls=15):
         return {
             "coherence": {"memo_hits": memo, "inline_batches": 1,
                           "vector_batches": 1, "scalar_batches": 0,
@@ -313,9 +314,8 @@ class TestTierSnapshots:
                           "inline_rate": 1 / (memo + 2),
                           "vector_rate": 1 / (memo + 2),
                           "scalar_rate": 0.0},
-            "rpc": {"fast_path": fast, "slow_path": slow,
-                    "calls_total": fast + slow,
-                    "fast_rate": fast / (fast + slow)},
+            "rpc": {"fast_path": fast, "calls_total": calls,
+                    "fast_rate": fast / calls},
             "engine": None,
         }
 
@@ -428,38 +428,44 @@ class TestCampaignReport:
         traj[-1]["payload"]["parked_compare"] = {"counters_match": True}
         assert check_campaign_report(self._payload(), traj) == []
 
-    def test_check_flags_slow_path_calls_in_a_default_path_row(
+    def test_check_takes_rpc_tiers_without_a_slow_path_key(
             self, tmp_path):
-        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000)
-        self._write_bench(tmp_path, "BENCH_pr4.json", 110_000)
+        """PR 16's ``tiers.rpc.slow_path > 0`` rule went with the slow
+        twin: a row that cannot be produced needs no gate.  Rows written
+        from PR 18 on have no such key and the ledger up to
+        ``BENCH_pr16.json`` has it; ``--check`` and the renderer take
+        both."""
+        new_rpc = {"fast_path": 9, "calls_total": 9, "fast_rate": 1.0}
+        old_rpc = dict(new_rpc, slow_path=0)
+        self._write_bench(tmp_path, "BENCH_pr16.json", 100_000)
+        self._write_bench(tmp_path, "BENCH_pr18.json", 110_000)
         traj = load_bench_trajectory(str(tmp_path))
+        traj[0]["payload"]["results"]["large"]["tiers"] = {"rpc": old_rpc}
         newest = traj[-1]["payload"]
-        newest["results"]["large"]["tiers"] = {
-            "rpc": {"fast_path": 40, "slow_path": 0}}
-        newest["rpc"] = {"results": {"small": {"tiers": {
-            "rpc": {"fast_path": 9, "slow_path": 3}}}}}
-        problems = check_campaign_report(self._payload(), traj)
-        assert problems == [
-            "BENCH_pr4.json: rpc row 'small' sent 3 RPC call(s) through "
-            "the slow twin (tiers.rpc.slow_path > 0)"]
-        newest["rpc"]["results"]["small"]["tiers"]["rpc"]["slow_path"] = 0
-        newest["results"]["large"]["tiers"]["rpc"]["slow_path"] = 1
-        problems = check_campaign_report(self._payload(), traj)
-        assert len(problems) == 1 and "results row 'large'" in problems[0]
-        # Only the newest file is held to it: older ledgers predate it.
-        traj[0]["payload"]["results"]["large"]["tiers"] = {
-            "rpc": {"slow_path": 7}}
-        newest["results"]["large"]["tiers"]["rpc"]["slow_path"] = 0
+        newest["results"]["large"]["tiers"] = {"rpc": new_rpc}
+        newest["rpc"] = {"results": {"small": {"tiers": {"rpc": new_rpc}}}}
         assert check_campaign_report(self._payload(), traj) == []
+        for rpc in (new_rpc, old_rpc):
+            payload = self._payload()
+            payload["tiers"] = {"coherence": None, "rpc": rpc,
+                                "engine": None}
+            assert ("- RPC dispatches: 9 (fast path 100.00%)"
+                    in render_campaign_report(payload, traj))
+        # The committed ledger, slow_path keys and all, still renders.
+        root = pathlib.Path(__file__).resolve().parents[1]
+        committed = load_bench_trajectory(str(root))
+        pr16 = next(e for e in committed if e["pr"] == 16)
+        assert "slow_path" in json.dumps(pr16["payload"])
+        assert "BENCH_pr16.json" in render_campaign_report(
+            self._payload(), committed)
 
     def test_rpc_bench_rows_carry_their_dispatch_tiers(self):
         from repro.bench.rpcbench import run_rpc_bench
 
-        fast = run_rpc_bench("small", seed=11)["tiers"]["rpc"]
-        assert fast["slow_path"] == 0 and fast["fast_rate"] == 1.0
-        slow = run_rpc_bench("small", seed=11, fast=False)["tiers"]["rpc"]
-        assert slow["fast_path"] == 0
-        assert slow["slow_path"] == fast["fast_path"] > 0
+        row = run_rpc_bench("small", seed=11)
+        rpc = row["tiers"]["rpc"]
+        assert rpc["fast_path"] == rpc["calls_total"] == row["calls"] > 0
+        assert rpc["fast_rate"] == 1.0
 
     def test_check_flags_missing_availability_and_failures(self):
         problems = check_campaign_report(

@@ -6,7 +6,17 @@ recovery timeline, the same discard counts, and a byte-identical span
 export.  This test runs the paper's ``sw_cow_tree`` scenario (the most
 recovery-heavy of Table 7.4: kernel data corruption, wild writes,
 preemptive discard) twice and compares everything observable.
+
+The scalar coherence loop (``HIVE_BATCH=0``), the binary-heap event
+queue (``HIVE_WHEEL=0``) and the step-by-step RPC dispatch
+(``HIVE_RPC_FAST=0``) were the independent twins these goldens diffed
+the default path against until PR 18 deleted them.  Their last outputs,
+taken at c371ead over a wider grid than these tests ran (EXPERIMENTS.md,
+"Last run of the twins"), are pinned below as literals: the one path
+must keep printing what each twin printed.
 """
+
+import hashlib
 
 from repro.bench.faultexp import SW_COW_TREE, FaultExperimentRunner
 from repro.obs import attach_flight_recorder, to_jsonl
@@ -31,14 +41,12 @@ def _record_key(rec):
     )
 
 
-def _run_once(batch=None):
+def _run_once():
     captured = {}
 
     def on_boot(system):
         captured["recorder"] = attach_flight_recorder(system)
         captured["system"] = system
-        if batch is not None:
-            system.machine.coherence.batch_enabled = batch
 
     runner = FaultExperimentRunner(on_boot=on_boot)
     trial = runner.run_trial(SW_COW_TREE, seed=SEED)
@@ -73,6 +81,24 @@ class TestSwCowTreeGolden:
         assert spans == second[3]
 
 
+#: what ``sw_cow_tree`` seed 5 gave under each of HIVE_BATCH=0,
+#: HIVE_WHEEL=0 and HIVE_RPC_FAST=0 at c371ead (all three agreed)
+TWIN_TRIAL_KEY = ("sw_cow_tree", 5, 2_088_225_995, True, 204_432_533,
+                  True, True, True, True, 42_378_600)
+TWIN_RECORDS = (
+    (4, (3,), 2_282_558_528,
+     "careful reference alignment check: addr=0x41eb0e2",
+     ((0, 2_292_658_528), (1, 2_292_658_528), (2, 2_292_658_528)),
+     100_000, 2_335_037_128, 0, 0, 0, False),
+    (3, (3,), 2_282_557_408, "voted down twice accusing 0",
+     ((0, 2_292_558_408), (1, 2_292_558_408), (2, 2_292_558_408)),
+     1_000, 2_335_628_208, 0, 0, 0, False),
+)
+TWIN_DISCARDED = 0
+TWIN_SPANS_LINES = 14_566
+TWIN_SPANS_SHA256 = (
+    "de826b05eaf258e9bb4deb219e8f46a1977b94cd0be47aee3e8ee72d983bcd0f")
+
 #: run_throughput keys that are simulated (seed-deterministic) rather
 #: than wall-clock measurements.
 DETERMINISTIC_ROW_KEYS = (
@@ -81,51 +107,74 @@ DETERMINISTIC_ROW_KEYS = (
     "samples", "recovery_detected", "discarded_pages",
 )
 
+#: ``run_throughput("small", seed=11)`` as ``batch=False`` and
+#: ``wheel=False`` each gave it at c371ead
+TWIN_THROUGHPUT_ROW = {
+    "config": "small", "nodes": 4, "cells": 4, "cpus_per_node": 1,
+    "seed": 11, "sim_ms": 400.0, "events": 42_993, "accesses": 337_838,
+    "driver_accesses": 337_584, "writable_page_samples": 960,
+    "samples": 67, "recovery_detected": True, "discarded_pages": 32,
+}
+
+#: ``run_rpc_bench("small", seed=11)`` as ``fast=False`` and
+#: ``wheel=False`` each gave it at c371ead
+TWIN_RPC_ROW = {
+    "round_trips": 1_200, "sim_now_ns": 4_111_400, "calls": 1_200,
+    "send_retries": 0, "timeouts": 0, "spin_timeouts": 0, "queued": 240,
+    "queued_fallback": 0, "served_interrupt": 960, "served_queued": 240,
+    "latency_n": 1_200, "latency_total_ns": 16_445_600,
+    "sips_sends": 2_400, "flow_control_rejections": 0,
+}
+
+
+def _assert_throughput_row_matches_twin():
+    from repro.bench.throughput import run_throughput
+
+    row = run_throughput("small", seed=11)
+    assert set(TWIN_THROUGHPUT_ROW) == set(DETERMINISTIC_ROW_KEYS)
+    for key in DETERMINISTIC_ROW_KEYS:
+        assert row[key] == TWIN_THROUGHPUT_ROW[key], key
+
+
+def _assert_rpc_row_matches_twin():
+    from repro.bench.rpcbench import RPC_DETERMINISTIC_KEYS, run_rpc_bench
+
+    row = run_rpc_bench("small", seed=11)
+    assert set(TWIN_RPC_ROW) == set(RPC_DETERMINISTIC_KEYS)
+    for key in RPC_DETERMINISTIC_KEYS:
+        assert row[key] == TWIN_RPC_ROW[key], key
+
 
 class TestBatchVsScalarGolden:
-    """The batched access path must be invisible to the simulation.
-
-    Runs the recovery-heaviest Table 7.4 scenario and the throughput
-    scenario with batching forced on and off, and diffs event counts,
-    recovery records, discard counts, and span exports byte-for-byte.
-    """
+    """The batched access path must be invisible to the simulation:
+    the recovery-heaviest Table 7.4 scenario and the throughput scenario
+    give the event counts, recovery records, discard counts and span
+    export the scalar loop gave, byte for byte."""
 
     def test_sw_cow_tree_batch_toggle(self):
-        batched = _run_once(batch=True)
-        scalar = _run_once(batch=False)
-        assert batched[0][3], "fault was never detected"
-        assert batched[0] == scalar[0]  # trial result fields
-        assert batched[1] == scalar[1]  # recovery records
-        assert batched[2] == scalar[2]  # discarded pages
-        assert batched[3] == scalar[3]  # span export, byte-for-byte
+        trial_key, records, discarded, spans = _run_once()
+        assert trial_key == TWIN_TRIAL_KEY
+        assert records == TWIN_RECORDS
+        assert discarded == TWIN_DISCARDED
+        assert spans.count("\n") == TWIN_SPANS_LINES
+        assert (hashlib.sha256(spans.encode()).hexdigest()
+                == TWIN_SPANS_SHA256)
 
     def test_throughput_small_batch_toggle(self):
-        from repro.bench.throughput import run_throughput
-
-        batched = run_throughput("small", seed=11, batch=True)
-        scalar = run_throughput("small", seed=11, batch=False)
-        assert batched["recovery_detected"]
-        for key in DETERMINISTIC_ROW_KEYS:
-            assert batched[key] == scalar[key], key
+        _assert_throughput_row_matches_twin()
 
 
 class TestWheelVsHeapGolden:
-    """The engine timer wheel must be invisible to the simulation: the
-    wheel and classic-heap dispatch loops process the same events in the
-    same order, so *every* deterministic row key — including the engine
-    event count itself — must match."""
+    """The engine timer wheel must be invisible to the simulation: it
+    dispatches the events the classic binary heap dispatched in the same
+    order, so *every* deterministic row key — including the engine event
+    count itself — is what the heap gave."""
 
     def test_throughput_small_wheel_toggle(self):
-        from repro.bench.throughput import run_throughput
-
-        wheel = run_throughput("small", seed=11, wheel=True)
-        heap = run_throughput("small", seed=11, wheel=False)
-        assert wheel["recovery_detected"]
-        for key in DETERMINISTIC_ROW_KEYS:
-            assert wheel[key] == heap[key], key
+        _assert_throughput_row_matches_twin()
 
     def test_throughput_small_profile_toggle(self, monkeypatch):
-        """HIVE_PROFILE=1 swaps in the profiled dispatch loops; the
+        """HIVE_PROFILE=1 swaps in the profiled dispatch loop; the
         simulation (and every deterministic tier counter) must be
         unchanged, and the engine section must appear."""
         from repro.bench.throughput import run_throughput
@@ -145,7 +194,7 @@ class TestWheelVsHeapGolden:
 
     def test_rpc_bench_small_profile_toggle(self, monkeypatch):
         """Pooled interrupt-service tasks sleep like processes do; the
-        profiled loops must attribute their wakeups (to ``rpc``) and
+        profiled loop must attribute their wakeups (to ``rpc``) and
         still account for every event."""
         from repro.bench.rpcbench import (
             RPC_DETERMINISTIC_KEYS,
@@ -156,7 +205,7 @@ class TestWheelVsHeapGolden:
 
         plain = run_rpc_bench("small", seed=11)
         monkeypatch.setenv("HIVE_PROFILE", "1")
-        system = boot_rpc_system("small", 11, None)
+        system = boot_rpc_system("small", 11)
         profiled = run_rpc_bench("small", seed=11, system=system)
         for key in RPC_DETERMINISTIC_KEYS:
             assert plain[key] == profiled[key], key
@@ -165,68 +214,32 @@ class TestWheelVsHeapGolden:
         assert engine["subsystem_wall_s"]["rpc"] > 0
 
     def test_rpc_bench_small_wheel_toggle(self):
-        from repro.bench.rpcbench import (
-            RPC_DETERMINISTIC_KEYS,
-            run_rpc_bench,
-        )
-
-        wheel = run_rpc_bench("small", seed=11, wheel=True)
-        heap = run_rpc_bench("small", seed=11, wheel=False)
-        assert wheel["round_trips"] > 0
-        for key in RPC_DETERMINISTIC_KEYS:
-            assert wheel[key] == heap[key], key
+        _assert_rpc_row_matches_twin()
 
 
 class TestRpcFastVsSlowGolden:
-    """The HIVE_RPC_FAST path must leave every *simulated* RPC outcome
-    unchanged: counts, latencies, sends, retries, and the finish time.
-    (``events_processed`` legitimately differs — the fast path exists to
-    dispatch fewer engine events per round trip.)"""
+    """The coalesced RPC dispatch must leave every *simulated* RPC
+    outcome where the step-by-step dispatch had it: counts, latencies,
+    sends, retries, and the finish time.  (``events_processed`` was
+    never part of this: coalescing exists to dispatch fewer engine
+    events per round trip.)"""
 
     def test_rpc_bench_small_fast_toggle(self):
-        from repro.bench.rpcbench import (
-            RPC_DETERMINISTIC_KEYS,
-            run_rpc_bench,
-        )
-
-        fast = run_rpc_bench("small", seed=11, fast=True)
-        slow = run_rpc_bench("small", seed=11, fast=False)
-        assert fast["round_trips"] > 0
-        assert fast["served_queued"] > 0  # mix exercises the queued path
-        for key in RPC_DETERMINISTIC_KEYS:
-            assert fast[key] == slow[key], key
+        assert TWIN_RPC_ROW["served_queued"] > 0  # mix has queued calls
+        _assert_rpc_row_matches_twin()
 
     def test_sw_cow_tree_fast_toggle(self):
         """The recovery-heaviest Table 7.4 scenario (agreement rounds,
-        probe RPCs, timeouts against dead cells) byte-for-byte."""
-
-        def toggle(fast):
-            def on_boot(system):
-                for cell in system.cells:
-                    cell.rpc.fast_enabled = fast
-
-            from repro.bench.faultexp import FaultExperimentRunner
-            captured = {}
-
-            def boot_hook(system):
-                on_boot(system)
-                captured["system"] = system
-
-            runner = FaultExperimentRunner(on_boot=boot_hook)
-            trial = runner.run_trial(SW_COW_TREE, seed=SEED)
-            system = captured["system"]
-            records = tuple(_record_key(r)
-                            for r in system.coordinator.records)
-            return (
-                (trial.scenario, trial.seed, trial.injected_at_ns,
-                 trial.detected, trial.last_entry_latency_ns,
-                 trial.contained, trial.survivors_alive,
-                 trial.outputs_ok, trial.check_ok,
-                 trial.recovery_duration_ns),
-                records,
-            )
-
-        fast = toggle(True)
-        slow = toggle(False)
-        assert fast[0][3], "fault was never detected"
-        assert fast == slow
+        probe RPCs, timeouts against dead cells), without a recorder
+        attached this time."""
+        captured = {}
+        runner = FaultExperimentRunner(
+            on_boot=lambda system: captured.update(system=system))
+        trial = runner.run_trial(SW_COW_TREE, seed=SEED)
+        records = tuple(_record_key(r)
+                        for r in captured["system"].coordinator.records)
+        assert (trial.scenario, trial.seed, trial.injected_at_ns,
+                trial.detected, trial.last_entry_latency_ns,
+                trial.contained, trial.survivors_alive, trial.outputs_ok,
+                trial.check_ok, trial.recovery_duration_ns) == TWIN_TRIAL_KEY
+        assert records == TWIN_RECORDS

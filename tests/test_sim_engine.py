@@ -425,9 +425,9 @@ class TestCancellation:
         assert t._entry is None or t._entry[2] is None
 
 
-def _dispatch_trace(wheel):
+def _dispatch_trace():
     """A mixed schedule exercising nowq, wheel slots, and heap tiers."""
-    sim = Simulator(wheel=wheel)
+    sim = Simulator()
     trace = []
 
     def note(tag):
@@ -454,12 +454,92 @@ def _dispatch_trace(wheel):
     return trace, sim.events_processed, sim.now
 
 
+#: what the classic single binary heap (``Simulator(wheel=False)``,
+#: deleted in PR 18) printed for ``_dispatch_trace`` at c371ead
+HEAP_DISPATCH_TRACE = (
+    [(0, "d0"), (1, "d1"), (100, "d2"), (100, "tie"), (40000, "p0"),
+     (53000, "p1"), (65535, "d3"), (65536, "d4"), (66000, "p2"),
+     (70000, "d5"), (80000, "p0"), (106000, "p1"), (120000, "p0"),
+     (132000, "p2"), (159000, "p1"), (160000, "p0"), (198000, "p2"),
+     (200000, "p0"), (212000, "p1"), (240000, "p0"), (264000, "p2"),
+     (265000, "p1"), (280000, "p0"), (318000, "p1"), (320000, "p0"),
+     (330000, "p2"), (371000, "p1"), (396000, "p2"), (424000, "p1"),
+     (462000, "p2"), (528000, "p2"), (1000000, "d6"), (300000000, "d7"),
+     (500000000, "d8")],
+    61, 500000000)
+
+
+class _Ledger:
+    """Schedules through ``sim.schedule`` and keeps every entry's key,
+    so a test can state the queue's contract without a second queue to
+    compare against: every live entry dispatches once, at its own time,
+    and dispatches are strictly increasing in ``(time, schedule seq)``."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.keys = {}
+        self.fired = []
+
+    def schedule(self, delay, tag, then=None):
+        def fire():
+            assert self.sim.now == self.keys[tag][0]
+            self.fired.append(tag)
+            if then is not None:
+                then()
+
+        entry = self.sim.schedule(delay, fire)
+        self.keys[tag] = (entry[0], entry[1])
+        return entry
+
+    def check(self, cancelled=()):
+        order = [self.keys[tag] for tag in self.fired]
+        assert all(a < b for a, b in zip(order, order[1:])), order
+        assert sorted(self.fired) == sorted(set(self.keys) - set(cancelled))
+
+
+#: delays on both sides of every tier boundary: the same-instant deque,
+#: the near slots that skip the wheel, wheel slots, the wheel horizon
+#: (4096 slots of 65,536 ns) and the heap beyond it
+_TIER_DELAYS = st.sampled_from([
+    0, 0, 1, 100, 65_535, 65_536, 131_071, 196_608, 196_609, 262_144,
+    1_000_000, 268_435_455, 268_435_456, 268_500_000, 300_000_000])
+
+
 class TestTimerWheel:
     def test_wheel_and_heap_dispatch_identically(self):
-        assert _dispatch_trace(wheel=True) == _dispatch_trace(wheel=False)
+        assert _dispatch_trace() == HEAP_DISPATCH_TRACE
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan=st.lists(st.tuples(_TIER_DELAYS,
+                                   st.lists(_TIER_DELAYS, max_size=3),
+                                   st.booleans()), max_size=30),
+           stops=st.lists(st.integers(0, 600_000_000), max_size=3))
+    def test_dispatch_order_is_time_then_schedule_seq(self, plan, stops):
+        """The ordering contract, stated on the one queue: entries land
+        in the deque, the near heap, a wheel slot or the far heap, some
+        schedule more from inside their callback, some are cancelled,
+        and ``run(until=)`` stops fast-forward the slot cursor."""
+        sim = Simulator()
+        ledger = _Ledger(sim)
+        cancelled = []
+        for i, (delay, children, cancel) in enumerate(plan):
+            def spawn(i=i, children=children):
+                for j, d in enumerate(children):
+                    ledger.schedule(d, (i, j))
+
+            entry = ledger.schedule(delay, (i, -1), then=spawn)
+            if cancel:
+                assert sim.cancel(entry)
+                cancelled.append((i, -1))
+        for until in sorted(stops):
+            sim.run(until=until)
+            assert sim.now == until
+        sim.run()
+        ledger.check(cancelled)
+        assert sim.events_processed == len(ledger.fired)
 
     def test_far_future_timer_beyond_horizon_fires(self):
-        sim = Simulator(wheel=True)
+        sim = Simulator()
         seen = []
         # ~500 ms is far past the wheel horizon -> heap fallback.
         sim.schedule(500_000_000, seen.append, "far")
@@ -467,7 +547,7 @@ class TestTimerWheel:
         assert seen == ["far"] and sim.now == 500_000_000
 
     def test_run_until_fast_forwards_wheel_cursor(self):
-        sim = Simulator(wheel=True)
+        sim = Simulator()
         seen = []
         sim.schedule(10_000_000, seen.append, "late")
         sim.run(until=5_000_000)
@@ -476,10 +556,9 @@ class TestTimerWheel:
         assert seen == ["late"] and sim.now == 10_000_000
 
     def test_wheel_env_escape_hatch(self, monkeypatch):
+        """The hatch is closed: ``HIVE_WHEEL=0`` selects nothing."""
         monkeypatch.setenv("HIVE_WHEEL", "0")
-        assert not Simulator()._wheel_on
-        monkeypatch.setenv("HIVE_WHEEL", "1")
-        assert Simulator()._wheel_on
+        assert _dispatch_trace() == HEAP_DISPATCH_TRACE
 
     def test_slot_boundary_entries_dispatch_in_order(self):
         """Entries landing exactly on a slot boundary (t multiple of the
@@ -488,24 +567,20 @@ class TestTimerWheel:
         from repro.sim.engine import _WHEEL_SHIFT
 
         width = 1 << _WHEEL_SHIFT
-
-        def run(wheel):
-            sim = Simulator(wheel=wheel)
-            seen = []
-            # exactly on the boundary, one before, one after — across
-            # several consecutive slots
-            for k in range(3, 8):
-                sim.schedule(k * width - 1, seen.append, (k, "pre"))
-                sim.schedule(k * width, seen.append, (k, "on"))
-                sim.schedule(k * width + 1, seen.append, (k, "post"))
-            sim.run()
-            return seen, sim.now, sim.events_processed
-
-        wheel_out = run(True)
-        assert wheel_out == run(False)
-        seen = wheel_out[0]
-        assert seen == sorted(seen, key=lambda x: (x[0],
-                              ("pre", "on", "post").index(x[1])))
+        sim = Simulator()
+        ledger = _Ledger(sim)
+        # exactly on the boundary, one before, one after — across
+        # several consecutive slots
+        for k in range(3, 8):
+            ledger.schedule(k * width - 1, (k, "pre"))
+            ledger.schedule(k * width, (k, "on"))
+            ledger.schedule(k * width + 1, (k, "post"))
+        sim.run()
+        ledger.check()
+        # what the single heap gave at c371ead
+        assert ledger.fired == [(k, where) for k in range(3, 8)
+                                for where in ("pre", "on", "post")]
+        assert (sim.now, sim.events_processed) == (458_753, 15)
 
     def test_cursor_wrap_at_wheel_slots(self):
         """Timers more than a full wheel revolution apart reuse the same
@@ -514,29 +589,23 @@ class TestTimerWheel:
 
         width = 1 << _WHEEL_SHIFT
         horizon = _WHEEL_SLOTS * width
-
-        def run(wheel):
-            sim = Simulator(wheel=wheel)
-            seen = []
-            slot_t = 100 * width + 7
-            # First epoch: inside the horizon -> lives on the wheel.
-            sim.schedule(slot_t, seen.append, "epoch0")
-
-            def reschedule(_):
-                # Scheduled from t=slot_t: one full revolution later,
-                # same slot index modulo _WHEEL_SLOTS.
-                sim.schedule(horizon, seen.append, "epoch1")
-
-            sim.schedule(slot_t, reschedule, None)
-            # A sentinel between the epochs proves epoch1 did not fire
-            # with epoch0's slot flush.
-            sim.schedule(slot_t + horizon // 2, seen.append, "mid")
-            sim.run()
-            return seen, sim.now, sim.events_processed
-
-        wheel_out = run(True)
-        assert wheel_out == run(False)
-        assert wheel_out[0] == ["epoch0", "mid", "epoch1"]
+        sim = Simulator()
+        ledger = _Ledger(sim)
+        slot_t = 100 * width + 7
+        # First epoch: inside the horizon -> lives on the wheel.
+        ledger.schedule(slot_t, "epoch0")
+        # Scheduled from t=slot_t: one full revolution later, same slot
+        # index modulo _WHEEL_SLOTS.
+        ledger.schedule(slot_t, "reschedule",
+                        then=lambda: ledger.schedule(horizon, "epoch1"))
+        # A sentinel between the epochs proves epoch1 did not fire
+        # with epoch0's slot flush.
+        ledger.schedule(slot_t + horizon // 2, "mid")
+        sim.run()
+        ledger.check()
+        # what the single heap gave at c371ead
+        assert ledger.fired == ["epoch0", "reschedule", "mid", "epoch1"]
+        assert (sim.now, sim.events_processed) == (274_989_063, 4)
 
     def test_heap_compaction_at_exact_threshold(self):
         """Crossing ``_COMPACT_MIN_DEAD`` cancelled entries (while dead
@@ -544,11 +613,12 @@ class TestTimerWheel:
         and the survivors still dispatch correctly."""
         from repro.sim.engine import _COMPACT_MIN_DEAD
 
-        sim = Simulator(wheel=False)
+        sim = Simulator()
         seen = []
-        doomed = [sim.schedule(1_000_000 + i, seen.append, f"dead{i}")
+        # Past the wheel horizon, so every entry sits in the heap.
+        doomed = [sim.schedule(500_000_000 + i, seen.append, f"dead{i}")
                   for i in range(_COMPACT_MIN_DEAD + 1)]
-        keep = [sim.schedule(2_000_000 + i, seen.append, f"keep{i}")
+        keep = [sim.schedule(600_000_000 + i, seen.append, f"keep{i}")
                 for i in range(10)]
         # Cancel up to the threshold: entries are cleared in place but
         # stay in the heap (compaction requires dead > _COMPACT_MIN_DEAD
@@ -569,25 +639,22 @@ class TestTimerWheel:
         assert sim.events_processed == len(keep)
 
     def test_run_until_event_equivalent_across_modes(self):
-        def run(wheel):
-            sim = Simulator(wheel=wheel)
-            done = sim.event("done")
+        sim = Simulator()
+        done = sim.event("done")
 
-            def ticker():
-                for _ in range(50):
-                    yield sim.timeout(30_000)
+        def ticker():
+            for _ in range(50):
+                yield sim.timeout(30_000)
 
-            def finisher():
-                yield sim.timeout(400_000)
-                done.succeed("yes")
+        def finisher():
+            yield sim.timeout(400_000)
+            done.succeed("yes")
 
-            sim.process(ticker())
-            sim.process(finisher())
-            fired = sim.run_until_event(done,
-                                        deadline=sim.now + 10_000_000)
-            return fired, sim.now, sim.events_processed
-
-        assert run(True) == run(False)
+        sim.process(ticker())
+        sim.process(finisher())
+        fired = sim.run_until_event(done, deadline=sim.now + 10_000_000)
+        # what _run_until_event_heap gave at c371ead
+        assert (fired, sim.now, sim.events_processed) == (True, 400_000, 30)
 
 
 # -- sleeps: ``yield <int ns>`` ---------------------------------------------
@@ -708,9 +775,8 @@ class TestSleep:
         sim.run()
         assert sim.now == 100
 
-    @pytest.mark.parametrize("sim_kwargs", [
-        {"wheel": True}, {"wheel": False}, {"profile": True},
-        {"wheel": False, "profile": True}], ids=str)
+    @pytest.mark.parametrize("sim_kwargs", [{}, {"profile": True}],
+                             ids=str)
     @settings(max_examples=120, deadline=None)
     @given(programs=st.lists(_STEPS, min_size=1, max_size=5),
            interrupts=st.lists(st.tuples(_INSTANTS, st.integers(0, 4)),
@@ -732,10 +798,14 @@ class TestSleep:
         programs = [[("sleep", 5), ("wait", 0), ("sleep", 70_000)],
                     [("sleep", 5), ("fire", 0), ("sleep", 0)]]
         interrupts = [(5, 0), (70_005, 0)]
-        _, wheel = _run_program(programs, interrupts, False)
         monkeypatch.setenv("HIVE_WHEEL", "0")
-        sim, heap = _run_program(programs, interrupts, False)
-        assert not sim._wheel_on and heap == wheel
+        _, outcome = _run_program(programs, interrupts, False)
+        # what the heap (which that variable used to select) gave at
+        # c371ead; the variable selects nothing now
+        assert outcome == (70_005, [
+            (0, 0, 5, "interrupted", 0), (1, 0, 5, "sleep"),
+            (1, 1, 5, "fire"), (0, 1, 5, "wait"), (1, 2, 5, "sleep"),
+            (0, 2, 70_005, "interrupted", 1)], 11)
 
     def test_one_idiom_for_a_sleep_in_src(self):
         """No statement-level ``yield <x>.timeout(...)`` in src/repro:

@@ -166,7 +166,7 @@ class TestReplayObservability:
         snap = {
             "coherence": {"memo_hits": 10, "inline_batches": 2,
                           "vector_batches": 1, "scalar_batches": 0},
-            "rpc": {"fast_path": 5, "slow_path": 1},
+            "rpc": {"fast_path": 5, "calls_total": 5},
             "engine": None,
             "replay": {"enabled": True, "trace_rows": 100, "chains": 4,
                        "replayed_from_trace": 80, "fallback_wakeups": 20,

@@ -370,3 +370,47 @@ class TestVmSyscalls:
         assert out["ok"]
         fs = small.filesystems[0]
         assert fs.disk_writes > 0  # dirty pages went to the platter
+
+
+class TestCorruptCowLeafPointer:
+    """A kernel bug that corrupts the COW leaf pointer of an address
+    map (Table 7.4's ``sw_address_map``) is noticed by whichever path
+    consumes the pointer next: local fork and exit, not only the
+    anonymous fault."""
+
+    @staticmethod
+    def _corrupt(ctx, region):
+        # KernelFaultInjector.corrupt_address_map in self_pointer mode
+        region.cow_leaf_addr = ctx.process.cow_leaf_addr = region.kaddr
+
+    def test_local_fork_panics_the_cell(self, kernel):
+        def child(ctx):
+            yield from ctx.compute(1000)
+
+        def prog(ctx):
+            region = yield from ctx.map_anon(2)
+            self._corrupt(ctx, region)
+            yield from ctx.spawn(child, "kid")
+
+        run_program(kernel, 0, prog)
+        assert not kernel.alive
+        assert "corrupt COW leaf pointer" in kernel.panic_reason
+        assert kernel.panic_reason.endswith("at fork")
+
+    def test_exit_panics_the_cell(self, kernel):
+        def prog(ctx):
+            region = yield from ctx.map_anon(2)
+            self._corrupt(ctx, region)
+
+        run_program(kernel, 0, prog)
+        assert not kernel.alive
+        assert "corrupt COW leaf pointer" in kernel.panic_reason
+        assert kernel.panic_reason.endswith("at exit")
+
+    def test_zero_leaf_pointer_exits_quietly(self, kernel):
+        def prog(ctx):
+            ctx.process.cow_leaf_addr = 0
+            yield from ctx.compute(1000)
+
+        run_program(kernel, 0, prog)
+        assert kernel.alive
