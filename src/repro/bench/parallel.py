@@ -353,8 +353,8 @@ def _inject_shard_worker(
     ``capture`` additionally ships the trial's columnar event stream
     (replay campaigns diff every trial against trial 0 at merge time).
     ``snapshot`` forks the trial's system from the worker's image
-    instead of booting (falling back to a boot per trial when
-    ``HIVE_SNAPSHOT=0``); the golden contract keeps either path
+    instead of booting (falling back to a boot per trial without
+    ``os.fork``); the golden contract keeps either path
     byte-identical, and ``out["setup"]`` records which was paid.
     """
     (scenario, seed, fault_seed, agreement, telemetry_dir, capture,

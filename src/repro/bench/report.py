@@ -288,14 +288,6 @@ def _tiers_lines(tiers: Dict[str, Any]) -> List[str]:
     else:
         lines.append("- engine dispatches: not profiled "
                      "(set HIVE_PROFILE=1 to attribute engine time)")
-    rep = tiers.get("replay")
-    if rep:
-        lines.append(
-            f"- trace replay: {rep['replayed_from_trace']} wakeups from "
-            f"trace ({_pct(rep['trace_hit_rate'])} hit rate), "
-            f"{rep['fallback_wakeups']} live fallbacks, "
-            f"{rep['desyncs']} desyncs / {rep['resyncs']} resyncs "
-            f"over {rep['chains']} chains")
     return lines
 
 

@@ -207,7 +207,7 @@ def run_rpc_bench_forked(config: str, seed: int = 1995) -> dict:
 
     Same byte-identical counters; ``boot_wall_s`` becomes the image's
     one-time boot and ``fork_wall_s`` the per-run fork.  Falls back to
-    a fresh boot per run under ``HIVE_SNAPSHOT=0``.
+    a fresh boot per run on a platform without ``os.fork``.
     """
     if not snapshot_enabled():
         row = run_rpc_bench(config, seed=seed)

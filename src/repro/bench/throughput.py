@@ -43,7 +43,6 @@ from repro.obs.profile import tier_snapshot
 from repro.sim.channels import attach_channels
 from repro.sim.engine import Simulator
 from repro.sim.oplog import OP_MEMO, OP_REAL, OP_RETIRE, OpLog
-from repro.sim.replay import ReplaySession, replay_from_env
 from repro.sim.shard import ChainCoordinator
 from repro.sim.snapshot import SystemImage, snapshot_enabled
 
@@ -51,12 +50,9 @@ BENCH_SCHEMA = "hive-throughput/v1"
 
 #: simulated counters every execution form of the scenario must agree
 #: on byte-for-byte: parked chains against the per-wakeup recording run,
-#: a trace replay against a live run (HIVE_REPLAY), fork-then-run against
-#: fresh-boot-then-run (HIVE_SNAPSHOT).  ``tiers`` covers the per-tier
-#: coherence attribution (hits, misses, memo replays; its ``replay``
-#: section is stripped first — it *says* which execution tier ran, like
-#: the ``parking`` metadata) and ``channels`` the intercell channel
-#: fingerprint.
+#: fork-then-run against fresh-boot-then-run.  ``tiers`` covers the
+#: per-tier coherence attribution (hits, misses, memo replays) and
+#: ``channels`` the intercell channel fingerprint.
 EQUIV_KEYS = (
     "events", "accesses", "driver_accesses", "discarded_pages",
     "writable_page_samples", "samples", "recovery_detected", "sim_ms",
@@ -117,7 +113,7 @@ def _exporter(sim: Simulator, cell, client_cell: int, nframes: int,
 
 def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
              ready, cfg: ThroughputConfig, stop_ns: int, counters: dict,
-             coord: ChainCoordinator, record=None, session=None):
+             coord: ChainCoordinator, record=None):
     """Issue real coherence reads/ownership requests against the frames
     the neighbour granted.  Stops when its cell dies or loses access.
 
@@ -129,8 +125,6 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
     ``record`` (an :class:`OpLog`) captures one columnar row per wakeup,
     so a recording run never credits: it executes every wakeup for real
     and is the per-wakeup oracle parked runs are diffed against.
-    ``session`` (a :class:`ReplaySession`) registers the chain as a
-    trace-guided :class:`ReplayChain` instead of a live one.
     """
     frames = yield ready
     machine = system.machine
@@ -169,11 +163,7 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
                     for k in range(ops)]
         op_list = [(base + 2 * k) & 1 for k in range(ops)]
         cycle.append(coh.prepare_batch(line_ids, op_list))
-    if session is not None:
-        chain = session.register_chain(coord, coh, cell_id, cpu, cycle,
-                                       gap)
-    else:
-        chain = coord.register_chain(coh, cpu, cycle, gap)
+    chain = coord.register_chain(coh, cpu, cycle, gap)
     node = cpu // machine.params.cpus_per_node
     peek_memo = coh.peek_memo
     j = 0
@@ -188,8 +178,7 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
                 yield chain.park(sleep_ns, k)
                 continue
         # Kind-classify the wakeup *before* issue (the peek is pure):
-        # a memo-valid batch will resolve as a pure memo replay, which
-        # is exactly the class of rows the replay tier may collapse.
+        # a memo-valid batch will resolve as a pure memo replay.
         peek = peek_memo(cpu, cycle[j]) if record is not None else None
         try:
             lat = access_prepared(cpu, cycle[j])
@@ -247,7 +236,6 @@ def boot_bench_system(config: str, seed: int = 1995) -> HiveSystem:
 def run_throughput(config: str, seed: int = 1995,
                    channels: bool = False,
                    record: Optional[OpLog] = None,
-                   replay: Optional[OpLog] = None,
                    inject_ms: Optional[int] = None,
                    system: Optional[HiveSystem] = None,
                    fork_wall_s: Optional[float] = None) -> dict:
@@ -259,12 +247,7 @@ def run_throughput(config: str, seed: int = 1995,
     ``record`` captures the traffic drivers' op stream into the given
     :class:`OpLog`, one row per wakeup — which makes a recording run the
     per-wakeup form of the scenario (no wakeup is credited ahead).
-    ``replay`` feeds a previously recorded log back through trace-guided
-    chains; ``HIVE_REPLAY=0`` ignores the log and runs live.
-    ``inject_ms`` overrides the config's fault-injection time — the
-    fault-schedule sweep's axis; everything before the moved fault
-    replays, the affected chains fall back to live execution at the
-    divergence.
+    ``inject_ms`` overrides the config's fault-injection time.
 
     ``system`` runs the scenario against an already-booted (snapshot-
     forked) system instead of booting one — its boot cost was paid by
@@ -281,9 +264,6 @@ def run_throughput(config: str, seed: int = 1995,
         boot_wall = 0.0
     sim = system.sim
     params = system.machine.params
-    use_replay = replay is not None and replay_from_env()
-    if record is not None and use_replay:
-        raise ValueError("recording requires a live run (no replay)")
     registry = system.registry
     victim = cfg.num_cells - 1
     stop_ns = cfg.duration_ms * NS_PER_MS
@@ -293,14 +273,10 @@ def run_throughput(config: str, seed: int = 1995,
     counters = {"accesses": 0, "samples": 0, "writable_page_samples": 0}
 
     chan = None
-    session = None
     if channels:
         chan = attach_channels(system.machine, registry,
                                params.min_intercell_latency_ns(), sim=sim)
     coord = ChainCoordinator(sim)
-    if use_replay:
-        session = ReplaySession(replay, cfg.name)
-        system.replay_session = session
     if record is not None:
         record.meta.update({"config": cfg.name, "seed": seed,
                             "inject_ms": inject_ms,
@@ -316,8 +292,7 @@ def run_throughput(config: str, seed: int = 1995,
         client_cell = registry.cell_object(client)
         cpu = client_cell.cpu_ids[0]
         sim.process(_traffic(sim, system, client, cpu, ready, cfg,
-                             stop_ns, counters, coord,
-                             record=record, session=session),
+                             stop_ns, counters, coord, record=record),
                     name=f"traffic{client}")
         sim.process(_sampler(sim, cell, cfg.sample_interval_ms * NS_PER_MS,
                              stop_ns, counters), name=f"sampler{c}")
@@ -381,8 +356,6 @@ def run_throughput(config: str, seed: int = 1995,
     }
     if chan is not None:
         row["channels"] = chan.snapshot()
-    if session is not None:
-        row["replay"] = session.snapshot()
     return row
 
 
@@ -410,19 +383,17 @@ def _forked_throughput(system: HiveSystem, config: str,
 
 def run_throughput_forked(config: str, seed: int = 1995,
                           channels: bool = False,
-                          replay: Optional[OpLog] = None,
                           inject_ms: Optional[int] = None) -> dict:
     """``run_throughput`` against a snapshot fork instead of a fresh boot.
 
     The returned row is byte-identical on every simulated counter (the
     golden contract); ``boot_wall_s`` becomes the image's one-time boot
     and ``fork_wall_s`` the per-run fork cost it amortizes down to.
-    With ``HIVE_SNAPSHOT=0`` (or no ``os.fork``) this falls back to a
-    fresh boot per run, with ``fork_wall_s`` recording that boot —
-    i.e. no amortization, same results.
+    Without ``os.fork`` this falls back to a fresh boot per run, with
+    ``fork_wall_s`` recording that boot — i.e. no amortization, same
+    results.
     """
-    kwargs = dict(seed=seed, channels=channels, replay=replay,
-                  inject_ms=inject_ms)
+    kwargs = dict(seed=seed, channels=channels, inject_ms=inject_ms)
     if not snapshot_enabled():
         row = run_throughput(config, **kwargs)
         row["fork_wall_s"] = row["boot_wall_s"]
@@ -441,28 +412,21 @@ def equiv_mismatches(a: dict, b: dict, labels=("a", "b")) -> dict:
     mismatches = {}
     for key in EQUIV_KEYS:
         va, vb = a.get(key), b.get(key)
-        if key == "tiers":
-            va = {k: v for k, v in (va or {}).items() if k != "replay"}
-            vb = {k: v for k, v in (vb or {}).items() if k != "replay"}
         if va != vb:
             mismatches[key] = {labels[0]: va, labels[1]: vb}
     return mismatches
 
 
-def compare_snapshot(config: str, seed: int = 1995,
-                     replay_log: Optional[OpLog] = None) -> dict:
-    """The HIVE_SNAPSHOT equivalence gate for one config.
+def compare_snapshot(config: str, seed: int = 1995) -> dict:
+    """The snapshot-fork equivalence gate for one config.
 
     Runs the scenario twice — fresh-boot-then-run and fork-then-run —
     with the channel recorder attached on both sides, and diffs every
-    key in :data:`EQUIV_KEYS`.  ``replay_log`` composes the comparison
-    with trace replay (both sides get the same log).  Returns ``match``
-    plus the amortization the fork bought (fresh boot wall vs fork
-    wall).
+    key in :data:`EQUIV_KEYS`.  Returns ``match`` plus the amortization
+    the fork bought (fresh boot wall vs fork wall).
     """
-    kwargs = dict(seed=seed, channels=True, replay=replay_log)
-    fresh = run_throughput(config, **kwargs)
-    forked = run_throughput_forked(config, **kwargs)
+    fresh = run_throughput(config, seed=seed, channels=True)
+    forked = run_throughput_forked(config, seed=seed, channels=True)
     mismatches = equiv_mismatches(fresh, forked, ("fresh", "forked"))
     fork_wall = forked["fork_wall_s"]
     return {
@@ -507,130 +471,8 @@ def compare_parked(config: str, seed: int = 1995,
     }
 
 
-def record_traces(configs: List[str], seed: int = 1995) -> Dict[str, OpLog]:
-    """One recording pass per config; returns finalized logs."""
-    logs: Dict[str, OpLog] = {}
-    for name in configs:
-        log = OpLog()
-        run_throughput(name, seed=seed, record=log)
-        logs[name] = log.finalize()
-    return logs
-
-
-def compare_replay(config: str, seed: int = 1995) -> dict:
-    """The HIVE_REPLAY equivalence gate for one config.
-
-    Records a live run (channel recorder attached so the fingerprint
-    exists on both sides), replays the trace, and diffs every key in
-    :data:`EQUIV_KEYS`.  The recording run doubles as the live
-    baseline: it is the per-wakeup form of the scenario, which
-    :func:`compare_parked` holds equal to the parked default.
-    """
-    log = OpLog()
-    live = run_throughput(config, seed=seed, channels=True, record=log)
-    log.finalize()
-    rep = run_throughput(config, seed=seed, channels=True, replay=log)
-    mismatches = equiv_mismatches(live, rep, ("live", "replay"))
-    replay_stats = rep.get("replay", {})
-    return {
-        "config": config,
-        "match": not mismatches,
-        "mismatches": mismatches,
-        "live_events_per_sec": live["events_per_sec"],
-        "replay_events_per_sec": rep["events_per_sec"],
-        "replayed_from_trace": replay_stats.get("replayed_from_trace", 0),
-        "fallback_wakeups": replay_stats.get("fallback_wakeups", 0),
-        "trace_rows": len(log),
-    }
-
-
-def sweep_inject_times(config: str, trials: int) -> List[int]:
-    """The fault-schedule sweep axis: ``trials`` injection times spread
-    deterministically across the run (none equal to the recorded
-    default, so every sweep trial exercises the divergence path)."""
-    cfg = CONFIGS[config]
-    lo = max(1, cfg.inject_ms // 2)
-    hi = max(lo + 1, cfg.duration_ms - cfg.recovery_window_ms)
-    times = []
-    for i in range(1, trials + 1):
-        t = lo + (i * (hi - lo)) // (trials + 1)
-        if t == cfg.inject_ms:
-            t += 1
-        times.append(t)
-    return times
-
-
-def run_replay_sweep(config: str, trials: int = 4, seed: int = 1995,
-                     repeats: int = 1) -> dict:
-    """A same-traffic fault-schedule sweep: record once, replay many.
-
-    Trial 0 runs live at the config's default injection time and
-    records the op trace.  Every sweep trial then moves the fault and
-    runs **twice** — live and trace-replayed — so the sweep both
-    measures the replay speedup and *gates* it: the two sides' counters
-    must match byte-for-byte at every moved fault time (the recorded
-    segments before/after the divergence replay, the affected chains
-    fall back to live execution).  Wall-clock rows keep the bench's
-    best-of-``repeats`` convention.
-    """
-    def best_of(fn):
-        best = None
-        for _ in range(max(1, repeats)):
-            row = fn()
-            if best is None or row["wall_s"] < best["wall_s"]:
-                best = row
-        return best
-
-    log = OpLog()
-    recorded = run_throughput(config, seed=seed, channels=True,
-                              record=log)
-    log.finalize()
-    rows = []
-    all_match = True
-    for inject in sweep_inject_times(config, trials):
-        live = best_of(lambda: run_throughput(
-            config, seed=seed, channels=True, inject_ms=inject))
-        rep = best_of(lambda: run_throughput(
-            config, seed=seed, channels=True, replay=log,
-            inject_ms=inject))
-        mismatches = equiv_mismatches(live, rep, ("live", "replay"))
-        if mismatches:
-            all_match = False
-        replay_stats = rep.get("replay", {})
-        rows.append({
-            "inject_ms": inject,
-            "counters_match": not mismatches,
-            "mismatches": mismatches,
-            "live_events_per_sec": live["events_per_sec"],
-            "replay_events_per_sec": rep["events_per_sec"],
-            "speedup": round(rep["events_per_sec"]
-                             / live["events_per_sec"], 2),
-            "replayed_from_trace": replay_stats.get(
-                "replayed_from_trace", 0),
-            "fallback_wakeups": replay_stats.get("fallback_wakeups", 0),
-            "desyncs": replay_stats.get("desyncs", 0),
-            "events": rep["events"],
-        })
-    live_mean = sum(r["live_events_per_sec"] for r in rows) / len(rows)
-    rep_mean = sum(r["replay_events_per_sec"] for r in rows) / len(rows)
-    return {
-        "config": config,
-        "seed": seed,
-        "trials": trials,
-        "repeats": max(1, repeats),
-        "trace_rows": len(log),
-        "recorded_events_per_sec": recorded["events_per_sec"],
-        "rows": rows,
-        "live_events_per_sec_mean": round(live_mean, 1),
-        "replay_events_per_sec_mean": round(rep_mean, 1),
-        "speedup_mean": round(rep_mean / live_mean, 2),
-        "counters_match": all_match,
-    }
-
-
 def run_suite(configs: Optional[List[str]] = None,
               seed: int = 1995, repeats: int = 1,
-              replay_logs: Optional[Dict[str, OpLog]] = None,
               snapshot: bool = False) -> dict:
     """Run the scenario at the requested sizes; returns the bench payload.
 
@@ -643,8 +485,6 @@ def run_suite(configs: Optional[List[str]] = None,
     counters are seed-deterministic and identical across repeats (this
     is verified, not assumed); only the wall-clock figures differ.
 
-    ``replay_logs`` (per-config :class:`OpLog`, from ``repro bench
-    --record``) runs each config as a trace replay instead of live.
     ``snapshot`` boots each config once into a snapshot image and forks
     every repeat from it (``fork_wall_s`` replaces the per-repeat boot).
     """
@@ -655,8 +495,7 @@ def run_suite(configs: Optional[List[str]] = None,
         walls: List[float] = []
         for _ in range(max(1, repeats)):
             runner = run_throughput_forked if snapshot else run_throughput
-            row = runner(name, seed=seed,
-                         replay=(replay_logs or {}).get(name))
+            row = runner(name, seed=seed)
             walls.append(row["wall_s"])
             if best is None:
                 best = row

@@ -592,25 +592,7 @@ def cmd_bench(args) -> int:
     )
 
     names = list(CONFIGS) if args.config == "all" else [args.config]
-    replay_logs = None
-    if args.replay:
-        from repro.sim.oplog import load_oplogs
-
-        if args.parallel > 1:
-            print("error: --replay runs in-process; drop --parallel "
-                  "(the recorded logs do not ship to pool workers)",
-                  file=sys.stderr)
-            return 2
-        replay_logs = load_oplogs(args.replay)
-        missing = [n for n in names if n not in replay_logs]
-        if missing:
-            print(f"error: {args.replay} has no trace for "
-                  f"{', '.join(missing)} (recorded: "
-                  f"{', '.join(sorted(replay_logs))})", file=sys.stderr)
-            return 2
     mode = (f"{args.parallel} workers" if args.parallel > 1 else "serial")
-    if replay_logs is not None:
-        mode += f", replaying {args.replay}"
     if args.snapshot:
         mode += ", snapshot forks"
     print(f"throughput bench: {', '.join(names)} (seed {args.seed}, "
@@ -623,10 +605,7 @@ def cmd_bench(args) -> int:
                                      snapshot=args.snapshot)
     else:
         payload = run_suite(names, seed=args.seed, repeats=args.repeats,
-                            replay_logs=replay_logs,
                             snapshot=args.snapshot)
-    if replay_logs is not None:
-        payload["replay_source"] = args.replay
     failed = bool(payload.get("failures"))
     for failure in payload.get("failures", []):
         print(f"FAILED shard {failure['config']!r} repeat "
@@ -700,69 +679,6 @@ def cmd_bench(args) -> int:
                   f"{row['round_trips_per_sec']:>10,.0f} rt/sec  "
                   f"mean latency {row['mean_latency_ns']:,.0f} ns")
         payload["rpc"] = {"results": rpc_results}
-    if args.record:
-        from repro.bench.throughput import record_traces
-        from repro.sim.oplog import save_oplogs
-
-        print(f"recording op traces: {', '.join(names)} -> {args.record}")
-        logs = record_traces(names, seed=args.seed)
-        save_oplogs(args.record, logs)
-        payload["record"] = {
-            "path": args.record,
-            "trace_rows": {name: len(log) for name, log in logs.items()},
-        }
-        for name in names:
-            print(f"{name:>7}: {len(logs[name])} rows recorded")
-    replay_match = True
-    if args.compare_replay:
-        from repro.bench.throughput import compare_replay
-
-        print("replay equivalence run (trace replay vs live)...")
-        compare = {}
-        for name in names:
-            result = compare_replay(name, seed=args.seed)
-            if not result["match"]:
-                replay_match = False
-                print(f"COUNTER MISMATCH (replay vs live) in {name!r}: "
-                      f"{sorted(result['mismatches'])}", file=sys.stderr)
-            compare[name] = result
-            print(f"{name:>7}: "
-                  f"{result['replay_events_per_sec']:>12,.0f} events/sec "
-                  f"replayed  "
-                  f"{result['live_events_per_sec']:>12,.0f} live  "
-                  f"({result['replayed_from_trace']} wakeups from trace, "
-                  f"{result['fallback_wakeups']} live fallbacks)")
-        payload["replay_compare"] = {
-            "counters_match": replay_match,
-            "results": compare,
-        }
-        print(f"deterministic counters replay vs live: "
-              f"{'MATCH' if replay_match else 'MISMATCH'}")
-    sweep_match = True
-    if args.sweep_faults:
-        from repro.bench.throughput import run_replay_sweep
-
-        print(f"fault-schedule sweep: record once, replay "
-              f"{args.sweep_faults} moved-fault trials per config...")
-        sweeps = {}
-        for name in names:
-            sweep = run_replay_sweep(name, trials=args.sweep_faults,
-                                     seed=args.seed,
-                                     repeats=args.repeats)
-            if not sweep["counters_match"]:
-                sweep_match = False
-                print(f"COUNTER MISMATCH (sweep replay vs live) in "
-                      f"{name!r}", file=sys.stderr)
-            sweeps[name] = sweep
-            print(f"{name:>7}: replay "
-                  f"{sweep['replay_events_per_sec_mean']:>12,.0f} "
-                  f"events/sec vs live "
-                  f"{sweep['live_events_per_sec_mean']:>12,.0f} -> "
-                  f"{sweep['speedup_mean']}x over {sweep['trials']} "
-                  f"moved faults")
-        payload["replay_sweep"] = sweeps
-        print(f"deterministic counters sweep replay vs live: "
-              f"{'MATCH' if sweep_match else 'MISMATCH'}")
     snapshot_match = True
     if args.compare_snapshot:
         from repro.bench.throughput import compare_snapshot
@@ -824,8 +740,7 @@ def cmd_bench(args) -> int:
               f"{session_row['probes_launched']} probes completed")
     write_bench_file(args.out, payload)
     print(f"bench written       : {args.out}")
-    return 1 if (failed or not parked_match or not replay_match
-                 or not sweep_match or not snapshot_match) else 0
+    return 1 if (failed or not parked_match or not snapshot_match) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -967,9 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["small", "medium", "large", "all"],
                          default="all")
     p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr18.json",
+                         default="BENCH_pr20.json",
                          help="output JSON path "
-                              "(default: BENCH_pr18.json)")
+                              "(default: BENCH_pr20.json)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")
@@ -983,30 +898,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "recording run) and verify the parked "
                               "default's deterministic counters and "
                               "channel digests match byte-for-byte")
-    p_bench.add_argument("--record", metavar="FILE", default=None,
-                         help="also record each config's op trace into "
-                              "one compressed .npz archive, replayable "
-                              "via --replay")
-    p_bench.add_argument("--replay", metavar="FILE", default=None,
-                         help="run the suite as a trace replay of the "
-                              "archive recorded with --record (serial "
-                              "only; counters stay byte-identical to "
-                              "live runs)")
-    p_bench.add_argument("--compare-replay", action="store_true",
-                         help="record each config, replay the trace, "
-                              "and verify the deterministic counters "
-                              "and channel digests match byte-for-byte")
-    p_bench.add_argument("--sweep-faults", type=int, default=0,
-                         metavar="N",
-                         help="record once per config, then run N "
-                              "moved-fault trials both live and "
-                              "replayed; gates counter equivalence and "
-                              "records the replay speedup")
     p_bench.add_argument("--snapshot", action="store_true",
                          help="fork each run from a per-config snapshot "
                               "image instead of re-booting (counters "
-                              "stay byte-identical; HIVE_SNAPSHOT=0 "
-                              "falls back to fresh boots)")
+                              "stay byte-identical; without os.fork "
+                              "every run boots fresh)")
     p_bench.add_argument("--compare-snapshot", action="store_true",
                          help="run each config forked and freshly "
                               "booted, verify the deterministic "

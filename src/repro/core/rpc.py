@@ -48,8 +48,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.hardware.errors import BusError, SipsQueueFull
 from repro.hardware.sips import REPLY, REQUEST, SipsFabric, SipsMessage
-from repro.sim.engine import (Event, Interrupted, SimulationError, Simulator,
-                              Timeout)
+from repro.sim.engine import Event, Interrupted, SimulationError, Simulator
 from repro.sim.resources import FifoStore
 from repro.sim.stats import MetricSet
 from repro.unix.costs import KernelCosts
@@ -132,13 +131,7 @@ class _ServiceTask:
         self._advance(1, None)
 
     def _resume(self, ev: Event) -> None:
-        if type(ev) is Timeout and ev._cb_seen == 1:
-            # Mirror Process._resume's recycling: this task was the
-            # timeout's only waiter ever, so return it to the pool.
-            value = ev._value
-            self.sub.sim._timeout_pool.append(ev)
-            self._advance(1, value)
-        elif ev._ok:
+        if ev._ok:
             self._advance(1, ev._value)
         else:
             self._advance(2, ev._value)
@@ -171,8 +164,6 @@ class _ServiceTask:
                 sim.schedule(target, self._wake_cb)
             return
         # Inlined target.add_callback(self._resume), as in Process._step.
-        if type(target) is Timeout:
-            target._cb_seen += 1
         callbacks = target._callbacks
         if callbacks is None:
             sim.schedule(0, self._cb, target)

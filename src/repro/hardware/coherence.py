@@ -201,7 +201,7 @@ class CoherenceController:
         self._node_gen: List[int] = [0] * params.num_nodes
         #: monotone summary of every ``_node_gen`` bump: while it (and
         #: the memory's fault generation) stands still, no valid batch
-        #: memo can be invalidated — the parked/replay chains key their
+        #: memo can be invalidated — the parked chains key their
         #: per-cycle peek caches on it.
         self.mutation_gen = 0
         #: the mutation log: entry ``g - _mut_base`` is the line mutated
@@ -647,8 +647,8 @@ class CoherenceController:
         batch would resolve as a pure memo replay for ``cpu`` at this
         instant, else None.  No state is touched — this is the parked
         chains' validity probe: a chain of wakeups may only be replayed
-        arithmetically (:meth:`replay_memo`) while every batch in the
-        chain passes this check, and nothing can invalidate a memo
+        arithmetically (:meth:`replay_memo_cycle`) while every batch in
+        the chain passes this check, and nothing can invalidate a memo
         between engine events (every directory or fault-state mutation
         happens inside one).
         """
@@ -666,31 +666,17 @@ class CoherenceController:
                 return None
         return (memo[2], memo[3], memo[4])
 
-    def replay_memo(self, prepared: PreparedBatch, count: int) -> None:
-        """Apply ``count`` memo replays of a batch in one step.
-
-        Byte-equivalent to calling :meth:`access_prepared` ``count``
-        times while :meth:`peek_memo` holds: the same stats cells move
-        by the same amounts (``count`` memo-tier hits, ``count`` x the
-        memoized hit counts) and ``last_batch_completed`` lands on the
-        batch length exactly as each individual replay would leave it.
-        """
-        memo = prepared.memo
-        self.tier_memo_hits += count
-        stats = self.stats
-        stats.read_hits += memo[3] * count
-        stats.write_hits += memo[4] * count
-        self.last_batch_completed = memo[5]
-
     def replay_memo_cycle(self, batches: Sequence[PreparedBatch],
                           counts: Sequence[int]) -> None:
         """Replay a whole cycle's memos at once (``counts[i]`` replays
         of ``batches[i]``).
 
-        Byte-equivalent to calling :meth:`replay_memo` per batch — the
-        same stats cells move by the same totals — with one stats
-        update instead of one per batch (the replay engine's segment
-        commit calls this once per park).
+        Byte-equivalent to calling :meth:`access_prepared` ``counts[i]``
+        times per batch while :meth:`peek_memo` holds: the same stats
+        cells move by the same amounts (one memo-tier hit and the
+        memoized hit counts per replay) and ``last_batch_completed``
+        lands on the last replayed batch's length, with one stats update
+        per park instead of one per wakeup.
         """
         hits = rh = wh = 0
         last = None

@@ -4,8 +4,8 @@ wall-clock went.
 Three subsystems resolve work in tiers — coherence batches (memo replay
 / inlined sequential / vectorized, with the scalar loop for out-of-range
 lines), the engine queue (same-instant deque / timer wheel / binary
-heap, plus the Timeout inline-expiry shortcut), and RPC dispatch (one
-coalesced path).  This module aggregates the per-subsystem attribution
+heap, plus a sleeper's inline wakeup), and RPC dispatch (one coalesced
+path).  This module aggregates the per-subsystem attribution
 counters into one JSON-stable snapshot so campaigns and benchmarks can
 report *tier hit rates* — how often each tier actually fired — instead
 of guessing from end-to-end timings.
@@ -87,32 +87,12 @@ def engine_tiers(sim) -> Optional[Dict[str, Any]]:
     return snap
 
 
-def replay_tiers(system) -> Optional[Dict[str, Any]]:
-    """Trace-replay hit/fallback counters, with the hit rate.
-
-    Non-None only when the run executed under a
-    :class:`~repro.sim.replay.ReplaySession` (``system.replay_session``
-    is hung by the bench harness); None means live execution, which —
-    as with the unprofiled engine — is distinct from a replay run that
-    happened to serve zero wakeups from the trace.
-    """
-    session = getattr(system, "replay_session", None)
-    if session is None:
-        return None
-    snap = dict(session.snapshot())
-    total = snap["replayed_from_trace"] + snap["fallback_wakeups"]
-    snap["wakeups_total"] = total
-    snap["trace_hit_rate"] = _rate(snap["replayed_from_trace"], total)
-    return snap
-
-
 def tier_snapshot(system) -> Dict[str, Any]:
     """One combined tier snapshot for a booted system."""
     return {
         "coherence": coherence_tiers(system.machine.coherence),
         "rpc": rpc_tiers(system),
         "engine": engine_tiers(system.sim),
-        "replay": replay_tiers(system),
     }
 
 
@@ -129,12 +109,10 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
                       "vector_batches": 0, "scalar_batches": 0},
         "rpc": {"fast_path": 0, "calls_total": 0},
         "engine": None,
-        "replay": None,
     }
     coh = merged["coherence"]
     rpc = merged["rpc"]
     engine_prof: Optional[EngineProfile] = None
-    replay_acc: Optional[Dict[str, int]] = None
     for snap in snaps:
         if not snap:
             continue
@@ -150,15 +128,6 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
                 engine_prof = shard_prof
             else:
                 engine_prof.merge(shard_prof)
-        rep = snap.get("replay")
-        if rep is not None:
-            if replay_acc is None:
-                replay_acc = {"trace_rows": 0, "chains": 0,
-                              "replayed_from_trace": 0,
-                              "fallback_wakeups": 0, "desyncs": 0,
-                              "resyncs": 0}
-            for key in replay_acc:
-                replay_acc[key] += rep.get(key, 0)
 
     total = sum(coh.values())
     coh["batches_total"] = total
@@ -179,12 +148,4 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
         eng["inline_rate"] = _rate(eng["inline_dispatches"], etotal)
         eng["wheel_rate"] = _rate(eng["wheel_routed"], etotal)
         merged["engine"] = eng
-
-    if replay_acc is not None:
-        rep = dict(replay_acc)
-        rep["enabled"] = True
-        rtotal = rep["replayed_from_trace"] + rep["fallback_wakeups"]
-        rep["wakeups_total"] = rtotal
-        rep["trace_hit_rate"] = _rate(rep["replayed_from_trace"], rtotal)
-        merged["replay"] = rep
     return merged

@@ -6,18 +6,17 @@ misses, and firewall status changes.  This module makes that seam
 explicit in the simulator: when a :class:`CellChannels` instance is
 attached to the hardware layer (``coherence.channels`` /
 ``sips.channels`` / the firewall manager's machine hook), every
-intercell operation is *published* as a typed, serializable
-:class:`ChannelOp` on the directed channel for its (source cell,
-destination cell) pair.
+intercell operation is *published* as a typed op — ``(kind, source
+cell, destination cell, source node, destination node, issue time,
+latency)``.
 
-The simulator never reads the records back: they are an audit signal.
-Each op is validated against the lookahead invariant (no op may cross a
-cell boundary faster than ``HardwareParams.min_intercell_latency_ns()``)
-and folded into a running digest, so two runs can be compared
+The ops are an audit signal, counted and fingerprinted, not kept.  Each
+is validated against the lookahead invariant (no op may cross a cell
+boundary faster than ``HardwareParams.min_intercell_latency_ns()``) and
+folded into a running digest, so two runs can be compared
 channel-op-for-channel-op, not just counter-for-counter — the
 equivalence gates in :mod:`repro.bench.throughput` attach one to both
-sides (``channels=True``) and diff the snapshot.  The ops themselves
-stay queued per directed channel until the caller drains them.
+sides (``channels=True``) and diff the snapshot.
 
 Publishing is a ``None``-checked hook exactly like the fault-provenance
 tracer: a simulator without channels attached (the default) pays one
@@ -29,7 +28,7 @@ by definition.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 #: channel op kinds — the complete enumeration of intercell traffic
 SIPS_REQUEST = "sips_request"
@@ -41,43 +40,6 @@ FW_REVOKE = "fw_revoke"
 
 OP_KINDS = (SIPS_REQUEST, SIPS_REPLY, COH_READ_MISS, COH_WRITE_MISS,
             FW_GRANT, FW_REVOKE)
-
-
-class ChannelOp:
-    """One intercell operation: a plain, serializable record.
-
-    ``time`` is the simulated send/issue time; ``latency_ns`` is how
-    long the hardware takes to make the op visible at the destination
-    (the quantity the conservative lookahead bounds from below).
-    """
-
-    __slots__ = ("kind", "src_cell", "dst_cell", "src_node", "dst_node",
-                 "time", "latency_ns")
-
-    def __init__(self, kind: str, src_cell: int, dst_cell: int,
-                 src_node: int, dst_node: int, time: int,
-                 latency_ns: int):
-        self.kind = kind
-        self.src_cell = src_cell
-        self.dst_cell = dst_cell
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.time = time
-        self.latency_ns = latency_ns
-
-    def to_tuple(self) -> Tuple:
-        """Stable, JSON-serializable wire form (also the digest key)."""
-        return (self.kind, self.src_cell, self.dst_cell, self.src_node,
-                self.dst_node, self.time, self.latency_ns)
-
-    @classmethod
-    def from_tuple(cls, t: Tuple) -> "ChannelOp":
-        return cls(*t)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ChannelOp {self.kind} cell{self.src_cell}->"
-                f"cell{self.dst_cell} @{self.time}ns "
-                f"lat={self.latency_ns}ns>")
 
 
 class ChannelViolation(Exception):
@@ -107,8 +69,6 @@ class CellChannels:
         #: the hardware layer have no simulator reference, so the clock
         #: is injected here (typically ``lambda: sim.now``).
         self.now_fn = now_fn or (lambda: 0)
-        #: pending (undrained) ops per directed (src_cell, dst_cell) pair
-        self.pending: Dict[Tuple[int, int], List[ChannelOp]] = {}
         self.ops_total = 0
         self.ops_by_kind: Dict[str, int] = {k: 0 for k in OP_KINDS}
         #: commutative digest (sum of per-op CRCs mod 2**64) — a cheap
@@ -139,13 +99,11 @@ class CellChannels:
                 raise ChannelViolation(
                     f"{kind} cell{src_cell}->cell{dst_cell} latency "
                     f"{latency_ns}ns under lookahead {self.window_ns}ns")
-        op = ChannelOp(kind, src_cell, dst_cell, src_node, dst_node,
-                       self.now_fn(), latency_ns)
-        self.pending.setdefault((src_cell, dst_cell), []).append(op)
+        op = (kind, src_cell, dst_cell, src_node, dst_node,
+              self.now_fn(), latency_ns)
         self.ops_total += 1
         self.ops_by_kind[kind] += 1
-        self.digest = (self.digest
-                       + zlib.crc32(repr(op.to_tuple()).encode())) \
+        self.digest = (self.digest + zlib.crc32(repr(op).encode())) \
             & 0xFFFFFFFFFFFFFFFF
 
     # convenience wrappers with the publisher-side vocabulary ---------
@@ -164,21 +122,6 @@ class CellChannels:
                  latency_ns: int) -> None:
         self.publish(FW_GRANT if grant else FW_REVOKE,
                      src_node, dst_node, latency_ns)
-
-    # -- caller-side consumption --------------------------------------
-
-    def window_of(self, time: int) -> int:
-        return time // self.window_ns
-
-    def drain(self) -> Dict[Tuple[int, int], List[ChannelOp]]:
-        """Take all pending batches, keyed by directed channel."""
-        batches, self.pending = self.pending, {}
-        return batches
-
-    def drain_serialized(self) -> Dict[str, List[Tuple]]:
-        """Wire form of :meth:`drain`: JSON-safe keys and op tuples."""
-        return {f"{src}->{dst}": [op.to_tuple() for op in ops]
-                for (src, dst), ops in sorted(self.drain().items())}
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic summary for bench rows and equivalence gates."""

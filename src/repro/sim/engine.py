@@ -55,9 +55,6 @@ _WHEEL_NEAR = 2
 #: they outnumber the live ones.
 _COMPACT_MIN_DEAD = 256
 
-#: shared args tuple for value-less timeout expiries (the common case)
-_NONE_ARGS = (None,)
-
 
 class SimulationError(Exception):
     """Raised for misuse of the engine (e.g. double-triggering an event)."""
@@ -74,10 +71,9 @@ class EngineProfile:
     ``heap_dispatches`` count loop pops from the same-instant deque and
     the binary heap, ``wheel_routed`` counts entries that parked in a
     wheel slot before being dumped to the heap (a subset of the heap
-    dispatches), and ``inline_dispatches`` counts Timeout expiries and
-    sleep wakeups that short-circuited the loop entirely (the
-    ``_expire`` / ``_wake`` fast paths, which bump ``events_processed``
-    directly).
+    dispatches), and ``inline_dispatches`` counts sleep wakeups that
+    short-circuited the loop entirely (``Process._wake``, which bumps
+    ``events_processed`` directly).
 
     Wall attribution buckets the time spent inside each dispatched
     callback by the owning process's subsystem — the first dot-component
@@ -232,14 +228,8 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically after a fixed delay.
 
-    Timeouts are the highest-churn objects in the simulation, so the
-    engine recycles them: once a timeout's single waiter has consumed
-    it, :meth:`Process._resume` returns it to the simulator's pool and
-    the next ``sim.timeout()`` call reinitializes it instead of
-    allocating.  ``_cb_seen`` counts callbacks ever attached — a timeout
-    is only recycled when exactly one waiter (the resuming process) ever
-    saw it, so shared timeouts (``any_of``/``all_of`` children, stored
-    references that gain late callbacks) are never reused.
+    For the places that need an Event (``any_of`` children, a stored
+    deadline); a process that only sleeps yields the delay itself.
 
     A pending timeout with no remaining waiters can be :meth:`cancel`\\ ed
     — its queue entry is cleared in place and never fires.  ``AnyOf``
@@ -248,7 +238,7 @@ class Timeout(Event):
     churning the heap for the rest of the deadline window.
     """
 
-    __slots__ = ("delay", "_cb_seen", "_entry", "_expire_cb", "_self_args")
+    __slots__ = ("delay", "_entry")
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
@@ -256,22 +246,7 @@ class Timeout(Event):
         super().__init__(
             sim, name=f"timeout({delay})" if sim.trace_names else "timeout")
         self.delay = delay
-        self._cb_seen = 0
-        # Cached bound method and callback-args tuple: building these
-        # fresh for every (pooled, reused) timeout showed up in profiles.
-        self._expire_cb = self._expire
-        self._self_args = (self,)
-        self._entry = sim.schedule(delay, self._expire_cb, value)
-
-    def add_callback(self, cb: Callable[["Event"], None]) -> None:
-        self._cb_seen += 1
-        # Inlined Event.add_callback: every process wait on a timeout
-        # lands here.
-        callbacks = self._callbacks
-        if callbacks is None:
-            self.sim.schedule(0, cb, self)
-        else:
-            callbacks.append(cb)
+        self._entry = sim.schedule(delay, self._expire, value)
 
     def cancel(self) -> bool:
         """Cancel a pending timeout nobody waits on.
@@ -289,37 +264,9 @@ class Timeout(Event):
         return self.sim.cancel(entry)
 
     def _expire(self, value: Any) -> None:
-        # Inlined self.succeed(value)/_trigger: expiry is the hottest
-        # trigger site and the double-trigger guard reduces to the
-        # ``_triggered`` test.
-        if self._triggered:
-            return
-        self._triggered = True
-        self._ok = True
-        self._value = value
-        callbacks, self._callbacks = self._callbacks, None
-        sim = self.sim
-        now = sim.now
-        if len(callbacks) == 1:
-            queue = sim._queue
-            if not sim._nowq and not (queue and queue[0][0] == now):
-                # Same-instant batch dispatch: with no other entry
-                # pending at this instant, the sole callback is exactly
-                # what the dispatch loop would pop next (anything
-                # already queued for this time carries a lower seq, and
-                # there is nothing).  Calling it here skips the entry
-                # allocation and one loop round trip; the dispatch is
-                # still counted, so `events_processed` is unchanged.
-                sim.events_processed += 1
-                callbacks[0](self)
-                return
-        seq = sim._seq
-        args = self._self_args
-        nowq = sim._nowq
-        for cb in callbacks:
-            seq += 1
-            nowq.append([now, seq, cb, args])
-        sim._seq = seq
+        # Someone may have triggered it by hand before the deadline.
+        if not self._triggered:
+            self._trigger(True, value)
 
 
 class AnyOf(Event):
@@ -402,7 +349,7 @@ class Process(Event):
     """
 
     __slots__ = ("gen", "_waiting_on", "_interrupts", "_resume_cb",
-                 "_resume_t_cb", "_sleep", "_wake_cb", "_resume_s_cb")
+                 "_sleep", "_wake_cb", "_resume_s_cb")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
@@ -413,7 +360,6 @@ class Process(Event):
         # yield, and building the bound method fresh each time was a
         # measurable allocation.
         self._resume_cb = self._resume
-        self._resume_t_cb = self._resume_t
         # Queue entry of the sleep in progress.  It stays set, marked
         # fired, while a woken process waits its turn behind other
         # same-instant entries.
@@ -436,25 +382,30 @@ class Process(Event):
         if self._triggered:
             return
         self._interrupts.append(Interrupted(cause))
+        if self._sleep is not None or self._waiting_on is not None:
+            self._detach()
+            self.sim.schedule(0, self._deliver_interrupt)
+
+    def _detach(self) -> None:
+        """Stop waiting: nothing this wait armed may resume the process.
+
+        A wait that already fired has its resume queued where it cannot
+        be revoked; ``_resume`` / ``_resume_s`` recognize it as stale.
+        """
         sleep = self._sleep
         if sleep is not None:
             # Revoked in place: the entry never fires or counts (a no-op
             # if it fired already and only the resume is outstanding).
             self._sleep = None
             self.sim.cancel(sleep)
-            self.sim.schedule(0, self._deliver_interrupt)
-            return
         waiting = self._waiting_on
         if waiting is not None:
-            waiting.remove_callback(
-                self._resume_t_cb if type(waiting) is Timeout
-                else self._resume_cb)
+            self._waiting_on = None
+            waiting.remove_callback(self._resume_cb)
             if type(waiting) is Timeout and not waiting._callbacks:
                 # The abandoned wait target would otherwise fire into the
                 # void much later; drop its queue entry now.
                 waiting.cancel()
-            self._waiting_on = None
-            self.sim.schedule(0, self._deliver_interrupt)
 
     # ``_step`` op codes: resume the generator with next/send/throw.
     _OP_NEXT, _OP_SEND, _OP_THROW = 0, 1, 2
@@ -462,71 +413,59 @@ class Process(Event):
     def _deliver_interrupt(self, _ev: Any = None) -> None:
         if self._triggered or not self._interrupts:
             return
+        # A second delivery queued in one instant lands in the wait the
+        # first one's handler began: end that wait, or what it armed
+        # fires into a later one.
+        self._detach()
         exc = self._interrupts.pop(0)
         self._step(Process._OP_THROW, exc)
 
     def _resume(self, ev: Optional[Event]) -> None:
         if self._triggered:
             return
-        self._waiting_on = None
         if self._interrupts:
             # An interrupt raced with the event; the interrupt wins.
             self.sim.schedule(0, self._deliver_interrupt)
             return
+        if ev is not self._waiting_on:
+            # The resume of a wait an interrupt has since ended.
+            return
+        self._waiting_on = None
         if ev is None:
             self._step(Process._OP_NEXT, None)
         elif ev._ok:
-            if type(ev) is Timeout and ev._cb_seen == 1:
-                # This process was the timeout's only waiter ever; the
-                # engine holds no further references, so recycle it.
-                value = ev._value
-                self.sim._timeout_pool.append(ev)
-                self._step(Process._OP_SEND, value)
-            else:
-                self._step(Process._OP_SEND, ev._value)
+            self._step(Process._OP_SEND, ev._value)
         else:
             self._step(Process._OP_THROW, ev._value)
-
-    def _resume_t(self, ev: "Timeout") -> None:
-        # Timeout-wait specialization of _resume, registered by _step
-        # for plain timeout yields — the hottest wait in the simulation.
-        # Timeouts never fail and never arrive as None, so the ok/type
-        # dispatch reduces to the pool-eligibility test.
-        if self._triggered:
-            return
-        self._waiting_on = None
-        if self._interrupts:
-            self.sim.schedule(0, self._deliver_interrupt)
-            return
-        if ev._cb_seen == 1:
-            self.sim._timeout_pool.append(ev)
-        self._step(Process._OP_SEND, ev._value)
 
     def _wake(self) -> None:
         # A sleep's queue entry fired: Timeout._expire for a sleeper.
         sim = self.sim
         queue = sim._queue
+        # A fired entry reads as cancelled, so an interrupt landing
+        # before the resume revokes nothing.
+        sleep = self._sleep
+        sleep[2] = None
         if sim._nowq or (queue and queue[0][0] == sim.now):
             # Other entries are queued for this instant, all scheduled
             # before this wakeup: resume behind them, as a timeout's
-            # waiter would.  A fired entry reads as cancelled, so an
-            # interrupt landing before the resume revokes nothing.
-            self._sleep[2] = None
-            sim.schedule(0, self._resume_s_cb)
+            # waiter would.
+            sim.schedule(0, self._resume_s_cb, sleep)
             return
         # Nothing else is due now, so the resume is what the loop would
         # pop next; run it here, counted as the dispatch it replaces.
         sim.events_processed += 1
-        self._resume_s()
+        self._resume_s(sleep)
 
-    def _resume_s(self) -> None:
+    def _resume_s(self, sleep: list) -> None:
         if self._triggered:
             return
-        self._sleep = None
         if self._interrupts:
             self.sim.schedule(0, self._deliver_interrupt)
-            return
-        self._step(Process._OP_SEND, None)
+        elif sleep is self._sleep:
+            # (else: the resume of a sleep an interrupt has since ended)
+            self._sleep = None
+            self._step(Process._OP_SEND, None)
 
     def _step(self, op: int, arg: Any) -> None:
         self.sim._active_process, previous = self, self.sim._active_process
@@ -570,25 +509,13 @@ class Process(Event):
             )
             return
         self._waiting_on = target
-        # Inlined target.add_callback(self._resume): every yield lands
-        # here and no Event subclass customizes callback registration
-        # beyond Timeout's _cb_seen bookkeeping.  Pending timeout waits
-        # register the specialized _resume_t; everything else (and the
-        # already-triggered deferred-delivery case) keeps the generic
-        # _resume.
-        if type(target) is Timeout:
-            target._cb_seen += 1
-            callbacks = target._callbacks
-            if callbacks is None:
-                self.sim.schedule(0, self._resume_cb, target)
-            else:
-                callbacks.append(self._resume_t_cb)
+        # Inlined target.add_callback(self._resume): every yield of an
+        # Event lands here and no subclass customizes registration.
+        callbacks = target._callbacks
+        if callbacks is None:
+            self.sim.schedule(0, self._resume_cb, target)
         else:
-            callbacks = target._callbacks
-            if callbacks is None:
-                self.sim.schedule(0, self._resume_cb, target)
-            else:
-                callbacks.append(self._resume_cb)
+            callbacks.append(self._resume_cb)
 
 
 class Simulator:
@@ -596,7 +523,7 @@ class Simulator:
 
     __slots__ = ("now", "_queue", "_seq", "_active_process",
                  "crash_on_process_error", "events_processed",
-                 "trace_names", "_timeout_pool", "_nowq", "_wheel",
+                 "trace_names", "_nowq", "_wheel",
                  "_wheel_count", "_wslot", "_wslots", "_dead", "_prof")
 
     def __init__(self, crash_on_process_error: bool = True,
@@ -616,8 +543,6 @@ class Simulator:
         #: when True, events get descriptive formatted names (debugging);
         #: off by default so hot paths skip the f-string formatting.
         self.trace_names: bool = False
-        # Recycled Timeout objects (see Timeout's docstring).
-        self._timeout_pool: list = []
         # Same-instant FIFO of [time, seq, fn, args] entries for `now`.
         self._nowq: deque = deque()
         # Near-future slots.
@@ -1012,9 +937,9 @@ class Simulator:
                     raise SimulationError(
                         "event budget exhausted; likely livelock")
         finally:
-            # During the loop only the inline fast paths (Timeout._expire,
-            # a sleeper's _wake) touched events_processed; the delta is
-            # exactly the inline dispatch count.
+            # During the loop only a sleeper's inline _wake touched
+            # events_processed; the delta is exactly the inline
+            # dispatch count.
             prof.inline_dispatches += self.events_processed - ep_start
             self.events_processed += processed
 
@@ -1036,41 +961,7 @@ class Simulator:
         return Event(self, name)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        pool = self._timeout_pool
-        if not pool:
-            return Timeout(self, delay, value)
-        # Inlined reinit + schedule: one pooled timeout is created per
-        # process wakeup, the hottest allocation site in the simulation.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        t = pool.pop()
-        if self.trace_names:
-            t.name = f"timeout({delay})"
-        t.delay = delay
-        t._callbacks = []
-        t._triggered = False
-        t._cb_seen = 0
-        # (_ok is still True and _value is overwritten at expiry: only
-        # successfully-expired timeouts are ever pooled, and .value
-        # raises until the timeout triggers.)
-        self._seq = seq = self._seq + 1
-        tt = self.now + delay
-        entry = [tt, seq, t._expire_cb, _NONE_ARGS if value is None else (value,)]
-        t._entry = entry
-        if delay == 0:
-            self._nowq.append(entry)
-        else:
-            slot = tt >> _WHEEL_SHIFT
-            off = slot - self._wslot
-            if _WHEEL_NEAR < off < _WHEEL_SLOTS:
-                lst = self._wheel[slot & _WHEEL_MASK]
-                if not lst:
-                    heapq.heappush(self._wslots, slot)
-                lst.append(entry)
-                self._wheel_count += 1
-            else:
-                heapq.heappush(self._queue, entry)
-        return t
+        return Timeout(self, delay, value)
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         return Process(self, gen, name)

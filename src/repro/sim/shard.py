@@ -258,9 +258,7 @@ class ChainCoordinator:
 
     def register_chain(self, coh, cpu: int, cycle: list,
                        gap: int) -> ParkedChain:
-        return self.add_chain(ParkedChain(self, coh, cpu, cycle, gap))
-
-    def add_chain(self, chain: ParkedChain) -> ParkedChain:
+        chain = ParkedChain(self, coh, cpu, cycle, gap)
         for other in self.chains:
             if not chain.home_nodes.isdisjoint(other.home_nodes):
                 chain.overlaps.append(other)

@@ -18,14 +18,13 @@ pickle frames; the run function must therefore be module-level
 (picklable by reference), which is the same contract the campaign's
 multiprocessing workers already obey.
 
-Determinism contract (same as ``HIVE_REPLAY``): fork-then-run must
-produce byte-identical counters to fresh-boot-then-run.  Boot consumes
-no RNG draws and :func:`reseed_system` rebinds the machine's ``RandomStreams`` to the
+Determinism contract: fork-then-run must produce byte-identical
+counters to fresh-boot-then-run.  Boot consumes no RNG draws and
+:func:`reseed_system` rebinds the machine's ``RandomStreams`` to the
 requested seed before the run function executes, so a child forked from
 an image booted at any seed is indistinguishable from a fresh boot at
-the run seed.  ``HIVE_SNAPSHOT=0`` (or a platform without ``os.fork``)
-drops to a fallback mode that simply boots per run — same results,
-no amortization.
+the run seed.  A platform without ``os.fork`` gets a fallback mode that
+simply boots per run — same results, no amortization.
 """
 
 from __future__ import annotations
@@ -59,19 +58,10 @@ def fork_supported() -> bool:
     return hasattr(os, "fork") and hasattr(os, "pipe")
 
 
-def snapshot_enabled(default: bool = True) -> bool:
-    """Snapshot-fork gate: ``HIVE_SNAPSHOT=0`` or no ``os.fork`` disables.
-
-    On by default; the environment variable is the kill switch and
-    selects the boot-per-run fallback a platform without ``os.fork``
-    always gets.
-    """
-    if not fork_supported():
-        return False
-    raw = os.environ.get("HIVE_SNAPSHOT")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
+def snapshot_enabled() -> bool:
+    """Whether images fork: a property of the platform, not a setting.
+    Without ``os.fork`` every run boots fresh."""
+    return fork_supported()
 
 
 def reseed_system(system: Any, seed: int) -> Any:
@@ -156,14 +146,12 @@ class SystemImage:
     """
 
     def __init__(self, boot_fn: Callable, *boot_args: Any,
-                 name: str = "image", enabled: Optional[bool] = None,
-                 **boot_kwargs: Any):
+                 name: str = "image", **boot_kwargs: Any):
         self.name = name
         self.boot_fn = boot_fn
         self.boot_args = boot_args
         self.boot_kwargs = boot_kwargs
-        self.mode = "fork" if (snapshot_enabled() if enabled is None
-                               else enabled) else "boot"
+        self.mode = "fork" if snapshot_enabled() else "boot"
         self.closed = False
         self.forks = 0
         self.boot_wall_s = 0.0

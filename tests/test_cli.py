@@ -52,16 +52,17 @@ class TestParser:
 
     def test_bench_out_defaults_to_this_prs_file(self):
         args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_pr18.json"
+        assert args.out == "BENCH_pr20.json"
         assert not args.progress
         assert not args.compare_parked
-        assert args.record is None
-        assert args.replay is None
-        assert not args.compare_replay
-        assert args.sweep_faults == 0
         assert not args.snapshot
         assert not args.compare_snapshot
         assert args.sessions == 0
+        # trace-replay execution is gone, and the archive only it read
+        for flag in (["--replay", "x.npz"], ["--record", "x.npz"],
+                     ["--compare-replay"], ["--sweep-faults", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench"] + flag)
 
     def test_sessions_subcommand_defaults(self):
         args = build_parser().parse_args(["sessions"])

@@ -16,7 +16,7 @@ from repro.bench.throughput import (CONFIGS, _traffic, boot_bench_system,
                                     compare_parked, run_throughput)
 from repro.obs.profile import tier_snapshot
 from repro.sim.channels import (COH_READ_MISS, COH_WRITE_MISS,
-                                SIPS_REQUEST, CellChannels, ChannelOp,
+                                SIPS_REQUEST, CellChannels,
                                 ChannelViolation, attach_channels)
 from repro.sim.oplog import OP_RETIRE, OpLog
 from repro.sim.shard import ChainCoordinator
@@ -28,40 +28,44 @@ class TestCellChannels:
         return CellChannels({0: 0, 1: 0, 2: 1, 3: 1}, window,
                             now_fn=lambda: 5000)
 
-    def test_op_tuple_round_trip(self):
-        op = ChannelOp(SIPS_REQUEST, 0, 1, 1, 2, 5000, 700)
-        clone = ChannelOp.from_tuple(op.to_tuple())
-        assert clone.to_tuple() == op.to_tuple()
+    # The digests below are what 094e03b computed for the same
+    # publishes, when each op was still a queued ``ChannelOp`` object.
+
+    def test_op_tuple_digest_is_pinned(self):
+        # the op ('sips_request', 0, 1, 1, 2, 5000, 700): the CRC of its
+        # repr is the whole digest
+        ch = self._channels()
+        ch.sips(1, 2, "request", latency_ns=700)
+        assert ch.digest == 2370027842
 
     def test_intracell_traffic_not_recorded(self):
         ch = self._channels()
+        untouched = ch.snapshot()
         ch.coherence_miss(0, 1, write=False, latency_ns=700)
         assert ch.ops_total == 0
-        assert not ch.pending
+        assert not any(ch.ops_by_kind.values())
+        assert ch.digest == 0
+        assert ch.snapshot() == untouched
 
-    def test_intercell_op_recorded_and_drained(self):
+    def test_intercell_ops_counted_by_kind(self):
         ch = self._channels()
         ch.coherence_miss(1, 2, write=True, latency_ns=700)
         ch.sips(0, 3, "request", latency_ns=1000)
         assert ch.ops_total == 2
         assert ch.ops_by_kind[COH_WRITE_MISS] == 1
         assert ch.ops_by_kind[SIPS_REQUEST] == 1
-        batches = ch.drain()
-        assert set(batches) == {(0, 1)}
-        assert [op.kind for op in batches[0, 1]] == [COH_WRITE_MISS,
-                                                     SIPS_REQUEST]
-        # drain empties pending; counters and digest persist
-        assert not ch.pending
-        assert ch.ops_total == 2
-        assert ch.digest != 0
+        assert ch.ops_by_kind[COH_READ_MISS] == 0
+        assert ch.digest == 852562459
 
-    def test_drain_serialized_wire_form(self):
+    def test_snapshot_wire_form(self):
+        # cell 1 -> cell 0: the direction is part of the op, so of the
+        # digest; the snapshot is the JSON-safe form the gates diff
         ch = self._channels()
         ch.coherence_miss(2, 0, write=False, latency_ns=700)
-        wire = ch.drain_serialized()
-        assert list(wire) == ["1->0"]
-        (t,) = wire["1->0"]
-        assert ChannelOp.from_tuple(t).kind == COH_READ_MISS
+        assert ch.snapshot() == {
+            "window_ns": 200, "ops_total": 1,
+            "ops_by_kind": {COH_READ_MISS: 1}, "digest": 406814185,
+            "violations": 0}
 
     def test_lookahead_violation_is_fatal_when_strict(self):
         ch = self._channels(window=200)
@@ -84,11 +88,13 @@ class TestCellChannels:
         assert a.digest == b.digest
         assert a.snapshot() == b.snapshot()
 
-    def test_window_of(self):
+    def test_window_is_the_latency_floor(self):
         ch = self._channels(window=200)
-        assert ch.window_of(0) == 0
-        assert ch.window_of(199) == 0
-        assert ch.window_of(200) == 1
+        ch.publish(COH_READ_MISS, 0, 2, latency_ns=200)
+        assert (ch.ops_total, ch.violations) == (1, 0)
+        with pytest.raises(ChannelViolation):
+            ch.publish(COH_READ_MISS, 0, 2, latency_ns=199)
+        assert (ch.ops_total, ch.violations) == (1, 1)
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):

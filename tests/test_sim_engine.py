@@ -4,7 +4,7 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.engine import (
     AllOf,
@@ -710,6 +710,25 @@ def _run_program(programs, interrupts, as_event, **sim_kwargs):
     return sim, (sim.now, resumes, sim.events_processed)
 
 
+#: programs in which a second interrupt, queued in the same instant as
+#: the first, is delivered into the wait the first one's handler began.
+#: Until PR 20 the delivery left that wait armed, and what it had armed
+#: then ended a *later* wait early.  Each is (programs, interrupts):
+#: the wait's target fired before the interrupts; the wait's target had
+#: fired before the process even yielded it, twice over; the wait's
+#: target fires between the two deliveries.
+_SECOND_DELIVERY_PROGRAMS = [
+    ([[("wait", 2), ("sleep", 100), ("sleep", 1_000)], [("fire", 2)]],
+     [(0, 0), (0, 0)]),
+    ([[], [], [], [("fire", 0)],
+      [("wait", 0), ("wait", 0), ("sleep", 0), ("sleep", 0)]],
+     [(0, 4), (0, 4)]),
+    ([[("wait", 0), ("wait", 1), ("sleep", 100), ("sleep", 1_000)],
+      [("fire", 0)], [("sleep", 5), ("fire", 1)]],
+     [(0, 0), (0, 2), (0, 0)]),
+]
+
+
 class TestSleep:
     def test_sleep_resumes_after_delay_with_none(self):
         sim = Simulator()
@@ -781,6 +800,9 @@ class TestSleep:
     @given(programs=st.lists(_STEPS, min_size=1, max_size=5),
            interrupts=st.lists(st.tuples(_INSTANTS, st.integers(0, 4)),
                                max_size=6))
+    @example(*_SECOND_DELIVERY_PROGRAMS[0])
+    @example(*_SECOND_DELIVERY_PROGRAMS[1])
+    @example(*_SECOND_DELIVERY_PROGRAMS[2])
     def test_sleep_is_a_timeout_event_for_event(self, sim_kwargs, programs,
                                                 interrupts):
         """``yield n`` and ``yield sim.timeout(n)`` give the same clock,
@@ -793,6 +815,21 @@ class TestSleep:
         if sim_kwargs.get("profile"):
             assert (engine_tiers(sim)["dispatches_total"]
                     == sim.events_processed)
+
+    @pytest.mark.parametrize("as_event", [False, True],
+                             ids=["yield_ns", "yield_timeout"])
+    def test_second_interrupt_ends_the_wait_it_lands_in(self, as_event):
+        """At 094e03b the first program's 1,000 ns sleep returned at
+        t = 100 and the third's 100 ns sleep at t = 0."""
+        for index, tail in ((0, [(0, 2, 1_000, "sleep")]),
+                            (2, [(0, 2, 100, "sleep"),
+                                 (0, 3, 1_100, "sleep")])):
+            sim, (now, resumes, _) = _run_program(
+                *_SECOND_DELIVERY_PROGRAMS[index], as_event)
+            assert resumes[-len(tail):] == tail
+            assert now == tail[-1][2]
+            # nothing left armed for the finished processes
+            assert sim.next_event_time() is None
 
     def test_heap_env_escape_runs_the_same_program(self, monkeypatch):
         programs = [[("sleep", 5), ("wait", 0), ("sleep", 70_000)],

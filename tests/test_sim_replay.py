@@ -1,9 +1,10 @@
-"""Trace-capture/replay tier tests.
+"""Trace-capture tests, and what trace replay proved before it went.
 
-Covers the columnar op log's persistence round-trips, the replay-vs-live
-byte-identical golden contract (all bench configs, moved faults, live
-fallback on the shared coordinator), the ``HIVE_REPLAY`` escape, the gzip telemetry artifacts,
-and the inject campaign's fault-seed sweep with divergence diffing.
+Covers the columnar op log's persistence round-trips, the live default
+against the rows the replay side printed on its last run (all bench
+configs, moved faults), the closed ``HIVE_REPLAY`` hatch, the gzip
+telemetry artifacts, and the inject campaign's fault-seed sweep with
+divergence diffing.
 """
 
 import json
@@ -15,23 +16,19 @@ import pytest
 from repro.bench.parallel import _warn_cpu_cap, run_inject_campaign
 from repro.bench.throughput import (
     CONFIGS,
-    compare_replay,
     equiv_mismatches,
-    record_traces,
-    run_replay_sweep,
     run_throughput,
 )
 from repro.obs.export import load_json, load_jsonl, open_artifact
 from repro.obs.profile import merge_tier_snapshots
 from repro.sim.oplog import (
     COLUMNS,
-    OP_MEMO,
     OpLog,
     divergence_point,
     load_oplogs,
     save_oplogs,
 )
-from repro.sim.replay import replay_from_env
+from tests.helpers import LAST_REPLAY_RUN, equiv_row
 
 
 def _random_log(rng: random.Random, rows: int) -> OpLog:
@@ -101,68 +98,72 @@ class TestOpLogPersistence:
 
 
 class TestReplayVsLiveGolden:
+    """Trace replay is gone; what it proved is kept.  Each test holds
+    the live default to the row the replay side printed on its last
+    run (``LAST_REPLAY_RUN``), channel digest and tiers included."""
+
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_counters_byte_identical(self, config):
-        result = compare_replay(config)
-        assert result["match"], result["mismatches"]
-        assert result["replayed_from_trace"] > 0
+        row = run_throughput(config, channels=True)
+        assert equiv_row(row) == LAST_REPLAY_RUN[config, None]
 
     def test_moved_fault_replays_around_divergence(self):
-        # The sweep moves the injection time away from the recorded
-        # schedule: the prefix replays, the disturbed window falls back
-        # to live execution, and the counters must still match.
-        sweep = run_replay_sweep("small", trials=2)
-        assert sweep["counters_match"]
-        for row in sweep["rows"]:
-            assert row["counters_match"], row["mismatches"]
-            assert row["replayed_from_trace"] > 0
-            # A moved fault must actually exercise the fallback path.
-            assert row["fallback_wakeups"] > 0 or row["desyncs"] > 0
+        # The sweep moved the injection time off the recorded schedule
+        # (these are its two instants for ``small``).  What replays
+        # around the moved fault now is the parked default's memoized
+        # wakeups, and the counters must still match.
+        for inject_ms in (106, 153):
+            row = run_throughput("small", channels=True,
+                                 inject_ms=inject_ms)
+            assert equiv_row(row) == LAST_REPLAY_RUN["small", inject_ms]
+            assert row["parking"]["replayed_wakeups"] > 0
 
     def test_composes_with_shard_lanes(self):
-        # The lanes are gone; what composes now is trace-guided and
-        # live crediting on the one coordinator.  With the fault moved
-        # off the recorded schedule both run in the same replay: every
-        # chain is registered there, and the fallback wakeups are
-        # credited by the live parked-chain path.
-        log = record_traces(["small"])["small"]
-        live = run_throughput("small", channels=True, inject_ms=37)
-        rep = run_throughput("small", channels=True, inject_ms=37,
-                             replay=log)
-        assert not equiv_mismatches(live, rep)
-        assert rep["parking"]["chains"] == CONFIGS["small"].num_cells
-        assert rep["replay"]["chains"] == CONFIGS["small"].num_cells
-        assert rep["replay"]["replayed_from_trace"] > 0
-        assert rep["replay"]["fallback_wakeups"] > 0
+        # The lanes are gone, and so are trace-guided chains; what is
+        # left to compose is crediting on the one coordinator with a
+        # fault far off the default schedule.
+        row = run_throughput("small", channels=True, inject_ms=37)
+        assert equiv_row(row) == LAST_REPLAY_RUN["small", 37]
+        assert row["parking"]["chains"] == CONFIGS["small"].num_cells
 
     def test_record_then_replay_row(self):
-        logs = record_traces(["small"])
-        live = run_throughput("small")
-        rep = run_throughput("small", replay=logs["small"])
-        for key in ("events", "accesses", "driver_accesses",
-                    "discarded_pages"):
-            assert rep[key] == live[key]
-        assert rep["replay"]["replayed_from_trace"] > 0
+        # The recording run is the per-wakeup form of the scenario: one
+        # log row per wakeup (the 21,100 the replay read back) and the
+        # same row as the parked default, which replays memos instead.
+        log = OpLog()
+        recorded = run_throughput("small", channels=True, record=log)
+        assert len(log.finalize()) == 21_100
+        assert not equiv_mismatches(recorded,
+                                    run_throughput("small", channels=True))
+        assert equiv_row(recorded) == LAST_REPLAY_RUN["small", None]
+        assert "replay" not in recorded
 
 
 class TestReplayEnvEscape:
+    """The hatch is closed: ``HIVE_REPLAY`` selects nothing."""
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("HIVE_REPLAY", raising=False)
-        assert replay_from_env() is True
+        # the value that "on by default" stood for
+        monkeypatch.setenv("HIVE_REPLAY", "1")
+        row = run_throughput("small", channels=True)
+        assert equiv_row(row) == LAST_REPLAY_RUN["small", None]
 
     def test_zero_disables(self, monkeypatch):
+        # ... nothing: there is no replay to disable
         monkeypatch.setenv("HIVE_REPLAY", "0")
-        assert replay_from_env() is False
+        row = run_throughput("small", channels=True)
+        assert equiv_row(row) == LAST_REPLAY_RUN["small", None]
 
-    def test_disabled_replay_runs_live(self, monkeypatch):
-        logs = record_traces(["small"])
-        monkeypatch.setenv("HIVE_REPLAY", "0")
-        row = run_throughput("small", replay=logs["small"])
-        assert "replay" not in row
+    def test_disabled_replay_runs_live(self):
+        with pytest.raises(TypeError, match="replay"):
+            run_throughput("small", replay=OpLog())
+        assert "replay" not in run_throughput("small")
 
 
 class TestReplayObservability:
     def test_merge_tier_snapshots_folds_replay(self):
+        # Shard snapshots saved before PR 20 still carry a ``replay``
+        # section; it folds away: no error, no key.
         snap = {
             "coherence": {"memo_hits": 10, "inline_batches": 2,
                           "vector_batches": 1, "scalar_batches": 0},
@@ -174,10 +175,9 @@ class TestReplayObservability:
                        "trace_hit_rate": 0.8},
         }
         merged = merge_tier_snapshots([snap, snap])
-        rep = merged["replay"]
-        assert rep["replayed_from_trace"] == 160
-        assert rep["fallback_wakeups"] == 40
-        assert rep["trace_hit_rate"] == 0.8
+        assert sorted(merged) == ["coherence", "engine", "rpc"]
+        assert merged["coherence"]["memo_hits"] == 20
+        assert merged["rpc"]["calls_total"] == 10
 
 
 class TestGzipArtifacts:

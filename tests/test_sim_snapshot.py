@@ -2,21 +2,19 @@
 
 A system forked from a :class:`~repro.sim.snapshot.SystemImage` must be
 indistinguishable — on every deterministic counter — from a freshly
-booted one, composed with every other execution tier (parked chains,
-trace replay), and the ``HIVE_SNAPSHOT=0`` escape must fall back to
-fresh boots without changing any result.
+booted one, parked chains included, and a platform without ``os.fork``
+must fall back to fresh boots without changing any result.
 """
-
-import os
 
 import pytest
 
 from repro.bench.faultexp import FaultExperimentRunner
 from repro.bench.throughput import (compare_snapshot, equiv_mismatches,
-                                    record_traces, run_throughput,
-                                    run_throughput_forked)
+                                    run_throughput, run_throughput_forked)
+from repro.sim import snapshot
 from repro.sim.snapshot import (SnapshotError, SystemImage, fork_supported,
                                 reseed_system, snapshot_enabled)
+from tests.helpers import LAST_REPLAY_RUN, equiv_row
 
 pytestmark = pytest.mark.skipif(
     not fork_supported(), reason="snapshot fork needs os.fork")
@@ -78,7 +76,12 @@ class TestSystemImage:
             image.run(_bump, 1)
 
     def test_boot_fallback_mode(self, monkeypatch):
+        # The fallback is the platform's, not the environment's.
         monkeypatch.setenv("HIVE_SNAPSHOT", "0")
+        assert snapshot_enabled()
+        with SystemImage(_boot_counter_system, 10) as image:
+            assert image.mode == "fork"
+        monkeypatch.setattr(snapshot, "fork_supported", lambda: False)
         assert not snapshot_enabled()
         with SystemImage(_boot_counter_system, 10) as image:
             assert image.mode == "boot"
@@ -108,11 +111,14 @@ class TestSnapshotGolden:
         assert forked["parking"]["replayed_wakeups"] > 0
 
     def test_forked_matches_boot_replay(self):
-        # Composition with trace replay: a forked system replaying a
-        # recorded op trace still matches the fresh-boot live run.
-        log = record_traces(["small"])["small"]
-        result = compare_snapshot("small", replay_log=log)
-        assert result["match"], result["mismatches"]
+        # A fork replaying a recorded trace at a moved fault printed
+        # this row on its last run; fork and fresh boot still do.
+        forked = run_throughput_forked("small", channels=True,
+                                       inject_ms=37)
+        fresh = run_throughput("small", channels=True, inject_ms=37)
+        assert forked["snapshot"] == "fork"
+        assert equiv_row(forked) == LAST_REPLAY_RUN["small", 37]
+        assert equiv_row(fresh) == LAST_REPLAY_RUN["small", 37]
 
     def test_reseeded_fork_matches_fresh_seed(self):
         # The image boots at the default seed; a run at seed 7 must
@@ -124,7 +130,12 @@ class TestSnapshotGolden:
         assert forked["fork_wall_s"] > 0.0
 
     def test_escape_hatch_still_matches(self, monkeypatch):
+        # The hatch is closed (``HIVE_SNAPSHOT=0`` leaves the mode
+        # alone); the fallback it selected is reached the way a
+        # platform without ``os.fork`` reaches it.
         monkeypatch.setenv("HIVE_SNAPSHOT", "0")
+        assert compare_snapshot("small")["mode"] == "fork"
+        monkeypatch.setattr(snapshot, "fork_supported", lambda: False)
         result = compare_snapshot("small")
         assert result["mode"] == "boot"
         assert result["match"], result["mismatches"]
