@@ -15,10 +15,10 @@ Regenerate the committed ``BENCH_pr3.json`` with::
 
 import pytest
 
+from repro.bench.parallel import run_suite
 from repro.bench.throughput import (
     BENCH_SCHEMA,
     CONFIGS,
-    run_suite,
     run_throughput,
     validate_payload,
 )

@@ -14,8 +14,8 @@ Run:  python examples/fault_containment_demo.py
 from repro.core import boot_hive
 from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import MachineConfig
+from repro.obs import attach_flight_recorder, render_fault_timeline
 from repro.sim import Simulator
-from repro.sim.trace import CAT_DETECT, attach_tracing
 from repro.workloads import Platform, PmakeWorkload
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     hive = boot_hive(sim, num_cells=4,
                      machine_config=MachineConfig(seed=42),
                      agreement="voting")
-    trace = attach_tracing(hive)
+    recorder = attach_flight_recorder(hive)
     hive.namespace.mount("/tmp", 1)
     hive.namespace.mount("/usr", 2)
     platform = Platform(hive)
@@ -83,9 +83,8 @@ def main() -> None:
     print(f"correctness check     : "
           f"{'PASS' if check_result.jobs_failed == 0 and check_result.outputs_ok else 'FAIL'}")
 
-    print("\ndetection timeline (first five hints):")
-    for event in trace.select(category=CAT_DETECT)[:5]:
-        print("  " + event.render())
+    print()
+    print(render_fault_timeline(recorder))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ the correctness check completes, and no output file is corrupt.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -33,7 +32,6 @@ from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import NS_PER_MS, HardwareParams
 from repro.sim.engine import Simulator
-from repro.sim.snapshot import SystemImage
 from repro.workloads.base import Platform
 from repro.workloads.pmake import PmakeWorkload
 from repro.workloads.raytrace import RaytraceWorkload
@@ -66,9 +64,8 @@ def boot_faultexp_system(agreement: str = "oracle",
                          seed: int = 0) -> HiveSystem:
     """Boot the standard Table 7.4 system (module-level, image-bootable).
 
-    This is the exact boot :meth:`FaultExperimentRunner._boot` performs;
-    keeping it module-level lets a :class:`SystemImage` host it in a
-    holder process and fork trial copies from it.
+    Module-level so that :func:`repro.sim.snapshot.run_booted` can host
+    it in an image's holder process and fork trial copies from it.
     """
     sim = Simulator()
     system = boot_hive(
@@ -80,25 +77,6 @@ def boot_faultexp_system(agreement: str = "oracle",
     system.namespace.mount("/results", 0)
     system.namespace.mount("/check", 0)
     return system
-
-
-def _forked_trial(system: HiveSystem, scenario: str, seed: int,
-                  fault_seed: Optional[int], agreement: str,
-                  victim_cell: int, wild_writes: int,
-                  on_boot) -> FaultTrialResult:
-    """Child-side trial body for image-forked runs (module-level so it
-    pickles by reference across the image's request pipe).
-
-    The image already reseeded the forked system; ``on_boot`` runs here,
-    in the child, so observer/tracer attachment does not silently depend
-    on a fresh boot.
-    """
-    if on_boot is not None:
-        on_boot(system)
-    runner = FaultExperimentRunner(
-        agreement=agreement, victim_cell=victim_cell,
-        wild_writes=wild_writes)
-    return runner.run_trial_on(system, scenario, seed, fault_seed)
 
 
 @dataclass
@@ -167,44 +145,22 @@ class FaultExperimentRunner:
 
     def __init__(self, agreement: str = "oracle",
                  victim_cell: int = DEFAULT_VICTIM,
-                 wild_writes: int = 0, on_boot=None,
-                 image: Optional[SystemImage] = None):
+                 wild_writes: int = 0, on_boot=None):
         self.agreement = agreement
         self.victim_cell = victim_cell
         self.wild_writes = wild_writes
-        #: called with each booted HiveSystem before the trial starts —
-        #: the hook telemetry uses to attach a flight recorder.  With an
-        #: image attached it runs inside the forked child (and must
-        #: therefore be a module-level callable, not a closure).
+        #: called with each HiveSystem :meth:`run_trial` boots, before
+        #: the trial starts — the hook a caller uses to get hold of the
+        #: system (to attach an observer, or to read it afterwards).
         self.on_boot = on_boot
-        #: when set, trials fork from this snapshot image instead of
-        #: paying a fresh boot; see :meth:`make_image`.
-        self.image = image
-        #: wall-clock cost of the most recent trial's system setup
-        #: (fresh boot, or fork from the image).
-        self.last_setup_wall_s = 0.0
-
-    # -- system assembly -------------------------------------------------
-
-    def _boot(self, seed: int) -> HiveSystem:
-        return boot_faultexp_system(self.agreement, seed)
-
-    def make_image(self, boot_seed: int = 0) -> SystemImage:
-        """Create (and attach) a snapshot image for this runner's config.
-
-        The boot seed is irrelevant to the golden contract — boot draws
-        no RNG — because every forked trial is reseeded to its own seed.
-        """
-        image = SystemImage(boot_faultexp_system, self.agreement, boot_seed,
-                            name=f"faultexp-{self.agreement}")
-        self.image = image
-        return image
 
     # -- one trial ------------------------------------------------------------
 
     def run_trial(self, scenario: str, seed: int = 0,
                   fault_seed: Optional[int] = None) -> FaultTrialResult:
-        """One Table 7.4 trial.
+        """One Table 7.4 trial on a freshly booted system (a campaign
+        run with ``snapshot`` forks its trials and calls
+        :meth:`run_trial_on`).
 
         ``seed`` drives everything deterministic about the run — boot,
         workload traffic, and (by default) the fault schedule.
@@ -216,15 +172,7 @@ class FaultExperimentRunner:
         """
         if scenario not in ALL_SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
-        if self.image is not None:
-            result = self.image.run(
-                _forked_trial, scenario, seed, fault_seed, self.agreement,
-                self.victim_cell, self.wild_writes, self.on_boot, seed=seed)
-            self.last_setup_wall_s = self.image.fork_wall_s_last
-            return result
-        t0 = time.perf_counter()
-        system = self._boot(seed)
-        self.last_setup_wall_s = time.perf_counter() - t0
+        system = boot_faultexp_system(self.agreement, seed)
         if self.on_boot is not None:
             self.on_boot(system)
         return self.run_trial_on(system, scenario, seed, fault_seed)

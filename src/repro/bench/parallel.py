@@ -1,11 +1,13 @@
-"""Process-parallel campaign runner for benchmarks and fault injection.
+"""Campaign runner for benchmarks and fault injection.
 
 The paper's evaluation sweeps many machine sizes and many fault
 scenarios (Tables 7.2-7.4); each cell of such a sweep is an isolated,
 seed-deterministic simulation, so the sweep parallelizes perfectly
-across processes.  This module shards ``(config, seed, repeat)`` /
-``(scenario, seed)`` cells over a ``multiprocessing`` pool and merges
-the per-shard JSON payloads into one report.
+across processes.  :func:`run_suite` and :func:`run_inject_campaign`
+shard ``(config, seed, repeat)`` / ``(scenario, seed)`` cells over a
+``multiprocessing`` pool — or, at one worker, run them in this process
+in order — and merge the per-shard JSON payloads into one report.
+Every shard starts through :func:`repro.sim.snapshot.run_booted`.
 
 Design rules:
 
@@ -35,16 +37,11 @@ from repro.bench.faultexp import (
     ScenarioSummary,
     boot_faultexp_system,
 )
-from repro.bench.throughput import (
-    BENCH_SCHEMA,
-    CONFIGS,
-    run_throughput,
-    run_throughput_forked,
-)
+from repro.bench.throughput import BENCH_SCHEMA, CONFIGS, run_throughput
 from repro.obs.availability import merge_availability
 from repro.obs.profile import merge_tier_snapshots
 from repro.obs.provenance import merge_audits
-from repro.sim.snapshot import SystemImage, snapshot_enabled
+from repro.sim.snapshot import run_booted
 
 
 class CampaignError(RuntimeError):
@@ -137,12 +134,7 @@ def _bench_shard_worker(shard: Tuple[str, int, int, bool]) -> dict:
     """One (config, seed, repeat) cell; runs in a pool worker process."""
     config, seed, repeat, snapshot = shard
     try:
-        if snapshot:
-            # One image per (config, seed) per worker process; repeats
-            # fork from it instead of re-booting.
-            row = run_throughput_forked(config, seed=seed)
-        else:
-            row = run_throughput(config, seed=seed)
+        row = run_throughput(config, seed=seed, snapshot=snapshot)
         return {"status": "ok", "config": config, "seed": seed,
                 "repeat": repeat, "row": row}
     except Exception:
@@ -150,8 +142,34 @@ def _bench_shard_worker(shard: Tuple[str, int, int, bool]) -> dict:
                 "repeat": repeat, "error": traceback.format_exc()}
 
 
-def merge_bench_shards(shards: Sequence[dict], seed: int,
-                       repeats: int) -> dict:
+def best_of(rows: Sequence[dict], keys: Sequence[str], what: str) -> dict:
+    """The fastest of ``rows``, repeats of one seed-deterministic run.
+
+    Timeit-style best-of: external load only ever slows a run down, so
+    the minimum wall time is the least noisy estimate — but the spread
+    is stamped on the row too (``wall_s_min`` / ``_max`` / ``_mean``,
+    ``repeats``), so a regression cannot hide behind one lucky repeat.
+    That the repeats agree on every simulated counter in ``keys`` is
+    verified, not assumed: :class:`CampaignError` otherwise.
+    """
+    best = rows[0]
+    for i, row in enumerate(rows):
+        for key in keys:
+            if row[key] != best[key]:
+                raise CampaignError(
+                    f"non-deterministic repeats for {what}: "
+                    f"{key} {row[key]} != {best[key]} (repeat {i})")
+        if row["wall_s"] < best["wall_s"]:
+            best = row
+    walls = [row["wall_s"] for row in rows]
+    best["repeats"] = len(rows)
+    best["wall_s_min"] = round(min(walls), 4)
+    best["wall_s_max"] = round(max(walls), 4)
+    best["wall_s_mean"] = round(sum(walls) / len(walls), 4)
+    return best
+
+
+def merge_bench_shards(shards: Sequence[dict], seed: int) -> dict:
     """Merge bench shard payloads into one ``run_suite``-shaped report.
 
     Raises :class:`CampaignError` for an empty shard list, for two
@@ -183,51 +201,33 @@ def merge_bench_shards(shards: Sequence[dict], seed: int,
     results = {}
     for config, cells in by_config.items():
         cells.sort(key=lambda s: s["repeat"])
-        best = None
-        walls: List[float] = []
-        for cell in cells:
-            row = cell["row"]
-            walls.append(row["wall_s"])
-            if best is None:
-                best = row
-                continue
-            for key in DETERMINISTIC_KEYS:
-                if row[key] != best[key]:
-                    raise CampaignError(
-                        f"non-deterministic repeats for {config!r}: "
-                        f"{key} {row[key]} != {best[key]} "
-                        f"(repeat {cell['repeat']})")
-            if row["wall_s"] < best["wall_s"]:
-                best = row
-        best["repeats"] = repeats
-        best["wall_s_min"] = round(min(walls), 4)
-        best["wall_s_max"] = round(max(walls), 4)
-        best["wall_s_mean"] = round(sum(walls) / len(walls), 4)
-        results[config] = best
+        results[config] = best_of([cell["row"] for cell in cells],
+                                  DETERMINISTIC_KEYS, repr(config))
     payload = {"schema": BENCH_SCHEMA, "seed": seed, "results": results}
     if failures:
         payload["failures"] = failures
     return payload
 
 
-def run_bench_campaign(configs: Optional[List[str]] = None,
-                       seed: int = 1995, repeats: int = 1,
-                       workers: int = 2,
-                       progress: bool = False,
-                       snapshot: bool = False) -> dict:
-    """Shard the throughput suite across a process pool and merge.
+def run_suite(configs: Optional[List[str]] = None,
+              seed: int = 1995, repeats: int = 1, workers: int = 1,
+              progress: bool = False, snapshot: bool = False) -> dict:
+    """Run the throughput scenario at the requested sizes, ``repeats``
+    times each, on ``workers`` processes (one: in this process, in
+    order); returns the bench payload.
 
-    Returns the merged ``run_suite``-shaped payload plus a
-    ``"parallel"`` section recording the pool size, the campaign wall
-    clock, and the summed per-shard wall clock (the serial-equivalent
-    cost the pool amortized).  ``progress`` prints one heartbeat line
-    per completed shard on stderr (the CLI turns it on; library callers
-    and tests stay silent).
+    ``results`` holds the :func:`best_of` row per config, ``failures``
+    the ``(config, repeat)`` cells that raised, and ``"parallel"`` the
+    pool size, the campaign wall clock and the summed per-shard wall
+    clock (the serial-equivalent cost a pool amortized).  ``snapshot``
+    forks every repeat from its config's image instead of booting it.
+    ``progress`` prints one heartbeat line per completed shard on
+    stderr (the CLI turns it on; library callers and tests stay
+    silent).
     """
     names = list(configs) if configs else list(CONFIGS)
-    repeats = max(1, repeats)
     shards = [(name, seed, r, snapshot)
-              for name in names for r in range(repeats)]
+              for name in names for r in range(max(1, repeats))]
     # Longest shards first so the big config doesn't trail the pool.
     shards.sort(key=lambda s: CONFIGS[s[0]].num_nodes
                 * CONFIGS[s[0]].duration_ms, reverse=True)
@@ -252,7 +252,7 @@ def run_bench_campaign(configs: Optional[List[str]] = None,
     # Completion order is scheduling-dependent; restore the shard-key
     # order so every derived payload is byte-stable for a given seed.
     raw.sort(key=lambda s: (s["config"], s["repeat"]))
-    payload = merge_bench_shards(raw, seed=seed, repeats=repeats)
+    payload = merge_bench_shards(raw, seed=seed)
     # Per-shard setup cost: a fresh boot, or (forked shards) the fork
     # wall — the amortization --snapshot buys shows up right here.
     shard_walls = [s["row"]["wall_s"]
@@ -275,27 +275,13 @@ def run_bench_campaign(configs: Optional[List[str]] = None,
 # -- fault-injection campaign ----------------------------------------------
 
 
-#: per-worker-process snapshot images, one per agreement protocol; a
-#: campaign forks every trial from its worker's image instead of booting.
-_WORKER_IMAGES: Dict[str, SystemImage] = {}
-
-
-def _faultexp_image(agreement: str) -> SystemImage:
-    image = _WORKER_IMAGES.get(agreement)
-    if image is None or image.closed:
-        image = SystemImage(boot_faultexp_system, agreement, 0,
-                            name=f"campaign-{agreement}")
-        _WORKER_IMAGES[agreement] = image
-    return image
-
-
 def _trial_payload(system, scenario: str, seed: int,
                    fault_seed: Optional[int], agreement: str,
                    telemetry_dir: Optional[str], capture: bool) -> dict:
     """Attach observers, run one trial on a booted system, collect.
 
-    Module-level so it can cross a :class:`SystemImage` request pipe:
-    the same body serves fresh-boot shards (called in-process) and
+    Module-level so it can cross an image's request pipe: the same
+    body serves fresh-boot shards (called in-process) and
     snapshot shards (called inside the forked child, where the
     observer attachment must happen — a fork inherits the *unobserved*
     image, so attaching here is what keeps telemetry from silently
@@ -353,29 +339,17 @@ def _inject_shard_worker(
     ``capture`` additionally ships the trial's columnar event stream
     (replay campaigns diff every trial against trial 0 at merge time).
     ``snapshot`` forks the trial's system from the worker's image
-    instead of booting (falling back to a boot per trial without
-    ``os.fork``); the golden contract keeps either path
+    instead of booting; the golden contract keeps either path
     byte-identical, and ``out["setup"]`` records which was paid.
     """
     (scenario, seed, fault_seed, agreement, telemetry_dir, capture,
      snapshot) = shard
     try:
-        if snapshot and snapshot_enabled():
-            image = _faultexp_image(agreement)
-            out = image.run(_trial_payload, scenario, seed, fault_seed,
-                            agreement, telemetry_dir, capture, seed=seed)
-            out["setup"] = {"mode": "fork",
-                            "setup_wall_s": image.fork_wall_s_last,
-                            "boot_wall_s": image.boot_wall_s}
-        else:
-            wall0 = time.perf_counter()
-            system = boot_faultexp_system(agreement, seed)
-            boot_wall = time.perf_counter() - wall0
-            out = _trial_payload(system, scenario, seed, fault_seed,
-                                 agreement, telemetry_dir, capture)
-            out["setup"] = {"mode": "boot",
-                            "setup_wall_s": boot_wall,
-                            "boot_wall_s": boot_wall}
+        out, setup = run_booted(
+            boot_faultexp_system, (agreement,), _trial_payload, scenario,
+            seed, fault_seed, agreement, telemetry_dir, capture,
+            seed=seed, snapshot=snapshot)
+        out["setup"] = setup
         return out
     except Exception:
         return {"status": "error", "scenario": scenario, "seed": seed,
@@ -529,8 +503,8 @@ def run_inject_campaign(scenarios: List[str], trials: int,
     worker count — the streams are diffed at merge time, so no shard
     depends on another's output.
 
-    ``snapshot`` forks each trial's system from a per-worker
-    :class:`SystemImage` instead of booting it fresh — the campaign
+    ``snapshot`` forks each trial's system from its worker process's
+    image instead of booting it fresh — the campaign
     amortizes boot entirely, and the merged payload's ``"snapshot"``
     section records per-trial setup wall vs the fresh-boot wall it
     replaced (``amortization_x``).  Counters stay byte-identical

@@ -277,35 +277,6 @@ def _tiers_lines(tiers: Dict[str, Any]) -> List[str]:
         lines.append(
             f"- RPC dispatches: {rpc['calls_total']} "
             f"(fast path {_pct(rpc['fast_rate'])})")
-    eng = tiers.get("engine")
-    if eng:
-        lines.append(
-            f"- engine dispatches: {eng['dispatches_total']} "
-            f"(same-instant {_pct(eng['nowq_rate'])}, "
-            f"heap {_pct(eng['heap_rate'])}, "
-            f"inline timer {_pct(eng['inline_rate'])}; "
-            f"wheel-routed {eng['wheel_routed']})")
-    else:
-        lines.append("- engine dispatches: not profiled "
-                     "(set HIVE_PROFILE=1 to attribute engine time)")
-    return lines
-
-
-def _replay_lines(replay: Dict[str, Any]) -> List[str]:
-    """The recorded-vs-replayed divergence table for replay campaigns."""
-    lines = ["## Trace replay (fault-seed sweep)", ""]
-    lines.append("| scenario | base fault seed | trace rows | trial | "
-                 "identical prefix | divergence (ms) |")
-    lines.append("|---|---:|---:|---:|---:|---:|")
-    for scenario in sorted(replay):
-        row = replay[scenario]
-        for trial in row.get("trials", []):
-            div = trial.get("divergence_ns")
-            div_ms = f"{div / 1e6:.1f}" if div is not None else "none"
-            lines.append(
-                f"| {scenario} | {row['base_fault_seed']} "
-                f"| {row['trace_rows']} | f{trial['fault_seed']} "
-                f"| {trial['identical_prefix']} | {div_ms} |")
     return lines
 
 
@@ -490,10 +461,6 @@ def render_campaign_report(payload: Dict[str, Any],
     tiers = payload.get("tiers")
     if tiers:
         lines += _tiers_lines(tiers)
-        lines.append("")
-    replay = payload.get("replay")
-    if replay:
-        lines += _replay_lines(replay)
         lines.append("")
     if trajectory is not None:
         lines += _trajectory_lines(trajectory)

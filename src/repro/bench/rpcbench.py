@@ -19,12 +19,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.bench.parallel import best_of
 from repro.core.hive import HiveSystem, boot_hive
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
 from repro.obs.profile import rpc_tiers
 from repro.sim.engine import Simulator
-from repro.sim.snapshot import SystemImage, snapshot_enabled
+from repro.sim.snapshot import run_booted
 
 #: simulated quantities that must be identical across repeats, fresh
 #: boots and snapshot forks for one (config, seed)
@@ -99,20 +100,30 @@ def boot_rpc_system(config: str, seed: int = 1995) -> HiveSystem:
 
 def run_rpc_bench(config: str, seed: int = 1995,
                   system: Optional[HiveSystem] = None,
-                  fork_wall_s: Optional[float] = None) -> dict:
+                  snapshot: bool = False) -> dict:
     """Run the RPC scenario at one machine size; returns the result row.
 
-    ``system`` runs against an already-booted (snapshot-forked) system
-    — ``boot_wall_s`` is then 0 and ``fork_wall_s`` records the fork
-    cost the caller measured.
+    ``system`` runs it on a system the caller booted; otherwise
+    :func:`repro.sim.snapshot.run_booted` boots one, or with
+    ``snapshot`` forks it from the config's image (same counters;
+    ``boot_wall_s`` is then the image's one-time boot, ``fork_wall_s``
+    what this run paid instead, ``snapshot`` the image's mode).
     """
+    if system is not None:
+        return _run_on(system, config, seed)
+    row, setup = run_booted(boot_rpc_system, (config,), _run_on, config,
+                            seed, seed=seed, snapshot=snapshot)
+    row["boot_wall_s"] = round(setup["boot_wall_s"], 4)
+    if snapshot:
+        row["fork_wall_s"] = round(setup["setup_wall_s"], 4)
+        row["snapshot"] = setup["mode"]
+    return row
+
+
+def _run_on(system: HiveSystem, config: str, seed: int) -> dict:
+    """The scenario on a booted system (module-level: it crosses the
+    image's request pipe in a forked run)."""
     cfg = RPC_CONFIGS[config]
-    if system is None:
-        boot_wall0 = time.perf_counter()
-        system = boot_rpc_system(config, seed=seed)
-        boot_wall = time.perf_counter() - boot_wall0
-    else:
-        boot_wall = 0.0
     sim = system.sim
     params = system.machine.params
     registry = system.registry
@@ -155,8 +166,8 @@ def run_rpc_bench(config: str, seed: int = 1995,
         "cells": cfg.num_cells,
         "seed": seed,
         "clients": cfg.num_cells * cfg.clients_per_cell,
-        "boot_wall_s": round(boot_wall, 4),
-        "fork_wall_s": round(fork_wall_s, 4) if fork_wall_s else 0.0,
+        "boot_wall_s": 0.0,
+        "fork_wall_s": 0.0,
         "wall_s": round(wall, 4),
         "round_trips": counters["round_trips"],
         "round_trips_per_sec": round(counters["round_trips"] / wall, 1),
@@ -193,39 +204,6 @@ def run_rpc_bench(config: str, seed: int = 1995,
     return row
 
 
-#: snapshot images for the RPC scenario, one per config.
-_RPC_IMAGES: Dict[str, SystemImage] = {}
-
-
-def _forked_rpc_bench(system: HiveSystem, config: str, seed: int) -> dict:
-    """Child-side RPC bench run (module-level: crosses the image pipe)."""
-    return run_rpc_bench(config, seed=seed, system=system)
-
-
-def run_rpc_bench_forked(config: str, seed: int = 1995) -> dict:
-    """``run_rpc_bench`` against a snapshot fork instead of a fresh boot.
-
-    Same byte-identical counters; ``boot_wall_s`` becomes the image's
-    one-time boot and ``fork_wall_s`` the per-run fork.  Falls back to
-    a fresh boot per run on a platform without ``os.fork``.
-    """
-    if not snapshot_enabled():
-        row = run_rpc_bench(config, seed=seed)
-        row["fork_wall_s"] = row["boot_wall_s"]
-        row["snapshot"] = "boot"
-        return row
-    image = _RPC_IMAGES.get(config)
-    if image is None or image.closed:
-        image = SystemImage(boot_rpc_system, config, 1995,
-                            name=f"rpcbench-{config}")
-        _RPC_IMAGES[config] = image
-    row = image.run(_forked_rpc_bench, config, seed, seed=seed)
-    row["boot_wall_s"] = round(image.boot_wall_s, 4)
-    row["fork_wall_s"] = round(image.fork_wall_s_last, 4)
-    row["snapshot"] = "fork"
-    return row
-
-
 def run_rpc_suite(configs: Optional[List[str]] = None,
                   seed: int = 1995, repeats: int = 1,
                   snapshot: bool = False) -> Dict[str, dict]:
@@ -233,31 +211,9 @@ def run_rpc_suite(configs: Optional[List[str]] = None,
 
     Repeats must agree on every :data:`RPC_DETERMINISTIC_KEYS` entry
     (verified, not assumed); the fastest repeat is the headline row.
-    ``snapshot`` forks each repeat from a per-config snapshot image.
+    ``snapshot`` forks each repeat from the config's snapshot image.
     """
-    names = list(configs) if configs else list(RPC_CONFIGS)
-    results: Dict[str, dict] = {}
-    for name in names:
-        best = None
-        walls: List[float] = []
-        for _ in range(max(1, repeats)):
-            runner = run_rpc_bench_forked if snapshot else run_rpc_bench
-            row = runner(name, seed=seed)
-            walls.append(row["wall_s"])
-            if best is None:
-                best = row
-                continue
-            for key in RPC_DETERMINISTIC_KEYS:
-                if row[key] != best[key]:
-                    raise RuntimeError(
-                        f"non-deterministic rpc repeat for {name!r}: "
-                        f"{key} {row[key]} != {best[key]}")
-            if row["wall_s"] < best["wall_s"]:
-                best = row
-        best["repeats"] = max(1, repeats)
-        best["wall_s_min"] = round(min(walls), 4)
-        best["wall_s_max"] = round(max(walls), 4)
-        best["wall_s_mean"] = round(sum(walls) / len(walls), 4)
-        results[name] = best
-    return results
-
+    return {name: best_of([run_rpc_bench(name, seed=seed, snapshot=snapshot)
+                           for _ in range(max(1, repeats))],
+                          RPC_DETERMINISTIC_KEYS, f"rpc {name!r}")
+            for name in (configs or RPC_CONFIGS)}

@@ -44,7 +44,7 @@ from repro.sim.channels import attach_channels
 from repro.sim.engine import Simulator
 from repro.sim.oplog import OP_MEMO, OP_REAL, OP_RETIRE, OpLog
 from repro.sim.shard import ChainCoordinator
-from repro.sim.snapshot import SystemImage, snapshot_enabled
+from repro.sim.snapshot import run_booted
 
 BENCH_SCHEMA = "hive-throughput/v1"
 
@@ -238,7 +238,7 @@ def run_throughput(config: str, seed: int = 1995,
                    record: Optional[OpLog] = None,
                    inject_ms: Optional[int] = None,
                    system: Optional[HiveSystem] = None,
-                   fork_wall_s: Optional[float] = None) -> dict:
+                   snapshot: bool = False) -> dict:
     """Run the fixed scenario at one machine size; returns the result row.
 
     ``channels`` attaches the intercell channel recorder, so the row
@@ -249,19 +249,34 @@ def run_throughput(config: str, seed: int = 1995,
     per-wakeup form of the scenario (no wakeup is credited ahead).
     ``inject_ms`` overrides the config's fault-injection time.
 
-    ``system`` runs the scenario against an already-booted (snapshot-
-    forked) system instead of booting one — its boot cost was paid by
-    the image, so ``boot_wall_s`` is 0.  ``fork_wall_s`` records the
-    fork cost the caller measured for the row.
+    ``system`` runs the scenario on a system the caller booted (its
+    setup cost is the caller's to report; the row's reads 0).  Otherwise
+    :func:`repro.sim.snapshot.run_booted` boots one, or with
+    ``snapshot`` forks it from the config's image: the row is
+    byte-identical on every simulated counter (the golden contract),
+    ``boot_wall_s`` is the image's one-time boot, ``fork_wall_s`` what
+    this run paid instead and ``snapshot`` the image's mode.
     """
+    if system is not None:
+        return _run_on(system, config, seed, channels, record, inject_ms)
+    if snapshot and record is not None:
+        raise ValueError("a recording run cannot fork: the log would "
+                         "fill in the child")
+    row, setup = run_booted(boot_bench_system, (config,), _run_on, config,
+                            seed, channels, record, inject_ms,
+                            seed=seed, snapshot=snapshot)
+    row["boot_wall_s"] = round(setup["boot_wall_s"], 4)
+    if snapshot:
+        row["fork_wall_s"] = round(setup["setup_wall_s"], 4)
+        row["snapshot"] = setup["mode"]
+    return row
+
+
+def _run_on(system: HiveSystem, config: str, seed: int, channels: bool,
+            record: Optional[OpLog], inject_ms: Optional[int]) -> dict:
+    """The scenario on a booted system (module-level: it crosses the
+    image's request pipe in a forked run)."""
     cfg = CONFIGS[config]
-    if system is None:
-        boot_wall0 = time.perf_counter()
-        system = boot_bench_system(config, seed=seed)
-        boot_wall = time.perf_counter() - boot_wall0
-    else:
-        # Forked / caller-booted: the image paid the boot already.
-        boot_wall = 0.0
     sim = system.sim
     params = system.machine.params
     registry = system.registry
@@ -335,8 +350,8 @@ def run_throughput(config: str, seed: int = 1995,
         "cpus_per_node": cfg.cpus_per_node,
         "seed": seed,
         "sim_ms": stop_ns / NS_PER_MS,
-        "boot_wall_s": round(boot_wall, 4),
-        "fork_wall_s": round(fork_wall_s, 4) if fork_wall_s else 0.0,
+        "boot_wall_s": 0.0,
+        "fork_wall_s": 0.0,
         "wall_s": round(wall_s, 4),
         "recovery_wall_ms": round((wall_recovered - wall_inject) * 1e3, 3),
         "events": events,
@@ -350,60 +365,11 @@ def run_throughput(config: str, seed: int = 1995,
         "discarded_pages": discarded,
         "inject_ms": inject_ms,
         "parking": coord.snapshot(),
-        # Hot-path tier attribution (seed-deterministic counts; the
-        # engine section is non-null only under HIVE_PROFILE=1).
+        # Hot-path tier attribution (seed-deterministic counts).
         "tiers": tier_snapshot(system),
     }
     if chan is not None:
         row["channels"] = chan.snapshot()
-    return row
-
-
-#: snapshot images for the throughput scenario, one per config.
-#: Forked runs reseed to the trial seed, so the boot seed never keys the
-#: cache — one image serves every seed of a config.
-_BENCH_IMAGES: Dict[str, SystemImage] = {}
-
-
-def bench_image(config: str) -> SystemImage:
-    """The (process-local) snapshot image for one throughput config."""
-    image = _BENCH_IMAGES.get(config)
-    if image is None or image.closed:
-        image = SystemImage(boot_bench_system, config, 1995,
-                            name=f"bench-{config}")
-        _BENCH_IMAGES[config] = image
-    return image
-
-
-def _forked_throughput(system: HiveSystem, config: str,
-                       kwargs: dict) -> dict:
-    """Child-side bench run (module-level so it crosses the image pipe)."""
-    return run_throughput(config, system=system, **kwargs)
-
-
-def run_throughput_forked(config: str, seed: int = 1995,
-                          channels: bool = False,
-                          inject_ms: Optional[int] = None) -> dict:
-    """``run_throughput`` against a snapshot fork instead of a fresh boot.
-
-    The returned row is byte-identical on every simulated counter (the
-    golden contract); ``boot_wall_s`` becomes the image's one-time boot
-    and ``fork_wall_s`` the per-run fork cost it amortizes down to.
-    Without ``os.fork`` this falls back to a fresh boot per run, with
-    ``fork_wall_s`` recording that boot — i.e. no amortization, same
-    results.
-    """
-    kwargs = dict(seed=seed, channels=channels, inject_ms=inject_ms)
-    if not snapshot_enabled():
-        row = run_throughput(config, **kwargs)
-        row["fork_wall_s"] = row["boot_wall_s"]
-        row["snapshot"] = "boot"
-        return row
-    image = bench_image(config)
-    row = image.run(_forked_throughput, config, kwargs, seed=seed)
-    row["boot_wall_s"] = round(image.boot_wall_s, 4)
-    row["fork_wall_s"] = round(image.fork_wall_s_last, 4)
-    row["snapshot"] = "fork"
     return row
 
 
@@ -426,12 +392,12 @@ def compare_snapshot(config: str, seed: int = 1995) -> dict:
     the fork bought (fresh boot wall vs fork wall).
     """
     fresh = run_throughput(config, seed=seed, channels=True)
-    forked = run_throughput_forked(config, seed=seed, channels=True)
+    forked = run_throughput(config, seed=seed, channels=True, snapshot=True)
     mismatches = equiv_mismatches(fresh, forked, ("fresh", "forked"))
     fork_wall = forked["fork_wall_s"]
     return {
         "config": config,
-        "mode": forked.get("snapshot", "boot"),
+        "mode": forked["snapshot"],
         "match": not mismatches,
         "mismatches": mismatches,
         "boot_wall_s": fresh["boot_wall_s"],
@@ -469,51 +435,6 @@ def compare_parked(config: str, seed: int = 1995,
         "parks": parked["parking"]["parks"],
         "replayed_wakeups": parked["parking"]["replayed_wakeups"],
     }
-
-
-def run_suite(configs: Optional[List[str]] = None,
-              seed: int = 1995, repeats: int = 1,
-              snapshot: bool = False) -> dict:
-    """Run the scenario at the requested sizes; returns the bench payload.
-
-    With ``repeats > 1`` each config runs that many times and the
-    fastest run is kept as the headline row (timeit-style best-of:
-    external load only ever slows a run down, so the minimum wall time
-    is the least noisy estimate) — but the per-repeat wall-clock spread
-    is surfaced too (``wall_s_min``/``wall_s_max``/``wall_s_mean``), so
-    a regression can't hide behind one lucky repeat.  All simulated
-    counters are seed-deterministic and identical across repeats (this
-    is verified, not assumed); only the wall-clock figures differ.
-
-    ``snapshot`` boots each config once into a snapshot image and forks
-    every repeat from it (``fork_wall_s`` replaces the per-repeat boot).
-    """
-    names = list(configs) if configs else list(CONFIGS)
-    results = {}
-    for name in names:
-        best = None
-        walls: List[float] = []
-        for _ in range(max(1, repeats)):
-            runner = run_throughput_forked if snapshot else run_throughput
-            row = runner(name, seed=seed)
-            walls.append(row["wall_s"])
-            if best is None:
-                best = row
-            else:
-                for key in ("events", "accesses", "driver_accesses",
-                            "discarded_pages", "writable_page_samples"):
-                    if row[key] != best[key]:
-                        raise RuntimeError(
-                            f"non-deterministic repeat for {name!r}: "
-                            f"{key} {row[key]} != {best[key]}")
-                if row["wall_s"] < best["wall_s"]:
-                    best = row
-        best["repeats"] = max(1, repeats)
-        best["wall_s_min"] = round(min(walls), 4)
-        best["wall_s_max"] = round(max(walls), 4)
-        best["wall_s_mean"] = round(sum(walls) / len(walls), 4)
-        results[name] = best
-    return {"schema": BENCH_SCHEMA, "seed": seed, "results": results}
 
 
 def _calibration_workload() -> int:
@@ -558,13 +479,6 @@ def write_bench_file(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_bench_file(path: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    validate_payload(payload)
-    return payload
 
 
 def validate_payload(payload: dict) -> None:

@@ -34,11 +34,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench.faultexp import (
-    ALL_SCENARIOS,
-    PAPER_TABLE_7_4,
-    FaultExperimentRunner,
-)
+from repro.bench.faultexp import ALL_SCENARIOS
 from repro.bench.report import ComparisonTable
 from repro.core.hive import boot_hive, boot_irix
 from repro.core.invariants import check_system
@@ -150,61 +146,45 @@ def _run_traced(args):
     return platform.target, recorder, result
 
 
-def _trace_from_spans(args) -> int:
-    """Summarize a saved ``spans.jsonl`` / ``spans.jsonl.gz`` artifact.
-
-    Reads go through :func:`repro.obs.open_artifact`, so gzipped
-    telemetry (``--telemetry-compress``) loads exactly like plain files.
-    """
-    records = load_jsonl(args.from_spans)
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
+def _print_span_summary(records) -> None:
+    """Records by subsystem and spans by name, from ``spans.jsonl``
+    records (a saved artifact's, or a live recorder's)."""
     counts = {}
+    by_name = {}
     for rec in records:
         counts[rec["category"]] = counts.get(rec["category"], 0) + 1
-    print(f"{args.from_spans}: {len(spans)} spans, "
-          f"{len(events)} events")
+        if rec["type"] == "span":
+            entry = by_name.setdefault(rec["name"], [0, 0])
+            entry[0] += 1
+            if rec["end_ns"] is not None:
+                entry[1] += rec["end_ns"] - rec["start_ns"]
     print()
     print("records by subsystem:")
     for category in sorted(counts):
         print(f"  {category:>10}: {counts[category]}")
-    by_name = {}
-    for span in spans:
-        entry = by_name.setdefault(span["name"], [0, 0])
-        entry[0] += 1
-        if span.get("end_ns") is not None:
-            entry[1] += span["end_ns"] - span["start_ns"]
     print()
     print("spans by name (count, total simulated time):")
     for name in sorted(by_name):
         count, total = by_name[name]
         print(f"  {name:<22} {count:>7}  {total / 1e6:12.3f} ms")
-    return 0
 
 
 def cmd_trace(args) -> int:
     if args.from_spans:
-        return _trace_from_spans(args)
+        # load_jsonl reads through open_artifact, so gzipped telemetry
+        # (--telemetry-compress) loads exactly like a plain file.
+        records = load_jsonl(args.from_spans)
+        spans = sum(1 for r in records if r["type"] == "span")
+        print(f"{args.from_spans}: {spans} spans, "
+              f"{len(records) - spans} events")
+        _print_span_summary(records)
+        return 0
     system, recorder, result = _run_traced(args)
-    counts = recorder.counts_by_category()
     print(f"{args.workload} on {args.cells}-cell Hive "
           f"(seed {args.seed}): {result.elapsed_s:.3f} s simulated, "
           f"{len(recorder.spans)} spans, {len(recorder.events)} events")
-    print()
-    print("records by subsystem:")
-    for category in sorted(counts):
-        print(f"  {category:>10}: {counts[category]}")
-    by_name = {}
-    for span in recorder.spans:
-        entry = by_name.setdefault(span.name, [0, 0])
-        entry[0] += 1
-        if span.end_ns is not None:
-            entry[1] += span.end_ns - span.start_ns
-    print()
-    print("spans by name (count, total simulated time):")
-    for name in sorted(by_name):
-        count, total = by_name[name]
-        print(f"  {name:<22} {count:>7}  {total / 1e6:12.3f} ms")
+    _print_span_summary([r.to_dict() for r in (*recorder.spans,
+                                               *recorder.events)])
     print()
     print(render_fault_timeline(recorder))
     if recorder.spans_dropped or recorder.events_dropped:
@@ -227,10 +207,36 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _scenarios(args) -> List[str]:
+    return list(ALL_SCENARIOS) if args.scenario == "all" else [args.scenario]
+
+
+def _campaign(args, **kw) -> dict:
+    """The campaign ``inject`` / ``audit`` / ``report`` run from their
+    shared flags; failed trials are named on stderr."""
+    from repro.bench.parallel import run_inject_campaign
+
+    payload = run_inject_campaign(
+        _scenarios(args), trials=args.trials, seed_base=args.seed,
+        workers=max(1, args.parallel), agreement=args.agreement,
+        progress=args.progress, **kw)
+    for failure in payload.get("failures", []):
+        print(f"FAILED trial {failure['scenario']!r} seed "
+              f"{failure['seed']}:\n{failure['error']}", file=sys.stderr)
+    return payload
+
+
+def _audit_verdict(audit: dict) -> tuple:
+    """``(one-line verdict, absorbed count)`` of a merged audit."""
+    summary = audit.get("summary", {})
+    absorbed = summary.get("by_verdict", {}).get("absorbed", 0)
+    return (f"{audit['verdict']} ({summary.get('near_misses', 0)} near "
+            f"misses, {absorbed} absorbed)", absorbed)
+
+
 def cmd_report(args) -> int:
     import json
 
-    from repro.bench.parallel import run_inject_campaign
     from repro.bench.report import (
         campaign_report_json,
         check_campaign_report,
@@ -243,12 +249,7 @@ def cmd_report(args) -> int:
         with open(args.from_json) as fh:
             payload = json.load(fh)
     else:
-        scenarios = (list(ALL_SCENARIOS) if args.scenario == "all"
-                     else [args.scenario])
-        payload = run_inject_campaign(
-            scenarios, trials=args.trials, seed_base=args.seed,
-            workers=max(1, args.parallel), agreement=args.agreement,
-            progress=args.progress)
+        payload = _campaign(args)
     trajectory = load_bench_trajectory(args.bench_dir)
     if args.save_campaign:
         # "summaries" holds dataclass objects for the inject CLI; the
@@ -288,18 +289,9 @@ def cmd_report(args) -> int:
 def cmd_audit(args) -> int:
     import json
 
-    from repro.bench.parallel import run_inject_campaign
     from repro.obs import render_audit_markdown
 
-    scenarios = (list(ALL_SCENARIOS) if args.scenario == "all"
-                 else [args.scenario])
-    payload = run_inject_campaign(
-        scenarios, trials=args.trials, seed_base=args.seed,
-        workers=max(1, args.parallel), agreement=args.agreement,
-        progress=args.progress)
-    for failure in payload.get("failures", []):
-        print(f"FAILED trial {failure['scenario']!r} seed "
-              f"{failure['seed']}:\n{failure['error']}", file=sys.stderr)
+    payload = _campaign(args)
     audit = payload.get("audit")
     if audit is None:
         print("error: campaign produced no audit payload", file=sys.stderr)
@@ -323,11 +315,8 @@ def cmd_audit(args) -> int:
             json.dump(audit_to_chrome_trace(audit), fh, sort_keys=True)
             fh.write("\n")
         print(f"trace written       : {args.trace_out}", file=sys.stderr)
-    summary = audit.get("summary", {})
-    absorbed = summary.get("by_verdict", {}).get("absorbed", 0)
-    print(f"containment audit   : {audit['verdict']} "
-          f"({summary.get('near_misses', 0)} near misses, "
-          f"{absorbed} absorbed)", file=sys.stderr)
+    verdict, absorbed = _audit_verdict(audit)
+    print(f"containment audit   : {verdict}", file=sys.stderr)
     breach = audit["verdict"] == "breach" or absorbed > 0
     return 1 if breach or payload.get("failures") else 0
 
@@ -361,109 +350,12 @@ def cmd_micro(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    if args.replay and not args.campaign:
-        print("error: --replay requires --campaign (it sweeps fault "
-              "seeds across campaign trials)", file=sys.stderr)
-        return 2
-    if args.campaign:
-        return _cmd_inject_campaign(args)
-    telemetry = {"recorder": None, "system": None}
-
-    def on_boot(system) -> None:
-        # Fresh recorder per trial so each telemetry dump is one trial.
-        telemetry["recorder"] = attach_flight_recorder(system)
-        telemetry["system"] = system
-
-    runner = FaultExperimentRunner(
-        agreement=args.agreement,
-        on_boot=on_boot if args.telemetry_out else None)
-    if args.snapshot:
-        if args.telemetry_out:
-            # The telemetry recorder must live in this process; forked
-            # trials run in children, so the two are incompatible.
-            print("note: --snapshot ignored with --telemetry-out "
-                  "(recorder must observe trials in-process)")
-        else:
-            from repro.sim.snapshot import snapshot_enabled
-            if snapshot_enabled():
-                runner.make_image()
-    scenarios = (list(ALL_SCENARIOS) if args.scenario == "all"
-                 else [args.scenario])
-    failures = 0
-    scenario_payload = {}
-    for scenario in scenarios:
-        workload, _n, avg, mx = PAPER_TABLE_7_4[scenario]
-        summary = runner.run_scenario(scenario, args.trials,
-                                      seed_base=args.seed)
-        ok = summary.contained_count == len(summary.trials)
-        failures += 0 if ok else 1
-        print(f"{scenario} ({workload}): "
-              f"contained {summary.contained_count}/{len(summary.trials)}, "
-              f"detection avg {summary.avg_latency_ms:.1f} ms / "
-              f"max {summary.max_latency_ms:.1f} ms "
-              f"(paper {avg}/{mx} ms)")
-        for trial in summary.trials:
-            if not trial.contained:
-                print(f"   NOT CONTAINED (seed {trial.seed}): "
-                      f"{trial.notes}")
-        have_latencies = bool(summary.latencies_ms)
-        scenario_payload[scenario] = {
-            "workload": workload,
-            "trials": len(summary.trials),
-            "contained": summary.contained_count,
-            "detection_avg_ms": (summary.avg_latency_ms
-                                 if have_latencies else None),
-            "detection_max_ms": (summary.max_latency_ms
-                                 if have_latencies else None),
-            "paper_avg_ms": avg,
-            "paper_max_ms": mx,
-            "latencies_ms": summary.latencies_ms,
-        }
-        if args.telemetry_out and telemetry["recorder"] is not None:
-            import os
-            out_dir = os.path.join(args.telemetry_out, scenario)
-            write_telemetry(out_dir, telemetry["recorder"],
-                            telemetry["system"],
-                            compress=args.telemetry_compress)
-            print(f"   telemetry (last trial) written to {out_dir}")
-    if runner.image is not None and runner.image.forks:
-        stats = runner.image.stats()
-        fork_ms = stats["fork_wall_s_mean"] * 1000
-        boot = stats["boot_wall_s"]
-        amort = round(boot * 1000 / fork_ms, 1) if fork_ms else 0.0
-        print(f"snapshot forks: {stats['forks']} trials at "
-              f"{fork_ms:.1f} ms each vs {boot:.3f} s boot ({amort}x)")
-    if args.telemetry_out:
-        import os
-        os.makedirs(args.telemetry_out, exist_ok=True)
-        bench = {"command": "inject", "agreement": args.agreement,
-                 "seed": args.seed, "scenarios": scenario_payload}
-        write_bench_summary(
-            os.path.join(args.telemetry_out, "BENCH_pr2.json"), bench)
-    return 1 if failures else 0
-
-
-def _cmd_inject_campaign(args) -> int:
-    """``inject --campaign``: trials sharded over a process pool."""
-    from repro.bench.parallel import run_inject_campaign
-
-    scenarios = (list(ALL_SCENARIOS) if args.scenario == "all"
-                 else [args.scenario])
-    workers = max(1, args.parallel)
+    scenarios = _scenarios(args)
     print(f"fault-injection campaign: {', '.join(scenarios)} x "
-          f"{args.trials} trials on {workers} workers "
+          f"{args.trials} trials on {max(1, args.parallel)} workers "
           f"(agreement {args.agreement}, seed base {args.seed})")
-    payload = run_inject_campaign(scenarios, trials=args.trials,
-                                  seed_base=args.seed, workers=workers,
-                                  agreement=args.agreement,
-                                  telemetry_dir=args.telemetry_out,
-                                  progress=args.progress,
-                                  replay=args.replay,
-                                  snapshot=args.snapshot)
-    failures = len(payload.get("failures", []))
-    for failure in payload.get("failures", []):
-        print(f"FAILED trial {failure['scenario']!r} seed "
-              f"{failure['seed']}:\n{failure['error']}", file=sys.stderr)
+    payload = _campaign(args, telemetry_dir=args.telemetry_out,
+                        replay=args.replay, snapshot=args.snapshot)
     uncontained = 0
     for scenario in scenarios:
         row = payload["scenarios"].get(scenario)
@@ -485,22 +377,9 @@ def _cmd_inject_campaign(args) -> int:
                 print(f"   NOT CONTAINED (seed {trial.seed}): "
                       f"{trial.notes}")
     absorbed = 0
-    audit = payload.get("audit")
-    if audit is not None:
-        summary = audit.get("summary", {})
-        absorbed = summary.get("by_verdict", {}).get("absorbed", 0)
-        print(f"containment audit: {audit['verdict']} "
-              f"({summary.get('near_misses', 0)} near misses, "
-              f"{absorbed} absorbed)")
-        if args.audit_out:
-            from repro.obs import render_audit_markdown
-            with open(args.audit_out, "w") as fh:
-                fh.write(render_audit_markdown(audit))
-            print(f"   audit written to {args.audit_out}")
-    elif args.audit_out:
-        print("error: --audit-out requested but the campaign produced "
-              "no audit payload", file=sys.stderr)
-        return 1
+    if payload.get("audit") is not None:
+        verdict, absorbed = _audit_verdict(payload["audit"])
+        print(f"containment audit: {verdict}")
     for scenario in sorted(payload.get("replay", {})):
         row = payload["replay"][scenario]
         print(f"replay streams {scenario}: base fault seed "
@@ -532,7 +411,7 @@ def _cmd_inject_campaign(args) -> int:
                  "parallel": par}
         write_bench_summary(
             os.path.join(args.telemetry_out, "BENCH_pr2.json"), bench)
-    return 1 if failures or uncontained or absorbed else 0
+    return 1 if payload.get("failures") or uncontained or absorbed else 0
 
 
 def cmd_sessions(args) -> int:
@@ -582,11 +461,10 @@ def cmd_sessions(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.bench.parallel import run_bench_campaign
+    from repro.bench.parallel import run_suite
     from repro.bench.throughput import (
         CONFIGS,
         compare_parked,
-        run_suite,
         validate_payload,
         write_bench_file,
     )
@@ -597,15 +475,9 @@ def cmd_bench(args) -> int:
         mode += ", snapshot forks"
     print(f"throughput bench: {', '.join(names)} (seed {args.seed}, "
           f"best of {args.repeats}, {mode})")
-    if args.parallel > 1:
-        payload = run_bench_campaign(names, seed=args.seed,
-                                     repeats=args.repeats,
-                                     workers=args.parallel,
-                                     progress=args.progress,
-                                     snapshot=args.snapshot)
-    else:
-        payload = run_suite(names, seed=args.seed, repeats=args.repeats,
-                            snapshot=args.snapshot)
+    payload = run_suite(names, seed=args.seed, repeats=args.repeats,
+                        workers=max(1, args.parallel),
+                        progress=args.progress, snapshot=args.snapshot)
     failed = bool(payload.get("failures"))
     for failure in payload.get("failures", []):
         print(f"FAILED shard {failure['config']!r} repeat "
@@ -820,31 +692,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_inject.add_argument("--trials", type=int, default=1)
     p_inject.add_argument("--agreement", choices=["voting", "oracle"],
                           default="oracle")
-    p_inject.add_argument("--campaign", action="store_true",
-                          help="shard trials across a process pool and "
-                               "merge the per-trial payloads")
     p_inject.add_argument("--replay", action="store_true",
-                          help="with --campaign: fix the workload seed "
+                          help="fix the workload seed "
                                "and sweep only the fault seed; each "
                                "trial records its op trace and the "
                                "merge reports where every stream "
                                "diverges from trial 0's")
     p_inject.add_argument("--parallel", type=int, default=2, metavar="N",
-                          help="worker processes for --campaign "
-                               "(default: 2)")
+                          help="worker processes the trials are "
+                               "sharded over (default: 2)")
     p_inject.add_argument("--progress", action="store_true",
                           help="print a heartbeat line (shard i/N, "
                                "sim-time, events/s) per completed "
-                               "--campaign trial")
+                               "trial")
     p_inject.add_argument("--snapshot", action="store_true",
-                          help="with --campaign: fork each trial from a "
+                          help="fork each trial from a "
                                "per-worker snapshot image instead of "
                                "re-booting (same results, boot paid "
                                "once per worker)")
-    p_inject.add_argument("--audit-out", metavar="FILE", default=None,
-                          help="write the --campaign containment-audit "
-                               "markdown here; any absorbed taint also "
-                               "fails the run")
     common(p_inject)
     telemetry(p_inject)
     p_inject.set_defaults(fn=cmd_inject)
@@ -882,9 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["small", "medium", "large", "all"],
                          default="all")
     p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr20.json",
+                         default="BENCH_pr21.json",
                          help="output JSON path "
-                              "(default: BENCH_pr20.json)")
+                              "(default: BENCH_pr21.json)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")

@@ -196,39 +196,6 @@ class NodeFirewall:
                 f"frame {bad} is not homed on node {self.node_id}"
             )
 
-    def bulk_grant_node(self, frames: Iterable[int], requester_node: int,
-                        grantee_node: int) -> None:
-        """Grant a node write access on a whole batch of frames at once.
-
-        Equivalent to ``grant_node`` per frame but with a single
-        vectorized range check and one index pass.
-        """
-        if requester_node != self.node_id:
-            raise PermissionError(
-                "only the local processor can change firewall bits "
-                f"(node {requester_node} tried to update node {self.node_id})"
-            )
-        arr = np.fromiter(frames, dtype=np.int64)
-        self._check_frames_bulk(arr)
-        mask = self._mask_for_node(grantee_node)
-        default = self._default_mask
-        vectors = self._vectors
-        remote = self._remote_writable
-        not_default = ~default
-        for frame in arr.tolist():
-            vec = vectors.get(frame, default) | mask
-            if vec == default:
-                vectors.pop(frame, None)
-                remote.pop(frame, None)
-                continue
-            vectors[frame] = vec
-            if vec & not_default:
-                if frame not in remote:
-                    remote[frame] = None
-            else:
-                remote.pop(frame, None)
-        self.updates += int(arr.size)
-
     def bulk_revoke_all_remote(self, frames: Iterable[int],
                                requester_node: int) -> None:
         """Reset a whole batch of frames to the default vector at once."""

@@ -1,35 +1,29 @@
-"""Hot-path tier profiling: which tier served the work, and where the
-wall-clock went.
+"""Hot-path tier profiling: which tier served the work.
 
-Three subsystems resolve work in tiers — coherence batches (memo replay
+Two subsystems resolve work in tiers — coherence batches (memo replay
 / inlined sequential / vectorized, with the scalar loop for out-of-range
-lines), the engine queue (same-instant deque / timer wheel / binary
-heap, plus a sleeper's inline wakeup), and RPC dispatch (one coalesced
-path).  This module aggregates the per-subsystem attribution
-counters into one JSON-stable snapshot so campaigns and benchmarks can
-report *tier hit rates* — how often each tier actually fired — instead
-of guessing from end-to-end timings.
+lines) and RPC dispatch (one coalesced path).  This module aggregates
+the per-subsystem attribution counters into one JSON-stable snapshot so
+campaigns and benchmarks can report *tier hit rates* — how often each
+tier actually fired — instead of guessing from end-to-end timings.
 
 Counter sources:
 
 * coherence tiers are plain always-on ints on the controller (one
   increment per batch — noise-level cost);
-* the RPC dispatch counter lives in each cell's RPC ``MetricSet``;
-* engine dispatch tiers and per-subsystem wall attribution come from
-  :class:`~repro.sim.engine.EngineProfile`, populated only when the
-  simulator runs with ``HIVE_PROFILE=1`` / ``Simulator(profile=True)``
-  (the profiled loop twin; disabled profiling costs nothing per event).
+* the RPC dispatch counter lives in each cell's RPC ``MetricSet``.
 
-Everything except ``engine.subsystem_wall_s`` is a deterministic
-function of the simulated event stream, so merged campaign snapshots
-are byte-stable across same-seed runs.
+Where the engine's wall-clock goes is not counted here: ``python3 -m
+perfbench --trace`` reports ``sim.engine.self_s`` / ``.fn_calls`` per
+layer from cProfile on the one run loop.
+
+Every figure is a deterministic function of the simulated event stream,
+so merged campaign snapshots are byte-stable across same-seed runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-from repro.sim.engine import EngineProfile
+from typing import Any, Dict, List
 
 
 def _rate(part: int, whole: int) -> float:
@@ -65,34 +59,11 @@ def rpc_tiers(system) -> Dict[str, Any]:
     }
 
 
-def engine_tiers(sim) -> Optional[Dict[str, Any]]:
-    """Dispatch-tier counts from the simulator's profile, with rates.
-
-    Returns None when the simulator runs unprofiled (the default): the
-    unprofiled loops do not attribute dispatches, and reporting zeros
-    would be indistinguishable from a run that genuinely dispatched
-    nothing.
-    """
-    prof = getattr(sim, "profile", None)
-    if prof is None:
-        return None
-    snap = prof.to_dict()
-    total = (snap["nowq_dispatches"] + snap["heap_dispatches"]
-             + snap["inline_dispatches"])
-    snap["dispatches_total"] = total
-    snap["nowq_rate"] = _rate(snap["nowq_dispatches"], total)
-    snap["heap_rate"] = _rate(snap["heap_dispatches"], total)
-    snap["inline_rate"] = _rate(snap["inline_dispatches"], total)
-    snap["wheel_rate"] = _rate(snap["wheel_routed"], total)
-    return snap
-
-
 def tier_snapshot(system) -> Dict[str, Any]:
     """One combined tier snapshot for a booted system."""
     return {
         "coherence": coherence_tiers(system.machine.coherence),
         "rpc": rpc_tiers(system),
-        "engine": engine_tiers(system.sim),
     }
 
 
@@ -100,19 +71,17 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold per-shard tier snapshots into one campaign-wide snapshot.
 
     Counts add; rates are recomputed from the merged counts (never
-    averaged — shard sizes differ).  Engine sections merge via
-    :class:`EngineProfile` so the subsystem wall map folds too; if every
-    shard ran unprofiled the merged engine section is None.
+    averaged — shard sizes differ).  A section this module no longer
+    writes (``engine``, ``replay`` in a shard saved by an earlier
+    version) folds away.
     """
     merged: Dict[str, Any] = {
         "coherence": {"memo_hits": 0, "inline_batches": 0,
                       "vector_batches": 0, "scalar_batches": 0},
         "rpc": {"fast_path": 0, "calls_total": 0},
-        "engine": None,
     }
     coh = merged["coherence"]
     rpc = merged["rpc"]
-    engine_prof: Optional[EngineProfile] = None
     for snap in snaps:
         if not snap:
             continue
@@ -121,13 +90,6 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
             coh[key] += snap["coherence"][key]
         rpc["fast_path"] += snap["rpc"]["fast_path"]
         rpc["calls_total"] += snap["rpc"]["calls_total"]
-        eng = snap.get("engine")
-        if eng is not None:
-            shard_prof = EngineProfile.from_dict(eng)
-            if engine_prof is None:
-                engine_prof = shard_prof
-            else:
-                engine_prof.merge(shard_prof)
 
     total = sum(coh.values())
     coh["batches_total"] = total
@@ -137,15 +99,4 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     coh["scalar_rate"] = _rate(coh["scalar_batches"], total)
 
     rpc["fast_rate"] = _rate(rpc["fast_path"], rpc["calls_total"])
-
-    if engine_prof is not None:
-        eng = engine_prof.to_dict()
-        etotal = (eng["nowq_dispatches"] + eng["heap_dispatches"]
-                  + eng["inline_dispatches"])
-        eng["dispatches_total"] = etotal
-        eng["nowq_rate"] = _rate(eng["nowq_dispatches"], etotal)
-        eng["heap_rate"] = _rate(eng["heap_dispatches"], etotal)
-        eng["inline_rate"] = _rate(eng["inline_dispatches"], etotal)
-        eng["wheel_rate"] = _rate(eng["wheel_routed"], etotal)
-        merged["engine"] = eng
     return merged

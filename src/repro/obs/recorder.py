@@ -191,14 +191,6 @@ class FlightRecorder:
     def children_of(self, span_id: int) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span_id]
 
-    def counts_by_category(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for span in self.spans:
-            out[span.category] = out.get(span.category, 0) + 1
-        for ev in self.events:
-            out[ev.category] = out.get(ev.category, 0) + 1
-        return out
-
 
 def attach_flight_recorder(system, recorder: Optional[FlightRecorder] = None,
                            ) -> FlightRecorder:

@@ -10,9 +10,8 @@ tracer is attached — the active fault's taint id.  This is the oracle
 the continuous-churn fuzzer (ROADMAP) gates on.
 
 Overhead discipline: the watchdog is off by default and is only
-attached when ``HIVE_WATCHDOG=1`` (same escape-hatch contract as
-``HIVE_PROFILE``).  When off, nothing is scheduled and the simulation
-is counter-identical to a run without this module.
+attached when ``HIVE_WATCHDOG=1``.  When off, nothing is scheduled and
+the simulation is counter-identical to a run without this module.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import FifoStore, Mutex, Resource, Semaphore
+from repro.sim.resources import FifoStore, Resource
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import Counter, Histogram, MetricSet, Sampler, Timer
+from repro.sim.stats import Counter, Histogram, MetricSet, Timer
 
 __all__ = [
     "AllOf",
@@ -34,12 +34,9 @@ __all__ = [
     "Histogram",
     "Interrupted",
     "MetricSet",
-    "Mutex",
     "Process",
     "RandomStreams",
     "Resource",
-    "Sampler",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "Timeout",

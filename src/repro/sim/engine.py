@@ -32,11 +32,8 @@ Determinism guarantees
 from __future__ import annotations
 
 import heapq
-import os
-import time
 from collections import deque
-from typing import (Any, Callable, Dict, Generator, Iterable, Optional,
-                    Union)
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 #: timer-wheel geometry: slots are ``2**_WHEEL_SHIFT`` ns wide and the
 #: wheel covers ``_WHEEL_SLOTS`` slots (~4.2 ms of near future with the
@@ -58,78 +55,6 @@ _COMPACT_MIN_DEAD = 256
 
 class SimulationError(Exception):
     """Raised for misuse of the engine (e.g. double-triggering an event)."""
-
-
-class EngineProfile:
-    """Dispatch-tier counts and per-subsystem wall-clock attribution.
-
-    Populated only by the profiled twin of the run loops (HIVE_PROFILE=1
-    or ``Simulator(profile=True)``); a simulator without profiling never
-    touches one, so the unprofiled hot loops pay nothing.
-
-    Tier counts map onto the three-tier queue: ``nowq_dispatches`` and
-    ``heap_dispatches`` count loop pops from the same-instant deque and
-    the binary heap, ``wheel_routed`` counts entries that parked in a
-    wheel slot before being dumped to the heap (a subset of the heap
-    dispatches), and ``inline_dispatches`` counts sleep wakeups that
-    short-circuited the loop entirely (``Process._wake``, which bumps
-    ``events_processed`` directly).
-
-    Wall attribution buckets the time spent inside each dispatched
-    callback by the owning process's subsystem — the first dot-component
-    of the process name with trailing digits stripped, so ``rpc0.srv2``
-    and ``rpc3.client`` both bucket under ``rpc``.
-    """
-
-    __slots__ = ("nowq_dispatches", "heap_dispatches", "wheel_routed",
-                 "inline_dispatches", "subsystem_wall_s", "_cat_cache")
-
-    def __init__(self):
-        self.nowq_dispatches = 0
-        self.heap_dispatches = 0
-        self.wheel_routed = 0
-        self.inline_dispatches = 0
-        self.subsystem_wall_s: Dict[str, float] = {}
-        self._cat_cache: Dict[str, str] = {}
-
-    def category(self, name: str) -> str:
-        cat = self._cat_cache.get(name)
-        if cat is None:
-            cat = name.split(".", 1)[0].rstrip("0123456789") or "anon"
-            self._cat_cache[name] = cat
-        return cat
-
-    def merge(self, other: "EngineProfile") -> None:
-        self.nowq_dispatches += other.nowq_dispatches
-        self.heap_dispatches += other.heap_dispatches
-        self.wheel_routed += other.wheel_routed
-        self.inline_dispatches += other.inline_dispatches
-        walls = self.subsystem_wall_s
-        for cat, secs in other.subsystem_wall_s.items():
-            walls[cat] = walls.get(cat, 0.0) + secs
-
-    def to_dict(self) -> Dict:
-        """JSON-safe state; wall figures are nondeterministic by nature
-        and must stay out of byte-identical report sections."""
-        return {
-            "nowq_dispatches": self.nowq_dispatches,
-            "heap_dispatches": self.heap_dispatches,
-            "wheel_routed": self.wheel_routed,
-            "inline_dispatches": self.inline_dispatches,
-            "subsystem_wall_s": {
-                cat: self.subsystem_wall_s[cat]
-                for cat in sorted(self.subsystem_wall_s)},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "EngineProfile":
-        prof = cls()
-        prof.nowq_dispatches = payload["nowq_dispatches"]
-        prof.heap_dispatches = payload["heap_dispatches"]
-        prof.wheel_routed = payload["wheel_routed"]
-        prof.inline_dispatches = payload["inline_dispatches"]
-        prof.subsystem_wall_s = dict(payload["subsystem_wall_s"])
-        return prof
 
 
 class Interrupted(Exception):
@@ -468,7 +393,6 @@ class Process(Event):
             self._step(Process._OP_SEND, None)
 
     def _step(self, op: int, arg: Any) -> None:
-        self.sim._active_process, previous = self, self.sim._active_process
         try:
             gen = self.gen
             if op == 1:
@@ -490,8 +414,6 @@ class Process(Event):
                 raise
             self.fail(exc)
             return
-        finally:
-            self.sim._active_process = previous
         if type(target) is int:
             # A bare delay (bool is not a delay).
             if target < 0:
@@ -521,17 +443,15 @@ class Process(Event):
 class Simulator:
     """The event loop.  ``now`` is the current time in nanoseconds."""
 
-    __slots__ = ("now", "_queue", "_seq", "_active_process",
-                 "crash_on_process_error", "events_processed",
+    __slots__ = ("now", "_queue", "_seq", "crash_on_process_error",
+                 "events_processed",
                  "trace_names", "_nowq", "_wheel",
-                 "_wheel_count", "_wslot", "_wslots", "_dead", "_prof")
+                 "_wheel_count", "_wslot", "_wslots", "_dead")
 
-    def __init__(self, crash_on_process_error: bool = True,
-                 profile: Optional[bool] = None):
+    def __init__(self, crash_on_process_error: bool = True):
         self.now: int = 0
         self._queue: list = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: If True (the default), an uncaught exception inside a process
         #: aborts the whole simulation run.  Fault-injection experiments
         #: set this False so a crashing cell fails only its own processes.
@@ -556,18 +476,6 @@ class Simulator:
         self._wslots: list = []
         # Cancelled entries still sitting in the queue tiers.
         self._dead = 0
-        if profile is None:
-            profile = os.environ.get("HIVE_PROFILE", "0") != "0"
-        #: dispatch profiling (HIVE_PROFILE=1).  When None the normal
-        #: run loops execute untouched; when set, run()/run_until_event()
-        #: divert to the profiled twin, so disabled profiling costs one
-        #: attribute test per run call — not per event.
-        self._prof: Optional[EngineProfile] = (EngineProfile() if profile
-                                               else None)
-
-    @property
-    def profile(self) -> Optional[EngineProfile]:
-        return self._prof
 
     # -- scheduling ---------------------------------------------------
 
@@ -710,8 +618,6 @@ class Simulator:
 
     def run(self, until: Optional[int] = None, max_events: int = 200_000_000) -> None:
         """Process events until the queue drains or ``until`` is reached."""
-        if self._prof is not None:
-            return self._run_prof(until, max_events)
         processed = 0
         queue = self._queue
         nowq = self._nowq
@@ -781,9 +687,6 @@ class Simulator:
         which matters when perpetual background processes (clock ticks,
         monitors) would otherwise keep the queue busy to the deadline.
         """
-        if self._prof is not None:
-            self._run_prof(deadline, max_events, event)
-            return event._triggered
         # Not folded into run()'s loop: each is the hot loop of a
         # different benchmark workload (run() under ChainCoordinator
         # carries coherence_storm, this one carries the paper workloads
@@ -838,123 +741,6 @@ class Simulator:
         self.events_processed += processed
         return event._triggered
 
-    # -- profiled dispatch (HIVE_PROFILE=1) ---------------------------
-
-    def _prof_category(self, fn: Callable) -> str:
-        """Subsystem bucket for a dispatched callback, resolved BEFORE
-        the call (a Timeout's waiter list is consumed by ``_expire``)."""
-        owner = getattr(fn, "__self__", None)
-        if type(owner) is Timeout:
-            cbs = owner._callbacks
-            if cbs:
-                waiter = getattr(cbs[0], "__self__", None)
-                if waiter is not None:
-                    return self._prof.category(waiter.name)
-            return "timer"
-        if owner is not None:
-            name = getattr(owner, "name", "")
-            if name:
-                return self._prof.category(name)
-        return "engine"
-
-    def _prof_ff(self, t: int) -> None:
-        before = self._wheel_count
-        self._ff_wslot(t)
-        self._prof.wheel_routed += before - self._wheel_count
-
-    def _run_prof(self, until: Optional[int], max_events: int,
-                  stop: Optional["Event"] = None) -> None:
-        """Profiled twin of :meth:`run` and, given ``stop``, of
-        :meth:`run_until_event` (``until`` is then its deadline).
-
-        Kept separate from the unprofiled loops so they pay nothing for
-        the instrumentation (a per-event guard would cost ~2% alone).
-        """
-        prof = self._prof
-        perf = time.perf_counter
-        walls = prof.subsystem_wall_s
-        category = self._prof_category
-        processed = 0
-        ep_start = self.events_processed
-        queue = self._queue
-        nowq = self._nowq
-        heappop = heapq.heappop
-        popleft = nowq.popleft
-        now = self.now
-        try:
-            while stop is None or not stop._triggered:
-                if nowq:
-                    e0 = nowq[0]
-                    if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                        entry = heappop(queue)
-                    else:
-                        entry = popleft()
-                    fn = entry[2]
-                    if fn is None:
-                        continue
-                    cat = category(fn)
-                    t0 = perf()
-                    fn(*entry[3])
-                    walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                    prof.nowq_dispatches += 1
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            "event budget exhausted; likely livelock")
-                    continue
-                if self._wheel_count:
-                    before = self._wheel_count
-                    self._advance_wheel()
-                    prof.wheel_routed += before - self._wheel_count
-                if not queue:
-                    # A drained run() parks the clock at ``until``; a
-                    # drained run_until_event() leaves it where it is.
-                    if stop is None and until is not None:
-                        self.now = until
-                        self._prof_ff(until)
-                    return
-                entry = heappop(queue)
-                t = entry[0]
-                if until is not None and t > until:
-                    heapq.heappush(queue, entry)
-                    self.now = until
-                    self._prof_ff(until)
-                    return
-                fn = entry[2]
-                if fn is None:
-                    continue
-                ts = t >> _WHEEL_SHIFT
-                if ts > self._wslot:
-                    self._wslot = ts
-                self.now = now = t
-                cat = category(fn)
-                t0 = perf()
-                fn(*entry[3])
-                walls[cat] = walls.get(cat, 0.0) + (perf() - t0)
-                prof.heap_dispatches += 1
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        "event budget exhausted; likely livelock")
-        finally:
-            # During the loop only a sleeper's inline _wake touched
-            # events_processed; the delta is exactly the inline
-            # dispatch count.
-            prof.inline_dispatches += self.events_processed - ep_start
-            self.events_processed += processed
-
-    def run_until_complete(self, proc: "Process", deadline: Optional[int] = None) -> Any:
-        """Run until ``proc`` finishes, returning its value (raising on failure)."""
-        self.run(until=deadline)
-        if not proc.triggered:
-            raise SimulationError(
-                f"process {proc.name!r} did not finish by deadline "
-                f"{deadline} (now={self.now})"
-            )
-        if not proc.ok:
-            raise proc._value
-        return proc.value
-
     # -- factories ----------------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -971,7 +757,3 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process

@@ -1,9 +1,9 @@
 """Synchronization and queuing primitives built on the event engine.
 
 These model the kernel-level and hardware-level contention points in the
-reproduction: kernel locks (:class:`Mutex`), bounded hardware queues such as
-the SIPS receive queues (:class:`FifoStore`), multi-unit resources such as
-the RPC server-process pool (:class:`Resource`), and counting semaphores.
+reproduction: bounded hardware queues such as the SIPS receive queues
+(:class:`FifoStore`) and multi-unit resources such as the RPC
+server-process pool (:class:`Resource`; one unit makes a lock).
 
 All primitives hand out grants in strict FIFO order, which keeps the whole
 simulation deterministic.
@@ -15,93 +15,6 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
-
-
-class Mutex:
-    """A FIFO mutual-exclusion lock.
-
-    Usage inside a process::
-
-        yield lock.acquire()
-        try:
-            ...
-        finally:
-            lock.release()
-    """
-
-    def __init__(self, sim: Simulator, name: str = "mutex"):
-        self.sim = sim
-        self.name = name
-        self._acquire_name = name + ".acquire"
-        self._locked = False
-        self._waiters: Deque[Event] = deque()
-        #: number of acquisitions that had to wait (contention metric)
-        self.contended_acquires = 0
-        self.total_acquires = 0
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim, self._acquire_name)
-        self.total_acquires += 1
-        if not self._locked:
-            self._locked = True
-            ev.succeed(self)
-        else:
-            self.contended_acquires += 1
-            self._waiters.append(ev)
-        return ev
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; returns True on success."""
-        if self._locked:
-            return False
-        self._locked = True
-        self.total_acquires += 1
-        return True
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"release of unlocked {self.name}")
-        if self._waiters:
-            ev = self._waiters.popleft()
-            ev.succeed(self)
-        else:
-            self._locked = False
-
-
-class Semaphore:
-    """A counting semaphore with FIFO wakeup."""
-
-    def __init__(self, sim: Simulator, value: int = 0, name: str = "sem"):
-        if value < 0:
-            raise SimulationError("semaphore initial value must be >= 0")
-        self.sim = sim
-        self.name = name
-        self._down_name = name + ".down"
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def down(self) -> Event:
-        ev = Event(self.sim, self._down_name)
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def up(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._value += 1
 
 
 class Resource:

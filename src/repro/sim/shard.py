@@ -341,8 +341,6 @@ class ChainCoordinator:
             # The expiry dispatch each timeout would have cost; the
             # succeed callbacks' dispatches are counted by the run loop.
             sim.events_processed += fired
-            if sim.profile is not None:
-                sim.profile.inline_dispatches += fired
             sim.run(until=pt)
         finally:
             self._qt_valid = False

@@ -25,6 +25,11 @@ requested seed before the run function executes, so a child forked from
 an image booted at any seed is indistinguishable from a fresh boot at
 the run seed.  A platform without ``os.fork`` gets a fallback mode that
 simply boots per run — same results, no amortization.
+
+:func:`run_booted` is the one way the harness starts a trial: it boots
+fresh or forks from the process's one image cache, runs a body on the
+system and stamps what the setup cost.  Nothing else in ``src`` builds
+an image, caches one, asks whether the platform forks or times a boot.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ import struct
 import sys
 import time
 import traceback
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "SnapshotError",
     "SystemImage",
     "fork_supported",
     "reseed_system",
+    "run_booted",
     "snapshot_enabled",
 ]
 
@@ -156,7 +162,6 @@ class SystemImage:
         self.forks = 0
         self.boot_wall_s = 0.0
         self.fork_wall_s_last = 0.0
-        self.fork_wall_s_total = 0.0
         self._holder_pid: Optional[int] = None
         self._req_w: Optional[int] = None
         self._resp_r: Optional[int] = None
@@ -295,7 +300,6 @@ class SystemImage:
             setup_wall = time.perf_counter() - t0
             self.forks += 1
             self.fork_wall_s_last = setup_wall
-            self.fork_wall_s_total += setup_wall
             return fn(system, *args, **kwargs)
         t_request = time.perf_counter()
         try:
@@ -319,24 +323,10 @@ class SystemImage:
         status, payload, fork_wall = frame
         self.forks += 1
         self.fork_wall_s_last = fork_wall
-        self.fork_wall_s_total += fork_wall
         if status == "error":
             raise SnapshotError(
                 f"forked run failed in image {self.name!r}:\n{payload}")
         return payload
-
-    def stats(self) -> dict:
-        """Amortization accounting for bench payloads."""
-        forks = self.forks
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "forks": forks,
-            "boot_wall_s": round(self.boot_wall_s, 6),
-            "fork_wall_s_last": round(self.fork_wall_s_last, 6),
-            "fork_wall_s_mean": round(self.fork_wall_s_total / forks, 6)
-            if forks else 0.0,
-        }
 
     def close(self) -> None:
         """Shut the holder down; the image is unusable afterwards."""
@@ -363,3 +353,43 @@ class SystemImage:
             self.close()
         except Exception:
             pass
+
+
+# -- the one boot-or-fork primitive -----------------------------------------
+
+#: this process's images, keyed ``(pid, boot_fn, boot_args)``.  A forked run
+#: is reseeded, so the seed an image happened to boot at never keys it; the
+#: pid does, because a pool worker forked from a process that already holds
+#: an image inherits the dict and must not talk on its parent's pipes.
+_IMAGES: Dict[tuple, SystemImage] = {}
+
+
+def run_booted(boot_fn: Callable, boot_args: tuple, fn: Callable,
+               *args: Any, seed: int,
+               snapshot: bool = False) -> Tuple[Any, dict]:
+    """Run ``fn(system, *args)`` on a system booted by
+    ``boot_fn(*boot_args, seed)``; returns ``(result, setup)``.
+
+    With ``snapshot`` the system is a copy of the cached image for
+    ``(boot_fn, boot_args)`` reseeded to ``seed`` (built on first use;
+    ``fn``, ``args`` and the result must then be picklable), and
+    ``setup["mode"]`` is the image's: ``"fork"``, or ``"boot"`` where
+    the platform cannot fork.  ``setup_wall_s`` is what this run paid
+    before ``fn`` started, ``boot_wall_s`` what one boot costs.
+    """
+    if not snapshot:
+        t0 = time.perf_counter()
+        system = boot_fn(*boot_args, seed)
+        boot_wall = time.perf_counter() - t0
+        return fn(system, *args), {"mode": "boot", "setup_wall_s": boot_wall,
+                                   "boot_wall_s": boot_wall}
+    key = (os.getpid(), boot_fn, boot_args)
+    image = _IMAGES.get(key)
+    if image is None or image.closed:
+        name = "-".join([boot_fn.__name__, *map(str, boot_args)])
+        image = _IMAGES[key] = SystemImage(boot_fn, *boot_args, seed,
+                                           name=name)
+    result = image.run(fn, *args, seed=seed)
+    return result, {"mode": image.mode,
+                    "setup_wall_s": image.fork_wall_s_last,
+                    "boot_wall_s": image.boot_wall_s}

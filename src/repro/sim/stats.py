@@ -1,8 +1,7 @@
-"""Measurement primitives: counters, latency timers, histograms, samplers.
+"""Measurement primitives: counters, latency timers, histograms.
 
-The paper reports averages, maxima, component breakdowns (Table 5.2), and
-periodically-sampled quantities (remotely-writable page counts sampled every
-20 ms, Section 4.2).  These classes provide exactly those aggregations.
+The paper reports averages, maxima and component breakdowns (Table 5.2).
+These classes provide exactly those aggregations.
 """
 
 from __future__ import annotations
@@ -71,30 +70,6 @@ class Timer:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-
-    def merge(self, other) -> None:
-        """Fold another shard's timer into this one.
-
-        count/total add; min/max combine.  Merging preserves the
-        invariant that the merged timer equals one timer that recorded
-        both shards' durations (in any order).
-        """
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        if self.min is None or (other.min is not None
-                                and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None
-                                and other.max > self.max):
-            self.max = other.max
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Timer {self.name} n={self.count} mean={self.mean:.1f}ns "
@@ -108,9 +83,8 @@ class TimerView:
     Lets a legacy timer name keep working after its recording was
     unified onto a histogram (a value used to be recorded into both,
     double-counting the work): the view reports the histogram's
-    count/total/mean/min/max through the Timer attribute surface, and
-    a ``record`` call delegates to the histogram so there is exactly
-    one underlying store.
+    count/total/mean through the Timer attribute surface; values are
+    recorded into the histogram, the one underlying store.
     """
 
     __slots__ = ("name", "_hist")
@@ -118,11 +92,6 @@ class TimerView:
     def __init__(self, name: str, hist: "Histogram"):
         self.name = name
         self._hist = hist
-
-    def record(self, duration: int) -> None:
-        if duration < 0:
-            raise ValueError(f"negative duration {duration} in {self.name}")
-        self._hist.record(duration)
 
     @property
     def count(self) -> int:
@@ -136,19 +105,8 @@ class TimerView:
     def mean(self) -> float:
         return self._hist.mean
 
-    @property
-    def min(self) -> Optional[int]:
-        return self._hist.min
-
-    @property
-    def max(self) -> Optional[int]:
-        return self._hist.max
-
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<TimerView {self.name} n={self.count} mean={self.mean:.1f}ns "
-            f"min={self.min} max={self.max}>"
-        )
+        return f"<TimerView {self.name} n={self.count} mean={self.mean:.1f}ns>"
 
 
 class Histogram:
@@ -297,50 +255,14 @@ class Histogram:
         return hist
 
 
-class Sampler:
-    """Records (time, value) samples of a quantity; reports avg and max.
-
-    Used for the Section 4.2 experiment that samples the number of
-    remotely-writable pages per cell every 20 ms.
-    """
-
-    __slots__ = ("name", "samples")
-
-    def __init__(self, name: str = "sampler"):
-        self.name = name
-        self.samples: List[tuple] = []
-
-    def record(self, time_ns: int, value: float) -> None:
-        self.samples.append((time_ns, value))
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(v for _, v in self.samples) / len(self.samples)
-
-    @property
-    def max(self) -> float:
-        if not self.samples:
-            return 0.0
-        return max(v for _, v in self.samples)
-
-    def values(self) -> List[float]:
-        return [v for _, v in self.samples]
-
-
 @dataclass
 class MetricSet:
     """A named registry of metrics, one per cell or per subsystem."""
 
     name: str = "metrics"
     counters: Dict[str, Counter] = field(default_factory=dict)
-    timers: Dict[str, Timer] = field(default_factory=dict)
-    samplers: Dict[str, Sampler] = field(default_factory=dict)
+    #: read views over histograms, by legacy timer name
+    timers: Dict[str, TimerView] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
@@ -350,27 +272,13 @@ class MetricSet:
             self.counters[name] = c
         return c
 
-    def timer(self, name: str) -> Timer:
-        t = self.timers.get(name)
-        if t is None:
-            t = Timer(name)
-            self.timers[name] = t
-        return t
-
     def timer_view(self, name: str, hist: Histogram) -> TimerView:
         """Install ``name`` as a read view over ``hist`` (see TimerView)."""
         t = self.timers.get(name)
-        if not isinstance(t, TimerView):
+        if t is None:
             t = TimerView(name, hist)
             self.timers[name] = t
         return t
-
-    def sampler(self, name: str) -> Sampler:
-        s = self.samplers.get(name)
-        if s is None:
-            s = Sampler(name)
-            self.samplers[name] = s
-        return s
 
     def histogram(self, name: str,
                   bounds: Optional[List[int]] = None) -> Histogram:
@@ -383,26 +291,13 @@ class MetricSet:
     def merge(self, other: "MetricSet") -> None:
         """Fold another shard's metrics into this set, in place.
 
-        Counters and timers add; samplers concatenate their sample
-        lists; histograms merge bucket-wise (identical bounds
-        required).  TimerViews are skipped on both sides — they are
-        read views whose backing histogram is merged through the
-        ``histograms`` dict, so merging the view too would double
-        count.
+        Counters add; histograms merge bucket-wise (identical bounds
+        required).  Timers are read views whose backing histogram is
+        merged through the ``histograms`` dict, so merging a view too
+        would double count.
         """
         for name, c in other.counters.items():
             self.counter(name).merge(c)
-        for name, t in other.timers.items():
-            if isinstance(t, TimerView):
-                continue
-            mine = self.timers.get(name)
-            if mine is None:
-                mine = self.timer(name)
-            elif isinstance(mine, TimerView):
-                continue
-            mine.merge(t)
-        for name, s in other.samplers.items():
-            self.sampler(name).samples.extend(s.samples)
         for name, h in other.histograms.items():
             mine = self.histograms.get(name)
             if mine is None:
@@ -419,9 +314,6 @@ class MetricSet:
             out[f"{name}.n"] = t.count
             out[f"{name}.mean_ns"] = t.mean
             out[f"{name}.total_ns"] = t.total
-        for name, s in self.samplers.items():
-            out[f"{name}.mean"] = s.mean
-            out[f"{name}.max"] = s.max
         for name, h in self.histograms.items():
             for key, value in h.snapshot().items():
                 out[f"{name}.{key}"] = value

@@ -1,150 +1,17 @@
-"""Event tracing: a SimOS-style timeline of what the system did.
+"""The first event log lived here until PR 21; nothing is left.
 
-The paper credits SimOS's deterministic replay for making the fault-
-containment work debuggable ("makes it straightforward to analyze the
-complex series of events that follow after a software fault").  This
-module provides the equivalent observability: subsystems emit typed
-events into a :class:`TraceLog`, which can be filtered and rendered as a
-timeline.
+``TraceLog`` / ``NullTrace`` / ``attach_tracing`` kept a ring of
+``(time, category, cell, message)`` strings fed by the injector,
+detector, panic and recovery observer lists.  The flight recorder
+(:mod:`repro.obs.recorder`, PR 2) hangs off the same observer lists and
+records the same occurrences as typed events and spans that every
+exporter reads, and :func:`repro.obs.render_fault_timeline` prints the
+timeline; a function-level census (EXPERIMENTS.md, PR 21) found no
+workload, command or benchmark that still reached this module.
 
-Tracing is opt-in (a null default keeps the hot paths free of overhead)
-and deterministic like everything else in the engine.
+The file itself stays for one more PR, as ``sim/replay.py`` does:
+``perfbench/tests/test_layers.py`` pins ``perfbench/metrics.py::
+LAYER_MODULES`` to the exact file list of ``src/repro``, and only a
+``benchmark`` PR may edit ``perfbench/``.  That PR drops both entries
+and deletes both modules.
 """
-
-from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional
-
-#: well-known categories used by the built-in instrumentation
-CAT_FAULT = "fault"          # hardware fault injections
-CAT_DETECT = "detect"        # failure hints
-CAT_AGREE = "agree"          # agreement rounds
-CAT_RECOVER = "recover"      # recovery phases
-CAT_SHARING = "sharing"      # export/import/borrow traffic
-CAT_PROC = "proc"            # process lifecycle
-
-
-@dataclass
-class TraceEvent:
-    time_ns: int
-    category: str
-    cell: Optional[int]
-    message: str
-
-    def render(self) -> str:
-        where = f"cell {self.cell}" if self.cell is not None else "system"
-        return (f"[{self.time_ns / 1e6:12.3f} ms] {self.category:>8} "
-                f"{where:>8}: {self.message}")
-
-
-class TraceLog:
-    """A bounded, filterable event log (ring buffer keeping the newest).
-
-    At capacity the oldest event is evicted and ``dropped`` incremented:
-    a long run keeps the *end* of the timeline — the part that explains
-    the failure under investigation — rather than silently going quiet.
-    """
-
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: int = 100_000):
-        self.enabled_categories = (set(categories)
-                                   if categories is not None else None)
-        self.capacity = capacity
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def wants(self, category: str) -> bool:
-        return (self.enabled_categories is None
-                or category in self.enabled_categories)
-
-    def emit(self, time_ns: int, category: str, cell: Optional[int],
-             message: str) -> None:
-        if not self.wants(category):
-            return
-        if len(self.events) >= self.capacity:
-            self.dropped += 1  # the deque evicts the oldest event
-        self.events.append(TraceEvent(time_ns, category, cell, message))
-
-    # -- querying -------------------------------------------------------
-
-    def select(self, category: Optional[str] = None,
-               cell: Optional[int] = None,
-               since_ns: int = 0) -> List[TraceEvent]:
-        return [ev for ev in self.events
-                if (category is None or ev.category == category)
-                and (cell is None or ev.cell == cell)
-                and ev.time_ns >= since_ns]
-
-    def render(self, **kwargs) -> str:
-        return "\n".join(ev.render() for ev in self.select(**kwargs))
-
-    def counts_by_category(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.category] = out.get(ev.category, 0) + 1
-        return out
-
-
-class NullTrace:
-    """No-op trace used by default (zero overhead on hot paths)."""
-
-    def wants(self, category: str) -> bool:
-        return False
-
-    def emit(self, *args, **kwargs) -> None:
-        pass
-
-
-NULL_TRACE = NullTrace()
-
-
-def attach_tracing(system, categories: Optional[Iterable[str]] = None
-                   ) -> TraceLog:
-    """Instrument a booted HiveSystem with a trace log.
-
-    Hooks the fault injector, failure detectors, recovery coordinator,
-    and process lifecycle — all through stable observer interfaces
-    (``detector.observers``, ``panic_hooks``, ``injector.observers``,
-    ``coordinator.observers``, ``registry.register_observers``), so the
-    instrumented objects are never rebound.  Returns the log; call again
-    for a fresh one.
-    """
-    log = TraceLog(categories)
-    sim = system.sim
-
-    def on_injection(record) -> None:
-        log.emit(record.time_ns, CAT_FAULT, record.node_id,
-                 f"injected {record.kind} (trigger={record.trigger})")
-
-    system.injector.observers.append(on_injection)
-
-    def on_recovery(record) -> None:
-        log.emit(record.recovery_done_ns, CAT_RECOVER, None,
-                 f"round {record.round_id} done: dead="
-                 f"{sorted(record.dead_cells)}, "
-                 f"{record.discarded_pages} pages discarded, "
-                 f"{record.files_lost} files lost, "
-                 f"{record.killed_processes} processes killed")
-
-    system.coordinator.observers.append(on_recovery)
-
-    def wire_cell(cell) -> None:
-        def on_hint(hint) -> None:
-            log.emit(hint.time_ns, CAT_DETECT, hint.reporter,
-                     f"suspects cell {hint.suspect}: {hint.reason}")
-
-        cell.detector.observers.append(on_hint)
-
-        def on_panic(reason, _cell_id=cell.kernel_id) -> None:
-            log.emit(sim.now, CAT_PROC, _cell_id, f"PANIC: {reason}")
-
-        cell.panic_hooks.append(on_panic)
-
-    # Wire each live cell's hint path; future cells (reintegration) are
-    # wired through the registry's registration observer list.
-    for cell in system.cells:
-        wire_cell(cell)
-    system.registry.register_observers.append(wire_cell)
-    return log

@@ -166,16 +166,3 @@ class Platform:
             if data != want:
                 errors.append(f"{path}: page {idx} content mismatch")
         return errors
-
-
-def run_to_completion(platform: Platform, done_events: List,
-                      deadline_ns: int) -> None:
-    """Drive the simulation until all events trigger (or deadline)."""
-    sim = platform.sim
-    all_done = sim.all_of(done_events)
-    sim.run(until=deadline_ns)
-    if not all_done.triggered:
-        pending = [ev for ev in done_events if not ev.triggered]
-        raise TimeoutError(
-            f"workload missed deadline {deadline_ns}: "
-            f"{len(pending)} jobs still pending at {sim.now}")

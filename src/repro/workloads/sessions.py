@@ -54,7 +54,7 @@ from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import NS_PER_MS, HardwareParams
 from repro.sim.engine import Simulator
-from repro.sim.snapshot import SystemImage, snapshot_enabled
+from repro.sim.snapshot import run_booted
 from repro.sim.stats import Histogram
 from repro.workloads.base import Platform
 
@@ -642,9 +642,6 @@ def _session_payload(system: HiveSystem, cfg_dict: dict) -> dict:
     return report.to_dict()
 
 
-_SESSION_IMAGES: Dict[tuple, SystemImage] = {}
-
-
 def run_sessions(cfg: SessionTrafficConfig, cells: int = 4,
                  nodes: int = 4, snapshot: bool = False) -> dict:
     """Boot (or snapshot-fork) a system and run the traffic scenario.
@@ -652,23 +649,11 @@ def run_sessions(cfg: SessionTrafficConfig, cells: int = 4,
     Returns the session report dict with ``boot_wall_s``/``fork_wall_s``
     setup accounting attached.
     """
-    if snapshot and snapshot_enabled():
-        key = (cells, nodes)
-        image = _SESSION_IMAGES.get(key)
-        if image is None or image.closed:
-            image = SystemImage(boot_session_system, cells, nodes, 1995,
-                                name=f"sessions-{cells}c{nodes}n")
-            _SESSION_IMAGES[key] = image
-        out = image.run(_session_payload, cfg.to_dict(), seed=cfg.seed)
-        out["boot_wall_s"] = round(image.boot_wall_s, 4)
-        out["fork_wall_s"] = round(image.fork_wall_s_last, 4)
-        out["snapshot"] = "fork"
-        return out
-    t0 = time.perf_counter()
-    system = boot_session_system(cells, nodes, cfg.seed)
-    boot_wall = time.perf_counter() - t0
-    out = _session_payload(system, cfg.to_dict())
-    out["boot_wall_s"] = round(boot_wall, 4)
-    out["fork_wall_s"] = 0.0
-    out["snapshot"] = "boot"
+    out, setup = run_booted(boot_session_system, (cells, nodes),
+                            _session_payload, cfg.to_dict(),
+                            seed=cfg.seed, snapshot=snapshot)
+    out["boot_wall_s"] = round(setup["boot_wall_s"], 4)
+    out["fork_wall_s"] = (round(setup["setup_wall_s"], 4) if snapshot
+                          else 0.0)
+    out["snapshot"] = setup["mode"]
     return out

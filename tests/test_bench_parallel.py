@@ -14,7 +14,7 @@ from repro.bench.parallel import (
     CampaignError,
     merge_bench_shards,
     merge_inject_shards,
-    run_bench_campaign,
+    run_suite,
 )
 
 
@@ -43,17 +43,17 @@ def _bench_shard(repeat=0, config="small", status="ok", **row_overrides):
 class TestMergeBenchShards:
     def test_empty_campaign_raises(self):
         with pytest.raises(CampaignError, match="empty campaign"):
-            merge_bench_shards([], seed=1995, repeats=1)
+            merge_bench_shards([], seed=1995)
 
     def test_overlapping_cells_raise(self):
         shards = [_bench_shard(repeat=0), _bench_shard(repeat=0)]
         with pytest.raises(CampaignError, match="overlapping shards"):
-            merge_bench_shards(shards, seed=1995, repeats=2)
+            merge_bench_shards(shards, seed=1995)
 
     def test_failed_shard_reported_not_raised(self):
         shards = [_bench_shard(repeat=0),
                   _bench_shard(repeat=1, status="error")]
-        payload = merge_bench_shards(shards, seed=1995, repeats=2)
+        payload = merge_bench_shards(shards, seed=1995)
         assert "small" in payload["results"]
         assert payload["failures"] == [
             {"config": "small", "seed": 1995, "repeat": 1,
@@ -63,13 +63,13 @@ class TestMergeBenchShards:
         shards = [_bench_shard(repeat=0),
                   _bench_shard(repeat=1, accesses=5001)]
         with pytest.raises(CampaignError, match="non-deterministic"):
-            merge_bench_shards(shards, seed=1995, repeats=2)
+            merge_bench_shards(shards, seed=1995)
 
     def test_best_of_and_wall_spread(self):
         shards = [_bench_shard(repeat=0, wall_s=2.0),
                   _bench_shard(repeat=1, wall_s=1.0),
                   _bench_shard(repeat=2, wall_s=3.0)]
-        payload = merge_bench_shards(shards, seed=1995, repeats=3)
+        payload = merge_bench_shards(shards, seed=1995)
         row = payload["results"]["small"]
         assert row["wall_s"] == 1.0          # best-of
         assert row["wall_s_min"] == 1.0
@@ -146,14 +146,26 @@ class TestRealCampaign:
     """End-to-end pool run on the smallest config (seconds, not minutes)."""
 
     def test_bench_campaign_pool_matches_serial(self):
-        parallel = run_bench_campaign(["small"], seed=7, repeats=2,
-                                      workers=2)
-        serial = run_bench_campaign(["small"], seed=7, repeats=1,
-                                    workers=1)
-        assert "failures" not in parallel
+        # One suite, one key list: the in-process and the pooled run
+        # differ in wall-clock fields only.
+        wall = ("wall_s", "wall_s_min", "wall_s_max", "wall_s_mean",
+                "boot_wall_s", "recovery_wall_ms", "events_per_sec",
+                "accesses_per_sec")
+        parallel = run_suite(["small"], seed=7, repeats=2, workers=2)
+        serial = run_suite(["small"], seed=7, repeats=2, workers=1)
+        assert "failures" not in parallel and "failures" not in serial
         assert parallel["parallel"]["workers"] == 2
         assert parallel["parallel"]["shards"] == 2
-        prow = parallel["results"]["small"]
-        srow = serial["results"]["small"]
-        for key in DETERMINISTIC_KEYS:
-            assert prow[key] == srow[key], key
+        prow, srow = ({k: v for k, v in payload["results"]["small"].items()
+                       if k not in wall} for payload in (parallel, serial))
+        assert prow == srow
+        assert prow["repeats"] == 2
+        assert all(key in prow for key in DETERMINISTIC_KEYS)
+
+    def test_rpc_suite_is_best_of_its_repeats(self):
+        from repro.bench.rpcbench import RPC_DETERMINISTIC_KEYS, run_rpc_suite
+
+        (row,) = run_rpc_suite(["small"], repeats=2).values()
+        assert row["repeats"] == 2
+        assert row["wall_s_min"] == row["wall_s"] <= row["wall_s_max"]
+        assert all(key in row for key in RPC_DETERMINISTIC_KEYS)

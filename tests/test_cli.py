@@ -52,7 +52,7 @@ class TestParser:
 
     def test_bench_out_defaults_to_this_prs_file(self):
         args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_pr20.json"
+        assert args.out == "BENCH_pr21.json"
         assert not args.progress
         assert not args.compare_parked
         assert not args.snapshot
@@ -86,9 +86,12 @@ class TestParser:
         assert args.parallel == 4
 
     def test_campaign_progress_flag(self):
-        args = build_parser().parse_args(
-            ["inject", "all", "--campaign", "--progress"])
+        args = build_parser().parse_args(["inject", "all", "--progress"])
         assert args.progress
+        # inject is always a campaign; `repro audit --out` writes the audit
+        for flag in (["--campaign"], ["--audit-out", "audit.md"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["inject", "all"] + flag)
 
     def test_telemetry_out_flag(self):
         args = build_parser().parse_args(
@@ -119,6 +122,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "contained 1/1" in out
+        assert "containment audit: contained (" in out
 
     def test_run_irix_rejects_telemetry(self, capsys):
         rc = main(["run", "ocean", "--irix", "--seed", "3",

@@ -18,6 +18,8 @@ must keep printing what each twin printed.
 
 import hashlib
 
+import pytest
+
 from repro.bench.faultexp import SW_COW_TREE, FaultExperimentRunner
 from repro.obs import attach_flight_recorder, to_jsonl
 
@@ -174,44 +176,30 @@ class TestWheelVsHeapGolden:
         _assert_throughput_row_matches_twin()
 
     def test_throughput_small_profile_toggle(self, monkeypatch):
-        """HIVE_PROFILE=1 swaps in the profiled dispatch loop; the
-        simulation (and every deterministic tier counter) must be
-        unchanged, and the engine section must appear."""
+        """``HIVE_PROFILE`` selected a profiled twin of the run loops
+        until PR 21; set, it changes no ``EQUIV_KEYS`` row now, no row
+        has an engine section and ``Simulator`` takes no ``profile``."""
         from repro.bench.throughput import run_throughput
+        from repro.sim.engine import Simulator
+        from tests.helpers import LAST_REPLAY_RUN, equiv_row
 
-        monkeypatch.delenv("HIVE_PROFILE", raising=False)
-        plain = run_throughput("small", seed=11)
         monkeypatch.setenv("HIVE_PROFILE", "1")
-        profiled = run_throughput("small", seed=11)
-        for key in DETERMINISTIC_ROW_KEYS:
-            assert plain[key] == profiled[key], key
-        assert plain["tiers"]["engine"] is None
-        engine = profiled["tiers"]["engine"]
-        assert engine["dispatches_total"] == profiled["events"]
-        assert engine["subsystem_wall_s"]
-        assert plain["tiers"]["coherence"] == profiled["tiers"]["coherence"]
-        assert plain["tiers"]["rpc"] == profiled["tiers"]["rpc"]
+        row = run_throughput("small", channels=True)
+        assert equiv_row(row) == LAST_REPLAY_RUN["small", None]
+        assert sorted(row["tiers"]) == ["coherence", "rpc"]
+        with pytest.raises(TypeError):
+            Simulator(profile=True)
 
     def test_rpc_bench_small_profile_toggle(self, monkeypatch):
-        """Pooled interrupt-service tasks sleep like processes do; the
-        profiled loop must attribute their wakeups (to ``rpc``) and
-        still account for every event."""
-        from repro.bench.rpcbench import (
-            RPC_DETERMINISTIC_KEYS,
-            boot_rpc_system,
-            run_rpc_bench,
-        )
-        from repro.obs.profile import engine_tiers
+        """The RPC scenario draws no random number, so the default seed
+        (what ``repro bench --rpc`` and CI run) prints the seed-11 row;
+        ``HIVE_PROFILE`` in the environment changes nothing of it."""
+        from repro.bench.rpcbench import RPC_DETERMINISTIC_KEYS, run_rpc_bench
 
-        plain = run_rpc_bench("small", seed=11)
         monkeypatch.setenv("HIVE_PROFILE", "1")
-        system = boot_rpc_system("small", 11)
-        profiled = run_rpc_bench("small", seed=11, system=system)
-        for key in RPC_DETERMINISTIC_KEYS:
-            assert plain[key] == profiled[key], key
-        engine = engine_tiers(system.sim)
-        assert engine["dispatches_total"] == system.sim.events_processed
-        assert engine["subsystem_wall_s"]["rpc"] > 0
+        row = run_rpc_bench("small")
+        assert row["seed"] == 1995
+        assert {key: row[key] for key in RPC_DETERMINISTIC_KEYS} == TWIN_RPC_ROW
 
     def test_rpc_bench_small_wheel_toggle(self):
         _assert_rpc_row_matches_twin()

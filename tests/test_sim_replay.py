@@ -163,19 +163,22 @@ class TestReplayEnvEscape:
 class TestReplayObservability:
     def test_merge_tier_snapshots_folds_replay(self):
         # Shard snapshots saved before PR 20 still carry a ``replay``
-        # section; it folds away: no error, no key.
+        # section, before PR 21 an ``engine`` one; they fold away: no
+        # error, no key.
         snap = {
             "coherence": {"memo_hits": 10, "inline_batches": 2,
                           "vector_batches": 1, "scalar_batches": 0},
             "rpc": {"fast_path": 5, "calls_total": 5},
-            "engine": None,
+            "engine": {"nowq_dispatches": 7, "heap_dispatches": 3,
+                       "wheel_routed": 1, "inline_dispatches": 0,
+                       "subsystem_wall_s": {"rpc": 0.01}},
             "replay": {"enabled": True, "trace_rows": 100, "chains": 4,
                        "replayed_from_trace": 80, "fallback_wakeups": 20,
                        "desyncs": 1, "resyncs": 1,
                        "trace_hit_rate": 0.8},
         }
         merged = merge_tier_snapshots([snap, snap])
-        assert sorted(merged) == ["coherence", "engine", "rpc"]
+        assert sorted(merged) == ["coherence", "rpc"]
         assert merged["coherence"]["memo_hits"] == 20
         assert merged["rpc"]["calls_total"] == 10
 

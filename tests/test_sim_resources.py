@@ -3,23 +3,25 @@
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.resources import FifoStore, Mutex, Resource, Semaphore, StoreFull
+from repro.sim.resources import FifoStore, Resource, StoreFull
 
 
 class TestMutex:
+    """A lock is a one-unit :class:`Resource` (``Mutex`` went in PR 21)."""
+
     def test_uncontended_acquire_is_immediate(self):
         sim = Simulator()
-        m = Mutex(sim)
-        ev = m.acquire()
-        assert ev.triggered and m.locked
+        m = Resource(sim, capacity=1)
+        ev = m.request()
+        assert ev.triggered and m.in_use == 1
 
     def test_fifo_handoff(self):
         sim = Simulator()
-        m = Mutex(sim)
+        m = Resource(sim, capacity=1)
         order = []
 
         def worker(tag, hold):
-            yield m.acquire()
+            yield m.request()
             order.append(tag)
             yield sim.timeout(hold)
             m.release()
@@ -28,55 +30,49 @@ class TestMutex:
             sim.process(worker(i, 10))
         sim.run()
         assert order == [0, 1, 2]
-        assert not m.locked
+        assert m.in_use == 0
 
     def test_try_acquire(self):
+        # A caller that must not block asks first.
         sim = Simulator()
-        m = Mutex(sim)
-        assert m.try_acquire()
-        assert not m.try_acquire()
+        m = Resource(sim, capacity=1)
+        assert m.available == 1
+        m.request()
+        assert m.available == 0
         m.release()
-        assert m.try_acquire()
+        assert m.available == 1
 
     def test_release_unlocked_raises(self):
-        with pytest.raises(SimulationError):
-            Mutex(Simulator()).release()
-
-    def test_contention_metric(self):
         sim = Simulator()
-        m = Mutex(sim)
-
-        def worker():
-            yield m.acquire()
-            yield sim.timeout(5)
+        m = Resource(sim, capacity=1)
+        m.request()
+        m.release()
+        with pytest.raises(SimulationError):
             m.release()
-
-        sim.process(worker())
-        sim.process(worker())
-        sim.run()
-        assert m.total_acquires == 2
-        assert m.contended_acquires == 1
 
 
 class TestSemaphore:
+    """A counting semaphore is an n-unit :class:`Resource`."""
+
     def test_down_consumes_value(self):
         sim = Simulator()
-        s = Semaphore(sim, value=2)
-        assert s.down().triggered
-        assert s.down().triggered
-        assert not s.down().triggered
-        assert s.value == 0
+        s = Resource(sim, capacity=2)
+        assert s.request().triggered
+        assert s.request().triggered
+        assert not s.request().triggered
+        assert s.available == 0
 
     def test_up_wakes_waiter_fifo(self):
         sim = Simulator()
-        s = Semaphore(sim, value=0)
-        first, second = s.down(), s.down()
-        s.up()
+        s = Resource(sim, capacity=1)
+        s.request()
+        first, second = s.request(), s.request()
+        s.release()
         assert first.triggered and not second.triggered
 
     def test_negative_initial_value_rejected(self):
         with pytest.raises(SimulationError):
-            Semaphore(Simulator(), value=-1)
+            Resource(Simulator(), capacity=-1)
 
 
 class TestResource:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import Counter, Histogram, MetricSet, Sampler, Timer
+from repro.sim.stats import Counter, Histogram, MetricSet, Timer
 
 
 class TestRandomStreams:
@@ -123,30 +123,34 @@ class TestHistogram:
 
 
 class TestSampler:
+    """Sampled values go into a :class:`Histogram` (``Sampler`` went in
+    PR 21); it reports the same mean, max and count."""
+
     def test_mean_and_max(self):
-        s = Sampler("s")
-        for i, v in enumerate((10.0, 20.0, 30.0)):
-            s.record(i, v)
+        s = Histogram("s", [])
+        for v in (10, 20, 30):
+            s.record(v)
         assert s.mean == 20.0
-        assert s.max == 30.0
-        assert s.count == 3
+        assert s.max == 30
+        assert s.total == 3
 
     def test_empty_sampler(self):
-        s = Sampler("s")
-        assert s.mean == 0.0 and s.max == 0.0
+        snap = Histogram("s", []).snapshot()
+        assert snap["mean"] == 0.0 and snap["max"] == 0.0
 
 
 class TestMetricSet:
     def test_lazy_creation_and_reuse(self):
         m = MetricSet("m")
         assert m.counter("a") is m.counter("a")
-        assert m.timer("b") is m.timer("b")
-        assert m.sampler("c") is m.sampler("c")
+        hist = m.histogram("b_ns")
+        assert m.timer_view("b", hist) is m.timer_view("b", hist)
 
     def test_snapshot_flattens(self):
         m = MetricSet("m")
         m.counter("hits").add(3)
-        m.timer("lat").record(100)
+        m.timer_view("lat", m.histogram("lat_ns"))
+        m.histogram("lat_ns").record(100)
         snap = m.snapshot()
         assert snap["hits.count"] == 3
         assert snap["lat.mean_ns"] == 100

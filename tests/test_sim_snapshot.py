@@ -8,12 +8,13 @@ must fall back to fresh boots without changing any result.
 
 import pytest
 
-from repro.bench.faultexp import FaultExperimentRunner
+from repro.bench.faultexp import FaultExperimentRunner, boot_faultexp_system
+from repro.bench.parallel import _trial_payload, run_inject_campaign
 from repro.bench.throughput import (compare_snapshot, equiv_mismatches,
-                                    run_throughput, run_throughput_forked)
+                                    run_throughput)
 from repro.sim import snapshot
 from repro.sim.snapshot import (SnapshotError, SystemImage, fork_supported,
-                                reseed_system, snapshot_enabled)
+                                reseed_system, run_booted, snapshot_enabled)
 from tests.helpers import LAST_REPLAY_RUN, equiv_row
 
 pytestmark = pytest.mark.skipif(
@@ -33,6 +34,21 @@ def _bump(system, by):
 
 def _explode(system):
     raise ValueError("exploded in the child")
+
+
+def _boot_seeded(value, seed):
+    """``run_booted`` boots with the seed as last argument."""
+    return _boot_counter_system(value)
+
+
+@pytest.fixture
+def fresh_images(monkeypatch):
+    """An empty image cache for one test, its images closed afterwards."""
+    images = {}
+    monkeypatch.setattr(snapshot, "_IMAGES", images)
+    yield images
+    for image in images.values():
+        image.close()
 
 
 class TestSystemImage:
@@ -90,6 +106,26 @@ class TestSystemImage:
             assert image.run(_bump, 7)["value"] == 17
 
 
+class TestRunBooted:
+    def test_boot_and_fork_agree_and_share_one_image(self, fresh_images):
+        booted, setup = run_booted(_boot_seeded, (10,), _bump, 5, seed=1)
+        assert booted == {"value": 15, "log": [5]}
+        assert setup["mode"] == "boot"
+        assert setup["setup_wall_s"] == setup["boot_wall_s"] > 0.0
+        assert not fresh_images
+        for seed in (1, 2):
+            forked, setup = run_booted(_boot_seeded, (10,), _bump, 5,
+                                       seed=seed, snapshot=True)
+            assert forked == booted
+            assert setup["mode"] == "fork"
+            assert setup["setup_wall_s"] > 0.0
+        # The seed does not key the cache: one image served both.
+        (image,) = fresh_images.values()
+        assert image.forks == 2
+        run_booted(_boot_seeded, (11,), _bump, 5, seed=1, snapshot=True)
+        assert len(fresh_images) == 2
+
+
 class TestSnapshotGolden:
     """Fork-then-run must equal fresh-boot-then-run, byte for byte."""
 
@@ -103,8 +139,8 @@ class TestSnapshotGolden:
         # Sharding is gone; what a fork composes with now is the chain
         # coordinator every run has.  A forked run must park and credit
         # exactly as a freshly booted one, at a moved fault time too.
-        forked = run_throughput_forked("small", channels=True,
-                                       inject_ms=37)
+        forked = run_throughput("small", channels=True, inject_ms=37,
+                                snapshot=True)
         fresh = run_throughput("small", channels=True, inject_ms=37)
         assert not equiv_mismatches(fresh, forked)
         assert forked["parking"] == fresh["parking"]
@@ -113,8 +149,8 @@ class TestSnapshotGolden:
     def test_forked_matches_boot_replay(self):
         # A fork replaying a recorded trace at a moved fault printed
         # this row on its last run; fork and fresh boot still do.
-        forked = run_throughput_forked("small", channels=True,
-                                       inject_ms=37)
+        forked = run_throughput("small", channels=True, inject_ms=37,
+                                snapshot=True)
         fresh = run_throughput("small", channels=True, inject_ms=37)
         assert forked["snapshot"] == "fork"
         assert equiv_row(forked) == LAST_REPLAY_RUN["small", 37]
@@ -123,61 +159,66 @@ class TestSnapshotGolden:
     def test_reseeded_fork_matches_fresh_seed(self):
         # The image boots at the default seed; a run at seed 7 must
         # match a fresh boot at seed 7 (reseed_system really rewinds).
-        forked = run_throughput_forked("small", seed=7, channels=True)
+        forked = run_throughput("small", seed=7, channels=True,
+                                snapshot=True)
         fresh = run_throughput("small", seed=7, channels=True)
         assert not equiv_mismatches(fresh, forked)
         assert forked["snapshot"] == "fork"
         assert forked["fork_wall_s"] > 0.0
 
-    def test_escape_hatch_still_matches(self, monkeypatch):
+    def test_recording_run_refuses_to_fork(self):
+        # The log would fill in the forked child and come back empty.
+        from repro.sim.oplog import OpLog
+
+        with pytest.raises(ValueError, match="cannot fork"):
+            run_throughput("small", record=OpLog(), snapshot=True)
+
+    def test_escape_hatch_still_matches(self, monkeypatch, fresh_images):
         # The hatch is closed (``HIVE_SNAPSHOT=0`` leaves the mode
         # alone); the fallback it selected is reached the way a
-        # platform without ``os.fork`` reaches it.
+        # platform without ``os.fork`` reaches it — by an image built
+        # there: an image's mode is fixed when it is built.
         monkeypatch.setenv("HIVE_SNAPSHOT", "0")
         assert compare_snapshot("small")["mode"] == "fork"
         monkeypatch.setattr(snapshot, "fork_supported", lambda: False)
+        fresh_images.popitem()[1].close()
         result = compare_snapshot("small")
         assert result["mode"] == "boot"
         assert result["match"], result["mismatches"]
 
 
-def _raise_on_boot(system):
-    raise RuntimeError("on_boot ran in the child")
-
-
 class TestFaultexpSnapshot:
     def test_forked_trial_matches_fresh(self):
-        fresh = FaultExperimentRunner(agreement="oracle")
-        base = fresh.run_trial("hw_process_creation", seed=5)
-        forked = FaultExperimentRunner(agreement="oracle")
-        forked.make_image()
-        try:
-            trial = forked.run_trial("hw_process_creation", seed=5)
-            again = forked.run_trial("hw_process_creation", seed=5)
-            assert forked.last_setup_wall_s > 0.0
-        finally:
-            forked.image.close()
-        assert trial.to_dict() == base.to_dict()
-        assert again.to_dict() == base.to_dict()
+        base = FaultExperimentRunner(agreement="oracle").run_trial(
+            "hw_process_creation", seed=5)
+        # Twice: the second campaign forks from the image the first built.
+        for _ in range(2):
+            forked = run_inject_campaign(["hw_process_creation"], trials=1,
+                                         seed_base=5, workers=1,
+                                         snapshot=True)
+            assert not forked.get("failures")
+            assert forked["snapshot"]["mode"] == "fork"
+            assert forked["snapshot"]["setup_wall_s_mean"] > 0.0
+            (trial,) = forked["summaries"]["hw_process_creation"].trials
+            assert trial.to_dict() == base.to_dict()
 
     def test_on_boot_runs_in_forked_child(self):
-        # Satellite (b): on_boot must fire for forked systems too.  A
-        # raising hook proves both invocation and error propagation.
-        runner = FaultExperimentRunner(agreement="oracle",
-                                       on_boot=_raise_on_boot)
-        runner.make_image()
-        try:
-            with pytest.raises(SnapshotError,
-                               match="on_boot ran in the child"):
-                runner.run_trial("hw_process_creation", seed=5)
-        finally:
-            runner.image.close()
+        # A fork inherits the *unobserved* image, so the observers must
+        # attach inside the forked child: a trial forked from the image
+        # carries a non-empty availability ledger and audit.
+        out, setup = run_booted(
+            boot_faultexp_system, ("oracle",), _trial_payload,
+            "hw_process_creation", 5, None, "oracle", None, False,
+            seed=5, snapshot=True)
+        assert setup["mode"] == "fork"
+        assert out["status"] == "ok" and out["trial"]["contained"]
+        assert out["availability"]["rounds_recovered"] > 0
+        assert out["audit"]["verdict"] == "contained"
+        assert out["audit"]["summary"]["interactions"] > 0
 
 
 class TestCampaignSnapshot:
     def test_snapshot_campaign_matches_fresh(self):
-        from repro.bench.parallel import run_inject_campaign
-
         fresh = run_inject_campaign(["hw_process_creation"], trials=2,
                                     workers=1, snapshot=False)
         forked = run_inject_campaign(["hw_process_creation"], trials=2,
