@@ -106,6 +106,26 @@ class FaultTrialResult:
             return None
         return self.last_entry_latency_ns / 1e6
 
+    @property
+    def reason(self) -> str:
+        """Why the trial was not contained ("" when it was): every
+        failed condition of ``contained``, then ``notes``.  A property,
+        not a field, so ``to_dict`` and the digests built on it omit it."""
+        if self.contained:
+            return ""
+        parts = []
+        if not self.detected:
+            parts.append("not detected")
+        if not self.survivors_alive:
+            parts.append("a surviving cell died")
+        elif not self.check_ok:
+            parts.append("check run failed")
+        if not self.outputs_ok:
+            parts.append("workload outputs wrong")
+        if self.notes:
+            parts.append(self.notes)
+        return "; ".join(parts)
+
     def to_dict(self) -> dict:
         """JSON-safe form for cross-process campaign shards."""
         return asdict(self)

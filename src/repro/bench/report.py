@@ -270,7 +270,6 @@ def _tiers_lines(tiers: Dict[str, Any]) -> List[str]:
             f"- coherence batches: {coh['batches_total']} "
             f"(memo {_pct(coh['memo_hit_rate'])}, "
             f"inline {_pct(coh['inline_rate'])}, "
-            f"vectorized {_pct(coh['vector_rate'])}, "
             f"scalar {_pct(coh['scalar_rate'])})")
     rpc = tiers.get("rpc")
     if rpc:

@@ -375,7 +375,7 @@ def cmd_inject(args) -> int:
         for trial in summary.trials:
             if not trial.contained:
                 print(f"   NOT CONTAINED (seed {trial.seed}): "
-                      f"{trial.notes}")
+                      f"{trial.reason}")
     absorbed = 0
     if payload.get("audit") is not None:
         verdict, absorbed = _audit_verdict(payload["audit"])

@@ -31,8 +31,10 @@ model says may be lost.  The fault model also guarantees this set only
 contains lines the failed node was *authorized to write* (firewall), which
 a property test asserts.
 
-Directory state is doubly indexed for the failure paths: per-node sets of
-owned and shared lines make ``frames_with_dirty_lines_owned_by_node`` and
+There is one directory, the sparse ``_lines`` dict, so host memory grows
+with the lines the simulation touches, not with the machine's memory.
+It is doubly indexed for the failure paths: per-node sets of owned and
+shared lines make ``frames_with_dirty_lines_owned_by_node`` and
 ``drop_node_cache_state`` O(lines the node actually touched) instead of
 O(every line in the directory).  Entries whose state empties out (no
 owner, no sharers) are pruned so the directory never grows monotonically
@@ -44,18 +46,19 @@ Batched access path
 read/write ops from one CPU and resolves the common case — healthy
 machine, lines already cached with sufficient rights, firewall clear —
 without the per-access Python round trip, falling back to the scalar
-:meth:`read`/:meth:`write` path only for the residual lines.  Three tiers:
+:meth:`read`/:meth:`write` path only for the residual lines.  Two tiers:
 
-* large unique batches classify hits with **vectorized masks** against
-  dense numpy mirrors of the directory's owner/sharer state (built
-  lazily, maintained incrementally at every mutation site);
-* small batches run a sequential loop with the hit checks inlined
-  (byte-identical stats and latencies, just less interpreter overhead);
+* every in-range batch runs a sequential loop with the hit checks
+  inlined (byte-identical stats and latencies, just less interpreter
+  overhead);
 * :meth:`prepare_batch` / :meth:`access_prepared` additionally memoize a
   batch that resolved entirely as cache hits: per-node **mutation
   generation counters** prove the directory state the batch touched is
   unchanged, so an unchanged all-hit batch replays as one stats bump.
+  When a generation moved, the batch's own lines are rechecked against
+  the directory before the memo is given up.
 
+A batch with an out-of-range line takes the plain scalar loop instead.
 Every tier charges exactly the latencies the scalar path would, so event
 counts, recovery records, and span exports are byte-identical whichever
 tier runs.
@@ -72,11 +75,6 @@ from repro.hardware.interconnect import Interconnect
 from repro.hardware.memory import PhysicalMemory
 from repro.hardware.params import HardwareParams
 from repro.sim.stats import Histogram
-
-#: batches at least this large use the numpy mask classification; smaller
-#: ones run the inlined sequential loop (numpy call overhead dominates
-#: below a few dozen elements).
-BATCH_VECTOR_MIN = 64
 
 
 class LineState:
@@ -107,8 +105,7 @@ class PreparedBatch:
     directory mutation on a home node bumps that node's generation.
     """
 
-    __slots__ = ("lines", "ops", "home_nodes", "memo", "lines_arr",
-                 "write_mask", "line_set", "memo_gen")
+    __slots__ = ("lines", "ops", "home_nodes", "memo")
 
     def __init__(self, lines: List[int], ops: List[int],
                  home_nodes: Tuple[int, ...]):
@@ -117,14 +114,6 @@ class PreparedBatch:
         self.home_nodes = home_nodes
         #: (cpu, ((node, gen), ...), latency, read_hits, write_hits, n)
         self.memo: Optional[tuple] = None
-        #: dense-mirror views for memo revalidation (see
-        #: :meth:`CoherenceController._revalidate_memo`)
-        self.lines_arr = np.asarray(lines, dtype=np.int64)
-        self.write_mask = np.asarray(ops, dtype=bool)
-        self.line_set = frozenset(lines)
-        #: ``CoherenceController.mutation_gen`` when ``memo`` was built
-        #: or last revalidated — the mutation-log scan starts there.
-        self.memo_gen = 0
 
 
 @dataclass(slots=True)
@@ -154,21 +143,19 @@ class CoherenceController:
     """
 
     __slots__ = (
-        "params", "memory", "interconnect", "_lines", "_owner_lines",
+        "memory", "interconnect", "_lines", "_owner_lines",
         "_sharer_lines", "_page_size", "_total_pages", "_total_bytes",
         "_bytes_per_node", "_line_size", "_lines_per_page",
         "_pages_per_node", "_cpus_per_node", "_hit_latency",
         "_firewall_check_ns", "_mem_latency_ns", "stats",
         "remote_write_hist", "_node_gen", "mutation_gen",
-        "_mut_lines", "_mut_base",
-        "_lines_per_node", "_total_lines", "_owner_arr", "_sharer_bits",
+        "_lines_per_node", "_total_lines",
         "last_batch_completed", "tier_memo_hits", "tier_inline_batches",
-        "tier_vector_batches", "tier_scalar_batches", "channels",
+        "tier_scalar_batches", "channels",
     )
 
     def __init__(self, params: HardwareParams, memory: PhysicalMemory,
                  interconnect: Interconnect):
-        self.params = params
         self.memory = memory
         self.interconnect = interconnect
         self._lines: Dict[int, LineState] = {}
@@ -204,32 +191,17 @@ class CoherenceController:
         #: memo can be invalidated — the parked chains key their
         #: per-cycle peek caches on it.
         self.mutation_gen = 0
-        #: the mutation log: entry ``g - _mut_base`` is the line mutated
-        #: by generation bump ``g`` (-1 = every line, from
-        #: :meth:`_bump_all_generations`).  Lets memo revalidation ask
-        #: the exact question — "did any mutation since my build touch
-        #: one of MY lines?" — in O(mutations since build) set probes.
-        #: Trimmed from the front once it exceeds ~1M entries; memos
-        #: older than ``_mut_base`` fall back to the dense-mirror check.
-        self._mut_lines: List[int] = []
-        self._mut_base = 0
         self._lines_per_node = self._bytes_per_node // self._line_size
         self._total_lines = self._total_bytes // self._line_size
-        # Dense numpy mirrors of directory state for the vectorized
-        # classification; built lazily by enable_batch_index() and then
-        # maintained at every mutation site.  None until first needed.
-        self._owner_arr: Optional[np.ndarray] = None
-        self._sharer_bits: Optional[np.ndarray] = None
         #: accesses completed by the most recent batch call before it
         #: returned or raised (drivers use it to account partial batches).
         self.last_batch_completed = 0
         #: batch-tier attribution: which tier (memo replay / inlined
-        #: sequential / vectorized / the scalar loop that out-of-range
-        #: lines fall back to) resolved each batch.  One increment per
-        #: batch, so always-on costs ~1/batch-length per access.
+        #: sequential / the scalar loop that out-of-range lines fall
+        #: back to) resolved each batch.  One increment per batch, so
+        #: always-on costs ~1/batch-length per access.
         self.tier_memo_hits = 0
         self.tier_inline_batches = 0
-        self.tier_vector_batches = 0
         self.tier_scalar_batches = 0
         #: optional intercell channel recorder (``sim/channels.py``).  A
         #: plain None slot like the provenance tracer: the hardware
@@ -298,10 +270,6 @@ class CoherenceController:
         # sharer), so the home node's batch-memo generation advances.
         self._node_gen[line // self._lines_per_node] += 1
         self.mutation_gen += 1
-        self._mut_lines.append(line)
-        if len(self._mut_lines) > 1 << 20:
-            self._trim_mut_log()
-        mirror = self._sharer_bits
         owner = st.owner
         if owner is not None and owner != cpu:
             # Dirty remote intervention: owner is downgraded to shared.
@@ -315,13 +283,8 @@ class CoherenceController:
             st.sharers.add(owner)
             self._sharer_lines[owner_node].add(line)
             st.owner = None
-            if mirror is not None:
-                self._owner_arr[line] = -1
-                mirror[line] |= 1 << owner
         st.sharers.add(cpu)
         self._sharer_lines[src_node].add(line)
-        if mirror is not None:
-            mirror[line] |= 1 << cpu
         channels = self.channels
         if channels is not None:
             home_node = addr // self._bytes_per_node
@@ -384,9 +347,6 @@ class CoherenceController:
         # Ownership changes hands: advance the home node's generation.
         self._node_gen[line // self._lines_per_node] += 1
         self.mutation_gen += 1
-        self._mut_lines.append(line)
-        if len(self._mut_lines) > 1 << 20:
-            self._trim_mut_log()
         old_owner = st.owner
         sharers = st.sharers
         invalidated = len(sharers) - (1 if cpu in sharers else 0)
@@ -403,9 +363,6 @@ class CoherenceController:
             self._owner_lines[old_owner // cpus_per_node].discard(line)
         st.owner = cpu
         self._owner_lines[src_node].add(line)
-        if self._sharer_bits is not None:
-            self._sharer_bits[line] = 0
-            self._owner_arr[line] = cpu
         return latency
 
     # -- the batched access path ---------------------------------------
@@ -413,17 +370,6 @@ class CoherenceController:
     def _bump_all_generations(self) -> None:
         self._node_gen = [g + 1 for g in self._node_gen]
         self.mutation_gen += 1
-        self._mut_lines.append(-1)
-        if len(self._mut_lines) > 1 << 20:
-            self._trim_mut_log()
-
-    def _trim_mut_log(self) -> None:
-        """Drop the older half of the mutation log (memory bound);
-        memos built before the new base use the dense mirrors instead."""
-        log = self._mut_lines
-        half = len(log) // 2
-        self._mut_lines = log[half:]
-        self._mut_base += half
 
     def memo_gen_key(self, home_nodes) -> tuple:
         """Generation fingerprint over ``home_nodes``.
@@ -438,70 +384,11 @@ class CoherenceController:
         gens = self._node_gen
         return tuple(gens[n] for n in home_nodes)
 
-    def enable_batch_index(self) -> bool:
-        """Build the dense owner/sharer mirrors from the sparse directory.
-
-        Returns False (and leaves the mirrors off) on machines wider than
-        64 CPUs, where a uint64 sharer bitmask cannot name every CPU —
-        those fall back to the sequential batch loop.
-        """
-        if self._owner_arr is not None:
-            return True
-        if self.params.total_cpus > 64:
-            return False
-        owner = np.full(self._total_lines, -1, dtype=np.int64)
-        sharer = np.zeros(self._total_lines, dtype=np.uint64)
-        for line, st in self._lines.items():
-            if st.owner is not None:
-                owner[line] = st.owner
-            bits = 0
-            for c in st.sharers:
-                bits |= 1 << c
-            sharer[line] = bits
-        self._owner_arr = owner
-        self._sharer_bits = sharer
-        return True
-
-    def verify_batch_index(self) -> List[str]:
-        """Cross-check the dense mirrors against the sparse directory.
-
-        Returns a list of human-readable mismatches (empty means the
-        incremental maintenance is consistent); used by the golden tests.
-        """
-        if self._owner_arr is None:
-            return []
-        problems: List[str] = []
-        owner = self._owner_arr
-        sharer = self._sharer_bits
-        seen = set()
-        for line, st in self._lines.items():
-            seen.add(line)
-            want_owner = -1 if st.owner is None else st.owner
-            if int(owner[line]) != want_owner:
-                problems.append(
-                    f"line {line}: mirror owner {int(owner[line])} != "
-                    f"directory {want_owner}")
-            bits = 0
-            for c in st.sharers:
-                bits |= 1 << c
-            if int(sharer[line]) != bits:
-                problems.append(
-                    f"line {line}: mirror sharers {int(sharer[line]):#x} "
-                    f"!= directory {bits:#x}")
-        stale_owner = np.nonzero(owner != -1)[0]
-        stale_share = np.nonzero(sharer != 0)[0]
-        for line in set(stale_owner.tolist() + stale_share.tolist()):
-            if line not in seen:
-                problems.append(f"line {line}: mirror entry with no "
-                                f"directory entry")
-        return problems
-
     def tier_snapshot(self) -> Dict[str, int]:
         """Batch-tier attribution counters (see obs/profile.py)."""
         return {
             "memo_hits": self.tier_memo_hits,
             "inline_batches": self.tier_inline_batches,
-            "vector_batches": self.tier_vector_batches,
             "scalar_batches": self.tier_scalar_batches,
         }
 
@@ -525,23 +412,20 @@ class CoherenceController:
         return PreparedBatch(line_list, op_list, homes)
 
     def _revalidate_memo(self, cpu: int, prepared: PreparedBatch) -> bool:
-        """Recheck a generation-stale all-hit memo against the dense
-        directory mirrors; True means the memo was re-keyed to the
-        current generations and may replay as-is.
+        """Recheck a generation-stale all-hit memo against the directory;
+        True means the memo was re-keyed to the current generations and
+        may replay as-is.
 
         The per-node generations over-approximate invalidation: any
         miss on a home node drops every memo keyed there, even when
-        none of *this* batch's lines changed hands.  Two exact checks,
-        cheapest first: the mutation log answers "did any mutation
-        since this memo's build touch one of MY lines?" in a handful of
-        set probes; on overlap (or a trimmed log) the dense mirrors
-        settle it — if every read line is still cached by ``cpu`` and
-        every write line still owned exclusively, the batch still
-        resolves all-hits with the same latency and hit counts, so only
-        the memo's generation key needs refreshing.  Never attempted
-        while a home node is in fault state (failures must force
-        re-execution), and a refresh is not a directory mutation
-        (``mutation_gen`` does not move).
+        none of *this* batch's lines changed hands.  The exact question
+        is asked of the batch's own lines: if every write line is still
+        owned by ``cpu`` and every read line still cached by it, the
+        batch still resolves all-hits with the same latency and hit
+        counts, so only the memo's generation key needs refreshing.
+        Never attempted while a home node is in fault state (failures
+        must force re-execution), and a refresh is not a directory
+        mutation (``mutation_gen`` does not move).
         """
         mem = self.memory
         if mem._any_faults:
@@ -549,37 +433,20 @@ class CoherenceController:
             for node in prepared.home_nodes:
                 if state[node]:
                     return False
-        start = prepared.memo_gen
-        end = self.mutation_gen
-        base = self._mut_base
-        valid = False
-        if start >= base and end - start <= 512:
-            log = self._mut_lines
-            lset = prepared.line_set
-            valid = True
-            for idx in range(start - base, end - base):
-                mutated = log[idx]
-                if mutated < 0 or mutated in lset:
-                    valid = False
-                    break
-        if not valid:
-            if self._owner_arr is None and not self.enable_batch_index():
-                return False
-            lines = prepared.lines_arr
-            owns = self._owner_arr[lines] == cpu
-            if not owns.all():
-                cached = owns | (((self._sharer_bits[lines]
-                                   >> np.uint64(cpu))
-                                  & np.uint64(1)).astype(bool))
-                if not bool(np.all(np.where(prepared.write_mask, owns,
-                                            cached))):
+        directory = self._lines
+        try:
+            for line, op in zip(prepared.lines, prepared.ops):
+                st = directory[line]
+                # A write needs ownership; a read, ownership or a share.
+                if st.owner != cpu and (op or cpu not in st.sharers):
                     return False
+        except KeyError:  # the entry was pruned: no copy left anywhere
+            return False
         memo = prepared.memo
         gens = self._node_gen
         prepared.memo = (
             cpu, tuple((n, gens[n]) for n in prepared.home_nodes),
             memo[2], memo[3], memo[4], memo[5])
-        prepared.memo_gen = end
         return True
 
     def access_prepared(self, cpu: int, prepared: PreparedBatch) -> int:
@@ -635,7 +502,6 @@ class CoherenceController:
             prepared.memo = (
                 cpu, tuple((n, gens[n]) for n in prepared.home_nodes),
                 latency, n_rh, n_wh, len(prepared.lines))
-            prepared.memo_gen = self.mutation_gen
         else:
             prepared.memo = None
         return latency
@@ -700,84 +566,25 @@ class CoherenceController:
         """Batched :meth:`read`/:meth:`write`: arrays in, total ns out.
 
         Equivalent to the sequential scalar loop — same stats deltas,
-        same summed latency, and (for the sequential/inline tiers) the
-        same exception at the same batch position.  Large batches of
-        distinct lines on a healthy machine classify cache hits with
-        vectorized masks against the dense directory mirrors and take
-        the scalar path only for the residual (miss) lines; a firewall
-        peek first proves no write will be rejected, so a batch that
-        would fault replays sequentially with exact scalar ordering.
+        same summed latency, and the same exception at the same batch
+        position.  In-range batches take the inline tier; a batch with
+        an out-of-range line takes the plain scalar loop.
         """
         arr_lines = np.asarray(lines, dtype=np.int64).ravel()
         arr_ops = np.asarray(ops, dtype=np.int64).ravel()
         if arr_lines.size != arr_ops.size:
             raise ValueError("lines and ops must have the same length")
-        n = int(arr_lines.size)
         self.last_batch_completed = 0
-        if n == 0:
+        if arr_lines.size == 0:
             return 0
-        mem = self.memory
         if arr_lines.min() < 0 or arr_lines.max() >= self._total_lines:
             # Out-of-range lines must raise at the exact batch position
             # the scalar loop would; only the reference loop guarantees
             # that without assuming anything about the fault model.
             return self._batch_seq(cpu, arr_lines.tolist(),
                                    arr_ops.tolist())
-        if (mem._any_faults or n < BATCH_VECTOR_MIN
-                or self.interconnect.hop_sensitive
-                or self.params.total_cpus > 64
-                or np.unique(arr_lines).size != n):
-            # Fault windows and repeated lines need sequential ordering
-            # (state probes / intra-batch interaction); small batches
-            # aren't worth the numpy round-trip.
-            latency, _all_hits, _rh, _wh = self._batch_inline(
-                cpu, arr_lines.tolist(), arr_ops.tolist())
-            return latency
-        if not self.enable_batch_index():
-            latency, _all_hits, _rh, _wh = self._batch_inline(
-                cpu, arr_lines.tolist(), arr_ops.tolist())
-            return latency
-        owner = self._owner_arr[arr_lines]
-        sharer = self._sharer_bits[arr_lines]
-        is_write = arr_ops != 0
-        owns = owner == cpu
-        cached = owns | (((sharer >> np.uint64(cpu))
-                          & np.uint64(1)).astype(bool))
-        read_hit = ~is_write & cached
-        write_hit = is_write & owns
-        residual = ~(read_hit | write_hit)
-        if mem.firewall_enabled and bool((is_write & residual).any()):
-            # Side-effect-free firewall peek over the write misses: if
-            # any would be rejected, replay the whole batch sequentially
-            # so counters and the raise position match the scalar path
-            # exactly (nothing has been mutated or counted yet).
-            wm_lines = arr_lines[is_write & residual]
-            frames = (wm_lines // self._lines_per_page).tolist()
-            firewalls = mem.firewalls
-            pages_per_node = self._pages_per_node
-            for frame in frames:
-                if not firewalls[frame // pages_per_node].peek_allows(
-                        frame, cpu):
-                    latency, _all_hits, _rh, _wh = self._batch_inline(
-                        cpu, arr_lines.tolist(), arr_ops.tolist())
-                    return latency
-        self.tier_vector_batches += 1
-        n_rh = int(read_hit.sum())
-        n_wh = int(write_hit.sum())
-        stats = self.stats
-        stats.read_hits += n_rh
-        stats.write_hits += n_wh
-        latency = (n_rh + n_wh) * self._hit_latency
-        if bool(residual.any()):
-            read_f = self.read
-            write_f = self.write
-            line_size = self._line_size
-            for line, op in zip(arr_lines[residual].tolist(),
-                                arr_ops[residual].tolist()):
-                addr = line * line_size
-                latency += write_f(cpu, addr) if op else read_f(cpu, addr)
-        self.last_batch_completed = n
-        return latency
+        return self._batch_inline(cpu, arr_lines.tolist(),
+                                  arr_ops.tolist())[0]
 
     def _batch_seq(self, cpu: int, lines: Sequence[int],
                    ops: Sequence[int]) -> int:
@@ -881,7 +688,6 @@ class CoherenceController:
         # Failure/reintegration touches lines homed anywhere: advance
         # every node's generation (rare event, coarse bump is fine).
         self._bump_all_generations()
-        mirror = self._sharer_bits
         lines = self._lines
         owned, self._owner_lines[node] = self._owner_lines[node], set()
         for line in owned:
@@ -889,16 +695,9 @@ class CoherenceController:
             if st is None:
                 continue
             st.owner = None
-            if mirror is not None:
-                self._owner_arr[line] = -1
             if not st.sharers:
                 del lines[line]
         shared, self._sharer_lines[node] = self._sharer_lines[node], set()
-        if mirror is not None and shared:
-            # Clear the failed node's CPUs out of the sharer bitmasks.
-            keep_mask = (2 ** 64 - 1) ^ sum(1 << c for c in range(lo, hi))
-            for line in shared:
-                mirror[line] &= keep_mask
         for line in shared:
             st = lines.get(line)
             if st is None:
@@ -923,7 +722,6 @@ class CoherenceController:
         stats = self.stats
         owner_index = self._owner_lines
         sharer_index = self._sharer_lines
-        mirror = self._sharer_bits
         self._bump_all_generations()
         for frame in frames:
             first = frame * lines_per_page
@@ -937,9 +735,6 @@ class CoherenceController:
                 for sharer in st.sharers:
                     sharer_index[sharer // cpus_per_node].discard(line)
                 del lines[line]
-                if mirror is not None:
-                    mirror[line] = 0
-                    self._owner_arr[line] = -1
 
     # -- introspection -----------------------------------------------------
 

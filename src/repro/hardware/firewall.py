@@ -122,16 +122,6 @@ class NodeFirewall:
         vec = self._vectors.get(frame, self._default_mask)
         return bool(vec & (1 << (writer_cpu // self._cpu_group)))
 
-    def peek_allows(self, frame: int, writer_cpu: int) -> bool:
-        """Side-effect-free :meth:`allows`: no counter bump, no range
-        guard.  The batched access path uses it to prove that no write
-        in a batch can be rejected *before* mutating any state, so a
-        batch that would fault replays through the scalar path with
-        counters and raise position identical to unbatched execution.
-        """
-        vec = self._vectors.get(frame, self._default_mask)
-        return bool(vec & (1 << (writer_cpu // self._cpu_group)))
-
     def check_write(self, frame: int, writer_cpu: int) -> None:
         """Raise :class:`FirewallViolation` if the write is not permitted."""
         if not self.allows(frame, writer_cpu):

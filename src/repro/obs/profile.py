@@ -1,8 +1,8 @@
 """Hot-path tier profiling: which tier served the work.
 
 Two subsystems resolve work in tiers — coherence batches (memo replay
-/ inlined sequential / vectorized, with the scalar loop for out-of-range
-lines) and RPC dispatch (one coalesced path).  This module aggregates
+/ inlined sequential, with the scalar loop for out-of-range lines) and
+RPC dispatch (one coalesced path).  This module aggregates
 the per-subsystem attribution counters into one JSON-stable snapshot so
 campaigns and benchmarks can report *tier hit rates* — how often each
 tier actually fired — instead of guessing from end-to-end timings.
@@ -34,11 +34,10 @@ def coherence_tiers(coherence) -> Dict[str, Any]:
     """Batch-tier counts and hit rates for one coherence controller."""
     snap = coherence.tier_snapshot()
     total = (snap["memo_hits"] + snap["inline_batches"]
-             + snap["vector_batches"] + snap["scalar_batches"])
+             + snap["scalar_batches"])
     snap["batches_total"] = total
     snap["memo_hit_rate"] = _rate(snap["memo_hits"], total)
     snap["inline_rate"] = _rate(snap["inline_batches"], total)
-    snap["vector_rate"] = _rate(snap["vector_batches"], total)
     snap["scalar_rate"] = _rate(snap["scalar_batches"], total)
     return snap
 
@@ -73,11 +72,12 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     Counts add; rates are recomputed from the merged counts (never
     averaged — shard sizes differ).  A section this module no longer
     writes (``engine``, ``replay`` in a shard saved by an earlier
-    version) folds away.
+    version) folds away, and an old shard's ``vector_batches`` count as
+    inline batches: the tier that runs those batches now.
     """
     merged: Dict[str, Any] = {
         "coherence": {"memo_hits": 0, "inline_batches": 0,
-                      "vector_batches": 0, "scalar_batches": 0},
+                      "scalar_batches": 0},
         "rpc": {"fast_path": 0, "calls_total": 0},
     }
     coh = merged["coherence"]
@@ -85,9 +85,10 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     for snap in snaps:
         if not snap:
             continue
-        for key in ("memo_hits", "inline_batches", "vector_batches",
-                    "scalar_batches"):
-            coh[key] += snap["coherence"][key]
+        shard = snap["coherence"]
+        for key in ("memo_hits", "inline_batches", "scalar_batches"):
+            coh[key] += shard[key]
+        coh["inline_batches"] += shard.get("vector_batches", 0)
         rpc["fast_path"] += snap["rpc"]["fast_path"]
         rpc["calls_total"] += snap["rpc"]["calls_total"]
 
@@ -95,7 +96,6 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     coh["batches_total"] = total
     coh["memo_hit_rate"] = _rate(coh["memo_hits"], total)
     coh["inline_rate"] = _rate(coh["inline_batches"], total)
-    coh["vector_rate"] = _rate(coh["vector_batches"], total)
     coh["scalar_rate"] = _rate(coh["scalar_batches"], total)
 
     rpc["fast_rate"] = _rate(rpc["fast_path"], rpc["calls_total"])

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.hive import HiveSystem, boot_hive
 from repro.hardware.errors import BusError, FirewallViolation
@@ -455,10 +455,11 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     coupling_weight = np.asarray(
         [_COUPLING_WEIGHT[t] for t in SESSION_TYPES])
 
-    all_arrivals: List["np.ndarray"] = []
-    all_finish: List["np.ndarray"] = []
-    all_cells: List["np.ndarray"] = []
-    all_types: List["np.ndarray"] = []
+    # The three per-session columns the final accounting reads, filled
+    # chunk by chunk in place (no per-chunk lists, no concatenated copy).
+    finish = np.empty(cfg.sessions, dtype=np.float64)
+    latency = np.empty(cfg.sessions, dtype=np.float64)
+    cells_col = np.empty(cfg.sessions, dtype=np.int16)
     lost_arrivals = 0
     last_finish: Dict[Tuple[int, int], float] = {}
     server_rr: Dict[int, int] = {c: 0 for c in cell_ids}
@@ -470,10 +471,12 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     while produced < cfg.sessions:
         count = min(cfg.chunk_sessions, cfg.sessions - produced)
         chunk = generate_chunk(cfg, produced, count, t_cursor)
+        sids = chunk["sids"]
         arrivals = chunk["arrivals"]
         service = chunk["service"]
         types = chunk["types"]
         t_cursor = float(arrivals[-1])
+        rows = slice(produced, produced + count)
         produced += count
 
         # Advance the machine through the chunk's arrival window: the
@@ -494,23 +497,23 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
         # Placement: static round-robin, with arrivals after a known
         # death failing over to the surviving cells.
         cells_arr = np.asarray(cell_ids, dtype=np.int64)[
-            (chunk["sids"] % np.uint64(ncells)).astype(np.int64)]
+            (sids % np.uint64(ncells)).astype(np.int64)]
         if deaths:
             live = [c for c in cell_ids if c not in deaths]
+            live_arr = np.asarray(live, dtype=np.int64)
             for dead_cell, died_at in sorted(deaths.items()):
                 mask = (cells_arr == dead_cell) & (arrivals >= died_at)
                 if not mask.any():
                     continue
                 if cfg.failover and live:
                     idx = np.flatnonzero(mask)
-                    cells_arr[idx] = np.asarray(
-                        [live[int(s) % len(live)]
-                         for s in chunk["sids"][idx]], dtype=np.int64)
+                    cells_arr[idx] = live_arr[
+                        (sids[idx] % np.uint64(len(live))).astype(np.int64)]
                 elif not cfg.failover:
                     lost_arrivals += int(mask.sum())
 
         # Per-cell FCFS server pool: exact vectorized recurrence.
-        finish = np.empty_like(arrivals)
+        chunk_finish = finish[rows]
         for c in cell_ids:
             cidx = np.flatnonzero(cells_arr == c)
             if cidx.size == 0:
@@ -528,14 +531,14 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
                 gap = np.maximum.accumulate(
                     np.maximum(a - (cs - sv), prev))
                 q_finish = cs + gap
-                finish[qidx] = q_finish
+                chunk_finish[qidx] = q_finish
                 last_finish[(c, s)] = float(q_finish[-1])
 
         # Sampled probe sessions run as real kernel processes on their
         # session's cell.
         if platform is not None and cfg.probe_every:
             probe_sids = np.flatnonzero(
-                chunk["sids"] % np.uint64(cfg.probe_every) == 0)
+                sids % np.uint64(cfg.probe_every) == 0)
             for i in probe_sids:
                 cell = int(cells_arr[i])
                 if not registry.is_live(cell):
@@ -543,19 +546,13 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
                 platform.spawn_init(
                     cell_ids.index(cell),
                     _probe_program(int(service[i]), probe_box),
-                    f"session-probe{int(chunk['sids'][i])}")
+                    f"session-probe{int(sids[i])}")
                 probes_launched += 1
 
         for t, name in enumerate(SESSION_TYPES):
             by_type[name] += int((types == t).sum())
-        all_arrivals.append(arrivals)
-        all_finish.append(finish)
-        all_cells.append(cells_arr)
-        all_types.append(types)
-
-    arrivals = np.concatenate(all_arrivals)
-    finish = np.concatenate(all_finish)
-    cells_arr = np.concatenate(all_cells)
+        np.subtract(chunk_finish, arrivals, out=latency[rows])
+        cells_col[rows] = cells_arr
 
     # Drain: let queued service, probes and recovery run out.
     horizon = int(max(t_cursor, float(finish.max()))) + 200 * NS_PER_MS
@@ -566,22 +563,23 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
 
     # Loss accounting against the final death ledger: a session whose
     # cell died before its service finished never completed.
-    lost_mask = np.zeros(len(arrivals), dtype=bool)
+    lost_mask = np.zeros(cfg.sessions, dtype=bool)
     for dead_cell, died_at in deaths.items():
-        lost_mask |= (cells_arr == dead_cell) & (finish > died_at)
-    completed_mask = ~lost_mask
+        lost_mask |= (cells_col == dead_cell) & (finish > died_at)
     lost = int(lost_mask.sum())
-    completed = int(completed_mask.sum()) - lost_arrivals
-    latencies = (finish - arrivals)[completed_mask]
+    completed = cfg.sessions - lost - lost_arrivals
+    latencies = latency[~lost_mask] if lost else latency
     wall_s = time.perf_counter() - wall0
 
     hist = Histogram("session_latency_ns",
                      list(SESSION_LATENCY_BOUNDS_NS))
     if latencies.size:
         hist.record_many(latencies.astype(np.int64))
-        p50 = float(np.percentile(latencies, 50))
-        p99 = float(np.percentile(latencies, 99))
         mean = float(latencies.mean())
+        # Last: overwrite_input partially sorts ``latencies`` in place,
+        # which the order-sensitive mean above must not see.
+        p50, p99 = (float(p) for p in np.percentile(
+            latencies, (50, 99), overwrite_input=True))
     else:
         p50 = p99 = mean = 0.0
     faults = len(deaths)

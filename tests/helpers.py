@@ -25,8 +25,9 @@ def run_program(system_or_kernel, cell_id, program,
 #: execution was deleted in PR 20; the live default is held to these.
 #: ``None`` is the config's own injection time; 106 and 153 were
 #: ``sweep_inject_times("small", 2)``.  (PR 21 took the always-``None``
-#: ``tiers.engine`` entry out of the six rows with the key itself; no
-#: value was touched.)
+#: ``tiers.engine`` entry out of the six rows with the key itself, and
+#: the always-0 ``vector_batches`` / ``vector_rate`` went with the
+#: vectorized coherence tier; no value was touched.)
 LAST_REPLAY_RUN = {
     ('small', None): {'accesses': 337838, 'channels': {'digest': 860718583250,
         'ops_by_kind': {'coh_read_miss': 286, 'fw_grant': 128}, 'ops_total':
@@ -35,9 +36,9 @@ LAST_REPLAY_RUN = {
         'samples': 67, 'sim_ms': 400.0, 'tiers': {'coherence':
         {'batches_total': 21100, 'inline_batches': 21, 'inline_rate':
         0.000995260663507109, 'memo_hit_rate': 0.9990047393364929, 'memo_hits':
-        21079, 'scalar_batches': 0, 'scalar_rate': 0.0, 'vector_batches': 0,
-        'vector_rate': 0.0}, 'rpc': {'calls_total': 0,
-        'fast_path': 0, 'fast_rate': 0.0}}, 'writable_page_samples': 960},
+        21079, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
+        {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
+        'writable_page_samples': 960},
     ('medium', None): {'accesses': 525872, 'channels': {'digest': 1440707172203,
         'ops_by_kind': {'coh_read_miss': 479, 'fw_grant': 256}, 'ops_total':
         735, 'violations': 0, 'window_ns': 200}, 'discarded_pages': 64,
@@ -45,8 +46,7 @@ LAST_REPLAY_RUN = {
         'samples': 84, 'sim_ms': 500.0, 'tiers': {'coherence':
         {'batches_total': 32848, 'inline_batches': 41, 'inline_rate':
         0.0012481734047735023, 'memo_hit_rate': 0.9987518265952265,
-        'memo_hits': 32807, 'scalar_batches': 0, 'scalar_rate': 0.0,
-        'vector_batches': 0, 'vector_rate': 0.0}, 'rpc':
+        'memo_hits': 32807, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 2816},
     ('large', None): {'accesses': 4691822, 'channels': {'digest': 10961765050733,
@@ -56,8 +56,7 @@ LAST_REPLAY_RUN = {
         True, 'samples': 461, 'sim_ms': 600.0, 'tiers': {'coherence':
         {'batches_total': 293127, 'inline_batches': 273, 'inline_rate':
         0.0009313369290444073, 'memo_hit_rate': 0.9990686630709555,
-        'memo_hits': 292854, 'scalar_batches': 0, 'scalar_rate': 0.0,
-        'vector_batches': 0, 'vector_rate': 0.0}, 'rpc':
+        'memo_hits': 292854, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 24320},
     ('small', 37): {'accesses': 285756, 'channels': {'digest': 818060137031,
@@ -67,8 +66,7 @@ LAST_REPLAY_RUN = {
         'samples': 63, 'sim_ms': 400.0, 'tiers': {'coherence':
         {'batches_total': 17846, 'inline_batches': 21, 'inline_rate':
         0.0011767342821920879, 'memo_hit_rate': 0.9988232657178079,
-        'memo_hits': 17825, 'scalar_batches': 0, 'scalar_rate': 0.0,
-        'vector_batches': 0, 'vector_rate': 0.0}, 'rpc':
+        'memo_hits': 17825, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 448},
     ('small', 106): {'accesses': 326986, 'channels': {'digest': 818839404376,
@@ -78,8 +76,7 @@ LAST_REPLAY_RUN = {
         'samples': 66, 'sim_ms': 400.0, 'tiers': {'coherence':
         {'batches_total': 20422, 'inline_batches': 21, 'inline_rate':
         0.0010283028106943491, 'memo_hit_rate': 0.9989716971893057,
-        'memo_hits': 20401, 'scalar_batches': 0, 'scalar_rate': 0.0,
-        'vector_batches': 0, 'vector_rate': 0.0}, 'rpc':
+        'memo_hits': 20401, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 832},
     ('small', 153): {'accesses': 357972, 'channels': {'digest': 811883795437,
@@ -89,9 +86,9 @@ LAST_REPLAY_RUN = {
         'samples': 69, 'sim_ms': 400.0, 'tiers': {'coherence':
         {'batches_total': 22358, 'inline_batches': 21, 'inline_rate':
         0.000939261114589856, 'memo_hit_rate': 0.9990607388854101, 'memo_hits':
-        22337, 'scalar_batches': 0, 'scalar_rate': 0.0, 'vector_batches': 0,
-        'vector_rate': 0.0}, 'rpc': {'calls_total': 0,
-        'fast_path': 0, 'fast_rate': 0.0}}, 'writable_page_samples': 1216},
+        22337, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
+        {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
+        'writable_page_samples': 1216},
 }
 
 

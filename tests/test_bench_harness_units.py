@@ -78,3 +78,25 @@ class TestRunnerConfig:
             last_entry_latency_ns=5_000_000, contained=True,
             survivors_alive=True, outputs_ok=True, check_ok=True)
         assert trial.latency_ms == pytest.approx(5.0)
+
+    def test_trial_result_reason_names_every_failed_condition(self):
+        def trial(**kw):
+            fields = dict(scenario="s", seed=3, injected_at_ns=0,
+                          detected=True, last_entry_latency_ns=None,
+                          contained=False, survivors_alive=True,
+                          outputs_ok=True, check_ok=True)
+            fields.update(kw)
+            return FaultTrialResult(**fields)
+
+        assert trial(contained=True).reason == ""
+        assert trial(detected=False).reason == "not detected"
+        assert trial(survivors_alive=False, check_ok=False).reason == (
+            "a surviving cell died")
+        assert trial(check_ok=False,
+                     notes="check: RuntimeError: boom").reason == (
+            "check run failed; check: RuntimeError: boom")
+        assert trial(detected=False, outputs_ok=False,
+                     notes="main workload: BusError").reason == (
+            "not detected; workload outputs wrong; main workload: BusError")
+        # a property, not a field: the shard form does not change
+        assert "reason" not in trial(detected=False).to_dict()

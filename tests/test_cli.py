@@ -124,6 +124,14 @@ class TestCommands:
         assert "contained 1/1" in out
         assert "containment audit: contained (" in out
 
+    def test_inject_not_contained_names_its_reason(self, capsys):
+        # seed 3 picks sw_cow_tree's self_pointer corruption, which no
+        # cell detects (an open containment defect); the line must say so
+        rc = main(["inject", "sw_cow_tree", "--trials", "1", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "   NOT CONTAINED (seed 3): not detected\n" in out
+
     def test_run_irix_rejects_telemetry(self, capsys):
         rc = main(["run", "ocean", "--irix", "--seed", "3",
                    "--telemetry-out", "/tmp/never-created"])

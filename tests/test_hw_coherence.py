@@ -168,6 +168,28 @@ def _stats_key(coh):
             s.remote_write_misses, s.invalidations, s.firewall_checks)
 
 
+def _directory_problems(coh):
+    """Cross-check the per-node owner/sharer indexes against the one
+    sparse directory; empty means they agree entry for entry."""
+    per_node = coh._cpus_per_node
+    want_owned = [set() for _ in coh._owner_lines]
+    want_shared = [set() for _ in coh._sharer_lines]
+    problems = []
+    for line, st in coh._lines.items():
+        if st.owner is None and not st.sharers:
+            problems.append(f"line {line}: empty entry not pruned")
+        if st.owner is not None:
+            want_owned[st.owner // per_node].add(line)
+        for cpu in st.sharers:
+            want_shared[cpu // per_node].add(line)
+    for node, (owned, shared) in enumerate(zip(want_owned, want_shared)):
+        if coh._owner_lines[node] != owned:
+            problems.append(f"node {node}: owner index mismatch")
+        if coh._sharer_lines[node] != shared:
+            problems.append(f"node {node}: sharer index mismatch")
+    return problems
+
+
 def _scalar_replay(coh, params, cpu, lines, ops):
     """Reference semantics: the plain per-line scalar loop."""
     total = 0
@@ -191,7 +213,7 @@ class TestBatchedAccess:
             coh.read(0, line * params.cache_line_size)
         return params, mem, coh, lines, ops
 
-    def _compare(self, make_case, vector_min_hit=False):
+    def _compare(self, make_case):
         params, _m, coh_a, lines, ops = make_case()
         _p, _m2, coh_b, _l, _o = make_case()
         lat_batch = coh_a.access_batch(0, lines, ops)
@@ -204,32 +226,30 @@ class TestBatchedAccess:
             assert (a.owner, a.sharers) == (b.owner, b.sharers)
         return coh_a
 
-    def test_vectorized_tier_matches_scalar(self):
+    def test_large_batch_takes_inline_tier(self):
         coh = self._compare(self._mixed_case)
-        # n >= BATCH_VECTOR_MIN and unique lines: the dense mirrors were
-        # built, and they must agree with the sparse directory.
-        assert coh._owner_arr is not None
-        assert coh.verify_batch_index() == []
+        # 96 unique lines: a large batch is one inline batch too.
+        assert coh.tier_snapshot() == {
+            "memo_hits": 0, "inline_batches": 1, "scalar_batches": 0}
 
     def test_inline_tier_matches_scalar(self):
         def small_case():
             params, mem, coh, lines, ops = self._mixed_case(n=12)
             return params, mem, coh, lines, ops
         coh = self._compare(small_case)
-        assert coh._owner_arr is None  # below BATCH_VECTOR_MIN
+        assert coh.tier_snapshot()["inline_batches"] == 1
 
     def test_duplicate_lines_match_scalar(self):
         def dup_case():
             params, mem, coh, lines, ops = self._mixed_case()
-            lines[1] = lines[0]  # duplicates force the inline tier
+            lines[1] = lines[0]  # a repeated line sees its own miss
             return params, mem, coh, lines, ops
         self._compare(dup_case)
 
     def test_scalar_fallback_when_disabled(self):
-        """What disables the batch tiers now is the input: one
-        out-of-range line sends the whole batch (large and unique
-        enough for the vectorized tier) through the scalar loop, which
-        raises where the per-line loop does."""
+        """What disables the inline tier is the input: one out-of-range
+        line sends the whole batch through the scalar loop, which raises
+        where the per-line loop does."""
         from repro.hardware.errors import InvalidPhysicalAddress
         params, _m, coh, lines, ops = self._mixed_case()
         _p, _m2, coh_b, _l, _o = self._mixed_case()
@@ -241,21 +261,20 @@ class TestBatchedAccess:
         assert coh.last_batch_completed == 40
         assert _stats_key(coh) == _stats_key(coh_b)
         assert coh.tier_snapshot() == {
-            "memo_hits": 0, "inline_batches": 0, "vector_batches": 0,
-            "scalar_batches": 1}
-        assert coh._owner_arr is None  # the vector tier never started
+            "memo_hits": 0, "inline_batches": 0, "scalar_batches": 1}
 
-    def test_mirror_stays_consistent_after_scalar_traffic(self):
+    def test_directory_indexes_consistent_after_scalar_traffic(self):
         params, _m, coh, lines, ops = self._mixed_case()
         coh.access_batch(0, lines, ops)
         # Scalar reads/writes from other CPUs mutate the directory; the
-        # mirrors must track every mutation site.
+        # per-node owner/sharer indexes must track every mutation site.
         coh.read(1, lines[0] * params.cache_line_size)
         coh.write(0, lines[1] * params.cache_line_size)
         coh.write(1, (lines[2] + _lines_per_node(params))
                   * params.cache_line_size)  # another node entirely
-        coh.drop_node_cache_state(2)
-        assert coh.verify_batch_index() == []
+        coh.drop_node_cache_state(1)  # cpu 1's share and its dirty line
+        coh.invalidate_frames([0])
+        assert _directory_problems(coh) == []
 
     def test_firewall_violation_at_exact_position(self):
         params, mem, coh = make_coherence()
@@ -331,3 +350,101 @@ class TestPreparedBatch:
         total_lines = params.num_nodes * _lines_per_node(params)
         with pytest.raises(ValueError):
             coh.prepare_batch([total_lines], [0])
+
+
+class TestMemoRevalidation:
+    """A generation-stale memo is rechecked line by line against the
+    directory: each case must leave the same stats and latency as a
+    fresh scalar replay of the same traffic, and rescue the memo only
+    when every line still hits."""
+
+    LINES = list(range(8))
+    OPS = [k & 1 for k in range(8)]
+
+    def _pair(self, disturb):
+        """Issue the batch twice (the first misses, the second builds
+        the memo), run ``disturb`` on both controllers, issue once more;
+        returns the batch's controller and prepared batch."""
+        params, mem, coh = make_coherence()
+        _p, mem_b, coh_b = make_coherence()
+        prep = coh.prepare_batch(self.LINES, self.OPS)
+        for _ in range(2):
+            coh.access_prepared(0, prep)
+            _scalar_replay(coh_b, params, 0, self.LINES, self.OPS)
+        assert prep.memo is not None
+        for c, m in ((coh, mem), (coh_b, mem_b)):
+            disturb(params, m, c)
+        latency = coh.access_prepared(0, prep)
+        scalar = _scalar_replay(coh_b, params, 0, self.LINES, self.OPS)
+        assert latency == scalar
+        assert _stats_key(coh) == _stats_key(coh_b)
+        return coh, prep
+
+    def _tiers(self, coh):
+        snap = coh.tier_snapshot()
+        return snap["memo_hits"], snap["inline_batches"]
+
+    def test_foreign_miss_on_same_home_node_rescues_memo(self):
+        def disturb(params, _mem, coh):
+            coh.read(1, 100 * params.cache_line_size)  # node 0, not ours
+        coh, prep = self._pair(disturb)
+        assert self._tiers(coh) == (1, 2)  # replayed, not re-executed
+        assert prep.memo[1] == tuple(
+            (n, coh._node_gen[n]) for n in prep.home_nodes)
+
+    @pytest.mark.parametrize("foreign", ["write", "read"])
+    def test_foreign_access_to_batch_line_forces_reexecution(self, foreign):
+        # Line 3 is one of the batch's writes: a foreign write steals
+        # it, a foreign read downgrades cpu 0 from owner to sharer —
+        # either way the batch's write to it is a miss again.
+        def disturb(params, mem, coh):
+            addr = 3 * params.cache_line_size
+            if foreign == "write":
+                mem.firewalls[0].grant_node(0, 0, 1)
+                coh.write(1, addr)
+            else:
+                coh.read(1, addr)
+        coh, _prep = self._pair(disturb)
+        assert self._tiers(coh) == (0, 3)
+
+    @pytest.mark.parametrize("failure_path", ["drop", "invalidate"])
+    def test_failure_paths_force_reexecution(self, failure_path):
+        def disturb(_params, _mem, coh):
+            if failure_path == "drop":
+                coh.drop_node_cache_state(0)
+            else:
+                coh.invalidate_frames([0])
+        coh, _prep = self._pair(disturb)
+        assert self._tiers(coh) == (0, 3)
+
+    def test_home_node_in_fault_state_forces_reexecution(self):
+        def disturb(_params, mem, _coh):
+            # Cut off, not failed: cpu 0 is local to node 0, so its
+            # reads still succeed, but no memo may replay on a node in
+            # fault state.
+            mem.engage_cutoff(0)
+        coh, prep = self._pair(disturb)
+        assert self._tiers(coh) == (0, 3)
+        assert prep.memo is None  # nor is one recorded there
+
+
+class TestHostMemory:
+    def test_throughput_run_allocates_little(self):
+        """The small throughput scenario on a booted system peaks under
+        2 MiB of traced allocations (16.25 MiB while dense numpy mirrors
+        of every line's directory state backed memo revalidation)."""
+        import gc
+        import tracemalloc
+
+        from repro.bench.throughput import boot_bench_system, run_throughput
+
+        system = boot_bench_system("small")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            row = run_throughput("small", system=system)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row["accesses"] == 337_838
+        assert peak < 2 * 2 ** 20

@@ -337,6 +337,10 @@ class TestTierSnapshots:
         assert coh["memo_hits"] == 8
         assert coh["batches_total"] == 12
         assert coh["memo_hit_rate"] == pytest.approx(8 / 12)
+        # shards saved while a vectorized tier existed: its batches
+        # count as inline, the tier that runs them now
+        assert coh["inline_batches"] == 4
+        assert "vector_batches" not in coh and "vector_rate" not in coh
         rpc = merged["rpc"]
         assert rpc["calls_total"] == 30
         assert rpc["fast_rate"] == pytest.approx(20 / 30)
