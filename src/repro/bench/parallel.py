@@ -41,6 +41,7 @@ from repro.bench.throughput import BENCH_SCHEMA, CONFIGS, run_throughput
 from repro.obs.availability import merge_availability
 from repro.obs.profile import merge_tier_snapshots
 from repro.obs.provenance import merge_audits
+from repro.sim.oplog import divergence_point, event_rows
 from repro.sim.snapshot import run_booted
 
 
@@ -313,8 +314,7 @@ def _trial_payload(system, scenario: str, seed: int,
                         "events": system.sim.events_processed,
                         "wall_s": round(wall_s, 4)}
     if capture:
-        from repro.sim.oplog import oplog_from_recorder
-        out["oplog"] = oplog_from_recorder(recorder.events).to_jsonable()
+        out["event_rows"] = event_rows(recorder.events)
     if telemetry_dir:
         from repro.obs import write_telemetry
         shard_dir = os.path.join(
@@ -336,8 +336,8 @@ def _inject_shard_worker(
     its availability ledger and tier counters back as JSON-safe dicts,
     so the merged campaign report carries recovery-latency percentiles
     and per-cell availability even when no telemetry dir was requested.
-    ``capture`` additionally ships the trial's columnar event stream
-    (replay campaigns diff every trial against trial 0 at merge time).
+    ``capture`` additionally ships the recorder's event rows (replay
+    campaigns diff every trial against trial 0 at merge time).
     ``snapshot`` forks the trial's system from the worker's image
     instead of booting; the golden contract keeps either path
     byte-identical, and ``out["setup"]`` records which was paid.
@@ -371,7 +371,7 @@ def merge_inject_shards(shards: Sequence[dict]) -> dict:
     audit_labels: List[str] = []
     audit_reports: List[dict] = []
     watchdogs: Dict[str, dict] = {}
-    oplogs: Dict[str, list] = {}
+    event_logs: Dict[str, list] = {}
     for shard in shards:
         key = (shard["scenario"], shard["seed"], shard.get("fault_seed"))
         if key in seen:
@@ -406,9 +406,9 @@ def merge_inject_shards(shards: Sequence[dict]) -> dict:
             watchdogs[label] = shard["watchdog"]
         if shard.get("telemetry_dir"):
             telemetry_dirs.append(shard["telemetry_dir"])
-        if shard.get("oplog") is not None:
-            oplogs.setdefault(shard["scenario"], []).append(
-                (shard.get("fault_seed"), shard["oplog"]))
+        if shard.get("event_rows") is not None:
+            event_logs.setdefault(shard["scenario"], []).append(
+                (shard.get("fault_seed"), shard["event_rows"]))
     for summary in summaries.values():
         summary.trials.sort(
             key=lambda t: (t.seed,
@@ -446,32 +446,29 @@ def merge_inject_shards(shards: Sequence[dict]) -> dict:
         payload["watchdog"] = watchdogs
     if telemetry_dirs:
         payload["telemetry_dirs"] = sorted(telemetry_dirs)
-    if oplogs:
-        payload["replay"] = _merge_replay_streams(oplogs)
+    if event_logs:
+        payload["replay"] = _merge_replay_streams(event_logs)
     if failures:
         payload["failures"] = failures
     return payload
 
 
-def _merge_replay_streams(oplogs: Dict[str, list]) -> dict:
+def _merge_replay_streams(event_logs: Dict[str, list]) -> dict:
     """Diff each scenario's trial streams against its trial 0.
 
-    ``oplogs`` maps scenario -> [(fault_seed, jsonable OpLog), ...].
+    ``event_logs`` maps scenario -> [(fault_seed, event rows), ...].
     Trial 0 is the stream with the smallest fault seed (the campaign
     records it first); every other trial executes the same traffic, so
     its divergence point localizes exactly where the moved fault
     schedule pushed the run off the recorded timeline.
     """
-    from repro.sim.oplog import OpLog, divergence_point
-
     out: Dict[str, dict] = {}
-    for scenario, entries in sorted(oplogs.items()):
+    for scenario, entries in sorted(event_logs.items()):
         entries = sorted(entries, key=lambda e: (e[0] is not None, e[0]))
-        base_seed, base_json = entries[0]
-        base = OpLog.from_jsonable(base_json)
+        base_seed, base = entries[0]
         trials = []
-        for fault_seed, log_json in entries[1:]:
-            div = divergence_point(base, OpLog.from_jsonable(log_json))
+        for fault_seed, rows in entries[1:]:
+            div = divergence_point(base, rows)
             div["fault_seed"] = fault_seed
             trials.append(div)
         out[scenario] = {
@@ -497,7 +494,7 @@ def run_inject_campaign(scenarios: List[str], trials: int,
 
     ``replay`` switches the sweep to record-once form: every trial of
     a scenario runs the *same* workload seed and only the fault seed
-    moves, each shard ships its columnar event stream, and the merged
+    moves, each shard ships its recorder's event rows, and the merged
     payload's ``"replay"`` section diffs trials 1..N against trial 0
     (identical-prefix length, divergence time).  Composes with any
     worker count — the streams are diffed at merge time, so no shard

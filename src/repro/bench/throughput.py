@@ -42,14 +42,13 @@ from repro.hardware.params import NS_PER_MS, HardwareParams
 from repro.obs.profile import tier_snapshot
 from repro.sim.channels import attach_channels
 from repro.sim.engine import Simulator
-from repro.sim.oplog import OP_MEMO, OP_REAL, OP_RETIRE, OpLog
 from repro.sim.shard import ChainCoordinator
 from repro.sim.snapshot import run_booted
 
 BENCH_SCHEMA = "hive-throughput/v1"
 
 #: simulated counters every execution form of the scenario must agree
-#: on byte-for-byte: parked chains against the per-wakeup recording run,
+#: on byte-for-byte: parked chains against the per-wakeup run,
 #: fork-then-run against fresh-boot-then-run.  ``tiers`` covers the
 #: per-tier coherence attribution (hits, misses, memo replays) and
 #: ``channels`` the intercell channel fingerprint.
@@ -113,7 +112,7 @@ def _exporter(sim: Simulator, cell, client_cell: int, nframes: int,
 
 def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
              ready, cfg: ThroughputConfig, stop_ns: int, counters: dict,
-             coord: ChainCoordinator, record=None):
+             coord: ChainCoordinator, per_wakeup: bool = False):
     """Issue real coherence reads/ownership requests against the frames
     the neighbour granted.  Stops when its cell dies or loses access.
 
@@ -122,9 +121,8 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
     (``ParkedChain.credit``), and even real accesses park through the
     chain so the coordinator owns the clock.
 
-    ``record`` (an :class:`OpLog`) captures one columnar row per wakeup,
-    so a recording run never credits: it executes every wakeup for real
-    and is the per-wakeup oracle parked runs are diffed against.
+    ``per_wakeup`` never credits: the driver executes every wakeup for
+    real, which makes it the oracle parked runs are diffed against.
     """
     frames = yield ready
     machine = system.machine
@@ -164,22 +162,17 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
         op_list = [(base + 2 * k) & 1 for k in range(ops)]
         cycle.append(coh.prepare_batch(line_ids, op_list))
     chain = coord.register_chain(coh, cpu, cycle, gap)
-    node = cpu // machine.params.cpus_per_node
-    peek_memo = coh.peek_memo
     j = 0
     while sim.now < stop_ns:
         if cell_id in dead_cells or not cell_obj.alive:
             return None
-        if record is None:
+        if not per_wakeup:
             k, sleep_ns, j2 = chain.credit(j, stop_ns)
             if k:
                 counters["accesses"] += ops * k
                 j = j2
                 yield chain.park(sleep_ns, k)
                 continue
-        # Kind-classify the wakeup *before* issue (the peek is pure):
-        # a memo-valid batch will resolve as a pure memo replay.
-        peek = peek_memo(cpu, cycle[j]) if record is not None else None
         try:
             lat = access_prepared(cpu, cycle[j])
         except (BusError, FirewallViolation):
@@ -187,20 +180,12 @@ def _traffic(sim: Simulator, system: HiveSystem, cell_id: int, cpu: int,
             # revoked by preemptive discard.  The driver retires.  The
             # ops that completed before the raise still count.
             counters["accesses"] += coh.last_batch_completed
-            if record is not None:
-                record.append(sim.now, cell_id, node, OP_RETIRE,
-                              cycle[j].lines[0],
-                              coh.last_batch_completed, 0, j)
             return None
         counters["accesses"] += ops
         # The live access may have rebuilt an all-hit memo without a
         # directory mutation; the chain's peek cache can't see that
         # through its generation key alone.
         chain.invalidate_peeks()
-        if record is not None:
-            record.append(sim.now, cell_id, node,
-                          OP_MEMO if peek is not None else OP_REAL,
-                          cycle[j].lines[0], ops, lat, j)
         j += 1
         if j == period:
             j = 0
@@ -235,7 +220,7 @@ def boot_bench_system(config: str, seed: int = 1995) -> HiveSystem:
 
 def run_throughput(config: str, seed: int = 1995,
                    channels: bool = False,
-                   record: Optional[OpLog] = None,
+                   per_wakeup: bool = False,
                    inject_ms: Optional[int] = None,
                    system: Optional[HiveSystem] = None,
                    snapshot: bool = False) -> dict:
@@ -244,9 +229,8 @@ def run_throughput(config: str, seed: int = 1995,
     ``channels`` attaches the intercell channel recorder, so the row
     carries the channel fingerprint the equivalence gates diff.
 
-    ``record`` captures the traffic drivers' op stream into the given
-    :class:`OpLog`, one row per wakeup — which makes a recording run the
-    per-wakeup form of the scenario (no wakeup is credited ahead).
+    ``per_wakeup`` runs the per-wakeup form of the scenario: no wakeup
+    is credited ahead, each one executes and parks on its own.
     ``inject_ms`` overrides the config's fault-injection time.
 
     ``system`` runs the scenario on a system the caller booted (its
@@ -258,12 +242,10 @@ def run_throughput(config: str, seed: int = 1995,
     this run paid instead and ``snapshot`` the image's mode.
     """
     if system is not None:
-        return _run_on(system, config, seed, channels, record, inject_ms)
-    if snapshot and record is not None:
-        raise ValueError("a recording run cannot fork: the log would "
-                         "fill in the child")
+        return _run_on(system, config, seed, channels, per_wakeup,
+                       inject_ms)
     row, setup = run_booted(boot_bench_system, (config,), _run_on, config,
-                            seed, channels, record, inject_ms,
+                            seed, channels, per_wakeup, inject_ms,
                             seed=seed, snapshot=snapshot)
     row["boot_wall_s"] = round(setup["boot_wall_s"], 4)
     if snapshot:
@@ -273,7 +255,7 @@ def run_throughput(config: str, seed: int = 1995,
 
 
 def _run_on(system: HiveSystem, config: str, seed: int, channels: bool,
-            record: Optional[OpLog], inject_ms: Optional[int]) -> dict:
+            per_wakeup: bool, inject_ms: Optional[int]) -> dict:
     """The scenario on a booted system (module-level: it crosses the
     image's request pipe in a forked run)."""
     cfg = CONFIGS[config]
@@ -292,10 +274,6 @@ def _run_on(system: HiveSystem, config: str, seed: int, channels: bool,
         chan = attach_channels(system.machine, registry,
                                params.min_intercell_latency_ns(), sim=sim)
     coord = ChainCoordinator(sim)
-    if record is not None:
-        record.meta.update({"config": cfg.name, "seed": seed,
-                            "inject_ms": inject_ms,
-                            "duration_ms": cfg.duration_ms})
 
     for c in range(cfg.num_cells):
         cell = registry.cell_object(c)
@@ -307,7 +285,8 @@ def _run_on(system: HiveSystem, config: str, seed: int, channels: bool,
         client_cell = registry.cell_object(client)
         cpu = client_cell.cpu_ids[0]
         sim.process(_traffic(sim, system, client, cpu, ready, cfg,
-                             stop_ns, counters, coord, record=record),
+                             stop_ns, counters, coord,
+                             per_wakeup=per_wakeup),
                     name=f"traffic{client}")
         sim.process(_sampler(sim, cell, cfg.sample_interval_ms * NS_PER_MS,
                              stop_ns, counters), name=f"sampler{c}")
@@ -413,14 +392,14 @@ def compare_parked(config: str, seed: int = 1995,
                    inject_ms: Optional[int] = None) -> dict:
     """The parked-chain equivalence gate for one config.
 
-    Runs the scenario per wakeup (a recording run: every wakeup executes
-    and parks on its own) and parked (the default), channel recorder
+    Runs the scenario per wakeup (every wakeup executes and parks on
+    its own) and parked (the default), channel recorder
     attached on both sides, and diffs every key in :data:`EQUIV_KEYS`.
     Returns a dict with ``match`` plus the per-key mismatches (empty
     when equivalent).
     """
     per_wakeup = run_throughput(config, seed=seed, channels=True,
-                                record=OpLog(), inject_ms=inject_ms)
+                                per_wakeup=True, inject_ms=inject_ms)
     parked = run_throughput(config, seed=seed, channels=True,
                             inject_ms=inject_ms)
     mismatches = equiv_mismatches(per_wakeup, parked,

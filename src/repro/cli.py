@@ -747,9 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["small", "medium", "large", "all"],
                          default="all")
     p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr21.json",
+                         default="BENCH_pr27.json",
                          help="output JSON path "
-                              "(default: BENCH_pr21.json)")
+                              "(default: BENCH_pr27.json)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")
@@ -759,8 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--rpc", action="store_true",
                          help="also run the RPC round-trip microbench")
     p_bench.add_argument("--compare-parked", action="store_true",
-                         help="also run each config per wakeup (a "
-                              "recording run) and verify the parked "
+                         help="also run each config per wakeup (no "
+                              "wakeup credited) and verify the parked "
                               "default's deterministic counters and "
                               "channel digests match byte-for-byte")
     p_bench.add_argument("--snapshot", action="store_true",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.hardware.errors import BusError
-from repro.obs.recorder import NULL_RECORDER, OBS_AGREEMENT
+from repro.obs.recorder import OBS_AGREEMENT
 from repro.unix.errors import RpcTimeout
 
 #: ping timeout while probing a suspect (short: an alive cell answers an
@@ -59,8 +59,8 @@ class VotingAgreement:
     def __init__(self, registry):
         self.registry = registry
         self.rounds_run = 0
-        #: flight recorder handle; replaced by attach_flight_recorder
-        self.obs = NULL_RECORDER
+        #: flight recorder handle; set by attach_flight_recorder
+        self.obs = None
 
     def run(self, initiator: int, suspects: Set[int]) -> Generator:
         """Coroutine: returns an :class:`AgreementResult`."""
@@ -71,7 +71,7 @@ class VotingAgreement:
         while True:
             rounds += 1
             self.rounds_run += 1
-            if self.obs.enabled:
+            if self.obs is not None:
                 self.obs.event("agree.round", OBS_AGREEMENT,
                                cell=initiator if initiator >= 0 else None,
                                round=rounds, suspects=sorted(suspects))
@@ -146,14 +146,14 @@ class OracleAgreement:
     def __init__(self, registry):
         self.registry = registry
         self.rounds_run = 0
-        #: flight recorder handle; replaced by attach_flight_recorder
-        self.obs = NULL_RECORDER
+        #: flight recorder handle; set by attach_flight_recorder
+        self.obs = None
 
     def run(self, initiator: int, suspects: Set[int]) -> Generator:
         sim = self.registry.sim
         start = sim.now
         self.rounds_run += 1
-        if self.obs.enabled:
+        if self.obs is not None:
             self.obs.event("agree.round", OBS_AGREEMENT,
                            cell=initiator if initiator >= 0 else None,
                            round=1, suspects=sorted(suspects))

@@ -59,7 +59,7 @@ class CarefulReader:
             self._active.remove(remote_cell_id)
         fault = CarefulReferenceFault(remote_cell_id, check, detail)
         prov = self.cell.prov
-        if prov.enabled:
+        if prov is not None:
             # A check that fires while a fault is live is a near-miss:
             # the protocol blocked tainted state from being consumed.
             prov.careful_blocked(remote_cell_id, self.cell.kernel_id,
@@ -86,7 +86,7 @@ class CarefulReader:
         """
         obs = self.cell.obs
         span = None
-        if obs.enabled:
+        if obs is not None:
             span = obs.begin("careful.read_word", "careful",
                              cell=self.cell.kernel_id,
                              target=remote_cell_id)
@@ -97,7 +97,8 @@ class CarefulReader:
             latency = self.cell.machine.coherence.read(
                 self.cell.cpu_ids[0], addr)
         except BusError as exc:
-            obs.end(span, outcome="bus_error")
+            if span is not None:
+                obs.end(span, outcome="bus_error")
             raise self._fail(remote_cell_id, "bus_error", str(exc))
         # The miss, then step 5: restore panic-on-bus-error behaviour.
         yield latency + self.costs.careful_off_ns
@@ -119,7 +120,7 @@ class CarefulReader:
         costs = self.costs
         obs = self.cell.obs
         span = None
-        if obs.enabled:
+        if obs is not None:
             span = obs.begin("careful.read_object", "careful",
                              cell=self.cell.kernel_id,
                              target=remote_cell_id, ktype=expected_type)
@@ -161,7 +162,8 @@ class CarefulReader:
                 yield costs.careful_check_ns
                 raise self._fail(remote_cell_id, "type_tag", mismatch)
         except CarefulReferenceFault as exc:
-            obs.end(span, outcome="fault", check=exc.check)
+            if span is not None:
+                obs.end(span, outcome="fault", check=exc.check)
             raise
         # The tag check, step 3 (copy to local memory) and step 5.
         yield (costs.careful_check_ns
@@ -175,9 +177,10 @@ class CarefulReader:
         if self._active:
             self._active.pop()
         self.reads += 1
-        self.cell.obs.end(span, outcome="ok")
+        if span is not None:
+            self.cell.obs.end(span, outcome="ok")
         prov = self.cell.prov
-        if prov.enabled:
+        if prov is not None:
             prov.careful_ok(remote_cell_id, self.cell.kernel_id)
 
     # -- bus-error interception for non-careful kernel code ------------------

@@ -16,7 +16,6 @@ from repro.core.rpc import RpcSubsystem
 from repro.core.sharing import SharingMixin
 from repro.core.ssi import SsiMixin
 from repro.core.wildwrite import FirewallManager
-from repro.obs.provenance import NULL_PROVENANCE
 from repro.obs.recorder import OBS_RECOVERY
 from repro.sim.stats import MetricSet
 from repro.unix.address_space import ANON_REGION
@@ -52,9 +51,9 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         self.careful = CarefulReader(self)
         self.detector = FailureDetector(self)
         self.firewall_mgr = FirewallManager(self)
-        #: fault-provenance tracer handle; ``attach_provenance`` swaps
-        #: in a live tracer (same discipline as ``obs``).
-        self.prov = NULL_PROVENANCE
+        #: fault-provenance tracer handle; ``attach_provenance`` sets
+        #: it (None when untraced, the same discipline as ``obs``).
+        self.prov = None
         #: hints pushed by Wax (sanity-checked on use, Section 3.2)
         self.wax_hints: Dict[str, object] = {}
         #: anonymous logical pages lost to preemptive discard; faults on
@@ -177,12 +176,12 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         obs = self.obs
         cell_span = obs.begin("recovery.cell", OBS_RECOVERY,
                               cell=self.kernel_id, parent=parent_span,
-                              round=round_id) if obs.enabled else None
+                              round=round_id) if obs is not None else None
 
         # -- pre-barrier-1: flush TLBs, remove remote mappings ----------
         phase = obs.begin("recovery.flush", OBS_RECOVERY,
                           cell=self.kernel_id, parent=cell_span,
-                          round=round_id) if obs.enabled else None
+                          round=round_id) if obs is not None else None
         yield self.costs.tlb_flush_ns * len(self.cpu_ids)
         unmapped = 0
         for proc in list(self.processes.values()):
@@ -199,7 +198,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         for pf in list(self.pfdats.all_pfdats()):
             if pf.imported_from is not None:
                 borrowed_from = pf.borrowed_from
-                if prov.enabled:
+                if prov is not None:
                     prov.import_dropped(self.kernel_id, pf.frame,
                                         pf.imported_from)
                 pf.imported_from = None
@@ -209,7 +208,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                     self.pfdats.remove(pf)
                 unmapped += 1
         for pf in list(self.pfdats.reserved.values()):
-            if pf.imported_from is not None and prov.enabled:
+            if pf.imported_from is not None and prov is not None:
                 prov.import_dropped(self.kernel_id, pf.frame,
                                     pf.imported_from)
             pf.imported_from = None
@@ -219,7 +218,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
 
         phase = obs.begin("recovery.barrier1", OBS_RECOVERY,
                           cell=self.kernel_id, parent=cell_span,
-                          round=round_id) if obs.enabled else None
+                          round=round_id) if obs is not None else None
         ev = barriers.join((round_id, 1), self.kernel_id, survivors)
         yield ev
         yield self.costs.barrier_round_ns
@@ -228,7 +227,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
 
         phase = obs.begin("recovery.cleanup", OBS_RECOVERY,
                           cell=self.kernel_id, parent=cell_span,
-                          round=round_id) if obs.enabled else None
+                          round=round_id) if obs is not None else None
         # -- post-barrier-1: firewall revocation + preemptive discard ----
         # No further valid page faults or remote accesses are pending.
         # The VM cleanup walks the whole pfdat table twice (detecting
@@ -248,7 +247,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
 
         phase = obs.begin("recovery.barrier2", OBS_RECOVERY,
                           cell=self.kernel_id, parent=cell_span,
-                          round=round_id) if obs.enabled else None
+                          round=round_id) if obs is not None else None
         ev = barriers.join((round_id, 2), self.kernel_id, survivors)
         yield ev
         yield self.costs.barrier_round_ns
@@ -307,7 +306,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                       invalidate: bool = True) -> int:
         """Discard one potentially-corrupt page."""
         prov = self.prov
-        if prov.enabled:
+        if prov is not None:
             prov.page_discarded(self.kernel_id, pf.frame, dead_cell)
         if invalidate:
             self.machine.coherence.invalidate_frame(pf.frame)
@@ -415,7 +414,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                         reason = "mapped page was discarded"
                         break
             if reason:
-                if self.prov.enabled:
+                if self.prov is not None:
                     self.prov.process_killed(self.kernel_id, proc.pid,
                                              reason)
                 proc.post_signal(SIGKILL)

@@ -21,7 +21,6 @@ from repro.core.ssi import SpanningTask
 from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import Machine, MachineConfig
 from repro.hardware.params import HardwareParams
-from repro.obs.recorder import NULL_RECORDER
 from repro.sim.engine import Simulator
 from repro.unix.kernel import (
     GlobalNamespace,
@@ -201,13 +200,12 @@ class HiveSystem:
         self.namespace = namespace
         self.injector = injector
         self.params = machine.params
-        #: the attached flight recorder (``attach_flight_recorder``
-        #: replaces the null default); subsystems without a cell handle
-        #: (e.g. the kernel fault injector) emit through this.
-        self.recorder = NULL_RECORDER
-        #: the attached fault-provenance tracer (``attach_provenance``
-        #: sets it); None when containment auditing is off.
+        #: the attached observers, None until their ``attach_*`` sets
+        #: them.  Subsystems without a cell handle (the kernel fault
+        #: injector, the watchdog) read the recorder and tracer here.
+        self.recorder = None
         self.provenance = None
+        self.watchdog = None
 
     @property
     def cells(self) -> List[Cell]:

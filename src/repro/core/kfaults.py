@@ -146,12 +146,12 @@ class KernelFaultInjector:
         return record
 
     def _note_corrupt(self, record: KernelFaultRecord) -> None:
-        rec = getattr(self.system, "recorder", None)
-        if rec is not None and rec.enabled:
+        rec = self.system.recorder
+        if rec is not None:
             rec.event("fault.corrupt", "fault", cell=record.cell_id,
                       site=record.site, mode=record.mode)
-        prov = getattr(self.system, "provenance", None)
-        if prov is not None and prov.enabled:
+        prov = self.system.provenance
+        if prov is not None:
             prov.fault_injected(record.cell_id, kind="corrupt",
                                 site=record.site, mode=record.mode)
 
@@ -163,9 +163,7 @@ class KernelFaultInjector:
         corrupt pointer.  The firewall decides what actually lands."""
         params = self.system.params
         registry = self.system.registry
-        prov = getattr(self.system, "provenance", None)
-        if prov is not None and not prov.enabled:
-            prov = None
+        prov = self.system.provenance
         cpu = cell.cpu_ids[0]
         addr = seed_addr
         for i in range(count):

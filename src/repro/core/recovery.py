@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Set
 
-from repro.obs.recorder import NULL_RECORDER, OBS_RECOVERY
+from repro.obs.recorder import OBS_RECOVERY
 from repro.sim.engine import Event, Simulator
 
 
@@ -115,8 +115,8 @@ class RecoveryCoordinator:
         self._pending_suspects: Set[int] = set()
         #: observers notified with each finished RecoveryRecord
         self.observers: List = []
-        #: flight recorder handle; replaced by attach_flight_recorder
-        self.obs = NULL_RECORDER
+        #: flight recorder handle; set by attach_flight_recorder
+        self.obs = None
 
     # -- hint entry --------------------------------------------------------
 
@@ -163,7 +163,7 @@ class RecoveryCoordinator:
         )
         obs = self.obs
         round_span = None
-        if obs.enabled:
+        if obs is not None:
             round_span = obs.begin("recovery.round", OBS_RECOVERY,
                                    round=round_id, suspect=hint.suspect,
                                    reason=hint.reason, forced=forced)
@@ -185,20 +185,21 @@ class RecoveryCoordinator:
             suspects = {hint.suspect} | self._pending_suspects
             self._pending_suspects.clear()
             agree_span = None
-            if obs.enabled:
+            if obs is not None:
                 agree_span = obs.begin("recovery.agreement", OBS_RECOVERY,
                                        parent=round_span, round=round_id,
                                        suspects=sorted(suspects))
             if forced:
                 dead = set(suspects)
                 yield self.registry.params.sips_latency_ns()
-                obs.end(agree_span, dead=sorted(dead), rounds=0)
+                rounds = 0
             else:
                 result = yield from self.agreement.run(hint.reporter,
                                                        suspects)
                 dead = set(result.confirmed_dead)
-                obs.end(agree_span, dead=sorted(dead),
-                        rounds=getattr(result, "rounds", 0))
+                rounds = getattr(result, "rounds", 0)
+            if agree_span is not None:
+                obs.end(agree_span, dead=sorted(dead), rounds=rounds)
             record.agreement_ns = sim.now - t0
             if not dead:
                 outcome = "voted_down"
@@ -264,8 +265,9 @@ class RecoveryCoordinator:
                 if master_cell is not None and master_cell.alive:
                     yield from self._master_phase(master_cell, dead, record)
         finally:
-            obs.end(round_span, outcome=outcome,
-                    dead=sorted(record.dead_cells))
+            if round_span is not None:
+                obs.end(round_span, outcome=outcome,
+                        dead=sorted(record.dead_cells))
             self._active_round = None
             self._drain_pending()
 
@@ -296,7 +298,7 @@ class RecoveryCoordinator:
         costs = master_cell.costs
         obs = self.obs
         span = None
-        if obs.enabled:
+        if obs is not None:
             span = obs.begin("recovery.master", OBS_RECOVERY,
                              cell=master_cell.kernel_id,
                              round=record.round_id, dead=sorted(dead))
@@ -307,14 +309,16 @@ class RecoveryCoordinator:
             for node in self.registry.nodes_of(cell_id)
         )
         if not ok or not self.reintegrate:
-            obs.end(span, rebooted=False, diagnostics_ok=ok)
+            if span is not None:
+                obs.end(span, rebooted=False, diagnostics_ok=ok)
             return
         yield costs.reboot_ns
         for cell_id in sorted(dead):
             self.registry.reboot_cell(cell_id)
             self.strike_book.clear_cell(cell_id)
         record.rebooted = True
-        obs.end(span, rebooted=True, diagnostics_ok=True)
+        if span is not None:
+            obs.end(span, rebooted=True, diagnostics_ok=True)
         # A fresh Wax incarnation forks to all cells and rebuilds its
         # picture of the system state from scratch (Section 3.2).
         self.registry.restart_wax()

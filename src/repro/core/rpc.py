@@ -230,13 +230,13 @@ class RpcSubsystem:
         # Client side of provenance: calls *into* a tainted cell.  The
         # tainted cell's own outbound requests are classified by the
         # healthy server's handler instead (no double counting).
-        track = prov.enabled and prov.is_tainted(dst_cell_id)
-        if not obs.enabled and not track:
+        track = prov is not None and prov.is_tainted(dst_cell_id)
+        if obs is None and not track:
             result = yield from self._call_inner(dst_cell_id, op, args,
                                                  arg_bytes, timeout_ns, 0)
             return result
         span = None
-        if obs.enabled:
+        if obs is not None:
             span = obs.begin("rpc.call", "rpc", cell=self.cell.kernel_id,
                              op=op, dst=dst_cell_id)
         try:
@@ -245,21 +245,25 @@ class RpcSubsystem:
                                                  span.span_id
                                                  if span is not None else 0)
         except RpcTimeout:
-            obs.end(span, outcome="timeout")
+            if span is not None:
+                obs.end(span, outcome="timeout")
             if track:
                 prov.rpc_blocked(self.cell.kernel_id, dst_cell_id, op,
                                  "rpc_timeout")
             raise
         except RpcRemoteError as exc:
-            obs.end(span, outcome="remote_error", errno=exc.errno)
+            if span is not None:
+                obs.end(span, outcome="remote_error", errno=exc.errno)
             if track:
                 prov.rpc_blocked(self.cell.kernel_id, dst_cell_id, op,
                                  f"rpc_sanity:{exc.errno}")
             raise
         except BaseException:
-            obs.end(span, outcome="error")
+            if span is not None:
+                obs.end(span, outcome="error")
             raise
-        obs.end(span, outcome="ok")
+        if span is not None:
+            obs.end(span, outcome="ok")
         if track:
             prov.rpc_reply(self.cell.kernel_id, dst_cell_id, op)
         return result
@@ -330,7 +334,7 @@ class RpcSubsystem:
                 # Hardware flow control: the sender stalls and retries —
                 # a SIPS is never dropped.  Only a peer that stays
                 # unreceptive past the failure timeout becomes a hint.
-                if obs.enabled:
+                if obs is not None:
                     obs.event("rpc.flow_control", "rpc",
                               cell=self.cell.kernel_id, op=op,
                               dst=dst_cell_id, backoff_ns=backoff)
@@ -452,20 +456,22 @@ class RpcSubsystem:
         op = payload.get("op")
         obs = self.cell.obs
         span = None
-        if obs.enabled:
+        if obs is not None:
             span = obs.begin("rpc.serve_int", "rpc",
                              cell=self.cell.kernel_id, op=op,
                              parent=payload.get("span", 0))
         entry = self._handlers.get(op)
         if entry is None:
-            obs.end(span, outcome="no_handler")
+            if span is not None:
+                obs.end(span, outcome="no_handler")
             self._reply(payload, RpcError("EOPNOTSUPP", f"no handler {op}"))
             return
         handler, service_class = entry
         if service_class == QUEUED:
             self.metrics.counter("queued").add()
             self.cell.note_cpu_steal(self.sim.now - service_start)
-            obs.end(span, outcome="queued")
+            if span is not None:
+                obs.end(span, outcome="queued")
             yield self._queue.put(payload)
             return
         result = yield from self._run_handler(handler, payload)
@@ -474,11 +480,13 @@ class RpcSubsystem:
             # Best-effort interrupt service hit a synchronization
             # condition; requeue for a server process (Section 6).
             self.metrics.counter("queued_fallback").add()
-            obs.end(span, outcome="must_queue")
+            if span is not None:
+                obs.end(span, outcome="must_queue")
             yield self._queue.put(payload)
             return
         self.metrics.counter("served_interrupt").add()
-        obs.end(span, outcome="ok")
+        if span is not None:
+            obs.end(span, outcome="ok")
         self._reply(payload, result)
 
     def _server_loop(self, idx: int) -> Generator:
@@ -498,14 +506,15 @@ class RpcSubsystem:
             yield self.costs.rpc_queue_extra_ns
             obs = self.cell.obs
             span = None
-            if obs.enabled:
+            if obs is not None:
                 span = obs.begin("rpc.serve_queued", "rpc",
                                  cell=self.cell.kernel_id,
                                  op=payload.get("op"),
                                  parent=payload.get("span", 0), server=idx)
             entry = self._handlers.get(payload.get("op"))
             if entry is None:
-                obs.end(span, outcome="no_handler")
+                if span is not None:
+                    obs.end(span, outcome="no_handler")
                 self._reply(payload,
                             RpcError("EOPNOTSUPP", "no handler"))
                 continue
@@ -515,8 +524,9 @@ class RpcSubsystem:
             if result is MUST_QUEUE:
                 result = RpcError("EDEADLK", "queued handler queued again")
             self.metrics.counter("served_queued").add()
-            obs.end(span, outcome="error"
-                    if isinstance(result, RpcError) else "ok")
+            if span is not None:
+                obs.end(span, outcome="error"
+                        if isinstance(result, RpcError) else "ok")
             # Server processes run on this cell's CPUs: their service
             # time is stolen from user computation.  Time blocked on
             # disk is not CPU time, so the steal is capped at the
@@ -534,18 +544,18 @@ class RpcSubsystem:
             result = yield from handler(payload.get("src_cell"),
                                         payload.get("args") or {})
         except RpcHandlerError as exc:
-            if prov.enabled:
+            if prov is not None:
                 prov.rpc_served(payload.get("src_cell"),
                                 self.cell.kernel_id, payload.get("op"),
                                 rejected=f"rpc_sanity:{exc.errno}")
             return RpcError(exc.errno, str(exc))
         except BusError as exc:
-            if prov.enabled:
+            if prov is not None:
                 prov.rpc_served(payload.get("src_cell"),
                                 self.cell.kernel_id, payload.get("op"),
                                 rejected="bus_error")
             return RpcError("EIO", f"bus error in handler: {exc}")
-        if prov.enabled:
+        if prov is not None:
             prov.rpc_served(payload.get("src_cell"), self.cell.kernel_id,
                             payload.get("op"))
         return result

@@ -114,7 +114,7 @@ class SharingMixin:
         pf.imported_from = data_home
         self.sharing_metrics.counter("imports").add()
         prov = self.prov
-        if prov.enabled:
+        if prov is not None:
             prov.page_imported(self.kernel_id, data_home, frame)
         return pf
 
@@ -204,7 +204,7 @@ class SharingMixin:
         if is_writable:
             self.sharing_metrics.counter("exports_writable").add()
         prov = self.prov
-        if prov.enabled:
+        if prov is not None:
             prov.page_exported(self.kernel_id, client_cell, pf.frame,
                                is_writable)
         if is_writable:
@@ -1032,7 +1032,7 @@ class SharingMixin:
         if frames:
             self.sharing_metrics.counter("frames_loaned").add(len(frames))
             prov = self.prov
-            if prov.enabled:
+            if prov is not None:
                 prov.frames_loaned(self.kernel_id, src_cell, frames)
         return {"frames": frames}
 

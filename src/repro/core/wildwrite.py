@@ -89,12 +89,12 @@ class FirewallManager:
                 node, client_nodes[0], True,
                 self.cell.machine.params.firewall_update_ns)
         obs = self.cell.obs
-        if obs.enabled:
+        if obs is not None:
             obs.event("firewall.grant", "firewall",
                       cell=self.cell.kernel_id, frame=pf.frame,
                       grantee=client_cell)
         prov = self.cell.prov
-        if prov.enabled:
+        if prov is not None:
             # A write grant to a tainted cell exposes this frame; the
             # preemptive discard must reclaim it.
             prov.write_granted(self.cell.kernel_id, client_cell, pf.frame)
@@ -153,7 +153,7 @@ class FirewallManager:
                     self._home_node(pf.frame), client_nodes[0], False,
                     params.firewall_update_ns
                     + params.firewall_revoke_extra_ns)
-            if obs.enabled:
+            if obs is not None:
                 obs.event("firewall.revoke", "firewall",
                           cell=self.cell.kernel_id, frame=pf.frame,
                           grantee=client_cell)

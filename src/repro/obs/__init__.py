@@ -20,17 +20,13 @@ from repro.obs.export import (
 from repro.obs.metrics import render_snapshot, snapshot_system
 from repro.obs.profile import merge_tier_snapshots, tier_snapshot
 from repro.obs.provenance import (
-    NULL_PROVENANCE,
-    NullProvenance,
     ProvenanceTracer,
     attach_provenance,
     merge_audits,
     render_audit_markdown,
 )
 from repro.obs.recorder import (
-    NULL_RECORDER,
     FlightRecorder,
-    NullRecorder,
     Span,
     TelemetryEvent,
     attach_flight_recorder,
@@ -43,12 +39,8 @@ from repro.obs.watchdog import (
 )
 
 __all__ = [
-    "NULL_PROVENANCE",
-    "NULL_RECORDER",
     "FlightRecorder",
     "InvariantWatchdog",
-    "NullProvenance",
-    "NullRecorder",
     "ProvenanceTracer",
     "Span",
     "TelemetryEvent",

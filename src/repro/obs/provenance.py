@@ -34,10 +34,10 @@ is a pure function of the run, so same-seed runs produce byte-identical
 audit JSON and campaign shards merge associatively (the same contract
 as availability ledgers).
 
-Overhead discipline: the default :data:`NULL_PROVENANCE` costs one
-attribute load and one ``enabled`` branch per instrumented site, and an
-attached tracer short-circuits every hook on an empty-taint check until
-the first fault fires.
+Overhead discipline: an absent tracer is ``None``, so an untraced run
+costs one attribute load and one ``is not None`` branch per
+instrumented site, and an attached tracer short-circuits every hook on
+an empty-taint check until the first fault fires.
 """
 
 from __future__ import annotations
@@ -61,72 +61,6 @@ V_PENDING = "pending"
 AUDIT_SCHEMA = "hive-audit-v1"
 
 
-class NullProvenance:
-    """Tracing disabled: every hook is a no-op.
-
-    Hot paths guard on ``prov.enabled`` and skip the call entirely, so
-    the null default costs one attribute load per instrumented site.
-    """
-
-    enabled = False
-
-    def is_tainted(self, cell_id) -> bool:
-        return False
-
-    def active_taint(self) -> Optional[str]:
-        return None
-
-    def fault_injected(self, cell_id, kind, **attrs) -> None:
-        pass
-
-    def careful_blocked(self, remote_cell, local_cell, check, detail) -> None:
-        pass
-
-    def careful_ok(self, remote_cell, local_cell) -> None:
-        pass
-
-    def rpc_blocked(self, caller_cell, dst_cell, op, defense) -> None:
-        pass
-
-    def rpc_reply(self, caller_cell, dst_cell, op) -> None:
-        pass
-
-    def rpc_served(self, src_cell, server_cell, op, rejected=None) -> None:
-        pass
-
-    def wild_write(self, sick_cell, home_cell, frame, landed,
-                   defense=None) -> None:
-        pass
-
-    def page_imported(self, importer_cell, data_home, frame) -> None:
-        pass
-
-    def page_exported(self, owner_cell, client_cell, frame,
-                      writable) -> None:
-        pass
-
-    def write_granted(self, owner_cell, client_cell, frame) -> None:
-        pass
-
-    def frames_loaned(self, owner_cell, borrower_cell, frames) -> None:
-        pass
-
-    def sips_sent(self, src_node, dst_node, kind) -> None:
-        pass
-
-    def page_discarded(self, cell_id, frame, dead_cell) -> None:
-        pass
-
-    def import_dropped(self, cell_id, frame, data_home) -> None:
-        pass
-
-    def process_killed(self, cell_id, pid, reason) -> None:
-        pass
-
-
-NULL_PROVENANCE = NullProvenance()
-
-
 class ProvenanceTracer:
     """Records tainted intercell interactions for one system.
 
@@ -135,8 +69,6 @@ class ProvenanceTracer:
     ``last_ns`` so steady-state traffic (retried careful reads, RPC
     timeouts to a dead cell) stays bounded while counts remain exact.
     """
-
-    enabled = True
 
     def __init__(self, sim, recorder=None):
         self.sim = sim
@@ -188,7 +120,7 @@ class ProvenanceTracer:
         })
         self._tainted_cells[cell_id] = taint
         rec = self._rec
-        if rec is not None and rec.enabled:
+        if rec is not None:
             rec.event("taint.origin", "taint", cell=cell_id, taint=taint,
                       kind=kind, site=site, mode=mode)
         self._snapshot_exposure(cell_id, taint)
@@ -241,7 +173,7 @@ class ProvenanceTracer:
         self._records.append(entry)
         if verdict == V_BLOCKED:
             rec = self._rec
-            if rec is not None and rec.enabled:
+            if rec is not None:
                 rec.event("taint.blocked", "taint", cell=dst, src=src,
                           taint=taint, channel=channel, kind=kind,
                           defense=defense, frame=frame, op=op)
@@ -534,11 +466,8 @@ def attach_provenance(system, tracer: Optional[ProvenanceTracer] = None,
     rebooted cells are traced too.  Attach after the flight recorder if
     taint events should land on the shared timeline.
     """
-    recorder = getattr(system, "recorder", None)
-    if recorder is not None and not recorder.enabled:
-        recorder = None
     tracer = tracer if tracer is not None else \
-        ProvenanceTracer(system.sim, recorder=recorder)
+        ProvenanceTracer(system.sim, recorder=system.recorder)
     system.provenance = tracer
     registry = system.registry
     tracer._registry = registry

@@ -11,9 +11,10 @@ Determinism: span ids come from a private counter, timestamps from the
 simulator clock, and nothing consults wall time or global randomness —
 two runs with the same seed produce byte-identical telemetry.
 
-Overhead discipline: every instrumented hot path reads its ``obs``
-handle and checks ``obs.enabled`` before building a span, so the default
-:data:`NULL_RECORDER` costs one attribute load and one branch.
+Overhead discipline: an absent recorder is ``None``.  Every
+instrumented hot path reads its ``obs`` handle and tests ``is not None``
+before building a span, so an unobserved run costs one attribute load
+and one branch per site and makes no call into this module.
 """
 
 from __future__ import annotations
@@ -98,46 +99,8 @@ class TelemetryEvent:
         }
 
 
-class NullSpan:
-    """The inert span handed out by :class:`NullRecorder`."""
-
-    __slots__ = ()
-    span_id = 0
-    parent_id = 0
-    end_ns = None
-
-
-NULL_SPAN = NullSpan()
-
-
-class NullRecorder:
-    """Recording disabled: every operation is a no-op.
-
-    Hot paths guard on ``obs.enabled`` and skip even the begin/end calls,
-    so the null default costs one attribute load per instrumented site.
-    """
-
-    enabled = False
-
-    def begin(self, name: str, category: str, cell: Optional[int] = None,
-              parent: int = 0, **attrs) -> NullSpan:
-        return NULL_SPAN
-
-    def end(self, span, **attrs) -> None:
-        pass
-
-    def event(self, name: str, category: str, cell: Optional[int] = None,
-              **attrs) -> None:
-        pass
-
-
-NULL_RECORDER = NullRecorder()
-
-
 class FlightRecorder:
     """Bounded, deterministic store of spans and events for one system."""
-
-    enabled = True
 
     def __init__(self, sim, span_capacity: int = 200_000,
                  event_capacity: int = 200_000):
@@ -165,9 +128,7 @@ class FlightRecorder:
         self.spans.append(span)
         return span
 
-    def end(self, span, **attrs) -> None:
-        if span is None or span is NULL_SPAN:
-            return
+    def end(self, span: Span, **attrs) -> None:
         if span.end_ns is None:
             span.end_ns = self.sim.now
         if attrs:

@@ -73,7 +73,7 @@ class InvariantWatchdog:
 
     def _scan(self) -> None:
         # Imported lazily: repro.obs must stay importable from inside
-        # repro.core module bodies (cell.py reads NULL_PROVENANCE).
+        # repro.core module bodies (cell.py reads OBS_RECOVERY).
         from repro.core.invariants import check_cell, check_system
         self.checks_run += 1
         for cell in self.system.cells:
@@ -91,9 +91,8 @@ class InvariantWatchdog:
 
     def _record(self, cell_id: Optional[int],
                 problems: List[str]) -> None:
-        prov = getattr(self.system, "provenance", None)
-        taint = prov.active_taint() if prov is not None and prov.enabled \
-            else None
+        prov = self.system.provenance
+        taint = prov.active_taint() if prov is not None else None
         entry = {
             "time_ns": self.sim.now,
             "cell": cell_id,
@@ -106,8 +105,8 @@ class InvariantWatchdog:
             self.violations.append(entry)
         else:
             self.violations_dropped += 1
-        rec = getattr(self.system, "recorder", None)
-        if rec is not None and rec.enabled:
+        rec = self.system.recorder
+        if rec is not None:
             rec.event("watchdog.violation", "watchdog", cell=cell_id,
                       taint=taint, problems=len(problems),
                       first=problems[0])

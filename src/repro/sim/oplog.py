@@ -1,279 +1,47 @@
-"""Columnar operation log: record a driver stream once, replay it many.
+"""A run's event log as plain rows, and where two such logs first differ.
 
-A parameter sweep re-runs the same traffic with only the fault schedule
-(or firewall policy) varying, so most of every trial's Python work —
-the workload generators stepping wakeup by wakeup — recomputes a stream
-that is already known.  The oplog captures that stream *once* as a
-numpy struct-of-arrays (time, cell, node, op-kind, address, size,
-latency, cycle slot), cheap enough to record inline during a live run,
-compact enough to commit as a bench artifact, and shaped so the replay
-tier (:mod:`repro.sim.replay`) can process whole segments with array
-passes (``searchsorted`` over the time column, ``bincount`` over the
-slot column) instead of per-wakeup generator dispatch.
-
-Two capture sources share the format:
-
-* the throughput-bench traffic drivers (``bench/throughput.py``) record
-  one row per wakeup, kind-tagged so replay knows which rows were pure
-  memo replays (collapsible) and which took the real access path;
-* a flight recorder's event stream (``oplog_from_recorder``) becomes a
-  kind-tabled trace for the inject campaign's fault-schedule sweep,
-  where trials are diffed columnarly against trial 0 to find the
-  divergence point.
-
-``save``/``load`` round-trip through ``np.savez_compressed`` (`.npz`),
-with a JSON metadata sidecar embedded in the archive.
+``repro inject --replay`` runs every trial of a scenario on the same
+workload seed and moves only the fault seed.  Each trial ships its
+flight recorder's events as ``[time_ns, name, cell]`` rows
+(:func:`event_rows`): plain lists, so they cross the campaign's process
+boundary as they are.  The merge diffs every trial against trial 0 with
+:func:`divergence_point`, which locates where the moved fault pushed the
+run off the base timeline.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List
 
-import numpy as np
-
-OPLOG_SCHEMA = "hive-oplog/v1"
-
-#: op kinds for traffic-driver rows.  MEMO rows resolved as pure batch
-#: memo replays (side-effect-free except counters) and are the rows the
-#: replay tier may collapse; REAL rows took the live access path;
-#: RETIRE rows mark the wakeup at which the driver's access raised
-#: (grant revoked / node dead) and the driver exited.
-OP_MEMO = 0
-OP_REAL = 1
-OP_RETIRE = 2
-
-OP_KIND_NAMES = ("memo", "real", "retire")
-
-#: the struct-of-arrays schema, in storage order
-COLUMNS = ("time_ns", "cell", "node", "kind", "addr", "size",
-           "latency_ns", "slot")
-
-_DTYPES = {
-    "time_ns": np.int64,
-    "cell": np.int32,
-    "node": np.int32,
-    "kind": np.int16,
-    "addr": np.int64,
-    "size": np.int32,
-    "latency_ns": np.int64,
-    "slot": np.int32,
-}
+Row = List[Any]
 
 
-class OpLog:
-    """Append-only columnar operation log.
+def event_rows(events: Iterable) -> List[Row]:
+    """One ``[time_ns, name, cell]`` row per TelemetryEvent-like."""
+    return [[ev.time_ns, ev.name, ev.cell] for ev in events]
 
-    Rows append to plain Python lists (append cost must stay noise-level
-    next to the live access they shadow); :meth:`finalize` freezes the
-    columns into numpy arrays for the replay tier's array passes.  A
-    finalized log rejects further appends.
+
+def divergence_point(base: List[Row], other: List[Row]) -> Dict[str, Any]:
+    """Row-wise diff of two event logs: where do they first differ?
+
+    Returns the length of the identical prefix, the first divergent
+    simulated time (None when neither log diverges from the other), and
+    the identical fraction relative to the longer log.
     """
-
-    __slots__ = ("enabled", "meta", "kind_names", "_cols", "_frozen")
-
-    def __init__(self, meta: Optional[Dict[str, Any]] = None,
-                 kind_names: Optional[List[str]] = None):
-        self.enabled = True
-        #: free-form capture metadata (config name, seed, counters ...)
-        self.meta: Dict[str, Any] = dict(meta or {})
-        #: kind-code table; traffic logs use :data:`OP_KIND_NAMES`,
-        #: recorder-event logs build their own name table.
-        self.kind_names: List[str] = list(kind_names or OP_KIND_NAMES)
-        self._cols: Dict[str, list] = {c: [] for c in COLUMNS}
-        self._frozen: Optional[Dict[str, np.ndarray]] = None
-
-    # -- capture -------------------------------------------------------
-
-    def append(self, time_ns: int, cell: int, node: int, kind: int,
-               addr: int, size: int, latency_ns: int = 0,
-               slot: int = 0) -> None:
-        cols = self._cols
-        cols["time_ns"].append(time_ns)
-        cols["cell"].append(cell)
-        cols["node"].append(node)
-        cols["kind"].append(kind)
-        cols["addr"].append(addr)
-        cols["size"].append(size)
-        cols["latency_ns"].append(latency_ns)
-        cols["slot"].append(slot)
-
-    def __len__(self) -> int:
-        if self._frozen is not None:
-            return int(self._frozen["time_ns"].shape[0])
-        return len(self._cols["time_ns"])
-
-    # -- freeze / access -----------------------------------------------
-
-    def finalize(self) -> "OpLog":
-        """Freeze the append buffers into numpy columns (idempotent)."""
-        if self._frozen is None:
-            self._frozen = {
-                name: np.asarray(self._cols[name], dtype=_DTYPES[name])
-                for name in COLUMNS
-            }
-            self._cols = {c: [] for c in COLUMNS}
-        return self
-
-    @property
-    def columns(self) -> Dict[str, np.ndarray]:
-        if self._frozen is None:
-            raise RuntimeError("OpLog not finalized; call finalize() first")
-        return self._frozen
-
-    def stream(self, cell: int) -> Dict[str, np.ndarray]:
-        """One cell's rows, in append (= time) order, as packed arrays."""
-        cols = self.columns
-        idx = np.flatnonzero(cols["cell"] == cell)
-        return {name: cols[name][idx] for name in COLUMNS}
-
-    def cells(self) -> List[int]:
-        return sorted(int(c) for c in np.unique(self.columns["cell"]))
-
-    # -- persistence ---------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Write the finalized log as a compressed ``.npz`` archive."""
-        cols = self.columns
-        header = json.dumps({
-            "schema": OPLOG_SCHEMA,
-            "kind_names": self.kind_names,
-            "meta": self.meta,
-        }, sort_keys=True)
-        np.savez_compressed(
-            path, __header__=np.frombuffer(header.encode(), dtype=np.uint8),
-            **cols)
-
-    @classmethod
-    def load(cls, path: str) -> "OpLog":
-        with np.load(path) as archive:
-            header = json.loads(archive["__header__"].tobytes().decode())
-            if header.get("schema") != OPLOG_SCHEMA:
-                raise ValueError(
-                    f"bad oplog schema: {header.get('schema')!r}")
-            log = cls(meta=header.get("meta"),
-                      kind_names=header.get("kind_names"))
-            log._frozen = {
-                name: np.array(archive[name], dtype=_DTYPES[name])
-                for name in COLUMNS
-            }
-        return log
-
-    # -- JSON-safe transport (campaign worker -> parent) ----------------
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        cols = self.columns
-        return {
-            "schema": OPLOG_SCHEMA,
-            "kind_names": self.kind_names,
-            "meta": self.meta,
-            "columns": {name: cols[name].tolist() for name in COLUMNS},
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "OpLog":
-        log = cls(meta=payload.get("meta"),
-                  kind_names=payload.get("kind_names"))
-        cols = payload["columns"]
-        for name in COLUMNS:
-            log._cols[name] = list(cols[name])
-        return log.finalize()
-
-
-def save_oplogs(path: str, logs: Dict[str, OpLog]) -> None:
-    """Write several finalized logs into one ``.npz`` (key-prefixed)."""
-    header = json.dumps({
-        "schema": OPLOG_SCHEMA,
-        "names": sorted(logs),
-        "entries": {
-            name: {"kind_names": log.kind_names, "meta": log.meta}
-            for name, log in logs.items()
-        },
-    }, sort_keys=True)
-    arrays = {"__header__": np.frombuffer(header.encode(), dtype=np.uint8)}
-    for name, log in logs.items():
-        for col, arr in log.columns.items():
-            arrays[f"{name}/{col}"] = arr
-    np.savez_compressed(path, **arrays)
-
-
-def load_oplogs(path: str) -> Dict[str, OpLog]:
-    """Load a multi-log archive written by :func:`save_oplogs`."""
-    with np.load(path) as archive:
-        header = json.loads(archive["__header__"].tobytes().decode())
-        if header.get("schema") != OPLOG_SCHEMA:
-            raise ValueError(f"bad oplog schema: {header.get('schema')!r}")
-        logs: Dict[str, OpLog] = {}
-        for name in header["names"]:
-            entry = header["entries"][name]
-            log = OpLog(meta=entry.get("meta"),
-                        kind_names=entry.get("kind_names"))
-            log._frozen = {
-                col: np.array(archive[f"{name}/{col}"], dtype=_DTYPES[col])
-                for col in COLUMNS
-            }
-            logs[name] = log
-    return logs
-
-
-def oplog_from_recorder(events) -> OpLog:
-    """Columnar capture of a flight recorder's event stream.
-
-    ``events`` is any iterable of TelemetryEvent-likes (``time_ns``,
-    ``name``, ``category``, ``cell``).  Event names become the log's
-    kind table; cells without an id map to -1.  The inject campaign's
-    fault-schedule sweep records trial 0 this way and diffs the other
-    trials' streams against it to locate each divergence point.
-    """
-    names: List[str] = []
-    index: Dict[str, int] = {}
-    log = OpLog(kind_names=names)
-    for ev in events:
-        kind = index.get(ev.name)
-        if kind is None:
-            kind = index[ev.name] = len(names)
-            names.append(ev.name)
-        cell = ev.cell if ev.cell is not None else -1
-        log.append(ev.time_ns, cell, -1, kind, 0, 0)
-    return log.finalize()
-
-
-def divergence_point(base: OpLog, other: OpLog) -> Dict[str, Any]:
-    """Columnar diff of two event streams: where do they first differ?
-
-    Compares (time, kind-name, cell) row-wise and returns the length of
-    the identical prefix, the first divergent simulated time (None when
-    one stream is a prefix of the other and nothing diverged), and the
-    identical fraction relative to the longer stream.
-    """
-    a, b = base.columns, other.columns
     n = min(len(base), len(other))
     total = max(len(base), len(other))
-    if n == 0:
-        prefix = 0
-    else:
-        same = (a["time_ns"][:n] == b["time_ns"][:n]) \
-            & (a["cell"][:n] == b["cell"][:n])
-        # Kind codes are table-local; compare through the name tables.
-        if base.kind_names == other.kind_names:
-            same &= a["kind"][:n] == b["kind"][:n]
-        else:
-            an = np.asarray(base.kind_names, dtype=object)[a["kind"][:n]]
-            bn = np.asarray(other.kind_names, dtype=object)[b["kind"][:n]]
-            same &= an == bn
-        bad = np.flatnonzero(~same)
-        prefix = int(bad[0]) if bad.size else n
-    diverged = prefix < total
-    if not diverged:
+    prefix = next((i for i in range(n) if base[i] != other[i]), n)
+    if prefix == total:
         time = None
     elif prefix < n:
-        time = int(min(a["time_ns"][prefix], b["time_ns"][prefix]))
+        time = min(base[prefix][0], other[prefix][0])
     else:
-        longer = a if len(base) > len(other) else b
-        time = int(longer["time_ns"][prefix])
+        # One log is a strict prefix of the other: the longer one's
+        # next row is where they part.
+        time = max(base, other, key=len)[prefix][0]
     return {
         "identical_prefix": prefix,
         "divergence_ns": time,
-        "identical_fraction": (prefix / total if total else 1.0),
+        "identical_fraction": prefix / total if total else 1.0,
         "rows": {"base": len(base), "other": len(other)},
     }

@@ -22,8 +22,9 @@ Instead every driver registers as a :class:`ParkedChain` with one
   One park then stands for a whole run of wakeups, and every simulated
   counter moves exactly as per-wakeup execution would move it.
 
-Per-wakeup execution survives in one form: a recording run never calls
-``credit``, so it parks once per wakeup.  It is the oracle the parked
+Per-wakeup execution survives in one form: a per-wakeup run
+(``run_throughput(per_wakeup=True)``) never calls ``credit``, so it
+parks once per wakeup.  It is the oracle the parked
 runs are diffed against (``bench.throughput.compare_parked``), down to
 ``events_processed`` — each wakeup is accounted as the two dispatches
 (expiry pop plus callback) a ``sim.timeout`` would have cost.

@@ -27,7 +27,6 @@ from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.hardware.errors import BusError
 from repro.hardware.machine import Machine
-from repro.obs.recorder import NULL_RECORDER
 from repro.sim.engine import Interrupted, Simulator
 from repro.sim.stats import MetricSet
 from repro.unix.address_space import (
@@ -335,10 +334,9 @@ class LocalKernel:
         self._next_pid = kernel_id * 100_000 + 10
         self._wait_events: Dict[int, list] = {}
         self.metrics = MetricSet(name=f"kernel{kernel_id}")
-        #: flight-recorder handle; ``attach_flight_recorder`` swaps in a
-        #: live recorder.  Hot paths guard on ``self.obs.enabled`` so the
-        #: null default costs one attribute load per instrumented site.
-        self.obs = NULL_RECORDER
+        #: flight-recorder handle; ``attach_flight_recorder`` sets it.
+        #: None when unobserved: hot paths guard on ``is not None``.
+        self.obs = None
         self.alive = True
         self.panic_reason: Optional[str] = None
         #: while True, user-level threads park at their next gate (the

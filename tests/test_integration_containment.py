@@ -54,6 +54,17 @@ class TestScenarioTrials:
         r = runner.run_trial(SW_ADDRESS_MAP, seed=4)
         assert r.contained, r.notes
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known breach: a self_pointer COW-tree corruption is never "
+        "detected and healthy cells absorb its taint (ROADMAP item 1)"))
+    def test_cow_tree_self_pointer_contained(self):
+        """Seed 3 picks the ``self_pointer`` mode (seed % 4 == 3), as
+        ``repro inject sw_cow_tree --seed 3`` does.  The fix for the
+        breach flips this test to a pass, and strict xfail then fails
+        it until the marker goes."""
+        r = FaultExperimentRunner().run_trial(SW_COW_TREE, seed=3)
+        assert r.contained, r.reason
+
 
     @pytest.mark.parametrize("seed", [
         # no live victim process at the scheduled instant: until PR 18

@@ -6,11 +6,11 @@ import pytest
 
 from repro.bench.faultexp import HW_RANDOM_TIME, FaultExperimentRunner
 from repro.core.hive import boot_hive
+from repro.core.rpc import RpcRemoteError
 from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
 from repro.obs import (
-    NULL_RECORDER,
     FlightRecorder,
     attach_flight_recorder,
     render_fault_timeline,
@@ -18,6 +18,8 @@ from repro.obs import (
     to_chrome_trace,
     to_jsonl,
 )
+from repro.unix.cow import COW_NODE_TAG
+from repro.unix.errors import CarefulReferenceFault
 
 
 def boot_small(seed=3, num_cells=2):
@@ -28,12 +30,35 @@ def boot_small(seed=3, num_cells=2):
 
 
 class TestRecorderCore:
-    def test_null_recorder_is_inert(self):
-        span = NULL_RECORDER.begin("x", "rpc")
-        assert span.span_id == 0
-        NULL_RECORDER.end(span, outcome="ok")
-        NULL_RECORDER.event("y", "rpc")
-        assert not NULL_RECORDER.enabled
+    def test_null_recorder_is_inert(self, monkeypatch):
+        # An absent recorder is None on every handle, and an unobserved
+        # run (RPCs, a node failure, agreement and a recovery round)
+        # opens no span and emits no event.
+        calls = []
+        for name in ("begin", "end", "event"):
+            monkeypatch.setattr(FlightRecorder, name,
+                                lambda *a, _n=name, **k: calls.append(_n))
+        sim = __import__("repro.sim.engine",
+                         fromlist=["Simulator"]).Simulator()
+        hive = boot_hive(sim, num_cells=4,
+                         machine_config=MachineConfig(seed=9))
+        assert hive.recorder is None and hive.provenance is None
+        assert hive.watchdog is None
+        assert all(c.obs is None and c.prov is None for c in hive.cells)
+        assert hive.coordinator.obs is None
+        assert hive.coordinator.agreement.obs is None
+        cell = hive.cell(0)
+
+        def bench():
+            yield from cell.rpc.call(1, "ping", {})
+            yield from cell.rpc.call(1, "ping_queued", {})
+
+        sim.process(bench(), name="rpcbench")
+        hive.injector.inject_at(50_000_000, FaultInjector.NODE_FAILURE, 3)
+        sim.run(until=sim.now + 2_000_000_000)
+        assert hive.coordinator.records
+        assert cell.rpc.metrics.snapshot()["latency_ns.n"] == 2
+        assert calls == []
 
     def test_span_ring_keeps_newest(self):
         hive = boot_small()
@@ -104,6 +129,58 @@ class TestRpcSpans:
         snap = cell.rpc.metrics.snapshot()
         assert snap["latency_ns.n"] == 8
         assert snap["latency_ns.p50"] > 0
+
+    def test_failed_call_closes_both_spans(self):
+        # The error branches end their spans too: a call to an op the
+        # server has no handler for ends remote_error on the client and
+        # no_handler on the server.
+        hive = boot_small(seed=3)
+        rec = attach_flight_recorder(hive)
+        cell = hive.cell(0)
+        sim = hive.sim
+
+        def bench():
+            try:
+                yield from cell.rpc.call(1, "no_such_op", {})
+            except RpcRemoteError as exc:
+                return exc.errno
+
+        proc = sim.process(bench(), name="rpcbench")
+        sim.run_until_event(proc, deadline=sim.now + 5_000_000_000)
+        assert proc.value == "EOPNOTSUPP"
+        (call,) = rec.spans_named("rpc.call")
+        assert call.attrs["outcome"] == "remote_error"
+        assert call.attrs["errno"] == "EOPNOTSUPP"
+        (serve,) = rec.spans_named("rpc.serve_int")
+        assert serve.parent_id == call.span_id
+        assert serve.attrs["outcome"] == "no_handler"
+        assert serve.end_ns is not None
+
+
+class TestCarefulSpans:
+    def test_failed_check_closes_its_span(self):
+        hive = boot_small(seed=3)
+        rec = attach_flight_recorder(hive)
+        reader = hive.cell(0)
+        node = hive.cell(1).cow.new_root()
+
+        def prog():
+            yield from reader.careful.read_object(1, node.kaddr,
+                                                  COW_NODE_TAG)
+            try:
+                yield from reader.careful.read_object(1, node.kaddr + 1,
+                                                      COW_NODE_TAG)
+            except CarefulReferenceFault as exc:
+                return exc.check
+
+        proc = hive.sim.process(prog(), name="careful")
+        hive.sim.run_until_event(proc, deadline=hive.sim.now + 10**9)
+        assert proc.value == "alignment"
+        ok, fault = rec.spans_named("careful.read_object")
+        assert ok.attrs["outcome"] == "ok" and ok.end_ns is not None
+        assert fault.attrs["outcome"] == "fault"
+        assert fault.attrs["check"] == "alignment"
+        assert fault.end_ns is not None
 
 
 class TestRecoverySpans:

@@ -13,6 +13,7 @@ import json
 
 from repro.bench.faultexp import (
     HW_DURING_PROCESS_CREATION,
+    SW_ADDRESS_MAP,
     SW_COW_TREE,
     FaultExperimentRunner,
 )
@@ -29,19 +30,27 @@ from repro.obs import (
 _CACHE = {}
 
 
-def _run_audited(scenario, seed, with_recorder=False):
+def _run_observed(scenario, seed, recorder, tracer):
+    """(trial_dict, events_processed, system) of one trial with the
+    named observers attached at boot."""
     captured = {}
 
     def on_boot(system):
-        if with_recorder:
+        if recorder:
             attach_flight_recorder(system)
-        captured["tracer"] = attach_provenance(system)
+        if tracer:
+            attach_provenance(system)
         captured["system"] = system
 
-    runner = FaultExperimentRunner(on_boot=on_boot)
-    trial = runner.run_trial(scenario, seed)
-    return (trial.to_dict(), captured["tracer"].audit_report(),
-            captured["system"].sim.events_processed)
+    trial = FaultExperimentRunner(on_boot=on_boot).run_trial(scenario, seed)
+    system = captured["system"]
+    return trial.to_dict(), system.sim.events_processed, system
+
+
+def _run_audited(scenario, seed, with_recorder=False):
+    trial, events, system = _run_observed(scenario, seed, with_recorder,
+                                          True)
+    return trial, system.provenance.audit_report(), events
 
 
 def _audited(scenario, seed):
@@ -112,19 +121,24 @@ class TestContainmentVerdicts:
         assert all(e["verdict"] != "absorbed" for e in edges)
 
     def test_tracer_attach_is_invisible(self):
-        captured = {}
-
-        def on_boot(system):
-            captured["system"] = system
-
-        runner = FaultExperimentRunner(on_boot=on_boot)
-        trial = runner.run_trial(HW_DURING_PROCESS_CREATION, seed=5)
-        plain = (trial.to_dict(),
-                 captured["system"].sim.events_processed)
-        audited_trial, _audit, events = _audited(
-            HW_DURING_PROCESS_CREATION, 5)
-        assert plain[0] == audited_trial
-        assert plain[1] == events
+        # Three cases: recorder, tracer, recorder + tracer.  None of them
+        # changes the trial or its event count, on a hardware fault and
+        # on a kernel corruption (core/kfaults.py's hooks).  One test
+        # loops over the cases so its id stays the same.
+        cases = (("recorder", True, False), ("tracer", False, True),
+                 ("recorder+tracer", True, True))
+        for scenario, seed in ((HW_DURING_PROCESS_CREATION, 5),
+                               (SW_ADDRESS_MAP, 3)):
+            plain = _run_observed(scenario, seed, False, False)
+            for label, recorder, tracer in cases:
+                case = f"{scenario}-{seed} {label}"
+                trial, events, system = _run_observed(scenario, seed,
+                                                      recorder, tracer)
+                assert trial == plain[0], case
+                assert events == plain[1], case
+                if recorder and scenario == SW_ADDRESS_MAP:
+                    corrupt = system.recorder.events_named("fault.corrupt")
+                    assert len(corrupt) == 1, case
 
 
 class TestAuditRendering:

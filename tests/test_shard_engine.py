@@ -18,7 +18,6 @@ from repro.obs.profile import tier_snapshot
 from repro.sim.channels import (COH_READ_MISS, COH_WRITE_MISS,
                                 SIPS_REQUEST, CellChannels,
                                 ChannelViolation, attach_channels)
-from repro.sim.oplog import OP_RETIRE, OpLog
 from repro.sim.shard import ChainCoordinator
 
 
@@ -165,16 +164,18 @@ class TestParkedGolden:
         assert result["inject_ms"] == CONFIGS["small"].inject_ms
 
     def test_recording_run_parks_once_per_wakeup(self):
-        log = OpLog()
-        row = run_throughput("small", seed=11, record=log)
-        log.finalize()
-        wakeups = int((log.columns["kind"] != OP_RETIRE).sum())
+        # A parked run's park stands for its own wakeup plus the ones it
+        # replayed, so the per-wakeup run parks exactly that many times.
+        row = run_throughput("small", seed=11, per_wakeup=True)
+        parked = run_throughput("small", seed=11)["parking"]
+        wakeups = parked["parks"] + parked["replayed_wakeups"]
         assert row["parking"]["chains"] == CONFIGS["small"].num_cells
         assert row["parking"]["parks"] == wakeups
         assert row["parking"]["replayed_wakeups"] == 0
+        assert parked["replayed_wakeups"] > 0
 
 
-def _overlapping_run(record):
+def _overlapping_run(per_wakeup):
     """Two drivers on different cells hammering the same frames of one
     granter at different paces: both chains are homed on the same node,
     and each one's ownership requests take the other's lines away."""
@@ -215,7 +216,8 @@ def _overlapping_run(record):
     for cell_id, ready, cfg in ((1, ready_a, cfg_a), (2, ready_b, cfg_b)):
         cpu = registry.cell_object(cell_id).cpu_ids[0]
         sim.process(_traffic(sim, system, cell_id, cpu, ready, cfg,
-                             stop_ns, counters, coord, record=record))
+                             stop_ns, counters, coord,
+                             per_wakeup=per_wakeup))
     coord.run(until=stop_ns)
     return coord, {
         "events": sim.events_processed,
@@ -228,12 +230,12 @@ def _overlapping_run(record):
 
 class TestDirtyBarrier:
     def test_overlapping_chains_match_per_wakeup(self):
-        coord, parked = _overlapping_run(record=None)
+        coord, parked = _overlapping_run(per_wakeup=False)
         a, b = coord.chains
         assert a.overlaps == [b] and b.overlaps == [a]
         # Both forms of execution happened: credited runs of wakeups,
         # and real accesses after a neighbour's mutation.
         assert coord.snapshot()["replayed_wakeups"] > 0
         assert parked["stats"]["invalidations"] > 100
-        _, per_wakeup = _overlapping_run(record=OpLog())
+        _, per_wakeup = _overlapping_run(per_wakeup=True)
         assert parked == per_wakeup

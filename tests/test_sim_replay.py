@@ -1,8 +1,8 @@
 """Trace-capture tests, and what trace replay proved before it went.
 
-Covers the columnar op log's persistence round-trips, the live default
-against the rows the replay side printed on its last run (all bench
-configs, moved faults), the closed ``HIVE_REPLAY`` hatch, the gzip
+Covers the event-row diff behind ``repro inject --replay``, the live
+default against the rows the replay side printed on its last run (all
+bench configs, moved faults), the closed ``HIVE_REPLAY`` hatch, the gzip
 telemetry artifacts, and the inject campaign's fault-seed sweep with
 divergence diffing.
 """
@@ -10,7 +10,6 @@ divergence diffing.
 import json
 import random
 
-import numpy as np
 import pytest
 
 from repro.bench.parallel import _warn_cpu_cap, run_inject_campaign
@@ -21,80 +20,54 @@ from repro.bench.throughput import (
 )
 from repro.obs.export import load_json, load_jsonl, open_artifact
 from repro.obs.profile import merge_tier_snapshots
-from repro.sim.oplog import (
-    COLUMNS,
-    OpLog,
-    divergence_point,
-    load_oplogs,
-    save_oplogs,
-)
+from repro.obs.recorder import TelemetryEvent
+from repro.sim.oplog import divergence_point, event_rows
 from tests.helpers import LAST_REPLAY_RUN, equiv_row
 
 
-def _random_log(rng: random.Random, rows: int) -> OpLog:
-    log = OpLog(meta={"config": "rand", "seed": rng.randint(0, 99)})
-    t = 0
+def _random_rows(rng: random.Random, rows: int) -> list:
+    events, t = [], 0
     for _ in range(rows):
         t += rng.randint(1, 10_000)
-        log.append(t, rng.randrange(4), rng.randrange(8),
-                   rng.randrange(3), rng.getrandbits(40),
-                   rng.choice((8, 64, 4096)),
-                   latency_ns=rng.randrange(20_000),
-                   slot=rng.randrange(8))
-    return log.finalize()
+        events.append(TelemetryEvent(
+            t, rng.choice(("fault.inject", "detect.hint", "panic")),
+            "x", rng.choice((None, 0, 1, 2, 3)), {}))
+    return event_rows(events)
 
 
 class TestOpLogPersistence:
-    def test_save_load_round_trip_random_streams(self, tmp_path):
-        # Property-style: any recorded stream must survive the .npz
-        # round trip column-for-column.
-        for trial in range(8):
-            rng = random.Random(1995 + trial)
-            log = _random_log(rng, rng.randint(0, 200))
-            path = str(tmp_path / f"log{trial}.npz")
-            log.save(path)
-            loaded = OpLog.load(path)
-            assert loaded.meta == log.meta
-            assert loaded.kind_names == log.kind_names
-            for col in COLUMNS:
-                assert np.array_equal(loaded.columns[col],
-                                      log.columns[col])
-                assert loaded.columns[col].dtype == log.columns[col].dtype
-
-    def test_multi_log_archive_round_trip(self, tmp_path):
-        rng = random.Random(7)
-        logs = {"small": _random_log(rng, 50),
-                "large": _random_log(rng, 120)}
-        path = str(tmp_path / "suite.npz")
-        save_oplogs(path, logs)
-        loaded = load_oplogs(path)
-        assert sorted(loaded) == ["large", "small"]
-        for name, log in logs.items():
-            assert loaded[name].meta == log.meta
-            for col in COLUMNS:
-                assert np.array_equal(loaded[name].columns[col],
-                                      log.columns[col])
+    """A trial's event log is its recorder's ``[time_ns, name, cell]``
+    rows: plain lists, diffed row by row."""
 
     def test_jsonable_round_trip(self):
-        log = _random_log(random.Random(3), 40)
-        clone = OpLog.from_jsonable(
-            json.loads(json.dumps(log.to_jsonable())))
-        for col in COLUMNS:
-            assert np.array_equal(clone.columns[col], log.columns[col])
-
-    def test_stream_partitions_by_cell(self):
-        log = _random_log(random.Random(11), 100)
-        total = sum(len(log.stream(c)["time_ns"]) for c in log.cells())
-        assert total == len(log)
-        for c in log.cells():
-            assert (log.stream(c)["cell"] == c).all()
+        # The rows cross the campaign's process boundary as they are.
+        rows = _random_rows(random.Random(3), 40)
+        assert all(isinstance(r, list) and len(r) == 3 for r in rows)
+        clone = json.loads(json.dumps(rows))
+        assert clone == rows
+        assert divergence_point(rows, clone)["identical_prefix"] == 40
 
     def test_divergence_point_identical_logs(self):
-        log = _random_log(random.Random(5), 30)
-        diff = divergence_point(log, log)
+        rows = _random_rows(random.Random(5), 30)
+        diff = divergence_point(rows, rows)
         assert diff["divergence_ns"] is None
-        assert diff["identical_prefix"] == len(log)
+        assert diff["identical_prefix"] == len(rows)
         assert diff["identical_fraction"] == 1.0
+        assert divergence_point([], [])["identical_fraction"] == 1.0
+
+    def test_divergence_point_locates_first_difference(self):
+        base = _random_rows(random.Random(7), 20)
+        moved = [list(r) for r in base]
+        moved[12][2] = "elsewhere"
+        diff = divergence_point(base, moved)
+        assert diff["identical_prefix"] == 12
+        assert diff["divergence_ns"] == base[12][0]
+        assert diff["rows"] == {"base": 20, "other": 20}
+        # A strict prefix diverges where the longer log goes on.
+        diff = divergence_point(base[:15], base)
+        assert diff["identical_prefix"] == 15
+        assert diff["divergence_ns"] == base[15][0]
+        assert diff["identical_fraction"] == 0.75
 
 
 class TestReplayVsLiveGolden:
@@ -127,12 +100,13 @@ class TestReplayVsLiveGolden:
         assert row["parking"]["chains"] == CONFIGS["small"].num_cells
 
     def test_record_then_replay_row(self):
-        # The recording run is the per-wakeup form of the scenario: one
-        # log row per wakeup (the 21,100 the replay read back) and the
-        # same row as the parked default, which replays memos instead.
-        log = OpLog()
-        recorded = run_throughput("small", channels=True, record=log)
-        assert len(log.finalize()) == 21_100
+        # The per-wakeup form of the scenario parks once per wakeup
+        # (21,099, plus the one retiring wakeup of the 21,100 rows the
+        # replay read back) and yields the same row as the parked
+        # default, which replays memos instead.
+        recorded = run_throughput("small", channels=True, per_wakeup=True)
+        assert recorded["parking"]["parks"] == 21_099
+        assert recorded["parking"]["replayed_wakeups"] == 0
         assert not equiv_mismatches(recorded,
                                     run_throughput("small", channels=True))
         assert equiv_row(recorded) == LAST_REPLAY_RUN["small", None]
@@ -156,7 +130,7 @@ class TestReplayEnvEscape:
 
     def test_disabled_replay_runs_live(self):
         with pytest.raises(TypeError, match="replay"):
-            run_throughput("small", replay=OpLog())
+            run_throughput("small", replay=True)
         assert "replay" not in run_throughput("small")
 
 

@@ -166,12 +166,16 @@ class TestSnapshotGolden:
         assert forked["snapshot"] == "fork"
         assert forked["fork_wall_s"] > 0.0
 
-    def test_recording_run_refuses_to_fork(self):
-        # The log would fill in the forked child and come back empty.
-        from repro.sim.oplog import OpLog
-
-        with pytest.raises(ValueError, match="cannot fork"):
-            run_throughput("small", record=OpLog(), snapshot=True)
+    def test_per_wakeup_run_forks_like_any_other(self):
+        # Nothing is left to fill in the child: a forked per-wakeup run
+        # matches a booted one, down to its one park per wakeup.
+        forked = run_throughput("small", channels=True, per_wakeup=True,
+                                snapshot=True)
+        booted = run_throughput("small", channels=True, per_wakeup=True)
+        assert forked["snapshot"] == "fork"
+        assert not equiv_mismatches(booted, forked)
+        assert forked["parking"] == booted["parking"]
+        assert equiv_row(forked) == LAST_REPLAY_RUN["small", None]
 
     def test_escape_hatch_still_matches(self, monkeypatch, fresh_images):
         # The hatch is closed (``HIVE_SNAPSHOT=0`` leaves the mode

@@ -2,8 +2,8 @@
 
 ``sim/trace.py``'s ``TraceLog`` went in PR 21; what it asserted holds of
 the flight recorder that superseded it, so the same cases run against
-``FlightRecorder`` / ``NullRecorder`` / ``attach_flight_recorder`` and
-``render_fault_timeline``.
+``FlightRecorder`` / ``attach_flight_recorder`` and
+``render_fault_timeline``; an absent recorder is ``None``.
 """
 
 import json
@@ -15,7 +15,6 @@ from repro.core.kfaults import CORRUPT_OFF_BY_ONE_WORD, KernelFaultInjector
 from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import MachineConfig
 from repro.obs import (
-    NULL_RECORDER,
     FlightRecorder,
     attach_flight_recorder,
     render_fault_timeline,
@@ -77,10 +76,33 @@ class TestTraceLog:
         assert "1.500 ms" in text
         assert "cell 3" in text and "boom" in text
 
-    def test_null_trace_is_inert(self):
-        NULL_RECORDER.event("ignored", "x")
-        NULL_RECORDER.end(NULL_RECORDER.begin("ignored", "x"))
-        assert not NULL_RECORDER.enabled
+    def test_null_trace_is_inert(self, monkeypatch):
+        # No recorder attached: every handle is None, and a kernel
+        # corruption that panics its cell traces nothing.
+        calls = []
+        for name in ("begin", "end", "event"):
+            monkeypatch.setattr(FlightRecorder, name,
+                                lambda *a, _n=name, **k: calls.append(_n))
+        sim = Simulator()
+        hive = boot_hive(sim, num_cells=4,
+                         machine_config=MachineConfig(seed=9))
+        assert hive.recorder is None
+        assert all(cell.obs is None for cell in hive.cells)
+
+        def prog(ctx):
+            region = yield from ctx.map_anon(32)
+            for i in range(32):
+                yield from ctx.touch(region, i, write=True)
+                yield from ctx.compute(10_000_000)
+
+        cell = hive.cell(2)
+        cell.start_thread(cell.create_process("victim"), prog)
+        sim.run(until=sim.now + 20_000_000)
+        KernelFaultInjector(hive).corrupt_address_map(
+            2, CORRUPT_OFF_BY_ONE_WORD, wild_writes=0)
+        sim.run(until=sim.now + 2_000_000_000)
+        assert not cell.alive
+        assert calls == []
 
     def test_counts_by_category(self, tmp_path, capsys):
         # Counting by category is the reader's: `repro trace --from-spans`.
