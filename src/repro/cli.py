@@ -457,7 +457,18 @@ def cmd_sessions(args) -> int:
         write_bench_summary(args.out, {"command": "sessions",
                                        "sessions": row})
         print(f"report written      : {args.out}")
-    return 0
+    problems = []
+    if row["completed"] + row["lost"] + row["lost_arrivals"] \
+            != row["sessions"]:
+        problems.append("sessions unaccounted for")
+    if row["completed"] != sum(row["latency_hist"]["counts"]):
+        problems.append("completed sessions differ from the latency "
+                        "histogram total")
+    if row["probes_completed"] != row["probes_launched"]:
+        problems.append("probe sessions lost")
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    return 1 if problems else 0
 
 
 def cmd_bench(args) -> int:
@@ -747,9 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["small", "medium", "large", "all"],
                          default="all")
     p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr27.json",
+                         default="BENCH_pr28.json",
                          help="output JSON path "
-                              "(default: BENCH_pr27.json)")
+                              "(default: BENCH_pr28.json)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")

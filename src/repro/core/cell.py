@@ -233,7 +233,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         # The VM cleanup walks the whole pfdat table twice (detecting
         # pages writable by failed cells, then revoking grants) — the
         # bulk of the paper's 40-80 ms recovery latency.
-        npfdats = len(self.pfdats.owned_frames)
+        npfdats = self.pfdats.owned_count
         yield 2 * npfdats * self.costs.recovery_scan_per_pfdat_ns
         discarded = yield from self._preemptive_discard(dead, record)
         yield from self._revoke_all_grants()
@@ -344,7 +344,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
             reclaimed = self.pfdats.return_from_reserved(pf.frame)
             self.pfdats.free_frame(reclaimed)
         elif not pf.extended and not pf.on_free_list \
-                and pf.frame in self.pfdats.owned_frames \
+                and self.pfdats.owns(pf.frame) \
                 and pf.frame not in self.pfdats.reserved:
             self.pfdats.free_frame(pf)
         return 1

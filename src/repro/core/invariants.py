@@ -38,30 +38,31 @@ def check_cell(cell) -> List[str]:
 def _check_frame_states(cell) -> List[str]:
     """Free-list, reserved-list and refcount consistency of owned frames.
 
-    Walks the free list, the reserved list and the materialized pfdats
-    only: an owned frame that was never touched has no pfdat, and is
-    free, unhashed and unreferenced by construction, so "free AND
+    Walks the freed-frame FIFO, the reserved list and the materialized
+    pfdats only: a frame the allocator's cursor has not reached is on
+    the free list once by construction, and one that was never touched
+    has no pfdat and is unhashed and unreferenced, so "free AND
     reserved" is the only state it can violate.
     """
     problems: List[str] = []
     table = cell.pfdats
-    owned = table.owned_frames
     pfdats = table._by_frame
-    free = set()
-    for frame in table._free:
-        if frame in free:
+    freed = set()
+    for frame in table._freed:
+        if frame in freed or table.untouched(frame):
             problems.append(
                 f"cell {cell.kernel_id}: frame {frame} on free list twice")
-        free.add(frame)
+        freed.add(frame)
     for frame in table.reserved:
-        if frame in free and frame in owned:
+        if table.owns(frame) and (frame in freed
+                                  or table.untouched(frame)):
             pf = pfdats.get(frame)
             if pf is None or pf.on_free_list:
                 problems.append(
                     f"cell {cell.kernel_id}: frame {frame} free AND "
                     f"reserved")
     for frame, pf in pfdats.items():
-        if pf.refcount < 0 and frame in owned:
+        if pf.refcount < 0 and table.owns(frame):
             problems.append(
                 f"cell {cell.kernel_id}: frame {frame} refcount "
                 f"{pf.refcount}")

@@ -307,12 +307,11 @@ class LocalKernel:
         self.heartbeat_addr = (first_base_frame + REMAP_PAGES) * params.page_size
         self.heartbeat_value = 0
 
-        paged: List[int] = []
-        for node in self.node_ids:
-            base = node * params.pages_per_node
-            start = base + (KERNEL_RESERVED_PAGES if node == first else 0)
-            paged.extend(range(start, base + params.pages_per_node))
-        self.pfdats = PfdatTable(paged)
+        self.pfdats = PfdatTable(
+            range(node * params.pages_per_node
+                  + (KERNEL_RESERVED_PAGES if node == first else 0),
+                  (node + 1) * params.pages_per_node)
+            for node in self.node_ids)
 
         # One file system per owned node's disk.
         self.filesystems: Dict[int, DiskFileSystem] = {}

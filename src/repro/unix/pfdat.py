@@ -19,9 +19,10 @@ hence the disjoint field groups below.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.unix.kheap import KObject
 
@@ -143,13 +144,15 @@ class NoFreeFrames(MemoryError):
 
 
 class PfdatTable:
-    """One kernel's page-frame table, hash table, and free list."""
+    """One kernel's page-frame table, hash table, and free list.
 
-    def __init__(self, owned_frames: Iterable[int]):
+    ``owned`` is one step-1 ``range`` of frames or an iterable of
+    disjoint ones (one per node), in boot order.
+    """
+
+    def __init__(self, owned: Union[range, Iterable[range]]):
         self._by_frame: Dict[int, Pfdat] = {}
         self._hash: Dict[LogicalId, Pfdat] = {}
-        self._free: Deque[int] = deque()
-        self.owned_frames: Set[int] = set()
         # Writable-by-cell index over the *regular* (non-extended)
         # pfdats: grantee cell -> {frame: pfdat}.  Maintained by
         # ``_ExportSet`` so preemptive discard's working-set query is
@@ -158,18 +161,31 @@ class PfdatTable:
         #: regular pfdats with any grantee at all (the Section 4.2
         #: remotely-writable sample), frame -> pfdat.
         self._exported: Dict[int, Pfdat] = {}
-        # Owned pfdats are materialized on first touch, not at boot: a
-        # large machine has ~100k frames per kernel and most are never
-        # referenced in a run.  ``_rank`` records each frame's position
-        # in the boot order, which becomes the pfdat's ``seq`` when it
-        # is created — identical to the eager table's numbering, so all
-        # seq-sorted index queries are byte-for-byte unchanged.
-        self._rank: Dict[int, int] = {}
-        for frame in owned_frames:
-            self._rank[frame] = len(self._rank)
-            self._free.append(frame)
-            self.owned_frames.add(frame)
-        self._seq = len(self._rank)
+        # Nothing here is per frame: a large machine has ~100k frames
+        # per kernel and most are never referenced in a run.  Owned
+        # frames are runs ``(start, stop, rank)``, ``rank`` being the
+        # boot-order position of ``start``; a pfdat is materialized on
+        # first touch with its frame's rank as ``seq`` — the eager
+        # table's numbering, so seq-sorted index queries are unchanged.
+        runs = [owned] if isinstance(owned, range) else list(owned)
+        self._runs: List[Tuple[int, int, int]] = []
+        rank = 0
+        for run in runs:
+            if run:
+                self._runs.append((run.start, run.stop, rank))
+                rank += len(run)
+        self._by_start = sorted(self._runs)
+        self._starts = [run[0] for run in self._by_start]
+        self._first_ranks = [run[2] for run in self._runs]
+        #: how many frames this kernel owns
+        self.owned_count = rank
+        # The free list in the order the allocator takes it: the owned
+        # frames from rank ``_cursor`` on (boot order, never handed out
+        # yet), then ``_freed``, the frames freed since (FIFO).  A frame
+        # loaned meanwhile keeps its stale entry; alloc_frame skips it.
+        self._cursor = 0
+        self._freed: Deque[int] = deque()
+        self._seq = rank
         #: frames this kernel has loaned out: parked on a reserved list,
         #: "the memory home moves the page frame to a reserved list and
         #: ignores it until the data home frees it or fails" (Section 5.4).
@@ -186,14 +202,41 @@ class PfdatTable:
         self._seq += 1
         self._by_frame[pf.frame] = pf
 
-    def _materialize(self, frame: int) -> Pfdat:
+    def _materialize(self, frame: int, rank: int) -> Pfdat:
         """Create the regular pfdat for an owned frame on first touch."""
         pf = Pfdat(frame)
         pf.on_free_list = True
         pf.table = self
-        pf.seq = self._rank[frame]
+        pf.seq = rank
         self._by_frame[frame] = pf
         return pf
+
+    # -- owned frames ---------------------------------------------------------
+
+    def _rank_of(self, frame: int) -> Optional[int]:
+        """Boot-order position of ``frame``, None if it is not owned."""
+        i = bisect_right(self._starts, frame) - 1
+        if i >= 0:
+            start, stop, rank = self._by_start[i]
+            if frame < stop:
+                return rank + frame - start
+        return None
+
+    def _frame_at(self, rank: int) -> int:
+        """The owned frame at boot-order position ``rank``."""
+        start, _, first = self._runs[bisect_right(self._first_ranks,
+                                                  rank) - 1]
+        return start + rank - first
+
+    def owns(self, frame: int) -> bool:
+        return self._rank_of(frame) is not None
+
+    def untouched(self, frame: int) -> bool:
+        """Whether owned ``frame`` still has its boot-time free-list
+        entry (the allocator's cursor has not reached it; the entry may
+        be stale)."""
+        rank = self._rank_of(frame)
+        return rank is not None and rank >= self._cursor
 
     def _export_added(self, pf: Pfdat, cell_id: int) -> None:
         if pf.extended:
@@ -263,8 +306,10 @@ class PfdatTable:
 
     def by_frame(self, frame: int) -> Optional[Pfdat]:
         pf = self._by_frame.get(frame)
-        if pf is None and frame in self.owned_frames:
-            pf = self._materialize(frame)
+        if pf is None:
+            rank = self._rank_of(frame)
+            if rank is not None:
+                pf = self._materialize(frame, rank)
         return pf
 
     def all_pfdats(self) -> List[Pfdat]:
@@ -277,28 +322,34 @@ class PfdatTable:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        """Free-list entries, stale ones included."""
+        return self.owned_count - self._cursor + len(self._freed)
 
     def alloc_frame(self) -> Pfdat:
         """Take a frame off the local free list."""
-        while self._free:
-            frame = self._free.popleft()
+        while True:
+            if self._cursor < self.owned_count:
+                frame = self._frame_at(self._cursor)
+                self._cursor += 1
+            elif self._freed:
+                frame = self._freed.popleft()
+            else:
+                raise NoFreeFrames("local free list empty")
             pf = self._by_frame.get(frame)
             if pf is None:
-                pf = self._materialize(frame)
+                pf = self._materialize(frame, self._rank_of(frame))
             if not pf.on_free_list:
                 continue  # stale entry (frame was reserved/loaned meanwhile)
             pf.on_free_list = False
             pf.dirty = False
             pf.refcount = 0
             return pf
-        raise NoFreeFrames("local free list empty")
 
     def free_frame(self, pf: Pfdat) -> None:
         """Return a local frame to the free list."""
         if pf.extended:
             raise ValueError("extended pfdats are released, not freed")
-        if pf.frame not in self.owned_frames:
+        if not self.owns(pf.frame):
             raise ValueError(f"frame {pf.frame} not owned by this kernel")
         if pf.refcount:
             raise ValueError(f"freeing frame {pf.frame} with refs")
@@ -307,13 +358,13 @@ class PfdatTable:
         pf.export_writable.clear()
         if not pf.on_free_list:
             pf.on_free_list = True
-            self._free.append(pf.frame)
+            self._freed.append(pf.frame)
 
     # -- extended pfdats ----------------------------------------------------
 
     def alloc_extended(self, frame: int) -> Pfdat:
         """Allocate an extended pfdat bound to a (remote) frame."""
-        if frame in self.owned_frames:
+        if self.owns(frame):
             raise ValueError(
                 f"frame {frame} is local; reuse its regular pfdat "
                 "(Section 5.5 reimport path)"
@@ -335,7 +386,7 @@ class PfdatTable:
 
     def move_to_reserved(self, pf: Pfdat, borrower: int) -> None:
         """Loan a local frame: park it on the reserved list."""
-        if pf.frame not in self.owned_frames:
+        if not self.owns(pf.frame):
             raise ValueError("can only loan owned frames")
         pf.loaned_to = borrower
         pf.on_free_list = False

@@ -31,10 +31,15 @@ booted :class:`~repro.core.hive.HiveSystem`:
   recovery interleave with the session timeline; sampled *probe*
   sessions additionally run as real kernel processes (map/touch/compute)
   through the :class:`~repro.workloads.base.Platform` adapter;
-* **fault accounting** — a session is *lost* when its cell died before
-  its service completed (and, without failover, when it arrived at a
-  dead cell); arrivals after a known death fail over to the surviving
-  cells.  ``sessions_lost_per_fault`` lands next to the availability
+* **fault accounting** — a session is *lost* when its cell died while
+  it was in flight (arrived, service not yet completed); arrivals after
+  a known death fail over to the surviving cells, or without failover
+  are *lost arrivals*, counted apart.  Every session is exactly one of
+  completed (its latency is recorded), lost or a lost arrival.  A
+  session is settled as soon as the clock passes its finish or its
+  cell's death is in the ledger, so host memory holds one latency and
+  one lost bit per session plus the still-open ones.
+  ``sessions_lost_per_fault`` lands next to the availability
   observatory's ledger in the report.
 
 Everything is seed-deterministic: counters, placements, losses and
@@ -455,18 +460,33 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     coupling_weight = np.asarray(
         [_COUPLING_WEIGHT[t] for t in SESSION_TYPES])
 
-    # The three per-session columns the final accounting reads, filled
-    # chunk by chunk in place (no per-chunk lists, no concatenated copy).
-    finish = np.empty(cfg.sessions, dtype=np.float64)
+    # Per session: its latency and a lost bit.  A session is settled as
+    # soon as the clock and the death ledger decide it; only the rest
+    # (index, finish, cell) are carried from one chunk to the next.
     latency = np.empty(cfg.sessions, dtype=np.float64)
-    cells_col = np.empty(cfg.sessions, dtype=np.int16)
+    lost = np.zeros(cfg.sessions, dtype=bool)
+    carried = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64),
+               np.empty(0, dtype=np.int64))
+
+    def settle(idx, finish, cells, now: float):
+        """Set the lost bit of every session on a cell in the death
+        ledger whose service ran past the death; a session finishing
+        at or before ``now`` completed, because a later death is
+        recorded at a later instant.  Returns the undecided rest."""
+        undecided = finish > now
+        for dead_cell, died_at in deaths.items():
+            on = cells == dead_cell
+            lost[idx[on & (finish > died_at)]] = True
+            undecided &= ~on
+        return idx[undecided], finish[undecided], cells[undecided]
+
     lost_arrivals = 0
     last_finish: Dict[Tuple[int, int], float] = {}
     server_rr: Dict[int, int] = {c: 0 for c in cell_ids}
     by_type = {name: 0 for name in SESSION_TYPES}
 
     wall0 = time.perf_counter()
-    t_cursor = float(sim.now)
+    t_cursor = finish_max = float(sim.now)
     produced = 0
     while produced < cfg.sessions:
         count = min(cfg.chunk_sessions, cfg.sessions - produced)
@@ -495,7 +515,8 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
             coupling.issue(per_cell)
 
         # Placement: static round-robin, with arrivals after a known
-        # death failing over to the surviving cells.
+        # death failing over to the surviving cells (without failover
+        # they are lost arrivals: lost bit set, never served).
         cells_arr = np.asarray(cell_ids, dtype=np.int64)[
             (sids % np.uint64(ncells)).astype(np.int64)]
         if deaths:
@@ -505,15 +526,16 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
                 mask = (cells_arr == dead_cell) & (arrivals >= died_at)
                 if not mask.any():
                     continue
+                idx = np.flatnonzero(mask)
                 if cfg.failover and live:
-                    idx = np.flatnonzero(mask)
                     cells_arr[idx] = live_arr[
                         (sids[idx] % np.uint64(len(live))).astype(np.int64)]
                 elif not cfg.failover:
-                    lost_arrivals += int(mask.sum())
+                    lost[rows.start + idx] = True
+                    lost_arrivals += idx.size
 
         # Per-cell FCFS server pool: exact vectorized recurrence.
-        chunk_finish = finish[rows]
+        chunk_finish = np.empty(count, dtype=np.float64)
         for c in cell_ids:
             cidx = np.flatnonzero(cells_arr == c)
             if cidx.size == 0:
@@ -552,29 +574,41 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
         for t, name in enumerate(SESSION_TYPES):
             by_type[name] += int((types == t).sum())
         np.subtract(chunk_finish, arrivals, out=latency[rows])
-        cells_col[rows] = cells_arr
+        finish_max = max(finish_max, float(chunk_finish.max()))
+        now = float(sim.now)
+        carried = [np.concatenate(parts) for parts in zip(
+            settle(*carried, now),
+            settle(np.arange(rows.start, rows.stop), chunk_finish,
+                   cells_arr, now))]
 
     # Drain: let queued service, probes and recovery run out.
-    horizon = int(max(t_cursor, float(finish.max()))) + 200 * NS_PER_MS
+    horizon = int(max(t_cursor, finish_max)) + 200 * NS_PER_MS
     sim.run(until=horizon)
     for c in cell_ids:
         if c not in deaths and not registry.is_live(c):
             deaths.setdefault(c, float(sim.now))
-
-    # Loss accounting against the final death ledger: a session whose
-    # cell died before its service finished never completed.
-    lost_mask = np.zeros(cfg.sessions, dtype=bool)
-    for dead_cell, died_at in deaths.items():
-        lost_mask |= (cells_col == dead_cell) & (finish > died_at)
-    lost = int(lost_mask.sum())
-    completed = cfg.sessions - lost - lost_arrivals
-    latencies = latency[~lost_mask] if lost else latency
+    # Against the final death ledger, whatever is still open completed
+    # unless its cell died before its service finished.
+    settle(*carried, np.inf)
+    not_served = int(lost.sum())
+    lost_count = not_served - lost_arrivals  # in flight when cell died
+    completed = cfg.sessions - not_served
     wall_s = time.perf_counter() - wall0
 
+    # Compact the lost sessions out of ``latency`` in place, chunk by
+    # chunk, feeding the histogram as it goes: the completed latencies
+    # end up in session order at the front, with no full-size copy.
     hist = Histogram("session_latency_ns",
                      list(SESSION_LATENCY_BOUNDS_NS))
+    kept = 0
+    for start in range(0, cfg.sessions, cfg.chunk_sessions):
+        rows = slice(start, start + cfg.chunk_sessions)
+        done = latency[rows][~lost[rows]]
+        hist.record_many(done.astype(np.int64))
+        latency[kept:kept + done.size] = done
+        kept += done.size
+    latencies = latency[:kept]
     if latencies.size:
-        hist.record_many(latencies.astype(np.int64))
         mean = float(latencies.mean())
         # Last: overwrite_input partially sorts ``latencies`` in place,
         # which the order-sensitive mean above must not see.
@@ -592,10 +626,10 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     return SessionReport(
         sessions=cfg.sessions,
         completed=completed,
-        lost=lost,
+        lost=lost_count,
         lost_arrivals=lost_arrivals,
         faults=faults,
-        sessions_lost_per_fault=(round(lost / faults, 2) if faults
+        sessions_lost_per_fault=(round(lost_count / faults, 2) if faults
                                  else 0.0),
         wall_s=round(wall_s, 4),
         sessions_per_sec=round(cfg.sessions / wall_s, 1) if wall_s else 0.0,

@@ -52,7 +52,7 @@ class TestParser:
 
     def test_bench_out_defaults_to_this_prs_file(self):
         args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_pr27.json"
+        assert args.out == "BENCH_pr28.json"
         assert not args.progress
         assert not args.compare_parked
         assert not args.snapshot
@@ -131,6 +131,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 1
         assert "   NOT CONTAINED (seed 3): not detected\n" in out
+
+    def test_sessions_no_failover_accounts_for_every_session(self, capsys):
+        rc = main(["sessions", "--sessions", "30000", "--inject-ms", "60",
+                   "--no-failover"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "completed 23,931 / lost 8 (+6,061 dead-cell arrivals)" in out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"lost": 1}, "sessions unaccounted for"),
+        ({"completed": 99, "lost": 1}, "differ from the latency histogram"),
+        ({"probes_completed": 0}, "probe sessions lost"),
+    ])
+    def test_sessions_exits_1_when_the_books_do_not_balance(
+            self, monkeypatch, capsys, bad, message):
+        import repro.workloads.sessions as sessions
+
+        real = sessions.run_sessions
+
+        def doctored(cfg, **kw):
+            return {**real(cfg, **kw), **bad}
+
+        monkeypatch.setattr(sessions, "run_sessions", doctored)
+        rc = main(["sessions", "--sessions", "100", "--probe-every", "50"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert message in out
 
     def test_run_irix_rejects_telemetry(self, capsys):
         rc = main(["run", "ocean", "--irix", "--seed", "3",

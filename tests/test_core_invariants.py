@@ -27,12 +27,13 @@ class TestFrameStates:
         # Far fewer pfdats exist than frames are owned: the walk cannot
         # have gone frame by frame through by_frame().
         table = hive.cell(0).pfdats
-        assert len(table._by_frame) < len(table.owned_frames) // 10
+        assert len(table._by_frame) < table.owned_count // 10
 
     def test_frame_freed_twice(self, hive):
         table = hive.cell(0).pfdats
-        frame = table._free[0]
-        table._free.append(frame)
+        # The next frame the cursor hands out, queued again as freed.
+        frame = table._frame_at(table._cursor)
+        table._freed.append(frame)
         before = _materialized(hive)
         assert (f"cell 0: frame {frame} on free list twice"
                 in check_system(hive))
@@ -40,8 +41,8 @@ class TestFrameStates:
 
     def test_untouched_frame_free_and_reserved(self, hive):
         table = hive.cell(0).pfdats
-        frame = table._free[-1]
-        assert frame not in table._by_frame
+        frame = table._frame_at(table.owned_count - 1)
+        assert table.untouched(frame) and frame not in table._by_frame
         table.reserved[frame] = Pfdat(frame)
         before = _materialized(hive)
         assert (f"cell 0: frame {frame} free AND reserved"
@@ -60,7 +61,7 @@ class TestFrameStates:
         # move_to_reserved leaves the frame's free-list entry behind
         # (alloc_frame skips it later); that is not a violation.
         table = hive.cell(0).pfdats
-        pf = table.by_frame(table._free[-1])
+        pf = table.by_frame(table._frame_at(table.owned_count - 1))
         table.move_to_reserved(pf, borrower=1)
         assert check_system(hive) == []
 

@@ -315,7 +315,7 @@ class TestPhysicalSharing:
 
         lender = hive2.cell(1)
         attacker = hive2.cell(0)
-        frame = next(iter(lender.pfdats.owned_frames))
+        frame = lender.pfdats.alloc_frame().frame  # owned, loaned to nobody
 
         def prog():
             try:

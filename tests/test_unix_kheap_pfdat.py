@@ -1,7 +1,9 @@
 """Unit and property tests for the kernel heap and pfdat tables."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.unix.kheap import KOBJ_ALIGN, KernelHeap, KObject
 from repro.unix.pfdat import NoFreeFrames, Pfdat, PfdatTable
@@ -95,10 +97,11 @@ class TestPfdatTable:
     def test_alloc_free_roundtrip(self):
         t = self.make()
         pf = t.alloc_frame()
-        assert pf.frame in t.owned_frames
-        assert not pf.on_free_list
+        assert t.owns(pf.frame) and t.owned_count == 16
+        assert not t.owns(99) and not t.owns(116)
+        assert not pf.on_free_list and t.free_count == 15
         t.free_frame(pf)
-        assert pf.on_free_list
+        assert pf.on_free_list and t.free_count == 16
 
     def test_hash_insert_lookup_remove(self):
         t = self.make()
@@ -193,3 +196,122 @@ class TestPfdatTable:
         for lid, pf in bound.items():
             assert t.lookup(lid) is pf
             assert pf.logical_id == lid
+
+
+class TestHostMemory:
+    def test_large_bench_boot_allocates_little(self):
+        """Booting the 16-cell bench machine peaks under 2 MiB of traced
+        allocations: the pfdat tables hold runs, not a rank, a set entry
+        and a free-list entry per owned frame (20.7 MiB when they did)."""
+        import gc
+        import tracemalloc
+
+        from repro.bench.throughput import boot_bench_system
+
+        boot_bench_system("small")  # imports outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            system = boot_bench_system("large")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cells = [system.registry.cell_object(c)
+                 for c in system.registry.all_cell_ids()]
+        assert len(cells) == 16
+        assert sum(cell.pfdats.free_count for cell in cells) > 100_000
+        assert peak < 2 * 2 ** 20
+
+
+class _PerFrameFreeList:
+    """Reference model: the per-frame table the run-based one replaced —
+    a rank per owned frame and every owned frame queued at boot."""
+
+    def __init__(self, runs):
+        order = [frame for run in runs for frame in run]
+        self.rank = {frame: i for i, frame in enumerate(order)}
+        self.free = deque(order)
+        self.on_free_list = dict.fromkeys(order, True)
+
+    def alloc(self):
+        while self.free:
+            frame = self.free.popleft()
+            if self.on_free_list[frame]:
+                self.on_free_list[frame] = False
+                return frame
+        return None
+
+    def free_frame(self, frame):
+        if not self.on_free_list[frame]:
+            self.on_free_list[frame] = True
+            self.free.append(frame)
+
+    def move_to_reserved(self, frame):
+        self.on_free_list[frame] = False
+
+
+@st.composite
+def _owned_runs(draw):
+    """One to three disjoint runs, handed over in any order."""
+    runs, start = [], 1000
+    for gap, size in draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 4)),
+            min_size=1, max_size=3)):
+        start += gap
+        runs.append(range(start, start + size))
+        start += size
+    return draw(st.permutations(runs))
+
+
+_TABLE_OPS = st.lists(
+    st.tuples(st.sampled_from(("alloc", "free", "by_frame", "reserve",
+                               "unreserve")),
+              st.integers(0, 1000)),
+    max_size=100)
+
+
+class TestRunsMatchPerFrameModel:
+    @given(runs=_owned_runs(), ops=_TABLE_OPS)
+    @example(  # boot order is not address order; after the cursor
+               # runs out, the FIFO holds a frame twice, once stale
+        runs=[range(1004, 1006), range(1000, 1002)],
+        ops=[("alloc", 0)] * 4 + [("free", 3), ("free", 1), ("free", 0),
+                                  ("reserve", 3), ("unreserve", 0),
+                                  ("free", 3)]
+        + [("alloc", 0)] * 4)
+    @settings(max_examples=200, deadline=None)
+    def test_same_frames_seqs_and_free_counts(self, runs, ops):
+        table = PfdatTable(runs)
+        model = _PerFrameFreeList(runs)
+        owned = sorted(model.rank)
+        span = range(owned[0] - 2, owned[-1] + 3)
+        assert table.owned_count == len(owned)
+        assert [frame for frame in span if table.owns(frame)] == owned
+        for op, pick in ops:
+            if op == "alloc":
+                expect = model.alloc()
+                if expect is None:
+                    with pytest.raises(NoFreeFrames):
+                        table.alloc_frame()
+                else:
+                    pf = table.alloc_frame()
+                    assert (pf.frame, pf.seq) == (expect, model.rank[expect])
+            elif op == "free":
+                pf = table.by_frame(owned[pick % len(owned)])
+                table.free_frame(pf)
+                model.free_frame(pf.frame)
+            elif op == "by_frame":
+                frame = span[pick % len(span)]
+                pf = table.by_frame(frame)
+                if frame in model.rank:
+                    assert (pf.frame, pf.seq) == (frame, model.rank[frame])
+                else:
+                    assert pf is None
+            elif op == "reserve":
+                pf = table.by_frame(owned[pick % len(owned)])
+                table.move_to_reserved(pf, borrower=1)
+                model.move_to_reserved(pf.frame)
+            elif table.reserved:
+                frames = sorted(table.reserved)
+                table.return_from_reserved(frames[pick % len(frames)])
+            assert table.free_count == len(model.free)

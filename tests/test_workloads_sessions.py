@@ -6,6 +6,7 @@ sessions own disjoint counter blocks (non-overlapping substreams), and
 chunk boundaries never change what any session draws.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -17,7 +18,9 @@ from repro.sim.stats import Histogram
 from repro.workloads.sessions import (DRAWS_PER_SESSION,
                                       SESSION_TYPES,
                                       SessionTrafficConfig,
+                                      boot_session_system,
                                       generate_chunk,
+                                      run_session_traffic,
                                       run_sessions,
                                       session_uniforms)
 
@@ -146,6 +149,13 @@ class TestTrafficRuns:
         dead = run_sessions(SessionTrafficConfig(
             sessions=30_000, inject_ms=60, failover=False))
         assert dead["lost_arrivals"] > 0
+        # A dead-cell arrival is a lost arrival only, never also lost
+        # in flight: every session is counted once, and each completed
+        # one has its latency recorded.
+        assert dead["completed"] == sum(dead["latency_hist"]["counts"])
+        assert (dead["completed"] + dead["lost"] + dead["lost_arrivals"]
+                == 30_000)
+        assert dead["lost"] < dead["lost_arrivals"]
         routed = run_sessions(SessionTrafficConfig(
             sessions=30_000, inject_ms=60, failover=True))
         assert routed["lost_arrivals"] == 0
@@ -165,6 +175,99 @@ class TestTrafficRuns:
                 continue
             assert boot[key] == fork[key], key
         assert fork["snapshot"] == "fork"
+
+
+def _report_sha256(row: dict) -> str:
+    """sha256 of a session report without its wall-clock fields and the
+    three counts that split lost arrivals from in-flight losses."""
+    skip = ("wall_s", "sessions_per_sec", "boot_wall_s", "fork_wall_s",
+            "completed", "lost", "sessions_lost_per_fault")
+    kept = {key: value for key, value in row.items() if key not in skip}
+    return hashlib.sha256(
+        json.dumps(kept, sort_keys=True).encode()).hexdigest()
+
+
+def _panicked_cell_report() -> dict:
+    """Cell 2 panics from a scheduled callback: no injector record, so
+    only the chunk-boundary liveness sweep puts it in the ledger."""
+    system = boot_session_system()
+    system.sim.schedule(150_000_000, system.registry.cell_object(2).panic,
+                        "scheduled panic")
+    return run_session_traffic(system, SessionTrafficConfig(
+        sessions=40_000, chunk_sessions=4096)).to_dict()
+
+
+class TestPinnedReports:
+    """Report bytes pinned from the frontend that kept every session's
+    finish time and cell to the end; settling sessions as the clock
+    passes them must not move them."""
+
+    # Four servers per cell at 300 us mean service overload the pools,
+    # so sessions stay open across many 4096-session chunks.
+    OVERLOADED = dict(chunk_sessions=4096, servers_per_cell=4,
+                      mean_service_ns=300_000.0)
+
+    def test_failover_with_sessions_open_across_chunks(self):
+        # The node fails about 0.5 ms after the fourth chunk boundary:
+        # sessions finishing just after a boundary must wait for the
+        # next one before they count as completed.
+        row = run_sessions(SessionTrafficConfig(
+            sessions=40_000, inject_ms=167, **self.OVERLOADED))
+        assert row["faults"] == 1 and row["lost"] == 1942
+        assert _report_sha256(row) == (
+            "a9bbd9c99b0357df35e305e9dc9a28c7"
+            "7ecfd63ef90d95033423a9c718e447ce")
+
+    def test_fault_during_the_drain(self):
+        # Arrivals end near 206 ms; the node fails while the backlog
+        # drains, so only the final settlement can lose sessions.
+        row = run_sessions(SessionTrafficConfig(
+            sessions=20_000, inject_ms=250, **self.OVERLOADED))
+        assert row["faults"] == 1 and row["lost"] == 1800
+        assert _report_sha256(row) == (
+            "097d8fc255336c818e19d9bb791e5124"
+            "cb9c0453584fde42898bbbf0f173d06c")
+
+    def test_no_failover(self):
+        row = run_sessions(SessionTrafficConfig(
+            sessions=30_000, inject_ms=60, failover=False))
+        assert row["lost_arrivals"] > 0
+        assert _report_sha256(row) == (
+            "3aadceb1ea6428b18e964bd8984a49c7"
+            "e9ad5bcfadb59f7bf8e68b75192cca0b")
+
+    def test_death_found_only_by_the_liveness_sweep(self):
+        row = _panicked_cell_report()
+        assert row["faults"] == 1 and row["lost"] > 0
+        assert _report_sha256(row) == (
+            "495892e119179092cc8f38f9d09c7748"
+            "33043cd4d096489d070c511f371177dc")
+
+
+class TestHostMemory:
+    def test_million_sessions_allocate_little(self):
+        """1M sessions with a fault peak under 24 MiB of traced
+        allocations: one latency and one lost bit per session, plus the
+        chunk and the still-open sessions (41.8 MiB while every
+        session's finish time and cell were kept to the end)."""
+        import gc
+        import tracemalloc
+
+        cfg = SessionTrafficConfig(sessions=1_000_000, inject_ms=200)
+        # A small run through the fault and the recovery first, so what
+        # they import on first use (networkx) is not counted.
+        run_session_traffic(boot_session_system(), SessionTrafficConfig(
+            sessions=40_000, inject_ms=50))
+        system = boot_session_system()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = run_session_traffic(system, cfg)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.faults == 1 and report.lost > 0
+        assert peak < 24 * 2 ** 20
 
 
 class TestHistogramRecordMany:
