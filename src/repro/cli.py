@@ -758,9 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["small", "medium", "large", "all"],
                          default="all")
     p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr28.json",
+                         default="BENCH_pr29.json",
                          help="output JSON path "
-                              "(default: BENCH_pr28.json)")
+                              "(default: BENCH_pr29.json)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")

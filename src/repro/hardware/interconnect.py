@@ -9,12 +9,14 @@ The FLASH memory fault model "guarantees that the network remains fully
 connected with high probability (i.e. the operating system need not work
 around network partitions)" — node failures here remove the node's
 endpoints but never partition the mesh, and :meth:`Interconnect.is_connected`
-lets tests assert that invariant.
+checks that invariant for the recovery master's hardware diagnostics
+(:meth:`~repro.hardware.machine.Machine.run_diagnostics`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import List, Tuple
 
 from repro.hardware.params import HardwareParams
@@ -77,22 +79,20 @@ class Interconnect:
         non-empty; modelled here with an explicit reachability check over
         the full mesh so the invariant is verifiable rather than assumed.
         """
-        import networkx as nx
-
-        g = nx.Graph()
-        for node in range(self.params.num_nodes):
-            g.add_node(node)
-        for node in range(self.params.num_nodes):
-            x, y = self.coords(node)
-            for nx_, ny_ in ((x + 1, y), (x, y + 1)):
-                if nx_ < self.width:
-                    other = ny_ * self.width + nx_
-                    if other < self.params.num_nodes:
-                        g.add_edge(node, other)
         live = self.live_nodes()
         if len(live) <= 1:
             return True
-        # Routers of failed nodes still forward traffic.
-        return all(
-            nx.has_path(g, live[0], other) for other in live[1:]
-        )
+        # Breadth-first from one live node; routers of failed nodes
+        # still forward traffic, so the search walks every node.
+        num_nodes = self.params.num_nodes
+        reached = {live[0]}
+        frontier = deque(reached)
+        while frontier:
+            x, y = self.coords(frontier.popleft())
+            for nx_, ny_ in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+                other = ny_ * self.width + nx_
+                if (0 <= nx_ < self.width and 0 <= other < num_nodes
+                        and other not in reached):
+                    reached.add(other)
+                    frontier.append(other)
+        return all(node in reached for node in live)

@@ -42,9 +42,15 @@ and all of them share the round's reboot edge.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sim.stats import Histogram
+
+#: the span and event names the derivation reads; a live recorder's
+#: other records never become dicts
+LEDGER_RECORDS = frozenset({"recovery.round", "recovery.master",
+                            "fault.inject", "panic", "recovery.done"})
 
 #: recovery-latency bucket ladder (ns): recovery rounds sit in the
 #: hundreds-of-microseconds to hundreds-of-milliseconds regime
@@ -319,13 +325,31 @@ def availability_report(recorder, system=None,
                         horizon_ns: Optional[int] = None,
                         ) -> Dict[str, Any]:
     """Availability ledger for a live recorder (and optionally the booted
-    system, which pins the cell population and the horizon)."""
-    records = [s.to_dict() for s in recorder.spans]
-    records += [e.to_dict() for e in recorder.events]
-    cell_ids = None
+    system, which pins the cell population and the horizon).
+
+    Only the records :func:`availability_from_dicts` reads become
+    dicts.  Without ``system`` the population and horizon still come
+    from every record, read off the objects as the derivation would
+    infer them from the dicts.
+    """
+    spans, events = recorder.spans, recorder.events
     if system is not None:
         cell_ids = [cell.kernel_id for cell in system.cells]
         if horizon_ns is None:
             horizon_ns = system.sim.now
+    else:
+        observed = {r.cell for r in chain(spans, events)
+                    if r.cell is not None and r.cell >= 0}
+        for span in spans:
+            if span.name == "recovery.round":
+                observed.update(span.attrs.get("dead", []))
+        cell_ids = sorted(observed)
+        if horizon_ns is None:
+            horizon_ns = max(chain(
+                (0,), (s.start_ns for s in spans),
+                (s.end_ns or 0 for s in spans),
+                (e.time_ns for e in events)))
+    records = [r.to_dict() for r in chain(spans, events)
+               if r.name in LEDGER_RECORDS]
     return availability_from_dicts(records, cell_ids=cell_ids,
                                    horizon_ns=horizon_ns)

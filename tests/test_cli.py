@@ -52,7 +52,7 @@ class TestParser:
 
     def test_bench_out_defaults_to_this_prs_file(self):
         args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_pr28.json"
+        assert args.out == "BENCH_pr29.json"
         assert not args.progress
         assert not args.compare_parked
         assert not args.snapshot

@@ -1,5 +1,7 @@
 """Unit tests for SIPS messaging, the disk model, and the interconnect."""
 
+import math
+
 import pytest
 
 from repro.hardware.disk import Disk, DiskRequest
@@ -10,6 +12,29 @@ from repro.hardware.params import HardwareParams
 from repro.hardware.sips import REPLY, REQUEST, SipsFabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+
+def _mesh_connected_reference(num_nodes, failed):
+    """Union-find over the row-major mesh of ``ceil(sqrt(n))`` columns:
+    every link joins its two routers, failed or not (FLASH routers keep
+    forwarding), and the live nodes must share one root."""
+    width = max(1, math.ceil(math.sqrt(num_nodes)))
+    parent = list(range(num_nodes))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for node in range(num_nodes):
+        right, below = node + 1, node + width
+        if right % width and right < num_nodes:
+            parent[root(right)] = root(node)
+        if below < num_nodes:
+            parent[root(below)] = root(node)
+    live = [n for n in range(num_nodes) if n not in failed]
+    return len({root(n) for n in live}) <= 1
 
 
 @pytest.fixture
@@ -101,6 +126,26 @@ class TestInterconnect:
         assert ic.is_connected()
         ic.fail_node(2)
         assert ic.is_connected()
+
+    def test_connectivity_matches_union_find_reference(self):
+        """1-20 nodes (partial last rows included): every failed-node
+        subset up to 6 nodes, then every single, adjacent pair and
+        alternate-node failure pattern."""
+        for n in range(1, 21):
+            if n <= 6:
+                patterns = [{i for i in range(n) if mask >> i & 1}
+                            for mask in range(2 ** n)]
+            else:
+                patterns = ([set()] + [{i} for i in range(n)]
+                            + [{i, i + 1} for i in range(n - 1)]
+                            + [set(range(k, n, 2)) for k in (0, 1)]
+                            + [set(range(1, n))])
+            for failed in patterns:
+                ic = Interconnect(HardwareParams(num_nodes=n))
+                for node in failed:
+                    ic.fail_node(node)
+                assert ic.is_connected() == _mesh_connected_reference(
+                    n, failed), (n, sorted(failed))
 
     def test_live_nodes(self):
         ic = Interconnect(HardwareParams(num_nodes=4))

@@ -15,6 +15,7 @@ from repro.bench.report import (
 )
 from repro.obs import (
     availability_from_dicts,
+    availability_report,
     merge_availability,
     merge_tier_snapshots,
     render_fault_timeline,
@@ -490,3 +491,111 @@ class TestCampaignReport:
             {"failures": [{"scenario": "hw_random", "seed": 7}]}, [])
         assert any("availability" in p for p in problems)
         assert any("seed 7" in p for p in problems)
+
+
+def _reference_availability_report(recorder, system=None, horizon_ns=None):
+    """The ledger as it was built before it read only its own records:
+    every span and event turned into a dict, all of them handed to the
+    derivation.  Kept as the reference the live path must match."""
+    records = [s.to_dict() for s in recorder.spans]
+    records += [e.to_dict() for e in recorder.events]
+    cell_ids = None
+    if system is not None:
+        cell_ids = [cell.kernel_id for cell in system.cells]
+        if horizon_ns is None:
+            horizon_ns = system.sim.now
+    return availability_from_dicts(records, cell_ids=cell_ids,
+                                   horizon_ns=horizon_ns)
+
+
+def _dump(report):
+    return json.dumps(report, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def hw_random_trial():
+    """A finished ``hw_random`` trial at seed 1995, observed the way a
+    campaign observes it: (system, recorder)."""
+    from repro.bench.faultexp import FaultExperimentRunner, \
+        boot_faultexp_system
+    from repro.obs import attach_flight_recorder, attach_provenance
+
+    system = boot_faultexp_system(seed=1995)
+    recorder = attach_flight_recorder(system)
+    attach_provenance(system)
+    trial = FaultExperimentRunner().run_trial_on(system, "hw_random", 1995)
+    assert trial.contained
+    return system, recorder
+
+
+class TestLedgerFromRecorder:
+    """``availability_report`` converts only the records the derivation
+    reads, yet reports exactly what the all-records ledger reported."""
+
+    def test_trial_with_system_matches_reference(self, hw_random_trial):
+        system, recorder = hw_random_trial
+        got = availability_report(recorder, system)
+        assert got["rounds_recovered"] == 1
+        assert _dump(got) == _dump(
+            _reference_availability_report(recorder, system))
+
+    def test_trial_without_system_matches_reference(self, hw_random_trial):
+        _system, recorder = hw_random_trial
+        got = availability_report(recorder)
+        assert _dump(got) == _dump(_reference_availability_report(recorder))
+        assert _dump(availability_report(recorder, horizon_ns=5 * MS)) == \
+            _dump(_reference_availability_report(recorder,
+                                                 horizon_ns=5 * MS))
+
+    def test_population_and_horizon_from_every_record(self):
+        # Without a system, a cell seen only in a record the derivation
+        # does not read, and a horizon set only by such a record, still
+        # count; so does a dead cell named only by its round (6).
+        hint = TelemetryEvent(2 * MS, "detect.hint", "detect", 3, {})
+        rpc = Span(7, 0, "rpc.call", "rpc", 0, 1 * MS, {})
+        rpc.end_ns = 900 * MS
+        rnd = Span(8, 0, "recovery.round", "recovery", None, 5 * MS,
+                   {"round": 1, "outcome": "recovered", "dead": [5, 6]})
+        rnd.end_ns = 50 * MS
+        master = Span(9, 8, "recovery.master", "recovery", 0, 20 * MS,
+                      {"round": 1, "rebooted": True})
+        master.end_ns = 50 * MS
+        panic = TelemetryEvent(4 * MS, "panic", "proc", 5, {})
+        rec = _FakeRecorder([rpc, rnd, master], [hint, panic])
+
+        got = availability_report(rec)
+        assert sorted(got["cells"]) == ["0", "3", "5", "6"]
+        assert got["horizon_ns"] == 900 * MS
+        assert got["cells"]["5"]["dead_ns"] == 46 * MS
+        assert _dump(got) == _dump(_reference_availability_report(rec))
+
+    def test_session_report_matches_reference(self):
+        from repro.obs import attach_flight_recorder
+        from repro.workloads.sessions import (SessionTrafficConfig,
+                                              boot_session_system,
+                                              run_session_traffic)
+
+        system = boot_session_system()
+        recorder = attach_flight_recorder(system)
+        report = run_session_traffic(
+            system, SessionTrafficConfig(sessions=40_000, inject_ms=50),
+            recorder=recorder)
+        assert report.faults == 1
+        assert _dump(report.availability) == _dump(
+            _reference_availability_report(recorder, system))
+
+    def test_trial_ledger_allocates_little(self, hw_random_trial):
+        """Under 1 MiB of traced allocations for one trial's ledger
+        (13.4 MiB while every span and event became a dict)."""
+        import gc
+        import tracemalloc
+
+        system, recorder = hw_random_trial
+        gc.collect()
+        tracemalloc.start()
+        try:
+            availability_report(recorder, system)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20

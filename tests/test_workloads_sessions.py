@@ -254,10 +254,6 @@ class TestHostMemory:
         import tracemalloc
 
         cfg = SessionTrafficConfig(sessions=1_000_000, inject_ms=200)
-        # A small run through the fault and the recovery first, so what
-        # they import on first use (networkx) is not counted.
-        run_session_traffic(boot_session_system(), SessionTrafficConfig(
-            sessions=40_000, inject_ms=50))
         system = boot_session_system()
         gc.collect()
         tracemalloc.start()
