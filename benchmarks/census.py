@@ -51,9 +51,9 @@ bench --config small --repeats 2 --rpc --out {t}/BENCH_pr1.json
 bench --config small --repeats 1 --compare-parked --out {t}/BENCH_pr2.json
 bench --config small --repeats 2 --parallel 2 --progress --out {t}/b3.json
 bench --config small --repeats 1 --snapshot --compare-snapshot --rpc \
---sessions 50000 --out {t}/BENCH_pr3.json|bench --out {t}/b5.json
+--out {t}/BENCH_pr3.json|bench --out {t}/b5.json
 report --save-campaign {t}/c.json --out {t}/report.md
-report --from-json {t}/c.json --check --bench-dir {t}|report --format json"""
+report --from-json {t}/c.json --check|report --format json"""
 
 
 def groups(tmp):

@@ -8,7 +8,7 @@ produce identical event/access/discard counts) and that the scenario
 really exercises the fault path (recovery detected, pages discarded),
 then reports the throughput numbers.
 
-Regenerate the committed ``BENCH_pr3.json`` with::
+The same rows, printed (``--out FILE`` also writes them as JSON)::
 
     PYTHONPATH=src python -m repro bench --config all
 """

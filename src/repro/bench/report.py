@@ -2,18 +2,14 @@
 the campaign observatory report (``repro report``).
 
 The campaign report renders the merged fault-injection campaign payload
-(availability ledger, hot-path tier counters, containment table) and the
-committed ``BENCH_pr*.json`` trajectory into markdown or JSON.  Every
-figure in it derives from deterministic simulation counters — wall-clock
-rates never appear — so a same-seed campaign renders byte-identically.
+(availability ledger, hot-path tier counters, containment table) into
+markdown or JSON.  Every figure in it derives from deterministic
+simulation counters — wall-clock rates never appear — so a same-seed
+campaign renders byte-identically.
 """
 
 from __future__ import annotations
 
-import glob
-import json
-import os
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
@@ -81,12 +77,6 @@ class ComparisonTable:
 # campaign observatory report
 # ---------------------------------------------------------------------------
 
-#: events/s drop (vs the previous committed bench file) that fails
-#: ``repro report --check``.
-REGRESSION_THRESHOLD = 0.30
-
-_BENCH_RE = re.compile(r"^BENCH_pr(\d+)\.json$")
-
 
 def _ms(ns: Number) -> str:
     return f"{ns / 1e6:.3f}"
@@ -94,132 +84,6 @@ def _ms(ns: Number) -> str:
 
 def _pct(value: Number) -> str:
     return f"{value * 100:.2f}%"
-
-
-def load_bench_trajectory(root: str = ".") -> List[Dict[str, Any]]:
-    """All committed ``BENCH_pr<N>.json`` files under ``root``, sorted by
-    PR number (oldest first).  Unreadable files are skipped."""
-    entries = []
-    for path in glob.glob(os.path.join(root, "BENCH_pr*.json")):
-        match = _BENCH_RE.match(os.path.basename(path))
-        if not match:
-            continue
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        entries.append({"pr": int(match.group(1)),
-                        "file": os.path.basename(path),
-                        "payload": payload})
-    entries.sort(key=lambda e: e["pr"])
-    return entries
-
-
-def trajectory_rows(trajectory: List[Dict[str, Any]],
-                    config: str = "large") -> List[Dict[str, Any]]:
-    """events/s per committed bench file for one config (None when the
-    file predates that config or has no throughput section)."""
-    rows = []
-    for entry in trajectory:
-        results = entry["payload"].get("results") or {}
-        row = results.get(config)
-        eps = row.get("events_per_sec") if isinstance(row, dict) else None
-        # Prefer the uncontended single-process rate when the campaign
-        # recorded one — pool contention makes shard rates pessimistic.
-        single = (entry["payload"].get("single_process") or {}).get(config)
-        if isinstance(single, dict):
-            eps = single.get("events_per_sec", eps)
-        cal = (entry["payload"].get("calibration") or {}).get("score")
-        if not (isinstance(cal, (int, float)) and cal > 0):
-            cal = None
-        rows.append({"pr": entry["pr"], "file": entry["file"],
-                     "events_per_sec": eps, "calibration": cal})
-    return rows
-
-
-def trajectory_gaps(trajectory: List[Dict[str, Any]]) -> List[int]:
-    """PR numbers missing from the committed bench trajectory.
-
-    A PR that lands without a ``BENCH_pr<N>.json`` (docs-only, or a
-    bench-neutral change) leaves a hole; the report annotates it so a
-    delta between non-adjacent files is never mistaken for a
-    single-PR change.
-    """
-    present = sorted({e["pr"] for e in trajectory})
-    if len(present) < 2:
-        return []
-    return [pr for pr in range(present[0] + 1, present[-1])
-            if pr not in present]
-
-
-def regression_delta(trajectory: List[Dict[str, Any]],
-                     config: str = "large") -> Optional[Dict[str, Any]]:
-    """Fractional events/s change between the two newest bench files
-    that report the config; None when fewer than two do.
-
-    Each file was written by whatever machine ran that PR, so a raw
-    events/s ratio conflates code speed with host speed.  When both
-    files carry the host-calibration anchor (``machine_calibration`` in
-    :mod:`repro.bench.throughput`), ``delta`` is computed on the
-    calibration-normalized rates (host term cancelled) and
-    ``calibrated`` is True; otherwise ``delta`` is the raw ratio and
-    ``calibrated`` is False — the gate then cannot distinguish a slower
-    host from slower code and should not hard-fail.  ``raw_delta`` is
-    always the unnormalized ratio.
-
-    ``adjacent`` is False when PRs are missing between the two files
-    compared (the delta then spans more than one PR of work).
-    """
-    rows = [r for r in trajectory_rows(trajectory, config)
-            if isinstance(r["events_per_sec"], (int, float))
-            and r["events_per_sec"] > 0]
-    if len(rows) < 2:
-        return None
-    prev, cur = rows[-2], rows[-1]
-    raw = ((cur["events_per_sec"] - prev["events_per_sec"])
-           / prev["events_per_sec"])
-    calibrated = (prev["calibration"] is not None
-                  and cur["calibration"] is not None)
-    if calibrated:
-        prev_norm = prev["events_per_sec"] / prev["calibration"]
-        cur_norm = cur["events_per_sec"] / cur["calibration"]
-        delta = (cur_norm - prev_norm) / prev_norm
-    else:
-        delta = raw
-    # The two newest usable files are adjacent in the usable list, so
-    # every PR number strictly between them has no usable bench data.
-    missing = list(range(prev["pr"] + 1, cur["pr"]))
-    return {"config": config, "baseline": prev, "current": cur,
-            "delta": delta, "raw_delta": raw, "calibrated": calibrated,
-            "adjacent": not missing, "missing_prs": missing}
-
-
-def trajectory_gate_warning(trajectory: List[Dict[str, Any]],
-                            config: str = "large") -> Optional[str]:
-    """Why the regression gate cannot run, or None when it can.
-
-    ``repro report --check`` degrades gracefully in two situations:
-    a fresh checkout (zero or one committed ``BENCH_pr*.json``), and a
-    comparison where either file predates the host-calibration anchor
-    (raw events/s across different machines are not comparable).  The
-    gate is skipped with this warning rather than failing or crashing.
-    """
-    reg = regression_delta(trajectory, config)
-    if reg is not None:
-        if reg["calibrated"]:
-            return None
-        uncal = [r["file"] for r in (reg["baseline"], reg["current"])
-                 if r["calibration"] is None]
-        return (f"regression gate skipped: no host-calibration anchor "
-                f"in {', '.join(uncal)} — raw events/s across "
-                f"different machines are not comparable (raw delta "
-                f"{reg['raw_delta'] * 100:+.1f}%)")
-    usable = len([r for r in trajectory_rows(trajectory, config)
-                  if isinstance(r["events_per_sec"], (int, float))
-                  and r["events_per_sec"] > 0])
-    return (f"regression gate skipped: {usable} usable BENCH_pr*.json "
-            f"file(s) report {config!r} events/s (need 2)")
 
 
 def _availability_lines(avail: Dict[str, Any]) -> List[str]:
@@ -322,123 +186,7 @@ def _audit_lines(audit: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def _trajectory_lines(trajectory: List[Dict[str, Any]],
-                      config: str = "large") -> List[str]:
-    lines = [f"## Throughput trajectory ({config} config)", ""]
-    rows = trajectory_rows(trajectory, config)
-    if not rows:
-        lines.append("No committed BENCH_pr*.json files found.")
-        return lines
-    lines.append("| bench file | events/s | delta |")
-    lines.append("|---|---:|---:|")
-    prev = None
-    for row in rows:
-        eps = row["events_per_sec"]
-        if not isinstance(eps, (int, float)):
-            lines.append(f"| {row['file']} | - | - |")
-            continue
-        delta = "-"
-        if prev:
-            delta = f"{(eps - prev) / prev * 100:+.1f}%"
-        lines.append(f"| {row['file']} | {eps:,.0f} | {delta} |")
-        prev = eps
-    gaps = trajectory_gaps(trajectory)
-    if gaps:
-        lines.append("")
-        lines.append(
-            "Trajectory gaps: no bench file for PR(s) "
-            f"{', '.join(str(pr) for pr in gaps)} — deltas spanning a "
-            "gap cover more than one PR of work.")
-    reg = regression_delta(trajectory, config)
-    if reg is not None:
-        lines.append("")
-        span = ("" if reg["adjacent"] else
-                f", spanning missing PR(s) "
-                f"{', '.join(str(pr) for pr in reg['missing_prs'])}")
-        if reg["calibrated"]:
-            verdict = ("REGRESSION"
-                       if reg["delta"] < -REGRESSION_THRESHOLD else "ok")
-            lines.append(
-                f"Latest vs previous: {reg['delta'] * 100:+.1f}% "
-                f"host-normalized (raw {reg['raw_delta'] * 100:+.1f}%) "
-                f"({reg['baseline']['file']} -> {reg['current']['file']}"
-                f"{span}): {verdict} "
-                f"(threshold -{REGRESSION_THRESHOLD * 100:.0f}%).")
-        else:
-            lines.append(
-                f"Latest vs previous: raw {reg['raw_delta'] * 100:+.1f}% "
-                f"({reg['baseline']['file']} -> {reg['current']['file']}"
-                f"{span}): UNVERIFIABLE — not both files carry the "
-                f"host-calibration anchor, so host speed cannot be "
-                f"cancelled; the regression gate is skipped.")
-    return lines
-
-
-def _snapshot_lines(payload: Dict[str, Any]) -> List[str]:
-    """Boot-amortization section from a bench payload's snapshot
-    equivalence run (``repro bench --compare-snapshot``)."""
-    lines = ["## Snapshot-fork amortization", ""]
-    compare = payload.get("snapshot_compare") or {}
-    results = compare.get("results") or {}
-    if results:
-        match = "MATCH" if compare.get("counters_match") else "MISMATCH"
-        lines.append(f"Forked vs fresh-boot counters: **{match}**.")
-        lines.append("")
-        lines.append("| config | boot (s) | fork (ms) | amortization | "
-                     "mode |")
-        lines.append("|---|---:|---:|---:|---|")
-        for name in sorted(results):
-            row = results[name]
-            lines.append(
-                f"| {name} | {row['boot_wall_s']:.3f} "
-                f"| {row['fork_wall_s'] * 1000:.1f} "
-                f"| {row['amortization_x']}x | {row['mode']} |")
-    campaign = payload.get("snapshot_campaign") or {}
-    if campaign:
-        lines.append("")
-        lines.append(
-            f"Campaign per-trial setup ({campaign.get('mode', '?')}): "
-            f"{campaign.get('setup_wall_s_mean', 0) * 1000:.1f} ms vs "
-            f"boot {campaign.get('boot_wall_s_mean', 0) * 1000:.1f} ms "
-            f"— {campaign.get('amortization_x', 0)}x over "
-            f"{campaign.get('trials', 0)} trial(s).")
-    return lines
-
-
-def _sessions_lines(sessions: Dict[str, Any]) -> List[str]:
-    """Session-traffic section from a bench payload's ``sessions`` row
-    (``repro bench --sessions`` / ``repro sessions --out``)."""
-    lines = ["## Session traffic (open loop)", ""]
-    lines.append(
-        f"- {sessions.get('sessions', 0):,} sessions generated at "
-        f"{sessions.get('sessions_per_sec', 0):,.0f} sessions/s wall "
-        f"({sessions.get('cells', '?')} cells x "
-        f"{sessions.get('servers_per_cell', '?')} servers, seed "
-        f"{sessions.get('seed', '?')})")
-    lines.append(
-        f"- latency p50 {sessions.get('latency_p50_ms', 0):.3f} ms / "
-        f"p99 {sessions.get('latency_p99_ms', 0):.3f} ms / mean "
-        f"{sessions.get('latency_mean_ms', 0):.3f} ms")
-    lines.append(
-        f"- {sessions.get('completed', 0):,} completed, "
-        f"{sessions.get('lost', 0):,} lost over "
-        f"{sessions.get('faults', 0)} fault(s) -> "
-        f"{sessions.get('sessions_lost_per_fault', 0)} lost/fault")
-    by_type = sessions.get("by_type") or {}
-    if by_type:
-        parts = [f"{name} {by_type[name]:,}" for name in sorted(by_type)]
-        lines.append(f"- mix: {', '.join(parts)}")
-    if sessions.get("probes_launched"):
-        lines.append(
-            f"- kernel probe sessions: "
-            f"{sessions.get('probes_completed', 0)}/"
-            f"{sessions.get('probes_launched', 0)} completed")
-    return lines
-
-
-def render_campaign_report(payload: Dict[str, Any],
-                           trajectory: Optional[List[Dict[str, Any]]]
-                           = None) -> str:
+def render_campaign_report(payload: Dict[str, Any]) -> str:
     """The campaign observatory report as markdown.
 
     Only deterministic counters appear, so same-seed campaigns render
@@ -461,18 +209,6 @@ def render_campaign_report(payload: Dict[str, Any],
     if tiers:
         lines += _tiers_lines(tiers)
         lines.append("")
-    if trajectory is not None:
-        lines += _trajectory_lines(trajectory)
-        lines.append("")
-        if trajectory:
-            newest = trajectory[-1]["payload"]
-            if (newest.get("snapshot_compare")
-                    or newest.get("snapshot_campaign")):
-                lines += _snapshot_lines(newest)
-                lines.append("")
-            if newest.get("sessions"):
-                lines += _sessions_lines(newest["sessions"])
-                lines.append("")
     failures = payload.get("failures")
     if failures:
         lines.append(f"**{len(failures)} trial(s) FAILED** — see the "
@@ -481,9 +217,7 @@ def render_campaign_report(payload: Dict[str, Any],
     return "\n".join(lines).rstrip() + "\n"
 
 
-def campaign_report_json(payload: Dict[str, Any],
-                         trajectory: Optional[List[Dict[str, Any]]]
-                         = None) -> Dict[str, Any]:
+def campaign_report_json(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The same report as a JSON-safe dict (serialize with
     ``sort_keys=True`` for byte-stable output)."""
     out: Dict[str, Any] = {}
@@ -491,25 +225,13 @@ def campaign_report_json(payload: Dict[str, Any],
                 "replay", "failures"):
         if payload.get(key):
             out[key] = payload[key]
-    if trajectory is not None:
-        out["trajectory"] = trajectory_rows(trajectory)
-        out["trajectory_gaps"] = trajectory_gaps(trajectory)
-        reg = regression_delta(trajectory)
-        if reg is not None:
-            out["regression"] = reg
     return out
 
 
-def check_campaign_report(payload: Dict[str, Any],
-                          trajectory: Optional[List[Dict[str, Any]]]
-                          = None,
-                          threshold: float = REGRESSION_THRESHOLD,
-                          ) -> List[str]:
+def check_campaign_report(payload: Dict[str, Any]) -> List[str]:
     """Problems that should fail ``repro report --check`` (empty list
     means healthy): missing availability percentiles, uncontained or
-    failed trials, a >threshold events/s drop between the two newest
-    committed bench files, and equivalence or default-path violations
-    recorded in the newest one."""
+    failed trials, and tainted interactions healthy cells absorbed."""
     problems: List[str] = []
     avail = payload.get("availability")
     if not avail:
@@ -543,38 +265,4 @@ def check_campaign_report(payload: Dict[str, Any],
                 f"containment audit verdict "
                 f"{audit.get('verdict')!r}: {absorbed} tainted "
                 f"interaction(s) absorbed by healthy cells")
-    if trajectory:
-        reg = regression_delta(trajectory)
-        # An uncalibrated comparison (either file predates the host-
-        # calibration anchor) cannot tell a slower host from slower
-        # code, so it warns (trajectory_gate_warning) instead of
-        # failing here.
-        if (reg is not None and reg["calibrated"]
-                and reg["delta"] < -threshold):
-            problems.append(
-                f"events/s regression {reg['delta'] * 100:+.1f}% "
-                f"(host-normalized) from {reg['baseline']['file']} to "
-                f"{reg['current']['file']} "
-                f"(threshold -{threshold * 100:.0f}%)")
-        # Newest bench file's equivalence/sessions sections (older
-        # files without them are a no-op, not a failure).
-        newest = trajectory[-1]["payload"]
-        compare = newest.get("snapshot_compare")
-        if compare and not compare.get("counters_match"):
-            problems.append(
-                f"{trajectory[-1]['file']}: snapshot-forked counters "
-                f"diverge from fresh-boot counters")
-        compare = newest.get("parked_compare")
-        if compare and not compare.get("counters_match"):
-            problems.append(
-                f"{trajectory[-1]['file']}: parked-chain counters "
-                f"diverge from per-wakeup counters")
-        sessions = newest.get("sessions")
-        if sessions:
-            for key in ("latency_p50_ms", "latency_p99_ms",
-                        "sessions_per_sec"):
-                if not isinstance(sessions.get(key), (int, float)):
-                    problems.append(
-                        f"{trajectory[-1]['file']}: sessions section "
-                        f"missing {key}")
     return problems

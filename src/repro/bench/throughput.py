@@ -28,7 +28,6 @@ given seed; only the wall-clock figures vary run to run.
 from __future__ import annotations
 
 import gc
-import json
 import time
 from dataclasses import dataclass
 from math import gcd
@@ -414,50 +413,6 @@ def compare_parked(config: str, seed: int = 1995,
         "parks": parked["parking"]["parks"],
         "replayed_wakeups": parked["parking"]["replayed_wakeups"],
     }
-
-
-def _calibration_workload() -> int:
-    """Fixed pure-Python work resembling the simulator hot paths
-    (dict stores/loads plus integer arithmetic in a tight loop)."""
-    d = {i: i for i in range(1024)}
-    acc = 0
-    for i in range(200_000):
-        d[i & 1023] = i
-        acc += d[(i * 7) & 1023]
-    return acc
-
-
-def machine_calibration(repeats: int = 10) -> dict:
-    """Host-speed anchor stamped into every bench file.
-
-    Committed ``BENCH_pr<N>.json`` files come from whichever machine ran
-    that PR, so a raw events/s ratio between two files conflates code
-    speed with host speed.  The score is the best-of-``repeats`` rate of
-    a fixed pure-Python workload; dividing a file's events/s by its own
-    score cancels the host term, which is what lets ``repro report
-    --check`` gate on cross-PR regressions between different machines.
-    Best-of matches the bench's own best-of-N wall-clock convention:
-    both numerator and denominator are peak rates, so transient
-    scheduler steal drops out of the ratio.  Residual host noise on a
-    shared box is ~10%, well inside the 30% gate threshold.
-    """
-    best = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        _calibration_workload()
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
-    return {"score": round(200_000 / best, 1),
-            "workload": "dict-loop-200k",
-            "repeats": max(1, repeats)}
-
-
-def write_bench_file(path: str, payload: dict) -> None:
-    payload.setdefault("calibration", machine_calibration())
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def validate_payload(payload: dict) -> None:

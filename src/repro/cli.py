@@ -20,9 +20,9 @@ runs Table 7.4 fault-injection trials and reports containment; ``trace``
 runs a workload under the flight recorder and prints the span summary;
 ``metrics`` prints the per-cell per-subsystem metrics snapshot;
 ``report`` runs (or loads) a fault-injection campaign and renders the
-campaign observatory report — per-cell availability, recovery-latency
-percentiles, hot-path tier hit rates, and the committed
-``BENCH_pr*.json`` throughput trajectory with regression deltas.
+campaign observatory report — containment, per-cell availability,
+recovery-latency percentiles, the containment audit and hot-path tier
+hit rates.
 ``--telemetry-out DIR`` on run/inject/micro additionally writes the
 machine-readable artifacts (JSONL spans, Chrome trace, metrics snapshot,
 fault timeline, ``BENCH_pr2.json``).
@@ -240,9 +240,7 @@ def cmd_report(args) -> int:
     from repro.bench.report import (
         campaign_report_json,
         check_campaign_report,
-        load_bench_trajectory,
         render_campaign_report,
-        trajectory_gate_warning,
     )
 
     if args.from_json:
@@ -250,7 +248,6 @@ def cmd_report(args) -> int:
             payload = json.load(fh)
     else:
         payload = _campaign(args)
-    trajectory = load_bench_trajectory(args.bench_dir)
     if args.save_campaign:
         # "summaries" holds dataclass objects for the inject CLI; the
         # rest of the payload is JSON-safe and round-trips --from-json.
@@ -261,10 +258,10 @@ def cmd_report(args) -> int:
         print(f"campaign written    : {args.save_campaign}",
               file=sys.stderr)
     if args.format == "json":
-        text = json.dumps(campaign_report_json(payload, trajectory),
+        text = json.dumps(campaign_report_json(payload),
                           sort_keys=True, indent=2) + "\n"
     else:
-        text = render_campaign_report(payload, trajectory)
+        text = render_campaign_report(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -272,12 +269,7 @@ def cmd_report(args) -> int:
     else:
         sys.stdout.write(text)
     if args.check:
-        # Fewer than two committed bench files (fresh checkout, first
-        # PR) degrades to a warning — the other checks still gate.
-        skip = trajectory_gate_warning(trajectory)
-        if skip is not None:
-            print(f"WARNING: {skip}", file=sys.stderr)
-        problems = check_campaign_report(payload, trajectory)
+        problems = check_campaign_report(payload)
         for problem in problems:
             print(f"CHECK FAILED: {problem}", file=sys.stderr)
         if problems:
@@ -417,20 +409,24 @@ def cmd_inject(args) -> int:
 def cmd_sessions(args) -> int:
     from repro.workloads.sessions import SessionTrafficConfig, run_sessions
 
-    cfg = SessionTrafficConfig(
-        sessions=args.sessions, seed=args.seed,
-        interarrival=args.interarrival, service=args.service,
-        mean_interarrival_ns=args.mean_interarrival_ns,
-        mean_service_ns=args.mean_service_ns,
-        probe_every=args.probe_every, inject_ms=args.inject_ms,
-        victim_cell=args.victim_cell,
-        failover=not args.no_failover)
-    mode = "snapshot fork" if args.snapshot else "fresh boot"
-    print(f"session traffic: {cfg.sessions:,} open-loop sessions on "
-          f"{args.cells} cells / {args.nodes} nodes ({mode}, seed "
-          f"{cfg.seed})")
-    row = run_sessions(cfg, cells=args.cells, nodes=args.nodes,
-                       snapshot=args.snapshot)
+    try:
+        cfg = SessionTrafficConfig(
+            sessions=args.sessions, seed=args.seed,
+            interarrival=args.interarrival, service=args.service,
+            mean_interarrival_ns=args.mean_interarrival_ns,
+            mean_service_ns=args.mean_service_ns,
+            probe_every=args.probe_every, inject_ms=args.inject_ms,
+            victim_cell=args.victim_cell,
+            failover=not args.no_failover)
+        mode = "snapshot fork" if args.snapshot else "fresh boot"
+        print(f"session traffic: {cfg.sessions:,} open-loop sessions on "
+              f"{args.cells} cells / {args.nodes} nodes ({mode}, seed "
+              f"{cfg.seed})")
+        row = run_sessions(cfg, cells=args.cells, nodes=args.nodes,
+                           snapshot=args.snapshot)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{row['sessions_per_sec']:>12,.1f} sessions/sec "
           f"({row['wall_s']:.2f} s wall, sim horizon "
           f"{row['sim_horizon_ms']:.0f} ms)")
@@ -477,7 +473,6 @@ def cmd_bench(args) -> int:
         CONFIGS,
         compare_parked,
         validate_payload,
-        write_bench_file,
     )
 
     names = list(CONFIGS) if args.config == "all" else [args.config]
@@ -585,45 +580,17 @@ def cmd_bench(args) -> int:
         }
         print(f"deterministic counters forked vs boot: "
               f"{'MATCH' if snapshot_match else 'MISMATCH'}")
-        # Campaign smoke: snapshot-forked trials must merge to the
-        # same payload a fresh-boot campaign produces, and the
-        # per-trial setup wall records the amortization.
-        from repro.bench.parallel import run_inject_campaign
-
-        print("snapshot campaign smoke (forked trials)...")
-        campaign = run_inject_campaign(["hw_process_creation"], trials=2,
-                                       workers=1, snapshot=True)
-        snap = campaign.get("snapshot", {})
-        payload["snapshot_campaign"] = snap
-        if snap:
-            print(f"campaign setup: {snap['mode']}, "
-                  f"{snap['setup_wall_s_mean'] * 1000:.1f} ms/trial vs "
-                  f"boot {snap['boot_wall_s_mean']:.3f} s "
-                  f"({snap['amortization_x']}x over {snap['trials']} "
-                  f"trials)")
-    if args.sessions:
-        from repro.workloads.sessions import (SessionTrafficConfig,
-                                              run_sessions)
-
-        print(f"session traffic: {args.sessions:,} open-loop sessions "
-              f"(seed {args.seed})...")
-        cfg = SessionTrafficConfig(sessions=args.sessions, seed=args.seed,
-                                   probe_every=max(1, args.sessions // 16),
-                                   inject_ms=400)
-        session_row = run_sessions(cfg, snapshot=args.snapshot)
-        payload["sessions"] = session_row
-        print(f"   {session_row['sessions_per_sec']:>12,.1f} sessions/sec "
-              f"({session_row['wall_s']:.2f} s wall), p50 "
-              f"{session_row['latency_p50_ms']:.3f} ms / p99 "
-              f"{session_row['latency_p99_ms']:.3f} ms")
-        print(f"   {session_row['lost']} sessions lost over "
-              f"{session_row['faults']} fault(s) "
-              f"({session_row['sessions_lost_per_fault']}/fault), "
-              f"{session_row['probes_completed']}/"
-              f"{session_row['probes_launched']} probes completed")
-    write_bench_file(args.out, payload)
-    print(f"bench written       : {args.out}")
+    if args.out:
+        write_bench_summary(args.out, payload)
+        print(f"bench written       : {args.out}")
     return 1 if (failed or not parked_match or not snapshot_match) else 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -700,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run Table 7.4 fault-injection trials")
     p_inject.add_argument("scenario",
                           choices=sorted(ALL_SCENARIOS) + ["all"])
-    p_inject.add_argument("--trials", type=int, default=1)
+    p_inject.add_argument("--trials", type=_positive_int, default=1)
     p_inject.add_argument("--agreement", choices=["voting", "oracle"],
                           default="oracle")
     p_inject.add_argument("--replay", action="store_true",
@@ -732,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "blocked/discarded/absorbed verdicts")
     p_audit.add_argument("scenario",
                          choices=sorted(ALL_SCENARIOS) + ["all"])
-    p_audit.add_argument("--trials", type=int, default=1)
+    p_audit.add_argument("--trials", type=_positive_int, default=1)
     p_audit.add_argument("--agreement", choices=["voting", "oracle"],
                          default="oracle")
     p_audit.add_argument("--parallel", type=int, default=2, metavar="N",
@@ -757,10 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config",
                          choices=["small", "medium", "large", "all"],
                          default="all")
-    p_bench.add_argument("--out", metavar="FILE",
-                         default="BENCH_pr29.json",
-                         help="output JSON path "
-                              "(default: BENCH_pr29.json)")
+    p_bench.add_argument("--out", metavar="FILE", default=None,
+                         help="also write the payload as JSON here "
+                              "(default: print only)")
     p_bench.add_argument("--repeats", type=int, default=3,
                          help="runs per config; the fastest is kept "
                               "(default: 3)")
@@ -781,14 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "every run boots fresh)")
     p_bench.add_argument("--compare-snapshot", action="store_true",
                          help="run each config forked and freshly "
-                              "booted, verify the deterministic "
-                              "counters match byte-for-byte, and smoke "
-                              "a snapshot-forked inject campaign")
-    p_bench.add_argument("--sessions", type=int, default=0, metavar="N",
-                         help="also run the open-loop session-traffic "
-                              "frontend with N sessions (plus one "
-                              "injected fault) and record sessions/s "
-                              "and latency percentiles")
+                              "booted and verify the deterministic "
+                              "counters match byte-for-byte")
     p_bench.add_argument("--progress", action="store_true",
                          help="print a heartbeat line (shard i/N, "
                               "sim-time, events/s) per completed "
@@ -838,11 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run (or load) a fault-injection campaign and "
                        "render the campaign observatory report: "
                        "availability, recovery-latency percentiles, "
-                       "tier hit rates, bench trajectory")
+                       "containment audit, tier hit rates")
     p_report.add_argument("--scenario",
                           choices=sorted(ALL_SCENARIOS) + ["all"],
                           default="all")
-    p_report.add_argument("--trials", type=int, default=1,
+    p_report.add_argument("--trials", type=_positive_int, default=1,
                           help="trials per scenario (default: 1)")
     p_report.add_argument("--agreement", choices=["voting", "oracle"],
                           default="oracle")
@@ -859,14 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
                           default="markdown")
     p_report.add_argument("--out", metavar="FILE", default=None,
                           help="write the report here instead of stdout")
-    p_report.add_argument("--bench-dir", metavar="DIR", default=".",
-                          help="directory holding the committed "
-                               "BENCH_pr*.json trajectory (default: .)")
     p_report.add_argument("--check", action="store_true",
                           help="exit 1 on missing latency percentiles, "
-                               "uncontained/failed trials, or a >30%% "
-                               "events/s regression between the two "
-                               "newest bench files")
+                               "uncontained/failed trials, or tainted "
+                               "interactions absorbed by healthy cells")
     p_report.add_argument("--progress", action="store_true",
                           help="print a heartbeat line per completed "
                                "campaign trial")

@@ -196,6 +196,12 @@ class SessionTrafficConfig:
     #: re-route arrivals from dead cells to survivors
     failover: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("sessions", "probe_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative: "
+                                 f"{getattr(self, name)}")
+
     def to_dict(self) -> dict:
         return {
             "sessions": self.sessions, "seed": self.seed,
@@ -431,6 +437,10 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     cell_ids = registry.all_cell_ids()
     ncells = len(cell_ids)
     nservers = cfg.servers_per_cell
+    if cfg.victim_cell is not None and cfg.victim_cell not in cell_ids:
+        raise ValueError(f"victim_cell {cfg.victim_cell} is not a cell of "
+                         f"this system (cells {cell_ids[0]}.."
+                         f"{cell_ids[-1]})")
 
     # Death ledger: (time_ns, cell) per fail-stop, straight from the
     # injector; cells that die without a hardware record (sw panics)

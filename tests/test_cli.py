@@ -50,17 +50,18 @@ class TestParser:
             ["metrics", "raytrace", "--format", "json"])
         assert args.format == "json"
 
-    def test_bench_out_defaults_to_this_prs_file(self):
+    def test_bench_writes_a_file_only_with_out(self):
         args = build_parser().parse_args(["bench"])
-        assert args.out == "BENCH_pr29.json"
+        assert args.out is None
         assert not args.progress
         assert not args.compare_parked
         assert not args.snapshot
         assert not args.compare_snapshot
-        assert args.sessions == 0
-        # trace-replay execution is gone, and the archive only it read
+        # trace-replay execution is gone, and the archive only it read;
+        # session traffic is `repro sessions`'
         for flag in (["--replay", "x.npz"], ["--record", "x.npz"],
-                     ["--compare-replay"], ["--sweep-faults", "2"]):
+                     ["--compare-replay"], ["--sweep-faults", "2"],
+                     ["--sessions", "50000"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["bench"] + flag)
 
@@ -76,14 +77,26 @@ class TestParser:
         args = build_parser().parse_args(["report"])
         assert args.scenario == "all"
         assert args.format == "markdown"
-        assert args.bench_dir == "."
         assert not args.check
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--bench-dir", "."])
         args = build_parser().parse_args(
             ["report", "--scenario", "hw_random", "--check",
              "--format", "json", "--parallel", "4"])
         assert args.scenario == "hw_random"
         assert args.check
         assert args.parallel == 4
+
+    @pytest.mark.parametrize("command", [
+        ["inject", "hw_random"], ["audit", "hw_random"], ["report"]])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_must_be_positive(self, capsys, command, trials):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--trials", trials])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --trials: must be at least 1: {trials}" in err
 
     def test_campaign_progress_flag(self):
         args = build_parser().parse_args(["inject", "all", "--progress"])
@@ -216,29 +229,57 @@ class TestCommands:
         assert out == json.dumps(snap, sort_keys=True, indent=2) + "\n"
 
     def test_report_command(self, tmp_path, capsys):
-        bench_dir = tmp_path / "bench"
-        bench_dir.mkdir()
-        for name, eps in (("BENCH_pr1.json", 100.0),
-                          ("BENCH_pr2.json", 120.0)):
-            (bench_dir / name).write_text(json.dumps(
-                {"results": {"large": {"events_per_sec": eps}}}))
         out_md = str(tmp_path / "report.md")
         campaign = str(tmp_path / "campaign.json")
         rc = main(["report", "--scenario", "hw_process_creation",
                    "--trials", "1", "--parallel", "1", "--seed", "5",
-                   "--bench-dir", str(bench_dir), "--check",
-                   "--out", out_md, "--save-campaign", campaign])
+                   "--check", "--out", out_md, "--save-campaign", campaign])
         assert rc == 0
         with open(out_md) as fh:
             text = fh.read()
         assert "## Availability" in text
         assert "| recovery round |" in text
-        assert "BENCH_pr2.json" in text
+        assert "Throughput trajectory" not in text
         # the saved payload round-trips through --from-json
-        rc = main(["report", "--from-json", campaign, "--format", "json",
-                   "--bench-dir", str(bench_dir)])
+        rc = main(["report", "--from-json", campaign, "--out",
+                   str(tmp_path / "again.md")])
+        assert rc == 0
+        with open(tmp_path / "again.md") as fh:
+            assert fh.read() == text
+        rc = main(["report", "--from-json", campaign, "--format", "json"])
         out = capsys.readouterr().out
         report = json.loads(out)
         assert report["availability"]["recovery_latency_ns"]["p99"] >= 0
-        assert report["regression"]["delta"] == pytest.approx(0.2)
+        assert sorted(report) == ["audit", "availability", "scenarios",
+                                  "tiers"]
         assert rc == 0
+
+    def test_bench_without_out_writes_no_file(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["bench", "--config", "small", "--repeats", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "42993 events, 337838 accesses" in out
+        assert "bench written" not in out
+        assert os.listdir(tmp_path) == []
+        rc = main(["bench", "--config", "small", "--repeats", "1",
+                   "--out", "b.json"])
+        assert rc == 0
+        with open(tmp_path / "b.json") as fh:
+            payload = json.load(fh)
+        assert payload["results"]["small"]["events"] == 42993
+        assert "calibration" not in payload
+        assert os.listdir(tmp_path) == ["b.json"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--victim-cell", "9", "--inject-ms", "10"],
+         "victim_cell 9 is not a cell of this system (cells 0..3)"),
+        (["--probe-every", "-1"], "probe_every must not be negative: -1"),
+        (["--sessions", "-5"], "sessions must not be negative: -5"),
+    ])
+    def test_sessions_rejects_bad_input(self, capsys, flags, message):
+        rc = main(["sessions", "--sessions", "1000"] + flags)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {message}\n"

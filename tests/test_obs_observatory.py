@@ -2,16 +2,13 @@
 accounting, hot-path tier profiling, and the campaign report."""
 
 import json
-import pathlib
 
 import pytest
 
 from repro.bench.report import (
+    campaign_report_json,
     check_campaign_report,
-    load_bench_trajectory,
-    regression_delta,
     render_campaign_report,
-    trajectory_gate_warning,
 )
 from repro.obs import (
     availability_from_dicts,
@@ -365,13 +362,6 @@ class TestCampaignReport:
             "tiers": {"coherence": None, "rpc": None, "engine": None},
         }
 
-    def _write_bench(self, tmp_path, name, eps, cal=100.0):
-        path = tmp_path / name
-        payload = {"results": {"large": {"events_per_sec": eps}}}
-        if cal is not None:
-            payload["calibration"] = {"score": cal}
-        path.write_text(json.dumps(payload))
-
     def test_markdown_is_deterministic_and_has_percentiles(self):
         payload = self._payload()
         text1 = render_campaign_report(payload)
@@ -381,102 +371,86 @@ class TestCampaignReport:
         assert "p99" in text1
         assert "| 1 | 601.000 |" in text1  # cell 1 up_ns in ms
 
-    def test_trajectory_and_regression(self, tmp_path):
-        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000)
-        self._write_bench(tmp_path, "BENCH_pr4.json", 60_000)
-        traj = load_bench_trajectory(str(tmp_path))
-        assert [t["pr"] for t in traj] == [3, 4]
-        reg = regression_delta(traj)
-        assert reg["calibrated"]
-        assert reg["delta"] == pytest.approx(-0.4)
-        assert reg["raw_delta"] == pytest.approx(-0.4)
-        problems = check_campaign_report(self._payload(), traj)
-        assert any("regression" in p for p in problems)
+    def test_report_ignores_bench_files_in_the_working_directory(
+            self, tmp_path, monkeypatch, capsys):
+        """``repro report`` renders the campaign alone: run from a
+        directory full of ``BENCH_pr*.json`` files it prints the same
+        bytes, markdown and JSON, as from an empty one."""
+        from repro.cli import main
 
-    def test_calibration_cancels_host_speed(self, tmp_path):
-        # Same code speed per host cycle: the newer file ran on a host
-        # 45% slower (calibration 55 vs 100) and its raw events/s
-        # dropped accordingly.  Normalized, there is no regression.
-        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000, cal=100.0)
-        self._write_bench(tmp_path, "BENCH_pr4.json", 60_000, cal=55.0)
-        traj = load_bench_trajectory(str(tmp_path))
-        reg = regression_delta(traj)
-        assert reg["calibrated"]
-        assert reg["raw_delta"] == pytest.approx(-0.4)
-        assert reg["delta"] == pytest.approx((60_000 / 55 - 1000) / 1000)
-        assert reg["delta"] > 0
-        assert check_campaign_report(self._payload(), traj) == []
-        assert trajectory_gate_warning(traj) is None
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps(self._payload()))
 
-    def test_uncalibrated_comparison_warns_instead_of_failing(
-            self, tmp_path):
-        # The older file predates the host-calibration anchor: a raw
-        # -40% could be a slower host, so the gate degrades to a
-        # warning naming the anchor-less file.
-        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000, cal=None)
-        self._write_bench(tmp_path, "BENCH_pr4.json", 60_000)
-        traj = load_bench_trajectory(str(tmp_path))
-        reg = regression_delta(traj)
-        assert not reg["calibrated"]
-        assert reg["delta"] == pytest.approx(-0.4)
-        problems = check_campaign_report(self._payload(), traj)
-        assert not any("regression" in p for p in problems)
-        warning = trajectory_gate_warning(traj)
-        assert "BENCH_pr3.json" in warning
-        assert "not comparable" in warning
-        assert "-40.0%" in warning
-        text = render_campaign_report(self._payload(), traj)
-        assert "UNVERIFIABLE" in text
+        def reports():
+            out = []
+            for fmt in ("markdown", "json"):
+                assert main(["report", "--from-json", str(campaign),
+                             "--format", fmt, "--check"]) == 0
+                out.append(capsys.readouterr().out)
+            return out
 
-    def test_check_passes_on_healthy_campaign(self, tmp_path):
-        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000)
-        self._write_bench(tmp_path, "BENCH_pr4.json", 110_000)
-        traj = load_bench_trajectory(str(tmp_path))
-        assert check_campaign_report(self._payload(), traj) == []
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        monkeypatch.chdir(bare)
+        without = reports()
+        ledger = tmp_path / "ledger"
+        ledger.mkdir()
+        for pr, eps in ((3, 100_000), (4, 10_000)):
+            (ledger / f"BENCH_pr{pr}.json").write_text(json.dumps(
+                {"results": {"large": {"events_per_sec": eps}},
+                 "calibration": {"score": 100.0},
+                 "parked_compare": {"counters_match": False}}))
+        monkeypatch.chdir(ledger)
+        assert reports() == without
+        text, report = without
+        assert text == render_campaign_report(self._payload())
+        assert json.loads(report) == campaign_report_json(
+            json.loads(campaign.read_text()))
+        assert "BENCH_pr" not in text
 
-    def test_check_flags_parked_counter_mismatch(self, tmp_path):
-        self._write_bench(tmp_path, "BENCH_pr3.json", 100_000)
-        self._write_bench(tmp_path, "BENCH_pr4.json", 110_000)
-        traj = load_bench_trajectory(str(tmp_path))
-        traj[-1]["payload"]["parked_compare"] = {"counters_match": False}
-        problems = check_campaign_report(self._payload(), traj)
-        assert any("BENCH_pr4.json: parked-chain counters" in p
-                   for p in problems)
-        traj[-1]["payload"]["parked_compare"] = {"counters_match": True}
-        assert check_campaign_report(self._payload(), traj) == []
+    def test_check_passes_on_healthy_campaign(self):
+        assert check_campaign_report(self._payload()) == []
 
-    def test_check_takes_rpc_tiers_without_a_slow_path_key(
-            self, tmp_path):
-        """PR 16's ``tiers.rpc.slow_path > 0`` rule went with the slow
-        twin: a row that cannot be produced needs no gate.  Rows written
-        from PR 18 on have no such key and the ledger up to
-        ``BENCH_pr16.json`` has it; ``--check`` and the renderer take
-        both."""
+    def test_check_flags_parked_counter_mismatch(self, monkeypatch,
+                                                 capsys):
+        """A parked-chain counter mismatch fails ``repro bench
+        --compare-parked`` itself (exit 1), the gate CI relies on."""
+        import repro.bench.throughput as throughput
+        from repro.cli import main
+
+        def mismatched(config, seed=1995, inject_ms=None):
+            return {"config": config, "inject_ms": inject_ms,
+                    "match": False,
+                    "mismatches": {"events": {"per_wakeup": 1,
+                                              "parked": 2}},
+                    "per_wakeup_events_per_sec": 1.0,
+                    "parked_events_per_sec": 1.0,
+                    "parks": 0, "replayed_wakeups": 0}
+
+        monkeypatch.setattr(throughput, "compare_parked", mismatched)
+        rc = main(["bench", "--config", "small", "--repeats", "1",
+                   "--compare-parked"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "COUNTER MISMATCH" in captured.err
+        assert "parked vs per-wakeup: MISMATCH" in captured.out
+
+    def test_check_takes_rpc_tiers_without_a_slow_path_key(self):
+        """The ``tiers.rpc.slow_path > 0`` rule went with the slow
+        twin: a row that cannot be produced needs no gate.  Campaigns
+        saved while the twin existed have the key, later ones do not;
+        ``--check`` and the renderer take both."""
         new_rpc = {"fast_path": 9, "calls_total": 9, "fast_rate": 1.0}
         old_rpc = dict(new_rpc, slow_path=0)
-        self._write_bench(tmp_path, "BENCH_pr16.json", 100_000)
-        self._write_bench(tmp_path, "BENCH_pr18.json", 110_000)
-        traj = load_bench_trajectory(str(tmp_path))
-        traj[0]["payload"]["results"]["large"]["tiers"] = {"rpc": old_rpc}
-        newest = traj[-1]["payload"]
-        newest["results"]["large"]["tiers"] = {"rpc": new_rpc}
-        newest["rpc"] = {"results": {"small": {"tiers": {"rpc": new_rpc}}}}
-        assert check_campaign_report(self._payload(), traj) == []
         for rpc in (new_rpc, old_rpc):
             payload = self._payload()
             # a payload saved with the engine section PR 21 dropped
             payload["tiers"] = {"coherence": None, "rpc": rpc,
                                 "engine": {"dispatches_total": 5}}
-            text = render_campaign_report(payload, traj)
+            assert check_campaign_report(payload) == []
+            text = render_campaign_report(payload)
             assert "- RPC dispatches: 9 (fast path 100.00%)" in text
             assert "engine dispatches" not in text
-        # The committed ledger, slow_path keys and all, still renders.
-        root = pathlib.Path(__file__).resolve().parents[1]
-        committed = load_bench_trajectory(str(root))
-        pr16 = next(e for e in committed if e["pr"] == 16)
-        assert "slow_path" in json.dumps(pr16["payload"])
-        assert "BENCH_pr16.json" in render_campaign_report(
-            self._payload(), committed)
 
     def test_rpc_bench_rows_carry_their_dispatch_tiers(self):
         from repro.bench.rpcbench import run_rpc_bench
@@ -488,7 +462,7 @@ class TestCampaignReport:
 
     def test_check_flags_missing_availability_and_failures(self):
         problems = check_campaign_report(
-            {"failures": [{"scenario": "hw_random", "seed": 7}]}, [])
+            {"failures": [{"scenario": "hw_random", "seed": 7}]})
         assert any("availability" in p for p in problems)
         assert any("seed 7" in p for p in problems)
 

@@ -161,6 +161,25 @@ class TestTrafficRuns:
         assert routed["lost_arrivals"] == 0
         assert routed["completed"] > dead["completed"]
 
+    @pytest.mark.parametrize("field", ["sessions", "probe_every"])
+    def test_config_rejects_a_negative_count(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must not be "
+                                             f"negative: -1$"):
+            SessionTrafficConfig(**{field: -1})
+
+    @pytest.mark.parametrize("victim", [4, 9, -1])
+    def test_unknown_victim_cell_is_rejected_before_the_run(self, victim):
+        system = boot_session_system()
+        now, events = system.sim.now, system.sim.events_processed
+        observers = list(system.injector.observers)
+        with pytest.raises(ValueError, match=f"victim_cell {victim} is "
+                                             f"not a cell of this system"):
+            run_session_traffic(system, SessionTrafficConfig(
+                sessions=1000, inject_ms=10, victim_cell=victim))
+        assert (system.sim.now, system.sim.events_processed) == (now,
+                                                                 events)
+        assert system.injector.observers == observers
+
     def test_snapshot_fork_matches_boot(self):
         from repro.sim.snapshot import fork_supported
         if not fork_supported():
