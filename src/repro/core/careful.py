@@ -52,8 +52,11 @@ class CarefulReader:
 
     # -- failure ------------------------------------------------------------
 
-    def _fail(self, remote_cell_id: int, check: str,
-              detail: str = "") -> CarefulReferenceFault:
+    def fail(self, remote_cell_id: int, check: str,
+             detail: str = "") -> CarefulReferenceFault:
+        """Record a failed check against ``remote_cell_id``; returns the
+        fault for the caller to raise.  Also used by the COW-tree search
+        for the checks its walk makes on remote nodes."""
         self.faults_detected += 1
         if remote_cell_id in self._active:
             self._active.remove(remote_cell_id)
@@ -99,7 +102,7 @@ class CarefulReader:
         except BusError as exc:
             if span is not None:
                 obs.end(span, outcome="bus_error")
-            raise self._fail(remote_cell_id, "bus_error", str(exc))
+            raise self.fail(remote_cell_id, "bus_error", str(exc))
         # The miss, then step 5: restore panic-on-bus-error behaviour.
         yield latency + self.costs.careful_off_ns
         self._close(remote_cell_id, span)
@@ -130,15 +133,15 @@ class CarefulReader:
             # Step 1, and the cost of step 2's alignment and range checks.
             yield lead_ns + costs.careful_on_ns + costs.careful_check_ns
             if addr % KOBJ_ALIGN != 0:
-                raise self._fail(remote_cell_id, "alignment",
-                                 f"addr={addr:#x}")
+                raise self.fail(remote_cell_id, "alignment",
+                                f"addr={addr:#x}")
             heap_range = self.cell.registry.heap_range_of(remote_cell_id)
             if heap_range is None:
-                raise self._fail(remote_cell_id, "range",
-                                 f"cell {remote_cell_id} unknown")
+                raise self.fail(remote_cell_id, "range",
+                                f"cell {remote_cell_id} unknown")
             lo, hi = heap_range
             if not lo <= addr < hi:
-                raise self._fail(
+                raise self.fail(
                     remote_cell_id, "range",
                     f"addr={addr:#x} outside cell {remote_cell_id} "
                     f"kernel range [{lo:#x},{hi:#x})")
@@ -147,7 +150,7 @@ class CarefulReader:
                 latency = self.cell.machine.coherence.read(
                     self.cell.cpu_ids[0], addr)
             except BusError as exc:
-                raise self._fail(remote_cell_id, "bus_error", str(exc))
+                raise self.fail(remote_cell_id, "bus_error", str(exc))
             yield latency
             resolved = self.cell.registry.resolve_kernel_address(
                 remote_cell_id, addr)
@@ -160,7 +163,7 @@ class CarefulReader:
                 mismatch = None
             if mismatch is not None:
                 yield costs.careful_check_ns
-                raise self._fail(remote_cell_id, "type_tag", mismatch)
+                raise self.fail(remote_cell_id, "type_tag", mismatch)
         except CarefulReferenceFault as exc:
             if span is not None:
                 obs.end(span, outcome="fault", check=exc.check)

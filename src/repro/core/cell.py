@@ -19,6 +19,7 @@ from repro.core.wildwrite import FirewallManager
 from repro.obs.recorder import OBS_RECOVERY
 from repro.sim.stats import MetricSet
 from repro.unix.address_space import ANON_REGION
+from repro.unix.cow import CowTreeCorrupt
 from repro.unix.kernel import GlobalNamespace, LocalKernel
 from repro.unix.process import SIGKILL
 
@@ -422,19 +423,11 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         return killed
 
     def _cow_ancestry_touches(self, proc, dead: Set[int]) -> bool:
-        leaf = self._resolve_local_cow(proc.cow_leaf_addr)
+        leaf = self.cow.resolve(proc.cow_leaf_addr)
         if leaf is None:
             return False
-        node = leaf
-        hops = 0
-        while node is not None and hops < 10_000:
-            if node.parent_addr == 0:
-                return False
-            if node.parent_cell != self.kernel_id:
-                return node.parent_cell in dead
-            resolved = self.heap.resolve(node.parent_addr)
-            if resolved is None or resolved[0] != "cownode":
-                return False
-            node = resolved[1]
-            hops += 1
-        return False
+        try:
+            *_, top = self.cow.local_ancestry(leaf)
+        except CowTreeCorrupt:
+            return False
+        return top.parent_addr != 0 and top.parent_cell in dead

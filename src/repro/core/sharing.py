@@ -31,7 +31,7 @@ from typing import Dict, Generator, List, Optional, Set, Tuple
 from repro.hardware.errors import BusError
 from repro.core.rpc import MUST_QUEUE, QUEUED, RpcHandlerError, RpcRemoteError
 from repro.unix.address_space import ANON_REGION, FILE_REGION, Pte, Region
-from repro.unix.cow import COW_NODE_TAG, CowNode
+from repro.unix.cow import COW_NODE_TAG, CowNode, CowTreeCorrupt
 from repro.unix.errors import (
     CarefulReferenceFault,
     FileError,
@@ -331,11 +331,10 @@ class SharingMixin:
         addr = args.get("addr")
         if not isinstance(addr, int):
             raise RpcHandlerError("EINVAL", "bad addr")
-        resolved = self.heap.resolve(addr)
+        node = self.cow.resolve(addr)
         yield self.costs.careful_check_ns
-        if resolved is None or resolved[0] != COW_NODE_TAG:
-            return None
-        self._release_cow_chain(resolved[1])
+        if node is not None:
+            self._release_cow_chain(node)
         return None
 
     def remote_cow_deref(self, cell: int, addr: int) -> None:
@@ -446,7 +445,7 @@ class SharingMixin:
         """COW fault; the search may cross cell boundaries."""
         self.publish_phase("cow_search")
         page_index = vpn - region.start_vpn
-        leaf = self._resolve_local_cow(region.cow_leaf_addr)
+        leaf = self.cow.resolve(region.cow_leaf_addr)
         if leaf is None:
             self.panic(
                 f"corrupt COW leaf pointer {region.cow_leaf_addr:#x} in "
@@ -550,37 +549,33 @@ class SharingMixin:
                 yield from self.user_gate(ctx.thread)
 
     def _cow_search_once(self, leaf: CowNode, page_index: int) -> Generator:
-        node: Optional[CowNode] = leaf
-        node_cell = self.kernel_id
-        hops = 0
-        while node is not None:
-            if page_index in node.pages:
-                return node, node_cell
-            if node.parent_addr == 0:
-                return None, -1
-            parent_cell = node.parent_cell
-            if parent_cell == self.kernel_id:
-                yield self.costs.cow_tree_hop_ns
-                resolved = self.heap.resolve(node.parent_addr)
-                if resolved is None or resolved[0] != COW_NODE_TAG:
-                    # Corruption in our own tree: internal kernel error.
-                    self.panic(
-                        f"corrupt COW parent pointer "
-                        f"{node.parent_addr:#x}")
-                    raise ProcessKilled(0, "cell panic")
-                node = resolved[1]
-                node_cell = self.kernel_id
-            else:
+        """One walk: runs of local hops, joined by careful reads.
+
+        A pointer the walk cannot follow is corruption in the suspect
+        cell :class:`CowTreeCorrupt` names.  In our own memory that is an
+        internal kernel error and panics the cell; in another cell's it
+        is a failed careful-reference check, a failure hint against it.
+        """
+        path: Dict[CowNode, None] = {}
+        node = leaf
+        try:
+            while True:
+                for node in self.cow.local_ancestry(node, path):
+                    if page_index in node.pages:
+                        return node, node.owner_cell
+                    if node.parent_addr == 0:
+                        return None, -1
+                    if node.parent_cell == self.kernel_id:
+                        yield self.costs.cow_tree_hop_ns
                 # The hop's walk cost is slept with the section's lead.
                 node = yield from self.careful.read_object(
-                    parent_cell, node.parent_addr, COW_NODE_TAG,
+                    node.parent_cell, node.parent_addr, COW_NODE_TAG,
                     copy_words=16, lead_ns=self.costs.cow_tree_hop_ns)
-                node_cell = parent_cell
-            hops += 1
-            if hops > 10_000:
-                raise CarefulReferenceFault(node_cell, "loop",
-                                            "COW ancestry too deep")
-        return None, -1
+        except CowTreeCorrupt as exc:
+            if exc.cell != self.kernel_id:
+                raise self.careful.fail(exc.cell, exc.check, str(exc))
+            self.panic(str(exc))
+            raise ProcessKilled(0, "cell panic")
 
     # ------------------------------------------------------------------
     # spanning-task shared anonymous pages

@@ -79,7 +79,7 @@ class SsiMixin:
         yield self.costs.remote_fork_extra_ns
         yield from self.recovery_gate()
         parent = ctx.process
-        old_leaf = self._resolve_local_cow(parent.cow_leaf_addr)
+        old_leaf = self.cow.resolve(parent.cow_leaf_addr)
         if old_leaf is None:
             self.panic(f"corrupt COW leaf in pid {parent.pid} at fork")
             raise ProcessKilled(parent.pid, "cell panic")
@@ -129,7 +129,7 @@ class SsiMixin:
         self.publish_phase("process_creation")
         child = self.create_process(name)
         # Rebind the child's anonymous ancestry across the cell boundary.
-        old_root = self._resolve_local_cow(child.cow_leaf_addr)
+        old_root = self.cow.resolve(child.cow_leaf_addr)
         if old_root is not None:
             self.cow.deref(old_root)
         leaf = self.cow.adopt_remote_child(cow_parent, src_cell)

@@ -18,16 +18,38 @@ synchronize access to them."
 
 The cell that owns a tree node is the *data home* for every anonymous
 page recorded in that node.
+
+Every walk up a tree goes through :meth:`CowManager.local_ancestry`,
+which owns the two rules a corrupt tree can break: a parent pointer must
+resolve to a COW node, and a walk never meets the same node twice.  The
+second rule keeps the path walked so far, so a cycle is found on the hop
+that closes it rather than after some fixed number of hops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.unix.kheap import KernelHeap, KObject
 
 #: allocator type tag for COW nodes (checked by careful reference)
 COW_NODE_TAG = "cownode"
+
+
+class CowTreeCorrupt(LookupError):
+    """A walk met a parent pointer it cannot follow.
+
+    ``check`` names the broken rule (``"type_tag"`` or ``"cycle"``) and
+    ``cell`` the suspect, whose memory holds the corruption: the owner
+    of the node whose pointer does not resolve, or for a cycle the first
+    cell on it other than the walker's.  The walker suspects itself only
+    when the whole cycle lies in its own memory.
+    """
+
+    def __init__(self, cell: int, check: str, message: str):
+        super().__init__(message)
+        self.cell = cell
+        self.check = check
 
 
 class CowNode(KObject):
@@ -89,6 +111,14 @@ class CowManager:
     def node(self, node_id: int) -> Optional[CowNode]:
         return self._nodes.get(node_id)
 
+    def resolve(self, addr: int) -> Optional[CowNode]:
+        """The COW node at kernel address ``addr`` in this kernel's heap;
+        None when the type tag there is not a COW node's."""
+        resolved = self.heap.resolve(addr)
+        if resolved is None or resolved[0] != COW_NODE_TAG:
+            return None
+        return resolved[1]
+
     # -- fork ----------------------------------------------------------------
 
     def split_leaf(self, leaf: CowNode) -> Tuple[CowNode, CowNode]:
@@ -128,27 +158,49 @@ class CowManager:
             raise ValueError("pages are recorded only at local leaves")
         leaf.pages.add(page_index)
 
-    # -- local ancestry walk -----------------------------------------------
-    #
-    # The single-kernel (IRIX) path; Hive's cross-cell walk lives in
-    # repro.core.sharing_logical and applies careful reference per hop.
+    # -- the ancestry walk ---------------------------------------------------
 
-    def local_ancestry(self, leaf: CowNode) -> Generator[CowNode, None, None]:
-        node: Optional[CowNode] = leaf
-        hops = 0
-        while node is not None:
+    def local_ancestry(self, node: CowNode,
+                       path: Optional[Dict[CowNode, None]] = None
+                       ) -> Iterator[CowNode]:
+        """Yield ``node``, then each ancestor this kernel's heap holds.
+
+        The walk ends at the root, or after the first node whose parent
+        lives in another cell.  Hive reads that parent carefully and
+        continues the walk from it, passing the same ``path`` (the nodes
+        visited so far, in order) so that a cycle through several cells
+        is found too.  A parent pointer that does not resolve to a COW
+        node, and a node met twice, raise :class:`CowTreeCorrupt`.  The
+        parent is resolved only when the caller asks for the next node.
+        """
+        if path is None:
+            path = {}
+        while True:
+            if node in path:
+                raise CowTreeCorrupt(
+                    self._cycle_suspect(path, node), "cycle",
+                    f"COW tree cycle at node {node.owner_cell}:"
+                    f"{node.node_id}")
+            path[node] = None
             yield node
-            if node.parent_addr == 0:
+            if node.parent_addr == 0 or node.parent_cell != self.cell_id:
                 return
-            resolved = self.heap.resolve(node.parent_addr)
-            if resolved is None or resolved[0] != COW_NODE_TAG:
-                raise LookupError(
-                    f"corrupt COW parent pointer {node.parent_addr:#x}"
-                )
-            node = resolved[1]
-            hops += 1
-            if hops > 10_000:
-                raise LookupError("COW tree loop detected")
+            parent = self.resolve(node.parent_addr)
+            if parent is None:
+                raise CowTreeCorrupt(
+                    node.owner_cell, "type_tag",
+                    f"corrupt COW parent pointer {node.parent_addr:#x}")
+            node = parent
+
+    def _cycle_suspect(self, path: Dict[CowNode, None],
+                       again: CowNode) -> int:
+        """The first cell other than ours on the cycle that starts at
+        ``again``; ours when the cycle never leaves our memory."""
+        walked = list(path)
+        for node in walked[walked.index(again):]:
+            if node.owner_cell != self.cell_id:
+                return node.owner_cell
+        return self.cell_id
 
     # -- teardown -------------------------------------------------------------
 
@@ -158,28 +210,25 @@ class CowManager:
         Returns the list of ``(anon_tag, page_index)`` logical ids whose
         data can be freed from the page cache.  Only local parents are
         walked; a remote parent's refcount is decremented by the Hive
-        layer via RPC.
+        layer via RPC.  A corrupt pointer ends the release where it is.
         """
         freed: List[tuple] = []
-        current: Optional[CowNode] = node
-        while current is not None and current.owner_cell == self.cell_id:
-            current.refs -= 1
-            if current.refs > 0:
-                return freed
-            tag = current.anon_tag()
-            freed.extend((tag, idx) for idx in sorted(current.pages))
-            self._nodes.pop(current.node_id, None)
-            if current.kaddr:
-                self.heap.free(current)
-            if current.parent_addr == 0:
-                return freed
-            if current.parent_cell != self.cell_id:
-                # Remote parent: caller must send a deref RPC.
-                freed.append(("remote-parent",
-                              current.parent_cell, current.parent_addr))
-                return freed
-            resolved = self.heap.resolve(current.parent_addr)
-            current = resolved[1] if resolved else None
+        try:
+            for current in self.local_ancestry(node):
+                current.refs -= 1
+                if current.refs > 0:
+                    return freed
+                tag = current.anon_tag()
+                freed.extend((tag, idx) for idx in sorted(current.pages))
+                self._nodes.pop(current.node_id, None)
+                if current.kaddr:
+                    self.heap.free(current)
+        except CowTreeCorrupt:
+            return freed
+        if current.parent_addr:
+            # Remote parent: caller must send a deref RPC.
+            freed.append(("remote-parent",
+                          current.parent_cell, current.parent_addr))
         return freed
 
     @property

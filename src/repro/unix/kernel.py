@@ -548,7 +548,7 @@ class LocalKernel:
                     self.heap.free(region)
             aspace.regions.clear()
             self.heap.free(aspace)
-        leaf = self._resolve_local_cow(proc.cow_leaf_addr)
+        leaf = self.cow.resolve(proc.cow_leaf_addr)
         if leaf is not None:
             self._release_cow_chain(leaf)
         elif proc.cow_leaf_addr:
@@ -612,7 +612,7 @@ class LocalKernel:
         """
         if not parent.cow_leaf_addr or parent.cow_leaf_cell != self.kernel_id:
             return
-        old_leaf = self._resolve_local_cow(parent.cow_leaf_addr)
+        old_leaf = self.cow.resolve(parent.cow_leaf_addr)
         if old_leaf is None:
             self.panic(
                 f"corrupt COW leaf pointer {parent.cow_leaf_addr:#x} in "
@@ -621,7 +621,7 @@ class LocalKernel:
         parent_leaf, child_leaf = self.cow.split_leaf(old_leaf)
         parent.cow_leaf_addr = parent_leaf.kaddr
         # The child's fresh root from create_process is unused; drop it.
-        stale = self._resolve_local_cow(child.cow_leaf_addr)
+        stale = self.cow.resolve(child.cow_leaf_addr)
         if stale is not None:
             self.cow.deref(stale)
         child.cow_leaf_addr = child_leaf.kaddr
@@ -1138,17 +1138,11 @@ class LocalKernel:
         self.pfdats.insert(pf, logical_id)
         return pf
 
-    def _resolve_local_cow(self, addr: int) -> Optional[CowNode]:
-        resolved = self.heap.resolve(addr)
-        if resolved is None or resolved[0] != "cownode":
-            return None
-        return resolved[1]
-
     def _fault_anon(self, ctx: ProcContext, region: Region, vpn: int,
                     write: bool) -> Generator:
         self.publish_phase("cow_search")
         page_index = vpn - region.start_vpn
-        leaf = self._resolve_local_cow(region.cow_leaf_addr)
+        leaf = self.cow.resolve(region.cow_leaf_addr)
         if leaf is None:
             self.panic(
                 f"corrupt COW leaf pointer {region.cow_leaf_addr:#x} in "

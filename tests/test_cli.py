@@ -137,13 +137,20 @@ class TestCommands:
         assert "contained 1/1" in out
         assert "containment audit: contained (" in out
 
-    def test_inject_not_contained_names_its_reason(self, capsys):
-        # seed 3 picks sw_cow_tree's self_pointer corruption, which no
-        # cell detects (an open containment defect); the line must say so
+    def test_inject_not_contained_names_its_reason(self, monkeypatch,
+                                                   capsys):
+        # An injector that never finds a node to corrupt: nothing is
+        # detected, and the line must say so and say why (the campaign's
+        # forked workers inherit the patch).
+        from repro.core.kfaults import KernelFaultInjector
+
+        monkeypatch.setattr(KernelFaultInjector, "corrupt_cow_tree",
+                            lambda self, *args, **kwargs: None)
         rc = main(["inject", "sw_cow_tree", "--trials", "1", "--seed", "3"])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "   NOT CONTAINED (seed 3): not detected\n" in out
+        assert ("   NOT CONTAINED (seed 3): not detected; "
+                "fault never injected\n") in out
 
     def test_sessions_no_failover_accounts_for_every_session(self, capsys):
         rc = main(["sessions", "--sessions", "30000", "--inject-ms", "60",

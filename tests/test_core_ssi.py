@@ -59,7 +59,7 @@ class TestRemoteFork:
 
         def child(ctx):
             yield from ctx.compute(100)
-            leaf = ctx.kernel._resolve_local_cow(
+            leaf = ctx.kernel.cow.resolve(
                 ctx.process.cow_leaf_addr)
             out["parent_cell"] = leaf.parent_cell
 

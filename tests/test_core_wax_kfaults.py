@@ -14,6 +14,7 @@ from repro.core.kfaults import (
 from repro.core.wax import Wax
 from repro.hardware.machine import MachineConfig
 from repro.sim.engine import Simulator
+from repro.unix.errors import CarefulReferenceFault
 
 from tests.helpers import run_program
 
@@ -138,6 +139,59 @@ class TestKernelFaultInjection:
         assert not hive.registry.is_live(2)
         for c in (0, 1, 3):
             assert hive.registry.is_live(c)
+
+    def test_cow_self_pointer_panics_the_victim(self):
+        """A node pointing at itself: the victim's own walk meets the
+        node twice and panics, at the first fault that walks it."""
+        hive = boot4()
+        cell = hive.cell(2)
+
+        def forker(ctx):
+            region = yield from ctx.map_anon(8)
+            yield from ctx.touch(region, 0, write=True)
+            pid = yield from ctx.spawn(child, "kid")
+            yield from ctx.waitpid(pid)
+            yield from ctx.touch(region, 2)  # misses the leaf
+
+        def child(ctx):
+            yield from ctx.compute(10_000_000)
+            region = ctx.process.aspace.regions[0]
+            yield from ctx.touch(region, 1)  # misses the leaf
+
+        cell.start_thread(cell.create_process("forker"), forker)
+        hive.sim.run(until=hive.sim.now + 5_000_000)
+        kfi = KernelFaultInjector(hive)
+        rec = kfi.corrupt_cow_tree(2, CORRUPT_SELF_POINTER, wild_writes=0)
+        assert rec is not None
+        hive.sim.run(until=hive.sim.now + 1_000_000_000)
+        assert "COW tree cycle" in cell.panic_reason
+        assert not hive.registry.is_live(2)
+        for c in (0, 1, 3):
+            assert hive.registry.is_live(c)
+
+    def test_cycle_in_another_cell_is_a_hint_not_a_panic(self):
+        """Cell 0 walks into a self pointer in cell 3's memory: the
+        walk fails a careful-reference check and hints against cell 3,
+        and cell 0 lives on."""
+        hive = boot4()
+        walker = hive.cell(0)
+        node = hive.cell(3).cow.new_root()
+        node.parent_addr = node.kaddr
+        leaf = walker.cow.adopt_remote_child(node.kaddr, 3)
+        hints, out = [], {}
+        walker.detector.observers.append(hints.append)
+
+        def walk():
+            try:
+                yield from walker._cow_search_once(leaf, 0)
+            except CarefulReferenceFault as exc:
+                out["fault"] = exc
+
+        hive.sim.process(walk())
+        hive.sim.run(until=hive.sim.now + 1_000_000)
+        assert (out["fault"].remote_cell, out["fault"].check) == (3, "cycle")
+        assert [h.suspect for h in hints] == [3]
+        assert walker.alive and walker.panic_reason is None
 
     def test_wild_writes_mostly_blocked_by_firewall(self):
         hive, _out = self._hive_with_anon_process()

@@ -11,8 +11,10 @@ from repro.bench.faultexp import (
     FaultExperimentRunner,
 )
 from repro.core.hive import boot_hive
+from repro.core.kfaults import ALL_MODES
 from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import MachineConfig
+from repro.obs import attach_provenance
 from repro.sim.engine import Simulator
 from repro.unix.fs import PAGE
 
@@ -54,17 +56,29 @@ class TestScenarioTrials:
         r = runner.run_trial(SW_ADDRESS_MAP, seed=4)
         assert r.contained, r.notes
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known breach: a self_pointer COW-tree corruption is never "
-        "detected and healthy cells absorb its taint (ROADMAP item 1)"))
     def test_cow_tree_self_pointer_contained(self):
         """Seed 3 picks the ``self_pointer`` mode (seed % 4 == 3), as
-        ``repro inject sw_cow_tree --seed 3`` does.  The fix for the
-        breach flips this test to a pass, and strict xfail then fails
-        it until the marker goes."""
+        ``repro inject sw_cow_tree --seed 3`` does.  The victim walks
+        its own tree into the cycle, and the cycle panics it."""
         r = FaultExperimentRunner().run_trial(SW_COW_TREE, seed=3)
         assert r.contained, r.reason
 
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("scenario", [SW_ADDRESS_MAP, SW_COW_TREE])
+    def test_every_corruption_mode_contained(self, scenario, mode):
+        """Seeds 0-15, as ``repro inject <scenario> --trials 16 --seed 0``
+        runs them: a trial's mode is ``ALL_MODES[seed % 4]``, so each
+        mode gets four seeds.  Contained, and the audit agrees."""
+        systems = []
+        runner = FaultExperimentRunner(
+            on_boot=lambda system: systems.append(attach_provenance(system)))
+        first = ALL_MODES.index(mode)
+        for seed in range(first, 16, len(ALL_MODES)):
+            r = runner.run_trial(scenario, seed)
+            audit = systems[-1].audit_report()
+            assert r.contained, (seed, r.reason)
+            assert audit["verdict"] == "contained", (seed, audit["summary"])
 
     @pytest.mark.parametrize("seed", [
         # no live victim process at the scheduled instant: until PR 18

@@ -7,10 +7,10 @@ from repro.hardware.disk import Disk
 from repro.hardware.params import HardwareParams
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.unix.cow import COW_NODE_TAG, CowManager
+from repro.unix.cow import COW_NODE_TAG, CowManager, CowNode, CowTreeCorrupt
 from repro.unix.errors import FileError
 from repro.unix.fs import PAGE, DiskFileSystem
-from repro.unix.kheap import KernelHeap
+from repro.unix.kheap import KernelHeap, KObject
 
 
 @pytest.fixture
@@ -189,6 +189,53 @@ class TestCowTrees:
         child.parent_addr = child.kaddr
         with pytest.raises(LookupError):
             list(cm.local_ancestry(child))
+
+    def test_cycle_found_on_the_hop_that_closes_it(self):
+        """A two-node cycle: the walk yields each node once, then names
+        its own cell, since the cycle never leaves its memory."""
+        _heap, cm = self.make()
+        root = cm.new_root()
+        _pl, child = cm.split_leaf(root)
+        root.parent_addr = child.kaddr
+        walked = []
+        with pytest.raises(CowTreeCorrupt) as info:
+            for node in cm.local_ancestry(child):
+                walked.append(node)
+        assert walked == [child, root]
+        assert (info.value.check, info.value.cell) == ("cycle", 0)
+
+    def test_cycle_through_another_cell_names_that_cell(self):
+        """Cell 0's walk goes leaf -> cell 1's node -> back to the leaf:
+        the suspect is cell 1, never the walker."""
+        _heap, cm = self.make()
+        leaf = cm.new_root()
+        remote = CowNode(7, owner_cell=1)
+        remote.parent_addr = leaf.kaddr
+        remote.parent_cell = 0
+        path = {}
+        assert list(cm.local_ancestry(leaf, path)) == [leaf]
+        with pytest.raises(CowTreeCorrupt) as info:
+            list(cm.local_ancestry(remote, path))
+        assert (info.value.check, info.value.cell) == ("cycle", 1)
+
+    def test_bad_pointer_names_the_cell_holding_it(self):
+        _heap, cm = self.make()
+        remote = CowNode(7, owner_cell=1)
+        remote.parent_addr = 0x100008  # claims a parent in cell 0's heap
+        remote.parent_cell = 0
+        with pytest.raises(CowTreeCorrupt) as info:
+            list(cm.local_ancestry(remote))
+        assert (info.value.check, info.value.cell) == ("type_tag", 1)
+
+    def test_deref_stops_at_a_pointer_to_another_type(self):
+        heap, cm = self.make()
+        root = cm.new_root()
+        cm.record_page(root, 3)
+        other = KObject()
+        heap.alloc(other, "region")
+        root.parent_addr = other.kaddr
+        assert cm.deref(root) == [(root.anon_tag(), 3)]
+        assert cm.live_nodes == 0
 
     def test_deref_frees_chain_and_reports_pages(self):
         heap, cm = self.make()
