@@ -45,13 +45,10 @@ inject hw_process_creation --trials 2 --snapshot --telemetry-out {t}/inj
 inject sw_address_map --seed 1953273122 --agreement voting
 audit hw_process_creation --trials 2 --seed 5 --progress --out {t}/audit.md
 audit sw_cow_tree --format json --out {t}/a.json --trace-out {t}/dag.json.gz
-sessions --sessions 50000|sessions --sessions 50000 --snapshot --no-failover \
+sessions --sessions 50000|sessions --sessions 50000 --no-failover \
 --inject-ms 200 --probe-every 4000 --service lognormal --out {t}/s.json
-bench --config small --repeats 2 --rpc --out {t}/BENCH_pr1.json
-bench --config small --repeats 1 --compare-parked --out {t}/BENCH_pr2.json
-bench --config small --repeats 2 --parallel 2 --progress --out {t}/b3.json
-bench --config small --repeats 1 --snapshot --compare-snapshot --rpc \
---out {t}/BENCH_pr3.json|bench --out {t}/b5.json
+bench --config small --rpc --compare-parked --out {t}/b1.json
+bench --out {t}/b2.json
 report --save-campaign {t}/c.json --out {t}/report.md
 report --from-json {t}/c.json --check|report --format json"""
 
@@ -97,7 +94,13 @@ def main():
         for column, commands in enumerate(groups(tmp)):
             for command in commands:
                 print("census:", " ".join(command), file=sys.stderr)
-                subprocess.run(command, env=env, stdout=subprocess.DEVNULL)
+                done = subprocess.run(command, env=env,
+                                      stdout=subprocess.DEVNULL)
+                # argparse exits 2 on a usage error: a flag that is gone
+                # would otherwise file its code under "unreached".
+                if column == 0 and done.returncode == 2:
+                    raise SystemExit("census: usage error in "
+                                     + " ".join(command))
             with open(log) as fh:
                 for line in fh:
                     reached.setdefault(line.strip(), column)

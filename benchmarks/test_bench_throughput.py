@@ -13,15 +13,7 @@ The same rows, printed (``--out FILE`` also writes them as JSON)::
     PYTHONPATH=src python -m repro bench --config all
 """
 
-import pytest
-
-from repro.bench.parallel import run_suite
-from repro.bench.throughput import (
-    BENCH_SCHEMA,
-    CONFIGS,
-    run_throughput,
-    validate_payload,
-)
+from repro.bench.throughput import CONFIGS, run_throughput
 
 
 def test_small_config_shape(once):
@@ -47,14 +39,3 @@ def test_simulated_side_is_deterministic():
                 "writable_page_samples", "samples", "recovery_detected")
     assert {k: a[k] for k in sim_keys} == {k: b[k] for k in sim_keys}
 
-
-def test_payload_schema_roundtrip():
-    payload = run_suite(["small"], seed=3)
-    assert payload["schema"] == BENCH_SCHEMA
-    validate_payload(payload)  # must not raise
-    with pytest.raises(ValueError):
-        validate_payload({"schema": BENCH_SCHEMA, "results": {}})
-    broken = {"schema": BENCH_SCHEMA,
-              "results": {"small": {"config": "small"}}}
-    with pytest.raises(ValueError):
-        validate_payload(broken)

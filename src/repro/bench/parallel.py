@@ -1,24 +1,22 @@
-"""Campaign runner for benchmarks and fault injection.
+"""Campaign runner for fault injection.
 
-The paper's evaluation sweeps many machine sizes and many fault
-scenarios (Tables 7.2-7.4); each cell of such a sweep is an isolated,
-seed-deterministic simulation, so the sweep parallelizes perfectly
-across processes.  :func:`run_suite` and :func:`run_inject_campaign`
-shard ``(config, seed, repeat)`` / ``(scenario, seed)`` cells over a
-``multiprocessing`` pool — or, at one worker, run them in this process
-in order — and merge the per-shard JSON payloads into one report.
-Every shard starts through :func:`repro.sim.snapshot.run_booted`.
+The paper's Table 7.4 sweeps many fault scenarios; each trial of such a
+sweep is an isolated, seed-deterministic simulation, so the sweep
+parallelizes perfectly across processes.  :func:`run_inject_campaign`
+shards ``(scenario, seed)`` trials over a ``multiprocessing`` pool — or,
+at one worker, runs them in this process in order — and merges the
+per-shard JSON payloads into one report.  Every shard starts through
+:func:`repro.sim.snapshot.run_booted`.
 
 Design rules:
 
 * every worker is a module-level function taking one picklable tuple,
   so the pool works under both ``fork`` and ``spawn`` start methods;
 * a worker never raises — it returns an ``{"status": "error"}`` shard
-  carrying the traceback, so one crashed cell doesn't kill the sweep
-  and the merged report can say exactly which cell failed;
-* the merger *verifies* determinism: repeats of the same cell must
-  agree on every simulated counter, and two shards claiming the same
-  cell are an error, not a silent overwrite.
+  carrying the traceback, so one crashed trial doesn't kill the sweep
+  and the merged report can say exactly which trial failed;
+* two shards claiming the same trial are an error, not a silent
+  overwrite.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.bench.faultexp import (
     ScenarioSummary,
     boot_faultexp_system,
 )
-from repro.bench.throughput import BENCH_SCHEMA, CONFIGS, run_throughput
 from repro.obs.availability import merge_availability
 from repro.obs.profile import merge_tier_snapshots
 from repro.obs.provenance import merge_audits
@@ -47,11 +44,6 @@ from repro.sim.snapshot import run_booted
 
 class CampaignError(RuntimeError):
     """A campaign produced shards that cannot be merged coherently."""
-
-
-#: simulated counters that must be identical across repeats of one cell
-DETERMINISTIC_KEYS = ("events", "accesses", "driver_accesses",
-                      "discarded_pages", "writable_page_samples", "samples")
 
 
 def _heartbeat(done: int, total: int, label: str, sim_ms: float,
@@ -126,151 +118,6 @@ def _warn_cpu_cap(workers: int, procs: int) -> bool:
             f"({os.cpu_count()} CPUs on this host)\n")
         sys.stderr.flush()
     return capped
-
-
-# -- throughput bench campaign ---------------------------------------------
-
-
-def _bench_shard_worker(shard: Tuple[str, int, int, bool]) -> dict:
-    """One (config, seed, repeat) cell; runs in a pool worker process."""
-    config, seed, repeat, snapshot = shard
-    try:
-        row = run_throughput(config, seed=seed, snapshot=snapshot)
-        return {"status": "ok", "config": config, "seed": seed,
-                "repeat": repeat, "row": row}
-    except Exception:
-        return {"status": "error", "config": config, "seed": seed,
-                "repeat": repeat, "error": traceback.format_exc()}
-
-
-def best_of(rows: Sequence[dict], keys: Sequence[str], what: str) -> dict:
-    """The fastest of ``rows``, repeats of one seed-deterministic run.
-
-    Timeit-style best-of: external load only ever slows a run down, so
-    the minimum wall time is the least noisy estimate — but the spread
-    is stamped on the row too (``wall_s_min`` / ``_max`` / ``_mean``,
-    ``repeats``), so a regression cannot hide behind one lucky repeat.
-    That the repeats agree on every simulated counter in ``keys`` is
-    verified, not assumed: :class:`CampaignError` otherwise.
-    """
-    best = rows[0]
-    for i, row in enumerate(rows):
-        for key in keys:
-            if row[key] != best[key]:
-                raise CampaignError(
-                    f"non-deterministic repeats for {what}: "
-                    f"{key} {row[key]} != {best[key]} (repeat {i})")
-        if row["wall_s"] < best["wall_s"]:
-            best = row
-    walls = [row["wall_s"] for row in rows]
-    best["repeats"] = len(rows)
-    best["wall_s_min"] = round(min(walls), 4)
-    best["wall_s_max"] = round(max(walls), 4)
-    best["wall_s_mean"] = round(sum(walls) / len(walls), 4)
-    return best
-
-
-def merge_bench_shards(shards: Sequence[dict], seed: int) -> dict:
-    """Merge bench shard payloads into one ``run_suite``-shaped report.
-
-    Raises :class:`CampaignError` for an empty shard list, for two
-    shards claiming the same ``(config, repeat)`` cell, and for repeats
-    of one config that disagree on a simulated counter (determinism
-    violation).  Failed shards are reported under ``"failures"`` rather
-    than raising, so a sweep with one crashed cell still yields the
-    other cells' results plus a diagnosis.
-    """
-    if not shards:
-        raise CampaignError("no shards to merge (empty campaign)")
-    seen: set = set()
-    by_config: Dict[str, List[dict]] = {}
-    failures: List[dict] = []
-    for shard in shards:
-        key = (shard["config"], shard["repeat"])
-        if key in seen:
-            raise CampaignError(
-                f"overlapping shards for cell {key!r}: each "
-                f"(config, repeat) must be produced exactly once")
-        seen.add(key)
-        if shard["status"] != "ok":
-            failures.append({"config": shard["config"],
-                             "seed": shard["seed"],
-                             "repeat": shard["repeat"],
-                             "error": shard.get("error", "unknown")})
-            continue
-        by_config.setdefault(shard["config"], []).append(shard)
-    results = {}
-    for config, cells in by_config.items():
-        cells.sort(key=lambda s: s["repeat"])
-        results[config] = best_of([cell["row"] for cell in cells],
-                                  DETERMINISTIC_KEYS, repr(config))
-    payload = {"schema": BENCH_SCHEMA, "seed": seed, "results": results}
-    if failures:
-        payload["failures"] = failures
-    return payload
-
-
-def run_suite(configs: Optional[List[str]] = None,
-              seed: int = 1995, repeats: int = 1, workers: int = 1,
-              progress: bool = False, snapshot: bool = False) -> dict:
-    """Run the throughput scenario at the requested sizes, ``repeats``
-    times each, on ``workers`` processes (one: in this process, in
-    order); returns the bench payload.
-
-    ``results`` holds the :func:`best_of` row per config, ``failures``
-    the ``(config, repeat)`` cells that raised, and ``"parallel"`` the
-    pool size, the campaign wall clock and the summed per-shard wall
-    clock (the serial-equivalent cost a pool amortized).  ``snapshot``
-    forks every repeat from its config's image instead of booting it.
-    ``progress`` prints one heartbeat line per completed shard on
-    stderr (the CLI turns it on; library callers and tests stay
-    silent).
-    """
-    names = list(configs) if configs else list(CONFIGS)
-    shards = [(name, seed, r, snapshot)
-              for name in names for r in range(max(1, repeats))]
-    # Longest shards first so the big config doesn't trail the pool.
-    shards.sort(key=lambda s: CONFIGS[s[0]].num_nodes
-                * CONFIGS[s[0]].duration_ms, reverse=True)
-    procs = _effective_workers(workers)
-    cpu_capped = _warn_cpu_cap(workers, procs)
-
-    def on_shard(done: int, shard: dict) -> None:
-        if shard["status"] != "ok":
-            _heartbeat(done, len(shards),
-                       f"{shard['config']} repeat {shard['repeat']}",
-                       0.0, 0, 0.0, "  FAILED")
-            return
-        row = shard["row"]
-        _heartbeat(done, len(shards),
-                   f"{shard['config']} repeat {shard['repeat']}",
-                   row["sim_ms"], row["events"], row["wall_s"])
-
-    wall0 = time.perf_counter()
-    raw = _run_shards(shards, _bench_shard_worker, procs,
-                      on_shard=on_shard if progress else None)
-    campaign_wall = time.perf_counter() - wall0
-    # Completion order is scheduling-dependent; restore the shard-key
-    # order so every derived payload is byte-stable for a given seed.
-    raw.sort(key=lambda s: (s["config"], s["repeat"]))
-    payload = merge_bench_shards(raw, seed=seed)
-    # Per-shard setup cost: a fresh boot, or (forked shards) the fork
-    # wall — the amortization --snapshot buys shows up right here.
-    shard_walls = [s["row"]["wall_s"]
-                   + (s["row"].get("fork_wall_s", 0.0)
-                      if s["row"].get("snapshot") == "fork"
-                      else s["row"]["boot_wall_s"])
-                   for s in raw if s["status"] == "ok"]
-    payload["parallel"] = {
-        "workers": workers,
-        "effective_workers": procs,
-        "shards": len(shards),
-        "campaign_wall_s": round(campaign_wall, 4),
-        "shard_wall_s_total": round(sum(shard_walls), 4),
-        "cpu_count": os.cpu_count(),
-        "cpu_capped": cpu_capped,
-    }
-    return payload
 
 
 # -- fault-injection campaign ----------------------------------------------

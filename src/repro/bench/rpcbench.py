@@ -17,9 +17,8 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.bench.parallel import best_of
 from repro.core.hive import HiveSystem, boot_hive
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
@@ -27,8 +26,7 @@ from repro.obs.profile import rpc_tiers
 from repro.sim.engine import Simulator
 from repro.sim.snapshot import run_booted
 
-#: simulated quantities that must be identical across repeats, fresh
-#: boots and snapshot forks for one (config, seed)
+#: simulated quantities every run of one (config, seed) repeats exactly
 RPC_DETERMINISTIC_KEYS = (
     "round_trips", "sim_now_ns", "calls", "send_retries", "timeouts",
     "spin_timeouts", "queued", "queued_fallback", "served_interrupt",
@@ -99,30 +97,23 @@ def boot_rpc_system(config: str, seed: int = 1995) -> HiveSystem:
 
 
 def run_rpc_bench(config: str, seed: int = 1995,
-                  system: Optional[HiveSystem] = None,
-                  snapshot: bool = False) -> dict:
+                  system: Optional[HiveSystem] = None) -> dict:
     """Run the RPC scenario at one machine size; returns the result row.
 
-    ``system`` runs it on a system the caller booted; otherwise
-    :func:`repro.sim.snapshot.run_booted` boots one, or with
-    ``snapshot`` forks it from the config's image (same counters;
-    ``boot_wall_s`` is then the image's one-time boot, ``fork_wall_s``
-    what this run paid instead, ``snapshot`` the image's mode).
+    ``system`` runs it on a system the caller booted (its setup cost is
+    the caller's to report; the row's ``boot_wall_s`` reads 0);
+    otherwise :func:`repro.sim.snapshot.run_booted` boots one.
     """
     if system is not None:
         return _run_on(system, config, seed)
     row, setup = run_booted(boot_rpc_system, (config,), _run_on, config,
-                            seed, seed=seed, snapshot=snapshot)
+                            seed, seed=seed)
     row["boot_wall_s"] = round(setup["boot_wall_s"], 4)
-    if snapshot:
-        row["fork_wall_s"] = round(setup["setup_wall_s"], 4)
-        row["snapshot"] = setup["mode"]
     return row
 
 
 def _run_on(system: HiveSystem, config: str, seed: int) -> dict:
-    """The scenario on a booted system (module-level: it crosses the
-    image's request pipe in a forked run)."""
+    """The scenario on a booted system."""
     cfg = RPC_CONFIGS[config]
     sim = system.sim
     params = system.machine.params
@@ -167,7 +158,6 @@ def _run_on(system: HiveSystem, config: str, seed: int) -> dict:
         "seed": seed,
         "clients": cfg.num_cells * cfg.clients_per_cell,
         "boot_wall_s": 0.0,
-        "fork_wall_s": 0.0,
         "wall_s": round(wall, 4),
         "round_trips": counters["round_trips"],
         "round_trips_per_sec": round(counters["round_trips"] / wall, 1),
@@ -203,17 +193,3 @@ def _run_on(system: HiveSystem, config: str, seed: int) -> dict:
             f"floor {latency_floor_ns}ns")
     return row
 
-
-def run_rpc_suite(configs: Optional[List[str]] = None,
-                  seed: int = 1995, repeats: int = 1,
-                  snapshot: bool = False) -> Dict[str, dict]:
-    """Run the RPC scenario at the requested sizes, best-of-``repeats``.
-
-    Repeats must agree on every :data:`RPC_DETERMINISTIC_KEYS` entry
-    (verified, not assumed); the fastest repeat is the headline row.
-    ``snapshot`` forks each repeat from the config's snapshot image.
-    """
-    return {name: best_of([run_rpc_bench(name, seed=seed, snapshot=snapshot)
-                           for _ in range(max(1, repeats))],
-                          RPC_DETERMINISTIC_KEYS, f"rpc {name!r}")
-            for name in (configs or RPC_CONFIGS)}

@@ -221,8 +221,7 @@ def run_throughput(config: str, seed: int = 1995,
                    channels: bool = False,
                    per_wakeup: bool = False,
                    inject_ms: Optional[int] = None,
-                   system: Optional[HiveSystem] = None,
-                   snapshot: bool = False) -> dict:
+                   system: Optional[HiveSystem] = None) -> dict:
     """Run the fixed scenario at one machine size; returns the result row.
 
     ``channels`` attaches the intercell channel recorder, so the row
@@ -233,23 +232,16 @@ def run_throughput(config: str, seed: int = 1995,
     ``inject_ms`` overrides the config's fault-injection time.
 
     ``system`` runs the scenario on a system the caller booted (its
-    setup cost is the caller's to report; the row's reads 0).  Otherwise
-    :func:`repro.sim.snapshot.run_booted` boots one, or with
-    ``snapshot`` forks it from the config's image: the row is
-    byte-identical on every simulated counter (the golden contract),
-    ``boot_wall_s`` is the image's one-time boot, ``fork_wall_s`` what
-    this run paid instead and ``snapshot`` the image's mode.
+    setup cost is the caller's to report; the row's ``boot_wall_s``
+    reads 0).  Otherwise :func:`repro.sim.snapshot.run_booted` boots one.
     """
     if system is not None:
         return _run_on(system, config, seed, channels, per_wakeup,
                        inject_ms)
     row, setup = run_booted(boot_bench_system, (config,), _run_on, config,
                             seed, channels, per_wakeup, inject_ms,
-                            seed=seed, snapshot=snapshot)
+                            seed=seed)
     row["boot_wall_s"] = round(setup["boot_wall_s"], 4)
-    if snapshot:
-        row["fork_wall_s"] = round(setup["setup_wall_s"], 4)
-        row["snapshot"] = setup["mode"]
     return row
 
 
@@ -329,7 +321,6 @@ def _run_on(system: HiveSystem, config: str, seed: int, channels: bool,
         "seed": seed,
         "sim_ms": stop_ns / NS_PER_MS,
         "boot_wall_s": 0.0,
-        "fork_wall_s": 0.0,
         "wall_s": round(wall_s, 4),
         "recovery_wall_ms": round((wall_recovered - wall_inject) * 1e3, 3),
         "events": events,
@@ -361,32 +352,6 @@ def equiv_mismatches(a: dict, b: dict, labels=("a", "b")) -> dict:
     return mismatches
 
 
-def compare_snapshot(config: str, seed: int = 1995) -> dict:
-    """The snapshot-fork equivalence gate for one config.
-
-    Runs the scenario twice — fresh-boot-then-run and fork-then-run —
-    with the channel recorder attached on both sides, and diffs every
-    key in :data:`EQUIV_KEYS`.  Returns ``match`` plus the amortization
-    the fork bought (fresh boot wall vs fork wall).
-    """
-    fresh = run_throughput(config, seed=seed, channels=True)
-    forked = run_throughput(config, seed=seed, channels=True, snapshot=True)
-    mismatches = equiv_mismatches(fresh, forked, ("fresh", "forked"))
-    fork_wall = forked["fork_wall_s"]
-    return {
-        "config": config,
-        "mode": forked["snapshot"],
-        "match": not mismatches,
-        "mismatches": mismatches,
-        "boot_wall_s": fresh["boot_wall_s"],
-        "fork_wall_s": fork_wall,
-        "amortization_x": (round(fresh["boot_wall_s"] / fork_wall, 2)
-                           if fork_wall > 0 else None),
-        "fresh_events_per_sec": fresh["events_per_sec"],
-        "forked_events_per_sec": forked["events_per_sec"],
-    }
-
-
 def compare_parked(config: str, seed: int = 1995,
                    inject_ms: Optional[int] = None) -> dict:
     """The parked-chain equivalence gate for one config.
@@ -414,18 +379,3 @@ def compare_parked(config: str, seed: int = 1995,
         "replayed_wakeups": parked["parking"]["replayed_wakeups"],
     }
 
-
-def validate_payload(payload: dict) -> None:
-    """Schema check used by the CI bench-smoke job."""
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(f"bad schema: {payload.get('schema')!r}")
-    results = payload.get("results")
-    if not isinstance(results, dict) or not results:
-        raise ValueError("results missing or empty")
-    for name, row in results.items():
-        for key in ("config", "events_per_sec", "accesses_per_sec",
-                    "recovery_wall_ms", "events", "accesses"):
-            if key not in row:
-                raise ValueError(f"result {name!r} missing {key!r}")
-        if row["events"] <= 0 or row["accesses"] <= 0:
-            raise ValueError(f"result {name!r} has empty counters")

@@ -418,12 +418,9 @@ def cmd_sessions(args) -> int:
             probe_every=args.probe_every, inject_ms=args.inject_ms,
             victim_cell=args.victim_cell,
             failover=not args.no_failover)
-        mode = "snapshot fork" if args.snapshot else "fresh boot"
         print(f"session traffic: {cfg.sessions:,} open-loop sessions on "
-              f"{args.cells} cells / {args.nodes} nodes ({mode}, seed "
-              f"{cfg.seed})")
-        row = run_sessions(cfg, cells=args.cells, nodes=args.nodes,
-                           snapshot=args.snapshot)
+              f"{args.cells} cells / {args.nodes} nodes (seed {cfg.seed})")
+        row = run_sessions(cfg, cells=args.cells, nodes=args.nodes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -446,9 +443,6 @@ def cmd_sessions(args) -> int:
         print(f"coupling: {row['coupling_accesses']:,} coherence "
               f"accesses, {row['coupling_retired_cells']} client(s) "
               f"retired by revocation")
-    if row.get("snapshot") == "fork":
-        print(f"setup: boot {row['boot_wall_s']:.3f} s once, fork "
-              f"{row['fork_wall_s'] * 1000:.1f} ms")
     if args.out:
         write_bench_summary(args.out, {"command": "sessions",
                                        "sessions": row})
@@ -468,122 +462,58 @@ def cmd_sessions(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.bench.parallel import run_suite
-    from repro.bench.throughput import (
-        CONFIGS,
-        compare_parked,
-        validate_payload,
-    )
+    from repro.bench.throughput import (BENCH_SCHEMA, CONFIGS,
+                                        compare_parked, run_throughput)
 
     names = list(CONFIGS) if args.config == "all" else [args.config]
-    mode = (f"{args.parallel} workers" if args.parallel > 1 else "serial")
-    if args.snapshot:
-        mode += ", snapshot forks"
     print(f"throughput bench: {', '.join(names)} (seed {args.seed}, "
-          f"best of {args.repeats}, {mode})")
-    payload = run_suite(names, seed=args.seed, repeats=args.repeats,
-                        workers=max(1, args.parallel),
-                        progress=args.progress, snapshot=args.snapshot)
-    failed = bool(payload.get("failures"))
-    for failure in payload.get("failures", []):
-        print(f"FAILED shard {failure['config']!r} repeat "
-              f"{failure['repeat']}:\n{failure['error']}", file=sys.stderr)
-    if not failed:
-        validate_payload(payload)
+          f"one run each; perfbench times the simulator)")
+    results = {}
     for name in names:
-        if name not in payload["results"]:
-            continue
-        row = payload["results"][name]
+        row = results[name] = run_throughput(name, seed=args.seed)
+        coh = row["tiers"]["coherence"]
         print(f"{name:>7}: {row['nodes']} nodes / {row['cells']} cells, "
               f"{row['events']} events, {row['accesses']} accesses in "
               f"{row['wall_s']:.2f} s wall "
-              f"(spread {row['wall_s_min']:.2f}-{row['wall_s_max']:.2f} s "
-              f"over {row['repeats']} repeats)")
-        print(f"         {row['events_per_sec']:>12,.0f} events/sec  "
-              f"{row['accesses_per_sec']:>12,.0f} accesses/sec  "
-              f"recovery {row['recovery_wall_ms']:.1f} ms wall")
-        if row.get("snapshot") == "fork":
-            boot = row["boot_wall_s"]
-            fork = row["fork_wall_s"]
-            amort = round(boot / fork, 1) if fork else 0.0
-            print(f"         boot amortized: {boot:.3f} s once, "
-                  f"{fork * 1000:.1f} ms per fork ({amort}x)")
+              f"({row['events_per_sec']:,.0f} events/sec)")
+        print(f"         recovery discarded {row['discarded_pages']} "
+              f"pages; {coh['memo_hits']} of {coh['batches_total']} "
+              f"coherence batches replayed from the memo")
         if not row["recovery_detected"]:
             print("         WARNING: fault was not detected/recovered")
-    if args.parallel > 1:
-        par = payload["parallel"]
-        print(f"campaign: {par['shards']} shards on "
-              f"{par['effective_workers']}/{par['workers']} workers "
-              f"({par['cpu_count']} CPUs) in "
-              f"{par['campaign_wall_s']:.2f} s wall; shard total "
-              f"{par['shard_wall_s_total']:.2f} s")
+    payload = {"schema": BENCH_SCHEMA, "seed": args.seed, "results": results}
     parked_match = True
     if args.compare_parked:
         print("parked-chain equivalence run (parked vs per-wakeup)...")
         compare = {}
         for name in names:
-            result = compare_parked(name, seed=args.seed)
+            result = compare[name] = compare_parked(name, seed=args.seed)
             if not result["match"]:
                 parked_match = False
                 print(f"COUNTER MISMATCH (parked vs per-wakeup) in "
                       f"{name!r}: {sorted(result['mismatches'])}",
                       file=sys.stderr)
-            compare[name] = result
-            print(f"{name:>7}: "
-                  f"{result['parked_events_per_sec']:>12,.0f} events/sec "
-                  f"parked  "
-                  f"{result['per_wakeup_events_per_sec']:>12,.0f} "
-                  f"per wakeup  ({result['replayed_wakeups']} wakeups "
-                  f"replayed in {result['parks']} parks)")
-        payload["parked_compare"] = {
-            "counters_match": parked_match,
-            "results": compare,
-        }
+            print(f"{name:>7}: {result['replayed_wakeups']} wakeups "
+                  f"replayed in {result['parks']} parks")
+        payload["parked_compare"] = {"counters_match": parked_match,
+                                     "results": compare}
         print(f"deterministic counters parked vs per-wakeup: "
               f"{'MATCH' if parked_match else 'MISMATCH'}")
     if args.rpc:
-        from repro.bench.rpcbench import RPC_CONFIGS, run_rpc_suite
+        from repro.bench.rpcbench import run_rpc_bench
 
-        rpc_names = (list(RPC_CONFIGS) if args.config == "all"
-                     else [args.config])
-        print(f"rpc microbench: {', '.join(rpc_names)} "
-              f"(best of {args.repeats})")
-        rpc_results = run_rpc_suite(rpc_names, seed=args.seed,
-                                    repeats=args.repeats,
-                                    snapshot=args.snapshot)
-        for name in rpc_names:
-            row = rpc_results[name]
+        print(f"rpc microbench: {', '.join(names)}")
+        rpc_results = {}
+        for name in names:
+            row = rpc_results[name] = run_rpc_bench(name, seed=args.seed)
             print(f"{name:>7}: {row['round_trips']} round trips, "
                   f"{row['round_trips_per_sec']:>10,.0f} rt/sec  "
                   f"mean latency {row['mean_latency_ns']:,.0f} ns")
         payload["rpc"] = {"results": rpc_results}
-    snapshot_match = True
-    if args.compare_snapshot:
-        from repro.bench.throughput import compare_snapshot
-
-        print("snapshot equivalence run (forked vs fresh boot)...")
-        compare = {}
-        for name in names:
-            result = compare_snapshot(name, seed=args.seed)
-            if not result["match"]:
-                snapshot_match = False
-                print(f"COUNTER MISMATCH (forked vs boot) in {name!r}: "
-                      f"{sorted(result['mismatches'])}", file=sys.stderr)
-            compare[name] = result
-            print(f"{name:>7}: boot {result['boot_wall_s']:.3f} s vs "
-                  f"fork {result['fork_wall_s'] * 1000:.1f} ms "
-                  f"({result['amortization_x']}x, mode "
-                  f"{result['mode']})")
-        payload["snapshot_compare"] = {
-            "counters_match": snapshot_match,
-            "results": compare,
-        }
-        print(f"deterministic counters forked vs boot: "
-              f"{'MATCH' if snapshot_match else 'MISMATCH'}")
     if args.out:
         write_bench_summary(args.out, payload)
         print(f"bench written       : {args.out}")
-    return 1 if (failed or not parked_match or not snapshot_match) else 0
+    return 0 if parked_match else 1
 
 
 def _positive_int(text: str) -> int:
@@ -727,12 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", metavar="FILE", default=None,
                          help="also write the payload as JSON here "
                               "(default: print only)")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="runs per config; the fastest is kept "
-                              "(default: 3)")
-    p_bench.add_argument("--parallel", type=int, default=0, metavar="N",
-                         help="shard (config, repeat) cells across N "
-                              "worker processes (default: serial)")
     p_bench.add_argument("--rpc", action="store_true",
                          help="also run the RPC round-trip microbench")
     p_bench.add_argument("--compare-parked", action="store_true",
@@ -740,19 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "wakeup credited) and verify the parked "
                               "default's deterministic counters and "
                               "channel digests match byte-for-byte")
-    p_bench.add_argument("--snapshot", action="store_true",
-                         help="fork each run from a per-config snapshot "
-                              "image instead of re-booting (counters "
-                              "stay byte-identical; without os.fork "
-                              "every run boots fresh)")
-    p_bench.add_argument("--compare-snapshot", action="store_true",
-                         help="run each config forked and freshly "
-                              "booted and verify the deterministic "
-                              "counters match byte-for-byte")
-    p_bench.add_argument("--progress", action="store_true",
-                         help="print a heartbeat line (shard i/N, "
-                              "sim-time, events/s) per completed "
-                              "--parallel shard")
     common(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 
@@ -786,9 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sessions.add_argument("--no-failover", action="store_true",
                             help="arrivals at dead cells are lost "
                                  "instead of re-routed")
-    p_sessions.add_argument("--snapshot", action="store_true",
-                            help="fork the run from a snapshot image "
-                                 "instead of booting")
     p_sessions.add_argument("--out", metavar="FILE", default=None,
                             help="write the session report JSON here")
     common(p_sessions)

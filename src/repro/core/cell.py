@@ -407,6 +407,8 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                     reason = "spanning task lost a cell"
             if reason is None and self._cow_ancestry_touches(proc, dead):
                 reason = "anonymous memory lost with failed cell"
+            if not self.alive:
+                break  # the ancestry check found our own tree corrupt
             if reason is None:
                 mapped = proc.aspace.ptes.get(self.kernel_id, {})
                 for pte in mapped.values():
@@ -423,11 +425,21 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         return killed
 
     def _cow_ancestry_touches(self, proc, dead: Set[int]) -> bool:
+        """Whether ``proc``'s COW ancestry leaves this cell for a dead one.
+
+        A corrupt tree is judged as the fault search judges it: in our
+        own memory it panics this cell; in another cell's it is a failed
+        careful-reference check, a failure hint against that cell.
+        """
         leaf = self.cow.resolve(proc.cow_leaf_addr)
         if leaf is None:
             return False
         try:
             *_, top = self.cow.local_ancestry(leaf)
-        except CowTreeCorrupt:
+        except CowTreeCorrupt as exc:
+            if exc.cell == self.kernel_id:
+                self.panic(str(exc))
+            else:
+                self.careful.fail(exc.cell, exc.check, str(exc))
             return False
         return top.parent_addr != 0 and top.parent_cell in dead

@@ -210,11 +210,17 @@ class RpcSubsystem:
     # -- registration ----------------------------------------------------
 
     def register(self, op: str, handler: Callable,
-                 service_class: str = INTERRUPT_LEVEL) -> None:
-        """Install ``handler(src_cell, args) -> generator`` for ``op``."""
+                 service_class: str = INTERRUPT_LEVEL,
+                 queued: Optional[Callable] = None) -> None:
+        """Install ``handler(src_cell, args) -> generator`` for ``op``.
+
+        ``queued`` is the routine a server process runs when the
+        interrupt-level ``handler`` returns :data:`MUST_QUEUE` (the
+        handler itself, retried, when omitted).
+        """
         if service_class not in (INTERRUPT_LEVEL, QUEUED):
             raise ValueError(f"bad service class {service_class}")
-        self._handlers[op] = (handler, service_class)
+        self._handlers[op] = (handler, service_class, queued or handler)
 
     # -- client side ---------------------------------------------------------
 
@@ -466,7 +472,7 @@ class RpcSubsystem:
                 obs.end(span, outcome="no_handler")
             self._reply(payload, RpcError("EOPNOTSUPP", f"no handler {op}"))
             return
-        handler, service_class = entry
+        handler, service_class, _queued = entry
         if service_class == QUEUED:
             self.metrics.counter("queued").add()
             self.cell.note_cpu_steal(self.sim.now - service_start)
@@ -518,9 +524,7 @@ class RpcSubsystem:
                 self._reply(payload,
                             RpcError("EOPNOTSUPP", "no handler"))
                 continue
-            handler, _cls = entry
-            result = yield from self._run_handler(handler, payload,
-                                                  queued=True)
+            result = yield from self._run_handler(entry[2], payload)
             if result is MUST_QUEUE:
                 result = RpcError("EDEADLK", "queued handler queued again")
             self.metrics.counter("served_queued").add()
@@ -535,8 +539,7 @@ class RpcSubsystem:
                 min(self.sim.now - service_start, 200_000))
             self._reply(payload, result)
 
-    def _run_handler(self, handler: Callable, payload: dict,
-                     queued: bool = False) -> Generator:
+    def _run_handler(self, handler: Callable, payload: dict) -> Generator:
         # Server side of provenance: requests *from* a tainted cell
         # (``rpc_served`` no-ops unless the source is tainted).
         prov = self.cell.prov

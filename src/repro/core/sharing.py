@@ -76,9 +76,8 @@ class SharingMixin:
         self.metrics.counter("faults.local_hit")
         self.rpc.register("ping", self._h_ping)
         self.rpc.register("ping_queued", self._h_ping, QUEUED)
-        self.rpc.register("export_page", self._h_export_page)
-        self.rpc.register("export_page_slow", self._h_export_page_slow,
-                          QUEUED)
+        self.rpc.register("export_page", self._h_export_page,
+                          queued=self._h_export_page_queued)
         self.rpc.register("release_pages", self._h_release_pages)
         self.rpc.register("export_anon_page", self._h_export_anon_page)
         self.rpc.register("cow_deref", self._h_cow_deref)
@@ -240,14 +239,15 @@ class SharingMixin:
         yield self.costs.fault_home_misc_vm_ns
         pf = self._find_cached_page(logical_id)
         if pf is None:
-            return MUST_QUEUE  # disk I/O needed: queued service
+            return MUST_QUEUE  # disk I/O needed: _h_export_page_queued
         yield self.costs.fault_home_export_ns
         yield from self.export_page_local(pf, src_cell, writable)
         generation = self._generation_of(logical_id)
         return {"frame": pf.frame, "generation": generation}
 
-    def _h_export_page_slow(self, src_cell: int, args: dict) -> Generator:
-        """Queued export: fill from disk at the data home, then export."""
+    def _h_export_page_queued(self, src_cell: int, args: dict) -> Generator:
+        """Queued export, after an interrupt-level miss: fill the page
+        from disk at the data home, then export it."""
         logical_id = self._check_logical_id(args)
         writable = bool(args.get("writable"))
         tag = logical_id[0]

@@ -43,8 +43,8 @@ booted :class:`~repro.core.hive.HiveSystem`:
   observatory's ledger in the report.
 
 Everything is seed-deterministic: counters, placements, losses and
-latency histograms are byte-identical run to run (and fork to boot,
-under the snapshot golden contract); only wall-clock rates vary.
+latency histograms are byte-identical run to run; only wall-clock
+rates vary.
 """
 
 from __future__ import annotations
@@ -661,41 +661,33 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     )
 
 
-# -- top-level runner (boot or snapshot-fork) -------------------------------
+# -- top-level runner ------------------------------------------------------
 
 
 def boot_session_system(cells: int = 4, nodes: int = 4,
                         seed: int = 1995) -> HiveSystem:
-    """Boot a machine for session traffic (module-level, image-bootable)."""
+    """Boot a machine for session traffic."""
     params = HardwareParams(num_nodes=nodes)
     sim = Simulator(crash_on_process_error=False)
     return boot_hive(sim, num_cells=cells,
                      machine_config=MachineConfig(params=params, seed=seed))
 
 
-def _session_payload(system: HiveSystem, cfg_dict: dict) -> dict:
+def _session_payload(system: HiveSystem,
+                     cfg: SessionTrafficConfig) -> dict:
     """Attach the flight recorder, run the traffic, return the report
-    dict (module-level so it crosses a snapshot image's pipe)."""
+    dict."""
     from repro.obs import attach_flight_recorder
 
-    cfg = SessionTrafficConfig(**cfg_dict)
     recorder = attach_flight_recorder(system)
-    report = run_session_traffic(system, cfg, recorder=recorder)
-    return report.to_dict()
+    return run_session_traffic(system, cfg, recorder=recorder).to_dict()
 
 
 def run_sessions(cfg: SessionTrafficConfig, cells: int = 4,
-                 nodes: int = 4, snapshot: bool = False) -> dict:
-    """Boot (or snapshot-fork) a system and run the traffic scenario.
-
-    Returns the session report dict with ``boot_wall_s``/``fork_wall_s``
-    setup accounting attached.
-    """
+                 nodes: int = 4) -> dict:
+    """Boot a system and run the traffic scenario; returns the session
+    report dict with the boot's ``boot_wall_s`` attached."""
     out, setup = run_booted(boot_session_system, (cells, nodes),
-                            _session_payload, cfg.to_dict(),
-                            seed=cfg.seed, snapshot=snapshot)
+                            _session_payload, cfg, seed=cfg.seed)
     out["boot_wall_s"] = round(setup["boot_wall_s"], 4)
-    out["fork_wall_s"] = (round(setup["setup_wall_s"], 4) if snapshot
-                          else 0.0)
-    out["snapshot"] = setup["mode"]
     return out

@@ -96,6 +96,32 @@ class TestLogicalSharing:
         run_program(hive2, 0, prog)
         assert out["latency"] == 50_700
 
+    def test_remote_fault_on_an_uncached_page_fills_from_disk(self, hive2):
+        """The data home's interrupt-level export misses its page cache
+        and falls back to queued service, which reads the page from
+        disk (Section 4.3's best-effort-then-queued structure)."""
+        data = make_remote_file(hive2)
+        owner = hive2.cell(1)
+
+        def evict_all():
+            while (yield from owner._evict_one(None)) is not None:
+                pass
+
+        hive2.sim.run_until_event(hive2.sim.process(evict_all()),
+                                  deadline=hive2.sim.now + 1_000_000_000)
+        assert not list(owner.pfdats.hashed_pfdats())
+        out = {}
+
+        def prog(ctx):
+            region = yield from ctx.map_file("/shared/f")
+            pte = yield from ctx.touch(region, 1)
+            out["page"] = hive2.machine.memory.read_bytes(pte.frame, 0,
+                                                          PAGE)
+
+        run_program(hive2, 0, prog)
+        assert out["page"] == data[PAGE:2 * PAGE]
+        assert owner.rpc.metrics.counter("queued_fallback").value == 1
+
     def test_writable_import_grants_firewall(self, hive2):
         data = make_remote_file(hive2)
         client = hive2.cell(0)

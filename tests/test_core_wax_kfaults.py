@@ -193,6 +193,47 @@ class TestKernelFaultInjection:
         assert [h.suspect for h in hints] == [3]
         assert walker.alive and walker.panic_reason is None
 
+    def _cell_with_idle_anon_process(self):
+        """Cell 2 runs a process with a COW leaf that then only
+        computes, so no page fault walks its tree."""
+        hive = boot4()
+        cell = hive.cell(2)
+
+        def prog(ctx):
+            region = yield from ctx.map_anon(4)
+            yield from ctx.touch(region, 0, write=True)
+            yield from ctx.compute(2_000_000_000)
+
+        proc = cell.create_process("idle")
+        cell.start_thread(proc, prog)
+        hive.sim.run(until=hive.sim.now + 5_000_000)
+        return hive, cell, proc, cell.cow.resolve(proc.cow_leaf_addr)
+
+    def test_recovery_panics_a_cell_whose_own_tree_is_a_cycle(self):
+        """Recovery checks every local process's COW ancestry; a cycle
+        in the cell's own memory panics it there, as the fault search
+        would, instead of reading as "no dead ancestor"."""
+        hive, cell, _proc, leaf = self._cell_with_idle_anon_process()
+        leaf.parent_addr, leaf.parent_cell = leaf.kaddr, 2
+        hive.machine.halt_node(3)
+        hive.sim.run(until=hive.sim.now + 1_000_000_000)
+        assert "COW tree cycle" in cell.panic_reason
+        assert not hive.registry.is_live(2)
+        assert hive.registry.is_live(0) and hive.registry.is_live(1)
+
+    def test_recovery_hints_against_a_corrupt_node_of_another_cell(self):
+        """A local node claiming cell 1 as its owner holds a pointer
+        that does not resolve: the suspect is cell 1, so the walker
+        fails a careful-reference check against it and lives on."""
+        _hive, cell, proc, leaf = self._cell_with_idle_anon_process()
+        leaf.parent_addr, leaf.parent_cell = leaf.kaddr + 8, 2
+        leaf.owner_cell = 1
+        hints = []
+        cell.detector.observers.append(hints.append)
+        assert not cell._cow_ancestry_touches(proc, {3})
+        assert [h.suspect for h in hints] == [1]
+        assert cell.alive and cell.panic_reason is None
+
     def test_wild_writes_mostly_blocked_by_firewall(self):
         hive, _out = self._hive_with_anon_process()
         kfi = KernelFaultInjector(hive)

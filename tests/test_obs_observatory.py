@@ -428,8 +428,7 @@ class TestCampaignReport:
                     "parks": 0, "replayed_wakeups": 0}
 
         monkeypatch.setattr(throughput, "compare_parked", mismatched)
-        rc = main(["bench", "--config", "small", "--repeats", "1",
-                   "--compare-parked"])
+        rc = main(["bench", "--config", "small", "--compare-parked"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "COUNTER MISMATCH" in captured.err

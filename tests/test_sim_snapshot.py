@@ -10,8 +10,8 @@ import pytest
 
 from repro.bench.faultexp import FaultExperimentRunner, boot_faultexp_system
 from repro.bench.parallel import _trial_payload, run_inject_campaign
-from repro.bench.throughput import (compare_snapshot, equiv_mismatches,
-                                    run_throughput)
+from repro.bench.throughput import (_run_on, boot_bench_system,
+                                    equiv_mismatches, run_throughput)
 from repro.sim import snapshot
 from repro.sim.snapshot import (SnapshotError, SystemImage, fork_supported,
                                 reseed_system, run_booted, snapshot_enabled)
@@ -39,6 +39,18 @@ def _explode(system):
 def _boot_seeded(value, seed):
     """``run_booted`` boots with the seed as last argument."""
     return _boot_counter_system(value)
+
+
+def _fork_vs_boot(config, seed=1995, per_wakeup=False, inject_ms=None):
+    """The throughput scenario forked from the config's image and
+    freshly booted, channel recorder attached to both; returns
+    ``(forked row, fresh row, fork setup)``."""
+    forked, setup = run_booted(boot_bench_system, (config,), _run_on,
+                               config, seed, True, per_wakeup, inject_ms,
+                               seed=seed, snapshot=True)
+    fresh = run_throughput(config, seed=seed, channels=True,
+                           per_wakeup=per_wakeup, inject_ms=inject_ms)
+    return forked, fresh, setup
 
 
 @pytest.fixture
@@ -131,17 +143,15 @@ class TestSnapshotGolden:
 
     @pytest.mark.parametrize("config", ["small", "medium", "large"])
     def test_forked_matches_boot(self, config):
-        result = compare_snapshot(config)
-        assert result["mode"] == "fork"
-        assert result["match"], result["mismatches"]
+        forked, fresh, setup = _fork_vs_boot(config)
+        assert setup["mode"] == "fork"
+        assert not equiv_mismatches(fresh, forked)
 
     def test_forked_matches_boot_sharded(self):
         # Sharding is gone; what a fork composes with now is the chain
         # coordinator every run has.  A forked run must park and credit
         # exactly as a freshly booted one, at a moved fault time too.
-        forked = run_throughput("small", channels=True, inject_ms=37,
-                                snapshot=True)
-        fresh = run_throughput("small", channels=True, inject_ms=37)
+        forked, fresh, _setup = _fork_vs_boot("small", inject_ms=37)
         assert not equiv_mismatches(fresh, forked)
         assert forked["parking"] == fresh["parking"]
         assert forked["parking"]["replayed_wakeups"] > 0
@@ -149,30 +159,24 @@ class TestSnapshotGolden:
     def test_forked_matches_boot_replay(self):
         # A fork replaying a recorded trace at a moved fault printed
         # this row on its last run; fork and fresh boot still do.
-        forked = run_throughput("small", channels=True, inject_ms=37,
-                                snapshot=True)
-        fresh = run_throughput("small", channels=True, inject_ms=37)
-        assert forked["snapshot"] == "fork"
+        forked, fresh, setup = _fork_vs_boot("small", inject_ms=37)
+        assert setup["mode"] == "fork"
         assert equiv_row(forked) == LAST_REPLAY_RUN["small", 37]
         assert equiv_row(fresh) == LAST_REPLAY_RUN["small", 37]
 
     def test_reseeded_fork_matches_fresh_seed(self):
         # The image boots at the default seed; a run at seed 7 must
         # match a fresh boot at seed 7 (reseed_system really rewinds).
-        forked = run_throughput("small", seed=7, channels=True,
-                                snapshot=True)
-        fresh = run_throughput("small", seed=7, channels=True)
+        forked, fresh, setup = _fork_vs_boot("small", seed=7)
         assert not equiv_mismatches(fresh, forked)
-        assert forked["snapshot"] == "fork"
-        assert forked["fork_wall_s"] > 0.0
+        assert setup["mode"] == "fork"
+        assert setup["setup_wall_s"] > 0.0
 
     def test_per_wakeup_run_forks_like_any_other(self):
         # Nothing is left to fill in the child: a forked per-wakeup run
         # matches a booted one, down to its one park per wakeup.
-        forked = run_throughput("small", channels=True, per_wakeup=True,
-                                snapshot=True)
-        booted = run_throughput("small", channels=True, per_wakeup=True)
-        assert forked["snapshot"] == "fork"
+        forked, booted, setup = _fork_vs_boot("small", per_wakeup=True)
+        assert setup["mode"] == "fork"
         assert not equiv_mismatches(booted, forked)
         assert forked["parking"] == booted["parking"]
         assert equiv_row(forked) == LAST_REPLAY_RUN["small", None]
@@ -183,12 +187,12 @@ class TestSnapshotGolden:
         # platform without ``os.fork`` reaches it — by an image built
         # there: an image's mode is fixed when it is built.
         monkeypatch.setenv("HIVE_SNAPSHOT", "0")
-        assert compare_snapshot("small")["mode"] == "fork"
+        assert _fork_vs_boot("small")[2]["mode"] == "fork"
         monkeypatch.setattr(snapshot, "fork_supported", lambda: False)
         fresh_images.popitem()[1].close()
-        result = compare_snapshot("small")
-        assert result["mode"] == "boot"
-        assert result["match"], result["mismatches"]
+        forked, fresh, setup = _fork_vs_boot("small")
+        assert setup["mode"] == "boot"
+        assert not equiv_mismatches(fresh, forked)
 
 
 class TestFaultexpSnapshot:

@@ -129,8 +129,7 @@ class TestTrafficRuns:
         cfg = SessionTrafficConfig(sessions=20_000, inject_ms=50)
         a = run_sessions(cfg)
         b = run_sessions(cfg)
-        skip = ("wall_s", "sessions_per_sec", "boot_wall_s",
-                "fork_wall_s")
+        skip = ("wall_s", "sessions_per_sec", "boot_wall_s")
         for key in a:
             if key in skip:
                 continue
@@ -180,27 +179,12 @@ class TestTrafficRuns:
                                                                  events)
         assert system.injector.observers == observers
 
-    def test_snapshot_fork_matches_boot(self):
-        from repro.sim.snapshot import fork_supported
-        if not fork_supported():
-            pytest.skip("snapshot fork needs os.fork")
-        cfg = SessionTrafficConfig(sessions=20_000, inject_ms=50)
-        boot = run_sessions(cfg, snapshot=False)
-        fork = run_sessions(cfg, snapshot=True)
-        skip = ("wall_s", "sessions_per_sec", "boot_wall_s",
-                "fork_wall_s", "snapshot")
-        for key in boot:
-            if key in skip:
-                continue
-            assert boot[key] == fork[key], key
-        assert fork["snapshot"] == "fork"
-
 
 def _report_sha256(row: dict) -> str:
     """sha256 of a session report without its wall-clock fields and the
     three counts that split lost arrivals from in-flight losses."""
-    skip = ("wall_s", "sessions_per_sec", "boot_wall_s", "fork_wall_s",
-            "completed", "lost", "sessions_lost_per_fault")
+    skip = ("wall_s", "sessions_per_sec", "boot_wall_s", "completed",
+            "lost", "sessions_lost_per_fault")
     kept = {key: value for key, value in row.items() if key not in skip}
     return hashlib.sha256(
         json.dumps(kept, sort_keys=True).encode()).hexdigest()
@@ -234,8 +218,8 @@ class TestPinnedReports:
             sessions=40_000, inject_ms=167, **self.OVERLOADED))
         assert row["faults"] == 1 and row["lost"] == 1942
         assert _report_sha256(row) == (
-            "a9bbd9c99b0357df35e305e9dc9a28c7"
-            "7ecfd63ef90d95033423a9c718e447ce")
+            "76cffd3c8d3d36be2d1dbd165c09c832"
+            "03568074d392d6c405e8fa2e23786915")
 
     def test_fault_during_the_drain(self):
         # Arrivals end near 206 ms; the node fails while the backlog
@@ -244,16 +228,16 @@ class TestPinnedReports:
             sessions=20_000, inject_ms=250, **self.OVERLOADED))
         assert row["faults"] == 1 and row["lost"] == 1800
         assert _report_sha256(row) == (
-            "097d8fc255336c818e19d9bb791e5124"
-            "cb9c0453584fde42898bbbf0f173d06c")
+            "ab46f1da40baad5d79fe3179552e188f"
+            "4148d7c2558bade261c7a0c66d78de55")
 
     def test_no_failover(self):
         row = run_sessions(SessionTrafficConfig(
             sessions=30_000, inject_ms=60, failover=False))
         assert row["lost_arrivals"] > 0
         assert _report_sha256(row) == (
-            "3aadceb1ea6428b18e964bd8984a49c7"
-            "e9ad5bcfadb59f7bf8e68b75192cca0b")
+            "f1b657cef71e946bc286d3b9f4398dd4"
+            "24254a01154424492e3fc45b85c165fe")
 
     def test_death_found_only_by_the_liveness_sweep(self):
         row = _panicked_cell_report()
