@@ -239,6 +239,14 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         discarded = yield from self._preemptive_discard(dead, record)
         yield from self._revoke_all_grants()
         killed = self._kill_dependent_processes(dead)
+        if not self.alive:
+            # The ancestry check panicked this cell: it completes no
+            # round, but the other survivors still wait on barrier 2.
+            barriers.join((round_id, 2), self.kernel_id, survivors)
+            if phase is not None:
+                obs.end(phase, outcome="panic")
+                obs.end(cell_span, outcome="panic")
+            return None
         record.killed_processes += killed
         record.discarded_pages += discarded
         self._resolve_dead_children(dead)
@@ -427,9 +435,8 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
     def _cow_ancestry_touches(self, proc, dead: Set[int]) -> bool:
         """Whether ``proc``'s COW ancestry leaves this cell for a dead one.
 
-        A corrupt tree is judged as the fault search judges it: in our
-        own memory it panics this cell; in another cell's it is a failed
-        careful-reference check, a failure hint against that cell.
+        A corrupt tree is judged as the fault search judges it
+        (:meth:`_judge_cow_corruption`) and reads as no dead ancestor.
         """
         leaf = self.cow.resolve(proc.cow_leaf_addr)
         if leaf is None:
@@ -437,9 +444,6 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         try:
             *_, top = self.cow.local_ancestry(leaf)
         except CowTreeCorrupt as exc:
-            if exc.cell == self.kernel_id:
-                self.panic(str(exc))
-            else:
-                self.careful.fail(exc.cell, exc.check, str(exc))
+            self._judge_cow_corruption(exc)
             return False
         return top.parent_addr != 0 and top.parent_cell in dead

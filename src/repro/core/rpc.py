@@ -189,6 +189,8 @@ class RpcSubsystem:
         # so the hot path pays one attribute bump.
         self._fast_path_c = self.metrics.counter("fast_path")
         self._handlers: Dict[str, tuple] = {}
+        # op -> the routine a server process runs for it.
+        self._queued: Dict[str, Callable] = {}
         self._pending: Dict[int, _Pending] = {}
         self._pending_pool: list = []
         self._event_pool: list = []
@@ -220,7 +222,8 @@ class RpcSubsystem:
         """
         if service_class not in (INTERRUPT_LEVEL, QUEUED):
             raise ValueError(f"bad service class {service_class}")
-        self._handlers[op] = (handler, service_class, queued or handler)
+        self._handlers[op] = (handler, service_class)
+        self._queued[op] = queued or handler
 
     # -- client side ---------------------------------------------------------
 
@@ -472,7 +475,7 @@ class RpcSubsystem:
                 obs.end(span, outcome="no_handler")
             self._reply(payload, RpcError("EOPNOTSUPP", f"no handler {op}"))
             return
-        handler, service_class, _queued = entry
+        handler, service_class = entry
         if service_class == QUEUED:
             self.metrics.counter("queued").add()
             self.cell.note_cpu_steal(self.sim.now - service_start)
@@ -517,14 +520,14 @@ class RpcSubsystem:
                                  cell=self.cell.kernel_id,
                                  op=payload.get("op"),
                                  parent=payload.get("span", 0), server=idx)
-            entry = self._handlers.get(payload.get("op"))
-            if entry is None:
+            routine = self._queued.get(payload.get("op"))
+            if routine is None:
                 if span is not None:
                     obs.end(span, outcome="no_handler")
                 self._reply(payload,
                             RpcError("EOPNOTSUPP", "no handler"))
                 continue
-            result = yield from self._run_handler(entry[2], payload)
+            result = yield from self._run_handler(routine, payload)
             if result is MUST_QUEUE:
                 result = RpcError("EDEADLK", "queued handler queued again")
             self.metrics.counter("served_queued").add()

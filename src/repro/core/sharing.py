@@ -548,14 +548,20 @@ class SharingMixin:
                 ctx.thread.check_killed()
                 yield from self.user_gate(ctx.thread)
 
-    def _cow_search_once(self, leaf: CowNode, page_index: int) -> Generator:
-        """One walk: runs of local hops, joined by careful reads.
+    def _judge_cow_corruption(self, exc: CowTreeCorrupt):
+        """A COW pointer no walk can follow is corruption in the suspect
+        cell ``exc`` names.  In our own memory that is an internal kernel
+        error and panics this cell (returns None); in another cell's it
+        is a failed careful-reference check, a failure hint against it,
+        whose fault is returned for the caller to raise."""
+        if exc.cell == self.kernel_id:
+            self.panic(str(exc))
+            return None
+        return self.careful.fail(exc.cell, exc.check, str(exc))
 
-        A pointer the walk cannot follow is corruption in the suspect
-        cell :class:`CowTreeCorrupt` names.  In our own memory that is an
-        internal kernel error and panics the cell; in another cell's it
-        is a failed careful-reference check, a failure hint against it.
-        """
+    def _cow_search_once(self, leaf: CowNode, page_index: int) -> Generator:
+        """One walk: runs of local hops, joined by careful reads; a
+        corrupt tree is judged by :meth:`_judge_cow_corruption`."""
         path: Dict[CowNode, None] = {}
         node = leaf
         try:
@@ -572,9 +578,9 @@ class SharingMixin:
                     node.parent_cell, node.parent_addr, COW_NODE_TAG,
                     copy_words=16, lead_ns=self.costs.cow_tree_hop_ns)
         except CowTreeCorrupt as exc:
-            if exc.cell != self.kernel_id:
-                raise self.careful.fail(exc.cell, exc.check, str(exc))
-            self.panic(str(exc))
+            fault = self._judge_cow_corruption(exc)
+            if fault is not None:
+                raise fault
             raise ProcessKilled(0, "cell panic")
 
     # ------------------------------------------------------------------

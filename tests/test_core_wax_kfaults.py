@@ -220,6 +220,11 @@ class TestKernelFaultInjection:
         assert "COW tree cycle" in cell.panic_reason
         assert not hive.registry.is_live(2)
         assert hive.registry.is_live(0) and hive.registry.is_live(1)
+        # The panicked cell completed no round; the survivors did.
+        assert cell.metrics.counter("recoveries").value == 0
+        assert cell.recovery_metrics.counter("rounds").value == 0
+        assert cell.recovery_metrics.histogram("duration_ns").total == 0
+        assert hive.cell(0).recovery_metrics.counter("rounds").value >= 1
 
     def test_recovery_hints_against_a_corrupt_node_of_another_cell(self):
         """A local node claiming cell 1 as its owner holds a pointer
