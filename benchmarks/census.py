@@ -7,7 +7,10 @@ under a ``sys.setprofile`` hook installed by a ``sitecustomize`` (so pool
 workers, image holders and forked children count) that appends a line per
 first-seen code object.  An ``ast`` pass gives each function its extent,
 and a function is filed under the first group that reached it.  Prints
-the per-file table EXPERIMENTS.md carries; takes about half an hour.
+the per-file table EXPERIMENTS.md carries, then one line per function
+reached only by unit tests or by nothing (``file:line name lines
+column``): the list to delete, test or justify.  Takes about half an
+hour.
 
     python benchmarks/census.py > census.md
 """
@@ -68,17 +71,31 @@ def groups(tmp):
            for f in sorted(glob.glob("tests/test_*.py"))]
 
 
+COLUMNS = ("a workload or command", "only benchmarks/ or examples/",
+           "only unit tests", "nothing")
+
+
 def extents():
-    """(file, first line) -> lines, decorators included, of every function."""
+    """(file, first line) -> (qualified name, lines, decorators included)
+    of every function."""
     out = {}
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list]
+                            + [child.lineno])
+                name = prefix + child.name
+                out[path, first] = (name, child.end_lineno - first + 1)
+                name += "."
+            elif isinstance(child, ast.ClassDef):
+                name = prefix + child.name + "."
+            visit(child, name, path)
+
     for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True):
         with open(path) as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([d.lineno for d in node.decorator_list]
-                            + [node.lineno])
-                out[path, first] = node.end_lineno - first + 1
+            visit(ast.parse(fh.read()), "", path)
     return out
 
 
@@ -105,18 +122,23 @@ def main():
                 for line in fh:
                     reached.setdefault(line.strip(), column)
     table = {}
-    for (path, first), lines in extents().items():
-        row = table.setdefault(os.path.relpath(path, SRC), [0] * 8)
+    act = []
+    for (path, first), (name, lines) in sorted(extents().items()):
+        rel = os.path.relpath(path, SRC)
+        row = table.setdefault(rel, [0] * 8)
         column = reached.get(f"{path}:{first}", 3)
         row[2 * column] += 1
         row[2 * column + 1] += lines
-    print("| file: functions / lines reached by | a workload or command "
-          "| only benchmarks/ or examples/ | only unit tests | nothing |\n"
-          "|---|---:|---:|---:|---:|")
+        if column >= 2:
+            act.append(f"{rel}:{first} {name} {lines} {COLUMNS[column]}")
+    print("| file: functions / lines reached by | "
+          + " | ".join(COLUMNS) + " |\n|---|---:|---:|---:|---:|")
     total = [sum(column) for column in zip(*table.values())]
     for name, row in sorted(table.items()) + [("total", total)]:
         cells = " | ".join(f"{row[i]} / {row[i + 1]}" for i in (0, 2, 4, 6))
         print(f"| {name} | {cells} |")
+    print()
+    print("\n".join(act))
 
 
 if __name__ == "__main__":

@@ -46,10 +46,6 @@ class AgreementResult:
         self.rounds = rounds
         self.duration_ns = duration_ns
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<AgreementResult dead={sorted(self.confirmed_dead)} "
-                f"live={sorted(self.live)} rounds={self.rounds}>")
-
 
 class VotingAgreement:
     """Probe-and-vote group membership."""

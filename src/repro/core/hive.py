@@ -233,17 +233,10 @@ class HiveSystem:
         thread = cell.start_thread(proc, program)
         return proc, thread
 
-    def run_until(self, deadline_ns: int) -> None:
-        self.sim.run(until=deadline_ns)
-
     # -- measurement -------------------------------------------------------
 
     def total_counter(self, name: str) -> int:
         return sum(c.metrics.counter(name).value for c in self.cells)
-
-    def remotely_writable_by_cell(self) -> Dict[int, int]:
-        return {c.kernel_id: c.firewall_mgr.remotely_writable_pages()
-                for c in self.cells if c.alive}
 
 
 def _partition_nodes(num_nodes: int, num_cells: int) -> Dict[int, List[int]]:

@@ -181,10 +181,8 @@ class RpcSubsystem:
         self.sips = sips
         self.costs = costs
         self.metrics = MetricSet(name=f"rpc{cell.kernel_id}")
-        # Latency is recorded once, into the histogram; the legacy
-        # "latency" timer name stays readable as a view over it.
-        self.metrics.timer_view("latency",
-                                self.metrics.histogram("latency_ns"))
+        # created at boot, so a cell that made no call still reports it
+        self.metrics.histogram("latency_ns")
         # Calls dispatched, for the profiler; a cached Counter object
         # so the hot path pays one attribute bump.
         self._fast_path_c = self.metrics.counter("fast_path")

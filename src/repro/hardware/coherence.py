@@ -87,12 +87,6 @@ class LineState:
         self.owner = owner               # CPU holding the line dirty
         self.sharers: Set[int] = sharers if sharers is not None else set()
 
-    def cached_by(self, cpu: int) -> bool:
-        return cpu == self.owner or cpu in self.sharers
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LineState(owner={self.owner}, sharers={self.sharers})"
-
 
 class PreparedBatch:
     """A validated (lines, ops) access pattern for repeated issue.
@@ -209,24 +203,6 @@ class CoherenceController:
         #: and pays one attribute test per *miss* otherwise — hit paths
         #: never look at it (a hit never crosses a cell boundary).
         self.channels = None
-
-    # -- helpers ------------------------------------------------------
-
-    def _line_of(self, addr: int) -> int:
-        return addr // self._line_size
-
-    def _node_of_cpu(self, cpu: int) -> int:
-        return cpu // self._cpus_per_node
-
-    def _state(self, line: int) -> LineState:
-        st = self._lines.get(line)
-        if st is None:
-            st = LineState()
-            self._lines[line] = st
-        return st
-
-    def _hit_ns(self) -> int:
-        return self._hit_latency
 
     # -- the access protocol --------------------------------------------
 

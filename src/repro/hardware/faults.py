@@ -100,7 +100,3 @@ class FaultInjector:
         if self.machine.nodes[node_id].halted:
             return None
         return self.inject(kind, node_id, trigger=f"phase:{phase}")
-
-    @property
-    def armed_phases(self) -> List[str]:
-        return sorted(self._phase_arms)

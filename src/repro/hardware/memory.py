@@ -129,9 +129,6 @@ class PhysicalMemory:
         if self._node_state[node] == 0:
             self._node_state[node] = 2
 
-    def cutoff_engaged(self, node: int) -> bool:
-        return node in self._cutoff_nodes
-
     # -- access checks ---------------------------------------------------
 
     def _home_node(self, frame: int) -> int:
@@ -239,43 +236,6 @@ class PhysicalMemory:
         pages = self._pages
         zero = self._zero
         return [pages.get(f, zero) for f in frame_list]
-
-    def write_pages(self, frames, datas, cpu: Optional[int] = None) -> None:
-        """Write a batch of pages; equivalent to ``write_page`` per frame.
-
-        The scalar loop's partial-completion semantics are preserved: a
-        failing frame leaves every earlier write applied and raises at
-        the same position.
-        """
-        frame_list = [int(f) for f in frames]
-        if len(frame_list) != len(datas):
-            raise ValueError("frames and datas must have the same length")
-        page_size = self.params.page_size
-        healthy = not self._any_faults
-        if healthy and frame_list:
-            arr = np.asarray(frame_list, dtype=np.int64)
-            if bool((arr < 0).any()) or bool((arr >= self._total_pages).any()):
-                healthy = False  # scalar path raises at the right index
-        if not healthy:
-            for frame, data in zip(frame_list, datas):
-                self.write_page(frame, data, cpu)
-            return
-        pages = self._pages
-        zero = self._zero
-        firewall_checked = self.firewall_enabled and cpu is not None
-        pages_per_node = self._pages_per_node
-        firewalls = self.firewalls
-        for frame, data in zip(frame_list, datas):
-            if len(data) != page_size:
-                raise ValueError(
-                    f"page write must be exactly {page_size} bytes"
-                )
-            if firewall_checked:
-                firewalls[frame // pages_per_node].check_write(frame, cpu)
-            if data == zero:
-                pages.pop(frame, None)
-            else:
-                pages[frame] = bytes(data)
 
     # -- firewall convenience ----------------------------------------------
 

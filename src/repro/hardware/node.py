@@ -31,10 +31,6 @@ class Cpu:
     node_id: int
     halted: bool = False
 
-    def check_running(self) -> None:
-        if self.halted:
-            raise NodeHalted(self.node_id)
-
 
 #: Number of pages in the per-node remap region (trap vectors, utlbmiss
 #: handlers, and the exception stack comfortably fit in a few pages).
@@ -57,10 +53,6 @@ class Node:
             self.disk = Disk(sim, params, rng, node_id)
         self.halted = False
         self.memory_failed = False
-
-    @property
-    def frames(self) -> range:
-        return self.params.node_frame_range(self.node_id)
 
     def remap_frames(self) -> range:
         """The node-local frames backing the remap region.

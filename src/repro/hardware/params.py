@@ -105,11 +105,6 @@ class HardwareParams:
             raise ValueError(f"frame {frame} out of range")
         return frame // self.pages_per_node
 
-    def node_of_addr(self, addr: int) -> int:
-        if not 0 <= addr < self.total_memory:
-            raise ValueError(f"address {addr:#x} out of range")
-        return addr // self.memory_per_node
-
     def frame_of_addr(self, addr: int) -> int:
         return addr // self.page_size
 

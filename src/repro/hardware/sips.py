@@ -55,10 +55,6 @@ class SipsMessage:
     deliver_time: int = 0
     seq: int = 0
 
-    @property
-    def src_node_of(self) -> int:
-        return self.src_cpu  # placeholder; real value set by fabric
-
 
 class SipsFabric:
     """All SIPS send/receive machinery for the machine."""
@@ -183,8 +179,3 @@ class SipsFabric:
         # kernels install handlers before enabling intercell traffic, so
         # this models messages racing a reboot, which are dropped with a
         # timeout at the sender.
-
-    # -- introspection ------------------------------------------------------
-
-    def queue_depth(self, node: int, kind: str) -> int:
-        return len(self._queues[(node, kind)])

@@ -70,10 +70,7 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold per-shard tier snapshots into one campaign-wide snapshot.
 
     Counts add; rates are recomputed from the merged counts (never
-    averaged — shard sizes differ).  A section this module no longer
-    writes (``engine``, ``replay`` in a shard saved by an earlier
-    version) folds away, and an old shard's ``vector_batches`` count as
-    inline batches: the tier that runs those batches now.
+    averaged — shard sizes differ).
     """
     merged: Dict[str, Any] = {
         "coherence": {"memo_hits": 0, "inline_batches": 0,
@@ -88,7 +85,6 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
         shard = snap["coherence"]
         for key in ("memo_hits", "inline_batches", "scalar_batches"):
             coh[key] += shard[key]
-        coh["inline_batches"] += shard.get("vector_batches", 0)
         rpc["fast_path"] += snap["rpc"]["fast_path"]
         rpc["calls_total"] += snap["rpc"]["calls_total"]
 

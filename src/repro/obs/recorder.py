@@ -51,12 +51,6 @@ class Span:
         self.end_ns: Optional[int] = None
         self.attrs = attrs
 
-    @property
-    def duration_ns(self) -> Optional[int]:
-        if self.end_ns is None:
-            return None
-        return self.end_ns - self.start_ns
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": "span",
@@ -69,10 +63,6 @@ class Span:
             "end_ns": self.end_ns,
             "attrs": self.attrs,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Span {self.span_id} {self.name} "
-                f"[{self.start_ns},{self.end_ns}]>")
 
 
 class TelemetryEvent:

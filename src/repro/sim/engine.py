@@ -145,10 +145,6 @@ class Event:
         if self._callbacks is not None and cb in self._callbacks:
             self._callbacks.remove(cb)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
-        return f"<Event {self.name!r} {state}>"
-
 
 class Timeout(Event):
     """An event that triggers automatically after a fixed delay.

@@ -42,14 +42,8 @@ class RandomStreams:
     def randint(self, name: str, lo: int, hi: int) -> int:
         return self.stream(name).randint(lo, hi)
 
-    def expovariate(self, name: str, rate: float) -> float:
-        return self.stream(name).expovariate(rate)
-
     def choice(self, name: str, seq: Sequence):
         return self.stream(name).choice(seq)
-
-    def shuffle(self, name: str, seq: list) -> None:
-        self.stream(name).shuffle(seq)
 
     def random(self, name: str) -> float:
         return self.stream(name).random()

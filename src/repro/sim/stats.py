@@ -40,9 +40,6 @@ class Counter:
         """Fold another shard's count into this one."""
         self.value += other.value
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.name}={self.value}>"
-
 
 class Timer:
     """Accumulates durations (ns) and reports count/total/mean/min/max."""
@@ -69,44 +66,6 @@ class Timer:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<Timer {self.name} n={self.count} mean={self.mean:.1f}ns "
-            f"min={self.min} max={self.max}>"
-        )
-
-
-class TimerView:
-    """A Timer-shaped read view over a :class:`Histogram`.
-
-    Lets a legacy timer name keep working after its recording was
-    unified onto a histogram (a value used to be recorded into both,
-    double-counting the work): the view reports the histogram's
-    count/total/mean through the Timer attribute surface; values are
-    recorded into the histogram, the one underlying store.
-    """
-
-    __slots__ = ("name", "_hist")
-
-    def __init__(self, name: str, hist: "Histogram"):
-        self.name = name
-        self._hist = hist
-
-    @property
-    def count(self) -> int:
-        return self._hist.total
-
-    @property
-    def total(self) -> int:
-        return self._hist.sum
-
-    @property
-    def mean(self) -> float:
-        return self._hist.mean
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<TimerView {self.name} n={self.count} mean={self.mean:.1f}ns>"
 
 
 class Histogram:
@@ -261,8 +220,6 @@ class MetricSet:
 
     name: str = "metrics"
     counters: Dict[str, Counter] = field(default_factory=dict)
-    #: read views over histograms, by legacy timer name
-    timers: Dict[str, TimerView] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
@@ -271,14 +228,6 @@ class MetricSet:
             c = Counter(name)
             self.counters[name] = c
         return c
-
-    def timer_view(self, name: str, hist: Histogram) -> TimerView:
-        """Install ``name`` as a read view over ``hist`` (see TimerView)."""
-        t = self.timers.get(name)
-        if t is None:
-            t = TimerView(name, hist)
-            self.timers[name] = t
-        return t
 
     def histogram(self, name: str,
                   bounds: Optional[List[int]] = None) -> Histogram:
@@ -292,9 +241,7 @@ class MetricSet:
         """Fold another shard's metrics into this set, in place.
 
         Counters add; histograms merge bucket-wise (identical bounds
-        required).  Timers are read views whose backing histogram is
-        merged through the ``histograms`` dict, so merging a view too
-        would double count.
+        required).
         """
         for name, c in other.counters.items():
             self.counter(name).merge(c)
@@ -310,10 +257,6 @@ class MetricSet:
         out: Dict[str, float] = {}
         for name, c in self.counters.items():
             out[f"{name}.count"] = c.value
-        for name, t in self.timers.items():
-            out[f"{name}.n"] = t.count
-            out[f"{name}.mean_ns"] = t.mean
-            out[f"{name}.total_ns"] = t.total
         for name, h in self.histograms.items():
             for key, value in h.snapshot().items():
                 out[f"{name}.{key}"] = value

@@ -26,7 +26,6 @@ the Hive extensions are modifications of real code rather than stubs:
 from repro.unix.errors import (
     BadAddressError,
     FileError,
-    KernelPanic,
     StaleGenerationError,
 )
 from repro.unix.kernel import LocalKernel
@@ -34,7 +33,6 @@ from repro.unix.kernel import LocalKernel
 __all__ = [
     "BadAddressError",
     "FileError",
-    "KernelPanic",
     "LocalKernel",
     "StaleGenerationError",
 ]

@@ -85,10 +85,6 @@ class Region(KObject):
     def file_page_index(self, vpn: int) -> int:
         return self.file_page_base + (vpn - self.start_vpn)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Region {self.kind} vpn[{self.start_vpn},{self.end_vpn}) "
-                f"{'rw' if self.writable else 'ro'}>")
-
 
 class AddressSpace(KObject):
     """The address map of a process (or of a spanning task).
@@ -123,9 +119,6 @@ class AddressSpace(KObject):
                 )
         self.regions.append(region)
         return region
-
-    def remove_region(self, region: Region) -> None:
-        self.regions.remove(region)
 
     def region_for(self, vpn: int) -> Region:
         for region in self.regions:

@@ -146,11 +146,5 @@ class KernelCosts:
     reboot_ns: int = 2_000 * NS_PER_MS         # cell reboot after diagnostics
     diagnostics_ns: int = 500 * NS_PER_MS      # recovery-master hw diagnostics
 
-    def validate(self) -> "KernelCosts":
-        for name, value in vars(self).items():
-            if value < 0:
-                raise ValueError(f"negative cost {name}")
-        return self
-
 
 DEFAULT_COSTS = KernelCosts()

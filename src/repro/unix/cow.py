@@ -78,10 +78,6 @@ class CowNode(KObject):
     def anon_tag(self) -> tuple:
         return ("anon", self.owner_cell, self.node_id)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<CowNode {self.owner_cell}:{self.node_id} "
-                f"pages={len(self.pages)} refs={self.refs}>")
-
 
 class CowManager:
     """Per-kernel manager of the COW nodes owned by that kernel."""

@@ -7,20 +7,6 @@ class KernelError(Exception):
     """Base class for OS-level errors."""
 
 
-class KernelPanic(KernelError):
-    """A kernel detected internal corruption and shut itself down.
-
-    "Cells normally panic (shut themselves down) if they detect such
-    hardware exceptions during kernel execution, because this indicates
-    internal kernel corruption" (Section 4.1).
-    """
-
-    def __init__(self, cell_id: int, reason: str):
-        super().__init__(f"cell {cell_id} panic: {reason}")
-        self.cell_id = cell_id
-        self.reason = reason
-
-
 class FileError(KernelError):
     """An errno-style file system failure."""
 

@@ -26,7 +26,6 @@ from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.hardware.disk import Disk
 from repro.unix.errors import FileError
-from repro.unix.kheap import KObject
 
 PAGE = 4096
 
@@ -48,29 +47,6 @@ class Inode:
     @property
     def npages(self) -> int:
         return (self.size + PAGE - 1) // PAGE
-
-
-class Vnode(KObject):
-    """In-memory handle for an open file.
-
-    In Hive a *shadow vnode* (a Vnode whose ``data_home`` differs from the
-    local cell) "indicates that the file is remote.  The file system uses
-    information stored in the vnode to determine the data home for the
-    file and the vnode tag on the data home" (Section 5.2).
-    """
-
-    __slots__ = ("fs_id", "ino", "data_home", "refcount")
-
-    def __init__(self, fs_id: int, ino: int, data_home: int):
-        super().__init__()
-        self.fs_id = fs_id
-        self.ino = ino
-        self.data_home = data_home
-        self.refcount = 0
-
-    def file_tag(self) -> tuple:
-        """The pfdat logical-id tag for this file's pages."""
-        return ("file", self.fs_id, self.ino)
 
 
 class DiskFileSystem:

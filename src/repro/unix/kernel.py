@@ -44,11 +44,10 @@ from repro.unix.errors import (
     BadAddressError,
     CellFailedError,
     FileError,
-    KernelPanic,
     ProcessKilled,
     StaleGenerationError,
 )
-from repro.unix.fs import PAGE, DiskFileSystem, Inode, Vnode
+from repro.unix.fs import PAGE, DiskFileSystem, Inode
 from repro.unix.kheap import KernelHeap
 from repro.unix.pfdat import NoFreeFrames, Pfdat, PfdatTable
 from repro.unix.process import (
@@ -256,10 +255,6 @@ class ProcContext:
     def signal(self, pid: int, sig: int) -> Generator:
         yield from self._ensure_cpu()
         return (yield from self.kernel.sys_kill(self, pid, sig))
-
-    def phase(self, name: str) -> None:
-        """Publish a named phase (fault-injection trigger point)."""
-        self.kernel.publish_phase(name)
 
 
 class LocalKernel:

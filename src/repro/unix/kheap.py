@@ -111,9 +111,3 @@ class KernelHeap:
     @property
     def live_objects(self) -> int:
         return len(self._objects)
-
-    def clear(self) -> None:
-        """Drop all allocations (cell reboot)."""
-        self._objects.clear()
-        self._free.clear()
-        self._next = self.base

@@ -125,19 +125,6 @@ class Pfdat(KObject):
         self.table: Optional["PfdatTable"] = None
         self.seq = 0
 
-    @property
-    def is_shared_logically(self) -> bool:
-        return bool(self.exported_to) or self.imported_from is not None
-
-    @property
-    def is_shared_physically(self) -> bool:
-        return self.loaned_to is not None or self.borrowed_from is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "ext" if self.extended else "reg"
-        return (f"<Pfdat {kind} frame={self.frame} id={self.logical_id} "
-                f"dirty={self.dirty} ref={self.refcount}>")
-
 
 class NoFreeFrames(MemoryError):
     """The allocator found no acceptable free frame."""

@@ -110,14 +110,6 @@ class Process(KObject):
             for thread in list(self.threads):
                 thread.kill(f"SIGKILL to pid {self.pid}")
 
-    def take_pending_signal(self) -> Optional[int]:
-        if self.pending_signals:
-            return self.pending_signals.pop(0)
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Process pid={self.pid} {self.name!r} cell={self.cell_id}>"
-
 
 class Thread:
     """One thread of control, executed as a simulation coroutine."""
@@ -151,6 +143,3 @@ class Thread:
     def check_killed(self) -> None:
         if self.killed:
             raise ProcessKilled(self.process.pid, self.kill_reason)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Thread {self.name} pid={self.process.pid}>"

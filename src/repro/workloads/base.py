@@ -98,9 +98,6 @@ class Platform:
 
     # -- placement-aware helpers ------------------------------------------
 
-    def cell_index_of_kernel(self, kernel: LocalKernel) -> int:
-        return self.kernels.index(kernel)
-
     def fs_owner_kernel(self, path: str) -> Optional[LocalKernel]:
         """The kernel serving a path (None if its cell is down)."""
         node = self.kernels[0].namespace.node_for(path)

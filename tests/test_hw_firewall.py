@@ -146,3 +146,23 @@ class TestRejectedAlternatives:
         fw.grant_cpu(frame, 1, grantee_cpu=5)
         assert fw.allows(frame, 5)
         assert not fw.allows(frame, 4)
+
+    def test_single_bit_revokes_wholesale(self):
+        """One bit has no per-node revocation: revoking any node takes
+        the page back to local-only for every granted node."""
+        params = HardwareParams(num_nodes=4)
+        fw = SingleBitFirewall(params, node_id=1)
+        fw.grant_node(FRAME, 1, 2)
+        fw.revoke_node(FRAME, 1, 3)
+        assert fw.allows(FRAME, 1)
+        assert not fw.allows(FRAME, 2)
+
+    def test_single_processor_node_grant_names_one_cpu(self):
+        """A node-wide grant cannot be expressed: it names the node's
+        first processor only."""
+        params = HardwareParams(num_nodes=4, cpus_per_node=2)
+        fw = SingleProcessorFirewall(params, node_id=1)
+        frame = params.pages_per_node
+        fw.grant_node(frame, 1, grantee_node=2)
+        assert fw.allows(frame, 4)
+        assert not fw.allows(frame, 5)

@@ -128,8 +128,8 @@ class TestFaultModel:
 
 
 class TestBulkPageAccess:
-    """read_pages/write_pages must match the per-page loop exactly,
-    including raise positions and partial-completion semantics."""
+    """read_pages must match the per-page loop exactly, including raise
+    positions."""
 
     def test_read_pages_matches_per_page(self, mem, params):
         data = bytes(range(256)) * (params.page_size // 256)
@@ -151,34 +151,3 @@ class TestBulkPageAccess:
         # Healthy frames still readable in bulk during the fault window.
         assert mem.read_pages([0, 1]) == [mem.read_page(0),
                                           mem.read_page(1)]
-
-    def test_write_pages_roundtrip(self, mem, params):
-        page = params.page_size
-        datas = [bytes([i]) * page for i in (1, 2, 3)]
-        mem.write_pages([0, 1, 2], datas, cpu=0)
-        assert mem.read_pages([0, 1, 2]) == datas
-
-    def test_write_pages_length_mismatch(self, mem, params):
-        with pytest.raises(ValueError):
-            mem.write_pages([0, 1], [b"\x00" * params.page_size])
-
-    def test_write_pages_wrong_size_raises(self, mem):
-        with pytest.raises(ValueError):
-            mem.write_pages([0], [b"short"], cpu=0)
-
-    def test_write_pages_firewall_partial_completion(self, mem, params):
-        """A rejected frame mid-batch leaves earlier writes applied,
-        exactly like the scalar loop."""
-        page = params.page_size
-        remote = params.pages_per_node  # node 1: cpu 0 may not write
-        datas = [b"\x01" * page, b"\x02" * page, b"\x03" * page]
-        with pytest.raises(FirewallViolation):
-            mem.write_pages([0, remote, 1], datas, cpu=0)
-        assert mem.read_page(0) == b"\x01" * page
-        assert mem.read_page(1) == b"\x00" * page  # never reached
-
-    def test_write_pages_harness_mode_skips_firewall(self, mem, params):
-        page = params.page_size
-        remote = params.pages_per_node
-        mem.write_pages([remote], [b"\x07" * page], cpu=None)
-        assert mem.read_page(remote) == b"\x07" * page

@@ -136,9 +136,9 @@ class TestReplayEnvEscape:
 
 class TestReplayObservability:
     def test_merge_tier_snapshots_folds_replay(self):
-        # Shard snapshots saved before PR 20 still carry a ``replay``
-        # section, before PR 21 an ``engine`` one; they fold away: no
-        # error, no key.
+        # The merge reads the coherence and rpc sections only: a section
+        # or count no shard writes any more (``replay``, ``engine``,
+        # ``vector_batches``) is no error and no key.
         snap = {
             "coherence": {"memo_hits": 10, "inline_batches": 2,
                           "vector_batches": 1, "scalar_batches": 0},
@@ -154,6 +154,7 @@ class TestReplayObservability:
         merged = merge_tier_snapshots([snap, snap])
         assert sorted(merged) == ["coherence", "rpc"]
         assert merged["coherence"]["memo_hits"] == 20
+        assert merged["coherence"]["inline_batches"] == 4
         assert merged["rpc"]["calls_total"] == 10
 
 

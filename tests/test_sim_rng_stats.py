@@ -143,17 +143,16 @@ class TestMetricSet:
     def test_lazy_creation_and_reuse(self):
         m = MetricSet("m")
         assert m.counter("a") is m.counter("a")
-        hist = m.histogram("b_ns")
-        assert m.timer_view("b", hist) is m.timer_view("b", hist)
+        assert m.histogram("b_ns") is m.histogram("b_ns")
 
     def test_snapshot_flattens(self):
         m = MetricSet("m")
         m.counter("hits").add(3)
-        m.timer_view("lat", m.histogram("lat_ns"))
         m.histogram("lat_ns").record(100)
         snap = m.snapshot()
         assert snap["hits.count"] == 3
-        assert snap["lat.mean_ns"] == 100
+        assert snap["lat_ns.n"] == 1
+        assert snap["lat_ns.mean"] == 100
 
     def test_histogram_lazy_creation_and_reuse(self):
         m = MetricSet("m")

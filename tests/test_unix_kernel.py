@@ -164,6 +164,46 @@ class TestFileSyscalls:
         assert out["errno"] == "EIO"
 
 
+class TestStandaloneRemoteOps:
+    """A kernel that is not a Hive cell has no intercell path: each
+    operation on another kernel's process or file fails with its errno.
+    (``SharingMixin`` overrides these seven hooks with RPCs.)"""
+
+    @pytest.fixture
+    def half(self):
+        # one kernel owning node 0 of a two-node machine; /far is node 1's
+        sim = Simulator()
+        machine = Machine(sim, MachineConfig(
+            params=HardwareParams(num_nodes=2), firewall_enabled=False))
+        namespace = GlobalNamespace(2)
+        namespace.mount("/far", 1)
+        return LocalKernel(sim, machine, 0, [0], namespace)
+
+    @pytest.mark.parametrize("op, errno", [
+        (lambda ctx, fd: ctx.spawn(lambda c: iter(()), target_cell=1),
+         "EINVAL"),
+        (lambda ctx, fd: ctx.signal(4242, 9), "ESRCH"),
+        (lambda ctx, fd: ctx.open("/far/f", "r"), "ENODEV"),
+        (lambda ctx, fd: ctx.unlink("/far/f"), "ENODEV"),
+        (lambda ctx, fd: ctx.map_file("/far/f"), "ENODEV"),
+        (lambda ctx, fd: ctx.read(fd, 8), "ESTALE"),
+        (lambda ctx, fd: ctx.write(fd, b"x"), "ESTALE"),
+    ])
+    def test_remote_op_fails(self, half, op, errno):
+        out = {}
+
+        def prog(ctx):
+            fd = ctx.process.install_fd(fs_id=99, ino=1, data_home=1,
+                                        mode="rw", generation=0)
+            try:
+                yield from op(ctx, fd.fd)
+            except FileError as exc:
+                out["errno"] = exc.errno
+
+        run_program(half, 0, prog)
+        assert out["errno"] == errno
+
+
 class TestProcessSyscalls:
     def test_spawn_and_wait(self, kernel):
         out = {}

@@ -182,6 +182,22 @@ class TestPfdatTable:
         t.lookup((("file", 1, 1), 99))
         assert t.lookups == 2 and t.hits == 1
 
+    def test_every_set_mutation_keeps_the_writable_index(self):
+        """``export_writable`` is a set whose every mutator updates the
+        table's writable-by-cell index, so no plain ``set`` method can
+        leave a grant the index does not know about."""
+        t = self.make()
+        a, b = t.alloc_frame(), t.alloc_frame()
+        a.export_writable.update([1, 2], {3})
+        b.export_writable.add(2)
+        assert t.writable_by(2) == [a, b]
+        a.export_writable.remove(2)
+        assert t.writable_by(2) == [b]
+        popped = {a.export_writable.pop(), a.export_writable.pop()}
+        assert popped == {1, 3} and not a.export_writable
+        assert t.writable_by(1) == t.writable_by(3) == []
+        assert t.export_writable_count() == 1
+
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=40, unique=True))
     @settings(max_examples=30, deadline=None)
     def test_hash_bijection_property(self, offsets):
