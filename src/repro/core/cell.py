@@ -361,7 +361,8 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
     def _revoke_all_grants(self) -> Generator:
         """Revoke every remote write grant on our frames (no RPCs needed:
         the firewalls are on our own nodes).  The firewall flips are
-        batched per home node through the bulk-revoke path."""
+        batched per home node through the bulk-revoke path; a frame we
+        loaned out is one of our pfdats like any other."""
         revoked = 0
         frames_by_node: Dict[int, list] = {}
         params = self.machine.params
@@ -373,10 +374,6 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                     frames_by_node.setdefault(node, []).append(pf.frame)
                 self.firewall_metrics.counter("bulk_revokes").add()
                 pf.export_writable.clear()
-                revoked += 1
-        for pf in self.pfdats.reserved.values():
-            if pf.export_writable:
-                self.firewall_mgr.revoke_all_local(pf)
                 revoked += 1
         for node, frames in frames_by_node.items():
             self.machine.memory.firewalls[node].bulk_revoke_all_remote(

@@ -159,16 +159,6 @@ class FirewallManager:
                           grantee=client_cell)
         return None
 
-    def revoke_all_local(self, pf: Pfdat) -> None:
-        """Recovery fast path: reset a local frame's firewall (no RPC)."""
-        node = self._home_node(pf.frame)
-        if self._owns_node(node):
-            self.cell.machine.memory.firewalls[node].revoke_all_remote(
-                pf.frame, node)
-        if pf.export_writable:
-            self.cell.firewall_metrics.counter("bulk_revokes").add()
-        pf.export_writable.clear()
-
     # -- the Section 4.2 measurement -------------------------------------------
 
     def remotely_writable_pages(self) -> int:
@@ -176,13 +166,10 @@ class FirewallManager:
 
         This is the quantity the paper sampled every 20 ms: ~15 per cell
         under pmake (max 42 on the /tmp file server), ~550 under ocean.
-        O(#reserved) via the table's export index, not O(all frames).
+        O(1) via the table's export index, which counts the frames we
+        loaned out too (they stay our pfdats).
         """
-        count = self.cell.pfdats.export_writable_count()
-        for pf in self.cell.pfdats.reserved.values():
-            if pf.export_writable:
-                count += 1
-        return count
+        return self.cell.pfdats.export_writable_count()
 
     def frames_writable_by(self, cell_id: int) -> List[Pfdat]:
         """Our pfdats whose frames the given cell can write.

@@ -170,6 +170,44 @@ class TestRecovery:
         settle(hive)
         assert owner.firewall_mgr.remotely_writable_pages() == 0
 
+    def test_loaned_frame_grant_revoked_in_recovery(self):
+        """A frame cell 0 loaned to cell 1, which had its memory home
+        grant cell 2 write access: every recovery resets the grants on
+        the frames a survivor owns, the loaned ones included, and the
+        Section 4.2 count sees the grant once."""
+        hive = boot4()
+        lender, borrower = hive.cell(0), hive.cell(1)
+        cpu2 = hive.cell(2).cpu_ids[0]
+
+        def borrow():
+            result = yield from borrower.rpc.call(
+                0, "borrow_frames", {"count": 1})
+            frame = result["frames"][0]
+            pf = borrower.pfdats.alloc_extended(frame)
+            pf.borrowed_from = 0
+            yield from borrower.rpc.call(
+                0, "firewall_update",
+                {"frame": frame, "grantee": 2, "grant": True})
+            return frame
+
+        proc = hive.sim.process(borrow())
+        hive.sim.run_until_event(proc, deadline=hive.sim.now + 10**10)
+        frame = proc.value
+        loaned = lender.pfdats.reserved[frame]
+        assert loaned.export_writable == {2}
+        assert hive.machine.memory.write_allowed(frame, cpu2)
+        # counted once: the loaned frame is still one of the lender's
+        assert lender.firewall_mgr.remotely_writable_pages() == 1
+        revokes = lender.firewall_metrics.counter("bulk_revokes").value
+        hive.machine.halt_node(3)
+        settle(hive)
+        assert hive.coordinator.records[-1].dead_cells == {3}
+        assert loaned.loaned_to == 1 and not loaned.export_writable
+        assert not hive.machine.memory.write_allowed(frame, cpu2)
+        assert lender.firewall_mgr.remotely_writable_pages() == 0
+        assert lender.firewall_metrics.counter("bulk_revokes").value \
+            == revokes + 1
+
     def test_survivor_count_and_liveness(self):
         hive = boot4()
         self._shared_setup(hive)

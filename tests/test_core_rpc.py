@@ -184,19 +184,42 @@ class TestFailureBehaviour:
 class TestFlowControlBackoff:
     """The SipsQueueFull stall-and-retry path (hardware flow control)."""
 
-    def _stuff_queue(self, system, dst_cell):
-        """Fill the destination's request queue with inert messages that
+    def _stuff_queue(self, system, dst_cell, kind="request"):
+        """Fill the destination's ``kind`` queue with inert messages that
         no delivery will ever drain, so every send flow-controls."""
-        from repro.hardware.sips import REQUEST, SipsMessage
+        from repro.hardware.sips import SipsMessage
 
         fabric = system.machine.sips
         dst_node = system.registry.first_node_of(dst_cell)
-        queue = fabric._queues[(dst_node, REQUEST)]
+        queue = fabric._queues[(dst_node, kind)]
         while len(queue) < system.params.sips_queue_depth:
             queue.append(SipsMessage(src_cpu=0, dst_node=dst_node,
-                                     kind=REQUEST, payload=None,
+                                     kind=kind, payload=None,
                                      payload_size=0, send_time=0))
         return queue
+
+    def test_reply_refused_by_full_queue_still_arrives(self, hive2):
+        """A reply the caller's full reply queue refuses is retried in
+        the background until it lands: a SIPS is never dropped."""
+        from repro.hardware.sips import REPLY
+
+        c0, c1 = hive2.cell(0), hive2.cell(1)
+        queue = self._stuff_queue(hive2, 0, REPLY)
+
+        def unclog():
+            yield hive2.sim.timeout(50_000)
+            queue.clear()
+
+        hive2.sim.process(unclog())
+
+        def bench():
+            return (yield from c0.rpc.call(1, "ping", {}))
+
+        assert drive(hive2, bench()) == "alive"
+        assert hive2.sim.now >= 50_000
+        assert hive2.machine.sips.flow_control_rejections >= 2
+        assert c1.rpc.metrics.counter("reply_failures").value == 0
+        assert c0.rpc.metrics.counter("send_retries").value == 0
 
     def test_send_retries_counter_counts_backoff_rounds(self, hive2):
         c0 = hive2.cell(0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sharing import LOCAL_RESERVE_FRAMES
+from repro.core.sharing import BORROW_BATCH, LOCAL_RESERVE_FRAMES
 from repro.unix.errors import FileError, StaleGenerationError
 from repro.unix.fs import PAGE
 
@@ -290,6 +290,49 @@ class TestPhysicalSharing:
         hive2.sim.run(until=hive2.sim.now + 50_000_000)
         assert len(out["frames"]) == 4
         assert lender.pfdats.reserved == {}
+
+    def test_allocation_under_pressure_borrows(self, hive2):
+        """Section 5.4's client side: a cell down to its deadlock
+        reserve allocates from frames it borrows in one batch, and a
+        tracer sees a loan to a tainted borrower."""
+        from repro.obs import attach_provenance
+
+        borrower, lender = hive2.cell(0), hive2.cell(1)
+        tracer = attach_provenance(hive2)
+        tracer.fault_injected(0, kind="corrupt")
+        while borrower.pfdats.free_count > LOCAL_RESERVE_FRAMES:
+            borrower.pfdats.alloc_frame()
+
+        proc = hive2.sim.process(borrower.alloc_frame())
+        hive2.sim.run_until_event(proc,
+                                  deadline=hive2.sim.now + 10_000_000_000)
+        pf = proc.value
+        assert pf.extended and pf.borrowed_from == 1
+        loaned = lender.pfdats.loaned_frames_to(0)
+        assert len(loaned) == BORROW_BATCH
+        assert pf.frame in {p.frame for p in loaned}
+        assert borrower.metrics.counter("borrows").value == 1
+        # the rest of the batch is stock for the next allocations
+        assert len(borrower._borrowed_free) == BORROW_BATCH - 1
+        loans = [it for it in tracer.audit_report()["interactions"]
+                 if it["kind"] == "loan"]
+        assert sorted(it["frame"] for it in loans) \
+            == sorted(p.frame for p in loaned)
+        assert all((it["src"], it["dst"]) == (0, 1) for it in loans)
+
+    def test_borrow_target_choice(self, hive4):
+        cell = hive4.cell(0)
+        assert cell._borrow_target(2, None) == 2      # the preferred cell
+        assert cell._borrow_target(None, {3}) == 3    # only acceptable
+        assert cell._borrow_target(None, {0}) is None  # never itself
+        cell.wax_hints["borrow_target"] = 2           # Wax's hint
+        assert cell._borrow_target(None, None) == 2
+        assert cell._borrow_target(3, None) == 3      # preferred wins
+        del cell.wax_hints["borrow_target"]
+        # otherwise round-robin over the live others by borrows made
+        assert cell._borrow_target(None, None) == 1
+        cell.metrics.counter("borrows").add()
+        assert cell._borrow_target(None, None) == 2
 
     def test_lender_keeps_deadlock_reserve(self, hive2):
         lender = hive2.cell(1)

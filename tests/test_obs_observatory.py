@@ -316,16 +316,14 @@ class TestEngineProfile:
 class TestTierSnapshots:
     def _snap(self, memo=2, fast=10, calls=15):
         return {
-            "coherence": {"memo_hits": memo, "inline_batches": 1,
-                          "vector_batches": 1, "scalar_batches": 0,
+            "coherence": {"memo_hits": memo, "inline_batches": 2,
+                          "scalar_batches": 0,
                           "batches_total": memo + 2,
                           "memo_hit_rate": memo / (memo + 2),
-                          "inline_rate": 1 / (memo + 2),
-                          "vector_rate": 1 / (memo + 2),
+                          "inline_rate": 2 / (memo + 2),
                           "scalar_rate": 0.0},
             "rpc": {"fast_path": fast, "calls_total": calls,
                     "fast_rate": fast / calls},
-            "engine": None,
         }
 
     def test_merge_recomputes_rates_from_counts(self):
@@ -335,14 +333,11 @@ class TestTierSnapshots:
         assert coh["memo_hits"] == 8
         assert coh["batches_total"] == 12
         assert coh["memo_hit_rate"] == pytest.approx(8 / 12)
-        # shards saved while a vectorized tier existed: its batches
-        # count as inline, the tier that runs them now
         assert coh["inline_batches"] == 4
-        assert "vector_batches" not in coh and "vector_rate" not in coh
+        assert coh["inline_rate"] == pytest.approx(4 / 12)
         rpc = merged["rpc"]
         assert rpc["calls_total"] == 30
         assert rpc["fast_rate"] == pytest.approx(20 / 30)
-        # the pre-PR 21 ``engine`` section of the inputs folds away
         assert sorted(merged) == ["coherence", "rpc"]
 
 

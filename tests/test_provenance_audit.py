@@ -167,3 +167,91 @@ class TestAuditRendering:
         assert any(e["ph"] == "X" for e in single["traceEvents"])
         # Byte-stable for golden files.
         assert _dumps(trace) == _dumps(audit_to_chrome_trace(merged))
+
+
+def _traced_hive():
+    from repro.core.hive import boot_hive
+    from repro.hardware.machine import MachineConfig
+    from repro.sim.engine import Simulator
+
+    hive = boot_hive(Simulator(), num_cells=4,
+                     machine_config=MachineConfig(seed=1))
+    return hive, attach_provenance(hive)
+
+
+def _interactions(tracer, channel):
+    return [(it["kind"], it["src"], it["dst"], it["frame"], it["op"],
+             it["verdict"], it["defense"], it["hard"])
+            for it in tracer.audit_report()["interactions"]
+            if it["channel"] == channel]
+
+
+class TestTracerHooks:
+    """The hooks no Table 7.4 trial reaches, each driven through the
+    code path that calls it."""
+
+    def test_wild_write_burst(self):
+        from repro.core.kfaults import KernelFaultInjector, KernelFaultRecord
+
+        hive, tracer = _traced_hive()
+        params, registry = hive.params, hive.registry
+        # Seed 109's burst writes frames in cells 0, 1 and 2, in order.
+        own, granted, guarded = 5881, 12669, 18648
+        assert [registry.cell_of_node(params.node_of_frame(f))
+                for f in (own, granted, guarded)] == [0, 1, 2]
+        node = params.node_of_frame(granted)
+        hive.machine.memory.firewalls[node].grant_node(granted, node, 0)
+        tracer.fault_injected(0, kind="corrupt")
+        record = KernelFaultRecord(site="test", mode="test", cell_id=0,
+                                   time_ns=0, original_value=0,
+                                   corrupt_value=109)
+        KernelFaultInjector(hive)._wild_write_burst(hive.cell(0), 109, 3,
+                                                    record)
+        assert (record.wild_writes_landed, record.wild_writes_blocked) \
+            == (2, 1)
+        assert not hive.cell(0).alive  # the firewall bus error panics it
+        assert tracer._tainted_frames == {own: "t0", granted: "t0"}
+        assert _interactions(tracer, "wildwrite") == [
+            ("write", 0, 1, granted, None, "absorbed", None, True),
+            ("write", 0, 2, guarded, None, "blocked", "firewall", False)]
+
+    def test_recovery_kill(self):
+        """A child spawned on cell 1 whose anonymous memory's COW
+        ancestry is on cell 0 dies with cell 0."""
+        from repro.hardware.faults import FaultInjector
+
+        hive, tracer = _traced_hive()
+        out = {}
+
+        def child(ctx):
+            yield from ctx.touch(ctx.process.aspace.regions[0], 0)
+            yield from ctx.compute(10_000_000_000)
+
+        def parent(ctx):
+            region = yield from ctx.map_anon(2)
+            yield from ctx.touch(region, 0, write=True)
+            out["pid"] = yield from ctx.spawn(child, "kid", target_cell=1)
+            yield from ctx.compute(10_000_000_000)
+
+        hive.spawn_init(0, parent)
+        hive.sim.run(until=hive.sim.now + 100_000_000)
+        hive.injector.inject(FaultInjector.NODE_FAILURE, 0)
+        hive.sim.run(until=hive.sim.now + 400_000_000)
+        assert hive.coordinator.records[-1].killed_processes == 1
+        (kill,) = tracer.audit_report()["process_kills"]
+        assert (kill["cell"], kill["pid"], kill["reason"], kill["taint"]) \
+            == (1, out["pid"], "anonymous memory lost with failed cell",
+                "t0")
+
+    def test_reply_from_tainted_cell(self):
+        hive, tracer = _traced_hive()
+        tracer.fault_injected(1, kind="corrupt")
+
+        def call():
+            return (yield from hive.cell(0).rpc.call(1, "ping", {}))
+
+        proc = hive.sim.process(call())
+        hive.sim.run_until_event(proc, deadline=hive.sim.now + 10**10)
+        assert proc.value == "alive"
+        assert _interactions(tracer, "rpc") == [
+            ("reply", 1, 0, None, "ping", "absorbed", None, False)]
