@@ -224,13 +224,13 @@ class FaultExperimentRunner:
             # the very first fork.
             for _ in range(2 + fseed % 4):
                 system.injector.arm_phase("process_creation",
-                                          "noop", self.victim_cell)
+                                          None, self.victim_cell)
             system.injector.arm_phase("process_creation",
                                       FaultInjector.NODE_FAILURE,
                                       self.victim_cell)
         elif scenario == HW_DURING_COW_SEARCH:
             for _ in range(20 + (fseed * 13) % 40):
-                system.injector.arm_phase("cow_search", "noop",
+                system.injector.arm_phase("cow_search", None,
                                           self.victim_cell)
             system.injector.arm_phase("cow_search",
                                       FaultInjector.NODE_FAILURE,
@@ -273,16 +273,6 @@ class FaultExperimentRunner:
                     sim.schedule(NS_PER_MS, corrupt)
 
             sim.schedule(t, corrupt)
-
-        # "noop" arms are skipped occurrences: teach the injector.
-        _orig_inject = system.injector.inject
-
-        def inject_or_skip(kind, node_id, trigger="manual"):
-            if kind == "noop":
-                return None
-            return _orig_inject(kind, node_id, trigger)
-
-        system.injector.inject = inject_or_skip
 
         # -- main workload run ------------------------------------------
         notes = ""

@@ -25,7 +25,7 @@ recovery-latency percentiles, the containment audit and hot-path tier
 hit rates.
 ``--telemetry-out DIR`` on run/inject/micro additionally writes the
 machine-readable artifacts (JSONL spans, Chrome trace, metrics snapshot,
-fault timeline, ``BENCH_pr2.json``).
+fault timeline, ``summary.json``).
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def cmd_micro(args) -> int:
         import os
         os.makedirs(args.telemetry_out, exist_ok=True)
         bench = {"command": "micro", "seed": args.seed, "anchors": anchors}
-        path = os.path.join(args.telemetry_out, "BENCH_pr2.json")
+        path = os.path.join(args.telemetry_out, "summary.json")
         write_bench_summary(path, bench)
         print(f"anchors written to {path}")
     return 0
@@ -402,7 +402,7 @@ def cmd_inject(args) -> int:
                  "seed": args.seed, "scenarios": payload["scenarios"],
                  "parallel": par}
         write_bench_summary(
-            os.path.join(args.telemetry_out, "BENCH_pr2.json"), bench)
+            os.path.join(args.telemetry_out, "summary.json"), bench)
     return 1 if payload.get("failures") or uncontained or absorbed else 0
 
 
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--telemetry-out", metavar="DIR", default=None,
                        help="write machine-readable telemetry "
                             "(spans.jsonl, trace.json, metrics.json, "
-                            "timeline.txt, BENCH_pr2.json) into DIR")
+                            "timeline.txt, summary.json) into DIR")
         p.add_argument("--telemetry-compress", action="store_true",
                        help="gzip the stream artifacts "
                             "(spans.jsonl.gz, trace.json.gz); readers "

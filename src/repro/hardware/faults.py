@@ -86,7 +86,8 @@ class FaultInjector:
     # fault, which is how the paper hit faults "during process creation"
     # and "during copy-on-write search".
 
-    def arm_phase(self, phase: str, kind: str, node_id: int) -> None:
+    def arm_phase(self, phase: str, kind: Optional[str], node_id: int) -> None:
+        """Queue an arm on ``phase``; a ``None`` kind skips one occurrence."""
         self._phase_arms.setdefault(phase, []).append((kind, node_id))
 
     def phase_hit(self, phase: str) -> Optional[InjectionRecord]:
@@ -97,6 +98,6 @@ class FaultInjector:
         kind, node_id = arms.pop(0)
         if not arms:
             del self._phase_arms[phase]
-        if self.machine.nodes[node_id].halted:
+        if kind is None or self.machine.nodes[node_id].halted:
             return None
         return self.inject(kind, node_id, trigger=f"phase:{phase}")

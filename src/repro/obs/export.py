@@ -13,7 +13,7 @@ Three consumers, three formats:
   with per-phase latencies (the Table 7.4 debugging view).
 
 ``write_telemetry`` drops all of them (plus a metrics snapshot and an
-optional ``BENCH_pr2.json`` summary) into one directory.
+optional ``summary.json`` run summary) into one directory.
 """
 
 from __future__ import annotations
@@ -392,6 +392,6 @@ def write_telemetry(out_dir: str, recorder: FlightRecorder, system,
     with open(paths["timeline"], "w") as fh:
         fh.write(render_fault_timeline(recorder) + "\n")
     if bench is not None:
-        paths["bench"] = os.path.join(out_dir, "BENCH_pr2.json")
+        paths["bench"] = os.path.join(out_dir, "summary.json")
         write_bench_summary(paths["bench"], bench)
     return paths

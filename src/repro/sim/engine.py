@@ -5,16 +5,13 @@ event-queue design; coroutine processes are Python generators that yield
 :class:`Event` objects and are resumed when those events trigger, or
 yield a plain ``int`` number of nanoseconds to sleep that long.
 
-The queue is a three-tier structure (the PR5 timer wheel):
+The queue has two tiers:
 
 * a **same-instant batch** (``_nowq``): zero-delay entries — mostly
   event-trigger callback dispatches — go to a FIFO deque instead of the
   heap, since they fire at the current instant anyway;
-* a **bucketed timer wheel** for near-future entries (within
-  ``_WHEEL_SLOTS`` slots of ``2**_WHEEL_SHIFT`` ns): an O(1) append at
-  schedule time; a slot is dumped into the binary heap when the clock
-  reaches it, so the heap stays small;
-* the **binary heap** for far-future entries and the current slot.
+* a **binary heap** (``_queue``) for every positive-delay entry, keyed
+  by ``(time, seq)``.
 
 Entries are mutable ``[time, seq, fn, args]`` lists so they can be
 *cancelled* in place (:meth:`Simulator.cancel`, :meth:`Timeout.cancel`):
@@ -25,7 +22,10 @@ entries accumulate in the heap it is compacted in place.
 Determinism guarantees
 ----------------------
 * Events scheduled for the same instant fire in the order they were
-  scheduled (dispatch is keyed by ``(time, seq)`` across all tiers).
+  scheduled: dispatch is keyed by ``(time, seq)`` across both tiers, so
+  a heap entry due now fires before any deque entry scheduled after it.
+  :meth:`Simulator.schedule` is the one place a timed entry gets its
+  key.
 * Nothing in the engine consults wall-clock time or global randomness.
 """
 
@@ -34,19 +34,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional, Union
-
-#: timer-wheel geometry: slots are ``2**_WHEEL_SHIFT`` ns wide and the
-#: wheel covers ``_WHEEL_SLOTS`` slots (~4.2 ms of near future with the
-#: defaults); farther entries fall back to the heap.
-_WHEEL_SHIFT = 16
-_WHEEL_SLOTS = 4096
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-# Entries landing within this many slots of the cursor skip the wheel
-# and go straight to the heap: a near-future timer would be dumped back
-# into the heap by the very next _advance_wheel anyway, so parking it
-# costs a slot append *plus* the heappush.  The wheel earns its keep on
-# timers that sleep long enough to be cancelled or compacted in place.
-_WHEEL_NEAR = 2
 
 #: compact the heap when more than this many cancelled entries exist and
 #: they outnumber the live ones.
@@ -164,8 +151,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(
-            sim, name=f"timeout({delay})" if sim.trace_names else "timeout")
+        super().__init__(sim, name="timeout")
         self.delay = delay
         self._entry = sim.schedule(delay, self._expire, value)
 
@@ -440,9 +426,7 @@ class Simulator:
     """The event loop.  ``now`` is the current time in nanoseconds."""
 
     __slots__ = ("now", "_queue", "_seq", "crash_on_process_error",
-                 "events_processed",
-                 "trace_names", "_nowq", "_wheel",
-                 "_wheel_count", "_wslot", "_wslots", "_dead")
+                 "events_processed", "_nowq", "_dead")
 
     def __init__(self, crash_on_process_error: bool = True):
         self.now: int = 0
@@ -456,20 +440,8 @@ class Simulator:
         #: all run calls (the throughput benchmark's events/sec numerator).
         #: Cancelled entries never count.
         self.events_processed: int = 0
-        #: when True, events get descriptive formatted names (debugging);
-        #: off by default so hot paths skip the f-string formatting.
-        self.trace_names: bool = False
         # Same-instant FIFO of [time, seq, fn, args] entries for `now`.
         self._nowq: deque = deque()
-        # Near-future slots.
-        self._wheel: list = [[] for _ in range(_WHEEL_SLOTS)]
-        self._wheel_count = 0
-        # Absolute slot index up to which the wheel has been drained.
-        self._wslot = 0
-        # Min-heap of occupied *absolute* slot indices (pushed on a
-        # slot's empty->nonempty transition), so the advance cursor
-        # jumps straight to the next occupied slot.
-        self._wslots: list = []
         # Cancelled entries still sitting in the queue tiers.
         self._dead = 0
 
@@ -489,17 +461,7 @@ class Simulator:
         if delay == 0:
             self._nowq.append(entry)
         else:
-            slot = t >> _WHEEL_SHIFT
-            off = slot - self._wslot
-            if _WHEEL_NEAR < off < _WHEEL_SLOTS:
-                lst = self._wheel[slot & _WHEEL_MASK]
-                if not lst:
-                    heapq.heappush(self._wslots, slot)
-                lst.append(entry)
-                self._wheel_count += 1
-            else:
-                # near/current slot or beyond the horizon
-                heapq.heappush(self._queue, entry)
+            heapq.heappush(self._queue, entry)
         return entry
 
     def cancel(self, entry: list) -> bool:
@@ -522,54 +484,6 @@ class Simulator:
             self._dead = 0
         return True
 
-    # -- wheel bookkeeping --------------------------------------------
-
-    def _advance_wheel(self) -> None:
-        """Dump occupied wheel slots into the heap until the earliest
-        timed entry is at the heap head (or the wheel is empty).
-
-        ``_wslots`` (a min-heap of occupied slot indices) lets the
-        cursor jump straight to the next occupied slot; empty slots are
-        never visited.
-        """
-        queue = self._queue
-        wslots = self._wslots
-        wheel = self._wheel
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        while wslots:
-            s = wslots[0]
-            if queue and (queue[0][0] >> _WHEEL_SHIFT) < s:
-                # The heap head fires before any wheel entry.
-                break
-            heappop(wslots)
-            lst = wheel[s & _WHEEL_MASK]
-            self._wheel_count -= len(lst)
-            for e in lst:
-                heappush(queue, e)
-            lst.clear()
-            if s > self._wslot:
-                self._wslot = s
-
-    def _ff_wslot(self, t: int) -> None:
-        """Fast-forward the slot cursor to ``t`` (clock jumped to a
-        deadline), dumping any slots passed over into the heap."""
-        target = t >> _WHEEL_SHIFT
-        if target <= self._wslot:
-            return
-        wslots = self._wslots
-        if wslots:
-            queue = self._queue
-            wheel = self._wheel
-            while wslots and wslots[0] <= target:
-                s = heapq.heappop(wslots)
-                lst = wheel[s & _WHEEL_MASK]
-                self._wheel_count -= len(lst)
-                for e in lst:
-                    heapq.heappush(queue, e)
-                lst.clear()
-        self._wslot = target
-
     # -- chain-coordinator support ------------------------------------
 
     def next_event_time(self) -> Optional[int]:
@@ -579,36 +493,26 @@ class Simulator:
         conservative horizon for chain replay: parked chain wakeups live
         *outside* the queue tiers, so the answer is exactly "when does
         the next engine-scheduled event fire".  Cancelled heads are
-        popped (they would be skipped by the run loops anyway) and due
-        wheel slots are dumped so the heap head is authoritative.
+        popped (they would be skipped by the run loops anyway).
         """
         if self._nowq:
             return self.now
         queue = self._queue
-        heappop = heapq.heappop
-        while True:
-            if self._wheel_count:
-                self._advance_wheel()
-            while queue and queue[0][2] is None:
-                heappop(queue)
-            if queue or not self._wheel_count:
-                break
+        while queue and queue[0][2] is None:
+            heapq.heappop(queue)
         return queue[0][0] if queue else None
 
     def advance_to(self, t: int) -> None:
         """Jump the clock forward to ``t`` without dispatching.
 
         Only the chain coordinator calls this, and only for times it
-        has proven quiescent (strictly before :meth:`next_event_time`);
-        the wheel cursor is fast-forwarded exactly as the run loops do
-        when they overshoot to a deadline.
+        has proven quiescent (strictly before :meth:`next_event_time`).
         """
         if t < self.now:
             raise SimulationError(
                 f"advance_to({t}) would move time backwards "
                 f"(now={self.now})")
         self.now = t
-        self._ff_wslot(t)
 
     # -- dispatch -----------------------------------------------------
 
@@ -640,8 +544,6 @@ class Simulator:
                     raise SimulationError(
                         "event budget exhausted; likely livelock")
                 continue
-            if self._wheel_count:
-                self._advance_wheel()
             if not queue:
                 break
             # Pop first, push back on overshoot: the push-back happens
@@ -652,17 +554,11 @@ class Simulator:
             if until is not None and t > until:
                 heapq.heappush(queue, entry)
                 self.now = until
-                self._ff_wslot(until)
                 self.events_processed += processed
                 return
             fn = entry[2]
             if fn is None:
                 continue
-            ts = t >> _WHEEL_SHIFT
-            if ts > self._wslot:
-                # Safe: _advance_wheel ran just above, so either the
-                # wheel is empty or the head was within the drained span.
-                self._wslot = ts
             self.now = now = t
             fn(*entry[3])
             processed += 1
@@ -672,7 +568,6 @@ class Simulator:
         self.events_processed += processed
         if until is not None:
             self.now = until
-            self._ff_wslot(until)
 
     def run_until_event(self, event: "Event",
                         deadline: Optional[int] = None,
@@ -711,8 +606,6 @@ class Simulator:
                     raise SimulationError(
                         "event budget exhausted; likely livelock")
                 continue
-            if self._wheel_count:
-                self._advance_wheel()
             if not queue:
                 break
             entry = heappop(queue)
@@ -720,14 +613,10 @@ class Simulator:
             if deadline is not None and t > deadline:
                 heapq.heappush(queue, entry)
                 self.now = deadline
-                self._ff_wslot(deadline)
                 break
             fn = entry[2]
             if fn is None:
                 continue
-            ts = t >> _WHEEL_SHIFT
-            if ts > self._wslot:
-                self._wslot = ts
             self.now = now = t
             fn(*entry[3])
             processed += 1

@@ -11,7 +11,7 @@ image boots the system inside a dedicated *holder* process (forked before
 boot, so closures and un-picklable coroutines never cross a process
 boundary), freezes the heap into shared pages, and then forks a fresh
 child per run.  The child inherits the booted system byte-for-byte —
-engine queues, timer wheel, per-cell kernel structures, pfdat/firewall/
+the engine's event queue, per-cell kernel structures, pfdat/firewall/
 coherence directories, RNG streams — and only pages it dirties are
 copied.  Run requests and results travel over pipes as length-prefixed
 pickle frames; the run function must therefore be module-level

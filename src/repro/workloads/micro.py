@@ -241,7 +241,7 @@ def collect_anchors(seed: int = 1995) -> Dict[str, Dict[str, float]]:
     """All microbenchmark anchors as ``name -> {paper, measured, unit}``.
 
     One entry per row of the ``repro micro`` table; the machine-readable
-    form telemetry export writes to ``BENCH_pr2.json``.
+    form telemetry export writes to ``summary.json``.
     """
     local = measure_page_fault(boot_two_cell(seed), remote=False,
                                nfaults=128)

@@ -218,7 +218,7 @@ class TestCommands:
         cell0 = metrics["cells"]["0"]
         for subsystem in ("firewall", "rpc", "sharing", "recovery"):
             assert subsystem in cell0
-        with open(os.path.join(out_dir, "BENCH_pr2.json")) as fh:
+        with open(os.path.join(out_dir, "summary.json")) as fh:
             bench = json.load(fh)
         assert bench["workload"] == "raytrace"
         assert bench["spans"] > 0

@@ -259,6 +259,22 @@ class TestFaultInjector:
         # Armed once: second hit does nothing.
         assert inj.phase_hit("process_creation") is None
 
+    def test_none_arm_skips_one_phase_hit(self):
+        """A ``None`` arm uses up one occurrence of the phase without
+        injecting; the real arm behind it fires on the next one."""
+        from repro.hardware.faults import FaultInjector
+
+        sim = Simulator()
+        m = Machine(sim, MachineConfig())
+        inj = FaultInjector(sim, m)
+        inj.arm_phase("cow_search", None, 1)
+        inj.arm_phase("cow_search", FaultInjector.NODE_FAILURE, 1)
+        assert inj.phase_hit("cow_search") is None
+        assert not m.nodes[1].halted and inj.records == []
+        rec = inj.phase_hit("cow_search")
+        assert rec is not None and rec.trigger == "phase:cow_search"
+        assert m.nodes[1].halted
+
     def test_timed_injection(self):
         from repro.hardware.faults import FaultInjector
 

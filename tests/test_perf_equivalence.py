@@ -56,10 +56,10 @@ class TestBatchVsScalarGolden:
 
 
 class TestWheelVsHeapGolden:
-    """The engine timer wheel must be invisible to the simulation: it
-    dispatches the events the classic binary heap dispatched in the same
-    order, so *every* deterministic row key — including the engine event
-    count itself — is what the heap gave."""
+    """The engine's one heap (the timer wheel in front of it is gone)
+    dispatches the events the classic binary heap dispatched, in the
+    same order, so *every* deterministic row key — including the engine
+    event count itself — is what the heap gave."""
 
     def test_throughput_small_wheel_toggle(self):
         assert output("throughput small") == DIGESTS["throughput small"]

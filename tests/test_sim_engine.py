@@ -89,6 +89,57 @@ class TestScheduling:
         assert not sim.run_until_event(ev, deadline=100)
 
 
+class TestCoordinatorHooks:
+    """``next_event_time`` and ``advance_to``: what the chain
+    coordinator (``repro.sim.shard``) steers the clock with."""
+
+    def test_next_event_time_empty_queue_is_none(self):
+        assert Simulator().next_event_time() is None
+
+    def test_next_event_time_is_now_while_nowq_nonempty(self):
+        sim = Simulator()
+        sim.schedule(700, lambda: None)
+        sim.run(until=300)
+        sim.schedule(0, lambda: None)
+        assert sim.next_event_time() == 300
+        sim.run(until=300)
+        assert sim.next_event_time() == 700
+
+    def test_next_event_time_pops_cancelled_heads(self):
+        sim = Simulator()
+        first = sim.schedule(100, lambda: None)
+        second = sim.schedule(200, lambda: None)
+        sim.schedule(300, lambda: None)
+        sim.cancel(first)
+        sim.cancel(second)
+        assert sim.next_event_time() == 300
+        assert len(sim._queue) == 1
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_next_event_time_all_cancelled_is_none(self):
+        sim = Simulator()
+        sim.cancel(sim.schedule(100, lambda: None))
+        assert sim.next_event_time() is None
+        assert sim._queue == []
+
+    def test_advance_to_moves_clock_without_dispatching(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1_000, seen.append, "due")
+        sim.advance_to(400)
+        assert (sim.now, seen, sim.events_processed) == (400, [], 0)
+        sim.run()
+        assert (sim.now, seen) == (1_000, ["due"])
+
+    def test_advance_to_past_raises(self):
+        sim = Simulator()
+        sim.advance_to(500)
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.advance_to(499)
+        assert sim.now == 500
+
+
 class TestEvents:
     def test_succeed_delivers_value(self):
         sim = Simulator()
@@ -426,14 +477,15 @@ class TestCancellation:
 
 
 def _dispatch_trace():
-    """A mixed schedule exercising nowq, wheel slots, and heap tiers."""
+    """A mixed schedule exercising the same-instant deque and the heap."""
     sim = Simulator()
     trace = []
 
     def note(tag):
         trace.append((sim.now, tag))
 
-    # zero-delay, same-slot, cross-slot, and beyond-horizon entries
+    # zero-delay entries and timed ones on both sides of the old timer
+    # wheel's slot (65,536 ns) and horizon (4096 slots) boundaries
     delays = [0, 1, 100, 65_535, 65_536, 70_000, 1_000_000,
               300_000_000, 500_000_000]
     for i, d in enumerate(delays):
@@ -497,15 +549,24 @@ class _Ledger:
         assert sorted(self.fired) == sorted(set(self.keys) - set(cancelled))
 
 
-#: delays on both sides of every tier boundary: the same-instant deque,
-#: the near slots that skip the wheel, wheel slots, the wheel horizon
-#: (4096 slots of 65,536 ns) and the heap beyond it
+#: zero delays (the same-instant deque) and positive ones (the heap),
+#: on both sides of every boundary of the timer wheel the heap replaced:
+#: its near slots, its slots of 65,536 ns and its 4096-slot horizon
 _TIER_DELAYS = st.sampled_from([
     0, 0, 1, 100, 65_535, 65_536, 131_071, 196_608, 196_609, 262_144,
     1_000_000, 268_435_455, 268_435_456, 268_500_000, 300_000_000])
 
 
+#: the deleted timer wheel's slot width and horizon, kept as the
+#: boundaries the heap must order across
+_SLOT_NS = 65_536
+_HORIZON_NS = 4096 * _SLOT_NS
+
+
 class TestTimerWheel:
+    """The one heap behind the same-instant deque, pinned where the
+    timer wheel it replaced kept its tier boundaries."""
+
     def test_wheel_and_heap_dispatch_identically(self):
         assert _dispatch_trace() == HEAP_DISPATCH_TRACE
 
@@ -516,9 +577,9 @@ class TestTimerWheel:
            stops=st.lists(st.integers(0, 600_000_000), max_size=3))
     def test_dispatch_order_is_time_then_schedule_seq(self, plan, stops):
         """The ordering contract, stated on the one queue: entries land
-        in the deque, the near heap, a wheel slot or the far heap, some
-        schedule more from inside their callback, some are cancelled,
-        and ``run(until=)`` stops fast-forward the slot cursor."""
+        in the deque or the heap, some schedule more from inside their
+        callback, some are cancelled, and ``run(until=)`` stops and
+        resumes the clock in between."""
         sim = Simulator()
         ledger = _Ledger(sim)
         cancelled = []
@@ -541,7 +602,7 @@ class TestTimerWheel:
     def test_far_future_timer_beyond_horizon_fires(self):
         sim = Simulator()
         seen = []
-        # ~500 ms is far past the wheel horizon -> heap fallback.
+        # ~500 ms: past the old wheel horizon, still one heap entry.
         sim.schedule(500_000_000, seen.append, "far")
         sim.run()
         assert seen == ["far"] and sim.now == 500_000_000
@@ -561,12 +622,9 @@ class TestTimerWheel:
         assert _dispatch_trace() == HEAP_DISPATCH_TRACE
 
     def test_slot_boundary_entries_dispatch_in_order(self):
-        """Entries landing exactly on a slot boundary (t multiple of the
-        slot width) must neither fire early nor be skipped when the
-        cursor reaches their slot."""
-        from repro.sim.engine import _WHEEL_SHIFT
-
-        width = 1 << _WHEEL_SHIFT
+        """Entries landing exactly on a slot boundary (t a multiple of
+        the old wheel's slot width) neither fire early nor are skipped."""
+        width = _SLOT_NS
         sim = Simulator()
         ledger = _Ledger(sim)
         # exactly on the boundary, one before, one after — across
@@ -583,19 +641,17 @@ class TestTimerWheel:
         assert (sim.now, sim.events_processed) == (458_753, 15)
 
     def test_cursor_wrap_at_wheel_slots(self):
-        """Timers more than a full wheel revolution apart reuse the same
-        physical slot; the wrap must not conflate the two epochs."""
-        from repro.sim.engine import _WHEEL_SHIFT, _WHEEL_SLOTS
-
-        width = 1 << _WHEEL_SHIFT
-        horizon = _WHEEL_SLOTS * width
+        """Timers a full old-wheel revolution apart (which shared one
+        physical slot) fire in two epochs, not one."""
+        width = _SLOT_NS
+        horizon = _HORIZON_NS
         sim = Simulator()
         ledger = _Ledger(sim)
         slot_t = 100 * width + 7
-        # First epoch: inside the horizon -> lives on the wheel.
+        # First epoch: inside the old horizon.
         ledger.schedule(slot_t, "epoch0")
         # Scheduled from t=slot_t: one full revolution later, same slot
-        # index modulo _WHEEL_SLOTS.
+        # index modulo 4096.
         ledger.schedule(slot_t, "reschedule",
                         then=lambda: ledger.schedule(horizon, "epoch1"))
         # A sentinel between the epochs proves epoch1 did not fire
@@ -615,7 +671,7 @@ class TestTimerWheel:
 
         sim = Simulator()
         seen = []
-        # Past the wheel horizon, so every entry sits in the heap.
+        # Every positive-delay entry sits in the heap.
         doomed = [sim.schedule(500_000_000 + i, seen.append, f"dead{i}")
                   for i in range(_COMPACT_MIN_DEAD + 1)]
         keep = [sim.schedule(600_000_000 + i, seen.append, f"keep{i}")
@@ -661,7 +717,8 @@ class TestTimerWheel:
 
 #: delays and instants picked to collide: same-instant ties between
 #: wakeups, triggers and interrupts are where the two spellings of a
-#: sleep could come apart (the last two are past the wheel's near slots)
+#: sleep could come apart (the last two are past the old wheel's near
+#: slots)
 _DELAYS = st.sampled_from([0, 1, 5, 5, 10, 100, 1_000, 70_000, 300_000])
 _INSTANTS = st.sampled_from([0, 1, 5, 10, 15, 20, 100, 105, 1_000, 70_005])
 _STEPS = st.lists(st.one_of(
