@@ -124,10 +124,11 @@ class CarefulReader:
         obs = self.cell.obs
         span = None
         if obs is not None:
+            # The section starts after the lead.
             span = obs.begin("careful.read_object", "careful",
                              cell=self.cell.kernel_id,
+                             start_ns=self.sim.now + lead_ns,
                              target=remote_cell_id, ktype=expected_type)
-            span.start_ns += lead_ns  # the section starts after the lead
         self._active.append(remote_cell_id)
         try:
             # Step 1, and the cost of step 2's alignment and range checks.

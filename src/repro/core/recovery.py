@@ -230,11 +230,10 @@ class RecoveryCoordinator:
                 if cell is None or not cell.alive:
                     continue
                 record.entry_times[cell_id] = sim.now
-                parent_id = round_span.span_id if round_span else 0
                 procs.append(sim.process(
                     cell.run_recovery(round_id, dead, set(survivors),
                                       self.barriers, record,
-                                      parent_span=parent_id),
+                                      parent_span=round_span or 0),
                     name=f"recover.c{cell_id}.r{round_id}"))
             if procs:
                 yield sim.all_of(procs)

@@ -249,8 +249,7 @@ class RpcSubsystem:
         try:
             result = yield from self._call_inner(dst_cell_id, op, args,
                                                  arg_bytes, timeout_ns,
-                                                 span.span_id
-                                                 if span is not None else 0)
+                                                 span or 0)
         except RpcTimeout:
             if span is not None:
                 obs.end(span, outcome="timeout")

@@ -198,7 +198,7 @@ class SharingMixin:
     def export_page_local(self, pf: Pfdat, client_cell: int,
                           is_writable: bool) -> Generator:
         """Data-home side of an export (Table 5.1's ``export``)."""
-        pf.exported_to.add(client_cell)
+        pf.export_to(client_cell)
         self.sharing_metrics.counter("exports").add()
         if is_writable:
             self.sharing_metrics.counter("exports_writable").add()
@@ -411,7 +411,7 @@ class SharingMixin:
         pf = self.import_page(result["frame"], region.data_home,
                               logical_id, want_write)
         if want_write:
-            pf.export_writable.add(self.kernel_id)  # client-side record
+            pf.grant_write(self.kernel_id)  # client-side record
         proc = ctx.process
         proc.dependencies.add(region.data_home)
         return self._map(ctx, region, vpn, pf, want_write,
@@ -655,7 +655,7 @@ class SharingMixin:
         pf = self.import_page(result["frame"], data_home, logical_id,
                               want_write)
         if want_write:
-            pf.export_writable.add(self.kernel_id)
+            pf.grant_write(self.kernel_id)
         ctx.process.dependencies.add(data_home)
         return self._map(ctx, region, vpn, pf, want_write,
                          data_home=data_home)
@@ -882,7 +882,7 @@ class SharingMixin:
                     pf = self.import_page(frame, fd.data_home, (tag, idx),
                                           writable)
                 if writable:
-                    pf.export_writable.add(self.kernel_id)
+                    pf.grant_write(self.kernel_id)
                     # Write grants obtained for fd I/O live until the
                     # descriptor closes (there is no mapping whose
                     # teardown would otherwise release them).
@@ -1094,7 +1094,7 @@ class SharingMixin:
         extra = 0 if args.get("grant") else self.machine.params.firewall_revoke_extra_ns
         yield self.machine.params.firewall_update_ns + extra
         if args.get("grant"):
-            pf.export_writable.add(grantee)
+            pf.grant_write(grantee)
         else:
             pf.export_writable.discard(grantee)
         return None

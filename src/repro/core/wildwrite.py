@@ -77,7 +77,7 @@ class FirewallManager:
             yield from self.cell.rpc.call(
                 pf.borrowed_from, "firewall_update",
                 {"frame": pf.frame, "grantee": client_cell, "grant": True})
-        pf.export_writable.add(client_cell)
+        pf.grant_write(client_cell)
         self.grants += 1
         self.cell.firewall_metrics.counter("grants").add()
         channels = self.cell.machine.channels

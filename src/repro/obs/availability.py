@@ -328,16 +328,17 @@ def availability_report(recorder, system=None,
     system, which pins the cell population and the horizon).
 
     Only the records :func:`availability_from_dicts` reads become
-    dicts.  Without ``system`` the population and horizon still come
-    from every record, read off the objects as the derivation would
-    infer them from the dicts.
+    dicts, and with ``system`` only their spans are built.  Without it
+    the population and horizon still come from every record, read off
+    the objects as the derivation would infer them from the dicts.
     """
-    spans, events = recorder.spans, recorder.events
+    events = recorder.events
     if system is not None:
         cell_ids = [cell.kernel_id for cell in system.cells]
         if horizon_ns is None:
             horizon_ns = system.sim.now
     else:
+        spans = list(recorder.spans)
         observed = {r.cell for r in chain(spans, events)
                     if r.cell is not None and r.cell >= 0}
         for span in spans:
@@ -349,7 +350,7 @@ def availability_report(recorder, system=None,
                 (0,), (s.start_ns for s in spans),
                 (s.end_ns or 0 for s in spans),
                 (e.time_ns for e in events)))
-    records = [r.to_dict() for r in chain(spans, events)
-               if r.name in LEDGER_RECORDS]
+    records = [s.to_dict() for s in recorder.spans_named(*LEDGER_RECORDS)]
+    records += [e.to_dict() for e in events if e.name in LEDGER_RECORDS]
     return availability_from_dicts(records, cell_ids=cell_ids,
                                    horizon_ns=horizon_ns)

@@ -22,7 +22,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (AbstractSet, Deque, Dict, Iterable, List, Optional,
+                    Tuple, Union)
 
 from repro.unix.kheap import KObject
 
@@ -32,12 +33,13 @@ LogicalId = Tuple[tuple, int]
 
 
 class _ExportSet(set):
-    """``pf.export_writable`` with index maintenance built in.
+    """``pf.export_writable`` from the first write grant on, with index
+    maintenance built in.
 
     Every mutation notifies the owning :class:`PfdatTable` so its
     writable-by-cell index stays exact without touching any of the many
-    call sites that add/discard/clear grantees.  A pfdat outside any
-    table (``pf.table is None``) behaves as a plain set.
+    call sites that discard/clear grantees.  A pfdat outside any table
+    (``pf.table is None``) behaves as a plain set.
     """
 
     __slots__ = ("pf",)
@@ -88,6 +90,24 @@ class _ExportSet(set):
         return cell_id
 
 
+class _Unexported(frozenset):
+    """The export sets of a pfdat never exported: one shared empty set
+    whose removals do nothing, so reading, discarding from or clearing
+    a page nobody imported allocates nothing.  Exporting goes through
+    :meth:`Pfdat.export_to` and :meth:`Pfdat.grant_write`."""
+
+    __slots__ = ()
+
+    def discard(self, cell_id: int) -> None:
+        pass
+
+    def clear(self) -> None:
+        pass
+
+
+_UNEXPORTED = _Unexported()
+
+
 class Pfdat(KObject):
     """One page-frame descriptor."""
 
@@ -109,9 +129,11 @@ class Pfdat(KObject):
         self.dirty = False           # modified with respect to backing store
         self.refcount = 0            # mappings + transient kernel references
         # Logical level: which client cells import this page (data-home
-        # side), or which cell is the data home (client side).
-        self.exported_to: Set[int] = set()
-        self.export_writable: Set[int] = _ExportSet(self)
+        # side), or which cell is the data home (client side).  Most
+        # pages are never exported: both sets are the shared
+        # ``_UNEXPORTED`` until the first export.
+        self.exported_to: AbstractSet[int] = _UNEXPORTED
+        self.export_writable: AbstractSet[int] = _UNEXPORTED
         self.imported_from: Optional[int] = None
         # Physical level: frame loaned out (memory-home side) or borrowed
         # (data-home side).
@@ -124,6 +146,19 @@ class Pfdat(KObject):
         #: the exact iteration order of the old full scans).
         self.table: Optional["PfdatTable"] = None
         self.seq = 0
+
+    def export_to(self, cell_id: int) -> None:
+        """Record ``cell_id`` as importing this page."""
+        if self.exported_to is _UNEXPORTED:
+            self.exported_to = set()
+        self.exported_to.add(cell_id)
+
+    def grant_write(self, cell_id: int) -> None:
+        """Record a write grant to ``cell_id``; the owning table's
+        writable-by-cell index follows every change to the set."""
+        if self.export_writable is _UNEXPORTED:
+            self.export_writable = _ExportSet(self)
+        self.export_writable.add(cell_id)
 
 
 class NoFreeFrames(MemoryError):

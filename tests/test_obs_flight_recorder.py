@@ -1,10 +1,18 @@
 """Tests for the flight recorder: spans, wiring, exporters, determinism."""
 
+import enum
+import gc
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.faultexp import HW_RANDOM_TIME, FaultExperimentRunner
+from repro.bench.faultexp import (
+    HW_RANDOM_TIME,
+    FaultExperimentRunner,
+    boot_faultexp_system,
+)
 from repro.core.hive import boot_hive
 from repro.core.rpc import RpcRemoteError
 from repro.hardware.faults import FaultInjector
@@ -12,7 +20,10 @@ from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
 from repro.obs import (
     FlightRecorder,
+    Span,
     attach_flight_recorder,
+    attach_provenance,
+    availability_report,
     render_fault_timeline,
     snapshot_system,
     to_chrome_trace,
@@ -71,15 +82,145 @@ class TestRecorderCore:
         assert [e.name for e in rec.events] == ["e3", "e4"]
         assert rec.events_dropped == 3
 
+    def test_ring_matches_the_deque_recorder(self):
+        # The records below are what the deque-of-objects recorder this
+        # one replaced exported for the same calls: span 1 is evicted
+        # (its late end() touches nothing, not even span 6 in its row),
+        # an unhashable attr round-trips, and 1, 1.0 and True stay apart.
+        clock = SimpleNamespace(now=10)
+        rec = FlightRecorder(clock, span_capacity=5)
+        a = rec.begin("rpc.call", "rpc", cell=0, op="ping", dst=1)
+        clock.now = 20
+        b = rec.begin("recovery.round", "recover", parent=a, dead=[3])
+        clock.now = 30
+        rec.end(a, outcome="ok")
+        c = rec.begin("careful.read_object", "careful", cell=1, parent=b,
+                      start_ns=45, target=2)
+        clock.now = 50
+        d = rec.begin("rpc.call", "rpc", cell=0, op="ping", dst=1)
+        clock.now = 60
+        rec.end(b, outcome="recovered")
+        rec.end(b, killed=[4])
+        e = rec.begin("x", "rpc", n=1)
+        clock.now = 70
+        f = rec.begin("x", "rpc", n=True)
+        rec.end(a, outcome="late")
+        rec.end(e, n=1.0)
+        rec.end(c)
+        assert [a, b, c, d, e, f] == [1, 2, 3, 4, 5, 6]
+        assert rec.spans_dropped == 1 and len(rec.spans) == 5
+        assert [s.to_dict() for s in rec.spans] == [
+            {"type": "span", "span_id": 2, "parent_id": 1,
+             "name": "recovery.round", "category": "recover", "cell": None,
+             "start_ns": 20, "end_ns": 60,
+             "attrs": {"dead": [3], "outcome": "recovered", "killed": [4]}},
+            {"type": "span", "span_id": 3, "parent_id": 2,
+             "name": "careful.read_object", "category": "careful",
+             "cell": 1, "start_ns": 45, "end_ns": 70,
+             "attrs": {"target": 2}},
+            {"type": "span", "span_id": 4, "parent_id": 0,
+             "name": "rpc.call", "category": "rpc", "cell": 0,
+             "start_ns": 50, "end_ns": None,
+             "attrs": {"op": "ping", "dst": 1}},
+            {"type": "span", "span_id": 5, "parent_id": 0, "name": "x",
+             "category": "rpc", "cell": None, "start_ns": 60, "end_ns": 70,
+             "attrs": {"n": 1.0}},
+            {"type": "span", "span_id": 6, "parent_id": 0, "name": "x",
+             "category": "rpc", "cell": None, "start_ns": 70,
+             "end_ns": None, "attrs": {"n": True}},
+        ]
+        assert type(list(rec.spans)[-1].attrs["n"]) is bool
+        assert [s.span_id for s in rec.spans_named("x", "rpc.call")] == \
+            [4, 5, 6]
+        assert [s.span_id for s in rec.children_of(b)] == [3]
+
+    def test_attrs_keep_their_value_and_exact_type(self):
+        # Interned attrs are the recorder's own copy, so a caller that
+        # mutates a list afterwards changes no record; an instance of a
+        # builtin's subclass, which marshal cannot write, keeps its own
+        # code and its type.
+        class Level(enum.IntEnum):
+            ONE = 1
+
+        rec = FlightRecorder(SimpleNamespace(now=0))
+        dead = [3]
+        for value in (1, Level.ONE, True, dead, 1, Level.ONE):
+            rec.end(rec.begin("x", "rpc", v=value), v=value)
+        dead.append(4)
+        got = [s.attrs["v"] for s in rec.spans]
+        assert got == [1, Level.ONE, True, [3], 1, Level.ONE]
+        assert [type(v) for v in got] == [int, Level, bool, list, int, Level]
+
     def test_end_is_idempotent(self):
         hive = boot_small()
         rec = FlightRecorder(hive.sim)
         span = rec.begin("s", "rpc")
         rec.end(span, outcome="ok")
-        first_end = span.end_ns
+        (first,) = rec.spans
+        hive.sim.run(until=hive.sim.now + 1_000)
         rec.end(span, extra=1)
-        assert span.end_ns == first_end
-        assert span.attrs == {"outcome": "ok", "extra": 1}
+        (again,) = rec.spans
+        assert again.end_ns == first.end_ns < hive.sim.now
+        assert again.attrs == {"outcome": "ok", "extra": 1}
+
+
+@pytest.fixture(scope="module")
+def traced_trial():
+    """A finished ``hw_random`` trial at seed 1995, observed the way a
+    campaign observes it and followed by its availability ledger, run
+    under tracemalloc with every ``Span`` construction counted.
+
+    Returns the ``Span`` objects built, the spans the ledger reads, and
+    the bytes the recorder's spans held: what re-initialising it in
+    place frees once its events are cleared."""
+    built = []
+    real_init = Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[2])
+        real_init(self, *args, **kwargs)
+
+    system = boot_faultexp_system(seed=1995)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Span, "__init__", counting_init)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            recorder = attach_flight_recorder(system)
+            attach_provenance(system)
+            trial = FaultExperimentRunner().run_trial_on(
+                system, "hw_random", 1995)
+            report = availability_report(recorder, system)
+            n_built = len(built)
+            ledger_spans = sum(
+                s.name in ("recovery.round", "recovery.master")
+                for s in recorder.spans)
+            n_spans = len(recorder.spans)
+            recorder.events.clear()
+            gc.collect()
+            before, _peak = tracemalloc.get_traced_memory()
+            recorder.__init__(recorder.sim)
+            gc.collect()
+            held = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert trial.contained and report["rounds_recovered"] == 1
+    return {"built": n_built, "ledger_spans": ledger_spans,
+            "spans": n_spans, "held": held}
+
+
+class TestHostMemory:
+    def test_trial_recorder_holds_little(self, traced_trial):
+        """The recorder of a finished trial holds its 37,209 spans in
+        under 2 MiB (13.7 MiB while each span was an object with an attrs
+        dict)."""
+        assert traced_trial["spans"] == 37_209
+        assert traced_trial["held"] < 2 * 2 ** 20
+
+    def test_ledger_builds_only_its_own_spans(self, traced_trial):
+        """Recording builds no ``Span``; the ledger builds only the
+        recovery spans it reads."""
+        assert 0 < traced_trial["built"] <= traced_trial["ledger_spans"]
 
 
 class TestRpcSpans:

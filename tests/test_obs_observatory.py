@@ -208,8 +208,8 @@ class _FakeRecorder:
         self.spans = spans
         self.events = events
 
-    def spans_named(self, name):
-        return [s for s in self.spans if s.name == name]
+    def spans_named(self, *names):
+        return [s for s in self.spans if s.name in names]
 
     def events_named(self, name):
         return [e for e in self.events if e.name == name]

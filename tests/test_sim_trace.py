@@ -48,8 +48,8 @@ class TestTraceLog:
         clock.now = 300
         outer = rec.begin("outer", "a")
         inner = rec.begin("inner", "a", parent=outer)
-        assert rec.spans_named("inner") == [inner]
-        assert rec.children_of(outer.span_id) == [inner]
+        assert [s.span_id for s in rec.spans_named("inner")] == [inner]
+        assert [s.span_id for s in rec.children_of(outer)] == [inner]
 
     def test_category_filter(self):
         # The recorder keeps every category; a reader filters the export.

@@ -188,8 +188,9 @@ class TestPfdatTable:
         leave a grant the index does not know about."""
         t = self.make()
         a, b = t.alloc_frame(), t.alloc_frame()
-        a.export_writable.update([1, 2], {3})
-        b.export_writable.add(2)
+        a.grant_write(1)
+        a.export_writable.update([2], {3})
+        b.grant_write(2)
         assert t.writable_by(2) == [a, b]
         a.export_writable.remove(2)
         assert t.writable_by(2) == [b]
@@ -197,6 +198,25 @@ class TestPfdatTable:
         assert popped == {1, 3} and not a.export_writable
         assert t.writable_by(1) == t.writable_by(3) == []
         assert t.export_writable_count() == 1
+
+    def test_export_sets_come_with_the_first_export(self):
+        """A pfdat nobody imported shares one empty set for both export
+        fields; removing from it is a no-op, and the first export gives
+        the pfdat sets of its own."""
+        t = self.make()
+        a, b = t.alloc_frame(), t.alloc_frame()
+        assert a.exported_to is b.exported_to is b.export_writable
+        a.exported_to.discard(1)
+        a.export_writable.discard(1)
+        a.export_writable.clear()
+        assert not a.exported_to and not a.export_writable
+        a.export_to(1)
+        a.grant_write(2)
+        assert a.exported_to == {1} and a.export_writable == {2}
+        assert not b.exported_to and not b.export_writable
+        assert t.writable_by(2) == [a]
+        t.free_frame(a)
+        assert not a.exported_to and t.writable_by(2) == []
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=40, unique=True))
     @settings(max_examples=30, deadline=None)
@@ -237,6 +257,27 @@ class TestHostMemory:
         assert len(cells) == 16
         assert sum(cell.pfdats.free_count for cell in cells) > 100_000
         assert peak < 2 * 2 ** 20
+
+    def test_unexported_pfdats_allocate_no_set(self):
+        """Materializing 4,096 pfdats and reading their export sets
+        costs each less than one empty set on top of the pfdat itself
+        (two sets each while every pfdat got its own)."""
+        import gc
+        import sys
+        import tracemalloc
+
+        table = PfdatTable(range(0, 4096))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pfdats = [table.by_frame(frame) for frame in range(4096)]
+            assert not any(pf.exported_to or pf.export_writable
+                           for pf in pfdats)
+            current, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_pfdat = current / len(pfdats)
+        assert per_pfdat < sys.getsizeof(pfdats[0]) + sys.getsizeof(set())
 
 
 class _PerFrameFreeList:

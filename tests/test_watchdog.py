@@ -32,7 +32,7 @@ def _corrupt_firewall_state(system, cell_id: int, grantee: int):
     """
     cell = system.cell(cell_id)
     pf = cell.pfdats.alloc_frame()
-    pf.export_writable.add(grantee)
+    pf.grant_write(grantee)
     return pf
 
 
