@@ -23,7 +23,7 @@ experiments reported in this paper".  We provide both:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, Set
 
 from repro.hardware.errors import BusError
 from repro.obs.recorder import OBS_AGREEMENT

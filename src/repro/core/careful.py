@@ -27,7 +27,7 @@ from typing import Generator, List, Optional
 
 from repro.hardware.errors import BusError
 from repro.unix.errors import CarefulReferenceFault
-from repro.unix.kheap import KOBJ_ALIGN, KObject
+from repro.unix.kheap import KOBJ_ALIGN
 
 
 class CarefulReader:

@@ -8,7 +8,7 @@ and the per-cell recovery algorithm with its double global barrier.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Set
 
 from repro.core.careful import CarefulReader
 from repro.core.failure import FailureDetector
@@ -18,7 +18,6 @@ from repro.core.ssi import SsiMixin
 from repro.core.wildwrite import FirewallManager
 from repro.obs.recorder import OBS_RECOVERY
 from repro.sim.stats import MetricSet
-from repro.unix.address_space import ANON_REGION
 from repro.unix.cow import CowTreeCorrupt
 from repro.unix.kernel import GlobalNamespace, LocalKernel
 from repro.unix.process import SIGKILL
@@ -57,9 +56,6 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         self.prov = None
         #: hints pushed by Wax (sanity-checked on use, Section 3.2)
         self.wax_hints: Dict[str, object] = {}
-        #: anonymous logical pages lost to preemptive discard; faults on
-        #: them kill the faulting process (the data is unrecoverable)
-        self.poisoned_anon: Set[tuple] = set()
         self.in_recovery = False
         self.recovery_done_event = sim.event(f"c{cell_id}.recovered")
         self.recovery_entries: List[int] = []

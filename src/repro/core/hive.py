@@ -11,7 +11,7 @@ four-processor machine model).
 from __future__ import annotations
 
 import gc
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.agreement import OracleAgreement, VotingAgreement
 from repro.core.cell import Cell
@@ -20,7 +20,6 @@ from repro.core.recovery import RecoveryCoordinator
 from repro.core.ssi import SpanningTask
 from repro.hardware.faults import FaultInjector
 from repro.hardware.machine import Machine, MachineConfig
-from repro.hardware.params import HardwareParams
 from repro.sim.engine import Simulator
 from repro.unix.kernel import (
     GlobalNamespace,
@@ -28,7 +27,6 @@ from repro.unix.kernel import (
     LocalKernel,
     REMAP_PAGES,
 )
-from repro.unix.kheap import KOBJ_ALIGN
 
 
 class CellRegistry:

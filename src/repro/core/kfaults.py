@@ -27,7 +27,6 @@ from typing import List, Optional
 
 from repro.hardware.errors import BusError, FirewallViolation
 from repro.sim.rng import RandomStreams
-from repro.unix.kheap import KOBJ_ALIGN
 
 CORRUPT_RANDOM_LOCAL = "random_local"
 CORRUPT_RANDOM_REMOTE = "random_remote"

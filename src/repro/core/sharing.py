@@ -26,11 +26,11 @@ overrides the remote hooks (`fault_page`, `open_remote`, `read_remote`,
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.hardware.errors import BusError
 from repro.core.rpc import MUST_QUEUE, QUEUED, RpcHandlerError, RpcRemoteError
-from repro.unix.address_space import ANON_REGION, FILE_REGION, Pte, Region
+from repro.unix.address_space import ANON_REGION, FILE_REGION, Region
 from repro.unix.cow import COW_NODE_TAG, CowNode, CowTreeCorrupt
 from repro.unix.errors import (
     CarefulReferenceFault,
@@ -316,12 +316,10 @@ class SharingMixin:
             raise RpcHandlerError("ENOENT",
                                   f"cow node {node_id} lacks page")
         logical_id = (node.anon_tag(), page_index)
-        if logical_id in getattr(self, "poisoned_anon", set()):
+        if logical_id in self.poisoned_anon:
             raise RpcHandlerError("EIO", "page was discarded")
-        pf = self._find_cached_page(logical_id)
-        if pf is None:
-            # The frame was reclaimed: restore from swap (or zero).
-            pf = yield from self._get_anon_page(logical_id)
+        # In cache, or reclaimed: restore from swap (or zero).
+        pf = yield from self._find_or_fill(logical_id)
         yield self.costs.fault_home_export_ns
         yield from self.export_page_local(pf, src_cell,
                                           bool(args.get("writable")))
@@ -355,18 +353,15 @@ class SharingMixin:
 
     def fault_page(self, ctx: ProcContext, region: Region, vpn: int,
                    write: bool) -> Generator:
-        self.metrics.counter("faults").add()
         if region.kind == FILE_REGION and region.data_home != self.kernel_id:
-            return (yield from self._fault_file_remote(
-                ctx, region, vpn, write))
-        if region.kind == ANON_REGION and getattr(region, "shared", False) \
-                and region.task_id is not None:
-            return (yield from self._fault_task_shared(
-                ctx, region, vpn, write))
-        yield self.costs.local_fault_ns
-        if region.kind == FILE_REGION:
-            return (yield from self._fault_file_local(ctx, region, vpn, write))
-        return (yield from self._fault_anon(ctx, region, vpn, write))
+            fault = self._fault_file_remote
+        elif (region.kind == ANON_REGION and region.shared
+              and region.task_id is not None):
+            fault = self._fault_task_shared
+        else:
+            return (yield from super().fault_page(ctx, region, vpn, write))
+        self.metrics.counter("faults").add()
+        return (yield from fault(ctx, region, vpn, write))
 
     def recovery_gate(self) -> Generator:
         """Hold client-side intercell traffic while we are in recovery."""
@@ -376,163 +371,106 @@ class SharingMixin:
 
     def _fault_file_remote(self, ctx: ProcContext, region: Region,
                            vpn: int, write: bool) -> Generator:
+        logical_id = (("file", region.fs_id, region.ino),
+                      region.file_page_index(vpn))
+        try:
+            return (yield from self._fault_remote(
+                ctx, region, vpn, region.data_home, logical_id,
+                hit_ns=self.costs.local_fault_ns))
+        except RpcRemoteError as exc:
+            raise FileError(exc.errno, str(exc))
+
+    def _fault_remote(self, ctx: ProcContext, region: Region, vpn: int,
+                      data_home: int, logical_id: tuple,
+                      hit_ns: int = 0) -> Generator:
+        """The Table 5.2 client: map a page another cell is data home for.
+
+        A page the client hash holds (with a write grant if it is to be
+        writable) maps after ``hit_ns`` more; any other the data home
+        exports by RPC and the client imports.  A refused export raises
+        :class:`RpcRemoteError`, which each caller turns into its own
+        error.
+        """
         # The firewall management policy grants write access when a page
         # is faulted into a *writable region*, regardless of whether the
         # first access is a read (Section 4.2): "the address space region
         # is marked writable only if the process had explicitly requested
         # a writable mapping".
         want_write = region.writable
-        tag = ("file", region.fs_id, region.ino)
-        idx = region.file_page_index(vpn)
-        logical_id = (tag, idx)
         # Fast path: "Further faults to that page can hit quickly in the
         # client cell's hash table and avoid sending an RPC."
         yield self.costs.pfdat_hash_lookup_ns
         pf = self.pfdats.lookup(logical_id)
-        if pf is not None and pf.imported_from is not None:
-            if not want_write or self._have_write_grant(pf):
-                self.metrics.counter("faults.local_hit").add()
-                yield self.costs.local_fault_ns
-                return self._map(ctx, region, vpn, pf, want_write,
-                                 data_home=pf.imported_from)
+        if (pf is not None and pf.imported_from is not None
+                and (not want_write or self._have_write_grant(pf))):
+            self.metrics.counter("faults.local_hit").add()
+            if hit_ns:
+                yield hit_ns
+            return self._map(ctx, region, vpn, pf, want_write,
+                             data_home=data_home)
         self.metrics.counter("faults.remote").add()
         # Client-cell work before the RPC (Table 5.2 components).
         yield (self.costs.fault_client_fs_ns
                + self.costs.fault_client_locking_ns
                + self.costs.fault_client_misc_vm_ns)
         yield from self.recovery_gate()
-        result = yield from self._call_export(
-            region.data_home, logical_id, want_write)
+        # MUST_QUEUE is resolved inside the server: a dict comes back
+        # unless the handler errored.
+        result = yield from self.rpc.call(
+            data_home, "export_page",
+            {"logical_id": logical_id, "writable": want_write,
+             "client": self.kernel_id}, arg_bytes=160)
         if result["generation"] != region.generation:
             raise StaleGenerationError(f"fs{region.fs_id}/ino{region.ino}",
                                        region.generation,
                                        result["generation"])
         yield self.costs.fault_client_import_ns
-        pf = self.import_page(result["frame"], region.data_home,
-                              logical_id, want_write)
+        pf = self.import_page(result["frame"], data_home, logical_id,
+                              want_write)
         if want_write:
             pf.grant_write(self.kernel_id)  # client-side record
-        proc = ctx.process
-        proc.dependencies.add(region.data_home)
+        ctx.process.dependencies.add(data_home)
         return self._map(ctx, region, vpn, pf, want_write,
-                         data_home=region.data_home)
+                         data_home=data_home)
 
     def _have_write_grant(self, pf: Pfdat) -> bool:
         return self.kernel_id in pf.export_writable
-
-    def _call_export(self, data_home: int, logical_id: tuple,
-                     write: bool) -> Generator:
-        """export_page with the interrupt→queued fallback handled."""
-        args = {"logical_id": logical_id, "writable": write,
-                "client": self.kernel_id}
-        try:
-            result = yield from self.rpc.call(
-                data_home, "export_page", args, arg_bytes=160)
-        except RpcRemoteError as exc:
-            raise FileError(exc.errno, str(exc))
-        if isinstance(result, dict):
-            return result
-        # MUST_QUEUE is resolved transparently inside the server; a dict
-        # always comes back unless the handler errored.
-        raise FileError("EIO", f"export_page returned {result!r}")
 
     # ------------------------------------------------------------------
     # anonymous pages across cells (Section 5.3)
     # ------------------------------------------------------------------
 
-    def _fault_anon(self, ctx: ProcContext, region: Region, vpn: int,
-                    write: bool) -> Generator:
-        """COW fault; the search may cross cell boundaries."""
-        self.publish_phase("cow_search")
-        page_index = vpn - region.start_vpn
-        leaf = self.cow.resolve(region.cow_leaf_addr)
-        if leaf is None:
-            self.panic(
-                f"corrupt COW leaf pointer {region.cow_leaf_addr:#x} in "
-                f"address map of pid {ctx.process.pid}")
-            raise ProcessKilled(ctx.process.pid, "cell panic")
-        owner, owner_cell = yield from self._cow_search(ctx, leaf,
-                                                        page_index)
-        if owner is None:
-            # First touch anywhere in the ancestry: zero-fill at the leaf
-            # (or restore from swap if the clock hand evicted it).
-            pf = yield from self._get_anon_page(
-                (leaf.anon_tag(), page_index), ctx)
-            self.cow.record_page(leaf, page_index)
-            pf.dirty = True
-            return self._map(ctx, region, vpn, pf, region.writable,
-                             data_home=self.kernel_id)
-        if owner_cell == self.kernel_id:
-            return (yield from self._fault_anon_local_owner(
-                ctx, region, vpn, write, leaf, owner, page_index))
-        # Remote owner: RPC to set up the export/import binding ("If it
-        # finds the page recorded in a remote node of the tree, it sends
-        # an RPC to the cell that owns that node", Section 5.3).
-        logical_id = (("anon", owner_cell, owner.node_id), page_index)
+    def _import_anon_page(self, ctx: ProcContext, owner: CowNode,
+                          page_index: int) -> Generator:
+        """The remote-owner step of a COW fault: the owner's cell exports
+        the page read-only (a write breaks COW with a local copy)."""
+        # "If it finds the page recorded in a remote node of the tree, it
+        # sends an RPC to the cell that owns that node" (Section 5.3).
+        owner_cell = owner.owner_cell
         yield from self.recovery_gate()
         try:
             result = yield from self.rpc.call(
                 owner_cell, "export_anon_page",
                 {"cow_node": owner.node_id, "page_index": page_index,
-                 "writable": False},  # anon imports are always read-only;
-                                      # writes break COW with a local copy
-                arg_bytes=160)
+                 "writable": False}, arg_bytes=160)
         except RpcRemoteError as exc:
             raise ProcessKilled(ctx.process.pid,
                                 f"anonymous page lost: {exc}")
         yield self.costs.fault_client_import_ns
-        src = self.import_page(result["frame"], owner_cell, logical_id,
+        src = self.import_page(result["frame"], owner_cell,
+                               (owner.anon_tag(), page_index),
                                is_writable=False)
         ctx.process.dependencies.add(owner_cell)
-        if write:
-            # COW break: private local copy recorded at our leaf.
-            pf = yield from self.alloc_frame(ctx)
-            yield self.costs.page_copy_ns
-            data = self.machine.memory.read_page(src.frame, cpu=ctx.cpu)
-            self.machine.memory.write_page(pf.frame, data,
-                                           cpu=self._dma_cpu(pf.frame))
-            self.cow.record_page(leaf, page_index)
-            self.pfdats.insert(pf, (leaf.anon_tag(), page_index))
-            pf.dirty = True
-            if src.refcount == 0:
-                self.release_imported_page(src)
-            return self._map(ctx, region, vpn, pf, True,
-                             data_home=self.kernel_id)
-        return self._map(ctx, region, vpn, src, False,
-                         data_home=owner_cell)
-
-    def _fault_anon_local_owner(self, ctx, region, vpn, write, leaf,
-                                owner, page_index) -> Generator:
-        """Owner node is local: same as the single-kernel path."""
-        src = yield from self._get_anon_page(
-            (owner.anon_tag(), page_index), ctx)
-        if (owner.anon_tag(), page_index) in self.poisoned_anon:
-            raise ProcessKilled(ctx.process.pid,
-                                "anonymous page was discarded")
-        if write and owner is not leaf:
-            pf = yield from self.alloc_frame(ctx)
-            yield self.costs.page_copy_ns
-            data = self.machine.memory.read_page(src.frame, cpu=ctx.cpu)
-            self.machine.memory.write_page(pf.frame, data,
-                                           cpu=self._dma_cpu(pf.frame))
-            self.cow.record_page(leaf, page_index)
-            self.pfdats.insert(pf, (leaf.anon_tag(), page_index))
-            pf.dirty = True
-            return self._map(ctx, region, vpn, pf, True,
-                             data_home=self.kernel_id)
-        if write:
-            src.dirty = True
-        return self._map(ctx, region, vpn, src, write,
-                         data_home=self.kernel_id)
+        return src
 
     def _cow_search(self, ctx: ProcContext, leaf: CowNode,
                     page_index: int) -> Generator:
         """Walk up the COW tree, crossing cells with careful reference.
 
-        Returns ``(owner_node, owner_cell)`` or ``(None, -1)``.  A failed
-        careful-reference check retries after a clock tick — the remote
-        cell may be corrupt; if it is, recovery will resolve the wait
-        (possibly by killing this process).
+        Returns the owner node or None.  A failed careful-reference check
+        retries after a clock tick — the remote cell may be corrupt; if it
+        is, recovery will resolve the wait (possibly by killing this
+        process).
         """
         retries = 0
         while True:
@@ -568,9 +506,9 @@ class SharingMixin:
             while True:
                 for node in self.cow.local_ancestry(node, path):
                     if page_index in node.pages:
-                        return node, node.owner_cell
+                        return node
                     if node.parent_addr == 0:
-                        return None, -1
+                        return None
                     if node.parent_cell == self.kernel_id:
                         yield self.costs.cow_tree_hop_ns
                 # The hop's walk cost is slept with the section's lead.
@@ -603,25 +541,14 @@ class SharingMixin:
         key = (region.share_key, page_index)
         data_home = task.page_homes.get(key)
         logical_id = (("task", region.task_id, region.share_key), page_index)
-        if data_home is None:
-            # First touch: allocate locally and publish in the shared map.
-            pf = yield from self.alloc_frame(ctx)
-            yield self.costs.page_zero_ns
-            self.machine.memory.zero_page(pf.frame,
-                                          cpu=self._dma_cpu(pf.frame))
-            if self.pfdats.lookup(logical_id) is None:
-                self.pfdats.insert(pf, logical_id)
-            task.page_homes[key] = self.kernel_id
-            pf.dirty = True
-            return self._map(ctx, region, vpn, pf, region.writable,
-                             data_home=self.kernel_id)
-        if data_home == self.kernel_id:
-            pf = self.pfdats.lookup(logical_id)
-            if pf is None:
-                pf = yield from self.alloc_frame(ctx)
-                self.machine.memory.zero_page(pf.frame,
-                                              cpu=self._dma_cpu(pf.frame))
-                self.pfdats.insert(pf, logical_id)
+        if data_home in (None, self.kernel_id):
+            pf = yield from self._find_or_fill(logical_id, ctx)
+            if data_home is None:
+                # First touch: publish this cell in the shared map.
+                task.page_homes[key] = self.kernel_id
+                pf.dirty = True
+                return self._map(ctx, region, vpn, pf, region.writable,
+                                 data_home=self.kernel_id)
             if write:
                 pf.dirty = True
             return self._map(ctx, region, vpn, pf, write,
@@ -630,35 +557,11 @@ class SharingMixin:
         # permission follows the *region's* writability (the Section 4.2
         # policy) — this is why ocean ends up with its whole write-shared
         # data segment remotely writable.
-        want_write = region.writable
-        yield self.costs.pfdat_hash_lookup_ns
-        pf = self.pfdats.lookup(logical_id)
-        if pf is not None and pf.imported_from is not None:
-            if not want_write or self._have_write_grant(pf):
-                self.metrics.counter("faults.local_hit").add()
-                return self._map(ctx, region, vpn, pf, want_write,
-                                 data_home=data_home)
-        self.metrics.counter("faults.remote").add()
-        yield (self.costs.fault_client_fs_ns
-               + self.costs.fault_client_locking_ns
-               + self.costs.fault_client_misc_vm_ns)
-        yield from self.recovery_gate()
         try:
-            result = yield from self.rpc.call(
-                data_home, "export_page",
-                {"logical_id": logical_id, "writable": want_write,
-                 "client": self.kernel_id}, arg_bytes=160)
+            return (yield from self._fault_remote(ctx, region, vpn,
+                                                  data_home, logical_id))
         except RpcRemoteError as exc:
-            raise ProcessKilled(ctx.process.pid,
-                                f"shared page lost: {exc}")
-        yield self.costs.fault_client_import_ns
-        pf = self.import_page(result["frame"], data_home, logical_id,
-                              want_write)
-        if want_write:
-            pf.grant_write(self.kernel_id)
-        ctx.process.dependencies.add(data_home)
-        return self._map(ctx, region, vpn, pf, want_write,
-                         data_home=data_home)
+            raise ProcessKilled(ctx.process.pid, f"shared page lost: {exc}")
 
     # ------------------------------------------------------------------
     # remote file system operations
@@ -779,25 +682,17 @@ class SharingMixin:
         """
         is_write = data is not None
         yield from self.recovery_gate()
-        if is_write:
-            # Size/extension is data-home state; one RPC reserves it.
-            try:
-                info = yield from self.rpc.call(
-                    fd.data_home, "file_extend",
-                    {"fs_id": fd.fs_id, "ino": fd.ino,
-                     "offset": fd.offset, "nbytes": nbytes,
-                     "generation": fd.generation})
-            except RpcRemoteError as exc:
-                raise FileError(exc.errno, str(exc))
-        else:
-            try:
-                info = yield from self.rpc.call(
-                    fd.data_home, "file_extend",
-                    {"fs_id": fd.fs_id, "ino": fd.ino,
-                     "offset": fd.offset, "nbytes": 0,
-                     "generation": fd.generation})
-            except RpcRemoteError as exc:
-                raise FileError(exc.errno, str(exc))
+        # Size/extension is data-home state; one RPC reserves a write's
+        # extension or reads the size a read stops at.
+        try:
+            info = yield from self.rpc.call(
+                fd.data_home, "file_extend",
+                {"fs_id": fd.fs_id, "ino": fd.ino, "offset": fd.offset,
+                 "nbytes": nbytes if is_write else 0,
+                 "generation": fd.generation})
+        except RpcRemoteError as exc:
+            raise FileError(exc.errno, str(exc))
+        if not is_write:
             nbytes = min(nbytes, max(0, info["size"] - fd.offset))
         out = bytearray()
         moved = 0
@@ -973,14 +868,9 @@ class SharingMixin:
         borrowed = yield from self._borrow(preferred_cell, acceptable_cells)
         if borrowed:
             return self._borrowed_free.pop()
-        if local_ok:
-            try:
-                return self.pfdats.alloc_frame()
-            except NoFreeFrames:
-                evicted = yield from self._evict_one(ctx)
-                if evicted is not None:
-                    return self.pfdats.alloc_frame()
-        raise NoFreeFrames(f"cell {self.kernel_id}: no acceptable frames")
+        if not local_ok:
+            raise NoFreeFrames(f"cell {self.kernel_id}: no acceptable frames")
+        return (yield from super().alloc_frame(ctx))
 
     def _borrow_target(self, preferred: Optional[int],
                        acceptable: Optional[Set[int]]) -> Optional[int]:

@@ -18,7 +18,7 @@ accounting charges the marshalling of an exec-sized argument block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Tuple
 
 from repro.core.rpc import QUEUED, RpcHandlerError, RpcRemoteError
 from repro.unix.address_space import ANON_REGION, Region

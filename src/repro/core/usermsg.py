@@ -19,7 +19,7 @@ composed the primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.hardware.errors import BusError, SipsQueueFull
 from repro.hardware.sips import REQUEST

@@ -21,7 +21,7 @@ to the memory home", Section 5.4).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Generator, List, Set, Tuple
 
 from repro.core.rpc import RpcRemoteError
 from repro.unix.errors import RpcTimeout

@@ -22,7 +22,7 @@ queue, so queueing delay emerges naturally under load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.hardware.params import HardwareParams, NS_PER_SEC
 from repro.sim.engine import Event, Simulator

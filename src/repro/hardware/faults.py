@@ -13,7 +13,7 @@ hardware state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.hardware.machine import Machine

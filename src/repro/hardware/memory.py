@@ -30,11 +30,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.hardware.errors import (
-    BusError,
-    FirewallViolation,
-    InvalidPhysicalAddress,
-)
+from repro.hardware.errors import BusError, InvalidPhysicalAddress
 from repro.hardware.firewall import NodeFirewall
 from repro.hardware.params import HardwareParams
 

@@ -14,7 +14,7 @@ addresses without sharing them machine-wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.hardware.disk import Disk

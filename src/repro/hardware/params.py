@@ -10,7 +10,7 @@ All times are integer nanoseconds; all sizes are bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 NS_PER_US = 1_000

@@ -26,8 +26,8 @@ Model:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict
 
 from repro.hardware.errors import BusError, SipsQueueFull
 from repro.hardware.interconnect import Interconnect

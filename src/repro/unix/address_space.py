@@ -16,10 +16,10 @@ address-space half of the Section 4.2 discard error semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.unix.errors import BadAddressError
-from repro.unix.kheap import KernelHeap, KObject
+from repro.unix.kheap import KObject
 
 REGION_TAG = "region"
 ASPACE_TAG = "aspace"

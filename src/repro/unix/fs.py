@@ -22,7 +22,7 @@ output files against reference copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List
 
 from repro.hardware.disk import Disk
 from repro.unix.errors import FileError

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.hardware.errors import BusError
 from repro.hardware.machine import Machine
-from repro.sim.engine import Interrupted, Simulator
+from repro.sim.engine import Event, Interrupted, Simulator
 from repro.sim.stats import MetricSet
 from repro.unix.address_space import (
     ANON_REGION,
@@ -50,13 +50,7 @@ from repro.unix.errors import (
 from repro.unix.fs import PAGE, DiskFileSystem, Inode
 from repro.unix.kheap import KernelHeap
 from repro.unix.pfdat import NoFreeFrames, Pfdat, PfdatTable
-from repro.unix.process import (
-    PROC_TAG,
-    SIGKILL,
-    FileDescriptor,
-    Process,
-    Thread,
-)
+from repro.unix.process import PROC_TAG, FileDescriptor, Process, Thread
 from repro.unix.sched import Scheduler
 
 #: pages at the very bottom of each node reserved for the remap region
@@ -328,6 +322,12 @@ class LocalKernel:
         self._next_pid = kernel_id * 100_000 + 10
         self._wait_events: Dict[int, list] = {}
         self.metrics = MetricSet(name=f"kernel{kernel_id}")
+        #: anonymous logical pages lost to preemptive discard; faults on
+        #: them kill the faulting process (the data is unrecoverable)
+        self.poisoned_anon: Set[tuple] = set()
+        #: logical ids of pages being filled -> the event a second filler
+        #: waits on (None until one does); see :meth:`_find_or_fill`
+        self._filling: Dict[tuple, Optional[Event]] = {}
         #: flight-recorder handle; ``attach_flight_recorder`` sets it.
         #: None when unobserved: hot paths guard on ``is not None``.
         self.obs = None
@@ -754,7 +754,6 @@ class LocalKernel:
 
     def get_file_page(self, fs: DiskFileSystem, inode: Inode,
                       page_index: int, ctx: Optional[ProcContext] = None,
-                      for_write: bool = False,
                       no_fill: bool = False) -> Generator:
         """Find-or-fill one file page in the local page cache.
 
@@ -763,26 +762,71 @@ class LocalKernel:
         disk read for pages about to be fully overwritten or created by
         an extending write — there is nothing meaningful to fetch.
         """
-        tag = ("file", fs.fs_id, inode.ino)
         yield self.costs.pfdat_hash_lookup_ns
-        pf = self.pfdats.lookup((tag, page_index))
+        return (yield from self._find_or_fill(
+            (("file", fs.fs_id, inode.ino), page_index), ctx,
+            disk=None if no_fill else (fs, inode)))
+
+    def _find_or_fill(self, logical_id: tuple,
+                      ctx: Optional[ProcContext] = None,
+                      disk: Optional[Tuple[DiskFileSystem, Inode]] = None,
+                      copy_of: Optional[Pfdat] = None) -> Generator:
+        """Find one page in the page cache, or allocate, fill and hash it.
+
+        The fill copies ``copy_of`` (a COW break), reads a file page from
+        ``disk``, its ``(fs, inode)``, or restores a page the clock hand
+        swapped out.  Anything else is zero-filled: an anonymous or task
+        page at the zeroing cost, a file page about to be overwritten at
+        no charge.  Returns the pfdat.
+
+        The fill's waits can let a second fault on the page in; it finds
+        the page marked in ``_filling``, waits for the first fill, then
+        looks the page up again.
+        """
+        pf = self.pfdats.lookup(logical_id)
+        while pf is None and logical_id in self._filling:
+            waiter = self._filling[logical_id]
+            if waiter is None:
+                waiter = self._filling[logical_id] = self.sim.event("fill")
+            yield from self._wait(ctx, self._wait_on(waiter))
+            pf = self.pfdats.lookup(logical_id)
         if pf is not None:
             return pf
-        pf = yield from self.alloc_frame(ctx)
-        if no_fill:
-            self.machine.memory.zero_page(pf.frame,
-                                          cpu=self._dma_cpu(pf.frame))
-            self.pfdats.insert(pf, (tag, page_index))
-            return pf
-        if ctx is not None:
-            data = yield from ctx.block(
-                fs.read_page_from_disk(inode, page_index))
-        else:
-            data = yield from fs.read_page_from_disk(inode, page_index)
-        self.machine.memory.write_page(pf.frame, data,
-                                       cpu=self._dma_cpu(pf.frame))
-        self.pfdats.insert(pf, (tag, page_index))
+        self._filling[logical_id] = None
+        try:
+            pf = yield from self.alloc_frame(ctx)
+            memory = self.machine.memory
+            if copy_of is not None:
+                yield self.costs.page_copy_ns
+                data = memory.read_page(copy_of.frame, cpu=ctx.cpu)
+            elif disk is not None:
+                fs, inode = disk
+                data = yield from self._wait(
+                    ctx, fs.read_page_from_disk(inode, logical_id[1]))
+            elif self.swap.has(logical_id):
+                data = yield from self._wait(
+                    ctx, self.swap.swap_in(logical_id))
+            else:
+                data = None
+                if logical_id[0][0] != "file":
+                    yield self.costs.page_zero_ns
+            if data is None:
+                memory.zero_page(pf.frame, cpu=self._dma_cpu(pf.frame))
+            else:
+                memory.write_page(pf.frame, data,
+                                  cpu=self._dma_cpu(pf.frame))
+            self.pfdats.insert(pf, logical_id)
+        finally:
+            waiter = self._filling.pop(logical_id)
+            if waiter is not None:
+                waiter.succeed()
         return pf
+
+    @staticmethod
+    def _wait(ctx: Optional[ProcContext], gen: Generator) -> Generator:
+        """``gen``, with the CPU released while it blocks when a process
+        waits on it (kernel daemons and RPC handlers have no ``ctx``)."""
+        return gen if ctx is None else ctx.block(gen)
 
     def _dma_cpu(self, frame: int) -> int:
         """DMA writes are checked as if issued by the frame's home node."""
@@ -808,30 +852,26 @@ class LocalKernel:
             return self.pfdats.alloc_frame()
         raise NoFreeFrames(f"kernel {self.kernel_id} out of memory")
 
+    @staticmethod
+    def reclaimable(pf: Pfdat) -> bool:
+        """Whether this kernel may free ``pf``'s frame once nothing maps
+        it: no other cell imports, lends or borrows it."""
+        return (not pf.extended and not pf.exported_to
+                and pf.loaned_to is None)
+
     def _evict_one(self, ctx: Optional[ProcContext]) -> Generator:
         """Free one cached page: unreferenced clean first, then dirty,
         then steal a mapped page (unmap everywhere + write back)."""
-        candidates = [pf for pf in self.pfdats.hashed_pfdats()
-                      if pf.refcount == 0 and not pf.extended
-                      and not pf.exported_to and pf.loaned_to is None]
-        candidates.sort(key=lambda pf: (pf.dirty, pf.frame))
+        candidates = sorted(
+            (pf for pf in self.pfdats.hashed_pfdats() if self.reclaimable(pf)),
+            key=lambda pf: (pf.refcount > 0, pf.dirty, pf.frame))
         for pf in candidates:
-            if pf.dirty:
-                yield from self.writeback_page(pf, ctx)
-            self.pfdats.free_frame(pf)
-            return pf
-        # Nothing unreferenced: steal a mapped page (never one another
-        # process is mid-fault on, i.e. pinned by the current context).
-        current_aspace = ctx.process.aspace if ctx is not None else None
-        mapped = [pf for pf in self.pfdats.hashed_pfdats()
-                  if pf.refcount > 0 and not pf.extended
-                  and not pf.exported_to and pf.loaned_to is None]
-        mapped.sort(key=lambda pf: (pf.dirty, pf.frame))
-        for pf in mapped:
-            self._unmap_frame_everywhere(pf.frame)
             if pf.refcount > 0:
-                continue  # still referenced by a transient kernel hold
-            yield self.costs.tlb_flush_ns
+                # Nothing unreferenced: steal a mapped page.
+                self._unmap_frame_everywhere(pf.frame)
+                if pf.refcount > 0:
+                    continue  # still referenced by a transient kernel hold
+                yield self.costs.tlb_flush_ns
             if pf.dirty:
                 yield from self.writeback_page(pf, ctx)
             self.pfdats.free_frame(pf)
@@ -862,20 +902,14 @@ class LocalKernel:
             if fs is not None:
                 inode = fs.inode(ino)
                 data = self.machine.memory.read_page(pf.frame)
-                if ctx is not None:
-                    yield from ctx.block(
-                        fs.write_page_to_disk(inode, idx, data))
-                else:
-                    yield from fs.write_page_to_disk(inode, idx, data)
+                yield from self._wait(
+                    ctx, fs.write_page_to_disk(inode, idx, data))
         # Anonymous (and task-shared) pages go to the swap partition so
         # their contents survive the frame being reused.
         else:
             data = self.machine.memory.read_page(pf.frame)
-            if ctx is not None:
-                yield from ctx.block(self.swap.swap_out(pf.logical_id,
-                                                        data))
-            else:
-                yield from self.swap.swap_out(pf.logical_id, data)
+            yield from self._wait(ctx, self.swap.swap_out(pf.logical_id,
+                                                          data))
         pf.dirty = False
         return None
 
@@ -942,7 +976,6 @@ class LocalKernel:
                        or fd.offset + chunk > inode.size
                        or page_index >= inode.npages)
             pf = yield from self.get_file_page(fs, inode, page_index, ctx,
-                                               for_write=True,
                                                no_fill=no_fill)
             yield self._write_page_cost(chunk)
             self.machine.memory.write_bytes(
@@ -1102,39 +1135,16 @@ class LocalKernel:
             raise StaleGenerationError(inode.path, region.generation,
                                        inode.generation)
         pf = yield from self.get_file_page(
-            fs, inode, region.file_page_index(vpn), ctx, for_write=write)
+            fs, inode, region.file_page_index(vpn), ctx)
         if write:
             pf.dirty = True
         return self._map(ctx, region, vpn, pf, write,
                          data_home=self.kernel_id)
 
-    def _get_anon_page(self, logical_id: tuple,
-                       ctx: Optional[ProcContext] = None) -> Generator:
-        """Find-or-restore one anonymous page.
-
-        Checks the page cache, then swap (the page may have been evicted
-        by the clock hand), and finally zero-fills.  Returns the pfdat.
-        """
-        pf = self.pfdats.lookup(logical_id)
-        if pf is not None:
-            return pf
-        pf = yield from self.alloc_frame(ctx)
-        if self.swap.has(logical_id):
-            if ctx is not None:
-                data = yield from ctx.block(self.swap.swap_in(logical_id))
-            else:
-                data = yield from self.swap.swap_in(logical_id)
-            self.machine.memory.write_page(pf.frame, data,
-                                           cpu=self._dma_cpu(pf.frame))
-        else:
-            yield self.costs.page_zero_ns
-            self.machine.memory.zero_page(pf.frame,
-                                          cpu=self._dma_cpu(pf.frame))
-        self.pfdats.insert(pf, logical_id)
-        return pf
-
     def _fault_anon(self, ctx: ProcContext, region: Region, vpn: int,
                     write: bool) -> Generator:
+        """COW fault: map the page recorded at the nearest node of the
+        leaf's ancestry, breaking COW on a write to an ancestor's page."""
         self.publish_phase("cow_search")
         page_index = vpn - region.start_vpn
         leaf = self.cow.resolve(region.cow_leaf_addr)
@@ -1144,40 +1154,55 @@ class LocalKernel:
                 f"address map of pid {ctx.process.pid}"
             )
             raise ProcessKilled(ctx.process.pid, "cell panic")
-        owner = None
-        for node in self.cow.local_ancestry(leaf):
-            yield self.costs.cow_tree_hop_ns
-            if page_index in node.pages:
-                owner = node
-                break
+        owner = yield from self._cow_search(ctx, leaf, page_index)
         if owner is None:
-            # First touch: zero-fill at the leaf.
-            pf = yield from self._get_anon_page(
+            # First touch anywhere in the ancestry: zero-fill at the leaf
+            # (or restore from swap if the clock hand evicted it).
+            pf = yield from self._find_or_fill(
                 (leaf.anon_tag(), page_index), ctx)
             self.cow.record_page(leaf, page_index)
             pf.dirty = True
             return self._map(ctx, region, vpn, pf, region.writable,
                              data_home=self.kernel_id)
-        # Page recorded at an ancestor: in cache, or swapped out by the
-        # clock hand, or (never-written corner) zero.
-        src = yield from self._get_anon_page(
-            (owner.anon_tag(), page_index), ctx)
+        if owner.owner_cell != self.kernel_id:
+            # Only a Hive cell's search leaves the cell (SharingMixin).
+            src = yield from self._import_anon_page(ctx, owner, page_index)
+        else:
+            # In cache, or swapped out by the clock hand, or
+            # (never-written corner) zero.
+            logical_id = (owner.anon_tag(), page_index)
+            src = yield from self._find_or_fill(logical_id, ctx)
+            if logical_id in self.poisoned_anon:
+                raise ProcessKilled(ctx.process.pid,
+                                    "anonymous page was discarded")
         if write and owner is not leaf:
             # Copy-on-write break: private copy recorded at the leaf.
-            pf = yield from self.alloc_frame(ctx)
-            yield self.costs.page_copy_ns
-            data = self.machine.memory.read_page(src.frame, cpu=ctx.cpu)
-            self.machine.memory.write_page(pf.frame, data,
-                                           cpu=self._dma_cpu(pf.frame))
+            pf = yield from self._find_or_fill(
+                (leaf.anon_tag(), page_index), ctx, copy_of=src)
             self.cow.record_page(leaf, page_index)
-            self.pfdats.insert(pf, (leaf.anon_tag(), page_index))
             pf.dirty = True
+            if src.refcount == 0:
+                # An import nothing maps any more goes back to its home.
+                self.release_imported_page(src)
             return self._map(ctx, region, vpn, pf, True,
                              data_home=self.kernel_id)
         if write:
             src.dirty = True
         return self._map(ctx, region, vpn, src, write,
-                         data_home=self.kernel_id)
+                         data_home=owner.owner_cell)
+
+    def _cow_search(self, ctx: ProcContext, leaf: CowNode,
+                    page_index: int) -> Generator:
+        """The COW node nearest ``leaf`` that records the page, or None.
+
+        A single kernel's tree never leaves it; a Hive cell's walk
+        crosses cells (``SharingMixin._cow_search``).
+        """
+        for node in self.cow.local_ancestry(leaf):
+            yield self.costs.cow_tree_hop_ns
+            if page_index in node.pages:
+                return node
+        return None
 
     def _map(self, ctx: ProcContext, region: Region, vpn: int, pf: Pfdat,
              writable: bool, data_home: int) -> Pte:

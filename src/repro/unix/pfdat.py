@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from typing import (AbstractSet, Deque, Dict, Iterable, List, Optional,
                     Tuple, Union)
 

@@ -15,7 +15,7 @@ exclusively to one process.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set
 
 from repro.sim.engine import Event, Simulator
 from repro.unix.costs import KernelCosts

@@ -18,7 +18,7 @@ borrowed frames (and releasing imports) from the pressured cell first.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List
 
 from repro.unix.fs import PAGE
 
@@ -128,8 +128,7 @@ class ClockHand:
         if preferred is not None:
             yield from self._release_foreign(preferred)
         candidates = [pf for pf in kernel.pfdats.hashed_pfdats()
-                      if pf.refcount == 0 and not pf.extended
-                      and not pf.exported_to and pf.loaned_to is None]
+                      if pf.refcount == 0 and kernel.reclaimable(pf)]
         # Clock order: resume the sweep where the hand stopped.
         candidates.sort(key=lambda pf: pf.frame)
         start = 0

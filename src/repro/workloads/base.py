@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.hive import HiveSystem
 from repro.unix.fs import PAGE

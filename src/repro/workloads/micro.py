@@ -9,9 +9,9 @@ default to that configuration for the local/remote comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.core.hive import HiveSystem, boot_hive, boot_irix
+from repro.core.hive import HiveSystem, boot_hive
 from repro.hardware.machine import Machine, MachineConfig
 from repro.hardware.params import HardwareParams
 from repro.sim.engine import Simulator

@@ -25,8 +25,6 @@ matching the ~550 remotely-writable pages per cell.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
-
 from repro.hardware.params import NS_PER_MS
 from repro.workloads.base import Platform, WorkloadResult
 

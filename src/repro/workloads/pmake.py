@@ -21,10 +21,9 @@ The file cache is warmed before the timed run, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, List
 
 from repro.hardware.params import NS_PER_MS
-from repro.sim.engine import Event
 from repro.unix.fs import PAGE
 from repro.workloads.base import Platform, WorkloadResult, pattern_bytes
 

@@ -20,7 +20,7 @@ because workers traverse the victim cell's tree nodes remotely.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Dict
 
 from repro.hardware.params import NS_PER_MS
 from repro.unix.fs import PAGE

@@ -14,7 +14,7 @@ All randomness comes from named streams keyed by the job id, so a given
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.rng import RandomStreams
 from repro.unix.errors import FileError, RpcTimeout
