@@ -97,15 +97,18 @@ CONFIGS: Dict[str, ThroughputConfig] = {
 }
 
 
-def _exporter(sim: Simulator, cell, client_cell: int, nframes: int,
-              frames_out: List[int], ready):
+def grant_frames(cell, client_cell: int, nframes: int,
+                 frames_out: List[int], ready=None):
     """Allocate ``nframes`` local frames and grant them writable to the
-    neighbour cell through the real firewall-management policy path."""
+    neighbour cell through the real firewall-management policy path;
+    ``ready`` (if given) succeeds with ``frames_out`` once all are
+    granted."""
     pfs = [cell.pfdats.alloc_frame() for _ in range(nframes)]
     for pf in pfs:
         yield from cell.firewall_mgr.grant_write(pf, client_cell)
         frames_out.append(pf.frame)
-    ready.succeed(frames_out)
+    if ready is not None:
+        ready.succeed(frames_out)
     return None
 
 
@@ -271,8 +274,8 @@ def _run_on(system: HiveSystem, config: str, seed: int, channels: bool,
         client = (c + 1) % cfg.num_cells
         frames: List[int] = []
         ready = sim.event(f"grants{c}")
-        sim.process(_exporter(sim, cell, client, cfg.shared_frames_per_cell,
-                              frames, ready), name=f"exporter{c}")
+        sim.process(grant_frames(cell, client, cfg.shared_frames_per_cell,
+                                 frames, ready), name=f"exporter{c}")
         client_cell = registry.cell_object(client)
         cpu = client_cell.cpu_ids[0]
         sim.process(_traffic(sim, system, client, cpu, ready, cfg,

@@ -84,12 +84,11 @@ class _RpcDeadline(Exception):
 class _Pending:
     """Client-side record of an in-flight call.  Pooled and recycled."""
 
-    __slots__ = ("op", "event", "sent_at")
+    __slots__ = ("op", "event")
 
-    def __init__(self, op: str, event: Any, sent_at: int):
+    def __init__(self, op: str, event: Any):
         self.op = op
         self.event = event
-        self.sent_at = sent_at
 
 
 class _ServiceTask:
@@ -314,9 +313,8 @@ class RpcSubsystem:
             pending = ppool.pop()
             pending.op = op
             pending.event = reply_ev
-            pending.sent_at = sim.now
         else:
-            pending = _Pending(op, reply_ev, sim.now)
+            pending = _Pending(op, reply_ev)
         self._pending[call_id] = pending
         payload = {"call": call_id, "op": op, "args": args,
                    "src_cell": self.cell.kernel_id,

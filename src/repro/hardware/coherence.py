@@ -52,11 +52,14 @@ without the per-access Python round trip, falling back to the scalar
   inlined (byte-identical stats and latencies, just less interpreter
   overhead);
 * :meth:`prepare_batch` / :meth:`access_prepared` additionally memoize a
-  batch that resolved entirely as cache hits: per-node **mutation
-  generation counters** prove the directory state the batch touched is
-  unchanged, so an unchanged all-hit batch replays as one stats bump.
-  When a generation moved, the batch's own lines are rechecked against
-  the directory before the memo is given up.
+  batch that resolved entirely as cache hits.  Whether the memo still
+  holds is asked of the directory, as FLASH's controller answers every
+  request: no home node in a fault state, every write line still owned
+  by the CPU, every read line still cached by it.  Then the batch would
+  hit again with the same latency and counts, so it replays as one
+  stats bump.  One method (:meth:`_memo_holds`) states that rule, and
+  the replay and the parked chains' probe (:meth:`peek_memo`) both ask
+  it.
 
 A batch with an out-of-range line takes the plain scalar loop instead.
 Every tier charges exactly the latencies the scalar path would, so event
@@ -93,10 +96,9 @@ class PreparedBatch:
 
     Holds the batch in list form (no per-issue conversion cost) plus the
     set of home nodes its lines live on, and — when the last issue
-    resolved entirely as cache hits — a memo of that outcome keyed by the
-    home nodes' mutation generations.  The memo is sound because an
-    all-hit batch has no side effects beyond hit counters, and any
-    directory mutation on a home node bumps that node's generation.
+    resolved entirely as cache hits — a memo of that outcome.  An all-hit
+    batch has no side effects beyond hit counters, so the memo replays
+    whenever the directory still says every line would hit.
     """
 
     __slots__ = ("lines", "ops", "home_nodes", "memo")
@@ -106,7 +108,7 @@ class PreparedBatch:
         self.lines = lines
         self.ops = ops
         self.home_nodes = home_nodes
-        #: (cpu, ((node, gen), ...), latency, read_hits, write_hits, n)
+        #: (cpu, latency, read_hits, write_hits, n)
         self.memo: Optional[tuple] = None
 
 
@@ -142,7 +144,7 @@ class CoherenceController:
         "_bytes_per_node", "_line_size", "_lines_per_page",
         "_pages_per_node", "_cpus_per_node", "_hit_latency",
         "_firewall_check_ns", "_mem_latency_ns", "stats",
-        "remote_write_hist", "_node_gen", "mutation_gen",
+        "remote_write_hist", "_node_gen",
         "_lines_per_node", "_total_lines",
         "last_batch_completed", "tier_memo_hits", "tier_inline_batches",
         "tier_scalar_batches", "channels",
@@ -176,15 +178,10 @@ class CoherenceController:
         self.remote_write_hist = Histogram(
             "remote_write_miss_ns",
             [200, 500, 700, 1_000, 1_500, 2_000, 5_000, 10_000])
-        #: per-home-node directory mutation generations; any state change
-        #: to a line homed on a node invalidates prepared-batch memos
-        #: whose lines live there.
+        #: per-home-node directory mutation generations: every state
+        #: change to a line homed on a node bumps it.  The parked chains
+        #: key their per-cycle peek caches on it (``sim/shard.py``).
         self._node_gen: List[int] = [0] * params.num_nodes
-        #: monotone summary of every ``_node_gen`` bump: while it (and
-        #: the memory's fault generation) stands still, no valid batch
-        #: memo can be invalidated — the parked chains key their
-        #: per-cycle peek caches on it.
-        self.mutation_gen = 0
         self._lines_per_node = self._bytes_per_node // self._line_size
         self._total_lines = self._total_bytes // self._line_size
         #: accesses completed by the most recent batch call before it
@@ -243,9 +240,8 @@ class CoherenceController:
         else:
             latency = self._mem_latency_ns
         # A miss always mutates the directory entry (the CPU becomes a
-        # sharer), so the home node's batch-memo generation advances.
+        # sharer), so the home node's generation advances.
         self._node_gen[line // self._lines_per_node] += 1
-        self.mutation_gen += 1
         owner = st.owner
         if owner is not None and owner != cpu:
             # Dirty remote intervention: owner is downgraded to shared.
@@ -282,8 +278,7 @@ class CoherenceController:
         try:
             st = lines[line]
         except KeyError:
-            st = LineState()
-            lines[line] = st
+            st = None
         else:
             if st.owner == cpu:
                 stats.write_hits += 1
@@ -322,7 +317,10 @@ class CoherenceController:
         cpus_per_node = self._cpus_per_node
         # Ownership changes hands: advance the home node's generation.
         self._node_gen[line // self._lines_per_node] += 1
-        self.mutation_gen += 1
+        if st is None:
+            # Only a granted request creates the entry: a refused one
+            # must not leave an empty entry behind.
+            st = lines[line] = LineState()
         old_owner = st.owner
         sharers = st.sharers
         invalidated = len(sharers) - (1 if cpu in sharers else 0)
@@ -345,17 +343,13 @@ class CoherenceController:
 
     def _bump_all_generations(self) -> None:
         self._node_gen = [g + 1 for g in self._node_gen]
-        self.mutation_gen += 1
 
     def memo_gen_key(self, home_nodes) -> tuple:
         """Generation fingerprint over ``home_nodes``.
 
-        A memo whose lines all live on these nodes cannot change
-        validity while the fingerprint stands still: every directory
-        mutation bumps the home node of the mutated line.  Lets callers
-        scope staleness checks to the nodes they touch instead of the
-        machine-global ``mutation_gen`` (which kernel traffic on other
-        nodes churns constantly).
+        No directory entry of a line homed on these nodes has changed
+        while the fingerprint stands still: every directory mutation
+        bumps the home node of the mutated line.
         """
         gens = self._node_gen
         return tuple(gens[n] for n in home_nodes)
@@ -387,22 +381,19 @@ class CoherenceController:
         homes = tuple(sorted({line // per_node for line in line_list}))
         return PreparedBatch(line_list, op_list, homes)
 
-    def _revalidate_memo(self, cpu: int, prepared: PreparedBatch) -> bool:
-        """Recheck a generation-stale all-hit memo against the directory;
-        True means the memo was re-keyed to the current generations and
-        may replay as-is.
+    def _memo_holds(self, cpu: int, prepared: PreparedBatch) -> bool:
+        """The one memo rule: would ``prepared``'s memo replay for
+        ``cpu`` right now?
 
-        The per-node generations over-approximate invalidation: any
-        miss on a home node drops every memo keyed there, even when
-        none of *this* batch's lines changed hands.  The exact question
-        is asked of the batch's own lines: if every write line is still
-        owned by ``cpu`` and every read line still cached by it, the
-        batch still resolves all-hits with the same latency and hit
-        counts, so only the memo's generation key needs refreshing.
-        Never attempted while a home node is in fault state (failures
-        must force re-execution), and a refresh is not a directory
-        mutation (``mutation_gen`` does not move).
+        Asked of the directory, line by line: no home node is in a fault
+        state (a failure or cutoff forces re-execution), every write
+        line is still owned by ``cpu``, and every read line is still
+        cached by it.  Then the batch resolves all-hits again, with the
+        memo's latency and hit counts.
         """
+        memo = prepared.memo
+        if memo is None or memo[0] != cpu:
+            return False
         mem = self.memory
         if mem._any_faults:
             state = mem._node_state
@@ -418,11 +409,6 @@ class CoherenceController:
                     return False
         except KeyError:  # the entry was pruned: no copy left anywhere
             return False
-        memo = prepared.memo
-        gens = self._node_gen
-        prepared.memo = (
-            cpu, tuple((n, gens[n]) for n in prepared.home_nodes),
-            memo[2], memo[3], memo[4], memo[5])
         return True
 
     def access_prepared(self, cpu: int, prepared: PreparedBatch) -> int:
@@ -432,52 +418,24 @@ class CoherenceController:
         :meth:`write` in order (same stats, same latency, same exception
         at the same position — ``last_batch_completed`` reports progress
         when one raises).  When the batch last resolved entirely as
-        cache hits and no directory mutation has touched its home nodes
-        since, the memoized outcome replays in O(1).  The memo is only
-        recorded — and only replays — while every home node the batch
-        touches is in fault state 0, so a node failure or cutoff between
-        issues always forces re-execution.
+        cache hits and :meth:`_memo_holds`, the memoized outcome replays
+        without touching the lines again.  The memo is only recorded
+        while every home node the batch touches is in fault state 0.
         """
-        memo = prepared.memo
-        if memo is not None and memo[0] == cpu:
-            mem = self.memory
-            pairs = memo[1]
-            if len(pairs) == 1:
-                # Single home node (the common bench shape: one cell's
-                # frames live on one node) — skip the loop machinery.
-                node, gen = pairs[0]
-                fresh = (self._node_gen[node] == gen
-                         and not (mem._any_faults and mem._node_state[node]))
-            else:
-                faulty = mem._any_faults
-                gens = self._node_gen
-                state = mem._node_state
-                fresh = True
-                for node, gen in pairs:
-                    if gens[node] != gen or (faulty and state[node]):
-                        fresh = False
-                        break
-            if not fresh:
-                # Generation-stale: the exact line-level recheck may
-                # rescue the memo (node generations over-approximate).
-                fresh = self._revalidate_memo(cpu, prepared)
-            if fresh:
-                self.tier_memo_hits += 1
-                stats = self.stats
-                stats.read_hits += memo[3]
-                stats.write_hits += memo[4]
-                self.last_batch_completed = memo[5]
-                return memo[2]
+        if self._memo_holds(cpu, prepared):
+            memo = prepared.memo
+            self.tier_memo_hits += 1
+            stats = self.stats
+            stats.read_hits += memo[2]
+            stats.write_hits += memo[3]
+            self.last_batch_completed = memo[4]
+            return memo[1]
         mem = self.memory
-        faulty = mem._any_faults
         latency, all_hits, n_rh, n_wh = self._batch_inline(
             cpu, prepared.lines, prepared.ops)
-        if all_hits and not (faulty and any(
+        if all_hits and not (mem._any_faults and any(
                 mem._node_state[n] for n in prepared.home_nodes)):
-            gens = self._node_gen
-            prepared.memo = (
-                cpu, tuple((n, gens[n]) for n in prepared.home_nodes),
-                latency, n_rh, n_wh, len(prepared.lines))
+            prepared.memo = (cpu, latency, n_rh, n_wh, len(prepared.lines))
         else:
             prepared.memo = None
         return latency
@@ -485,28 +443,17 @@ class CoherenceController:
     def peek_memo(self, cpu: int, prepared: PreparedBatch) -> Optional[tuple]:
         """Would :meth:`access_prepared` replay from the memo right now?
 
-        Returns the memo's ``(latency, read_hits, write_hits)`` when the
-        batch would resolve as a pure memo replay for ``cpu`` at this
-        instant, else None.  No state is touched — this is the parked
-        chains' validity probe: a chain of wakeups may only be replayed
-        arithmetically (:meth:`replay_memo_cycle`) while every batch in
-        the chain passes this check, and nothing can invalidate a memo
-        between engine events (every directory or fault-state mutation
-        happens inside one).
+        Returns the memo's ``(latency, read_hits, write_hits)`` when
+        :meth:`_memo_holds`, else None.  No state is touched — this is
+        the parked chains' validity probe: a chain of wakeups may only
+        be replayed arithmetically (:meth:`replay_memo_cycle`) while
+        every batch in the chain passes it, and nothing can change its
+        answer between engine events (every directory or fault-state
+        mutation happens inside one).
         """
-        memo = prepared.memo
-        if memo is None or memo[0] != cpu:
-            return None
-        mem = self.memory
-        gens = self._node_gen
-        faulty = mem._any_faults
-        state = mem._node_state
-        for node, gen in memo[1]:
-            if gens[node] != gen or (faulty and state[node]):
-                if self._revalidate_memo(cpu, prepared):
-                    return (memo[2], memo[3], memo[4])
-                return None
-        return (memo[2], memo[3], memo[4])
+        if self._memo_holds(cpu, prepared):
+            return prepared.memo[1:4]
+        return None
 
     def replay_memo_cycle(self, batches: Sequence[PreparedBatch],
                           counts: Sequence[int]) -> None:
@@ -527,9 +474,9 @@ class CoherenceController:
                 continue
             memo = prepared.memo
             hits += count
-            rh += memo[3] * count
-            wh += memo[4] * count
-            last = memo[5]
+            rh += memo[2] * count
+            wh += memo[3] * count
+            last = memo[4]
         if last is None:
             return
         self.tier_memo_hits += hits

@@ -68,9 +68,10 @@ class PhysicalMemory:
         #: path checks this one flag instead of two sets per access.
         self._any_faults = False
         #: monotone fault-topology generation: bumps on every node
-        #: fail/revive/cutoff transition, so memo-peek caches keyed on
-        #: (directory mutation_gen, fault_gen) stay sound across runs
-        #: where a failed node lingers in the topology.
+        #: fail/revive/cutoff transition, so the parked chains' peek
+        #: caches, keyed on (fault_gen, home-node directory
+        #: generations), stay sound across runs where a failed node
+        #: lingers in the topology.
         self.fault_gen = 0
         #: per-node fault state (0 healthy, 1 failed, 2 cutoff): one list
         #: index on the degraded-machine path instead of set probes.

@@ -146,13 +146,12 @@ class Timeout(Event):
     churning the heap for the rest of the deadline window.
     """
 
-    __slots__ = ("delay", "_entry")
+    __slots__ = ("_entry",)
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim, name="timeout")
-        self.delay = delay
         self._entry = sim.schedule(delay, self._expire, value)
 
     def cancel(self) -> bool:

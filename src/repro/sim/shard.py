@@ -14,13 +14,17 @@ Instead every driver registers as a :class:`ParkedChain` with one
   dispatch exactly as ``Simulator.run`` dispatches them, in the same
   order;
 * **chains** park *outside* the engine queue.  Between two queue events
-  nothing can mutate directory, firewall, or fault state, so a chain
-  whose next accesses are provably memoized cache hits is advanced
-  arithmetically (:meth:`ParkedChain.credit`) up to the *horizon* — the
-  next queue event — and the *dirty barrier* — the next wakeup of any
-  chain that shares a home node and cannot prove its own cycle clean.
-  One park then stands for a whole run of wakeups, and every simulated
-  counter moves exactly as per-wakeup execution would move it.
+  only the chains themselves run, and a chain's accesses touch only
+  lines on its own home nodes.  So a chain that shares no home node
+  with another, and whose next accesses are memoized cache hits
+  (``CoherenceController.peek_memo``), is advanced arithmetically
+  (:meth:`ParkedChain.credit`) up to the *horizon*, the next queue
+  event.  One park then stands for a whole run of wakeups, and every
+  simulated counter moves exactly as per-wakeup execution would move
+  it.
+* a chain that **shares a home node** with another never credits: the
+  other chain may take a real miss on that node at any of its wakeups.
+  It runs one wakeup per park, exactly like the per-wakeup oracle.
 
 Per-wakeup execution survives in one form: a per-wakeup run
 (``run_throughput(per_wakeup=True)``) never calls ``credit``, so it
@@ -50,9 +54,9 @@ class ParkedChain:
     """
 
     __slots__ = ("coord", "coh", "cpu", "cycle", "gap", "period",
-                 "parks", "replayed_wakeups", "index", "due", "home_nodes",
-                 "overlaps", "_gen_nodes", "_peek_key", "_peek_global",
-                 "_peek_lats", "_peek_clean", "_period_ns")
+                 "parks", "replayed_wakeups", "index", "home_nodes",
+                 "shares_home", "_peek_key", "_peek_lats", "_peek_clean",
+                 "_period_ns")
 
     def __init__(self, coord: "ChainCoordinator", coh, cpu: int,
                  cycle: list, gap: int):
@@ -67,75 +71,38 @@ class ParkedChain:
         #: registration order; parks due at one instant fire in it, so
         #: the order never depends on how many wakeups each one stood for
         self.index = -1
-        #: when the current park fires (-1 before the first one); stays
-        #: at that instant while the driver is being resumed.
-        self.due = -1
-        #: every home node this chain's accesses can touch.  A real
-        #: access only mutates directory state (generation counters) on
-        #: the home nodes of its own lines, so two chains with disjoint
-        #: home-node sets can never invalidate each other's memos.
+        #: every home node this chain's accesses can touch, sorted.  A
+        #: real access only mutates directory state on the home nodes
+        #: of its own lines, so two chains with disjoint home-node sets
+        #: can never change each other's memo answers.
         homes = set()
         for batch in cycle:
             homes.update(batch.home_nodes)
-        self.home_nodes = frozenset(homes)
-        #: the other chains that share a home node with this one
-        #: (filled in by the coordinator as chains register).
-        self.overlaps: List["ParkedChain"] = []
-        #: the same set as an ordered list, for the node-local
-        #: generation fingerprint the peek cache is keyed on.
-        self._gen_nodes = sorted(homes)
+        self.home_nodes = tuple(sorted(homes))
+        #: set by the coordinator when another chain registers with a
+        #: home node in common; such a chain never credits.
+        self.shares_home = False
         self._peek_key: Optional[tuple] = None
-        self._peek_global: Optional[tuple] = None
         self._peek_lats: List[int] = []
         self._peek_clean = False
         self._period_ns = 0
 
-    def _gen_key(self) -> tuple:
-        """The cache key: fault generation + this chain's node gens.
-
-        Node-local on purpose — kernel traffic churns the machine-global
-        ``mutation_gen`` constantly, but only a mutation homed on one of
-        *this chain's* nodes can touch the validity of its cycle memos.
-        """
-        coh = self.coh
-        return (coh.memory.fault_gen, coh.memo_gen_key(self._gen_nodes))
-
-    def _peek_fresh(self) -> bool:
-        """Is the cached cycle scan provably current?
-
-        Two-level check, cheapest first: while the machine-global
-        ``(mutation_gen, fault_gen)`` pair has not moved since the cache
-        was built, *nothing* anywhere mutated, so the node-local key
-        cannot have moved either — two int compares, no tuple build.
-        Only when the global pair advanced (some mutation happened,
-        probably on someone else's nodes) is the node-local fingerprint
-        rebuilt and compared; a match refreshes the global stamp.
-        """
-        if self._peek_key is None:
-            return False
-        coh = self.coh
-        g = (coh.mutation_gen, coh.memory.fault_gen)
-        if g == self._peek_global:
-            return True
-        if self._gen_key() == self._peek_key:
-            self._peek_global = g
-            return True
-        return False
-
     def cycle_peek_lats(self) -> List[int]:
         """Per-slot memo latencies (-1 = stale), cached on the fault
-        generation and the chain's node-local directory generations.
+        generation and the directory generations of the chain's home
+        nodes.
 
-        Sound because a memo cannot change validity while the key stands
-        still: every directory mutation bumps the home node of the
-        mutated line, every node fail / revive / cutoff bumps
+        Sound because no ``peek_memo`` answer can change while the key
+        stands still: every directory mutation bumps the home node of
+        the mutated line, every node fail / revive / cutoff bumps
         ``PhysicalMemory.fault_gen``.  The one exception is this
         chain's own live access, which rebuilds an all-hit memo without
         a directory mutation — the driver calls :meth:`invalidate_peeks`
         after it.
         """
-        if not self._peek_fresh():
-            coh = self.coh
+        coh = self.coh
+        key = (coh.memory.fault_gen, coh.memo_gen_key(self.home_nodes))
+        if key != self._peek_key:
             cpu = self.cpu
             peek = coh.peek_memo
             lats = []
@@ -145,40 +112,29 @@ class ParkedChain:
             self._peek_lats = lats
             self._peek_clean = -1 not in lats
             self._period_ns = sum(lats) + self.gap * self.period
-            self._peek_key = self._gen_key()
-            self._peek_global = (coh.mutation_gen, coh.memory.fault_gen)
+            self._peek_key = key
         return self._peek_lats
 
     def invalidate_peeks(self) -> None:
         """Drop the peek cache after this chain takes the live path."""
         self._peek_key = None
 
-    def is_clean(self) -> bool:
-        """Is this chain's *entire* cycle a provable memo replay?
-
-        A clean chain cannot mutate directory state at any upcoming
-        wakeup inside a mutation-free span: every access it will issue
-        is a validated replay.  A chain with any stale batch might take
-        the real access path (and really miss) at some wakeup, so its
-        next due acts as a conservative mutation barrier for
-        overlapping chains.
-        """
-        self.cycle_peek_lats()
-        return self._peek_clean
-
     def credit(self, j: int, stop_ns: int):
         """Replay as many wakeups as the horizon allows, starting at
         cycle position ``j`` with the first access issued *now*.
 
         Returns ``(k, sleep_ns, next_j)``: ``k`` wakeups' worth of
-        stats committed (0 when the next batch is not a provable memo
-        replay — the caller then takes the real access path), and the
-        single sleep that replaces their individual timeouts.  All
+        stats committed (0 when the chain shares a home node or the next
+        batch is not a provable memo replay — the caller then takes the
+        real access path), and the single sleep that replaces their
+        individual timeouts.  All
         collapsed access times land strictly before the next engine
         event and strictly before ``stop_ns``, which is exactly the
         span per-wakeup execution would have run them in with no
         interleaved state mutation.
         """
+        if self.shares_home:
+            return 0, 0, j
         lats = self.cycle_peek_lats()
         lat = lats[j]
         if lat < 0:
@@ -187,7 +143,7 @@ class ParkedChain:
         gap = self.gap
         period = self.period
         t0 = coord.sim.now
-        cap = coord.cap_for(self, stop_ns)
+        cap = coord.cap_for(stop_ns)
         counts = [0] * period
         counts[j] = 1
         k = 1
@@ -234,8 +190,7 @@ class ParkedChain:
             self.replayed_wakeups += wakeups - 1
         self.parks += 1
         ev = Event(sim)
-        self.due = sim.now + sleep_ns
-        heapq.heappush(coord._parked, (self.due, self.index, ev))
+        heapq.heappush(coord._parked, (sim.now + sleep_ns, self.index, ev))
         return ev
 
 
@@ -260,43 +215,29 @@ class ChainCoordinator:
     def register_chain(self, coh, cpu: int, cycle: list,
                        gap: int) -> ParkedChain:
         chain = ParkedChain(self, coh, cpu, cycle, gap)
+        homes = set(chain.home_nodes)
         for other in self.chains:
-            if not chain.home_nodes.isdisjoint(other.home_nodes):
-                chain.overlaps.append(other)
-                other.overlaps.append(chain)
+            if not homes.isdisjoint(other.home_nodes):
+                chain.shares_home = other.shares_home = True
         chain.index = len(self.chains)
         self.chains.append(chain)
         return chain
 
     # -- replay horizon ------------------------------------------------
 
-    def cap_for(self, chain: ParkedChain, stop_ns: int) -> int:
-        """The instant ``chain``'s replayed accesses must land strictly
-        before: the horizon, the run's stop, or the dirty barrier.
+    def cap_for(self, stop_ns: int) -> int:
+        """The instant replayed accesses must land strictly before: the
+        horizon (the next queue event) or the run's stop.
 
-        Mutations from the engine queue are bounded by the horizon, the
-        next queue event.  While a batch of parked resumes is being
-        dispatched it is the cached one (chain resumes schedule no queue
-        events, so it cannot move); outside a batch the live
-        ``next_event_time`` — which conservatively returns ``now`` when
-        other now-queue callbacks are pending.
-
-        The only other source is an overlapping chain that cannot prove
-        its whole cycle clean: it may take the real access path (and
-        really miss) at its next wakeup — or right now, when it fired in
-        the same batch and has not run yet — so that instant bounds the
-        credit.  Cleanliness is judged at this moment, against the
-        current generations, not when the other chain parked.
+        While a batch of parked resumes is being dispatched the horizon
+        is the cached one (chain resumes schedule no queue events, so it
+        cannot move); outside a batch the live ``next_event_time`` —
+        which conservatively returns ``now`` when other now-queue
+        callbacks are pending.
         """
         qt = (self._qt_cache if self._qt_valid
               else self.sim.next_event_time())
-        cap = stop_ns if qt is None or qt > stop_ns else qt
-        now = self.sim.now
-        for other in chain.overlaps:
-            # A due in the past belongs to a driver that has retired.
-            if now <= other.due < cap and not other.is_clean():
-                cap = other.due
-        return cap
+        return stop_ns if qt is None or qt > stop_ns else qt
 
     # -- the run loop --------------------------------------------------
 

@@ -58,7 +58,7 @@ class KernelHeap:
         self.limit = base_addr + size
         self._next = base_addr
         self._free: List[int] = []
-        self._objects: Dict[int, Tuple[str, KObject]] = {}
+        self._objects: Dict[int, KObject] = {}
         self.allocs = 0
         self.frees = 0
 
@@ -80,7 +80,7 @@ class KernelHeap:
             self._next += KOBJ_ALIGN
         obj.kaddr = addr
         obj.ktype = ktype
-        self._objects[addr] = (ktype, obj)
+        self._objects[addr] = obj
         self.allocs += 1
         return addr
 
@@ -106,7 +106,8 @@ class KernelHeap:
         memory — the data read would be garbage, which the type-tag check
         catches.
         """
-        return self._objects.get(addr)
+        obj = self._objects.get(addr)
+        return None if obj is None else (obj.ktype, obj)
 
     @property
     def live_objects(self) -> int:

@@ -53,6 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.bench.throughput import grant_frames
 from repro.core.hive import HiveSystem, boot_hive
 from repro.hardware.errors import BusError, FirewallViolation
 from repro.hardware.faults import FaultInjector
@@ -319,7 +320,8 @@ class SessionReport:
 
 class _CouplingDriver:
     """Issues real firewall-checked coherence accesses on behalf of the
-    session stream (the throughput bench's grant path, re-used)."""
+    session stream, over frames granted by the throughput bench's
+    grant routine (``bench.throughput.grant_frames``)."""
 
     def __init__(self, system: HiveSystem, cfg: SessionTrafficConfig):
         self.system = system
@@ -341,19 +343,12 @@ class _CouplingDriver:
         cell_ids = registry.all_cell_ids()
         grants: Dict[int, list] = {}
 
-        def _granter(cell, client: int, frames_out: list):
-            pfs = [cell.pfdats.alloc_frame()
-                   for _ in range(cfg.coupling_frames)]
-            for pf in pfs:
-                yield from cell.firewall_mgr.grant_write(pf, client)
-                frames_out.append(pf.frame)
-            return None
-
         for c in cell_ids:
             client = cell_ids[(cell_ids.index(c) + 1) % len(cell_ids)]
             frames: list = []
             grants[client] = frames
-            sim.process(_granter(registry.cell_object(c), client, frames),
+            sim.process(grant_frames(registry.cell_object(c), client,
+                                     cfg.coupling_frames, frames),
                         name=f"session-granter{c}")
         # The grant path is pure simulation: drain it before traffic.
         sim.run(until=sim.now + 2_000_000)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.coherence import CoherenceController
-from repro.hardware.errors import BusError, FirewallViolation
+from repro.hardware.errors import (BusError, FirewallViolation,
+                                   InvalidPhysicalAddress)
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.memory import PhysicalMemory
 from repro.hardware.params import HardwareParams
@@ -389,8 +390,6 @@ class TestMemoRevalidation:
             coh.read(1, 100 * params.cache_line_size)  # node 0, not ours
         coh, prep = self._pair(disturb)
         assert self._tiers(coh) == (1, 2)  # replayed, not re-executed
-        assert prep.memo[1] == tuple(
-            (n, coh._node_gen[n]) for n in prep.home_nodes)
 
     @pytest.mark.parametrize("foreign", ["write", "read"])
     def test_foreign_access_to_batch_line_forces_reexecution(self, foreign):
@@ -426,6 +425,115 @@ class TestMemoRevalidation:
         coh, prep = self._pair(disturb)
         assert self._tiers(coh) == (0, 3)
         assert prep.memo is None  # nor is one recorded there
+
+
+class TestDirectoryPruning:
+    def test_refused_ownership_requests_leave_no_entry(self):
+        params, _mem, coh = make_coherence()
+        remote = params.memory_per_node  # node 1's memory, never granted
+        for k in range(5):
+            with pytest.raises(FirewallViolation):
+                coh.write(0, remote + k * params.cache_line_size)
+        with pytest.raises(InvalidPhysicalAddress):
+            coh.write(0, params.total_memory)
+        assert coh.directory_size() == 0
+        assert _directory_problems(coh) == []
+
+
+_P = HardwareParams(num_nodes=4)
+_LPN = _lines_per_node(_P)
+_LPP = _P.page_size // _P.cache_line_size
+#: the owner's batch: lines on two home nodes (one a repeat), reads and
+#: writes alternating.
+_BATCH_LINES = [0, 1, 33, 34, _LPN, _LPN + 1, _LPN + 33, _LPN + 34, 1]
+_BATCH_OPS = [k & 1 for k in range(len(_BATCH_LINES))]
+#: what foreign CPUs touch: the batch's lines, neighbours on the same
+#: frames, and a line on a third node.
+_POOL = sorted(set(_BATCH_LINES) | {2, _LPN + 2, 2 * _LPN})
+_FRAMES = sorted({line // _LPP for line in _POOL})
+_STEP = st.one_of(
+    st.tuples(st.just("issue")),
+    st.tuples(st.sampled_from(["read", "write"]), st.integers(1, 3),
+              st.integers(0, len(_POOL) - 1)),
+    st.tuples(st.sampled_from(["fail", "cutoff", "revive", "drop"]),
+              st.integers(0, 3)),
+    st.tuples(st.just("invalidate"), st.integers(0, len(_FRAMES) - 1)),
+)
+
+
+def _grant_everyone(params, mem, frames):
+    for frame in frames:
+        home = frame // params.pages_per_node
+        for node in range(params.num_nodes):
+            mem.firewalls[home].grant_node(frame, home, node)
+
+
+def _outcome(access):
+    try:
+        return "ok", access()
+    except (BusError, FirewallViolation) as exc:
+        return type(exc).__name__, None
+
+
+def _directory(coh):
+    return {line: (st_.owner, frozenset(st_.sharers))
+            for line, st_ in coh._lines.items()}
+
+
+class TestOneMemoRule:
+    """Random interleavings of the owner's prepared batch with foreign
+    reads and writes, node failure / cutoff / revival and the two
+    failure-path scrubs.  A twin controller issues every access through
+    ``read`` / ``write``: at every step latency, stats and directory
+    match it, and ``peek_memo`` answers non-None exactly when the next
+    ``access_prepared`` replays its memo."""
+
+    @given(steps=st.lists(_STEP, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_peek_and_replay_agree_with_scalar_twin(self, steps):
+        params, mem, coh = make_coherence()
+        _p, mem_b, coh_b = make_coherence()
+        for m in (mem, mem_b):
+            _grant_everyone(params, m, _FRAMES)
+        prep = coh.prepare_batch(_BATCH_LINES, _BATCH_OPS)
+        line_size = params.cache_line_size
+        for step in [("issue",), ("issue",)] + steps:
+            kind = step[0]
+            if kind == "issue":
+                peeked = coh.peek_memo(0, prep)
+                hits = coh.tier_memo_hits
+                got = _outcome(lambda: coh.access_prepared(0, prep))
+                want = _outcome(lambda: _scalar_replay(
+                    coh_b, params, 0, _BATCH_LINES, _BATCH_OPS))
+                assert got == want
+                assert (peeked is not None) == (coh.tier_memo_hits > hits)
+                if peeked is not None:
+                    assert peeked[0] == got[1]
+            elif kind in ("read", "write"):
+                _, cpu, i = step
+                addr = _POOL[i] * line_size
+                assert (_outcome(lambda: getattr(coh, kind)(cpu, addr))
+                        == _outcome(lambda: getattr(coh_b, kind)(cpu, addr)))
+            elif kind == "invalidate":
+                for c in (coh, coh_b):
+                    c.invalidate_frames([_FRAMES[step[1]]])
+            elif kind == "drop":
+                for c in (coh, coh_b):
+                    c.drop_node_cache_state(step[1])
+            else:
+                node = step[1]
+                for m in (mem, mem_b):
+                    if kind == "fail":
+                        m.fail_node(node)
+                    elif kind == "cutoff":
+                        m.engage_cutoff(node)
+                    else:
+                        m.revive_node(node)  # resets the firewall
+                        _grant_everyone(params, m, [
+                            f for f in _FRAMES
+                            if f // params.pages_per_node == node])
+            assert _stats_key(coh) == _stats_key(coh_b)
+            assert _directory(coh) == _directory(coh_b)
 
 
 class TestHostMemory:

@@ -232,10 +232,9 @@ class TestDirtyBarrier:
     def test_overlapping_chains_match_per_wakeup(self):
         coord, parked = _overlapping_run(per_wakeup=False)
         a, b = coord.chains
-        assert a.overlaps == [b] and b.overlaps == [a]
-        # Both forms of execution happened: credited runs of wakeups,
-        # and real accesses after a neighbour's mutation.
-        assert coord.snapshot()["replayed_wakeups"] > 0
+        assert a.shares_home and b.shares_home
+        # Chains sharing a home node never credit: one wakeup per park.
+        assert coord.snapshot()["replayed_wakeups"] == 0
         assert parked["stats"]["invalidations"] > 100
         _, per_wakeup = _overlapping_run(per_wakeup=True)
         assert parked == per_wakeup
