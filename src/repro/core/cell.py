@@ -233,7 +233,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         npfdats = self.pfdats.owned_count
         yield 2 * npfdats * self.costs.recovery_scan_per_pfdat_ns
         discarded = yield from self._preemptive_discard(dead, record)
-        yield from self._revoke_all_grants()
+        yield from self.firewall_mgr.revoke_all()
         killed = self._kill_dependent_processes(dead)
         if not self.alive:
             # The ancestry check panicked this cell: it completes no
@@ -341,8 +341,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                      if pte.frame == pf.frame]
             for vpn in stale:
                 proc.aspace.unmap_page(self.kernel_id, vpn)
-        pf.exported_to.clear()
-        pf.export_writable.clear()
+        pf.drop_exports()
         pf.dirty = False
         pf.refcount = 0
         if pf.frame in self.pfdats.reserved and pf.loaned_to == dead_cell:
@@ -353,30 +352,6 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                 and pf.frame not in self.pfdats.reserved:
             self.pfdats.free_frame(pf)
         return 1
-
-    def _revoke_all_grants(self) -> Generator:
-        """Revoke every remote write grant on our frames (no RPCs needed:
-        the firewalls are on our own nodes).  The firewall flips are
-        batched per home node through the bulk-revoke path; a frame we
-        loaned out is one of our pfdats like any other."""
-        revoked = 0
-        frames_by_node: Dict[int, list] = {}
-        params = self.machine.params
-        for pf in self.pfdats.all_pfdats():
-            pf.exported_to.clear()
-            if pf.export_writable and not pf.extended:
-                node = params.node_of_frame(pf.frame)
-                if node in self.node_ids:
-                    frames_by_node.setdefault(node, []).append(pf.frame)
-                self.firewall_metrics.counter("bulk_revokes").add()
-                pf.export_writable.clear()
-                revoked += 1
-        for node, frames in frames_by_node.items():
-            self.machine.memory.firewalls[node].bulk_revoke_all_remote(
-                frames, node)
-        yield ((self.machine.params.firewall_update_ns
-               + self.machine.params.firewall_revoke_extra_ns) * revoked)
-        return None
 
     def _resolve_dead_children(self, dead: Set[int]) -> None:
         """Dangling-reference cleanup: waits on children that lived on a

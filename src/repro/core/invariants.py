@@ -70,26 +70,50 @@ def _check_frame_states(cell) -> List[str]:
 
 
 def _check_firewall_agreement(cell) -> List[str]:
-    """The OS export records must match the hardware firewall."""
+    """The OS write-grant records and the hardware firewall agree.
+
+    Both ways: every recorded grant is set in its frame's firewall (a
+    borrowed frame's at its live memory home), and every remote bit on
+    the cell's own nodes is a recorded grant.  A pair in ``revoking``
+    has its bits off and its record drop pending.  Mid-recovery the
+    preemptive discard drops records before the sweep clears their
+    bits, so the second direction is checked between rounds only.
+    """
     problems: List[str] = []
     params = cell.machine.params
+    registry = cell.registry
+    firewalls = cell.machine.memory.firewalls
     revoking = cell.firewall_mgr.revoking  # bits off, record drop pending
-    for pf in cell.pfdats.all_pfdats():
-        if pf.extended:
-            continue
+    table = cell.pfdats
+
+    def first_cpu(cell_id):
+        return registry.first_node_of(cell_id) * params.cpus_per_node
+
+    for pf in table._exported.values():
         node = params.node_of_frame(pf.frame)
-        if node not in cell.node_ids:
-            continue
-        fw = cell.machine.memory.firewalls[node]
+        if not registry.is_live(registry.cell_of_node(node)):
+            continue  # the memory home's firewall died with it
+        fw = firewalls[node]
         for grantee in pf.export_writable:
-            if (pf.frame, grantee) in revoking:
-                continue
-            grantee_cpu = (cell.registry.nodes_of(grantee)[0]
-                           * params.cpus_per_node)
-            if not fw.allows(pf.frame, grantee_cpu):
+            if ((pf.frame, grantee) not in revoking
+                    and not fw.allows(pf.frame, first_cpu(grantee))):
                 problems.append(
                     f"cell {cell.kernel_id}: pfdat says cell {grantee} "
                     f"can write frame {pf.frame}, firewall disagrees")
+    if cell.in_recovery:
+        return problems
+    others = [c for c in registry.all_cell_ids() if c != cell.kernel_id]
+    for node in cell.node_ids:
+        fw = firewalls[node]
+        for frame in fw.remote_writable_frames():
+            pf = table._by_frame.get(frame)
+            granted = pf.export_writable if pf is not None else ()
+            for other in others:
+                if (other not in granted and (frame, other) not in revoking
+                        and fw.allows(frame, first_cpu(other))):
+                    problems.append(
+                        f"cell {cell.kernel_id}: firewall lets cell "
+                        f"{other} write frame {frame}, no pfdat grants it")
     return problems
 
 

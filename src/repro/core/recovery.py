@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Set
 
+from repro.core.failure import Hint
 from repro.obs.recorder import OBS_RECOVERY
 from repro.sim.engine import Event, Simulator
 
@@ -133,15 +134,7 @@ class RecoveryCoordinator:
 
     def force_round(self, suspect: int, reason: str) -> None:
         """Two-strike rule: peers reboot a corrupt accuser without a vote."""
-
-        class _FakeHint:
-            pass
-
-        hint = _FakeHint()
-        hint.reporter = -1
-        hint.suspect = suspect
-        hint.reason = reason
-        hint.time_ns = self.registry.sim.now
+        hint = Hint(-1, suspect, reason, self.registry.sim.now)
         if self._active_round is not None:
             self._pending_suspects.add(suspect)
             return
@@ -274,16 +267,8 @@ class RecoveryCoordinator:
         if self._pending_suspects:
             suspect = min(self._pending_suspects)
             self._pending_suspects.discard(suspect)
-
-            class _H:
-                pass
-
-            h = _H()
-            h.reporter = -1
-            h.suspect = suspect
-            h.reason = "queued during previous round"
-            h.time_ns = self.registry.sim.now
-            self.report_hint(h)
+            self.report_hint(Hint(-1, suspect, "queued during previous round",
+                                  self.registry.sim.now))
 
     def _resume_all(self) -> None:
         for cell_id in self.registry.live_cell_ids():

@@ -297,7 +297,7 @@ class SharingMixin:
         pfs = [pf for pf in map(self.pfdats.by_frame, frames)
                if pf is not None]
         for pf in pfs:
-            pf.exported_to.discard(src_cell)
+            pf.unexport(src_cell)
         # The page data stays cached at the data home ("the data page
         # remains in memory until the page frame is reallocated,
         # providing fast access if the client cell faults to it again").
@@ -402,7 +402,7 @@ class SharingMixin:
         yield self.costs.pfdat_hash_lookup_ns
         pf = self.pfdats.lookup(logical_id)
         if (pf is not None and pf.imported_from is not None
-                and (not want_write or self._have_write_grant(pf))):
+                and (not want_write or pf.import_writable)):
             self.metrics.counter("faults.local_hit").add()
             if hit_ns:
                 yield hit_ns
@@ -428,13 +428,10 @@ class SharingMixin:
         pf = self.import_page(result["frame"], data_home, logical_id,
                               want_write)
         if want_write:
-            pf.grant_write(self.kernel_id)  # client-side record
+            pf.import_writable = True
         ctx.process.dependencies.add(data_home)
         return self._map(ctx, region, vpn, pf, want_write,
                          data_home=data_home)
-
-    def _have_write_grant(self, pf: Pfdat) -> bool:
-        return self.kernel_id in pf.export_writable
 
     # ------------------------------------------------------------------
     # anonymous pages across cells (Section 5.3)
@@ -755,7 +752,7 @@ class SharingMixin:
         for idx in range(first_page, first_page + npages):
             pf = self.pfdats.lookup((tag, idx))
             if pf is not None and (not writable
-                                   or self._have_write_grant(pf)
+                                   or pf.import_writable
                                    or pf.imported_from is None):
                 have[idx] = pf
             else:
@@ -777,7 +774,7 @@ class SharingMixin:
                     pf = self.import_page(frame, fd.data_home, (tag, idx),
                                           writable)
                 if writable:
-                    pf.grant_write(self.kernel_id)
+                    pf.import_writable = True
                     # Write grants obtained for fd I/O live until the
                     # descriptor closes (there is no mapping whose
                     # teardown would otherwise release them).
@@ -974,17 +971,9 @@ class SharingMixin:
         if pf is None or pf.loaned_to != src_cell:
             raise RpcHandlerError("EPERM",
                                   f"frame {frame} not loaned to caller")
-        node = self.machine.params.node_of_frame(frame)
-        fw = self.machine.memory.firewalls[node]
-        for gn in self.registry.nodes_of(grantee):
-            if args.get("grant"):
-                fw.grant_node(frame, node, gn)
-            else:
-                fw.revoke_node(frame, node, gn)
-        extra = 0 if args.get("grant") else self.machine.params.firewall_revoke_extra_ns
-        yield self.machine.params.firewall_update_ns + extra
-        if args.get("grant"):
-            pf.grant_write(grantee)
-        else:
-            pf.export_writable.discard(grantee)
+        grant = bool(args.get("grant"))
+        self.firewall_mgr.update_for_borrower(pf, grantee, grant)
+        params = self.machine.params
+        yield params.firewall_update_ns + (
+            0 if grant else params.firewall_revoke_extra_ns)
         return None

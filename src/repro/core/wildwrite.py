@@ -16,7 +16,9 @@ that cell has the page mapped."
 This module manages the grants on frames a cell controls: its own frames
 (its nodes' firewalls are locally updatable) and frames it has *borrowed*
 (the firewall lives at the memory home, so changing it "must send an RPC
-to the memory home", Section 5.4).
+to the memory home", Section 5.4).  It is the one kernel module that
+flips a firewall bit: for its own grants, for a borrower's on a frame
+it loaned out, and in the recovery sweep.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ class FirewallManager:
     def _owns_node(self, node: int) -> bool:
         return node in self.cell.node_ids
 
+    def _flip(self, frame: int, cell_id: int, grant: bool) -> None:
+        """Set or clear every bit of ``cell_id`` on one of our frames."""
+        node = self._home_node(frame)
+        fw = self.cell.machine.memory.firewalls[node]
+        flip = fw.grant_node if grant else fw.revoke_node
+        for cn in self.cell.registry.nodes_of(cell_id):
+            flip(frame, node, cn)
+
     # -- grant ---------------------------------------------------------------
 
     def grant_write(self, pf: Pfdat, client_cell: int) -> Generator:
@@ -68,9 +78,7 @@ class FirewallManager:
         node = self._home_node(pf.frame)
         client_nodes = self.cell.registry.nodes_of(client_cell)
         if self._owns_node(node):
-            fw = self.cell.machine.memory.firewalls[node]
-            for cn in client_nodes:
-                fw.grant_node(pf.frame, node, cn)
+            self._flip(pf.frame, client_cell, True)
             yield self.cell.machine.params.firewall_update_ns
         else:
             # Borrowed frame: the memory home flips the bits for us.
@@ -106,7 +114,9 @@ class FirewallManager:
         All the bits flip before any time passes, one wait covers the
         pending valid writebacks of the whole batch (Section 4.2), then
         the records drop — never a record before its bits, so the
-        firewall is at worst stricter than the pfdats say.
+        firewall is at worst stricter than the pfdats say.  A borrowed
+        frame's pair is in ``revoking`` from before its RPC on, since
+        the memory home flips its bits before the reply.
         """
         params = self.cell.machine.params
         client_nodes = self.cell.registry.nodes_of(client_cell)
@@ -115,12 +125,9 @@ class FirewallManager:
             key = (pf.frame, client_cell)
             if client_cell not in pf.export_writable or key in self.revoking:
                 continue  # nothing to revoke, or already being revoked
-            node = self._home_node(pf.frame)
-            if self._owns_node(node):
-                fw = self.cell.machine.memory.firewalls[node]
-                for cn in client_nodes:
-                    fw.revoke_node(pf.frame, node, cn)
-                self.revoking.add(key)
+            self.revoking.add(key)
+            if self._owns_node(self._home_node(pf.frame)):
+                self._flip(pf.frame, client_cell, False)
                 local.append(pf)
             else:
                 borrowed.append(pf)
@@ -139,13 +146,13 @@ class FirewallManager:
                 pass  # memory home died; its firewall died with it
         # A pair granted again during the wait has left the set: its
         # bits are back on and its record stays.
-        done = [pf for pf in local
-                if (pf.frame, client_cell) in self.revoking] + borrowed
+        done = [pf for pf in local + borrowed
+                if (pf.frame, client_cell) in self.revoking]
         channels = self.cell.machine.channels
         obs = self.cell.obs
         for pf in done:
             self.revoking.discard((pf.frame, client_cell))
-            pf.export_writable.discard(client_cell)
+            pf.revoke_write(client_cell)
             self.revokes += 1
             self.cell.firewall_metrics.counter("revokes").add()
             if channels is not None:
@@ -157,6 +164,42 @@ class FirewallManager:
                 obs.event("firewall.revoke", "firewall",
                           cell=self.cell.kernel_id, frame=pf.frame,
                           grantee=client_cell)
+        return None
+
+    def update_for_borrower(self, pf: Pfdat, grantee: int,
+                            grant: bool) -> None:
+        """Memory-home side of a borrower's ``firewall_update`` on a
+        frame we loaned it: the bits, then our record, in one instant."""
+        self._flip(pf.frame, grantee, grant)
+        (pf.grant_write if grant else pf.revoke_write)(grantee)
+
+    # -- recovery ------------------------------------------------------------
+
+    def revoke_all(self) -> Generator:
+        """The recovery sweep: no other cell may write our memory.
+
+        The bits to clear are read off our nodes' firewalls, so a frame
+        whose record the preemptive discard already dropped is cleared
+        too; then every record goes, extended pfdats' included (a
+        borrowed frame's bits are its memory home's, cleared by that
+        cell's own sweep).  Charged one firewall update and writeback
+        round per regular pfdat that still had a grant record.
+        """
+        firewalls = self.cell.machine.memory.firewalls
+        for node in self.cell.node_ids:
+            frames = firewalls[node].remote_writable_frames()
+            if frames:
+                firewalls[node].bulk_revoke_all_remote(frames, node)
+        revoked = 0
+        for pf in self.cell.pfdats.all_pfdats():
+            if pf.export_writable and not pf.extended:
+                revoked += 1
+            pf.drop_exports()
+        if revoked:
+            self.cell.firewall_metrics.counter("bulk_revokes").add(revoked)
+        params = self.cell.machine.params
+        yield ((params.firewall_update_ns + params.firewall_revoke_extra_ns)
+               * revoked)
         return None
 
     # -- the Section 4.2 measurement -------------------------------------------
@@ -174,12 +217,12 @@ class FirewallManager:
     def frames_writable_by(self, cell_id: int) -> List[Pfdat]:
         """Our pfdats whose frames the given cell can write.
 
-        The preemptive-discard working set: includes pages exported
-        writable to the cell and frames loaned to it (it holds full
-        control over those).  O(result) via the writable-by-cell index.
+        The preemptive-discard working set: the pages granted writable
+        to the cell, then the frames loaned to it that no grant names
+        (it holds full control over those).  O(result) plus the
+        reserved list.
         """
-        out = self.cell.pfdats.writable_by(cell_id)
-        for pf in self.cell.pfdats.reserved.values():
-            if pf.loaned_to == cell_id or cell_id in pf.export_writable:
-                out.append(pf)
-        return out
+        table = self.cell.pfdats
+        return table.writable_by(cell_id) + [
+            pf for pf in table.loaned_frames_to(cell_id)
+            if cell_id not in pf.export_writable]

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import (AbstractSet, Deque, Dict, Iterable, List, Optional,
-                    Tuple, Union)
+from typing import (AbstractSet, Deque, Dict, FrozenSet, Iterable, List,
+                    Optional, Tuple, Union)
 
 from repro.unix.kheap import KObject
 
@@ -31,80 +31,10 @@ from repro.unix.kheap import KObject
 LogicalId = Tuple[tuple, int]
 
 
-class _ExportSet(set):
-    """``pf.export_writable`` from the first write grant on, with index
-    maintenance built in.
-
-    Every mutation notifies the owning :class:`PfdatTable` so its
-    writable-by-cell index stays exact without touching any of the many
-    call sites that discard/clear grantees.  A pfdat outside any table
-    (``pf.table is None``) behaves as a plain set.
-    """
-
-    __slots__ = ("pf",)
-
-    def __init__(self, pf: "Pfdat"):
-        super().__init__()
-        self.pf = pf
-
-    def add(self, cell_id: int) -> None:
-        if cell_id not in self:
-            set.add(self, cell_id)
-            table = self.pf.table
-            if table is not None:
-                table._export_added(self.pf, cell_id)
-
-    def discard(self, cell_id: int) -> None:
-        if cell_id in self:
-            set.discard(self, cell_id)
-            table = self.pf.table
-            if table is not None:
-                table._export_removed(self.pf, cell_id)
-
-    def remove(self, cell_id: int) -> None:
-        set.remove(self, cell_id)
-        table = self.pf.table
-        if table is not None:
-            table._export_removed(self.pf, cell_id)
-
-    def clear(self) -> None:
-        if self:
-            grantees = list(self)
-            set.clear(self)
-            table = self.pf.table
-            if table is not None:
-                for cell_id in grantees:
-                    table._export_removed(self.pf, cell_id)
-
-    def update(self, *others) -> None:
-        for other in others:
-            for cell_id in other:
-                self.add(cell_id)
-
-    def pop(self) -> int:
-        cell_id = set.pop(self)
-        table = self.pf.table
-        if table is not None:
-            table._export_removed(self.pf, cell_id)
-        return cell_id
-
-
-class _Unexported(frozenset):
-    """The export sets of a pfdat never exported: one shared empty set
-    whose removals do nothing, so reading, discarding from or clearing
-    a page nobody imported allocates nothing.  Exporting goes through
-    :meth:`Pfdat.export_to` and :meth:`Pfdat.grant_write`."""
-
-    __slots__ = ()
-
-    def discard(self, cell_id: int) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
-
-_UNEXPORTED = _Unexported()
+#: The export sets of a pfdat never exported: one shared empty set, so
+#: a page nobody imported allocates none.  Only the :class:`Pfdat`
+#: methods below change the sets, allocating on the first export.
+_UNEXPORTED: FrozenSet[int] = frozenset()
 
 
 class Pfdat(KObject):
@@ -113,7 +43,8 @@ class Pfdat(KObject):
     __slots__ = (
         "frame", "logical_id", "valid", "dirty", "refcount",
         # logical-level sharing state (Figure 5.3a)
-        "exported_to", "imported_from", "export_writable",
+        "exported_to", "export_writable", "imported_from",
+        "import_writable",
         # physical-level sharing state (Figure 5.3b)
         "loaned_to", "borrowed_from",
         # bookkeeping
@@ -127,13 +58,15 @@ class Pfdat(KObject):
         self.valid = False           # frame holds meaningful data
         self.dirty = False           # modified with respect to backing store
         self.refcount = 0            # mappings + transient kernel references
-        # Logical level: which client cells import this page (data-home
-        # side), or which cell is the data home (client side).  Most
+        # Logical level, data-home side: which client cells import this
+        # page and which of them this kernel granted write access.  Most
         # pages are never exported: both sets are the shared
         # ``_UNEXPORTED`` until the first export.
         self.exported_to: AbstractSet[int] = _UNEXPORTED
         self.export_writable: AbstractSet[int] = _UNEXPORTED
+        # Client side: the data home, and whether it granted us write.
         self.imported_from: Optional[int] = None
+        self.import_writable = False
         # Physical level: frame loaned out (memory-home side) or borrowed
         # (data-home side).
         self.loaned_to: Optional[int] = None
@@ -152,12 +85,32 @@ class Pfdat(KObject):
             self.exported_to = set()
         self.exported_to.add(cell_id)
 
+    def unexport(self, cell_id: int) -> None:
+        """``cell_id`` released its import of this page."""
+        if cell_id in self.exported_to:
+            self.exported_to.remove(cell_id)
+
     def grant_write(self, cell_id: int) -> None:
-        """Record a write grant to ``cell_id``; the owning table's
-        writable-by-cell index follows every change to the set."""
+        """Record a write grant to ``cell_id`` in the table's index."""
         if self.export_writable is _UNEXPORTED:
-            self.export_writable = _ExportSet(self)
-        self.export_writable.add(cell_id)
+            self.export_writable = set()
+        if cell_id not in self.export_writable:
+            self.export_writable.add(cell_id)
+            if self.table is not None:
+                self.table._index_grant(self, cell_id)
+
+    def revoke_write(self, cell_id: int) -> None:
+        """Drop the write grant to ``cell_id`` and its index entry."""
+        if cell_id in self.export_writable:
+            self.export_writable.remove(cell_id)
+            if self.table is not None:
+                self.table._index_revoke(self, cell_id)
+
+    def drop_exports(self) -> None:
+        """Forget every importer and every write grant."""
+        for cell_id in tuple(self.export_writable):
+            self.revoke_write(cell_id)
+        self.exported_to = self.export_writable = _UNEXPORTED
 
 
 class NoFreeFrames(MemoryError):
@@ -174,12 +127,12 @@ class PfdatTable:
     def __init__(self, owned: Union[range, Iterable[range]]):
         self._by_frame: Dict[int, Pfdat] = {}
         self._hash: Dict[LogicalId, Pfdat] = {}
-        # Writable-by-cell index over the *regular* (non-extended)
-        # pfdats: grantee cell -> {frame: pfdat}.  Maintained by
-        # ``_ExportSet`` so preemptive discard's working-set query is
-        # O(result) instead of O(all frames).
+        # Writable-by-cell index over every pfdat of the table, owned,
+        # loaned or extended: grantee cell -> {frame: pfdat}.  Kept by
+        # ``Pfdat.grant_write`` / ``revoke_write`` so preemptive
+        # discard's working-set query is O(result), not O(all frames).
         self._writable_by: Dict[int, Dict[int, Pfdat]] = {}
-        #: regular pfdats with any grantee at all (the Section 4.2
+        #: pfdats with any grantee at all (the Section 4.2
         #: remotely-writable sample), frame -> pfdat.
         self._exported: Dict[int, Pfdat] = {}
         # Nothing here is per frame: a large machine has ~100k frames
@@ -259,33 +212,28 @@ class PfdatTable:
         rank = self._rank_of(frame)
         return rank is not None and rank >= self._cursor
 
-    def _export_added(self, pf: Pfdat, cell_id: int) -> None:
-        if pf.extended:
-            return
+    def _index_grant(self, pf: Pfdat, cell_id: int) -> None:
         self._writable_by.setdefault(cell_id, {})[pf.frame] = pf
         self._exported[pf.frame] = pf
 
-    def _export_removed(self, pf: Pfdat, cell_id: int) -> None:
-        if pf.extended:
-            return
-        grantees = self._writable_by.get(cell_id)
-        if grantees is not None:
-            grantees.pop(pf.frame, None)
-            if not grantees:
-                del self._writable_by[cell_id]
+    def _index_revoke(self, pf: Pfdat, cell_id: int) -> None:
+        grantees = self._writable_by[cell_id]
+        del grantees[pf.frame]
+        if not grantees:
+            del self._writable_by[cell_id]
         if not pf.export_writable:
-            self._exported.pop(pf.frame, None)
+            del self._exported[pf.frame]
 
     def writable_by(self, cell_id: int) -> List[Pfdat]:
-        """Regular pfdats granting write access to ``cell_id``, in the
-        same order the old full table scan produced (O(result))."""
+        """Pfdats granting write access to ``cell_id``, in table order
+        (O(result))."""
         grantees = self._writable_by.get(cell_id)
         if not grantees:
             return []
         return sorted(grantees.values(), key=lambda pf: pf.seq)
 
     def export_writable_count(self) -> int:
-        """How many regular pfdats have any remote write grantee."""
+        """How many pfdats have any remote write grantee."""
         return len(self._exported)
 
     def imported_from_cell(self, cell_id: int) -> List[Pfdat]:
@@ -324,6 +272,7 @@ class PfdatTable:
             del self._hash[pf.logical_id]
         pf.logical_id = None
         pf.valid = False
+        pf.import_writable = False
 
     def by_frame(self, frame: int) -> Optional[Pfdat]:
         pf = self._by_frame.get(frame)
@@ -375,8 +324,7 @@ class PfdatTable:
         if pf.refcount:
             raise ValueError(f"freeing frame {pf.frame} with refs")
         self.remove(pf)
-        pf.exported_to.clear()
-        pf.export_writable.clear()
+        pf.drop_exports()
         if not pf.on_free_list:
             pf.on_free_list = True
             self._freed.append(pf.frame)
@@ -401,6 +349,8 @@ class PfdatTable:
         if not pf.extended:
             raise ValueError("not an extended pfdat")
         self.remove(pf)
+        pf.drop_exports()
+        pf.table = None
         self._by_frame.pop(pf.frame, None)
 
     # -- physical-level frame movement ----------------------------------------

@@ -50,7 +50,7 @@ rates vary.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.bench.throughput import grant_frames
@@ -204,23 +204,7 @@ class SessionTrafficConfig:
                                  f"{getattr(self, name)}")
 
     def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions, "seed": self.seed,
-            "mean_interarrival_ns": self.mean_interarrival_ns,
-            "interarrival": self.interarrival,
-            "interarrival_shape": self.interarrival_shape,
-            "mean_service_ns": self.mean_service_ns,
-            "service": self.service, "service_shape": self.service_shape,
-            "mix": tuple(self.mix),
-            "servers_per_cell": self.servers_per_cell,
-            "chunk_sessions": self.chunk_sessions,
-            "coupling_ops_per_session": self.coupling_ops_per_session,
-            "coupling_frames": self.coupling_frames,
-            "probe_every": self.probe_every,
-            "inject_ms": self.inject_ms,
-            "victim_cell": self.victim_cell,
-            "failover": self.failover,
-        }
+        return asdict(self)
 
 
 def generate_chunk(cfg: SessionTrafficConfig, start_sid: int, count: int,
@@ -286,32 +270,9 @@ class SessionReport:
     availability: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "sessions": self.sessions,
-            "completed": self.completed,
-            "lost": self.lost,
-            "lost_arrivals": self.lost_arrivals,
-            "faults": self.faults,
-            "sessions_lost_per_fault": self.sessions_lost_per_fault,
-            "wall_s": self.wall_s,
-            "sessions_per_sec": self.sessions_per_sec,
-            "sim_horizon_ms": self.sim_horizon_ms,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p99_ms": self.latency_p99_ms,
-            "latency_mean_ms": self.latency_mean_ms,
-            "latency_hist": self.latency_hist,
-            "by_type": dict(self.by_type),
-            "coupling_accesses": self.coupling_accesses,
-            "coupling_retired_cells": self.coupling_retired_cells,
-            "probes_launched": self.probes_launched,
-            "probes_completed": self.probes_completed,
-            "cells": self.cells,
-            "servers_per_cell": self.servers_per_cell,
-            "seed": self.seed,
-            "config": dict(self.config),
-        }
-        if self.availability is not None:
-            out["availability"] = self.availability
+        out = asdict(self)
+        if self.availability is None:
+            del out["availability"]
         return out
 
 

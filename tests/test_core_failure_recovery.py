@@ -5,6 +5,7 @@ import pytest
 from repro.core.agreement import OracleAgreement, VotingAgreement
 from repro.core.failure import StrikeBook
 from repro.core.hive import boot_hive
+from repro.core.invariants import check_system
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
 from repro.sim.engine import Simulator
@@ -323,3 +324,113 @@ class TestRecovery:
 
         run_program(hive, 3, reader)
         assert out["data"] == payload
+
+
+class TestOneGrantRecord:
+    """Each grant leak of a write-grant record split by pfdat kind:
+    (a) a data home's grant on a borrowed frame missed by the discard,
+    (b) its record outliving the bits a recovery sweep cleared, (c) a
+    loaned frame listed twice in a working set, (d) discarded frames
+    going back to the free list still writable."""
+
+    LID = (("file", 99, 1), 0)  # a page of no mounted file system
+
+    def _run(self, hive, gen):
+        proc = hive.sim.process(gen)
+        hive.sim.run_until_event(proc, deadline=hive.sim.now + 10**10)
+        return proc.value
+
+    def _borrowed_page(self, hive, grantee):
+        """Cell 1 caches a page in a frame borrowed from cell 0 and
+        grants ``grantee`` write access to it through cell 0."""
+        data_home = hive.cell(1)
+
+        def borrow():
+            result = yield from data_home.rpc.call(
+                0, "borrow_frames", {"count": 1})
+            pf = data_home.pfdats.alloc_extended(result["frames"][0])
+            pf.borrowed_from = 0
+            data_home.pfdats.insert(pf, self.LID)
+            yield from data_home.export_page_local(pf, grantee, True)
+            return pf
+
+        return self._run(hive, borrow())
+
+    def _cpu(self, hive, cell_id):
+        return hive.cell(cell_id).cpu_ids[0]
+
+    def test_a_borrowed_frame_grant_is_discarded(self):
+        hive = boot4()
+        pf = self._borrowed_page(hive, grantee=2)
+        data_home = hive.cell(1)
+        assert data_home.firewall_mgr.frames_writable_by(2) == [pf]
+        hive.machine.halt_node(2)
+        settle(hive)
+        assert hive.coordinator.records[-1].dead_cells == {2}
+        assert data_home.pfdats.lookup(self.LID) is None
+        assert not pf.export_writable
+        assert check_system(hive) == []
+
+    def test_b_borrowed_frame_record_drops_with_its_bits(self):
+        hive = boot4()
+        pf = self._borrowed_page(hive, grantee=2)
+        data_home = hive.cell(1)
+        assert hive.machine.memory.write_allowed(pf.frame, self._cpu(hive, 2))
+        hive.machine.halt_node(3)
+        settle(hive)
+        assert hive.coordinator.records[-1].dead_cells == {3}
+        assert not hive.machine.memory.write_allowed(
+            pf.frame, self._cpu(hive, 2))
+        assert not pf.export_writable
+        assert check_system(hive) == []
+        self._run(hive, data_home.firewall_mgr.grant_write(pf, 2))
+        assert hive.machine.memory.write_allowed(pf.frame, self._cpu(hive, 2))
+        assert check_system(hive) == []
+
+    def test_c_loaned_frame_listed_once(self):
+        hive = boot4()
+        pf = self._borrowed_page(hive, grantee=2)
+        lender = hive.cell(0)
+        loaned = lender.pfdats.reserved[pf.frame]
+        assert loaned.export_writable == {2}
+        assert lender.firewall_mgr.frames_writable_by(2) == [loaned]
+        hive.machine.halt_node(2)
+        settle(hive)
+        # the lender's loaned frame and the data home's page: one each
+        assert hive.coordinator.records[-1].discarded_pages == 2
+
+    def test_d_discarded_frames_leave_no_bits(self):
+        """A page granted to cells 2 and 3 is discarded when cell 2
+        fails; its frame goes back to the free list writable by no
+        one, live cell 3 included."""
+        hive = boot4()
+        owner = hive.cell(0)
+        pf = owner.pfdats.alloc_frame()
+
+        def grant():
+            yield from owner.firewall_mgr.grant_write(pf, 2)
+            yield from owner.firewall_mgr.grant_write(pf, 3)
+
+        self._run(hive, grant())
+        assert hive.machine.memory.write_allowed(pf.frame, self._cpu(hive, 3))
+        hive.machine.halt_node(2)
+        settle(hive)
+        assert pf.on_free_list
+        assert not hive.machine.memory.write_allowed(
+            pf.frame, self._cpu(hive, 3))
+        assert owner.machine.memory.firewalls[0].remote_writable_frames() \
+            == []
+        assert check_system(hive) == []
+
+    def test_sweep_leaves_no_remote_bit_after_throughput(self):
+        from repro.bench.throughput import boot_bench_system, run_throughput
+
+        system = boot_bench_system("small")
+        row = run_throughput("small", system=system)
+        assert row["discarded_pages"] == 32
+        firewalls = system.machine.memory.firewalls
+        survivors = [cell for cell in system.cells if cell.alive]
+        assert len(survivors) == 3
+        assert [frame for cell in survivors for node in cell.node_ids
+                for frame in firewalls[node].remote_writable_frames()] == []
+        assert check_system(system) == []

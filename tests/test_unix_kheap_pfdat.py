@@ -183,40 +183,53 @@ class TestPfdatTable:
         assert t.lookups == 2 and t.hits == 1
 
     def test_every_set_mutation_keeps_the_writable_index(self):
-        """``export_writable`` is a set whose every mutator updates the
-        table's writable-by-cell index, so no plain ``set`` method can
-        leave a grant the index does not know about."""
+        """The grant record changes only through ``Pfdat`` methods, and
+        each keeps the table's writable-by-cell index: every grant and
+        revoke, on owned and extended pfdats alike, and a drop of all
+        of a pfdat's exports."""
         t = self.make()
         a, b = t.alloc_frame(), t.alloc_frame()
-        a.grant_write(1)
-        a.export_writable.update([2], {3})
+        ext = t.alloc_extended(5000)
+        for cell_id in (1, 2, 3):
+            a.grant_write(cell_id)
         b.grant_write(2)
-        assert t.writable_by(2) == [a, b]
-        a.export_writable.remove(2)
-        assert t.writable_by(2) == [b]
-        popped = {a.export_writable.pop(), a.export_writable.pop()}
-        assert popped == {1, 3} and not a.export_writable
+        ext.grant_write(2)
+        a.grant_write(2)  # a repeat changes nothing
+        assert t.writable_by(2) == [a, b, ext]
+        a.revoke_write(2)
+        a.revoke_write(2)  # so does revoking what was never granted
+        assert t.writable_by(2) == [b, ext]
+        a.drop_exports()
+        assert not a.export_writable
         assert t.writable_by(1) == t.writable_by(3) == []
-        assert t.export_writable_count() == 1
+        assert t.export_writable_count() == 2
+        t.release_extended(ext)
+        assert t.writable_by(2) == [b] and t.export_writable_count() == 1
+        ext.grant_write(4)  # a released pfdat is outside every index
+        assert t.writable_by(4) == []
 
     def test_export_sets_come_with_the_first_export(self):
         """A pfdat nobody imported shares one empty set for both export
-        fields; removing from it is a no-op, and the first export gives
-        the pfdat sets of its own."""
+        fields; removing from it allocates nothing, and the first
+        export gives the pfdat sets of its own."""
         t = self.make()
         a, b = t.alloc_frame(), t.alloc_frame()
         assert a.exported_to is b.exported_to is b.export_writable
-        a.exported_to.discard(1)
-        a.export_writable.discard(1)
-        a.export_writable.clear()
-        assert not a.exported_to and not a.export_writable
+        a.unexport(1)
+        a.revoke_write(1)
+        a.drop_exports()
+        assert a.exported_to is b.exported_to is a.export_writable
         a.export_to(1)
         a.grant_write(2)
         assert a.exported_to == {1} and a.export_writable == {2}
+        assert a.exported_to is not b.exported_to
         assert not b.exported_to and not b.export_writable
         assert t.writable_by(2) == [a]
+        a.unexport(1)
+        assert not a.exported_to and a.export_writable == {2}
         t.free_frame(a)
-        assert not a.exported_to and t.writable_by(2) == []
+        assert not a.export_writable and t.writable_by(2) == []
+        assert a.exported_to is b.exported_to
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=40, unique=True))
     @settings(max_examples=30, deadline=None)
