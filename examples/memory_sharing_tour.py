@@ -96,14 +96,10 @@ def main() -> None:
     print(f"  borrowed frames      : {frames} from cell 1")
     print(f"  memory home reserved : "
           f"{sorted(home.pfdats.reserved)} (parked, ignored)")
-    pf = client.pfdats.alloc_extended(frames[0])
-    pf.borrowed_from = 1
-    print(f"  borrower manages     : frame {pf.frame} via extended pfdat")
-    client.return_borrowed_frame(pf)
-    for f in frames[1:]:
-        pf = client.pfdats.alloc_extended(f)
-        pf.borrowed_from = 1
-        client.return_borrowed_frame(pf)
+    pfs = [client.pfdats.borrow(f, 1) for f in frames]
+    print(f"  borrower manages     : frame {pfs[0].frame} via extended pfdat")
+    for pf in pfs:
+        client.drop_frame(pf)
     sim.run(until=sim.now + 100_000_000)
     print(f"  after return         : reserved list = "
           f"{sorted(home.pfdats.reserved)}")

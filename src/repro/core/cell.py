@@ -194,21 +194,12 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         prov = self.prov
         for pf in list(self.pfdats.all_pfdats()):
             if pf.imported_from is not None:
-                borrowed_from = pf.borrowed_from
                 if prov is not None:
                     prov.import_dropped(self.kernel_id, pf.frame,
                                         pf.imported_from)
                 pf.imported_from = None
-                if pf.extended and borrowed_from is None:
-                    self.pfdats.release_extended(pf)
-                else:
-                    self.pfdats.remove(pf)
+                self.drop_frame(pf)
                 unmapped += 1
-        for pf in list(self.pfdats.reserved.values()):
-            if pf.imported_from is not None and prov is not None:
-                prov.import_dropped(self.kernel_id, pf.frame,
-                                    pf.imported_from)
-            pf.imported_from = None
         yield self.costs.unmap_page_ns * unmapped
         if phase is not None:
             obs.end(phase, unmapped=unmapped)
@@ -293,16 +284,10 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                                                 invalidate=False)
         # Frames we borrowed from a dead memory home died with it, along
         # with whatever we cached in them.
-        for pf in list(self.pfdats.all_pfdats()):
-            if pf.extended and pf.borrowed_from in dead:
+        for pf in self.pfdats.all_pfdats():
+            if pf.borrowed_from in dead:
                 discarded += self._discard_page(pf, pf.borrowed_from,
                                                 lost_files)
-                self._borrowed_free = [b for b in self._borrowed_free
-                                       if b is not pf]
-                if self.pfdats.by_frame(pf.frame) is pf:
-                    self.pfdats.release_extended(pf)
-        self._borrowed_free = [b for b in self._borrowed_free
-                               if b.borrowed_from not in dead]
         record.files_lost += len(lost_files)
         yield self.costs.discard_per_page_ns * discarded
         return discarded
@@ -332,25 +317,14 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
                 # Anonymous data has no backing store: it is simply gone.
                 self.poisoned_anon.add(logical_id)
             self.pfdats.remove(pf)
-        # Remove any local mappings of the frame.
-        for proc in list(self.processes.values()):
-            if proc.exited:
-                continue
-            pmap = proc.aspace.ptes.get(self.kernel_id, {})
-            stale = [vpn for vpn, pte in pmap.items()
-                     if pte.frame == pf.frame]
-            for vpn in stale:
-                proc.aspace.unmap_page(self.kernel_id, vpn)
+        self._unmap_frame_everywhere(pf.frame)
         pf.drop_exports()
         pf.dirty = False
         pf.refcount = 0
-        if pf.frame in self.pfdats.reserved and pf.loaned_to == dead_cell:
-            reclaimed = self.pfdats.return_from_reserved(pf.frame)
-            self.pfdats.free_frame(reclaimed)
-        elif not pf.extended and not pf.on_free_list \
-                and self.pfdats.owns(pf.frame) \
-                and pf.frame not in self.pfdats.reserved:
-            self.pfdats.free_frame(pf)
+        if pf.loaned_to == dead_cell:
+            self.pfdats.reclaim(pf.frame)
+        else:
+            self.drop_frame(pf)
         return 1
 
     def _resolve_dead_children(self, dead: Set[int]) -> None:

@@ -95,7 +95,7 @@ class Wax:
                 self.snapshot[cell_id] = {
                     "free_frames": cell.pfdats.free_count,
                     "load": cell.live_process_count(),
-                    "borrowed": len(cell._borrowed_free),
+                    "borrowed": len(cell.pfdats.stock),
                 }
                 self._push_hints(cell)
                 yield WAX_PERIOD_NS

@@ -96,7 +96,7 @@ def measure_page_fault(system: HiveSystem, remote: bool,
                     tag = ("file", region.fs_id, region.ino)
                     pf = client.pfdats.lookup((tag, p))
                     if pf is not None and pf.extended:
-                        client.release_imported_page(pf)
+                        client.drop_frame(pf)
                         pf2 = client.pfdats.lookup((tag, p))
                         if pf2 is not None:
                             client.pfdats.remove(pf2)

@@ -59,10 +59,12 @@ class TestFrameStates:
 
     def test_loaned_frame_with_stale_free_entry_is_fine(self, hive):
         # move_to_reserved leaves the frame's free-list entry behind
-        # (alloc_frame skips it later); that is not a violation.
+        # (alloc_frame skips it later); that is not a violation once
+        # the borrower holds the frame too.
         table = hive.cell(0).pfdats
         pf = table.by_frame(table._frame_at(table.owned_count - 1))
         table.move_to_reserved(pf, borrower=1)
+        hive.cell(1).pfdats.borrow(pf.frame, 0)
         assert check_system(hive) == []
 
     def test_negative_refcount(self, hive):

@@ -280,9 +280,7 @@ class TestPhysicalSharing:
                 1, "borrow_frames", {"count": 4})
             out["frames"] = result["frames"]
             for frame in result["frames"]:
-                pf = borrower.pfdats.alloc_extended(frame)
-                pf.borrowed_from = 1
-                borrower.return_borrowed_frame(pf)
+                borrower.drop_frame(borrower.pfdats.borrow(frame, 1))
 
         proc = hive2.sim.process(prog())
         hive2.sim.run_until_event(proc,
@@ -290,6 +288,7 @@ class TestPhysicalSharing:
         hive2.sim.run(until=hive2.sim.now + 50_000_000)
         assert len(out["frames"]) == 4
         assert lender.pfdats.reserved == {}
+        assert not any(borrower.pfdats.by_frame(f) for f in out["frames"])
 
     def test_allocation_under_pressure_borrows(self, hive2):
         """Section 5.4's client side: a cell down to its deadlock
@@ -313,7 +312,7 @@ class TestPhysicalSharing:
         assert pf.frame in {p.frame for p in loaned}
         assert borrower.metrics.counter("borrows").value == 1
         # the rest of the batch is stock for the next allocations
-        assert len(borrower._borrowed_free) == BORROW_BATCH - 1
+        assert len(borrower.pfdats.stock) == BORROW_BATCH - 1
         loans = [it for it in tracer.audit_report()["interactions"]
                  if it["kind"] == "loan"]
         assert sorted(it["frame"] for it in loans) \
@@ -363,8 +362,7 @@ class TestPhysicalSharing:
             result = yield from borrower.rpc.call(
                 1, "borrow_frames", {"count": 1})
             frame = result["frames"][0]
-            pf = borrower.pfdats.alloc_extended(frame)
-            pf.borrowed_from = 1
+            borrower.pfdats.borrow(frame, 1)
             # Borrower (data home) exports the page writable... to itself
             # is implicit; grant a third party via the memory home.
             yield from borrower.rpc.call(

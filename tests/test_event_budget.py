@@ -149,7 +149,7 @@ def page_fault(remote):
             if remote:
                 pf = kernel.pfdats.lookup(
                     (("file", region.fs_id, region.ino), 1))
-                kernel.release_imported_page(pf)
+                kernel.drop_frame(pf)
             ctx.process.aspace.unmap_page(kernel.kernel_id,
                                           region.start_vpn + 1)
             yield 50_000_000  # the release RPC is long done

@@ -165,9 +165,7 @@ class TestClockHand:
             result = yield from borrower.rpc.call(
                 1, "borrow_frames", {"count": 8})
             for frame in result["frames"]:
-                pf = borrower.pfdats.alloc_extended(frame)
-                pf.borrowed_from = 1
-                borrower._borrowed_free.append(pf)
+                borrower.pfdats.borrow(frame, 1)
 
         proc = sim.process(borrow())
         sim.run_until_event(proc, deadline=sim.now + 10**10)
