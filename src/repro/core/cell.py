@@ -274,7 +274,9 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         discarded = 0
         lost_files: Set[tuple] = set()
         for dead_cell in dead:
-            working_set = self.firewall_mgr.frames_writable_by(dead_cell)
+            # the pages granted to it, and the frames loaned to it: a
+            # loan is a write grant
+            working_set = self.pfdats.writable_by(dead_cell)
             # Batch the cache-line invalidations for the whole discard
             # set; the per-page bookkeeping follows.
             self.machine.coherence.invalidate_frames(

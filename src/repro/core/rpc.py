@@ -52,7 +52,8 @@ from repro.sim.engine import Event, Interrupted, SimulationError, Simulator
 from repro.sim.resources import FifoStore
 from repro.sim.stats import MetricSet
 from repro.unix.costs import KernelCosts
-from repro.unix.errors import RpcTimeout
+from repro.unix.errors import FileError, RpcTimeout
+from repro.unix.pfdat import NoFreeFrames
 
 #: sentinel: an interrupt-level handler could not complete without
 #: blocking; re-dispatch through the queued service path.
@@ -538,18 +539,22 @@ class RpcSubsystem:
             self._reply(payload, result)
 
     def _run_handler(self, handler: Callable, payload: dict) -> Generator:
+        """Run one handler behind the errno boundary: an errno-carrying
+        error it raises (``RpcHandlerError``, ``FileError``, and
+        ``NoFreeFrames`` as ``ENOMEM``) is the caller's :class:`RpcError`."""
         # Server side of provenance: requests *from* a tainted cell
         # (``rpc_served`` no-ops unless the source is tainted).
         prov = self.cell.prov
         try:
             result = yield from handler(payload.get("src_cell"),
                                         payload.get("args") or {})
-        except RpcHandlerError as exc:
+        except (RpcHandlerError, FileError, NoFreeFrames) as exc:
+            errno = "ENOMEM" if isinstance(exc, NoFreeFrames) else exc.errno
             if prov is not None:
                 prov.rpc_served(payload.get("src_cell"),
                                 self.cell.kernel_id, payload.get("op"),
-                                rejected=f"rpc_sanity:{exc.errno}")
-            return RpcError(exc.errno, str(exc))
+                                rejected=f"rpc_sanity:{errno}")
+            return RpcError(errno, str(exc))
         except BusError as exc:
             if prov is not None:
                 prov.rpc_served(payload.get("src_cell"),

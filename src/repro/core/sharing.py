@@ -210,12 +210,6 @@ class SharingMixin:
         yield 0
         return "alive"
 
-    def _find_cached_page(self, logical_id: tuple) -> Optional[Pfdat]:
-        pf = self.pfdats.lookup(logical_id)
-        if pf is not None and pf.imported_from is None:
-            return pf
-        return None
-
     def _h_export_page(self, src_cell: int, args: dict) -> Generator:
         """Interrupt-level export attempt: page-cache hit path.
 
@@ -224,40 +218,51 @@ class SharingMixin:
         path takes no blocking locks against recovery.
         """
         logical_id = self._check_logical_id(args)
-        writable = bool(args.get("writable"))
         yield self.costs.fault_home_misc_vm_ns
-        pf = self._find_cached_page(logical_id)
-        if pf is None:
-            return MUST_QUEUE  # disk I/O needed: _h_export_page_queued
-        yield self.costs.fault_home_export_ns
-        yield from self.export_page_local(pf, src_cell, writable)
-        generation = self._generation_of(logical_id)
-        return {"frame": pf.frame, "generation": generation}
+        pf = self.pfdats.lookup(logical_id)
+        if pf is None or pf.imported_from is not None:
+            return MUST_QUEUE  # a fill is needed: _h_export_page_queued
+        return (yield from self._export(pf, logical_id, src_cell, args))
 
     def _h_export_page_queued(self, src_cell: int, args: dict) -> Generator:
-        """Queued export, after an interrupt-level miss: fill the page
-        from disk at the data home, then export it."""
+        """Queued export, after an interrupt-level miss: refill the page
+        the data home holds (a file page from disk, an anonymous or task
+        page from swap), then export it."""
         logical_id = self._check_logical_id(args)
-        writable = bool(args.get("writable"))
-        tag = logical_id[0]
-        if tag[0] != "file":
-            raise RpcHandlerError("EINVAL", "slow path is for file pages")
-        _, fs_id, ino = tag
-        fs = self.filesystems.get(fs_id)
-        if fs is None:
-            raise RpcHandlerError("ESTALE", f"fs {fs_id} not here")
-        inode = fs.inode(ino)
-        pf = yield from self.get_file_page(fs, inode, logical_id[1])
+        tag, disk = logical_id[0], None
+        if tag[0] == "file":
+            fs = self.filesystems.get(tag[1])
+            if fs is None:
+                raise RpcHandlerError("ESTALE", f"fs {tag[1]} not here")
+            disk = (fs, fs.inode(tag[2]))
+        elif logical_id in self.poisoned_anon:
+            raise RpcHandlerError("EIO", "page was discarded")
+        elif (not self.swap.has(logical_id)
+              and self.pfdats.lookup(logical_id) is None):
+            raise RpcHandlerError("ENOENT", f"{logical_id} not held here")
+        yield self.costs.pfdat_hash_lookup_ns
+        pf = yield from self._find_or_fill(logical_id, disk=disk)
+        return (yield from self._export(pf, logical_id, src_cell, args))
+
+    def _export(self, pf: Pfdat, logical_id: tuple, src_cell: int,
+                args: dict) -> Generator:
+        """The tail every export handler shares: charge, export, reply."""
         yield self.costs.fault_home_export_ns
-        yield from self.export_page_local(pf, src_cell, writable)
-        return {"frame": pf.frame, "generation": inode.generation}
+        yield from self.export_page_local(pf, src_cell,
+                                          bool(args.get("writable")))
+        return {"frame": pf.frame,
+                "generation": self._generation_of(logical_id)}
 
     def _check_logical_id(self, args: dict) -> tuple:
-        """Sanity-check an RPC-supplied logical id (bad-message defense)."""
+        """Sanity-check an RPC-supplied logical id (bad-message defense):
+        a ``(kind, int, int)`` tag and a page index."""
         lid = args.get("logical_id")
         if (not isinstance(lid, (tuple, list)) or len(lid) != 2
                 or not isinstance(lid[1], int) or lid[1] < 0
-                or not isinstance(lid[0], (tuple, list))):
+                or not isinstance(lid[0], (tuple, list)) or len(lid[0]) != 3
+                or lid[0][0] not in ("file", "anon", "task")
+                or not isinstance(lid[0][1], int)
+                or not isinstance(lid[0][2], int)):
             raise RpcHandlerError("EINVAL", f"bad logical id {lid!r}")
         return (tuple(lid[0]), lid[1])
 
@@ -309,10 +314,7 @@ class SharingMixin:
             raise RpcHandlerError("EIO", "page was discarded")
         # In cache, or reclaimed: restore from swap (or zero).
         pf = yield from self._find_or_fill(logical_id)
-        yield self.costs.fault_home_export_ns
-        yield from self.export_page_local(pf, src_cell,
-                                          bool(args.get("writable")))
-        return {"frame": pf.frame, "generation": 0}
+        return (yield from self._export(pf, logical_id, src_cell, args))
 
     def _h_cow_deref(self, src_cell: int, args: dict) -> Generator:
         addr = args.get("addr")
@@ -590,10 +592,7 @@ class SharingMixin:
         if args.get("create") and not fs.exists(path):
             yield self.costs.create_ns
             fs.create(path)
-        try:
-            inode = fs.lookup(path)
-        except FileError as exc:
-            raise RpcHandlerError(exc.errno, str(exc))
+        inode = fs.lookup(path)
         return {"fs_id": fs.fs_id, "ino": inode.ino,
                 "generation": inode.generation, "size": inode.size}
 
@@ -616,10 +615,7 @@ class SharingMixin:
         if fs is None:
             raise RpcHandlerError("ENODEV", f"{path} not served here")
         yield self.costs.unlink_ns
-        try:
-            inode = fs.unlink(path)
-        except FileError as exc:
-            raise RpcHandlerError(exc.errno, str(exc))
+        inode = fs.unlink(path)
         self._invalidate_file_cache(fs.fs_id, inode)
         return None
 
@@ -781,10 +777,7 @@ class SharingMixin:
         pages = args.get("pages")
         if fs is None or not isinstance(pages, list) or len(pages) > 64:
             raise RpcHandlerError("EINVAL", "bad bulk request")
-        try:
-            inode = fs.inode(args.get("ino"))
-        except FileError as exc:
-            raise RpcHandlerError(exc.errno, str(exc))
+        inode = fs.inode(args.get("ino"))
         if args.get("generation") != inode.generation:
             raise RpcHandlerError("EIO", "stale generation")
         writable = bool(args.get("writable"))
@@ -814,10 +807,7 @@ class SharingMixin:
         fs = self.filesystems.get(fs_id) if isinstance(fs_id, int) else None
         if fs is None:
             raise RpcHandlerError("ESTALE", "fs not here")
-        try:
-            inode = fs.inode(args.get("ino"))
-        except FileError as exc:
-            raise RpcHandlerError(exc.errno, str(exc))
+        inode = fs.inode(args.get("ino"))
         if args.get("generation") != inode.generation:
             raise RpcHandlerError("EIO", "stale generation")
         yield self.costs.pfdat_hash_lookup_ns
@@ -893,7 +883,9 @@ class SharingMixin:
             self.sharing_metrics.counter("frames_borrowed").add(len(frames))
 
     def _h_borrow_frames(self, src_cell: int, args: dict) -> Generator:
-        """Memory-home side of a borrow: loan_frame (Table 5.1)."""
+        """Memory-home side of a borrow: loan_frame (Table 5.1).  A loan
+        is a write grant: the borrower's bits open with the loan and
+        close when the frame comes back or the borrower fails."""
         count = args.get("count")
         if not isinstance(count, int) or not 0 < count <= 256:
             raise RpcHandlerError("EINVAL", f"bad count {count!r}")
@@ -903,8 +895,10 @@ class SharingMixin:
                and self.pfdats.free_count > LOCAL_RESERVE_FRAMES):
             pf = self.pfdats.alloc_frame()
             self.pfdats.move_to_reserved(pf, src_cell)
+            self.firewall_mgr.update_for_borrower(pf, src_cell, True)
             frames.append(pf.frame)
         if frames:
+            yield self.machine.params.firewall_update_ns * len(frames)
             self.sharing_metrics.counter("frames_loaned").add(len(frames))
             prov = self.prov
             if prov is not None:
@@ -939,10 +933,15 @@ class SharingMixin:
         pf = self.pfdats.reserved.get(frame)
         if pf.loaned_to != src_cell:
             raise RpcHandlerError("EPERM", "not the borrower")
-        # Reclaim before any yield: a concurrent duplicate return must
-        # fail the not-loaned check, not race past it.
+        # Close every bit on the frame and reclaim it before any yield:
+        # a concurrent duplicate return must fail the not-loaned check,
+        # not race past it.
+        for grantee in tuple(pf.export_writable):
+            self.firewall_mgr.update_for_borrower(pf, grantee, False)
         self.pfdats.reclaim(frame)
-        yield self.costs.pfdat_hash_lookup_ns
+        params = self.machine.params
+        yield (self.costs.pfdat_hash_lookup_ns + params.firewall_update_ns
+               + params.firewall_revoke_extra_ns)
         return None
 
     def _h_firewall_update(self, src_cell: int, args: dict) -> Generator:

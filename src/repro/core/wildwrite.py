@@ -191,10 +191,15 @@ class FirewallManager:
             if frames:
                 firewalls[node].bulk_revoke_all_remote(frames, node)
         revoked = 0
-        for pf in self.cell.pfdats.all_pfdats():
+        table = self.cell.pfdats
+        for pf in table.all_pfdats():
             if pf.export_writable and not pf.extended:
                 revoked += 1
             pf.drop_exports()
+        for pf in table.reserved.values():
+            # A loan is a grant the sweep keeps: a live borrower's (the
+            # discard has reclaimed every frame loaned to a dead one).
+            self.update_for_borrower(pf, pf.loaned_to, True)
         if revoked:
             self.cell.firewall_metrics.counter("bulk_revokes").add(revoked)
         params = self.cell.machine.params
@@ -209,20 +214,7 @@ class FirewallManager:
 
         This is the quantity the paper sampled every 20 ms: ~15 per cell
         under pmake (max 42 on the /tmp file server), ~550 under ocean.
-        O(1) via the table's export index, which counts the frames we
-        loaned out too (they stay our pfdats).
+        O(1) via the table's export index, which counts each frame we
+        loaned out through its loan grant.
         """
         return self.cell.pfdats.export_writable_count()
-
-    def frames_writable_by(self, cell_id: int) -> List[Pfdat]:
-        """Our pfdats whose frames the given cell can write.
-
-        The preemptive-discard working set: the pages granted writable
-        to the cell, then the frames loaned to it that no grant names
-        (it holds full control over those).  O(result) plus the
-        reserved list.
-        """
-        table = self.cell.pfdats
-        return table.writable_by(cell_id) + [
-            pf for pf in table.loaned_frames_to(cell_id)
-            if cell_id not in pf.export_writable]

@@ -132,7 +132,7 @@ class ProvenanceTracer:
         for cell in system.cells:
             if cell.kernel_id == sick_cell or not cell.alive:
                 continue
-            for pf in cell.firewall_mgr.frames_writable_by(sick_cell):
+            for pf in cell.pfdats.writable_by(sick_cell):
                 self._accept(CH_EXPOSURE, "writable_grant", sick_cell,
                              cell.kernel_id, frame=pf.frame, taint=taint)
             for pf in cell.pfdats.imported_from_cell(sick_cell):

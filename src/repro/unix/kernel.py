@@ -328,6 +328,9 @@ class LocalKernel:
         #: logical ids of pages being filled -> the event a second filler
         #: waits on (None until one does); see :meth:`_find_or_fill`
         self._filling: Dict[tuple, Optional[Event]] = {}
+        #: logical ids of pages an :meth:`evict` is writing back: a
+        #: second evictor takes another page instead of following it
+        self._evicting: Set[tuple] = set()
         #: flight-recorder handle; ``attach_flight_recorder`` sets it.
         #: None when unobserved: hot paths guard on ``is not None``.
         self.obs = None
@@ -497,10 +500,10 @@ class LocalKernel:
         except Interrupted:
             status = -1
         except (BadAddressError, StaleGenerationError, FileError,
-                CellFailedError):
-            # I/O and remote-cell errors the program chose not to handle
-            # terminate it with an error status (the paper's semantics:
-            # processes using a failed cell's resources see errors).
+                CellFailedError, NoFreeFrames):
+            # I/O, remote-cell and out-of-memory errors the program chose
+            # not to handle terminate it with an error status (processes
+            # using a failed cell's resources see errors, Section 4.2).
             status = 1
         except BusError as exc:
             # A bus error during kernel execution outside a careful
@@ -853,10 +856,10 @@ class LocalKernel:
             return self.pfdats.alloc_frame()
         except NoFreeFrames:
             pass
-        evicted = yield from self._evict_one(ctx)
-        if evicted is not None:
-            return self.pfdats.alloc_frame()
-        raise NoFreeFrames(f"kernel {self.kernel_id} out of memory")
+        # The eviction's frame, or one another path freed during its
+        # waits; NoFreeFrames if there is neither.
+        yield from self._evict_one(ctx)
+        return self.pfdats.alloc_frame()
 
     @staticmethod
     def reclaimable(pf: Pfdat) -> bool:
@@ -872,8 +875,8 @@ class LocalKernel:
         return pf.borrowed_from is None and self.reclaimable(pf)
 
     def _evict_one(self, ctx: Optional[ProcContext]) -> Generator:
-        """Free one cached page: unreferenced clean first, then dirty,
-        then steal a mapped page (unmap everywhere + write back)."""
+        """Free one local frame: evict an unreferenced clean page first,
+        then a dirty one, then steal a mapped page (unmap everywhere)."""
         candidates = sorted(
             (pf for pf in self.pfdats.hashed_pfdats() if self.frees_local(pf)),
             key=lambda pf: (pf.refcount > 0, pf.dirty, pf.frame))
@@ -884,11 +887,29 @@ class LocalKernel:
                 if pf.refcount > 0:
                     continue  # still referenced by a transient kernel hold
                 yield self.costs.tlb_flush_ns
-            if pf.dirty:
-                yield from self.writeback_page(pf, ctx)
-            self.drop_frame(pf)
-            return pf
+            if (yield from self.evict(pf, ctx)):
+                return pf
         return None
+
+    def evict(self, pf: Pfdat, ctx: Optional[ProcContext] = None) -> Generator:
+        """Evict one cached page, the one rule of every pressure path:
+        write it back if dirty (:meth:`writeback_page`), then drop it
+        unless, during that wait, it was dropped, referenced, written,
+        exported or loaned.  A page another evictor is writing back is
+        left to it.  Returns whether the page went."""
+        logical_id = pf.logical_id
+        if logical_id is None or logical_id in self._evicting:
+            return False
+        self._evicting.add(logical_id)
+        try:
+            yield from self.writeback_page(pf, ctx)
+        finally:
+            self._evicting.discard(logical_id)
+        if (pf.logical_id != logical_id or pf.refcount or pf.dirty
+                or not self.reclaimable(pf)):
+            return False
+        self.drop_frame(pf)
+        return True
 
     def _unmap_frame_everywhere(self, frame: int) -> None:
         """Drop every local mapping of a frame (page steal / discard)."""
@@ -904,25 +925,32 @@ class LocalKernel:
                     pte.pfdat.refcount = max(0, pte.pfdat.refcount - 1)
 
     def writeback_page(self, pf: Pfdat, ctx: Optional[ProcContext] = None) -> Generator:
-        """Write one dirty page to its backing store."""
+        """Write one dirty page to its backing store.  It is marked clean
+        before the wait, so a write during the wait marks it dirty again
+        (and a failed write leaves it dirty)."""
         if not pf.dirty or pf.logical_id is None:
             return None
-        tag, idx = pf.logical_id
-        if tag[0] == "file":
-            _, fs_id, ino = tag
-            fs = self.filesystems.get(fs_id)
-            if fs is not None:
-                inode = fs.inode(ino)
-                data = self.machine.memory.read_page(pf.frame)
-                yield from self._wait(
-                    ctx, fs.write_page_to_disk(inode, idx, data))
-        # Anonymous (and task-shared) pages go to the swap partition so
-        # their contents survive the frame being reused.
-        else:
-            data = self.machine.memory.read_page(pf.frame)
-            yield from self._wait(ctx, self.swap.swap_out(pf.logical_id,
-                                                          data))
+        logical_id = pf.logical_id
+        tag, idx = logical_id
         pf.dirty = False
+        try:
+            if tag[0] == "file":
+                fs = self.filesystems.get(tag[1])
+                if fs is not None:
+                    inode = fs.inode(tag[2])
+                    data = self.machine.memory.read_page(pf.frame)
+                    yield from self._wait(
+                        ctx, fs.write_page_to_disk(inode, idx, data))
+            # Anonymous (and task-shared) pages go to the swap partition
+            # so their contents survive the frame being reused.
+            else:
+                data = self.machine.memory.read_page(pf.frame)
+                yield from self._wait(ctx, self.swap.swap_out(logical_id,
+                                                              data))
+        except BaseException:
+            if pf.logical_id == logical_id:
+                pf.dirty = True
+            raise
         return None
 
     def sync_all(self, ctx: Optional[ProcContext] = None) -> Generator:
@@ -982,11 +1010,11 @@ class LocalKernel:
             page_index = fd.offset // PAGE
             page_off = fd.offset % PAGE
             chunk = min(PAGE - page_off, len(data) - written)
-            # A full-page overwrite or an extension past EOF needs no
-            # read-before-write.
-            no_fill = (chunk == PAGE
-                       or fd.offset + chunk > inode.size
-                       or page_index >= inode.npages)
+            # No read-before-write when nothing on disk survives it: the
+            # page starts at or past EOF, or the chunk covers it from its
+            # first byte to its end or to EOF.
+            no_fill = page_index >= inode.npages or page_off == 0 and (
+                chunk == PAGE or fd.offset + chunk >= inode.size)
             pf = yield from self.get_file_page(fs, inode, page_index, ctx,
                                                no_fill=no_fill)
             yield self._write_page_cost(chunk)

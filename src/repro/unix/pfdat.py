@@ -381,9 +381,6 @@ class PfdatTable:
         pf.refcount = 0
         self.free_frame(pf)
 
-    def loaned_frames_to(self, cell_id: int) -> List[Pfdat]:
-        return [pf for pf in self.reserved.values() if pf.loaned_to == cell_id]
-
     def borrow(self, frame: int, memory_home: int) -> Optional[Pfdat]:
         """Adopt a frame ``memory_home`` loaned us into the stock; not
         one still ``returning`` (lent again before its return settled:

@@ -3,9 +3,10 @@
 Two of the per-cell policy modules Wax drives (Table 3.4) live here:
 
 * the **virtual memory clock hand** — a kernel daemon that keeps a
-  reserve of free frames by evicting unreferenced pages: clean file
-  pages are dropped, dirty file pages written back, and anonymous pages
-  swapped out to the swap partition;
+  reserve of free frames by evicting unreferenced pages through
+  ``LocalKernel.evict``, the one eviction rule: a dirty page is written
+  back first, a file page to disk and an anonymous one to the swap
+  partition;
 * the **swapper** backing store — a slot allocator on the local disk for
   anonymous pages, from which faults swap pages back in.
 
@@ -99,9 +100,6 @@ class ClockHand:
         self.target_free = target_free
         self.period_ns = period_ns
         self.passes = 0
-        self.freed_clean = 0
-        self.freed_dirty = 0
-        self.freed_anon = 0
         self.returned_borrowed = 0
         self._hand = 0
         self._proc = kernel.sim.process(self._loop(),
@@ -141,27 +139,7 @@ class ClockHand:
             if kernel.pfdats.free_count >= self.target_free:
                 break
             self._hand = pf.frame + 1
-            yield from self._evict(pf)
-        return None
-
-    def _evict(self, pf) -> Generator:
-        kernel = self.kernel
-        logical_id = pf.logical_id
-        if logical_id is None:
-            return None
-        tag = logical_id[0]
-        if pf.dirty and tag[0] == "file":
-            yield from kernel.writeback_page(pf)
-            self.freed_dirty += 1
-        elif tag[0] in ("anon", "task"):
-            # Swap the anonymous page out before dropping the frame.
-            data = kernel.machine.memory.read_page(pf.frame)
-            yield from kernel.swap.swap_out(logical_id, data)
-            self.freed_anon += 1
-        else:
-            self.freed_clean += 1
-        if pf.refcount == 0 and pf.logical_id is not None:
-            kernel.drop_frame(pf)
+            yield from kernel.evict(pf)
         return None
 
     def _release_foreign(self, source_cell: int) -> Generator:
@@ -177,12 +155,9 @@ class ClockHand:
                 continue
             if pf.frame in table.stock or pf.imported_from == source_cell:
                 kernel.drop_frame(pf)
-            elif pf.logical_id is not None and kernel.reclaimable(pf):
-                yield from self._evict(pf)
-                if pf.logical_id is not None:
-                    continue  # referenced again meanwhile: kept
-            else:
-                continue
+            elif not (kernel.reclaimable(pf)
+                      and (yield from kernel.evict(pf))):
+                continue  # not ours to drop, or kept during the writeback
             released += 1
         self.returned_borrowed += released
         if released:

@@ -96,6 +96,24 @@ class Platform:
         thread = kernel.start_thread(proc, program)
         return proc, thread
 
+    def run_driver(self, thread, deadline_ns: int, box: dict,
+                   name: str) -> bool:
+        """Run until a workload's driver thread ends or ``deadline_ns``.
+
+        A driver that finishes records ``box["finished_ns"]``.  One still
+        running at the deadline is a :class:`TimeoutError`; one that died
+        first (out of memory) ends the run now: its end time is recorded
+        and True returned, so the caller counts every job the driver did
+        not see finish as failed.
+        """
+        self.sim.run_until_event(thread.sim_process, deadline=deadline_ns)
+        if "finished_ns" in box:
+            return False
+        if thread.sim_process.is_alive:
+            raise TimeoutError(f"{name} still running at {self.sim.now}")
+        box["finished_ns"] = self.sim.now
+        return True
+
     # -- placement-aware helpers ------------------------------------------
 
     def fs_owner_kernel(self, path: str) -> Optional[LocalKernel]:

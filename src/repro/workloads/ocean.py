@@ -102,8 +102,7 @@ class OceanWorkload:
 
     def run(self, platform: Platform,
             deadline_ns: int = 600_000_000_000) -> WorkloadResult:
-        sim = platform.sim
-        start = sim.now
+        start = platform.sim.now
         results: dict = {}
         box: dict = {}
         workload = self
@@ -149,10 +148,7 @@ class OceanWorkload:
                 box["finished_ns"] = ctx.sim.now
 
         _proc, thread = platform.spawn_init(0, master, "ocean-master")
-        sim.run_until_event(thread.sim_process,
-                            deadline=start + deadline_ns)
-        if "finished_ns" not in box:
-            raise TimeoutError(f"ocean still running at {sim.now}")
+        platform.run_driver(thread, start + deadline_ns, box, "ocean")
         return WorkloadResult(
             name=self.name, started_ns=start, finished_ns=box["finished_ns"],
             jobs_completed=len(results),

@@ -24,7 +24,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.hardware.params import NS_PER_MS
+from repro.unix.errors import FileError, RpcTimeout
 from repro.unix.fs import PAGE
+from repro.unix.pfdat import NoFreeFrames
 from repro.workloads.base import Platform, WorkloadResult, pattern_bytes
 
 #: compile jobs (source files) and concurrency from Table 7.1
@@ -115,8 +117,11 @@ class PmakeWorkload:
 
             def warmer(kern, targets):
                 def run():
-                    for path in targets:
-                        yield from kern.warm_file(path)
+                    try:
+                        for path in targets:
+                            yield from kern.warm_file(path)
+                    except (FileError, NoFreeFrames):
+                        return  # setup failed or memory is full
                 return run()
 
             if local:
@@ -155,7 +160,6 @@ class PmakeWorkload:
             # include is first probed in the (empty) local search
             # directory — a failed open that still pays full path lookup
             # — before the hit in /usr/include/sys, like a real -I path.
-            from repro.unix.errors import FileError
             inc_per_phase = max(1, INCLUDE_COUNT // PHASES)
             cc_step = max(1, CC_BINARY_PAGES // PHASES)
             hdr_step = max(1, HEADER_PAGES // PHASES)
@@ -224,14 +228,11 @@ class PmakeWorkload:
         workload = self
 
         def driver(ctx):
-            from repro.unix.errors import FileError, RpcTimeout
-
             results: dict = {}
             running: List[int] = []
             next_job = 0
-            completed = 0
-            failed = 0
-            while completed + failed < workload.num_files:
+            while (result_box["completed"] + result_box["failed"]
+                   < workload.num_files):
                 while (len(running) < workload.concurrency
                        and next_job < workload.num_files):
                     target = None
@@ -253,12 +254,7 @@ class PmakeWorkload:
                     next_job += 1
                 pid = running.pop(0)
                 status = yield from ctx.waitpid(pid)
-                if status == 0:
-                    completed += 1
-                else:
-                    failed += 1
-            result_box["completed"] = completed
-            result_box["failed"] = failed
+                result_box["completed" if status == 0 else "failed"] += 1
             result_box["finished_ns"] = ctx.sim.now
         return driver
 
@@ -277,13 +273,12 @@ class PmakeWorkload:
         self.warm_cache(platform)
 
         start = sim.now
-        box: dict = {}
+        box = {"completed": 0, "failed": 0}
         _proc, driver_thread = platform.spawn_init(
             0, self.driver_program(platform, box), "pmake-driver")
-        sim.run_until_event(driver_thread.sim_process,
-                            deadline=start + deadline_ns)
-        if "finished_ns" not in box:
-            raise TimeoutError(f"pmake driver still running at {sim.now}")
+        if platform.run_driver(driver_thread, start + deadline_ns, box,
+                               "pmake driver"):
+            box["failed"] = self.num_files - box["completed"]
         result = WorkloadResult(
             name=self.name, started_ns=start, finished_ns=box["finished_ns"],
             jobs_completed=box["completed"], jobs_failed=box["failed"])

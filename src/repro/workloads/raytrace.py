@@ -133,16 +133,13 @@ class RaytraceWorkload:
 
     def run(self, platform: Platform,
             deadline_ns: int = 600_000_000_000) -> WorkloadResult:
-        sim = platform.sim
-        start = sim.now
+        start = platform.sim.now
         results: dict = {}
         box: dict = {}
         _proc, thread = platform.spawn_init(
             0, self.parent_program(platform, results, box), "raytrace")
-        sim.run_until_event(thread.sim_process,
-                            deadline=start + deadline_ns)
-        if "finished_ns" not in box:
-            raise TimeoutError(f"raytrace still running at {sim.now}")
+        if platform.run_driver(thread, start + deadline_ns, box, "raytrace"):
+            box["failed"] = self.num_workers - len(results)
         result = WorkloadResult(
             name=self.name, started_ns=start,
             finished_ns=box["finished_ns"],

@@ -202,8 +202,9 @@ class TestRecovery:
     def test_loaned_frame_grant_revoked_in_recovery(self):
         """A frame cell 0 loaned to cell 1, which had its memory home
         grant cell 2 write access: every recovery resets the grants on
-        the frames a survivor owns, the loaned ones included, and the
-        Section 4.2 count sees the grant once."""
+        the frames a survivor owns, the loaned ones included, except the
+        loan itself, a grant to the live borrower; the Section 4.2 count
+        sees the frame once."""
         hive = boot4()
         lender, borrower = hive.cell(0), hive.cell(1)
         cpu2 = hive.cell(2).cpu_ids[0]
@@ -221,8 +222,10 @@ class TestRecovery:
         proc = hive.sim.process(borrow())
         hive.sim.run_until_event(proc, deadline=hive.sim.now + 10**10)
         frame = proc.value
+        cpu1 = borrower.cpu_ids[0]
         loaned = lender.pfdats.reserved[frame]
-        assert loaned.export_writable == {2}
+        assert loaned.export_writable == {1, 2}
+        assert hive.machine.memory.write_allowed(frame, cpu1)
         assert hive.machine.memory.write_allowed(frame, cpu2)
         # counted once: the loaned frame is still one of the lender's
         assert lender.firewall_mgr.remotely_writable_pages() == 1
@@ -230,11 +233,13 @@ class TestRecovery:
         hive.machine.halt_node(3)
         settle(hive)
         assert hive.coordinator.records[-1].dead_cells == {3}
-        assert loaned.loaned_to == 1 and not loaned.export_writable
+        assert loaned.loaned_to == 1 and loaned.export_writable == {1}
+        assert hive.machine.memory.write_allowed(frame, cpu1)
         assert not hive.machine.memory.write_allowed(frame, cpu2)
-        assert lender.firewall_mgr.remotely_writable_pages() == 0
+        assert lender.firewall_mgr.remotely_writable_pages() == 1
         assert lender.firewall_metrics.counter("bulk_revokes").value \
             == revokes + 1
+        assert check_system(hive) == []
 
     def test_survivor_count_and_liveness(self):
         hive = boot4()
@@ -367,7 +372,7 @@ class TestOneGrantRecord:
         hive = boot4()
         pf = borrowed_page(hive, grantee=2)
         data_home = hive.cell(1)
-        assert data_home.firewall_mgr.frames_writable_by(2) == [pf]
+        assert data_home.pfdats.writable_by(2) == [pf]
         hive.machine.halt_node(2)
         settle(hive)
         assert hive.coordinator.records[-1].dead_cells == {2}
@@ -396,8 +401,9 @@ class TestOneGrantRecord:
         pf = borrowed_page(hive, grantee=2)
         lender = hive.cell(0)
         loaned = lender.pfdats.reserved[pf.frame]
-        assert loaned.export_writable == {2}
-        assert lender.firewall_mgr.frames_writable_by(2) == [loaned]
+        assert loaned.export_writable == {1, 2}  # the loan is a grant
+        assert lender.pfdats.writable_by(1) == [loaned]
+        assert lender.pfdats.writable_by(2) == [loaned]
         hive.machine.halt_node(2)
         settle(hive)
         # the lender's loaned frame and the data home's page: one each

@@ -307,7 +307,7 @@ class TestPhysicalSharing:
                                   deadline=hive2.sim.now + 10_000_000_000)
         pf = proc.value
         assert pf.extended and pf.borrowed_from == 1
-        loaned = lender.pfdats.loaned_frames_to(0)
+        loaned = lender.pfdats.writable_by(0)  # loan grants
         assert len(loaned) == BORROW_BATCH
         assert pf.frame in {p.frame for p in loaned}
         assert borrower.metrics.counter("borrows").value == 1

@@ -24,6 +24,7 @@ from repro.bench.parallel import run_inject_campaign
 from repro.bench.rpcbench import run_rpc_bench
 from repro.bench.throughput import run_throughput
 from repro.core.hive import boot_hive
+from repro.core.invariants import check_system
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
 from repro.obs import attach_flight_recorder, to_jsonl
@@ -49,6 +50,15 @@ DIGESTS = {
         "448972093b4f7bb55394065101c77630b7bc024d11ba4b4e4849e55d124dd8d1"),
     "raytrace": (
         "47aaa82b16ca3ac772333cc221ef0c1a43120c160adf6ebe84842683b1fa11b5"),
+    # the same three at 6 MiB per node, short of memory: frames borrowed
+    # and returned, pages evicted, written back and swapped; also each
+    # cell's swap-outs, frame states and ``check_system``'s problems
+    "pmake 6 MiB": (
+        "2d6d3345e55fa04fc79f36d51bfe6e46ef5da90ee4682abfa72f2a7ae0809d99"),
+    "ocean 6 MiB": (
+        "5ff9eefe062b8f7496b4c10301993babaa7448b80fd295ee7f54d5d2e4bc2864"),
+    "raytrace 6 MiB": (
+        "06e810a6053861bfbf89875a7b823ccc8646cb2e714202cbbc4427288db848ac"),
     # ``run_throughput(config, channels=True)``, wall fields removed.
     # The tiers, channels and counters are what the trace-replay side
     # printed on its last run (094e03b); events through
@@ -154,9 +164,10 @@ def deterministic(value):
     return value
 
 
-def _paper_app(workload_cls):
+def _paper_app(workload_cls, mib=32):
     hive = boot_hive(Simulator(), num_cells=4, machine_config=MachineConfig(
-        params=HardwareParams(num_nodes=4, cpus_per_node=1), seed=SEED))
+        params=HardwareParams(num_nodes=4, cpus_per_node=1,
+                              memory_per_node=mib << 20), seed=SEED))
     hive.namespace.mount("/tmp", 1)
     hive.namespace.mount("/usr", 2)
     hive.namespace.mount("/results", 0)
@@ -171,11 +182,17 @@ def _paper_app(workload_cls):
                 ("recovery", cell.recovery_metrics),
                 ("detection", cell.detection_metrics),
                 ("firewall", cell.firewall_metrics))}
-    return {"elapsed_ns": result.elapsed_ns,
-            "events": hive.sim.events_processed,
-            "jobs_completed": result.jobs_completed,
-            "jobs_failed": result.jobs_failed,
-            "outputs_ok": result.outputs_ok, "cells": cells}
+    out = {"elapsed_ns": result.elapsed_ns,
+           "events": hive.sim.events_processed,
+           "jobs_completed": result.jobs_completed,
+           "jobs_failed": result.jobs_failed,
+           "outputs_ok": result.outputs_ok, "cells": cells}
+    if mib != 32:
+        # A pressure run pins where memory went and the checker's verdict.
+        out["swap_outs"] = [cell.swap.swap_outs for cell in hive.cells]
+        out["frames"] = [cell.pfdats.frame_counts() for cell in hive.cells]
+        out["problems"] = check_system(hive)
+    return out
 
 
 def _sw_cow_tree_seed_5():
@@ -223,6 +240,9 @@ RUNS = {
     "pmake": lambda: _paper_app(PmakeWorkload),
     "ocean": lambda: _paper_app(OceanWorkload),
     "raytrace": lambda: _paper_app(RaytraceWorkload),
+    "pmake 6 MiB": lambda: _paper_app(PmakeWorkload, 6),
+    "ocean 6 MiB": lambda: _paper_app(OceanWorkload, 6),
+    "raytrace 6 MiB": lambda: _paper_app(RaytraceWorkload, 6),
     "throughput small": lambda: run_throughput("small", channels=True),
     "throughput medium": lambda: run_throughput("medium", channels=True),
     "rpc_bench small": lambda: run_rpc_bench("small"),

@@ -170,7 +170,7 @@ class TestPfdatTable:
         pf = t.alloc_frame()
         t.move_to_reserved(pf, borrower=2)
         assert pf.loaned_to == 2
-        assert t.loaned_frames_to(2) == [pf]
+        assert t.reserved == {pf.frame: pf}
         back = t.return_from_reserved(pf.frame)
         assert back is pf and pf.loaned_to is None
 
