@@ -105,12 +105,10 @@ class _ServiceTask:
     unchanged.
     """
 
-    __slots__ = ("sub", "name", "gen", "_cb", "_wake_cb")
+    __slots__ = ("sub", "gen", "_cb", "_wake_cb")
 
     def __init__(self, sub: "RpcSubsystem"):
         self.sub = sub
-        #: the engine profile attributes wall time by owner name
-        self.name = f"rpc{sub.cell.kernel_id}.int"
         self.gen = None
         self._cb = self._resume
         self._wake_cb = self._wake
@@ -138,31 +136,35 @@ class _ServiceTask:
 
     def _advance(self, op: int, arg: Any) -> None:
         sim = self.sub.sim
-        try:
-            gen = self.gen
-            if op == 1:
-                target = gen.send(arg)
-            elif op == 0:
-                target = next(gen)
-            else:
-                target = gen.throw(arg)
-        except StopIteration:
-            self.gen = None
-            self.sub._task_pool.append(self)
-            return
-        except Exception:
-            self.gen = None
-            self.sub._task_pool.append(self)
-            if sim.crash_on_process_error:
-                raise
-            return
-        if type(target) is int:
+        gen = self.gen
+        while True:
+            try:
+                if op == 1:
+                    target = gen.send(arg)
+                elif op == 0:
+                    target = next(gen)
+                else:
+                    target = gen.throw(arg)
+            except StopIteration:
+                self.gen = None
+                self.sub._task_pool.append(self)
+                return
+            except Exception:
+                self.gen = None
+                self.sub._task_pool.append(self)
+                if sim.crash_on_process_error:
+                    raise
+                return
+            if type(target) is not int:
+                break
             if target < 0:
-                self._advance(2, SimulationError(
-                    f"rpc service yielded negative sleep {target!r}"))
+                op, arg = 2, SimulationError(
+                    f"rpc service yielded negative sleep {target!r}")
+            elif sim._run_ahead(target):
+                op, arg = 1, None
             else:
                 sim.schedule(target, self._wake_cb)
-            return
+                return
         # Inlined target.add_callback(self._resume), as in Process._step.
         callbacks = target._callbacks
         if callbacks is None:

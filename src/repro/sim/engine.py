@@ -26,6 +26,21 @@ Determinism guarantees
   a heap entry due now fires before any deque entry scheduled after it.
   :meth:`Simulator.schedule` is the one place a timed entry gets its
   key.
+* **Run-ahead.** A sleep whose wake is the next event runs inline
+  (:meth:`Simulator._run_ahead`): when the same-instant deque is empty,
+  the heap's head is strictly later than the wake, the wake is within
+  the running loop's stop, the ``run_until_event`` target has not
+  triggered and the sleeper has no interrupt pending, the clock moves
+  to the wake and the sleeper resumes in the same call, with no queue
+  entry.  The wake takes the ``seq`` and counts the two dispatches its
+  entry would have, and draws on the loop's ``max_events`` budget, so
+  dispatch order, keys, ``events_processed`` and the clock are what
+  the queue gives; only host work goes.  A loop's cached clock goes
+  stale across such a callback, but a run-ahead leaves no heap entry at
+  or before the clock it moved to, so the loop's same-instant test
+  answers alike.
+* The clock never moves backwards: a ``run`` / ``run_until_event`` stop
+  already past dispatches nothing.
 * Nothing in the engine consults wall-clock time or global randomness.
 """
 
@@ -38,6 +53,9 @@ from typing import Any, Callable, Generator, Iterable, Optional, Union
 #: compact the heap when more than this many cancelled entries exist and
 #: they outnumber the live ones.
 _COMPACT_MIN_DEAD = 256
+
+#: a run loop's run-ahead bound when it has no stop time
+_NEVER = 1 << 62
 
 
 class SimulationError(Exception):
@@ -251,7 +269,8 @@ class Process(Event):
     does and counts the same two dispatches (the entry, the resume), so
     the two spellings are interchangeable event for event; use
     ``sim.timeout`` only where an Event is needed (``any_of`` children,
-    a stored deadline).
+    a stored deadline).  A sleep whose wake is the next event takes no
+    entry at all: ``_step`` runs it ahead (module docstring).
     """
 
     __slots__ = ("gen", "_waiting_on", "_interrupts", "_resume_cb",
@@ -374,36 +393,42 @@ class Process(Event):
             self._step(Process._OP_SEND, None)
 
     def _step(self, op: int, arg: Any) -> None:
-        try:
-            gen = self.gen
-            if op == 1:
-                target = gen.send(arg)
-            elif op == 0:
-                target = next(gen)
-            else:
-                target = gen.throw(arg)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupted as exc:
-            # An interrupt the process chose not to catch terminates it;
-            # that is normal cancellation, never a simulation error.
-            self.fail(exc)
-            return
-        except Exception as exc:
-            if self.sim.crash_on_process_error:
-                raise
-            self.fail(exc)
-            return
-        if type(target) is int:
+        gen = self.gen
+        sim = self.sim
+        while True:
+            try:
+                if op == 1:
+                    target = gen.send(arg)
+                elif op == 0:
+                    target = next(gen)
+                else:
+                    target = gen.throw(arg)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except Interrupted as exc:
+                # An interrupt the process chose not to catch terminates
+                # it; that is normal cancellation, never a simulation
+                # error.
+                self.fail(exc)
+                return
+            except Exception as exc:
+                if sim.crash_on_process_error:
+                    raise
+                self.fail(exc)
+                return
+            if type(target) is not int:
+                break
             # A bare delay (bool is not a delay).
             if target < 0:
                 self.fail(SimulationError(
                     f"process {self.name!r} yielded negative sleep "
                     f"{target!r}"))
                 return
-            self._sleep = self.sim.schedule(target, self._wake_cb)
-            return
+            if self._interrupts or not sim._run_ahead(target):
+                self._sleep = sim.schedule(target, self._wake_cb)
+                return
+            op, arg = 1, None
         if not isinstance(target, Event):
             self.fail(
                 SimulationError(
@@ -416,7 +441,7 @@ class Process(Event):
         # Event lands here and no subclass customizes registration.
         callbacks = target._callbacks
         if callbacks is None:
-            self.sim.schedule(0, self._resume_cb, target)
+            sim.schedule(0, self._resume_cb, target)
         else:
             callbacks.append(self._resume_cb)
 
@@ -425,7 +450,8 @@ class Simulator:
     """The event loop.  ``now`` is the current time in nanoseconds."""
 
     __slots__ = ("now", "_queue", "_seq", "crash_on_process_error",
-                 "events_processed", "_nowq", "_dead")
+                 "events_processed", "_nowq", "_dead", "_ahead_to",
+                 "_ahead_stop", "_ahead_cap")
 
     def __init__(self, crash_on_process_error: bool = True):
         self.now: int = 0
@@ -443,6 +469,13 @@ class Simulator:
         self._nowq: deque = deque()
         # Cancelled entries still sitting in the queue tiers.
         self._dead = 0
+        # The running loop's run-ahead bounds (:meth:`_run_ahead`): the
+        # latest instant a sleep may reach inline (-1 outside a loop),
+        # the run_until_event target, and the events_processed past
+        # which no sleep runs ahead (the loop's event budget).
+        self._ahead_to = -1
+        self._ahead_stop: Optional[Event] = None
+        self._ahead_cap = 0
 
     # -- scheduling ---------------------------------------------------
 
@@ -483,6 +516,36 @@ class Simulator:
             self._dead = 0
         return True
 
+    def _run_ahead(self, ns: int) -> bool:
+        """Resume a sleep of ``ns`` inline if its wake is the next event.
+
+        True when nothing can run between the sleep and its wake: no
+        same-instant entry, the heap's head strictly later than
+        ``now + ns``, that instant within the running loop's stop, and
+        the loop's ``run_until_event`` target not triggered.  The clock
+        then moves to the wake, which takes the ``seq`` and counts the
+        two dispatches (the entry, the resume) its queue entry would
+        have, and the caller resumes its generator itself.  The caller
+        checks anything of its own first (a process's pending
+        interrupt).
+        """
+        t = self.now + ns
+        if t > self._ahead_to or self._nowq:
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= t:
+            return False
+        stop = self._ahead_stop
+        if stop is not None and stop._triggered:
+            return False
+        events = self.events_processed
+        if events >= self._ahead_cap:
+            return False
+        self.events_processed = events + 2
+        self._seq += 1
+        self.now = t
+        return True
+
     # -- chain-coordinator support ------------------------------------
 
     def next_event_time(self) -> Optional[int]:
@@ -516,54 +579,69 @@ class Simulator:
     # -- dispatch -----------------------------------------------------
 
     def run(self, until: Optional[int] = None, max_events: int = 200_000_000) -> None:
-        """Process events until the queue drains or ``until`` is reached."""
+        """Process events until the queue drains or ``until`` is reached.
+
+        A stop already past dispatches nothing and leaves the clock
+        where it is.
+        """
+        if until is not None and until < self.now:
+            return
+        self._ahead_to = _NEVER if until is None else until
+        self._ahead_stop = None
+        self._ahead_cap = self.events_processed + 2 * max_events
         processed = 0
         queue = self._queue
         nowq = self._nowq
         heappop = heapq.heappop
         popleft = nowq.popleft
+        # A callback that ran ahead leaves this stale, but no heap entry
+        # at or before the clock it moved to, so the same-instant test
+        # below answers alike either way (module docstring).
         now = self.now
-        while True:
-            if nowq:
-                # Same-instant batch: interleave with heap entries at the
-                # same instant by seq (an entry scheduled earlier with a
-                # positive delay for this exact time must fire first).
-                e0 = nowq[0]
-                if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                    entry = heappop(queue)
-                else:
-                    entry = popleft()
+        try:
+            while True:
+                if nowq:
+                    # Same-instant batch: interleave with heap entries at
+                    # the same instant by seq (an entry scheduled earlier
+                    # with a positive delay for this exact time must fire
+                    # first).
+                    e0 = nowq[0]
+                    if queue and queue[0][0] == now and queue[0][1] < e0[1]:
+                        entry = heappop(queue)
+                    else:
+                        entry = popleft()
+                    fn = entry[2]
+                    if fn is None:
+                        continue
+                    fn(*entry[3])
+                    processed += 1
+                    if processed > max_events:
+                        self.events_processed += processed
+                        raise SimulationError(
+                            "event budget exhausted; likely livelock")
+                    continue
+                if not queue:
+                    break
+                # Pop first, push back on overshoot: the push-back happens
+                # at most once per run() call, while peek-then-pop paid an
+                # extra queue[0] index on every event.
+                entry = heappop(queue)
+                t = entry[0]
+                if until is not None and t > until:
+                    heapq.heappush(queue, entry)
+                    break
                 fn = entry[2]
                 if fn is None:
                     continue
+                self.now = now = t
                 fn(*entry[3])
                 processed += 1
                 if processed > max_events:
                     self.events_processed += processed
                     raise SimulationError(
                         "event budget exhausted; likely livelock")
-                continue
-            if not queue:
-                break
-            # Pop first, push back on overshoot: the push-back happens
-            # at most once per run() call, while peek-then-pop paid an
-            # extra queue[0] index on every event.
-            entry = heappop(queue)
-            t = entry[0]
-            if until is not None and t > until:
-                heapq.heappush(queue, entry)
-                self.now = until
-                self.events_processed += processed
-                return
-            fn = entry[2]
-            if fn is None:
-                continue
-            self.now = now = t
-            fn(*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
+        finally:
+            self._ahead_to = -1
         self.events_processed += processed
         if until is not None:
             self.now = until
@@ -576,52 +654,63 @@ class Simulator:
         Unlike :meth:`run`, this stops as soon as the condition is met,
         which matters when perpetual background processes (clock ticks,
         monitors) would otherwise keep the queue busy to the deadline.
+        A deadline already past dispatches nothing.
         """
         # Not folded into run()'s loop: each is the hot loop of a
         # different benchmark workload (run() under ChainCoordinator
         # carries coherence_storm, this one carries the paper workloads
         # and the fault trials), so a shared loop would put the other's
         # stop test on every event of one of them.
+        if deadline is not None and deadline < self.now:
+            return event._triggered
+        self._ahead_to = _NEVER if deadline is None else deadline
+        self._ahead_stop = event
+        self._ahead_cap = self.events_processed + 2 * max_events
         processed = 0
         queue = self._queue
         nowq = self._nowq
         heappop = heapq.heappop
         popleft = nowq.popleft
         now = self.now
-        while not event._triggered:
-            if nowq:
-                e0 = nowq[0]
-                if queue and queue[0][0] == now and queue[0][1] < e0[1]:
-                    entry = heappop(queue)
-                else:
-                    entry = popleft()
+        try:
+            while not event._triggered:
+                if nowq:
+                    e0 = nowq[0]
+                    if queue and queue[0][0] == now and queue[0][1] < e0[1]:
+                        entry = heappop(queue)
+                    else:
+                        entry = popleft()
+                    fn = entry[2]
+                    if fn is None:
+                        continue
+                    fn(*entry[3])
+                    processed += 1
+                    if processed > max_events:
+                        self.events_processed += processed
+                        raise SimulationError(
+                            "event budget exhausted; likely livelock")
+                    continue
+                if not queue:
+                    break
+                entry = heappop(queue)
+                t = entry[0]
+                if deadline is not None and t > deadline:
+                    heapq.heappush(queue, entry)
+                    self.now = deadline
+                    break
                 fn = entry[2]
                 if fn is None:
                     continue
+                self.now = now = t
                 fn(*entry[3])
                 processed += 1
                 if processed > max_events:
                     self.events_processed += processed
                     raise SimulationError(
                         "event budget exhausted; likely livelock")
-                continue
-            if not queue:
-                break
-            entry = heappop(queue)
-            t = entry[0]
-            if deadline is not None and t > deadline:
-                heapq.heappush(queue, entry)
-                self.now = deadline
-                break
-            fn = entry[2]
-            if fn is None:
-                continue
-            self.now = now = t
-            fn(*entry[3])
-            processed += 1
-            if processed > max_events:
-                self.events_processed += processed
-                raise SimulationError("event budget exhausted; likely livelock")
+        finally:
+            self._ahead_to = -1
+            self._ahead_stop = None
         self.events_processed += processed
         return event._triggered
 

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
+import ast
 import pathlib
 import re
 
@@ -64,6 +65,40 @@ class TestScheduling:
         sim.schedule(1, rearm)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
+
+    @pytest.mark.parametrize("loop", ["run", "run_until_event"])
+    def test_event_budget_guard_under_run_ahead(self, loop):
+        """A lone sleeper's wake is always the next event, so every
+        sleep runs ahead; the budget still ends the livelock."""
+        sim = Simulator()
+
+        def spin():
+            while True:
+                yield 1
+
+        sim.process(spin())
+        with pytest.raises(SimulationError):
+            if loop == "run":
+                sim.run(max_events=100)
+            else:
+                sim.run_until_event(sim.event(), max_events=100)
+
+    @pytest.mark.parametrize("loop", ["run", "run_until_event"])
+    def test_past_stop_leaves_the_clock(self, loop):
+        """A stop before ``now`` dispatches nothing, not even what is
+        due at ``now``, and never moves the clock back."""
+        sim = Simulator()
+        seen = []
+        sim.run(until=100)
+        sim.schedule(0, seen.append, "now")
+        sim.schedule(10, seen.append, "later")
+        if loop == "run":
+            sim.run(until=50)
+        else:
+            assert not sim.run_until_event(sim.event(), deadline=50)
+        assert (sim.now, seen, sim.events_processed) == (100, [], 0)
+        sim.run()
+        assert (sim.now, seen) == (110, ["now", "later"])
 
     def test_run_until_event_stops_early(self):
         sim = Simulator()
@@ -732,11 +767,12 @@ _STEPS = st.lists(st.one_of(
     max_size=8)
 
 
-def _run_program(programs, interrupts, as_event):
+def _run_program(programs, interrupts, as_event, stops=()):
     """Run processes made of sleeps, event waits, triggers and
     interrupts of each other, with more interrupts thrown in from
     outside; ``as_event`` spells every sleep ``yield sim.timeout(n)``
-    instead of ``yield n``."""
+    instead of ``yield n``.  Each of ``stops`` is a ``run(until=)``
+    before the final ``run()``, noted with the clock it left."""
     sim = Simulator(crash_on_process_error=False)
     events = [sim.event(f"e{k}") for k in range(3)]
     resumes = []
@@ -763,6 +799,9 @@ def _run_program(programs, interrupts, as_event):
              for i, steps in enumerate(programs)]
     for k, (at, target) in enumerate(interrupts):
         sim.schedule(at, procs[target % len(procs)].interrupt, k)
+    for until in stops:
+        sim.run(until=until)
+        resumes.append(("stop", until, sim.now))
     sim.run()
     return sim, (sim.now, resumes, sim.events_processed)
 
@@ -784,6 +823,12 @@ _SECOND_DELIVERY_PROGRAMS = [
       [("fire", 0)], [("sleep", 5), ("fire", 1)]],
      [(0, 0), (0, 2), (0, 0)]),
 ]
+
+
+#: the shortest program hypothesis found on which a sleep that checked
+#: for a pending interrupt only at its wake ran ahead of it
+_SELF_POKED_TWICE = [("poke", (0, 0)), ("poke", (0, 0)), ("sleep", 0),
+                     ("sleep", 0)]
 
 
 class TestSleep:
@@ -854,16 +899,81 @@ class TestSleep:
     @settings(max_examples=120, deadline=None)
     @given(programs=st.lists(_STEPS, min_size=1, max_size=5),
            interrupts=st.lists(st.tuples(_INSTANTS, st.integers(0, 4)),
-                               max_size=6))
-    @example(*_SECOND_DELIVERY_PROGRAMS[0])
-    @example(*_SECOND_DELIVERY_PROGRAMS[1])
-    @example(*_SECOND_DELIVERY_PROGRAMS[2])
-    def test_sleep_is_a_timeout_event_for_event(self, programs, interrupts):
+                               max_size=6),
+           stops=st.lists(_INSTANTS, max_size=3))
+    @example(*_SECOND_DELIVERY_PROGRAMS[0], [])
+    @example(*_SECOND_DELIVERY_PROGRAMS[1], [])
+    @example(*_SECOND_DELIVERY_PROGRAMS[2], [])
+    @example([_SELF_POKED_TWICE], [], [])
+    @example([[("sleep", 100)] * 3], [], [150, 100, 300])
+    def test_sleep_is_a_timeout_event_for_event(self, programs, interrupts,
+                                                stops):
         """``yield n`` and ``yield sim.timeout(n)`` give the same clock,
-        the same order of resumes and the same ``events_processed``."""
-        _, slept = _run_program(programs, interrupts, False)
-        _, waited = _run_program(programs, interrupts, True)
+        the same order of resumes and the same ``events_processed``,
+        also across ``run(until=)`` stops (in any order: a past one
+        does nothing).  A timeout never runs ahead, so it is the
+        oracle for a sleep that does."""
+        _, slept = _run_program(programs, interrupts, False, stops)
+        _, waited = _run_program(programs, interrupts, True, stops)
         assert slept == waited
+
+    def test_self_interrupted_twice_then_sleep_zero(self):
+        """A process with an interrupt pending is interrupted at its next
+        sleep, even one whose wake would be the next event."""
+        sim = Simulator()
+        got = []
+
+        def prog():
+            me.interrupt("a")
+            me.interrupt("b")
+            for _ in range(3):
+                try:
+                    yield 0
+                except Interrupted as exc:
+                    got.append((sim.now, exc.cause))
+                else:
+                    got.append((sim.now, "slept"))
+
+        me = sim.process(prog())
+        sim.run()
+        assert got == [(0, "a"), (0, "b"), (0, "slept")]
+
+    def test_run_until_ends_at_the_stop_with_a_lone_sleeper(self):
+        sim = Simulator()
+        wakes = []
+
+        def sleeper():
+            while True:
+                yield 100
+                wakes.append(sim.now)
+
+        sim.process(sleeper())
+        sim.run(until=1_050)
+        assert sim.now == 1_050
+        assert wakes == list(range(100, 1_001, 100))
+        sim.run(until=1_100)
+        assert sim.now == 1_100 and wakes[-1] == 1_100
+        # the start, then an entry and a resume per wake
+        assert sim.events_processed == 1 + 2 * 11
+
+    def test_run_until_event_returns_when_the_runner_triggers_it(self):
+        """The target has no callbacks, so its trigger queues nothing;
+        the loop must still stop at the instant the process that is
+        running triggered it, not at that process's next wake."""
+        sim = Simulator()
+        done = sim.event("done")
+
+        def prog():
+            yield 10
+            done.succeed()
+            yield 100
+            yield 100
+
+        p = sim.process(prog())
+        assert sim.run_until_event(done)
+        assert sim.now == 10 and p.is_alive
+        sim.run()
+        assert sim.now == 210
 
     @pytest.mark.parametrize("as_event", [False, True],
                              ids=["yield_ns", "yield_timeout"])
@@ -903,3 +1013,37 @@ class TestSleep:
                 for text in [path.read_text()]
                 for m in pattern.finditer(text)]
         assert hits == []
+
+
+class TestClockOwner:
+    def test_only_the_engine_sets_the_clock(self):
+        """Inside src/repro only ``sim/engine.py`` stores to a ``.now``
+        attribute, so the rule for moving the clock (a dispatch, a
+        run-ahead, ``advance_to``) stays in one module."""
+        root = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        hits = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "setattr"
+                      and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)
+                      and node.args[1].value == "now"):
+                    hits.append(f"{rel}:{node.lineno}")
+                    continue
+                else:
+                    continue
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if (isinstance(sub, ast.Attribute)
+                                and sub.attr == "now"
+                                and isinstance(sub.ctx, ast.Store)):
+                            hits.append(f"{rel}:{node.lineno}")
+        assert hits and all(h.startswith("sim/engine.py:") for h in hits), \
+            hits
