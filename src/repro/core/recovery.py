@@ -123,25 +123,23 @@ class RecoveryCoordinator:
 
     def report_hint(self, hint) -> None:
         """A cell broadcast a failure alert."""
+        self._start_round(hint, forced=False)
+
+    def force_round(self, suspect: int, reason: str) -> None:
+        """Two-strike rule: peers reboot a corrupt accuser without a vote."""
+        self._start_round(Hint(-1, suspect, reason, self.registry.sim.now),
+                          forced=True)
+
+    def _start_round(self, hint, forced: bool) -> None:
+        """Start a round on ``hint``, or queue its suspect for the next
+        one if a round is under way."""
         if self._active_round is not None:
             self._pending_suspects.add(hint.suspect)
             return
         self._round_counter += 1
         self._active_round = self._round_counter
         self.registry.sim.process(
-            self._round(self._round_counter, hint, forced=False),
-            name=f"recovery.round{self._round_counter}")
-
-    def force_round(self, suspect: int, reason: str) -> None:
-        """Two-strike rule: peers reboot a corrupt accuser without a vote."""
-        hint = Hint(-1, suspect, reason, self.registry.sim.now)
-        if self._active_round is not None:
-            self._pending_suspects.add(suspect)
-            return
-        self._round_counter += 1
-        self._active_round = self._round_counter
-        self.registry.sim.process(
-            self._round(self._round_counter, hint, forced=True),
+            self._round(self._round_counter, hint, forced),
             name=f"recovery.round{self._round_counter}")
 
     # -- the round ------------------------------------------------------------

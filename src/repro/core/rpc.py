@@ -36,9 +36,9 @@ the post-reply charges:
 * the post-reply cost charges (interrupt dispatch, optional context
   switch, unmarshal stub, by-reference alloc/copy half) are a single
   sleep of their total;
-* ``_Pending`` records and reply events are pooled and recycled;
-* interrupt-level service runs on a pooled :class:`_ServiceTask`
-  driver, not a full engine ``Process`` per message.
+* interrupt-level service runs on an engine ``Process`` started
+  inline from the message-arrival interrupt, so the start costs no
+  event (``_service`` has no side effect before its first yield).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.hardware.errors import BusError, SipsQueueFull
 from repro.hardware.sips import REPLY, REQUEST, SipsFabric, SipsMessage
-from repro.sim.engine import Event, Interrupted, SimulationError, Simulator
+from repro.sim.engine import Event, Interrupted, Simulator
 from repro.sim.resources import FifoStore
 from repro.sim.stats import MetricSet
 from repro.unix.costs import KernelCosts
@@ -77,100 +77,9 @@ class _RpcDeadline(Exception):
     """Internal sentinel failing a reply event at its deadline.
 
     Distinct from :class:`RpcTimeout` so the client can tell its own
-    deadline expiry apart from a peer's ``shutdown()`` failing the
-    pending event (which delivers RpcTimeout directly).
+    deadline expiry apart from its subsystem's ``shutdown()`` failing
+    the pending event (which delivers RpcTimeout directly).
     """
-
-
-class _Pending:
-    """Client-side record of an in-flight call.  Pooled and recycled."""
-
-    __slots__ = ("op", "event")
-
-    def __init__(self, op: str, event: Any):
-        self.op = op
-        self.event = event
-
-
-class _ServiceTask:
-    """Drives one interrupt-level ``_service`` generator to completion.
-
-    A stripped-down stand-in for :class:`~repro.sim.engine.Process` on
-    the server hot path: nobody joins an interrupt-service coroutine, so
-    the full Event machinery (trigger bookkeeping, interrupt queue,
-    join callbacks) is pure overhead.  Tasks are pooled per subsystem
-    and the first generator step runs *inline* from the message-arrival
-    interrupt — safe because ``_service`` performs no side effects
-    before its first sleep, so simulated time and cost accounting are
-    unchanged.
-    """
-
-    __slots__ = ("sub", "gen", "_cb", "_wake_cb")
-
-    def __init__(self, sub: "RpcSubsystem"):
-        self.sub = sub
-        self.gen = None
-        self._cb = self._resume
-        self._wake_cb = self._wake
-
-    def start(self, gen: Generator) -> None:
-        self.gen = gen
-        self._advance(0, None)
-
-    def _wake(self) -> None:
-        # A sleep's entry fired; same-instant ordering and dispatch
-        # count as Process._wake.
-        sim = self.sub.sim
-        queue = sim._queue
-        if sim._nowq or (queue and queue[0][0] == sim.now):
-            sim.schedule(0, self._advance, 1, None)
-            return
-        sim.events_processed += 1
-        self._advance(1, None)
-
-    def _resume(self, ev: Event) -> None:
-        if ev._ok:
-            self._advance(1, ev._value)
-        else:
-            self._advance(2, ev._value)
-
-    def _advance(self, op: int, arg: Any) -> None:
-        sim = self.sub.sim
-        gen = self.gen
-        while True:
-            try:
-                if op == 1:
-                    target = gen.send(arg)
-                elif op == 0:
-                    target = next(gen)
-                else:
-                    target = gen.throw(arg)
-            except StopIteration:
-                self.gen = None
-                self.sub._task_pool.append(self)
-                return
-            except Exception:
-                self.gen = None
-                self.sub._task_pool.append(self)
-                if sim.crash_on_process_error:
-                    raise
-                return
-            if type(target) is not int:
-                break
-            if target < 0:
-                op, arg = 2, SimulationError(
-                    f"rpc service yielded negative sleep {target!r}")
-            elif sim._run_ahead(target):
-                op, arg = 1, None
-            else:
-                sim.schedule(target, self._wake_cb)
-                return
-        # Inlined target.add_callback(self._resume), as in Process._step.
-        callbacks = target._callbacks
-        if callbacks is None:
-            sim.schedule(0, self._cb, target)
-        else:
-            callbacks.append(self._cb)
 
 
 class RpcSubsystem:
@@ -191,10 +100,8 @@ class RpcSubsystem:
         self._handlers: Dict[str, tuple] = {}
         # op -> the routine a server process runs for it.
         self._queued: Dict[str, Callable] = {}
-        self._pending: Dict[int, _Pending] = {}
-        self._pending_pool: list = []
-        self._event_pool: list = []
-        self._task_pool: list = []
+        # call id -> (op, reply event) of each call in flight
+        self._pending: Dict[int, tuple] = {}
         #: the cell's UserMsgService; wired by Cell.__init__ once the
         #: service exists (the RPC subsystem is built first), so the
         #: message-arrival interrupt doesn't getattr() per delivery.
@@ -302,23 +209,8 @@ class RpcSubsystem:
 
         sim = self.sim
         self._fast_path_c.value += 1
-        pool = self._event_pool
-        if pool:
-            reply_ev = pool.pop()
-            reply_ev._callbacks = []
-            reply_ev._triggered = False
-            reply_ev._ok = True
-            reply_ev._value = None
-        else:
-            reply_ev = Event(sim, "rpc.reply")
-        ppool = self._pending_pool
-        if ppool:
-            pending = ppool.pop()
-            pending.op = op
-            pending.event = reply_ev
-        else:
-            pending = _Pending(op, reply_ev)
-        self._pending[call_id] = pending
+        reply_ev = Event(sim, "rpc.reply")
+        self._pending[call_id] = (op, reply_ev)
         payload = {"call": call_id, "op": op, "args": args,
                    "src_cell": self.cell.kernel_id,
                    "reply_node": self.cell.node_ids[0],
@@ -347,8 +239,7 @@ class RpcSubsystem:
                               dst=dst_cell_id, backoff_ns=backoff)
                 self.metrics.counter("send_retries").add()
                 if self.sim.now >= send_deadline:
-                    self._drop_pending(call_id)
-                    self._event_pool.append(reply_ev)
+                    self._pending.pop(call_id, None)
                     self.metrics.counter("timeouts").add()
                     self.cell.failure_hint(
                         dst_cell_id, f"RPC {op} flow-controlled past "
@@ -357,8 +248,7 @@ class RpcSubsystem:
                 yield backoff
                 backoff = min(backoff * 2, 100_000)
             except BusError as exc:
-                self._drop_pending(call_id)
-                self._event_pool.append(reply_ev)
+                self._pending.pop(call_id, None)
                 # Only hint about the *destination* — a bus error caused
                 # by our own node failing is not evidence against anyone
                 # else (a dying cell must not spray accusations).
@@ -370,25 +260,21 @@ class RpcSubsystem:
         # Wait on the reply event directly with a cancellable deadline
         # entry; the loser deadline is revoked in place when the reply
         # wins.
-        dl_entry = sim.schedule(limit, self._fast_deadline, reply_ev)
+        dl_entry = sim.schedule(limit, self._deadline, reply_ev)
         try:
             result = yield reply_ev
         except _RpcDeadline:
             # Our own deadline fired (the entry is consumed).
-            self._drop_pending(call_id)
-            self._event_pool.append(reply_ev)
+            self._pending.pop(call_id, None)
             self.metrics.counter("timeouts").add()
             self.cell.failure_hint(dst_cell_id, f"RPC {op} timed out")
             raise RpcTimeout(dst_cell_id, op)
         except BaseException:
-            # Peer shutdown failing the event with RpcTimeout, or a
-            # process interrupt.  The deadline entry may still be
-            # queued holding a reference to the event, so revoke it
-            # and do not recycle the event.
+            # Our own shutdown failing the event with RpcTimeout, or a
+            # process interrupt: revoke the deadline entry.
             sim.cancel(dl_entry)
             raise
         sim.cancel(dl_entry)
-        self._event_pool.append(reply_ev)
         # Client-side reply processing in one sleep: the reply-arrival
         # interrupt, spin vs context switch, then the unmarshalling
         # half of the stubs.
@@ -405,17 +291,11 @@ class RpcSubsystem:
             raise RpcRemoteError(dst_cell_id, op, result)
         return result
 
-    def _fast_deadline(self, ev: Event) -> None:
+    def _deadline(self, ev: Event) -> None:
         """Scheduled at the call deadline; fails the reply event unless
         the reply (or a shutdown) already triggered it."""
-        if not ev._triggered:
+        if not ev.triggered:
             ev.fail(_RpcDeadline())
-
-    def _drop_pending(self, call_id: int) -> None:
-        p = self._pending.pop(call_id, None)
-        if p is not None:
-            p.event = None
-            self._pending_pool.append(p)
 
     # -- server side -----------------------------------------------------------
 
@@ -436,24 +316,19 @@ class RpcSubsystem:
         if msg.kind == REPLY:
             self._complete(msg)
             return
-        # No-allocation dispatch: a pooled driver runs the service
-        # generator; the first step executes inline (no side effects
-        # before _service's first yield, so timing is unchanged).
-        pool = self._task_pool
-        task = pool.pop() if pool else _ServiceTask(self)
-        task.start(self._service(msg))
+        # The interrupt handler's first instruction runs here, not from
+        # a start entry (_service has no side effect before its first
+        # yield).
+        self.sim.process(self._service(msg), name="rpc.service", inline=True)
 
     def _complete(self, msg: SipsMessage) -> None:
         payload = msg.payload
         pending = self._pending.pop(payload.get("call"), None)
         if pending is None:
             return  # late reply after timeout; drop
-        event = pending.event
-        result = payload.get("result")
-        pending.event = None
-        self._pending_pool.append(pending)
-        if not event._triggered:
-            event.succeed(result)
+        event = pending[1]
+        if not event.triggered:
+            event.succeed(payload.get("result"))
 
     def _service(self, msg: SipsMessage) -> Generator:
         """Interrupt-level service attempt (falls back to the queue)."""
@@ -499,46 +374,45 @@ class RpcSubsystem:
     def _server_loop(self, idx: int) -> Generator:
         """A server process: takes queued requests, runs, replies."""
         try:
-            yield from self._server_body(idx)
+            while True:
+                payload = yield self._queue.get()
+                if not self.cell.alive:
+                    return
+                # Wakeup + synchronization overhead of the queued path.
+                service_start = self.sim.now
+                yield self.costs.rpc_queue_extra_ns
+                obs = self.cell.obs
+                span = None
+                if obs is not None:
+                    span = obs.begin("rpc.serve_queued", "rpc",
+                                     cell=self.cell.kernel_id,
+                                     op=payload.get("op"),
+                                     parent=payload.get("span", 0),
+                                     server=idx)
+                routine = self._queued.get(payload.get("op"))
+                if routine is None:
+                    if span is not None:
+                        obs.end(span, outcome="no_handler")
+                    self._reply(payload,
+                                RpcError("EOPNOTSUPP", "no handler"))
+                    continue
+                result = yield from self._run_handler(routine, payload)
+                if result is MUST_QUEUE:
+                    result = RpcError("EDEADLK",
+                                      "queued handler queued again")
+                self.metrics.counter("served_queued").add()
+                if span is not None:
+                    obs.end(span, outcome="error"
+                            if isinstance(result, RpcError) else "ok")
+                # Server processes run on this cell's CPUs: their service
+                # time is stolen from user computation.  Time blocked on
+                # disk is not CPU time, so the steal is capped at the
+                # non-blocking service budget.
+                self.cell.note_cpu_steal(
+                    min(self.sim.now - service_start, 200_000))
+                self._reply(payload, result)
         except Interrupted:
             return
-
-    def _server_body(self, idx: int) -> Generator:
-        while True:
-            payload = yield self._queue.get()
-            if not self.cell.alive:
-                return
-            # Wakeup + synchronization overhead of the queued path.
-            service_start = self.sim.now
-            yield self.costs.rpc_queue_extra_ns
-            obs = self.cell.obs
-            span = None
-            if obs is not None:
-                span = obs.begin("rpc.serve_queued", "rpc",
-                                 cell=self.cell.kernel_id,
-                                 op=payload.get("op"),
-                                 parent=payload.get("span", 0), server=idx)
-            routine = self._queued.get(payload.get("op"))
-            if routine is None:
-                if span is not None:
-                    obs.end(span, outcome="no_handler")
-                self._reply(payload,
-                            RpcError("EOPNOTSUPP", "no handler"))
-                continue
-            result = yield from self._run_handler(routine, payload)
-            if result is MUST_QUEUE:
-                result = RpcError("EDEADLK", "queued handler queued again")
-            self.metrics.counter("served_queued").add()
-            if span is not None:
-                obs.end(span, outcome="error"
-                        if isinstance(result, RpcError) else "ok")
-            # Server processes run on this cell's CPUs: their service
-            # time is stolen from user computation.  Time blocked on
-            # disk is not CPU time, so the steal is capped at the
-            # non-blocking service budget.
-            self.cell.note_cpu_steal(
-                min(self.sim.now - service_start, 200_000))
-            self._reply(payload, result)
 
     def _run_handler(self, handler: Callable, payload: dict) -> Generator:
         """Run one handler behind the errno boundary: an errno-carrying
@@ -611,17 +485,10 @@ class RpcSubsystem:
                 srv.interrupt("rpc shutdown")
         for node in self.cell.node_ids:
             self.sips.unregister_handler(node)
-        for pending in self._pending.values():
-            if not pending.event.triggered:
-                pending.event.fail(
-                    RpcTimeout(self.cell.kernel_id, pending.op))
+        for op, event in self._pending.values():
+            if not event.triggered:
+                event.fail(RpcTimeout(self.cell.kernel_id, op))
         self._pending.clear()
-        # Drop the recycled hot-path objects; a dead cell's subsystem
-        # must not pin them (and none are safe to reuse after the
-        # pending events were failed above).
-        self._pending_pool.clear()
-        self._event_pool.clear()
-        self._task_pool.clear()
 
 
 class RpcHandlerError(Exception):

@@ -3,11 +3,11 @@
 The end-of-run invariant sweep (``core/invariants.py``) can only say
 *whether* a run ended consistent; it cannot say *when* an invariant
 first broke or which fault broke it.  The watchdog samples the same
-checks on a simulated-time cadence (modulated by event count: a tick on
-an idle system skips the scan) and records every violation with its
-simulation timestamp, the offending cell, and — when a provenance
-tracer is attached — the active fault's taint id.  This is the oracle
-the continuous-churn fuzzer (ROADMAP) gates on.
+checks on a simulated-time cadence, one scan per tick, and records
+every violation with its simulation timestamp, the offending cell,
+and — when a provenance tracer is attached — the active fault's taint
+id.  This is the oracle the continuous-churn fuzzer (ROADMAP) gates
+on.
 
 Overhead discipline: the watchdog is off by default and is only
 attached when ``HIVE_WATCHDOG=1``.  When off, nothing is scheduled and
@@ -47,7 +47,6 @@ class InvariantWatchdog:
         self.violations: List[Dict[str, Any]] = []
         self.violations_dropped = 0
         self.first_violation: Optional[Dict[str, Any]] = None
-        self._last_events = -1
         self._stopped = False
 
     def start(self) -> "InvariantWatchdog":
@@ -63,12 +62,7 @@ class InvariantWatchdog:
         if self._stopped:
             return
         self.ticks += 1
-        events = self.sim.events_processed
-        if events != self._last_events:
-            # Event-count modulation: skip the scan when the system has
-            # been idle since the last tick.
-            self._last_events = events
-            self._scan()
+        self._scan()
         self.sim.schedule(self.period_ns, self._tick)
 
     def _scan(self) -> None:

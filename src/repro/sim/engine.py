@@ -271,12 +271,17 @@ class Process(Event):
     ``sim.timeout`` only where an Event is needed (``any_of`` children,
     a stored deadline).  A sleep whose wake is the next event takes no
     entry at all: ``_step`` runs it ahead (module docstring).
+
+    ``inline=True`` runs the first step inside the call, with no start
+    entry and so no event: only for a generator with no side effect
+    before its first yield (an interrupt handler's service routine).
     """
 
     __slots__ = ("gen", "_waiting_on", "_interrupts", "_resume_cb",
                  "_sleep", "_wake_cb", "_resume_s_cb")
 
-    def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
+    def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "",
+                 inline: bool = False):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self.gen = gen
         self._waiting_on: Optional[Event] = None
@@ -291,11 +296,21 @@ class Process(Event):
         self._sleep: Optional[list] = None
         self._wake_cb = self._wake
         self._resume_s_cb = self._resume_s
-        sim.schedule(0, self._resume_cb, None)
+        if inline:
+            self._step(Process._OP_NEXT, None)
+        else:
+            sim.schedule(0, self._resume_cb, None)
 
     @property
     def is_alive(self) -> bool:
         return not self._triggered
+
+    def _trigger(self, ok: bool, value: Any) -> None:
+        super()._trigger(ok, value)
+        # A finished process is never resumed.  Each cached bound method
+        # is a reference cycle, so drop them: refcounting then frees the
+        # process instead of the cyclic collector.
+        self._resume_cb = self._wake_cb = self._resume_s_cb = None
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process.
@@ -722,8 +737,9 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, gen: ProcessGen, name: str = "") -> Process:
-        return Process(self, gen, name)
+    def process(self, gen: ProcessGen, name: str = "",
+                inline: bool = False) -> Process:
+        return Process(self, gen, name, inline)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -181,6 +181,33 @@ class TestFailureBehaviour:
         assert drive(hive2, bench()) == "timed out"
 
 
+    def test_shutdown_fails_every_call_in_flight(self, hive2):
+        c0, c1 = hive2.cell(0), hive2.cell(1)
+        sim = hive2.sim
+
+        def never(src, args):
+            yield 10_000_000_000
+            return "too late"
+
+        c1.rpc.register("slow", never, QUEUED)
+
+        def one():
+            try:
+                yield from c0.rpc.call(1, "slow", {},
+                                       timeout_ns=60_000_000_000)
+            except RpcTimeout:
+                return "failed"
+
+        procs = [sim.process(one()) for _ in range(3)]
+        sim.run(until=sim.now + 1_000_000)
+        assert len(c0.rpc._pending) == 3
+        c0.rpc.shutdown()
+        assert c0.rpc._pending == {}
+        sim.run_until_event(sim.all_of(procs), deadline=sim.now + 1_000)
+        assert [p.value for p in procs] == ["failed"] * 3
+        assert c0.rpc.metrics.counter("timeouts").value == 0
+
+
 class TestFlowControlBackoff:
     """The SipsQueueFull stall-and-retry path (hardware flow control)."""
 

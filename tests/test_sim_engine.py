@@ -1015,6 +1015,152 @@ class TestSleep:
         assert hits == []
 
 
+class TestInlineStart:
+    def test_runs_to_its_first_yield_inside_the_call(self):
+        sim = Simulator()
+        log = []
+
+        def prog():
+            log.append(sim.now)
+            yield 5
+
+        sim.process(prog(), inline=True)
+        assert log == [0]
+        sim.process(prog())
+        assert log == [0]
+
+    def test_costs_one_event_fewer_than_a_deferred_start(self):
+        def run(inline):
+            sim = Simulator()
+
+            def prog():
+                yield 5
+                yield sim.timeout(7)
+                return sim.now
+
+            p = sim.process(prog(), inline=inline)
+            queued = sim.next_event_time()
+            sim.run()
+            return p.value, queued, sim.events_processed
+
+        assert run(True) == (12, 5, run(False)[2] - 1)
+        assert run(False)[:2] == (12, 0)
+
+    def test_first_sleep_runs_ahead_inside_a_loop(self):
+        sim = Simulator()
+        seen = []
+
+        def prog():
+            yield 5
+            seen.append(sim.now)
+
+        def start():
+            sim.process(prog(), inline=True)
+            seen.append(("returned", sim.now))
+
+        sim.schedule(10, start)
+        sim.run()
+        assert seen == [15, ("returned", 15)]
+        # the entry's dispatch, plus the two the sleep's entry would have
+        assert sim.events_processed == 3
+
+    def test_a_finished_process_is_freed_without_the_collector(self):
+        """Nothing of a finished process forms a reference cycle, so a
+        per-message process leaves no garbage for the cyclic collector."""
+        import gc
+
+        def prog():
+            yield 5
+            yield sim.event().succeed()
+
+        def processes():
+            return sum(type(o) is Process for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = processes()
+            sim = Simulator()
+            for inline in (True, False):
+                sim.process(prog(), inline=inline)
+            sim.run()
+            del sim
+            left = processes() - before
+        finally:
+            gc.enable()
+        assert left == 0
+
+    def test_error_before_the_first_yield(self):
+        def prog():
+            raise RuntimeError("bad")
+            yield  # pragma: no cover
+
+        with pytest.raises(RuntimeError):
+            Simulator().process(prog(), inline=True)
+        sim = Simulator(crash_on_process_error=False)
+        p = sim.process(prog(), inline=True)
+        assert p.triggered and not p.ok
+        assert isinstance(p.value, RuntimeError)
+        assert sim.next_event_time() is None
+
+
+#: engine internals no module of src/repro but sim/engine.py touches
+_ENGINE_PRIVATE = frozenset({
+    "_nowq", "_run_ahead", "_ahead_to", "_ahead_stop", "_ahead_cap",
+    "_callbacks", "_triggered", "_ok"})
+
+
+def _engine_private_uses(rel, text):
+    """``rel:line`` of each generator step (``.throw(``) and each read
+    or store of an engine internal in one module's source."""
+    lines = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute):
+            if node.attr in _ENGINE_PRIVATE:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "throw":
+                lines.append(node.lineno)
+            elif (isinstance(func, ast.Name)
+                  and func.id in ("getattr", "setattr", "hasattr")
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)
+                  and node.args[1].value in _ENGINE_PRIVATE):
+                lines.append(node.lineno)
+    return [f"{rel}:{n}" for n in sorted(lines)]
+
+
+class TestEngineOwnsInternals:
+    def test_only_the_engine_drives_generators_and_events(self):
+        """Outside ``sim/engine.py`` no module of src/repro throws into
+        a generator or touches an event's or the queue's internals: the
+        engine's ``Process`` is the one coroutine driver."""
+        root = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        hits = []
+        engine = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            found = _engine_private_uses(rel, path.read_text())
+            (engine if rel == "sim/engine.py" else hits).extend(found)
+        assert engine and hits == [], hits
+
+    def test_self_test_catches_each_kind(self):
+        planted = "\n".join([
+            "gen.throw(exc)",
+            "ev._callbacks = []",
+            "ok = ev._ok",
+            "if sim._nowq: pass",
+            "sim._run_ahead(5)",
+            "x = getattr(ev, '_triggered')",
+            "setattr(sim, '_ahead_to', -1)",
+            "ev.triggered",
+            "gen.send(None)",
+        ])
+        assert _engine_private_uses("m.py", planted) == [
+            f"m.py:{n}" for n in range(1, 8)]
+
+
 class TestClockOwner:
     def test_only_the_engine_sets_the_clock(self):
         """Inside src/repro only ``sim/engine.py`` stores to a ``.now``

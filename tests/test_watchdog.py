@@ -88,6 +88,33 @@ class TestWatchdogOracle:
         assert wd.violations_dropped == 1
 
 
+class TestWatchdogCadence:
+    def test_scans_do_not_depend_on_run_chunking(self):
+        """One scan per tick, however the caller chunks ``run()``: the
+        run loops publish ``events_processed`` only when they return,
+        so a scan gated on that count would follow the chunking."""
+        from repro.core.hive import boot_hive
+        from repro.sim.engine import Simulator
+
+        period = 1_000_000
+        ticks = 100
+
+        def scans(chunks):
+            sim = Simulator()
+            system = boot_hive(sim, num_cells=4)
+            wd = attach_watchdog(system, period_ns=period)
+            t0 = sim.now
+            step = ticks * period // chunks
+            for i in range(1, chunks + 1):
+                sim.run(until=t0 + i * step)
+            return wd.ticks, wd.checks_run, sim.events_processed
+
+        whole = scans(1)
+        chunked = scans(ticks)
+        assert whole == chunked
+        assert whole[:2] == (ticks, ticks)
+
+
 class TestWatchdogGating:
     def test_off_by_default(self, hive4):
         assert not watchdog_enabled(env={})
