@@ -39,7 +39,11 @@ from repro.workloads.raytrace import RaytraceWorkload
 #: cell the faults are injected into (a cell that serves no file system
 #: in the default mounts, as the paper's surviving-system check requires
 #: the file servers to outlive the fault).
-DEFAULT_VICTIM = 3
+VICTIM_CELL = 3
+#: wild writes a corrupted kernel makes in a software-fault trial: none,
+#: the trial corrupts the pointer only (the wild-write bursts are
+#: measured by the discard ablation benchmark).
+WILD_WRITES = 0
 
 HW_DURING_PROCESS_CREATION = "hw_process_creation"
 HW_DURING_COW_SEARCH = "hw_cow_search"
@@ -163,12 +167,8 @@ class ScenarioSummary:
 class FaultExperimentRunner:
     """Runs fault-injection trials and summarizes them."""
 
-    def __init__(self, agreement: str = "oracle",
-                 victim_cell: int = DEFAULT_VICTIM,
-                 wild_writes: int = 0, on_boot=None):
+    def __init__(self, agreement: str = "oracle", on_boot=None):
         self.agreement = agreement
-        self.victim_cell = victim_cell
-        self.wild_writes = wild_writes
         #: called with each HiveSystem :meth:`run_trial` boots, before
         #: the trial starts — the hook a caller uses to get hold of the
         #: system (to attach an observer, or to read it afterwards).
@@ -224,27 +224,27 @@ class FaultExperimentRunner:
             # the very first fork.
             for _ in range(2 + fseed % 4):
                 system.injector.arm_phase("process_creation",
-                                          None, self.victim_cell)
+                                          None, VICTIM_CELL)
             system.injector.arm_phase("process_creation",
                                       FaultInjector.NODE_FAILURE,
-                                      self.victim_cell)
+                                      VICTIM_CELL)
         elif scenario == HW_DURING_COW_SEARCH:
             for _ in range(20 + (fseed * 13) % 40):
                 system.injector.arm_phase("cow_search", None,
-                                          self.victim_cell)
+                                          VICTIM_CELL)
             system.injector.arm_phase("cow_search",
                                       FaultInjector.NODE_FAILURE,
-                                      self.victim_cell)
+                                      VICTIM_CELL)
         elif scenario == HW_RANDOM_TIME:
             t = 500 * NS_PER_MS + (fseed * 367_934_871) % (3_000 * NS_PER_MS)
             system.injector.inject_at(t, FaultInjector.NODE_FAILURE,
-                                      self.victim_cell, trigger="random")
+                                      VICTIM_CELL, trigger="random")
         elif scenario in (SW_ADDRESS_MAP, SW_COW_TREE):
             # Corrupt once the victim has processes / COW structure;
             # schedule at a pseudo-random point mid-run.
             t = 1_000 * NS_PER_MS + (fseed * 217_645_199) % (2_000 * NS_PER_MS)
 
-            victim = system.cell(self.victim_cell)
+            victim = system.cell(VICTIM_CELL)
             injected["armed"] = True
 
             def corrupt() -> None:
@@ -253,12 +253,12 @@ class FaultExperimentRunner:
                 mode = ALL_MODES[fseed % len(ALL_MODES)]
                 if scenario == SW_ADDRESS_MAP:
                     rec = kfi.corrupt_address_map(
-                        self.victim_cell, mode,
-                        wild_writes=self.wild_writes)
+                        VICTIM_CELL, mode,
+                        wild_writes=WILD_WRITES)
                 else:
                     rec = kfi.corrupt_cow_tree(
-                        self.victim_cell, mode,
-                        wild_writes=self.wild_writes)
+                        VICTIM_CELL, mode,
+                        wild_writes=WILD_WRITES)
                 if rec is not None:
                     injected.update(t=rec.time_ns, armed=False)
                 else:
@@ -290,7 +290,7 @@ class FaultExperimentRunner:
 
         # -- detection / recovery bookkeeping -----------------------------
         records = [r for r in system.coordinator.records
-                   if self.victim_cell in r.dead_cells]
+                   if VICTIM_CELL in r.dead_cells]
         detected = bool(records)
         latency = None
         recovery_duration = None
@@ -300,7 +300,7 @@ class FaultExperimentRunner:
             recovery_duration = (records[0].recovery_done_ns
                                  - min(records[0].entry_times.values()))
 
-        survivors = [c for c in range(4) if c != self.victim_cell]
+        survivors = [c for c in range(4) if c != VICTIM_CELL]
         survivors_alive = all(
             system.registry.cell_object(c) is not None
             and system.registry.cell_object(c).alive

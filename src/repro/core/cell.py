@@ -301,7 +301,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         if prov is not None:
             prov.page_discarded(self.kernel_id, pf.frame, dead_cell)
         if invalidate:
-            self.machine.coherence.invalidate_frame(pf.frame)
+            self.machine.coherence.invalidate_frames((pf.frame,))
         logical_id = pf.logical_id
         if logical_id is not None:
             tag, idx = logical_id

@@ -117,6 +117,11 @@ class CellRegistry:
         return (cell_id not in self._dead and cell is not None
                 and cell.alive)
 
+    def confirmed_dead(self, cell_id: int) -> bool:
+        """A recovery round marked the cell dead and it has not rebooted
+        since."""
+        return cell_id in self._dead
+
     def mark_dead(self, cell_id: int, reason: str) -> None:
         self._dead.add(cell_id)
         cell = self.cells.get(cell_id)

@@ -132,7 +132,11 @@ class RecoveryCoordinator:
 
     def _start_round(self, hint, forced: bool) -> None:
         """Start a round on ``hint``, or queue its suspect for the next
-        one if a round is under way."""
+        one if a round is under way.  A suspect a round has already
+        confirmed dead (and that has not rebooted since) needs no round:
+        the hint is dropped."""
+        if self.registry.confirmed_dead(hint.suspect):
+            return
         if self._active_round is not None:
             self._pending_suspects.add(hint.suspect)
             return
@@ -262,7 +266,9 @@ class RecoveryCoordinator:
             self._drain_pending()
 
     def _drain_pending(self) -> None:
-        if self._pending_suspects:
+        """Start a round for the lowest queued suspect, skipping those a
+        round has confirmed dead since they were queued."""
+        while self._pending_suspects and self._active_round is None:
             suspect = min(self._pending_suspects)
             self._pending_suspects.discard(suspect)
             self.report_hint(Hint(-1, suspect, "queued during previous round",

@@ -189,7 +189,7 @@ class FirewallManager:
         for node in self.cell.node_ids:
             frames = firewalls[node].remote_writable_frames()
             if frames:
-                firewalls[node].bulk_revoke_all_remote(frames, node)
+                firewalls[node].revoke_all_remote(frames, node)
         revoked = 0
         table = self.cell.pfdats
         for pf in table.all_pfdats():

@@ -40,39 +40,29 @@ O(every line in the directory).  Entries whose state empties out (no
 owner, no sharers) are pruned so the directory never grows monotonically
 across reintegration rounds.
 
-Batched access path
--------------------
-:meth:`CoherenceController.access_batch` takes arrays of line indices and
-read/write ops from one CPU and resolves the common case — healthy
-machine, lines already cached with sufficient rights, firewall clear —
-without the per-access Python round trip, falling back to the scalar
-:meth:`read`/:meth:`write` path only for the residual lines.  Two tiers:
-
-* every in-range batch runs a sequential loop with the hit checks
-  inlined (byte-identical stats and latencies, just less interpreter
-  overhead);
-* :meth:`prepare_batch` / :meth:`access_prepared` additionally memoize a
-  batch that resolved entirely as cache hits.  Whether the memo still
-  holds is asked of the directory, as FLASH's controller answers every
-  request: no home node in a fault state, every write line still owned
-  by the CPU, every read line still cached by it.  Then the batch would
-  hit again with the same latency and counts, so it replays as one
-  stats bump.  One method (:meth:`_memo_holds`) states that rule, and
-  the replay and the parked chains' probe (:meth:`peek_memo`) both ask
-  it.
-
-A batch with an out-of-range line takes the plain scalar loop instead.
-Every tier charges exactly the latencies the scalar path would, so event
-counts, recovery records, and span exports are byte-identical whichever
-tier runs.
+Prepared access path
+--------------------
+:meth:`CoherenceController.prepare_batch` validates an access pattern
+(global line indices and read/write ops, all from one CPU) once, and
+:meth:`access_prepared` issues it.  An issue is a sequential loop with
+the scalar hit checks inlined: hits resolve in the loop, and everything
+else goes through :meth:`read`/:meth:`write`, so stats, latencies and
+the position of a raise are those of the per-line loop.  A batch that
+resolved entirely as cache hits is memoized.  Whether the memo still
+holds is asked of the directory, as FLASH's controller answers every
+request: no home node in a fault state, every write line still owned by
+the CPU, every read line still cached by it.  Then the batch would hit
+again with the same latency and counts, so it replays as one stats
+bump.  One method (:meth:`_memo_holds`) states that rule, and the
+replay and the parked chains' probe (:meth:`peek_memo`) both ask it.
+Either way the latencies charged are those of the scalar path, so event
+counts, recovery records, and span exports do not depend on the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.memory import PhysicalMemory
@@ -147,7 +137,7 @@ class CoherenceController:
         "remote_write_hist", "_node_gen",
         "_lines_per_node", "_total_lines",
         "last_batch_completed", "tier_memo_hits", "tier_inline_batches",
-        "tier_scalar_batches", "channels",
+        "channels",
     )
 
     def __init__(self, params: HardwareParams, memory: PhysicalMemory,
@@ -184,16 +174,14 @@ class CoherenceController:
         self._node_gen: List[int] = [0] * params.num_nodes
         self._lines_per_node = self._bytes_per_node // self._line_size
         self._total_lines = self._total_bytes // self._line_size
-        #: accesses completed by the most recent batch call before it
+        #: accesses completed by the most recent batch issue before it
         #: returned or raised (drivers use it to account partial batches).
         self.last_batch_completed = 0
         #: batch-tier attribution: which tier (memo replay / inlined
-        #: sequential / the scalar loop that out-of-range lines fall
-        #: back to) resolved each batch.  One increment per batch, so
-        #: always-on costs ~1/batch-length per access.
+        #: sequential loop) resolved each batch.  One increment per
+        #: batch, so always-on costs ~1/batch-length per access.
         self.tier_memo_hits = 0
         self.tier_inline_batches = 0
-        self.tier_scalar_batches = 0
         #: optional intercell channel recorder (``sim/channels.py``).  A
         #: plain None slot like the provenance tracer: the hardware
         #: layer publishes cross-cell misses through it when attached
@@ -339,7 +327,7 @@ class CoherenceController:
         self._owner_lines[src_node].add(line)
         return latency
 
-    # -- the batched access path ---------------------------------------
+    # -- the prepared access path --------------------------------------
 
     def _bump_all_generations(self) -> None:
         self._node_gen = [g + 1 for g in self._node_gen]
@@ -355,11 +343,16 @@ class CoherenceController:
         return tuple(gens[n] for n in home_nodes)
 
     def tier_snapshot(self) -> Dict[str, int]:
-        """Batch-tier attribution counters (see obs/profile.py)."""
+        """Batch-tier attribution counters (see obs/profile.py).
+
+        ``scalar_batches`` is always 0: no batch falls back to a scalar
+        loop any more, and the key stays so reports compare across
+        committed bench files.
+        """
         return {
             "memo_hits": self.tier_memo_hits,
             "inline_batches": self.tier_inline_batches,
-            "scalar_batches": self.tier_scalar_batches,
+            "scalar_batches": 0,
         }
 
     def prepare_batch(self, lines: Sequence[int],
@@ -422,20 +415,63 @@ class CoherenceController:
         without touching the lines again.  The memo is only recorded
         while every home node the batch touches is in fault state 0.
         """
+        stats = self.stats
         if self._memo_holds(cpu, prepared):
             memo = prepared.memo
             self.tier_memo_hits += 1
-            stats = self.stats
             stats.read_hits += memo[2]
             stats.write_hits += memo[3]
             self.last_batch_completed = memo[4]
             return memo[1]
-        mem = self.memory
-        latency, all_hits, n_rh, n_wh = self._batch_inline(
-            cpu, prepared.lines, prepared.ops)
-        if all_hits and not (mem._any_faults and any(
-                mem._node_state[n] for n in prepared.home_nodes)):
-            prepared.memo = (cpu, latency, n_rh, n_wh, len(prepared.lines))
+        # The scalar hit checks, inlined.  A write hit is valid
+        # unconditionally (:meth:`write` checks ownership before the
+        # fault model); a read hit is valid whenever the line's home
+        # node is in fault state 0 (:meth:`read` consults the fault
+        # model first only for non-zero homes).  Everything else goes
+        # through the scalar methods.
+        self.tier_inline_batches += 1
+        get = self._lines.get
+        hit_ns = self._hit_latency
+        read_f = self.read
+        write_f = self.write
+        line_size = self._line_size
+        faulty = self.memory._any_faults
+        node_state = self.memory._node_state
+        lines_per_node = self._lines_per_node
+        n_rh = 0
+        n_wh = 0
+        latency = 0
+        all_hits = True
+        done = 0
+        try:
+            for line, op in zip(prepared.lines, prepared.ops):
+                st = get(line)
+                if st is not None:
+                    if op:
+                        if st.owner == cpu:
+                            n_wh += 1
+                            latency += hit_ns
+                            done += 1
+                            continue
+                    elif (cpu == st.owner or cpu in st.sharers) and not (
+                            faulty and node_state[line // lines_per_node]):
+                        n_rh += 1
+                        latency += hit_ns
+                        done += 1
+                        continue
+                all_hits = False
+                addr = line * line_size
+                latency += write_f(cpu, addr) if op else read_f(cpu, addr)
+                done += 1
+        finally:
+            # Hits observed before an exception really happened; flush
+            # them so counters match the scalar loop at the raise point.
+            stats.read_hits += n_rh
+            stats.write_hits += n_wh
+            self.last_batch_completed = done
+        if all_hits and not (faulty and any(
+                node_state[n] for n in prepared.home_nodes)):
+            prepared.memo = (cpu, latency, n_rh, n_wh, done)
         else:
             prepared.memo = None
         return latency
@@ -485,105 +521,6 @@ class CoherenceController:
         stats.write_hits += wh
         self.last_batch_completed = last
 
-    def access_batch(self, cpu: int, lines, ops) -> int:
-        """Batched :meth:`read`/:meth:`write`: arrays in, total ns out.
-
-        Equivalent to the sequential scalar loop — same stats deltas,
-        same summed latency, and the same exception at the same batch
-        position.  In-range batches take the inline tier; a batch with
-        an out-of-range line takes the plain scalar loop.
-        """
-        arr_lines = np.asarray(lines, dtype=np.int64).ravel()
-        arr_ops = np.asarray(ops, dtype=np.int64).ravel()
-        if arr_lines.size != arr_ops.size:
-            raise ValueError("lines and ops must have the same length")
-        self.last_batch_completed = 0
-        if arr_lines.size == 0:
-            return 0
-        if arr_lines.min() < 0 or arr_lines.max() >= self._total_lines:
-            # Out-of-range lines must raise at the exact batch position
-            # the scalar loop would; only the reference loop guarantees
-            # that without assuming anything about the fault model.
-            return self._batch_seq(cpu, arr_lines.tolist(),
-                                   arr_ops.tolist())
-        return self._batch_inline(cpu, arr_lines.tolist(),
-                                  arr_ops.tolist())[0]
-
-    def _batch_seq(self, cpu: int, lines: Sequence[int],
-                   ops: Sequence[int]) -> int:
-        """Reference tier: the plain scalar loop."""
-        self.tier_scalar_batches += 1
-        read_f = self.read
-        write_f = self.write
-        line_size = self._line_size
-        latency = 0
-        done = 0
-        try:
-            for line, op in zip(lines, ops):
-                addr = line * line_size
-                latency += write_f(cpu, addr) if op else read_f(cpu, addr)
-                done += 1
-        finally:
-            self.last_batch_completed = done
-        return latency
-
-    def _batch_inline(self, cpu: int, lines: Sequence[int],
-                      ops: Sequence[int]):
-        """Sequential loop with the scalar hit checks inlined.
-
-        Lines must be in range (callers validate).  A write hit is valid
-        unconditionally (the scalar :meth:`write` checks ownership before
-        the fault model); a read hit is valid whenever the line's home
-        node is in fault state 0 (the scalar :meth:`read` consults the
-        fault model first only for non-zero homes).  Everything else —
-        misses, faulted homes — goes through the scalar methods, so
-        ordering, raise positions, and stats match exactly.
-        Returns ``(latency, all_hits, read_hits, write_hits)``.
-        """
-        directory = self._lines
-        get = directory.get
-        hit_ns = self._hit_latency
-        read_f = self.read
-        write_f = self.write
-        line_size = self._line_size
-        faulty = self.memory._any_faults
-        node_state = self.memory._node_state
-        lines_per_node = self._lines_per_node
-        self.tier_inline_batches += 1
-        n_rh = 0
-        n_wh = 0
-        latency = 0
-        all_hits = True
-        done = 0
-        stats = self.stats
-        try:
-            for line, op in zip(lines, ops):
-                st = get(line)
-                if st is not None:
-                    if op:
-                        if st.owner == cpu:
-                            n_wh += 1
-                            latency += hit_ns
-                            done += 1
-                            continue
-                    elif (cpu == st.owner or cpu in st.sharers) and not (
-                            faulty and node_state[line // lines_per_node]):
-                        n_rh += 1
-                        latency += hit_ns
-                        done += 1
-                        continue
-                all_hits = False
-                addr = line * line_size
-                latency += write_f(cpu, addr) if op else read_f(cpu, addr)
-                done += 1
-        finally:
-            # Hits observed before an exception really happened; flush
-            # them so counters match the scalar loop at the raise point.
-            stats.read_hits += n_rh
-            stats.write_hits += n_wh
-            self.last_batch_completed = done
-        return latency, all_hits, n_rh, n_wh
-
     # -- failure interaction -----------------------------------------------
 
     def frames_with_dirty_lines_owned_by_node(self, node: int) -> Set[int]:
@@ -629,12 +566,8 @@ class CoherenceController:
             if st.owner is None and not st.sharers:
                 del lines[line]
 
-    def invalidate_frame(self, frame: int) -> None:
-        """Invalidate every cached line of a frame (used by discard)."""
-        self.invalidate_frames((frame,))
-
     def invalidate_frames(self, frames: Iterable[int]) -> None:
-        """Batched :meth:`invalidate_frame` over many frames.
+        """Invalidate every cached line of the given frames (discard).
 
         One pass over the discard set with the per-line bookkeeping
         hoisted; invalidated entries are pruned from the directory.

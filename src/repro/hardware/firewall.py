@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-import numpy as np
-
 from repro.hardware.errors import FirewallViolation
 from repro.hardware.params import HardwareParams
 
@@ -138,12 +136,15 @@ class NodeFirewall:
 
     # -- updates (local processor only) ----------------------------------
 
-    def _update(self, frame: int, requester_node: int, new_vector: int) -> None:
+    def _check_requester(self, requester_node: int) -> None:
         if requester_node != self.node_id:
             raise PermissionError(
                 "only the local processor can change firewall bits "
                 f"(node {requester_node} tried to update node {self.node_id})"
             )
+
+    def _update(self, frame: int, requester_node: int, new_vector: int) -> None:
+        self._check_requester(requester_node)
         self._check_frame(frame)
         self.updates += 1
         if new_vector == self._default_mask:
@@ -173,35 +174,23 @@ class NodeFirewall:
         vec |= self._default_mask  # the owning cell always retains access
         self._update(frame, requester_node, vec)
 
-    def revoke_all_remote(self, frame: int, requester_node: int) -> None:
-        self._update(frame, requester_node, self._default_mask)
+    def revoke_all_remote(self, frames: Iterable[int],
+                          requester_node: int) -> None:
+        """Return every frame of ``frames`` to the default vector.
 
-    # -- bulk operations ---------------------------------------------------
-
-    def _check_frames_bulk(self, frames: np.ndarray) -> None:
-        lo, hi = self.frames.start, self.frames.stop
-        if frames.size and not bool(((frames >= lo) & (frames < hi)).all()):
-            bad = int(frames[(frames < lo) | (frames >= hi)][0])
-            raise ValueError(
-                f"frame {bad} is not homed on node {self.node_id}"
-            )
-
-    def bulk_revoke_all_remote(self, frames: Iterable[int],
-                               requester_node: int) -> None:
-        """Reset a whole batch of frames to the default vector at once."""
-        if requester_node != self.node_id:
-            raise PermissionError(
-                "only the local processor can change firewall bits "
-                f"(node {requester_node} tried to update node {self.node_id})"
-            )
-        arr = np.fromiter(frames, dtype=np.int64)
-        self._check_frames_bulk(arr)
+        All-or-nothing: the requester and every frame are checked
+        before any vector changes.
+        """
+        self._check_requester(requester_node)
+        frames = list(frames)
+        for frame in frames:
+            self._check_frame(frame)
         vectors = self._vectors
         remote = self._remote_writable
-        for frame in arr.tolist():
+        for frame in frames:
             vectors.pop(frame, None)
             remote.pop(frame, None)
-        self.updates += int(arr.size)
+        self.updates += len(frames)
 
     def reset(self) -> None:
         """Return every page to the default vector (used on node reboot);

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.hardware.errors import BusError, InvalidPhysicalAddress
 from repro.hardware.firewall import NodeFirewall
 from repro.hardware.params import HardwareParams
@@ -42,8 +40,7 @@ class PhysicalMemory:
 
     __slots__ = (
         "params", "firewall_enabled", "firewalls", "_pages",
-        "_failed_nodes", "_cutoff_nodes", "_total_pages",
-        "_pages_per_node", "_cpus_per_node", "_any_faults",
+        "_total_pages", "_pages_per_node", "_cpus_per_node", "_any_faults",
         "_node_state", "fault_gen", "_zero",
     )
 
@@ -56,16 +53,14 @@ class PhysicalMemory:
             firewall_factory(params, node) for node in range(params.num_nodes)
         ]
         self._pages: Dict[int, bytes] = {}
-        self._failed_nodes: set[int] = set()
-        self._cutoff_nodes: set[int] = set()
         # Hot-path scalars: the dataclass properties behind these
         # recompute on every access, and the access-check path runs on
         # every simulated memory reference.
         self._total_pages = params.total_pages
         self._pages_per_node = params.pages_per_node
         self._cpus_per_node = params.cpus_per_node
-        #: False while no node is failed or cut off — the coherence fast
-        #: path checks this one flag instead of two sets per access.
+        #: False while no node is failed or cut off (``any(_node_state)``)
+        #: — the coherence fast path checks this one flag per access.
         self._any_faults = False
         #: monotone fault-topology generation: bumps on every node
         #: fail/revive/cutoff transition, so the parked chains' peek
@@ -73,8 +68,9 @@ class PhysicalMemory:
         #: generations), stay sound across runs where a failed node
         #: lingers in the topology.
         self.fault_gen = 0
-        #: per-node fault state (0 healthy, 1 failed, 2 cutoff): one list
-        #: index on the degraded-machine path instead of set probes.
+        #: per-node fault state (0 healthy, 1 failed, 2 cutoff), the one
+        #: record of it.  A failed node that is also cut off stays 1:
+        #: failure takes precedence, and only a revive clears either.
         self._node_state = [0] * params.num_nodes
         if params.page_size != len(ZERO_PAGE):
             self._zero = b"\x00" * params.page_size
@@ -85,7 +81,6 @@ class PhysicalMemory:
 
     def fail_node(self, node: int) -> None:
         """Fail-stop the memory of ``node`` (node halt or range failure)."""
-        self._failed_nodes.add(node)
         self._any_faults = True
         self._node_state[node] = 1
         self.fault_gen += 1
@@ -96,30 +91,21 @@ class PhysicalMemory:
         The contents are cleared — the paper's recovery model treats the
         failed node's data as lost — and the firewall resets to local-only.
         """
-        self._failed_nodes.discard(node)
-        self._cutoff_nodes.discard(node)
-        self._any_faults = bool(self._failed_nodes or self._cutoff_nodes)
         self._node_state[node] = 0
+        self._any_faults = any(self._node_state)
         self.fault_gen += 1
         self.firewalls[node].reset()
-        # Bulk-clear the node's resident pages: select the keys inside
-        # the node's frame range vectorized instead of probing all
-        # ``pages_per_node`` frames one by one.
-        if self._pages:
-            frame_range = self.params.node_frame_range(node)
-            keys = np.fromiter(self._pages.keys(), dtype=np.int64,
-                               count=len(self._pages))
-            resident = keys[(keys >= frame_range.start)
-                            & (keys < frame_range.stop)]
-            for frame in resident.tolist():
-                del self._pages[frame]
+        # Clear the node's resident pages: one scan of the sparse page
+        # map, not a probe of all ``pages_per_node`` frames.
+        frames = self.params.node_frame_range(node)
+        for frame in [f for f in self._pages if f in frames]:
+            del self._pages[frame]
 
     def node_failed(self, node: int) -> bool:
-        return node in self._failed_nodes
+        return self._node_state[node] == 1
 
     def engage_cutoff(self, node: int) -> None:
         """Cut off all *remote* access to this node's memory (cell panic)."""
-        self._cutoff_nodes.add(node)
         self._any_faults = True
         self.fault_gen += 1
         # A node can be both failed and cut off; failed takes precedence.
@@ -143,7 +129,7 @@ class PhysicalMemory:
         state = self._node_state[home]
         if state == 0:
             return home
-        if state == 1 or home in self._failed_nodes:
+        if state == 1:
             raise BusError(
                 f"read of frame {frame}: node {home} failed",
                 addr=frame * self.params.page_size, node=home,
@@ -161,7 +147,7 @@ class PhysicalMemory:
         home = self._check_readable(frame, writer_cpu)
         if writer_cpu is not None:
             writer_node = writer_cpu // self._cpus_per_node
-            if writer_node in self._failed_nodes:
+            if self._node_state[writer_node] == 1:
                 raise BusError(
                     f"write by cpu {writer_cpu}: its node has failed",
                     node=writer_node,
@@ -212,28 +198,6 @@ class PhysicalMemory:
         self._check_writable(frame, cpu)
         self._pages.pop(frame, None)
 
-    # -- bulk data access --------------------------------------------------
-
-    def read_pages(self, frames, cpu: Optional[int] = None) -> List[bytes]:
-        """Read a batch of pages; equivalent to ``read_page`` per frame.
-
-        On a healthy machine the per-frame fault checks collapse to one
-        vectorized range check; under faults the scalar loop preserves
-        the raise position of the sequential form.
-        """
-        frame_list = [int(f) for f in frames]
-        if not frame_list:
-            return []
-        if self._any_faults:
-            return [self.read_page(f, cpu) for f in frame_list]
-        arr = np.asarray(frame_list, dtype=np.int64)
-        if bool((arr < 0).any()) or bool((arr >= self._total_pages).any()):
-            # Raise from the first offending frame, like the scalar loop.
-            return [self.read_page(f, cpu) for f in frame_list]
-        pages = self._pages
-        zero = self._zero
-        return [pages.get(f, zero) for f in frame_list]
-
     # -- firewall convenience ----------------------------------------------
 
     def firewall_for_frame(self, frame: int) -> NodeFirewall:
@@ -242,7 +206,7 @@ class PhysicalMemory:
     def write_allowed(self, frame: int, cpu: int) -> bool:
         """Would a write succeed?  (No latency, no side effects.)"""
         home = self._home_node(frame)
-        if home in self._failed_nodes:
+        if self._node_state[home] == 1:
             return False
         if not self.firewall_enabled:
             return True
@@ -258,7 +222,7 @@ class PhysicalMemory:
         out: List[int] = []
         cpu0 = writer_node * self.params.cpus_per_node
         for node in range(self.params.num_nodes):
-            if node == writer_node or node in self._failed_nodes:
+            if node == writer_node or self._node_state[node] == 1:
                 continue
             for frame in self.firewalls[node].remote_writable_frames():
                 if self.firewalls[node].allows(frame, cpu0):

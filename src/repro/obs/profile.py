@@ -1,8 +1,8 @@
 """Hot-path tier profiling: which tier served the work.
 
 Two subsystems resolve work in tiers — coherence batches (memo replay
-/ inlined sequential, with the scalar loop for out-of-range lines) and
-RPC dispatch (one coalesced path).  This module aggregates
+/ inlined sequential; the ``scalar`` keys stay at 0) and RPC dispatch
+(one coalesced path).  This module aggregates
 the per-subsystem attribution counters into one JSON-stable snapshot so
 campaigns and benchmarks can report *tier hit rates* — how often each
 tier actually fired — instead of guessing from end-to-end timings.

@@ -241,7 +241,7 @@ class ProcContext:
     def touch_many(self, region: Region, start_index: int = 0,
                    count: Optional[int] = None,
                    write: bool = False) -> Generator:
-        """Access a run of consecutive pages as one batched reference."""
+        """Access a run of consecutive pages, one :meth:`touch` each."""
         yield from self._ensure_cpu()
         return (yield from self.kernel.sys_touch_many(
             self, region, start_index, count, write))
@@ -1109,51 +1109,15 @@ class LocalKernel:
     def sys_touch_many(self, ctx: ProcContext, region: Region,
                        start_index: int, count: Optional[int],
                        write: bool) -> Generator:
-        """Touch ``count`` consecutive pages starting at ``start_index``.
-
-        When every page is already mapped with sufficient permission and
-        the machine is healthy, the references issue as one batched
-        coherence access charged a single summed timeout; any missing
-        mapping, permission upgrade, fault-state node, or out-of-range
-        index falls back to the page-by-page :meth:`sys_touch` path
-        (faults, refaults, and error positions behave exactly as a
-        caller loop would).  Returns the page-table entries touched.
-        """
+        """Touch ``count`` consecutive pages starting at ``start_index``
+        (all pages from there on when ``count`` is None), one
+        :meth:`sys_touch` each.  Returns the page-table entries
+        touched."""
         if count is None:
             count = region.npages - start_index
-        count = int(count)
-        if count <= 0:
-            return []
-        params = self.machine.params
-        fast = (not self.machine.memory._any_faults
-                and 0 <= start_index
-                and start_index + count <= region.npages
-                and (region.writable or not write))
         ptes: List[Pte] = []
-        if fast:
-            aspace = ctx.process.aspace
-            base = region.start_vpn
-            kernel_id = self.kernel_id
-            for idx in range(start_index, start_index + count):
-                pte = aspace.lookup_pte(kernel_id, base + idx)
-                if pte is None or (write and not pte.writable):
-                    fast = False
-                    break
-                ptes.append(pte)
-        if not fast:
-            out = []
-            for idx in range(start_index, start_index + count):
-                out.append((yield from self.sys_touch(
-                    ctx, region, idx, write)))
-            return out
-        lines_per_page = params.page_size // params.cache_line_size
-        lines = [pte.frame * lines_per_page for pte in ptes]
-        ops = [1] * count if write else [0] * count
-        # A healthy machine cannot bus-error here (checked above, and no
-        # yield separates the check from the access); a firewall
-        # rejection propagates exactly as the sys_touch loop's would.
-        latency = self.machine.coherence.access_batch(ctx.cpu, lines, ops)
-        yield latency
+        for idx in range(start_index, start_index + count):
+            ptes.append((yield from self.sys_touch(ctx, region, idx, write)))
         return ptes
 
     def fault_page(self, ctx: ProcContext, region: Region, vpn: int,

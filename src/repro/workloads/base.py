@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.core.hive import HiveSystem
+from repro.hardware.errors import HardwareError
 from repro.unix.fs import PAGE
 from repro.unix.kernel import LocalKernel
 
@@ -149,31 +150,17 @@ class Platform:
                 f"{path}: size {inode.size} != expected {len(expected)}")
             return errors
         tag = ("file", fs.fs_id, inode.ino)
-        # Resident pages read in one bulk call (vectorized fault check on
-        # a healthy machine); absent or unreadable pages come off the
-        # platter one by one, exactly as the per-page loop did.
         memory = kernel.machine.memory
-        resident = []
         for idx in range(inode.npages):
+            # The resident page if it reads (its home may have failed),
+            # else the platter copy.
+            data = None
             pf = kernel.pfdats.lookup((tag, idx))
             if pf is not None and pf.valid:
-                resident.append((idx, pf.frame))
-        page_data: dict = {}
-        if resident:
-            try:
-                bulk = memory.read_pages([f for _, f in resident])
-                page_data = {idx: data
-                             for (idx, _f), data in zip(resident, bulk)}
-            except Exception:
-                # A failed node mid-batch: re-read page by page so each
-                # page individually falls back to the platter.
-                for idx, frame in resident:
-                    try:
-                        page_data[idx] = memory.read_page(frame)
-                    except Exception:
-                        pass
-        for idx in range(inode.npages):
-            data = page_data.get(idx)
+                try:
+                    data = memory.read_page(pf.frame)
+                except HardwareError:
+                    pass
             if data is None:
                 data = fs.peek_disk_page(inode, idx)
             want = expected[idx * PAGE:(idx + 1) * PAGE]

@@ -105,10 +105,8 @@ class SyntheticWorkload:
                         yield from ctx.read(fd, cfg.file_pages * PAGE)
                         yield from ctx.close(fd)
                     elif op == "anon_touch":
-                        # One batched reference for the whole run of
-                        # pages; already-mapped pages resolve as a
-                        # single coherence batch, first touches fall
-                        # back to the per-page fault path.
+                        # A run of fresh pages: each first touch
+                        # takes the page-fault path.
                         yield from ctx.touch_many(
                             anon, anon_next, cfg.anon_pages_per_touch,
                             write=True)

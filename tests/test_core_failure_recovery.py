@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench.faultexp import (HW_DURING_PROCESS_CREATION,
+                                  FaultExperimentRunner)
 from repro.core.agreement import OracleAgreement, VotingAgreement
-from repro.core.failure import StrikeBook
+from repro.core.failure import Hint, StrikeBook
 from repro.core.hive import boot_hive
 from repro.core.invariants import check_system
 from repro.hardware.machine import MachineConfig
@@ -356,6 +358,47 @@ class TestRecovery:
 
         run_program(hive, 3, reader)
         assert out["data"] == payload
+
+
+class TestNoRoundForAConfirmedDeadCell:
+    """A round's confirmation stands until the cell reboots: a later
+    hint for the cell, fresh or queued, starts no second round."""
+
+    def _dead(self, cell):
+        hive = boot4()
+        hive.machine.halt_node(cell)
+        settle(hive, 1_000)
+        assert [sorted(r.dead_cells)
+                for r in hive.coordinator.records] == [[cell]]
+        return hive
+
+    def test_fresh_hint_starts_no_round(self):
+        hive = self._dead(3)
+        hive.coordinator.report_hint(Hint(0, 3, "late alert", hive.sim.now))
+        settle(hive, 1_000)
+        assert len(hive.coordinator.records) == 1
+
+    def test_drain_skips_a_dead_suspect_for_the_next(self):
+        hive = self._dead(0)
+        coord = hive.coordinator
+        hive.machine.halt_node(2)
+        coord._pending_suspects |= {0, 2}
+        coord._drain_pending()
+        settle(hive, 1_000)
+        assert [(sorted(r.dead_cells), r.detection_reason)
+                for r in coord.records[1:]] == [
+            ([2], "queued during previous round")]
+
+    def test_hw_process_creation_seed_0_runs_one_round(self):
+        """Cell 3's failure raises a second alert while its round runs;
+        the queued alert starts no round once the first confirms it."""
+        box = {}
+        trial = FaultExperimentRunner(
+            on_boot=lambda system: box.update(system=system)).run_trial(
+                HW_DURING_PROCESS_CREATION, seed=0)
+        assert trial.contained, trial.reason
+        assert [sorted(r.dead_cells)
+                for r in box["system"].coordinator.records] == [[3]]
 
 
 class TestOneGrantRecord:

@@ -22,10 +22,15 @@ def _declared_dependencies():
             for dep in ast.literal_eval(match.group(1))}
 
 
-def _imported_modules(path):
+#: the modules of src/repro that may import numpy: the session
+#: generator and the histogram's array path it feeds.
+NUMPY_USERS = {"workloads/sessions.py", "sim/stats.py"}
+
+
+def _imported_modules(text):
     """Top-level names of every absolute import in one file, the lazy
     ones inside functions included; relative imports are the package."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name.split(".")[0], node.lineno
@@ -38,9 +43,43 @@ def test_src_imports_only_declared_dependencies():
     allowed |= _declared_dependencies()
     undeclared = [f"{path.relative_to(SRC)}:{line}: {name}"
                   for path in sorted((SRC / "repro").rglob("*.py"))
-                  for name, line in _imported_modules(path)
+                  for name, line in _imported_modules(path.read_text())
                   if name not in allowed]
     assert undeclared == []
+
+
+def _numpy_imports(rel, text):
+    """``rel:line`` of each numpy import in a module outside
+    ``NUMPY_USERS``."""
+    if rel in NUMPY_USERS:
+        return []
+    return [f"{rel}:{line}" for name, line in _imported_modules(text)
+            if name == "numpy"]
+
+
+def test_numpy_only_in_the_session_generator():
+    """Every memory reference takes one scalar path, so numpy stays out
+    of the simulator: only the session generator needs it."""
+    root = SRC / "repro"
+    hits = [hit for path in sorted(root.rglob("*.py"))
+            for hit in _numpy_imports(path.relative_to(root).as_posix(),
+                                      path.read_text())]
+    assert hits == []
+
+
+def test_numpy_self_test_catches_each_kind():
+    planted = "\n".join([
+        "import numpy as np",
+        "from numpy import asarray",
+        "import numpy.random",
+        "def f():",
+        "    import numpy",
+        "import numbers",
+    ])
+    assert _numpy_imports("hardware/memory.py", planted) == [
+        "hardware/memory.py:1", "hardware/memory.py:2",
+        "hardware/memory.py:3", "hardware/memory.py:5"]
+    assert _numpy_imports("sim/stats.py", planted) == []
 
 
 def test_hw_random_trial_contained_with_only_declared_dependencies():

@@ -37,8 +37,7 @@ PLACEMENT_LISTS = {"reserved", "stock", "returning"}
 MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "append",
             "extend", "remove", "insert", "add", "discard", "__setitem__",
             "__delitem__"}
-BIT_FLIPS = {"grant_node", "revoke_node", "revoke_all_remote",
-             "bulk_revoke_all_remote"}
+BIT_FLIPS = {"grant_node", "revoke_node", "revoke_all_remote"}
 BIT_OWNERS = {"core/wildwrite.py", "workloads/micro.py"}
 
 

@@ -155,7 +155,7 @@ class TestFailureInteraction:
     def test_invalidate_frame(self):
         params, _mem, coh = make_coherence()
         coh.read(0, 0x100)
-        coh.invalidate_frame(0)
+        coh.invalidate_frames([0])
         assert coh.read(0, 0x100) == params.mem_latency_ns
 
 
@@ -201,8 +201,9 @@ def _scalar_replay(coh, params, cpu, lines, ops):
 
 
 class TestBatchedAccess:
-    """access_batch/access_prepared must be bit-equivalent to the
-    scalar loop in latency, stats, and directory state."""
+    """A prepared batch's first issue (no memo yet: the inline tier)
+    must be bit-equivalent to the scalar loop in latency, stats, and
+    directory state."""
 
     def _mixed_case(self, n=96):
         """Unique local lines, warmed so the batch mixes hits/misses."""
@@ -217,7 +218,7 @@ class TestBatchedAccess:
     def _compare(self, make_case):
         params, _m, coh_a, lines, ops = make_case()
         _p, _m2, coh_b, _l, _o = make_case()
-        lat_batch = coh_a.access_batch(0, lines, ops)
+        lat_batch = coh_a.access_prepared(0, coh_a.prepare_batch(lines, ops))
         lat_scalar = _scalar_replay(coh_b, params, 0, lines, ops)
         assert lat_batch == lat_scalar
         assert _stats_key(coh_a) == _stats_key(coh_b)
@@ -247,26 +248,9 @@ class TestBatchedAccess:
             return params, mem, coh, lines, ops
         self._compare(dup_case)
 
-    def test_scalar_fallback_when_disabled(self):
-        """What disables the inline tier is the input: one out-of-range
-        line sends the whole batch through the scalar loop, which raises
-        where the per-line loop does."""
-        from repro.hardware.errors import InvalidPhysicalAddress
-        params, _m, coh, lines, ops = self._mixed_case()
-        _p, _m2, coh_b, _l, _o = self._mixed_case()
-        lines[40] = params.num_nodes * _lines_per_node(params) + 5
-        with pytest.raises(InvalidPhysicalAddress):
-            coh.access_batch(0, lines, ops)
-        with pytest.raises(InvalidPhysicalAddress):
-            _scalar_replay(coh_b, params, 0, lines, ops)
-        assert coh.last_batch_completed == 40
-        assert _stats_key(coh) == _stats_key(coh_b)
-        assert coh.tier_snapshot() == {
-            "memo_hits": 0, "inline_batches": 0, "scalar_batches": 1}
-
     def test_directory_indexes_consistent_after_scalar_traffic(self):
         params, _m, coh, lines, ops = self._mixed_case()
-        coh.access_batch(0, lines, ops)
+        coh.access_prepared(0, coh.prepare_batch(lines, ops))
         # Scalar reads/writes from other CPUs mutate the directory; the
         # per-node owner/sharer indexes must track every mutation site.
         coh.read(1, lines[0] * params.cache_line_size)
@@ -283,12 +267,14 @@ class TestBatchedAccess:
         lines = list(range(70)) + [remote] + list(range(70, 80))
         ops = [0] * 70 + [1] + [0] * 10
         _p2, _m2, coh_b = make_coherence()
+        prep = coh.prepare_batch(lines, ops)
         with pytest.raises(FirewallViolation):
-            coh.access_batch(0, lines, ops)
+            coh.access_prepared(0, prep)
         with pytest.raises(FirewallViolation):
             _scalar_replay(coh_b, params, 0, lines, ops)
         assert coh.last_batch_completed == 70
         assert _stats_key(coh) == _stats_key(coh_b)
+        assert prep.memo is None
 
     def test_bus_error_under_faults_at_exact_position(self):
         params, mem, coh = make_coherence()
@@ -297,21 +283,14 @@ class TestBatchedAccess:
             m.fail_node(1)
         lines = list(range(10)) + [_lines_per_node(params)] + list(range(10, 20))
         ops = [0] * len(lines)
+        prep = coh.prepare_batch(lines, ops)
         with pytest.raises(BusError):
-            coh.access_batch(0, lines, ops)
+            coh.access_prepared(0, prep)
         with pytest.raises(BusError):
             _scalar_replay(coh_b, params, 0, lines, ops)
         assert coh.last_batch_completed == 10
         assert _stats_key(coh) == _stats_key(coh_b)
-
-    def test_out_of_range_line_raises_like_scalar(self):
-        from repro.hardware.errors import InvalidPhysicalAddress
-        params, _m, coh = make_coherence()
-        total_lines = params.num_nodes * _lines_per_node(params)
-        lines = [0, 1, total_lines + 5, 2]
-        with pytest.raises(InvalidPhysicalAddress):
-            coh.access_batch(0, lines, [0, 0, 0, 0])
-        assert coh.last_batch_completed == 2
+        assert prep.memo is None
 
 
 class TestPreparedBatch:

@@ -77,8 +77,21 @@ class TestGrantRevoke:
     def test_revoke_all_remote(self, fw):
         fw.grant_node(FRAME, 1, 0)
         fw.grant_node(FRAME, 1, 2)
-        fw.revoke_all_remote(FRAME, 1)
+        fw.grant_node(FRAME + 1, 1, 3)
+        updates = fw.updates
+        fw.revoke_all_remote([FRAME, FRAME + 1], 1)
         assert fw.remote_writable_frames() == []
+        assert len(fw._vectors) == 0
+        assert fw.updates == updates + 2
+
+    def test_revoke_all_remote_is_all_or_nothing(self, fw, params):
+        fw.grant_node(FRAME, 1, 2)
+        foreign = FRAME - params.pages_per_node  # homed on node 0
+        with pytest.raises(ValueError):
+            fw.revoke_all_remote([FRAME, foreign], 1)
+        with pytest.raises(PermissionError):
+            fw.revoke_all_remote([FRAME], 0)
+        assert fw.remote_writable_frames() == [FRAME]
 
     def test_remote_writable_frames_tracks_grants(self, fw):
         assert fw.remote_writable_frames() == []

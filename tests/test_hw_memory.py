@@ -126,28 +126,25 @@ class TestFaultModel:
         assert mem.read_page(frame) == b"\x00" * params.page_size
         assert not mem.write_allowed(frame, 0)
 
-
-class TestBulkPageAccess:
-    """read_pages must match the per-page loop exactly, including raise
-    positions."""
-
-    def test_read_pages_matches_per_page(self, mem, params):
-        data = bytes(range(256)) * (params.page_size // 256)
-        mem.write_page(3, data, cpu=0)
-        frames = [0, 3, 5]
-        assert mem.read_pages(frames) == [mem.read_page(f) for f in frames]
-
-    def test_read_pages_empty(self, mem):
-        assert mem.read_pages([]) == []
-
-    def test_read_pages_out_of_range_raises(self, mem, params):
-        with pytest.raises(InvalidPhysicalAddress):
-            mem.read_pages([0, params.total_pages, 1])
-
-    def test_read_pages_failed_node_raises(self, mem, params):
+    def test_revive_keeps_other_nodes_pages(self, mem, params):
+        for frame in (0, params.pages_per_node, 2 * params.pages_per_node):
+            mem.write_bytes(frame, 0, b"page", cpu=None)
         mem.fail_node(1)
+        mem.revive_node(1)
+        assert mem.read_bytes(0, 0, 4) == b"page"
+        assert mem.read_bytes(params.pages_per_node, 0, 4) == b"\x00" * 4
+        assert mem.read_bytes(2 * params.pages_per_node, 0, 4) == b"page"
+
+    def test_failure_outranks_cutoff_until_revive(self, mem, params):
+        """One fault record per node: a cut-off node that then fails
+        reads as failed even to its own CPUs; a revive clears both."""
+        frame = params.pages_per_node
+        mem.engage_cutoff(1)
+        mem.fail_node(1)
+        mem.engage_cutoff(1)
+        assert mem.node_failed(1)
         with pytest.raises(BusError):
-            mem.read_pages([0, params.pages_per_node, 1])
-        # Healthy frames still readable in bulk during the fault window.
-        assert mem.read_pages([0, 1]) == [mem.read_page(0),
-                                          mem.read_page(1)]
+            mem.read_page(frame, cpu=1)
+        mem.revive_node(1)
+        assert not mem.node_failed(1) and not mem._any_faults
+        mem.read_page(frame, cpu=0)

@@ -85,6 +85,18 @@ class TestVerifyFile:
         errors = platform.verify_file("/d/none", b"x")
         assert errors
 
+    def test_unreadable_resident_page_reads_the_platter(self):
+        """The page cache copy comes first; when its frame's memory has
+        failed, the platter copy (still zeros: nothing was written
+        back) is what gets compared."""
+        platform = make_hive_platform()
+        data = b"A" * PAGE
+        self._write(platform, "/d/cached", data)
+        assert platform.verify_file("/d/cached", data) == []
+        machine = platform.target.machine
+        machine.memory.fail_node(2)  # the file server's memory
+        assert platform.verify_file("/d/cached", bytes(PAGE)) == []
+
     def test_dead_server_reported_as_unavailable(self):
         platform = make_hive_platform()
         self._write(platform, "/d/gone", b"x")
