@@ -133,8 +133,7 @@ def _tiers_lines(tiers: Dict[str, Any]) -> List[str]:
         lines.append(
             f"- coherence batches: {coh['batches_total']} "
             f"(memo {_pct(coh['memo_hit_rate'])}, "
-            f"inline {_pct(coh['inline_rate'])}, "
-            f"scalar {_pct(coh['scalar_rate'])})")
+            f"inline {_pct(coh['inline_rate'])})")
     rpc = tiers.get("rpc")
     if rpc:
         lines.append(
@@ -228,15 +227,45 @@ def campaign_report_json(payload: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def _round_problems(rounds: List[Dict[str, Any]]) -> List[str]:
+    """Rounds of one trial that broke "one round at a time": a round
+    that starts before an earlier one is done, and a round confirming a
+    cell dead that an earlier round confirmed and did not reboot."""
+    problems: List[str] = []
+    by_trial: Dict[Any, List[Dict[str, Any]]] = {}
+    for row in rounds:
+        by_trial.setdefault(row.get("trial"), []).append(row)
+    for trial, rows in by_trial.items():
+        done_by: float = 0
+        confirmed: set = set()
+        for row in sorted(rows, key=lambda r: r["start_ns"]):
+            if row["start_ns"] < done_by:
+                problems.append(f"trial {trial}: round {row['round']} "
+                                f"overlaps an earlier round")
+            done = row["done_ns"]
+            done_by = max(done_by, float("inf") if done is None else done)
+            if row["outcome"] != "recovered":
+                continue
+            for cell in sorted(confirmed.intersection(row["dead"])):
+                problems.append(f"trial {trial}: round {row['round']} "
+                                f"confirms cell {cell} dead again")
+            confirmed.update(row["dead"])
+            if row.get("reboot_ns") is not None:
+                confirmed.difference_update(row["dead"])
+    return problems
+
+
 def check_campaign_report(payload: Dict[str, Any]) -> List[str]:
     """Problems that should fail ``repro report --check`` (empty list
-    means healthy): missing availability percentiles, uncontained or
-    failed trials, and tainted interactions healthy cells absorbed."""
+    means healthy): missing availability percentiles, rounds that ran
+    at once or confirmed a cell dead twice, uncontained or failed
+    trials, and tainted interactions healthy cells absorbed."""
     problems: List[str] = []
     avail = payload.get("availability")
     if not avail:
         problems.append("campaign payload has no availability section")
     else:
+        problems += _round_problems(avail.get("rounds", []))
         lat = avail.get("recovery_latency_ns") or {}
         for key in ("p50", "p95", "p99"):
             if not isinstance(lat.get(key), (int, float)):

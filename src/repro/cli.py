@@ -550,6 +550,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--agreement", choices=["voting", "oracle"],
                        default="voting")
 
+    def campaign(p):
+        p.add_argument("--trials", type=_positive_int, default=1,
+                       help="trials per scenario (default: 1)")
+        p.add_argument("--agreement", choices=["voting", "oracle"],
+                       default="oracle")
+        p.add_argument("--parallel", type=int, default=2, metavar="N",
+                       help="worker processes the trials are sharded "
+                            "over (default: 2); results are "
+                            "byte-identical at any worker count")
+        p.add_argument("--progress", action="store_true",
+                       help="print a heartbeat line (shard i/N, "
+                            "sim-time, events/s) per completed trial")
+
     p_run = sub.add_parser("run", help="run a paper workload")
     p_run.add_argument("workload", choices=sorted(WORKLOADS))
     hive_config(p_run)
@@ -597,22 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run Table 7.4 fault-injection trials")
     p_inject.add_argument("scenario",
                           choices=sorted(ALL_SCENARIOS) + ["all"])
-    p_inject.add_argument("--trials", type=_positive_int, default=1)
-    p_inject.add_argument("--agreement", choices=["voting", "oracle"],
-                          default="oracle")
+    campaign(p_inject)
     p_inject.add_argument("--replay", action="store_true",
                           help="fix the workload seed "
                                "and sweep only the fault seed; each "
                                "trial records its op trace and the "
                                "merge reports where every stream "
                                "diverges from trial 0's")
-    p_inject.add_argument("--parallel", type=int, default=2, metavar="N",
-                          help="worker processes the trials are "
-                               "sharded over (default: 2)")
-    p_inject.add_argument("--progress", action="store_true",
-                          help="print a heartbeat line (shard i/N, "
-                               "sim-time, events/s) per completed "
-                               "trial")
     p_inject.add_argument("--snapshot", action="store_true",
                           help="fork each trial from a "
                                "per-worker snapshot image instead of "
@@ -629,12 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "blocked/discarded/absorbed verdicts")
     p_audit.add_argument("scenario",
                          choices=sorted(ALL_SCENARIOS) + ["all"])
-    p_audit.add_argument("--trials", type=_positive_int, default=1)
-    p_audit.add_argument("--agreement", choices=["voting", "oracle"],
-                         default="oracle")
-    p_audit.add_argument("--parallel", type=int, default=2, metavar="N",
-                         help="worker processes (default: 2); results "
-                              "are byte-identical at any worker count")
+    campaign(p_audit)
     p_audit.add_argument("--format", choices=["markdown", "json"],
                          default="markdown",
                          help="json is byte-stable for golden files")
@@ -643,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--trace-out", metavar="FILE", default=None,
                          help="also write the propagation DAG as a "
                               "Chrome-trace (chrome://tracing) JSON file")
-    p_audit.add_argument("--progress", action="store_true",
-                         help="print a heartbeat line per completed trial")
     common(p_audit)
     p_audit.set_defaults(fn=cmd_audit)
 
@@ -710,13 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--scenario",
                           choices=sorted(ALL_SCENARIOS) + ["all"],
                           default="all")
-    p_report.add_argument("--trials", type=_positive_int, default=1,
-                          help="trials per scenario (default: 1)")
-    p_report.add_argument("--agreement", choices=["voting", "oracle"],
-                          default="oracle")
-    p_report.add_argument("--parallel", type=int, default=2, metavar="N",
-                          help="worker processes for the campaign "
-                               "(default: 2)")
+    campaign(p_report)
     p_report.add_argument("--from-json", metavar="FILE", default=None,
                           help="render a campaign payload saved with "
                                "--save-campaign instead of running one")
@@ -729,11 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the report here instead of stdout")
     p_report.add_argument("--check", action="store_true",
                           help="exit 1 on missing latency percentiles, "
-                               "uncontained/failed trials, or tainted "
-                               "interactions absorbed by healthy cells")
-    p_report.add_argument("--progress", action="store_true",
-                          help="print a heartbeat line per completed "
-                               "campaign trial")
+                               "overlapping rounds or a cell confirmed "
+                               "dead twice, uncontained/failed trials, "
+                               "or tainted interactions absorbed by "
+                               "healthy cells")
     common(p_report)
     p_report.set_defaults(fn=cmd_report)
     return parser

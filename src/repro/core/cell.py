@@ -160,10 +160,10 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
     # recovery (Sections 4.2/4.3)
     # ------------------------------------------------------------------
 
-    def run_recovery(self, round_id: int, dead: Set[int],
-                     survivors: Set[int], barriers, record,
+    def run_recovery(self, round_id: int, dead: Set[int], barriers, record,
                      parent_span: int = 0) -> Generator:
-        """This cell's half of the double-barrier recovery round."""
+        """This cell's half of the double-barrier recovery round;
+        ``barriers`` are the round's two (``recovery.Barrier``)."""
         self.in_recovery = True
         if self.recovery_done_event.triggered:
             self.recovery_done_event = self.sim.event(
@@ -207,7 +207,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         phase = obs.begin("recovery.barrier1", OBS_RECOVERY,
                           cell=self.kernel_id, parent=cell_span,
                           round=round_id) if obs is not None else None
-        ev = barriers.join((round_id, 1), self.kernel_id, survivors)
+        ev = barriers[0].join(self.kernel_id)
         yield ev
         yield self.costs.barrier_round_ns
         if phase is not None:
@@ -229,7 +229,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         if not self.alive:
             # The ancestry check panicked this cell: it completes no
             # round, but the other survivors still wait on barrier 2.
-            barriers.join((round_id, 2), self.kernel_id, survivors)
+            barriers[1].join(self.kernel_id)
             if phase is not None:
                 obs.end(phase, outcome="panic")
                 obs.end(cell_span, outcome="panic")
@@ -244,7 +244,7 @@ class Cell(SharingMixin, SsiMixin, LocalKernel):
         phase = obs.begin("recovery.barrier2", OBS_RECOVERY,
                           cell=self.kernel_id, parent=cell_span,
                           round=round_id) if obs is not None else None
-        ev = barriers.join((round_id, 2), self.kernel_id, survivors)
+        ev = barriers[1].join(self.kernel_id)
         yield ev
         yield self.costs.barrier_round_ns
         if phase is not None:

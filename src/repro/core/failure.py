@@ -32,6 +32,9 @@ class Hint:
     suspect: int
     reason: str
     time_ns: int
+    #: the two-strike rule's reboot of a corrupt accuser: its round
+    #: confirms ``suspect`` without a vote (``reporter`` is -1)
+    forced: bool = False
 
 
 class FailureDetector:

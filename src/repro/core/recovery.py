@@ -31,42 +31,33 @@ level (the property Section 5.2's latency depends on).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set
+from typing import Deque, Dict, Generator, Iterable, List, Set
 
 from repro.core.failure import Hint
 from repro.obs.recorder import OBS_RECOVERY
 from repro.sim.engine import Event, Simulator
 
 
-class BarrierService:
-    """Named global barriers over a fixed participant set.
+class Barrier:
+    """One global barrier of one recovery round: it fires once every
+    survivor of the round has joined.
 
-    Models the tree-barrier the recovery algorithms use; participants are
-    the live cells of one recovery round.
+    Models the tree-barrier the recovery algorithms use.  Rounds run one
+    at a time, so each round hands its survivors two of its own.
     """
 
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._rounds: Dict[tuple, dict] = {}
+    def __init__(self, sim: Simulator, name: str,
+                 participants: Iterable[int]):
+        self.event = sim.event(name)
+        self._waiting = set(participants)
 
-    def join(self, key: tuple, cell_id: int,
-             participants: Set[int]) -> Event:
-        state = self._rounds.get(key)
-        if state is None:
-            state = {"joined": set(), "event": self.sim.event(f"bar{key}"),
-                     "participants": set(participants)}
-            self._rounds[key] = state
-        if state["participants"] != set(participants):
-            raise ValueError(f"barrier {key}: participant set mismatch")
-        state["joined"].add(cell_id)
-        if state["joined"] >= state["participants"]:
-            if not state["event"].triggered:
-                state["event"].succeed()
-        return state["event"]
-
-    def forget(self, key: tuple) -> None:
-        self._rounds.pop(key, None)
+    def join(self, cell_id: int) -> Event:
+        self._waiting.discard(cell_id)
+        if not self._waiting and not self.event.triggered:
+            self.event.succeed()
+        return self.event
 
 
 @dataclass
@@ -101,6 +92,11 @@ class RecoveryCoordinator:
     same broadcast/vote/barrier traffic the cells would exchange, charging
     the corresponding SIPS and barrier latencies, while keeping rounds
     deterministic.
+
+    Rounds run one at a time (Section 4.3: one sequence per failure).
+    ``_hints`` holds the running round's hint first, then the hints
+    queued behind it: a round starts when a hint arrives to an empty
+    queue, and ends only in its ``finally``, which starts the next one.
     """
 
     def __init__(self, registry, agreement, strike_book,
@@ -109,11 +105,9 @@ class RecoveryCoordinator:
         self.agreement = agreement
         self.strike_book = strike_book
         self.reintegrate = reintegrate
-        self.barriers = BarrierService(registry.sim)
         self.records: List[RecoveryRecord] = []
         self._round_counter = 0
-        self._active_round: Optional[int] = None
-        self._pending_suspects: Set[int] = set()
+        self._hints: Deque[Hint] = deque()
         #: observers notified with each finished RecoveryRecord
         self.observers: List = []
         #: flight recorder handle; set by attach_flight_recorder
@@ -121,34 +115,41 @@ class RecoveryCoordinator:
 
     # -- hint entry --------------------------------------------------------
 
-    def report_hint(self, hint) -> None:
-        """A cell broadcast a failure alert."""
-        self._start_round(hint, forced=False)
+    def report_hint(self, hint: Hint) -> None:
+        """A cell broadcast a failure alert: it is heard after the hints
+        already queued."""
+        self._enqueue(len(self._hints), hint)
 
     def force_round(self, suspect: int, reason: str) -> None:
-        """Two-strike rule: peers reboot a corrupt accuser without a vote."""
-        self._start_round(Hint(-1, suspect, reason, self.registry.sim.now),
-                          forced=True)
+        """Two-strike rule: peers reboot a corrupt accuser without a vote,
+        in the round after the running one."""
+        self._enqueue(1, Hint(-1, suspect, reason, self.registry.sim.now,
+                              forced=True))
 
-    def _start_round(self, hint, forced: bool) -> None:
-        """Start a round on ``hint``, or queue its suspect for the next
-        one if a round is under way.  A suspect a round has already
-        confirmed dead (and that has not rebooted since) needs no round:
-        the hint is dropped."""
-        if self.registry.confirmed_dead(hint.suspect):
-            return
-        if self._active_round is not None:
-            self._pending_suspects.add(hint.suspect)
-            return
-        self._round_counter += 1
-        self._active_round = self._round_counter
-        self.registry.sim.process(
-            self._round(self._round_counter, hint, forced),
-            name=f"recovery.round{self._round_counter}")
+    def _enqueue(self, at: int, hint: Hint) -> None:
+        self._hints.insert(at, hint)
+        if len(self._hints) == 1:
+            self._start_next()
+
+    def _start_next(self) -> None:
+        """Start a round on the first queued hint that is still news.
+
+        A hint whose suspect a round has confirmed dead (and that has not
+        rebooted since) needs no round, and one whose reporter has been
+        confirmed dead is no longer heard: both are dropped."""
+        hints = self._hints
+        dead = self.registry.confirmed_dead
+        while hints and (dead(hints[0].suspect) or dead(hints[0].reporter)):
+            hints.popleft()
+        if hints:
+            self._round_counter += 1
+            self.registry.sim.process(
+                self._round(self._round_counter, hints[0]),
+                name=f"recovery.round{self._round_counter}")
 
     # -- the round ------------------------------------------------------------
 
-    def _round(self, round_id: int, hint, forced: bool) -> Generator:
+    def _round(self, round_id: int, hint: Hint) -> Generator:
         sim = self.registry.sim
         record = RecoveryRecord(
             round_id=round_id,
@@ -161,7 +162,7 @@ class RecoveryCoordinator:
         if obs is not None:
             round_span = obs.begin("recovery.round", OBS_RECOVERY,
                                    round=round_id, suspect=hint.suspect,
-                                   reason=hint.reason, forced=forced)
+                                   reason=hint.reason, forced=hint.forced)
         outcome = "aborted"
         try:
             # 1. Suspend user level everywhere.  Threads park at their
@@ -175,40 +176,34 @@ class RecoveryCoordinator:
                     cell.suspend_user()
                     quantum = cell.costs.scheduler_quantum_ns
             yield quantum
-            # 2. Agreement.
+            # 2. Agreement on the hint's suspect.  A forced round confirms
+            # its suspect without a vote.
             t0 = sim.now
-            suspects = {hint.suspect} | self._pending_suspects
-            self._pending_suspects.clear()
             agree_span = None
             if obs is not None:
                 agree_span = obs.begin("recovery.agreement", OBS_RECOVERY,
                                        parent=round_span, round=round_id,
-                                       suspects=sorted(suspects))
-            if forced:
-                dead = set(suspects)
+                                       suspects=[hint.suspect])
+            if hint.forced:
+                dead = {hint.suspect}
                 yield self.registry.params.sips_latency_ns()
                 rounds = 0
             else:
                 result = yield from self.agreement.run(hint.reporter,
-                                                       suspects)
+                                                       {hint.suspect})
                 dead = set(result.confirmed_dead)
                 rounds = getattr(result, "rounds", 0)
             if agree_span is not None:
                 obs.end(agree_span, dead=sorted(dead), rounds=rounds)
             record.agreement_ns = sim.now - t0
             if not dead:
-                outcome = "voted_down"
                 # Voted down: resume, and strike the accuser.
+                outcome = "voted_down"
                 self._resume_all()
-                if hint.reporter >= 0 and self.strike_book.voted_down(
-                        hint.reporter, hint.suspect):
-                    self._active_round = None
+                if self.strike_book.voted_down(hint.reporter, hint.suspect):
                     self.force_round(
                         hint.reporter,
                         f"voted down twice accusing {hint.suspect}")
-                    return
-                self._active_round = None
-                self._drain_pending()
                 return
             record.dead_cells = dead
             # 3. Declare the dead cells down.
@@ -219,6 +214,8 @@ class RecoveryCoordinator:
             # 4. Per-cell recovery with the double barrier.
             survivors = [c for c in self.registry.live_cell_ids()
                          if c not in dead]
+            barriers = (Barrier(sim, f"bar({round_id}, 1)", survivors),
+                        Barrier(sim, f"bar({round_id}, 2)", survivors))
             procs = []
             for cell_id in survivors:
                 cell = self.registry.cell_object(cell_id)
@@ -226,8 +223,7 @@ class RecoveryCoordinator:
                     continue
                 record.entry_times[cell_id] = sim.now
                 procs.append(sim.process(
-                    cell.run_recovery(round_id, dead, set(survivors),
-                                      self.barriers, record,
+                    cell.run_recovery(round_id, dead, barriers, record,
                                       parent_span=round_span or 0),
                     name=f"recover.c{cell_id}.r{round_id}"))
             if procs:
@@ -241,8 +237,6 @@ class RecoveryCoordinator:
                     1 for proc in cell.processes.values()
                     if not proc.exited)
             outcome = "recovered"
-            self.barriers.forget((round_id, 1))
-            self.barriers.forget((round_id, 2))
             # 5. Resume user level; the round is complete at this point
             # (diagnostics/reboot are follow-on master activity).
             self._resume_all()
@@ -262,17 +256,8 @@ class RecoveryCoordinator:
             if round_span is not None:
                 obs.end(round_span, outcome=outcome,
                         dead=sorted(record.dead_cells))
-            self._active_round = None
-            self._drain_pending()
-
-    def _drain_pending(self) -> None:
-        """Start a round for the lowest queued suspect, skipping those a
-        round has confirmed dead since they were queued."""
-        while self._pending_suspects and self._active_round is None:
-            suspect = min(self._pending_suspects)
-            self._pending_suspects.discard(suspect)
-            self.report_hint(Hint(-1, suspect, "queued during previous round",
-                                  self.registry.sim.now))
+            self._hints.popleft()
+            self._start_next()
 
     def _resume_all(self) -> None:
         for cell_id in self.registry.live_cell_ids():

@@ -343,16 +343,10 @@ class CoherenceController:
         return tuple(gens[n] for n in home_nodes)
 
     def tier_snapshot(self) -> Dict[str, int]:
-        """Batch-tier attribution counters (see obs/profile.py).
-
-        ``scalar_batches`` is always 0: no batch falls back to a scalar
-        loop any more, and the key stays so reports compare across
-        committed bench files.
-        """
+        """Batch-tier attribution counters (see obs/profile.py)."""
         return {
             "memo_hits": self.tier_memo_hits,
             "inline_batches": self.tier_inline_batches,
-            "scalar_batches": 0,
         }
 
     def prepare_batch(self, lines: Sequence[int],

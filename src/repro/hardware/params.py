@@ -31,16 +31,10 @@ class HardwareParams:
     firewall_bits: int = 64                  # write-permission vector width
 
     # -- processor ---------------------------------------------------
-    cpu_mhz: int = 200
-    #: one instruction per cycle when not stalled (Section 7.2)
+    #: 200 MHz, one instruction per cycle when not stalled (Section 7.2)
     ns_per_cycle: float = 5.0
 
-    # -- memory hierarchy --------------------------------------------
-    l1_size: int = 32 * 1024
-    l1_assoc: int = 2
-    l2_size: int = 1024 * 1024
-    l2_assoc: int = 2
-    l2_hit_ns: int = 50          # first-level miss that hits in L2
+    # -- memory ------------------------------------------------------
     mem_latency_ns: int = 700    # fixed FLASH average miss latency
     #: extra coherence-controller latency for a firewall permission check
     #: on a remote ownership request.  Derived: the paper measured a 4.4 to
@@ -61,9 +55,6 @@ class HardwareParams:
     sips_payload: int = 128      # one cache line per SIPS message
     sips_queue_depth: int = 16   # short receive queues per node (derived)
     mesh_hop_ns: int = 50        # per-hop component of remote access (derived)
-
-    # -- uncached / device access -------------------------------------
-    uncached_access_ns: int = 250  # PIO to a device register (derived)
 
     # -- disk (HP 97560, from Kotz et al. model) -----------------------
     disk_rpm: int = 4002

@@ -25,7 +25,8 @@ Timeline rules:
 * a cell confirmed dead by a recovery round is **dead** from its
   ``fault.inject`` (falling back to its ``panic`` event, then to the
   round start) until the round's ``recovery.master`` span ends with
-  ``rebooted=True`` — or to the horizon if never rebooted;
+  ``rebooted=True`` (the round's row then carries that ``reboot_ns``)
+  — or to the horizon if never rebooted;
 * survivors of a recovered round are **suspended** from round start to
   the round's ``recovery.done`` event (user level resumes there; the
   round span itself extends through diagnostics and reboot);
@@ -197,12 +198,15 @@ def availability_from_dicts(records: Iterable[Dict[str, Any]],
             work = {key: attrs.get(key, 0) for key in totals}
             for key in totals:
                 totals[key] += work[key]
-        round_rows.append({
+        row = {
             "round": round_id, "outcome": outcome, "dead": dead,
             "start_ns": start, "done_ns": done_ns,
             "detect_ns": detect_ns, "recovery_ns": recovery_ns,
             "work_lost": work,
-        })
+        }
+        if reboot_ns is not None:
+            row["reboot_ns"] = reboot_ns
+        round_rows.append(row)
 
     # A panicked cell no round ever recovered stays down to the horizon.
     for p in panics:

@@ -1,11 +1,11 @@
 """Hot-path tier profiling: which tier served the work.
 
 Two subsystems resolve work in tiers — coherence batches (memo replay
-/ inlined sequential; the ``scalar`` keys stay at 0) and RPC dispatch
-(one coalesced path).  This module aggregates
-the per-subsystem attribution counters into one JSON-stable snapshot so
-campaigns and benchmarks can report *tier hit rates* — how often each
-tier actually fired — instead of guessing from end-to-end timings.
+/ inlined sequential) and RPC dispatch (one coalesced path).  This
+module aggregates the per-subsystem attribution counters into one
+JSON-stable snapshot so campaigns and benchmarks can report *tier hit
+rates* — how often each tier actually fired — instead of guessing from
+end-to-end timings.
 
 Counter sources:
 
@@ -33,12 +33,10 @@ def _rate(part: int, whole: int) -> float:
 def coherence_tiers(coherence) -> Dict[str, Any]:
     """Batch-tier counts and hit rates for one coherence controller."""
     snap = coherence.tier_snapshot()
-    total = (snap["memo_hits"] + snap["inline_batches"]
-             + snap["scalar_batches"])
+    total = snap["memo_hits"] + snap["inline_batches"]
     snap["batches_total"] = total
     snap["memo_hit_rate"] = _rate(snap["memo_hits"], total)
     snap["inline_rate"] = _rate(snap["inline_batches"], total)
-    snap["scalar_rate"] = _rate(snap["scalar_batches"], total)
     return snap
 
 
@@ -73,8 +71,7 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     averaged — shard sizes differ).
     """
     merged: Dict[str, Any] = {
-        "coherence": {"memo_hits": 0, "inline_batches": 0,
-                      "scalar_batches": 0},
+        "coherence": {"memo_hits": 0, "inline_batches": 0},
         "rpc": {"fast_path": 0, "calls_total": 0},
     }
     coh = merged["coherence"]
@@ -83,7 +80,7 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
         if not snap:
             continue
         shard = snap["coherence"]
-        for key in ("memo_hits", "inline_batches", "scalar_batches"):
+        for key in ("memo_hits", "inline_batches"):
             coh[key] += shard[key]
         rpc["fast_path"] += snap["rpc"]["fast_path"]
         rpc["calls_total"] += snap["rpc"]["calls_total"]
@@ -92,7 +89,6 @@ def merge_tier_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     coh["batches_total"] = total
     coh["memo_hit_rate"] = _rate(coh["memo_hits"], total)
     coh["inline_rate"] = _rate(coh["inline_batches"], total)
-    coh["scalar_rate"] = _rate(coh["scalar_batches"], total)
 
     rpc["fast_rate"] = _rate(rpc["fast_path"], rpc["calls_total"])
     return merged

@@ -41,11 +41,9 @@ class KernelCosts:
     # -- generic kernel entry ------------------------------------------
     syscall_overhead_ns: int = 2 * NS_PER_US      # trap + dispatch + return
     context_switch_ns: int = 10 * NS_PER_US       # full switch incl. sync
-    tlb_miss_ns: int = 300                         # software-refill uTLB miss
     tlb_flush_ns: int = 5 * NS_PER_US              # whole-TLB flush
     scheduler_quantum_ns: int = 10 * NS_PER_MS     # 100 Hz time slice
     clock_tick_ns: int = 10 * NS_PER_MS            # clock interrupt period
-    clock_handler_ns: int = 3 * NS_PER_US          # tick bookkeeping
 
     # -- page fault path (Table 5.2) --------------------------------------
     #: the local fault path minus the separately-charged hash lookup:

@@ -37,7 +37,8 @@ def equiv_row(row):
 #: were ``sweep_inject_times("small", 2)``.  (The always-``None``
 #: ``tiers.engine`` entry left the rows with the key itself, and the
 #: always-0 ``vector_batches`` / ``vector_rate`` went with the
-#: vectorized coherence tier; no value was touched.)
+#: vectorized coherence tier, and ``scalar_batches`` / ``scalar_rate``
+#: with the scalar one; no value was touched.)
 LAST_REPLAY_RUN = {
     ("small", None): equiv_row(DIGESTS["throughput small"]),
     ("medium", None): equiv_row(DIGESTS["throughput medium"]),
@@ -48,7 +49,7 @@ LAST_REPLAY_RUN = {
         True, 'samples': 461, 'sim_ms': 600.0, 'tiers': {'coherence':
         {'batches_total': 293127, 'inline_batches': 273, 'inline_rate':
         0.0009313369290444073, 'memo_hit_rate': 0.9990686630709555,
-        'memo_hits': 292854, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
+        'memo_hits': 292854}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 24320},
     ('small', 37): {'accesses': 285756, 'channels': {'digest': 818060137031,
@@ -58,7 +59,7 @@ LAST_REPLAY_RUN = {
         'samples': 63, 'sim_ms': 400.0, 'tiers': {'coherence':
         {'batches_total': 17846, 'inline_batches': 21, 'inline_rate':
         0.0011767342821920879, 'memo_hit_rate': 0.9988232657178079,
-        'memo_hits': 17825, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
+        'memo_hits': 17825}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 448},
     ('small', 106): {'accesses': 326986, 'channels': {'digest': 818839404376,
@@ -68,7 +69,7 @@ LAST_REPLAY_RUN = {
         'samples': 66, 'sim_ms': 400.0, 'tiers': {'coherence':
         {'batches_total': 20422, 'inline_batches': 21, 'inline_rate':
         0.0010283028106943491, 'memo_hit_rate': 0.9989716971893057,
-        'memo_hits': 20401, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
+        'memo_hits': 20401}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 832},
     ('small', 153): {'accesses': 357972, 'channels': {'digest': 811883795437,
@@ -78,7 +79,7 @@ LAST_REPLAY_RUN = {
         'samples': 69, 'sim_ms': 400.0, 'tiers': {'coherence':
         {'batches_total': 22358, 'inline_batches': 21, 'inline_rate':
         0.000939261114589856, 'memo_hit_rate': 0.9990607388854101, 'memo_hits':
-        22337, 'scalar_batches': 0, 'scalar_rate': 0.0}, 'rpc':
+        22337}, 'rpc':
         {'calls_total': 0, 'fast_path': 0, 'fast_rate': 0.0}},
         'writable_page_samples': 1216},
 }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.faultexp import (HW_DURING_PROCESS_CREATION,
+from repro.bench.faultexp import (HW_DURING_PROCESS_CREATION, SW_COW_TREE,
                                   FaultExperimentRunner)
 from repro.core.agreement import OracleAgreement, VotingAgreement
 from repro.core.failure import Hint, StrikeBook
@@ -10,6 +10,7 @@ from repro.core.hive import boot_hive
 from repro.core.invariants import check_system
 from repro.hardware.machine import MachineConfig
 from repro.hardware.params import HardwareParams
+from repro.obs.recorder import attach_flight_recorder
 from repro.sim.engine import Simulator
 from repro.unix.fs import PAGE
 
@@ -297,24 +298,31 @@ class TestRecovery:
     def test_double_barrier_ordering(self):
         """All survivors pass barrier 1 before any passes barrier 2."""
         hive = boot4()
-        from repro.core.recovery import BarrierService
+        from repro.core.recovery import Barrier
 
         order = []
-        orig_join = BarrierService.join
+        orig_join = Barrier.join
 
-        def spy(self, key, cell_id, participants):
-            order.append((key[1], cell_id))
-            return orig_join(self, key, cell_id, participants)
+        def spy(self, cell_id):
+            order.append((self.event.name, cell_id))
+            return orig_join(self, cell_id)
 
-        BarrierService.join = spy
+        Barrier.join = spy
         try:
             hive.machine.halt_node(3)
+            hive.coordinator.report_hint(
+                Hint(0, 3, "bus error", hive.sim.now))
             settle(hive)
         finally:
-            BarrierService.join = orig_join
-        firsts = [i for i, (phase, _c) in enumerate(order) if phase == 1]
-        seconds = [i for i, (phase, _c) in enumerate(order) if phase == 2]
+            Barrier.join = orig_join
+        assert [r.detection_reason
+                for r in hive.coordinator.records] == ["bus error"]
+        firsts = [i for i, (name, _c) in enumerate(order)
+                  if name == "bar(1, 1)"]
+        seconds = [i for i, (name, _c) in enumerate(order)
+                   if name == "bar(1, 2)"]
         assert len(firsts) == 3 and len(seconds) == 3
+        assert len(order) == 6
         assert max(firsts) < min(seconds)
 
     def test_reintegration_reboots_cell(self):
@@ -379,15 +387,20 @@ class TestNoRoundForAConfirmedDeadCell:
         assert len(hive.coordinator.records) == 1
 
     def test_drain_skips_a_dead_suspect_for_the_next(self):
+        """Behind a running round, a queued hint about a cell confirmed
+        dead is dropped and the next queued hint gets the round.  (Cell
+        2 panics rather than halts: a halted cell cannot vote, so the
+        running round's agreement would confirm it too.)"""
         hive = self._dead(0)
         coord = hive.coordinator
-        hive.machine.halt_node(2)
-        coord._pending_suspects |= {0, 2}
-        coord._drain_pending()
+        hive.cell(2).panic("injected corruption")
+        now = hive.sim.now
+        coord.report_hint(Hint(1, 3, "spurious alert", now))
+        coord.report_hint(Hint(3, 0, "late alert", now))
+        coord.report_hint(Hint(1, 2, "alert about 2", now))
         settle(hive, 1_000)
         assert [(sorted(r.dead_cells), r.detection_reason)
-                for r in coord.records[1:]] == [
-            ([2], "queued during previous round")]
+                for r in coord.records[1:]] == [([2], "alert about 2")]
 
     def test_hw_process_creation_seed_0_runs_one_round(self):
         """Cell 3's failure raises a second alert while its round runs;
@@ -399,6 +412,73 @@ class TestNoRoundForAConfirmedDeadCell:
         assert trial.contained, trial.reason
         assert [sorted(r.dead_cells)
                 for r in box["system"].coordinator.records] == [[3]]
+
+
+class TestOneRoundAtATime:
+    """Rounds run one at a time: a hint that arrives during a round
+    waits in the queue, a forced round confirms only its own suspect,
+    and a queued hint is dropped once its suspect or its reporter has
+    been confirmed dead."""
+
+    def _records(self, hive):
+        return [(r.round_id, sorted(r.dead_cells), r.detection_reason)
+                for r in hive.coordinator.records]
+
+    def test_forced_round_confirms_only_its_suspect(self):
+        hive = boot4()
+        hive.coordinator.force_round(2, "voted down twice accusing 1")
+        hive.coordinator.report_hint(
+            Hint(1, 0, "spurious alert", hive.sim.now))
+        settle(hive, 1_000)
+        assert self._records(hive) == [
+            (1, [2], "voted down twice accusing 1")]
+        assert hive.registry.is_live(0)
+
+    def test_hint_from_a_confirmed_dead_reporter_is_dropped(self):
+        hive = boot4()
+        hive.coordinator.force_round(1, "voted down twice accusing 2")
+        hive.coordinator.report_hint(
+            Hint(1, 2, "alert from the accuser", hive.sim.now))
+        settle(hive, 1_000)
+        assert self._records(hive) == [
+            (1, [1], "voted down twice accusing 2")]
+        assert hive.registry.is_live(2)
+
+    def test_voted_down_twice_forces_the_next_round(self):
+        """The forced round runs next, ahead of hints queued before it,
+        and the accuser's queued accusation is dropped with it."""
+        hive = boot4()
+        coord = hive.coordinator
+        now = hive.sim.now
+        coord.report_hint(Hint(0, 2, "spurious alert", now))
+        coord.report_hint(Hint(0, 2, "spurious alert again", now))
+        coord.report_hint(Hint(0, 2, "spurious alert a third time", now))
+        settle(hive, 1_000)
+        assert self._records(hive) == [
+            (3, [0], "voted down twice accusing 2")]
+        assert hive.registry.is_live(2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sw_cow_tree_one_round(self, seed):
+        """Seeds 0-2 vote cell 3's accusations of cell 0 down twice, and
+        a careful-reference hint about cell 3 arrives while the forced
+        round runs: one round confirms cell 3, and no rounds overlap."""
+        box = {}
+
+        def on_boot(system):
+            box["recorder"] = attach_flight_recorder(system)
+            box["system"] = system
+
+        trial = FaultExperimentRunner(on_boot=on_boot).run_trial(
+            SW_COW_TREE, seed=seed)
+        assert trial.contained, trial.reason
+        assert [r.round_id for r in box["system"].coordinator.records
+                if 3 in r.dead_cells] == [3]
+        rounds = sorted((s.start_ns, s.end_ns) for s in
+                        box["recorder"].spans_named("recovery.round"))
+        assert len(rounds) == 3
+        assert all(end is not None and end <= nxt
+                   for (_s, end), (nxt, _e) in zip(rounds, rounds[1:]))
 
 
 class TestOneGrantRecord:

@@ -232,7 +232,7 @@ class TestBatchedAccess:
         coh = self._compare(self._mixed_case)
         # 96 unique lines: a large batch is one inline batch too.
         assert coh.tier_snapshot() == {
-            "memo_hits": 0, "inline_batches": 1, "scalar_batches": 0}
+            "memo_hits": 0, "inline_batches": 1}
 
     def test_inline_tier_matches_scalar(self):
         def small_case():

@@ -317,11 +317,9 @@ class TestTierSnapshots:
     def _snap(self, memo=2, fast=10, calls=15):
         return {
             "coherence": {"memo_hits": memo, "inline_batches": 2,
-                          "scalar_batches": 0,
                           "batches_total": memo + 2,
                           "memo_hit_rate": memo / (memo + 2),
-                          "inline_rate": 2 / (memo + 2),
-                          "scalar_rate": 0.0},
+                          "inline_rate": 2 / (memo + 2)},
             "rpc": {"fast_path": fast, "calls_total": calls,
                     "fast_rate": fast / calls},
         }
@@ -453,6 +451,36 @@ class TestCampaignReport:
         rpc = row["tiers"]["rpc"]
         assert rpc["fast_path"] == rpc["calls_total"] == row["calls"] > 0
         assert rpc["fast_rate"] == 1.0
+
+    def test_check_flags_rounds_at_once_and_a_cell_confirmed_twice(self):
+        """One round at a time: a round that starts before the last one
+        is done, or confirms a cell that a round confirmed and did not
+        reboot, fails ``--check``.  A second failure after a reboot is
+        a second round, not a problem."""
+        at_once = [
+            event("fault.inject", 1 * MS, cell=1, attrs={"kind": "hw"}),
+            span("recovery.round", 2 * MS, 100 * MS, attrs={
+                "round": 1, "outcome": "recovered", "dead": [1]}),
+            span("recovery.round", 3 * MS, 100 * MS, span_id=2, attrs={
+                "round": 2, "outcome": "recovered", "dead": [1]}),
+        ]
+        payload = self._payload()
+        payload["availability"] = merge_availability(
+            [availability_from_dicts(at_once, cell_ids=[0, 1],
+                                     horizon_ns=1000 * MS)],
+            labels=["t0"])
+        assert check_campaign_report(payload) == [
+            "trial t0: round 2 overlaps an earlier round",
+            "trial t0: round 2 confirms cell 1 dead again"]
+        after_reboot = recovered_run() + [
+            event("fault.inject", 500 * MS, cell=1, attrs={"kind": "hw"}),
+            span("recovery.round", 501 * MS, 600 * MS, span_id=2, attrs={
+                "round": 2, "outcome": "recovered", "dead": [1]}),
+        ]
+        payload["availability"] = availability_from_dicts(
+            after_reboot, cell_ids=[0, 1], horizon_ns=1000 * MS)
+        assert payload["availability"]["rounds"][0]["reboot_ns"] == 400 * MS
+        assert check_campaign_report(payload) == []
 
     def test_check_flags_missing_availability_and_failures(self):
         problems = check_campaign_report(

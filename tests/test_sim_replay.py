@@ -138,7 +138,7 @@ class TestReplayObservability:
     def test_merge_tier_snapshots_folds_replay(self):
         # The merge reads the coherence and rpc sections only: a section
         # or count no shard writes any more (``replay``, ``engine``,
-        # ``vector_batches``) is no error and no key.
+        # ``vector_batches``, ``scalar_batches``) is no error and no key.
         snap = {
             "coherence": {"memo_hits": 10, "inline_batches": 2,
                           "vector_batches": 1, "scalar_batches": 0},
