@@ -74,11 +74,15 @@ def _build_platform(args) -> Platform:
             params=params, seed=args.seed, firewall_enabled=False))
         target = kernel
     else:
-        target = boot_hive(sim, num_cells=args.cells,
-                           machine_config=MachineConfig(params=params,
-                                                        seed=args.seed),
-                           agreement=args.agreement,
-                           with_wax=args.wax)
+        try:
+            target = boot_hive(sim, num_cells=args.cells,
+                               machine_config=MachineConfig(
+                                   params=params, seed=args.seed),
+                               agreement=args.agreement,
+                               with_wax=args.wax)
+        except ValueError as exc:  # a machine shape that cannot boot
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2)
     namespace = target.namespace
     namespace.mount("/tmp", 1 % args.nodes)
     namespace.mount("/usr", 2 % args.nodes)

@@ -243,6 +243,8 @@ class HiveSystem:
 
 
 def _partition_nodes(num_nodes: int, num_cells: int) -> Dict[int, List[int]]:
+    if num_cells < 1:
+        raise ValueError(f"a system needs at least one cell: {num_cells}")
     if num_nodes % num_cells:
         raise ValueError(
             f"{num_nodes} nodes do not divide into {num_cells} cells")

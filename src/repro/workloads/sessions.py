@@ -22,8 +22,12 @@ booted :class:`~repro.core.hive.HiveSystem`:
   demand scaled by its type (compile / compute / fs-heavy mix) and is
   placed round-robin on a per-cell FCFS server pool.  The exact FCFS
   recurrence ``finish_i = max(arrival_i, finish_{i-1}) + service_i``
-  runs vectorized (cumsum + running max), so a million sessions cost
-  array passes, not a million engine events;
+  runs vectorized: each cell's sessions of a chunk fill a padded
+  ``(rows, servers_per_cell)`` block, one column per server, and one
+  cumsum plus one running max down the columns serve every server at
+  once.  The padding (arrival -inf, service 0.0) is an exact identity
+  for both, so the result is bit for bit a per-server loop's.  A chunk
+  costs a fixed number of array passes, not a million engine events;
 * **real sharing traffic** — the generator advances the simulator
   chunk by chunk, and a deterministic fraction of sessions issues real
   coherence accesses against firewall-granted remote frames (the
@@ -49,6 +53,7 @@ rates vary.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
@@ -73,6 +78,7 @@ except ImportError:  # pragma: no cover - numpy is baked into the image
 SESSION_TYPES: Tuple[str, ...] = ("compile", "compute", "fs")
 _SERVICE_SCALE = {"compile": 1.25, "compute": 1.0, "fs": 0.75}
 _COUPLING_WEIGHT = {"compile": 1.0, "compute": 0.25, "fs": 2.0}
+DISTRIBUTIONS: Tuple[str, ...] = ("lognormal", "pareto")
 
 #: uniform draws reserved per session (indices are the substream layout:
 #: 0/1 feed the interarrival draw, 2/3 the service draw, 4 the type mix;
@@ -101,23 +107,33 @@ def _require_numpy() -> None:
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mix64(x: "np.ndarray", tmp: "np.ndarray") -> "np.ndarray":
+    """The SplitMix64 finalizer, in place over uint64 ``x``; ``tmp`` is
+    a scratch array of the same shape."""
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= np.uint64(_SM_MIX1)
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= np.uint64(_SM_MIX2)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
+    return x
 
 
 def _splitmix64(x: "np.ndarray") -> "np.ndarray":
-    """Vectorized SplitMix64 finalizer over uint64 counters."""
-    x = (x + np.uint64(_SM_GAMMA)).astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_SM_MIX1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_SM_MIX2)
-    x ^= x >> np.uint64(31)
-    return x
+    """Vectorized SplitMix64 over uint64 counters (a new array)."""
+    x = x + np.uint64(_SM_GAMMA)
+    return _mix64(x, np.empty_like(x))
 
 
 def _stream_base(seed: int) -> int:
     """The per-seed stream key (itself SplitMix64-whitened so adjacent
     seeds land in unrelated counter regions)."""
-    arr = np.asarray([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    arr = np.asarray([seed & _MASK64], dtype=np.uint64)
     return int(_splitmix64(_splitmix64(arr))[0])
 
 
@@ -142,23 +158,32 @@ def session_uniforms(seed: int, sids: "np.ndarray",
 
 def _heavy_tailed(kind: str, mean: float, shape: float, u1: "np.ndarray",
                   u2: "np.ndarray") -> "np.ndarray":
-    """Heavy-tailed positive samples with the requested mean.
+    """Heavy-tailed positive samples with the requested mean, computed
+    in place in ``u1`` (``u2`` is overwritten too).
 
     ``lognormal``: ``shape`` is sigma; mu is solved so E[X] = mean (the
     normal deviate comes from a Box-Muller transform of the session's
     two uniforms).  ``pareto``: ``shape`` is alpha (> 1); the scale is
-    solved so E[X] = mean.
+    solved so E[X] = mean.  Each step is the IEEE operation of
+    ``exp(mu + shape * sqrt(-2 log u1) * cos(2 pi u2))`` and
+    ``xm * u1 ** (-1 / shape)``, with the operands of a single product
+    or sum commuted at most.
     """
     if kind == "lognormal":
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        mu = np.log(mean) - 0.5 * shape * shape
-        return np.exp(mu + shape * z)
-    if kind == "pareto":
-        if shape <= 1.0:
-            raise ValueError("pareto shape must be > 1 for a finite mean")
-        xm = mean * (shape - 1.0) / shape
-        return xm * np.power(u1, -1.0 / shape)
-    raise ValueError(f"unknown distribution {kind!r}")
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * np.pi
+        np.cos(u2, out=u2)
+        u1 *= u2
+        u1 *= shape
+        u1 += np.log(mean) - 0.5 * shape * shape
+        return np.exp(u1, out=u1)
+    if shape <= 1.0:
+        raise ValueError("pareto shape must be > 1 for a finite mean")
+    np.power(u1, -1.0 / shape, out=u1)
+    u1 *= mean * (shape - 1.0) / shape
+    return u1
 
 
 # -- configuration ----------------------------------------------------------
@@ -202,6 +227,26 @@ class SessionTrafficConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative: "
                                  f"{getattr(self, name)}")
+        for name in ("servers_per_cell", "chunk_sessions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1: "
+                                 f"{getattr(self, name)}")
+        for name in ("mean_interarrival_ns", "mean_service_ns"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite: "
+                                 f"{value}")
+        for name in ("interarrival", "service"):
+            if getattr(self, name) not in DISTRIBUTIONS:
+                raise ValueError(f"unknown {name} distribution "
+                                 f"{getattr(self, name)!r} (one of "
+                                 f"{', '.join(DISTRIBUTIONS)})")
+        if (len(self.mix) != len(SESSION_TYPES)
+                or not all(0.0 <= w < math.inf for w in self.mix)
+                or not sum(self.mix) > 0.0):
+            raise ValueError(f"mix must be {len(SESSION_TYPES)} "
+                             f"non-negative finite weights with a "
+                             f"positive sum: {self.mix}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -213,27 +258,45 @@ def generate_chunk(cfg: SessionTrafficConfig, start_sid: int, count: int,
     ``[start_sid, start_sid + count)``, starting the clock at ``t0_ns``.
 
     Pure per-session substream math — the same session gets the same
-    draws whatever chunk boundaries it lands in.
+    draws whatever chunk boundaries it lands in.  Each draw is
+    :func:`session_uniforms` with the stream key folded in once:
+    ``sid*DRAWS_PER_SESSION + (draw + base + gamma)`` is the same
+    uint64 counter, wrap-around included.
     """
     _require_numpy()
     sids = np.arange(start_sid, start_sid + count, dtype=np.uint64)
-    seed = cfg.seed
-    inter = _heavy_tailed(
+    counters = sids * np.uint64(DRAWS_PER_SESSION)
+    key = _stream_base(cfg.seed) + _SM_GAMMA
+    tmp = np.empty_like(counters)
+
+    def uniforms(draw: int) -> "np.ndarray":
+        bits = _mix64(counters + np.uint64((key + draw) & _MASK64), tmp)
+        # session_uniforms' top-53-bit conversion, in place: each
+        # element is read before it is written, and values below 2**53
+        # convert to float64 exactly.
+        bits >>= np.uint64(11)
+        unit = bits.view(np.float64)
+        np.add(bits, 1.0, out=unit)
+        unit *= 2.0 ** -53
+        return unit
+
+    arrivals = _heavy_tailed(
         cfg.interarrival, cfg.mean_interarrival_ns, cfg.interarrival_shape,
-        session_uniforms(seed, sids, DRAW_ARRIVAL),
-        session_uniforms(seed, sids, DRAW_ARRIVAL2))
-    arrivals = t0_ns + np.cumsum(inter)
+        uniforms(DRAW_ARRIVAL), uniforms(DRAW_ARRIVAL2))
+    np.cumsum(arrivals, out=arrivals)
+    arrivals += t0_ns
     service = _heavy_tailed(
         cfg.service, cfg.mean_service_ns, cfg.service_shape,
-        session_uniforms(seed, sids, DRAW_SERVICE),
-        session_uniforms(seed, sids, DRAW_SERVICE2))
+        uniforms(DRAW_SERVICE), uniforms(DRAW_SERVICE2))
+    # The type is the count of mix edges strictly below the draw (a
+    # left searchsorted), capped at the last type.
     weights = np.asarray(cfg.mix, dtype=np.float64)
     cum = np.cumsum(weights / weights.sum())
-    types = np.searchsorted(
-        cum, session_uniforms(seed, sids, DRAW_TYPE), side="left")
-    types = np.minimum(types, len(SESSION_TYPES) - 1).astype(np.int8)
-    scale = np.asarray([_SERVICE_SCALE[t] for t in SESSION_TYPES])
-    service = service * scale[types]
+    u = uniforms(DRAW_TYPE)
+    types = np.zeros(count, dtype=np.int8)
+    for edge in cum[:-1]:
+        types += u > edge
+    service *= np.asarray([_SERVICE_SCALE[t] for t in SESSION_TYPES])[types]
     return {"sids": sids, "arrivals": arrivals, "service": service,
             "types": types}
 
@@ -360,6 +423,67 @@ class _CouplingDriver:
             self._cursor[client] = cursor
 
 
+# -- placement and queueing -------------------------------------------------
+
+
+def _placement(cell_arr: "np.ndarray", start_sid: int,
+               count: int) -> "np.ndarray":
+    """Static round-robin: session ``sid`` on ``cell_arr[sid % ncells]``,
+    for the consecutive sessions ``[start_sid, start_sid + count)``."""
+    ncells = cell_arr.size
+    return np.tile(np.roll(cell_arr, -(start_sid % ncells)),
+                   -(-count // ncells))[:count]
+
+
+def _probe_rows(start_sid: int, count: int, every: int) -> range:
+    """Rows of the chunk ``[start_sid, start_sid + count)`` whose session
+    id is a multiple of ``every``."""
+    return range(-start_sid % every, count, every)
+
+
+def _fcfs_chunk(cell_ids, cells_arr: "np.ndarray", arrivals: "np.ndarray",
+                service: "np.ndarray", last_finish: "np.ndarray",
+                server_rr: list) -> "np.ndarray":
+    """Finish times of a chunk's sessions on their cells' FCFS server
+    pools; ``last_finish[k]`` and ``server_rr[k]`` carry the servers'
+    last finish and the next server of cell ``cell_ids[k]`` from chunk
+    to chunk.
+
+    Each cell is one ``(rows, nservers)`` block, filled row-major from
+    slot ``server_rr`` under a row of last finishes, so column s is
+    server s's queue; one running sum ``cs`` and one running max down
+    the columns give ``finish = cs + max(arrival - (cs - service))``.
+    The padding (arrival -inf, service 0.0) is an exact identity for
+    both, so this is bit for bit a loop over each server alone, and a
+    column's bottom slot is its last finish (DESIGN.md §3j).
+    """
+    nservers = last_finish.shape[1]
+    finish = np.empty(arrivals.size, dtype=np.float64)
+    for k, c in enumerate(cell_ids):
+        cidx = np.flatnonzero(cells_arr == c)
+        if cidx.size == 0:
+            continue
+        lo = nservers + server_rr[k]
+        hi = lo + cidx.size
+        slots = -(-hi // nservers) * nservers
+        a = np.full(slots, -np.inf)
+        a[:nservers] = last_finish[k]
+        a[lo:hi] = arrivals[cidx]
+        sv = np.zeros(slots)
+        sv[lo:hi] = service[cidx]
+        a = a.reshape(-1, nservers)
+        sv = sv.reshape(-1, nservers)
+        cs = np.cumsum(sv, axis=0)
+        np.subtract(cs, sv, out=sv)
+        a -= sv
+        np.maximum.accumulate(a, axis=0, out=a)
+        a += cs
+        finish[cidx] = a.ravel()[lo:hi]
+        last_finish[k] = a[-1]
+        server_rr[k] = hi % nservers
+    return finish
+
+
 # -- probe sessions: sampled real kernel work -------------------------------
 
 
@@ -421,8 +545,6 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     probe_box = {"completed": 0}
     probes_launched = 0
 
-    weights = np.asarray(cfg.mix, dtype=np.float64)
-    weights = weights / weights.sum()
     coupling_weight = np.asarray(
         [_COUPLING_WEIGHT[t] for t in SESSION_TYPES])
 
@@ -447,9 +569,11 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
         return idx[undecided], finish[undecided], cells[undecided]
 
     lost_arrivals = 0
-    last_finish: Dict[Tuple[int, int], float] = {}
-    server_rr: Dict[int, int] = {c: 0 for c in cell_ids}
-    by_type = {name: 0 for name in SESSION_TYPES}
+    # Each cell's FCFS pool, carried from chunk to chunk (_fcfs_chunk).
+    last_finish = np.zeros((ncells, nservers), dtype=np.float64)
+    server_rr = [0] * ncells
+    type_counts = np.zeros(len(SESSION_TYPES), dtype=np.int64)
+    cell_arr = np.asarray(cell_ids, dtype=np.int64)
 
     wall0 = time.perf_counter()
     t_cursor = finish_max = float(sim.now)
@@ -457,7 +581,6 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
     while produced < cfg.sessions:
         count = min(cfg.chunk_sessions, cfg.sessions - produced)
         chunk = generate_chunk(cfg, produced, count, t_cursor)
-        sids = chunk["sids"]
         arrivals = chunk["arrivals"]
         service = chunk["service"]
         types = chunk["types"]
@@ -473,8 +596,9 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
                 deaths.setdefault(c, float(sim.now))
 
         # Real sharing traffic proportional to the chunk's type mix.
+        tcounts = np.bincount(types, minlength=len(SESSION_TYPES))
+        type_counts += tcounts
         if coupling._cycles:
-            tcounts = np.bincount(types, minlength=len(SESSION_TYPES))
             ops = float((tcounts * coupling_weight).sum()
                         * cfg.coupling_ops_per_session)
             per_cell = {c: ops / ncells for c in cell_ids}
@@ -483,8 +607,7 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
         # Placement: static round-robin, with arrivals after a known
         # death failing over to the surviving cells (without failover
         # they are lost arrivals: lost bit set, never served).
-        cells_arr = np.asarray(cell_ids, dtype=np.int64)[
-            (sids % np.uint64(ncells)).astype(np.int64)]
+        cells_arr = _placement(cell_arr, rows.start, count)
         if deaths:
             live = [c for c in cell_ids if c not in deaths]
             live_arr = np.asarray(live, dtype=np.int64)
@@ -494,51 +617,28 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
                     continue
                 idx = np.flatnonzero(mask)
                 if cfg.failover and live:
-                    cells_arr[idx] = live_arr[
-                        (sids[idx] % np.uint64(len(live))).astype(np.int64)]
+                    cells_arr[idx] = live_arr[(rows.start + idx) % len(live)]
                 elif not cfg.failover:
                     lost[rows.start + idx] = True
                     lost_arrivals += idx.size
 
         # Per-cell FCFS server pool: exact vectorized recurrence.
-        chunk_finish = np.empty(count, dtype=np.float64)
-        for c in cell_ids:
-            cidx = np.flatnonzero(cells_arr == c)
-            if cidx.size == 0:
-                continue
-            srv = (server_rr[c] + np.arange(cidx.size)) % nservers
-            server_rr[c] = (server_rr[c] + cidx.size) % nservers
-            for s in range(nservers):
-                qidx = cidx[srv == s]
-                if qidx.size == 0:
-                    continue
-                a = arrivals[qidx]
-                sv = service[qidx]
-                cs = np.cumsum(sv)
-                prev = last_finish.get((c, s), 0.0)
-                gap = np.maximum.accumulate(
-                    np.maximum(a - (cs - sv), prev))
-                q_finish = cs + gap
-                chunk_finish[qidx] = q_finish
-                last_finish[(c, s)] = float(q_finish[-1])
+        chunk_finish = _fcfs_chunk(cell_ids, cells_arr, arrivals, service,
+                                   last_finish, server_rr)
 
         # Sampled probe sessions run as real kernel processes on their
         # session's cell.
-        if platform is not None and cfg.probe_every:
-            probe_sids = np.flatnonzero(
-                sids % np.uint64(cfg.probe_every) == 0)
-            for i in probe_sids:
+        if platform is not None:
+            for i in _probe_rows(rows.start, count, cfg.probe_every):
                 cell = int(cells_arr[i])
                 if not registry.is_live(cell):
                     continue
                 platform.spawn_init(
                     cell_ids.index(cell),
                     _probe_program(int(service[i]), probe_box),
-                    f"session-probe{int(sids[i])}")
+                    f"session-probe{rows.start + i}")
                 probes_launched += 1
 
-        for t, name in enumerate(SESSION_TYPES):
-            by_type[name] += int((types == t).sum())
         np.subtract(chunk_finish, arrivals, out=latency[rows])
         finish_max = max(finish_max, float(chunk_finish.max()))
         now = float(sim.now)
@@ -604,7 +704,7 @@ def run_session_traffic(system: HiveSystem, cfg: SessionTrafficConfig,
         latency_p99_ms=round(p99 / NS_PER_MS, 4),
         latency_mean_ms=round(mean / NS_PER_MS, 4),
         latency_hist=hist.to_dict(),
-        by_type=by_type,
+        by_type=dict(zip(SESSION_TYPES, map(int, type_counts))),
         coupling_accesses=coupling.accesses,
         coupling_retired_cells=len(coupling.retired),
         probes_launched=probes_launched,

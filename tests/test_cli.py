@@ -295,9 +295,23 @@ class TestCommands:
          "victim_cell 9 is not a cell of this system (cells 0..3)"),
         (["--probe-every", "-1"], "probe_every must not be negative: -1"),
         (["--sessions", "-5"], "sessions must not be negative: -5"),
+        (["--mean-service-ns", "-1", "--service", "lognormal"],
+         "mean_service_ns must be positive and finite: -1.0"),
+        (["--mean-interarrival-ns", "-5"],
+         "mean_interarrival_ns must be positive and finite: -5.0"),
+        (["--cells", "0"], "a system needs at least one cell: 0"),
     ])
     def test_sessions_rejects_bad_input(self, capsys, flags, message):
         rc = main(["sessions", "--sessions", "1000"] + flags)
         err = capsys.readouterr().err
         assert rc == 2
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "trace", "metrics"])
+    def test_unbootable_cell_count_is_a_one_line_error(self, capsys,
+                                                       command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "pmake", "--cells", "0"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: a system needs at least one cell: 0\n")

@@ -23,6 +23,13 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             boot_hive(Simulator(), num_cells=3)
 
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_fewer_than_one_cell_rejected(self, cells):
+        # Not a ZeroDivisionError from the divisibility check.
+        with pytest.raises(ValueError, match=f"^a system needs at least "
+                                             f"one cell: {cells}$"):
+            _partition_nodes(4, cells)
+
 
 class TestRegistry:
     def make(self, ncells=4):

@@ -15,9 +15,13 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.sim.stats import Histogram
-from repro.workloads.sessions import (DRAWS_PER_SESSION,
+from repro.workloads.sessions import (DRAW_ARRIVAL, DRAW_ARRIVAL2,
+                                      DRAW_SERVICE, DRAW_SERVICE2,
+                                      DRAW_TYPE, DRAWS_PER_SESSION,
                                       SESSION_TYPES,
                                       SessionTrafficConfig,
+                                      _fcfs_chunk, _placement,
+                                      _probe_rows,
                                       boot_session_system,
                                       generate_chunk,
                                       run_session_traffic,
@@ -111,6 +115,204 @@ class TestGeneration:
             generate_chunk(cfg, 0, 16, 0.0)
 
 
+def _reference_chunk(cfg: SessionTrafficConfig, start: int, count: int,
+                     t0: float) -> dict:
+    """``generate_chunk`` as plain array expressions over
+    ``session_uniforms``, one new array per step, the type from a left
+    ``searchsorted``."""
+    sids = np.arange(start, start + count, dtype=np.uint64)
+
+    def draw(d):
+        return session_uniforms(cfg.seed, sids, d)
+
+    def heavy(kind, mean, shape, u1, u2):
+        if kind == "lognormal":
+            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+            mu = np.log(mean) - 0.5 * shape * shape
+            return np.exp(mu + shape * z)
+        xm = mean * (shape - 1.0) / shape
+        return xm * np.power(u1, -1.0 / shape)
+
+    inter = heavy(cfg.interarrival, cfg.mean_interarrival_ns,
+                  cfg.interarrival_shape, draw(DRAW_ARRIVAL),
+                  draw(DRAW_ARRIVAL2))
+    service = heavy(cfg.service, cfg.mean_service_ns, cfg.service_shape,
+                    draw(DRAW_SERVICE), draw(DRAW_SERVICE2))
+    weights = np.asarray(cfg.mix, dtype=np.float64)
+    cum = np.cumsum(weights / weights.sum())
+    types = np.searchsorted(cum, draw(DRAW_TYPE), side="left")
+    types = np.minimum(types, len(SESSION_TYPES) - 1).astype(np.int8)
+    scale = np.asarray([1.25, 1.0, 0.75])  # compile, compute, fs
+    return {"sids": sids, "arrivals": t0 + np.cumsum(inter),
+            "service": service * scale[types], "types": types}
+
+
+def _assert_same_chunk(got: dict, want: dict) -> None:
+    for key in ("sids", "arrivals", "service", "types"):
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 1995, 2**63, 2**64 - 1]),
+                   st.integers(2**63, 2**64 - 1))
+_MIXES = st.sampled_from([(1.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                          (0.5, 0.3, 0.2), (1.0, 1.0, 1.0)])
+
+
+class TestGenerationAgainstReference:
+    """The fused in-place draws, the type count and the modulo-free
+    placement and probe selection give the reference's values, bit for
+    bit, wherever a chunk starts."""
+
+    @given(seed=_SEEDS, mix=_MIXES,
+           kinds=st.sampled_from([("lognormal", "pareto"),
+                                  ("pareto", "lognormal")]),
+           start=st.integers(0, 2**40), count=st.integers(1, 300),
+           t0=st.floats(0.0, 1e12))
+    @settings(max_examples=80, deadline=None)
+    def test_generate_chunk(self, seed, mix, kinds, start, count, t0):
+        cfg = SessionTrafficConfig(seed=seed, mix=mix,
+                                   interarrival=kinds[0],
+                                   interarrival_shape=1.5,
+                                   service=kinds[1])
+        _assert_same_chunk(generate_chunk(cfg, start, count, t0),
+                           _reference_chunk(cfg, start, count, t0))
+
+    @pytest.mark.parametrize("seed", [0, 1995, 2**63 + 1])
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_type_draw_exactly_on_a_mix_edge(self, seed, edge):
+        # Build the mix from one session's own type draw, so that draw
+        # lies exactly on mix edge ``edge``: a left searchsorted puts it
+        # in type ``edge`` (the edge is not strictly below it).
+        start, count = 1234, 64
+        sids = np.arange(start, start + count, dtype=np.uint64)
+        u = session_uniforms(seed, sids, DRAW_TYPE)
+        row = int(np.flatnonzero(u >= 0.5)[0])
+        on = float(u[row])
+        mix = (on, 1.0 - on, 0.0) if edge == 0 else (0.0, on, 1.0 - on)
+        weights = np.asarray(mix)
+        assert np.cumsum(weights / weights.sum())[edge] == on
+        cfg = SessionTrafficConfig(seed=seed, mix=mix)
+        got = generate_chunk(cfg, start, count, 0.0)
+        _assert_same_chunk(got, _reference_chunk(cfg, start, count, 0.0))
+        assert got["types"][row] == edge
+
+    @given(ncells=st.integers(1, 16), start=st.integers(0, 2**40),
+           count=st.integers(1, 500))
+    @settings(max_examples=80, deadline=None)
+    def test_placement_is_sid_modulo_cells(self, ncells, start, count):
+        cell_arr = np.arange(ncells, dtype=np.int64) * 3 + 1
+        sids = np.arange(start, start + count, dtype=np.uint64)
+        want = cell_arr[(sids % np.uint64(ncells)).astype(np.int64)]
+        got = _placement(cell_arr, start, count)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(every=st.integers(1, 5000), start=st.integers(0, 2**40),
+           count=st.integers(1, 3000))
+    @settings(max_examples=80, deadline=None)
+    def test_probe_rows_are_multiples_of_probe_every(self, every, start,
+                                                     count):
+        sids = np.arange(start, start + count, dtype=np.uint64)
+        want = np.flatnonzero(sids % np.uint64(every) == 0)
+        assert list(_probe_rows(start, count, every)) == want.tolist()
+
+
+def _reference_fcfs(chunks, ncells, nservers, first, carried):
+    """Per (cell, server), in plain Python: the finish of each session
+    of ``chunks`` (lists of (cell index, arrival, service)), by the
+    running sum ``cs`` of the server's services in the chunk and the
+    running max of ``arrival - (cs - service)`` from the server's
+    carried finish, ``finish = cs + max``; and by the textbook
+    ``finish = max(arrival, previous finish) + service``."""
+    nxt = list(first)
+    last = [list(row) for row in carried]
+    textbook = [list(row) for row in carried]
+    out, plain = [], []
+    for chunk in chunks:
+        state = {}
+        for k, arrival, service in chunk:
+            s = nxt[k]
+            nxt[k] = (s + 1) % nservers
+            cs, run = state.get((k, s), (0.0, last[k][s]))
+            cs = cs + service
+            run = max(run, arrival - (cs - service))
+            state[(k, s)] = (cs, run)
+            out.append(cs + run)
+            textbook[k][s] = max(arrival, textbook[k][s]) + service
+            plain.append(textbook[k][s])
+        for (k, s), (cs, run) in state.items():
+            last[k][s] = cs + run
+    return out, plain, nxt, last
+
+
+def _check_fcfs(chunks, ncells, nservers, first, carried):
+    """Run ``chunks`` through ``_fcfs_chunk`` and compare with
+    :func:`_reference_fcfs`."""
+    cell_ids = list(range(10, 10 + ncells))
+    last_finish = np.asarray(carried, dtype=np.float64)
+    server_rr = list(first)
+    got = []
+    for rows in chunks:
+        cells_arr = np.asarray([cell_ids[k] for k, _, _ in rows],
+                               dtype=np.int64)
+        arrivals = np.asarray([a for _, a, _ in rows])
+        service = np.asarray([s for _, _, s in rows])
+        got.extend(_fcfs_chunk(cell_ids, cells_arr, arrivals, service,
+                               last_finish, server_rr).tolist())
+
+    want, plain, nxt, last = _reference_fcfs(chunks, ncells, nservers,
+                                             first, carried)
+    assert got == want  # bit for bit
+    assert server_rr == nxt
+    assert last_finish.tolist() == last
+    # The textbook form rounds differently: equal to a tolerance only.
+    assert np.allclose(got, plain, rtol=1e-12, atol=1e-6)
+
+
+_SESSION = st.tuples(st.floats(0.0, 1e6), st.floats(1e-3, 1e6))
+
+
+class TestFcfsAgainstReference:
+    """``_fcfs_chunk``'s one accumulate per cell against a per-server
+    scalar loop, across chunk boundaries, with a carried round-robin
+    position and last finish, uneven per-cell counts (what failover
+    makes) and cells with no session in a chunk."""
+
+    @given(data=st.data(), ncells=st.integers(1, 4),
+           nservers=st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_a_per_server_loop(self, data, ncells, nservers):
+        first = data.draw(st.lists(st.integers(0, nservers - 1),
+                                   min_size=ncells, max_size=ncells))
+        carried = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1e6), min_size=nservers,
+                     max_size=nservers), min_size=ncells, max_size=ncells))
+        cells = st.integers(0, ncells - 1)
+        raw = data.draw(st.lists(st.lists(st.tuples(cells, _SESSION),
+                                          min_size=1, max_size=40),
+                                 min_size=1, max_size=5))
+        # Arrivals rise across the whole stream (gaps may be 0).
+        clock = 0.0
+        chunks = []
+        for chunk in raw:
+            rows = []
+            for k, (gap, service) in chunk:
+                clock += gap
+                rows.append((k, clock, service))
+            chunks.append(rows)
+
+        _check_fcfs(chunks, ncells, nservers, first, carried)
+
+    def test_a_cell_idle_for_a_chunk_and_uneven_cells(self):
+        # Cell 1 gets nothing in the first chunk; in the second, cell 2
+        # takes the sessions failed over from cell 0 (6 against 1).
+        chunks = [[(0, 1.0, 5.0), (2, 2.0, 1.0), (0, 2.5, 0.5)],
+                  [(2, 3.0, 2.0), (1, 3.0, 1.0)] + [
+                      (2, 4.0 + i, 3.0) for i in range(5)]]
+        _check_fcfs(chunks, 3, 2, [1, 0, 1],
+                    [[0.0, 4.0], [2.0, 0.0], [0.0, 0.0]])
+
+
 class TestTrafficRuns:
     def test_fault_free_run_completes_everything(self):
         cfg = SessionTrafficConfig(sessions=30_000, chunk_sessions=8192,
@@ -165,6 +367,29 @@ class TestTrafficRuns:
         with pytest.raises(ValueError, match=f"^{field} must not be "
                                              f"negative: -1$"):
             SessionTrafficConfig(**{field: -1})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("servers_per_cell", 0, "servers_per_cell must be at least 1: 0"),
+        ("chunk_sessions", 0, "chunk_sessions must be at least 1: 0"),
+        ("mean_service_ns", -1.0,
+         "mean_service_ns must be positive and finite: -1.0"),
+        ("mean_interarrival_ns", float("nan"),
+         "mean_interarrival_ns must be positive and finite: nan"),
+        ("service", "weibull", "unknown service distribution 'weibull' "
+                               "(one of lognormal, pareto)"),
+        ("interarrival", "uniform", "unknown interarrival distribution "
+                                    "'uniform' (one of lognormal, pareto)"),
+        ("mix", (0.0, 0.0, 0.0), "mix must be 3 non-negative finite "
+                                 "weights with a positive sum: (0.0, 0.0, "
+                                 "0.0)"),
+        ("mix", (1.0, -0.5, 1.0), "mix must be 3 non-negative finite "
+                                  "weights with a positive sum: (1.0, "
+                                  "-0.5, 1.0)"),
+    ])
+    def test_config_rejects_an_invalid_field(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            SessionTrafficConfig(**{field: value})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("victim", [4, 9, -1])
     def test_unknown_victim_cell_is_rejected_before_the_run(self, victim):
