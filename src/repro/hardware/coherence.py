@@ -55,6 +55,9 @@ the CPU, every read line still cached by it.  Then the batch would hit
 again with the same latency and counts, so it replays as one stats
 bump.  One method (:meth:`_memo_holds`) states that rule, and the
 replay and the parked chains' probe (:meth:`peek_memo`) both ask it.
+The chains cache the probe's answers; :meth:`watch` stamps the lines a
+chain issues, so that only a directory change of one of them (or a bulk
+scrub) tells the chain to ask again.
 Either way the latencies charged are those of the scalar path, so event
 counts, recovery records, and span exports do not depend on the memo.
 """
@@ -79,6 +82,15 @@ class LineState:
                  sharers: Optional[Set[int]] = None):
         self.owner = owner               # CPU holding the line dirty
         self.sharers: Set[int] = sharers if sharers is not None else set()
+
+
+class LineStamp:
+    """A mutation counter shared by the lines of one watch."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self):
+        self.gen = 0
 
 
 class PreparedBatch:
@@ -134,7 +146,7 @@ class CoherenceController:
         "_bytes_per_node", "_line_size", "_lines_per_page",
         "_pages_per_node", "_cpus_per_node", "_hit_latency",
         "_firewall_check_ns", "_mem_latency_ns", "stats",
-        "remote_write_hist", "_node_gen",
+        "remote_write_hist", "_watch", "all_lines_gen",
         "_lines_per_node", "_total_lines",
         "last_batch_completed", "tier_memo_hits", "tier_inline_batches",
         "channels",
@@ -168,10 +180,13 @@ class CoherenceController:
         self.remote_write_hist = Histogram(
             "remote_write_miss_ns",
             [200, 500, 700, 1_000, 1_500, 2_000, 5_000, 10_000])
-        #: per-home-node directory mutation generations: every state
-        #: change to a line homed on a node bumps it.  The parked chains
-        #: key their per-cycle peek caches on it (``sim/shard.py``).
-        self._node_gen: List[int] = [0] * params.num_nodes
+        #: the line watch (:meth:`watch`): a watched line maps to the
+        #: stamp of the one chain that issues it, and every directory
+        #: mutation of the line bumps that stamp.
+        self._watch: Dict[int, LineStamp] = {}
+        #: bumped by the bulk directory changes (a node's cache state
+        #: dropped, frames invalidated), which may touch any line.
+        self.all_lines_gen = 0
         self._lines_per_node = self._bytes_per_node // self._line_size
         self._total_lines = self._total_bytes // self._line_size
         #: accesses completed by the most recent batch issue before it
@@ -228,8 +243,10 @@ class CoherenceController:
         else:
             latency = self._mem_latency_ns
         # A miss always mutates the directory entry (the CPU becomes a
-        # sharer), so the home node's generation advances.
-        self._node_gen[line // self._lines_per_node] += 1
+        # sharer), so a watched line's stamp advances.
+        watch = self._watch
+        if line in watch:
+            watch[line].gen += 1
         owner = st.owner
         if owner is not None and owner != cpu:
             # Dirty remote intervention: owner is downgraded to shared.
@@ -303,8 +320,10 @@ class CoherenceController:
             if channels is not None:
                 channels.coherence_miss(src_node, home_node, True, latency)
         cpus_per_node = self._cpus_per_node
-        # Ownership changes hands: advance the home node's generation.
-        self._node_gen[line // self._lines_per_node] += 1
+        # Ownership changes hands: advance a watched line's stamp.
+        watch = self._watch
+        if line in watch:
+            watch[line].gen += 1
         if st is None:
             # Only a granted request creates the entry: a refused one
             # must not leave an empty entry behind.
@@ -329,18 +348,24 @@ class CoherenceController:
 
     # -- the prepared access path --------------------------------------
 
-    def _bump_all_generations(self) -> None:
-        self._node_gen = [g + 1 for g in self._node_gen]
+    def watch(self, lines: Iterable[int]) -> "LineStamp":
+        """Watch ``lines``; returns the stamp their mutations bump.
 
-    def memo_gen_key(self, home_nodes) -> tuple:
-        """Generation fingerprint over ``home_nodes``.
+        No directory entry of a watched line changes while its stamp's
+        ``gen`` and :attr:`all_lines_gen` both stand still: a read miss
+        and an ownership change bump the line's stamp, and the bulk
+        paths bump ``all_lines_gen``.
 
-        No directory entry of a line homed on these nodes has changed
-        while the fingerprint stands still: every directory mutation
-        bumps the home node of the mutated line.
+        A line holds one stamp: watching it again hands it to the new
+        stamp.  The parked chains rely on that only where it is sound:
+        two chains that issue one line share its home node, so both are
+        ``shares_home`` and never read their peek caches
+        (``ChainCoordinator.register_chain``).
         """
-        gens = self._node_gen
-        return tuple(gens[n] for n in home_nodes)
+        stamp = LineStamp()
+        for line in lines:
+            self._watch[line] = stamp
+        return stamp
 
     def tier_snapshot(self) -> Dict[str, int]:
         """Batch-tier attribution counters (see obs/profile.py)."""
@@ -473,47 +498,34 @@ class CoherenceController:
     def peek_memo(self, cpu: int, prepared: PreparedBatch) -> Optional[tuple]:
         """Would :meth:`access_prepared` replay from the memo right now?
 
-        Returns the memo's ``(latency, read_hits, write_hits)`` when
-        :meth:`_memo_holds`, else None.  No state is touched — this is
-        the parked chains' validity probe: a chain of wakeups may only
-        be replayed arithmetically (:meth:`replay_memo_cycle`) while
-        every batch in the chain passes it, and nothing can change its
-        answer between engine events (every directory or fault-state
+        Returns the memo's ``(latency, read_hits, write_hits, done)``
+        when :meth:`_memo_holds`, else None.  No state is touched — this
+        is the parked chains' validity probe: a chain of wakeups may
+        only be replayed arithmetically (:meth:`commit_memo_replays`)
+        while every batch in the chain passes it, and nothing can change
+        its answer between engine events (every directory or fault-state
         mutation happens inside one).
         """
         if self._memo_holds(cpu, prepared):
-            return prepared.memo[1:4]
+            return prepared.memo[1:]
         return None
 
-    def replay_memo_cycle(self, batches: Sequence[PreparedBatch],
-                          counts: Sequence[int]) -> None:
-        """Replay a whole cycle's memos at once (``counts[i]`` replays
-        of ``batches[i]``).
+    def commit_memo_replays(self, replays: int, read_hits: int,
+                            write_hits: int, last_done: int) -> None:
+        """Commit ``replays`` memo replays at once.
 
-        Byte-equivalent to calling :meth:`access_prepared` ``counts[i]``
-        times per batch while :meth:`peek_memo` holds: the same stats
-        cells move by the same amounts (one memo-tier hit and the
-        memoized hit counts per replay) and ``last_batch_completed``
-        lands on the last replayed batch's length, with one stats update
-        per park instead of one per wakeup.
+        Byte-equivalent to that many :meth:`access_prepared` calls while
+        :meth:`peek_memo` holds, given their summed memoized hit counts
+        and the last replayed batch's ``done``: the same stats cells
+        move by the same amounts (one memo-tier hit per replay) and
+        ``last_batch_completed`` lands where the last replay leaves it,
+        in one update per park instead of one per wakeup.
         """
-        hits = rh = wh = 0
-        last = None
-        for prepared, count in zip(batches, counts):
-            if not count:
-                continue
-            memo = prepared.memo
-            hits += count
-            rh += memo[2] * count
-            wh += memo[3] * count
-            last = memo[4]
-        if last is None:
-            return
-        self.tier_memo_hits += hits
+        self.tier_memo_hits += replays
         stats = self.stats
-        stats.read_hits += rh
-        stats.write_hits += wh
-        self.last_batch_completed = last
+        stats.read_hits += read_hits
+        stats.write_hits += write_hits
+        self.last_batch_completed = last_done
 
     # -- failure interaction -----------------------------------------------
 
@@ -539,9 +551,9 @@ class CoherenceController:
         """
         lo = node * self._cpus_per_node
         hi = lo + self._cpus_per_node
-        # Failure/reintegration touches lines homed anywhere: advance
-        # every node's generation (rare event, coarse bump is fine).
-        self._bump_all_generations()
+        # Failure/reintegration touches lines homed anywhere: one
+        # all-lines bump (rare event, coarse is fine).
+        self.all_lines_gen += 1
         lines = self._lines
         owned, self._owner_lines[node] = self._owner_lines[node], set()
         for line in owned:
@@ -572,7 +584,7 @@ class CoherenceController:
         stats = self.stats
         owner_index = self._owner_lines
         sharer_index = self._sharer_lines
-        self._bump_all_generations()
+        self.all_lines_gen += 1
         for frame in frames:
             first = frame * lines_per_page
             for line in range(first, first + lines_per_page):

@@ -64,9 +64,9 @@ class PhysicalMemory:
         self._any_faults = False
         #: monotone fault-topology generation: bumps on every node
         #: fail/revive/cutoff transition, so the parked chains' peek
-        #: caches, keyed on (fault_gen, home-node directory
-        #: generations), stay sound across runs where a failed node
-        #: lingers in the topology.
+        #: caches, keyed on (fault_gen, the directory's all-lines
+        #: generation, the chain's line stamp), stay sound across runs
+        #: where a failed node lingers in the topology.
         self.fault_gen = 0
         #: per-node fault state (0 healthy, 1 failed, 2 cutoff), the one
         #: record of it.  A failed node that is also cut off stays 1:

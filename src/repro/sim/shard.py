@@ -26,6 +26,15 @@ Instead every driver registers as a :class:`ParkedChain` with one
   other chain may take a real miss on that node at any of its wakeups.
   It runs one wakeup per park, exactly like the per-wakeup oracle.
 
+The proof that a chain's next wakeups are memo replays is cached per
+chain (:meth:`ParkedChain.cycle_peek_lats`) at cache-line grain: on the
+fault generation, the directory's all-lines generation and the stamp
+the directory bumps on a read miss or ownership change of one of the
+chain's own lines (``CoherenceController.watch``).  Traffic on other
+lines of its home node (kernel heartbeats, clock-monitor reads) leaves
+the cache standing.  A credit commits however many replays it stands
+for in one controller call (``commit_memo_replays``).
+
 Per-wakeup execution survives in one form: a per-wakeup run
 (``run_throughput(per_wakeup=True)``) never calls ``credit``, so it
 parks once per wakeup.  It is the oracle the parked
@@ -55,8 +64,9 @@ class ParkedChain:
 
     __slots__ = ("coord", "coh", "cpu", "cycle", "gap", "period",
                  "parks", "replayed_wakeups", "index", "home_nodes",
-                 "shares_home", "_peek_key", "_peek_lats", "_peek_clean",
-                 "_period_ns")
+                 "shares_home", "stamp", "_peek_key", "_peek_lats",
+                 "_peeks", "_peek_clean", "_period_ns", "_period_rh",
+                 "_period_wh")
 
     def __init__(self, coord: "ChainCoordinator", coh, cpu: int,
                  cycle: list, gap: int):
@@ -82,36 +92,49 @@ class ParkedChain:
         #: set by the coordinator when another chain registers with a
         #: home node in common; such a chain never credits.
         self.shares_home = False
+        #: the coherence line watch over every line the cycle issues
+        #: (``CoherenceController.watch``), set at registration
+        self.stamp = None
         self._peek_key: Optional[tuple] = None
         self._peek_lats: List[int] = []
+        self._peeks: List[Optional[tuple]] = []
         self._peek_clean = False
         self._period_ns = 0
+        self._period_rh = 0
+        self._period_wh = 0
 
     def cycle_peek_lats(self) -> List[int]:
         """Per-slot memo latencies (-1 = stale), cached on the fault
-        generation and the directory generations of the chain's home
-        nodes.
+        generation, the all-lines generation and the chain's line stamp.
+
+        Under the same key the cache holds each slot's ``peek_memo``
+        answer, ``(latency, read_hits, write_hits, done)`` or None, and,
+        when every slot holds, the per-period totals :meth:`credit`
+        multiplies.
 
         Sound because no ``peek_memo`` answer can change while the key
-        stands still: every directory mutation bumps the home node of
-        the mutated line, every node fail / revive / cutoff bumps
-        ``PhysicalMemory.fault_gen``.  The one exception is this
-        chain's own live access, which rebuilds an all-hit memo without
-        a directory mutation — the driver calls :meth:`invalidate_peeks`
-        after it.
+        stands still: every read miss or ownership change of a line the
+        chain's batches issue bumps the chain's stamp, the bulk
+        directory scrubs bump the all-lines generation, every node
+        fail / revive / cutoff bumps ``PhysicalMemory.fault_gen``.  The
+        one exception is this chain's own live access, which rebuilds an
+        all-hit memo without a directory mutation — the driver calls
+        :meth:`invalidate_peeks` after it.
         """
         coh = self.coh
-        key = (coh.memory.fault_gen, coh.memo_gen_key(self.home_nodes))
+        key = (coh.memory.fault_gen, coh.all_lines_gen, self.stamp.gen)
         if key != self._peek_key:
             cpu = self.cpu
             peek = coh.peek_memo
-            lats = []
-            for batch in self.cycle:
-                p = peek(cpu, batch)
-                lats.append(-1 if p is None else p[0])
-            self._peek_lats = lats
-            self._peek_clean = -1 not in lats
-            self._period_ns = sum(lats) + self.gap * self.period
+            peeks = [peek(cpu, batch) for batch in self.cycle]
+            self._peeks = peeks
+            self._peek_lats = [-1 if p is None else p[0] for p in peeks]
+            self._peek_clean = clean = None not in peeks
+            if clean:
+                self._period_ns = (sum(p[0] for p in peeks)
+                                   + self.gap * self.period)
+                self._period_rh = sum(p[1] for p in peeks)
+                self._period_wh = sum(p[2] for p in peeks)
             self._peek_key = key
         return self._peek_lats
 
@@ -132,20 +155,23 @@ class ParkedChain:
         event and strictly before ``stop_ns``, which is exactly the
         span per-wakeup execution would have run them in with no
         interleaved state mutation.
+
+        ``q`` whole periods add ``q`` times the cached period totals,
+        the remainder adds slot by slot, and the sums commit through one
+        ``CoherenceController.commit_memo_replays`` call, with the last
+        replayed slot's ``done`` — O(1) per credit beyond the remainder.
         """
         if self.shares_home:
             return 0, 0, j
-        lats = self.cycle_peek_lats()
-        lat = lats[j]
+        lat = self.cycle_peek_lats()[j]
         if lat < 0:
             return 0, 0, j
-        coord = self.coord
+        peeks = self._peeks
+        _, rh, wh, _ = peeks[j]
         gap = self.gap
         period = self.period
-        t0 = coord.sim.now
-        cap = coord.cap_for(stop_ns)
-        counts = [0] * period
-        counts[j] = 1
+        t0 = self.coord.sim.now
+        cap = self.coord.cap_for(stop_ns)
         k = 1
         sleep = lat + gap
         # The first access is always valid: the driver is mid-dispatch,
@@ -162,19 +188,21 @@ class ParkedChain:
                     if q:
                         k += q * period
                         sleep += q * self._period_ns
-                        counts = [c + q for c in counts]
+                        rh += q * self._period_rh
+                        wh += q * self._period_wh
             # Stepwise remainder (also the only path when some batch
             # memo is stale: replay up to it, then let the driver take
             # the real access path which rebuilds that memo).
             while t0 + sleep < cap:
-                jn = (j + k) % period
-                lat = lats[jn]
-                if lat < 0:
+                p = peeks[(j + k) % period]
+                if p is None:
                     break
                 k += 1
-                counts[jn] += 1
-                sleep += lat + gap
-        self.coh.replay_memo_cycle(self.cycle, counts)
+                sleep += p[0] + gap
+                rh += p[1]
+                wh += p[2]
+        self.coh.commit_memo_replays(k, rh, wh,
+                                     peeks[(j + k - 1) % period][3])
         return k, sleep, (j + k) % period
 
     def park(self, sleep_ns: int, wakeups: int) -> Event:
@@ -219,6 +247,11 @@ class ChainCoordinator:
         for other in self.chains:
             if not homes.isdisjoint(other.home_nodes):
                 chain.shares_home = other.shares_home = True
+        # One stamp per watched line is enough: a chain that issues a
+        # line another chain issues shares that line's home node, so
+        # both are ``shares_home`` above and neither reads its peeks.
+        chain.stamp = coh.watch({line for batch in cycle
+                                 for line in batch.lines})
         chain.index = len(self.chains)
         self.chains.append(chain)
         return chain

@@ -179,8 +179,6 @@ def _heavy_tailed(kind: str, mean: float, shape: float, u1: "np.ndarray",
         u1 *= shape
         u1 += np.log(mean) - 0.5 * shape * shape
         return np.exp(u1, out=u1)
-    if shape <= 1.0:
-        raise ValueError("pareto shape must be > 1 for a finite mean")
     np.power(u1, -1.0 / shape, out=u1)
     u1 *= mean * (shape - 1.0) / shape
     return u1
@@ -241,6 +239,12 @@ class SessionTrafficConfig:
                 raise ValueError(f"unknown {name} distribution "
                                  f"{getattr(self, name)!r} (one of "
                                  f"{', '.join(DISTRIBUTIONS)})")
+            shape = getattr(self, f"{name}_shape")
+            if (getattr(self, name) == "pareto"
+                    and not 1.0 < shape < math.inf):
+                raise ValueError(f"{name}_shape must be > 1 and finite "
+                                 f"for a pareto {name} with a finite "
+                                 f"mean: {shape}")
         if (len(self.mix) != len(SESSION_TYPES)
                 or not all(0.0 <= w < math.inf for w in self.mix)
                 or not sum(self.mix) > 0.0):

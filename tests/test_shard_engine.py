@@ -11,13 +11,21 @@ from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.bench.throughput import (CONFIGS, _traffic, boot_bench_system,
                                     compare_parked, run_throughput)
+from repro.hardware.coherence import CoherenceController
+from repro.hardware.errors import BusError, FirewallViolation
+from repro.hardware.interconnect import Interconnect
+from repro.hardware.memory import PhysicalMemory
+from repro.hardware.params import HardwareParams
 from repro.obs.profile import tier_snapshot
 from repro.sim.channels import (COH_READ_MISS, COH_WRITE_MISS,
                                 SIPS_REQUEST, CellChannels,
                                 ChannelViolation, attach_channels)
+from repro.sim.engine import Simulator
 from repro.sim.shard import ChainCoordinator
 
 
@@ -238,3 +246,190 @@ class TestDirtyBarrier:
         assert parked["stats"]["invalidations"] > 100
         _, per_wakeup = _overlapping_run(per_wakeup=True)
         assert parked == per_wakeup
+
+
+def _issue(coh, cpu, batch):
+    """One live issue of ``batch``; a bus error or firewall refusal is
+    an outcome, not a test failure."""
+    try:
+        coh.access_prepared(cpu, batch)
+    except (BusError, FirewallViolation):
+        pass
+
+
+class TestCreditCommit:
+    def test_credit_leaves_the_last_replayed_batch(self):
+        # A two-slot cycle of unequal lengths credited from slot 1 over
+        # two wakeups (slots 1, 0): per-wakeup execution leaves slot 0's
+        # length in last_batch_completed, not the longer slot 1's.
+        params = HardwareParams(num_nodes=4)
+        mem = PhysicalMemory(params)
+        coh = CoherenceController(params, mem, Interconnect(params))
+        short = coh.prepare_batch([0, 1, 2], [0, 0, 0])
+        long_ = coh.prepare_batch([3, 4, 5, 6, 7], [0, 0, 0, 0, 0])
+        for batch in (short, long_, short, long_):
+            coh.access_prepared(0, batch)  # misses, then memoized hits
+        coord = ChainCoordinator(Simulator())
+        gap = 1_000
+        chain = coord.register_chain(coh, 0, [short, long_], gap)
+        lats = chain.cycle_peek_lats()
+        assert -1 not in lats
+        hits = coh.tier_memo_hits
+        read_hits = coh.stats.read_hits
+        k, sleep, next_j = chain.credit(1, sum(lats) + 2 * gap)
+        assert (k, sleep, next_j) == (2, sum(lats) + 2 * gap, 1)
+        assert coh.last_batch_completed == len(short.lines)
+        assert coh.tier_memo_hits == hits + 2
+        assert coh.stats.read_hits == read_hits + 8
+
+
+#: the small config: 4 nodes of 1 CPU, one cell per node
+_SMALL = HardwareParams(num_nodes=4, cpus_per_node=1)
+_LPP = _SMALL.page_size // _SMALL.cache_line_size
+
+
+def _frame(node, k):
+    return node * _SMALL.pages_per_node + _SMALL.pages_per_node - 8 + k
+
+
+def _lines(frame, offsets):
+    return [frame * _LPP + o for o in offsets]
+
+
+#: (cpu, home node) of each chain: remote CPUs on disjoint home nodes
+_CHAIN_AT = ((1, 0), (3, 2))
+
+
+def _chain_system(chains):
+    """A booted ``small`` system with ``chains`` parked chains
+    registered, each cycling through three mixed batches on two frames
+    of its home node, every batch issued until it is memoized."""
+    system = boot_bench_system("small", seed=3)
+    coh = system.machine.coherence
+    coord = ChainCoordinator(system.sim)
+    chain_lines, other_lines, frames = [], [], []
+    for cpu, home in _CHAIN_AT[:chains]:
+        f0, f1, far = _frame(home, 0), _frame(home, 1), _frame(home, 5)
+        c = _lines(f0, range(6)) + _lines(f1, range(4))
+        cycle = [coh.prepare_batch([c[0], c[1], c[2], c[6]], [0, 1, 0, 1]),
+                 coh.prepare_batch([c[3], c[4], c[7]], [1, 1, 0]),
+                 coh.prepare_batch([c[5], c[0], c[8], c[9]], [0, 0, 0, 1])]
+        chain_lines += c
+        other_lines += _lines(f0, (20, 31)) + _lines(far, (0, 7))
+        frames += [f0, f1, far]
+        coord.register_chain(coh, cpu, cycle, 1_000)
+    _grant_all(system.machine.memory, frames)
+    for chain in coord.chains:
+        for batch in chain.cycle + chain.cycle:
+            _issue(coh, chain.cpu, batch)
+    return system, coord, chain_lines, other_lines, frames
+
+
+def _grant_all(mem, frames):
+    for frame in frames:
+        home = frame // _SMALL.pages_per_node
+        for node in range(_SMALL.num_nodes):
+            mem.firewalls[home].grant_node(frame, home, node)
+
+
+def _fresh_peeks(coh, chain):
+    return [coh.peek_memo(chain.cpu, batch) for batch in chain.cycle]
+
+
+class PeekCacheMachine(RuleBasedStateMachine):
+    """A chain's peek cache against a fresh ``peek_memo`` pass, after
+    foreign traffic on its lines and on its home nodes' other lines,
+    fault transitions, directory scrubs and its own live issues."""
+
+    @initialize(chains=st.integers(1, 2))
+    def boot(self, chains):
+        (self.system, self.coord, self.chain_lines, self.other_lines,
+         self.frames) = _chain_system(chains)
+        self.coh = self.system.machine.coherence
+        self.mem = self.system.machine.memory
+
+    def _access(self, kind, cpu, line):
+        try:
+            getattr(self.coh, kind)(cpu, line * _SMALL.cache_line_size)
+        except (BusError, FirewallViolation):
+            pass
+
+    @rule(kind=st.sampled_from(["read", "write"]), cpu=st.integers(0, 3),
+          i=st.integers(0, 19))
+    def chain_line(self, kind, cpu, i):
+        self._access(kind, cpu, self.chain_lines[i % len(self.chain_lines)])
+
+    @rule(kind=st.sampled_from(["read", "write"]), cpu=st.integers(0, 3),
+          i=st.integers(0, 7))
+    def heartbeat_line(self, kind, cpu, i):
+        self._access(kind, cpu, self.other_lines[i % len(self.other_lines)])
+
+    @rule(kind=st.sampled_from(["fail", "cutoff", "revive", "drop"]),
+          node=st.integers(0, 3))
+    def fault(self, kind, node):
+        if kind == "fail":
+            self.mem.fail_node(node)
+        elif kind == "cutoff":
+            self.mem.engage_cutoff(node)
+        elif kind == "drop":
+            self.coh.drop_node_cache_state(node)
+        else:
+            self.mem.revive_node(node)  # resets the firewall
+            _grant_all(self.mem, [f for f in self.frames
+                                  if f // _SMALL.pages_per_node == node])
+
+    @rule(i=st.integers(0, 5))
+    def invalidate(self, i):
+        self.coh.invalidate_frames([self.frames[i % len(self.frames)]])
+
+    @rule(c=st.integers(0, 1), slot=st.integers(0, 2))
+    def own_issue(self, c, slot):
+        chain = self.coord.chains[c % len(self.coord.chains)]
+        _issue(self.coh, chain.cpu, chain.cycle[slot])
+        chain.invalidate_peeks()
+
+    @invariant()
+    def peeks_are_fresh(self):
+        for chain in self.coord.chains:
+            assert not chain.shares_home
+            fresh = _fresh_peeks(self.coh, chain)
+            assert chain.cycle_peek_lats() == [
+                -1 if p is None else p[0] for p in fresh]
+            assert chain._peeks == fresh
+
+
+PeekCacheMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+TestPeekCache = PeekCacheMachine.TestCase
+
+
+class TestPeekCacheGrain:
+    """Only a directory change of one of the chain's own lines clears
+    its peek cache, not one on another line of its home node."""
+
+    def test_only_chain_lines_re_peek(self, monkeypatch):
+        system, coord, chain_lines, other_lines, _ = _chain_system(1)
+        coh = system.machine.coherence
+        (chain,) = coord.chains
+        assert -1 not in chain.cycle_peek_lats()
+        peeks = []
+        real = CoherenceController.peek_memo
+
+        def counted(self, cpu, prepared):
+            peeks.append(prepared)
+            return real(self, cpu, prepared)
+
+        monkeypatch.setattr(CoherenceController, "peek_memo", counted)
+        line_size = _SMALL.cache_line_size
+        # A foreign write to a non-chain line on the chain's home node
+        # (a heartbeat stand-in) leaves the cache alone.
+        for line in other_lines:
+            coh.write(2, line * line_size)
+        assert -1 not in chain.cycle_peek_lats()
+        assert peeks == []
+        # One to a line slot 1 reads re-peeks the cycle, which finds
+        # that slot stale.
+        coh.write(2, chain.cycle[1].lines[2] * line_size)
+        lats = chain.cycle_peek_lats()
+        assert peeks == chain.cycle
+        assert [lat < 0 for lat in lats] == [False, True, False]

@@ -109,10 +109,15 @@ class TestGeneration:
         assert counts.sum() == 50_000
 
     def test_pareto_needs_finite_mean(self):
-        cfg = SessionTrafficConfig(sessions=16, service="pareto",
-                                   service_shape=0.9)
+        # Rejected when the config is built, before any run boots.
         with pytest.raises(ValueError, match="finite mean"):
-            generate_chunk(cfg, 0, 16, 0.0)
+            SessionTrafficConfig(sessions=16, service="pareto",
+                                 service_shape=0.9)
+        with pytest.raises(ValueError, match="finite mean"):
+            SessionTrafficConfig(interarrival="pareto",
+                                 interarrival_shape=1.0)
+        # A lognormal's shape is its sigma: no such bound.
+        SessionTrafficConfig(service="lognormal", service_shape=0.9)
 
 
 def _reference_chunk(cfg: SessionTrafficConfig, start: int, count: int,
@@ -385,6 +390,11 @@ class TestTrafficRuns:
         ("mix", (1.0, -0.5, 1.0), "mix must be 3 non-negative finite "
                                   "weights with a positive sum: (1.0, "
                                   "-0.5, 1.0)"),
+        ("service_shape", 1.0, "service_shape must be > 1 and finite for "
+                               "a pareto service with a finite mean: 1.0"),
+        ("service_shape", float("inf"),
+         "service_shape must be > 1 and finite for a pareto service with "
+         "a finite mean: inf"),
     ])
     def test_config_rejects_an_invalid_field(self, field, value, message):
         with pytest.raises(ValueError) as info:
